@@ -125,9 +125,9 @@ func main() {
 		return
 	}
 
-	// A metrics-only sink (no event log) as the process default: every
-	// optimization the experiments run reports into it without per-call
-	// plumbing, and the unbounded event log stays off. -json brackets each
+	// A non-tracing sink as the process default: every optimization the
+	// experiments run reports into it without per-call plumbing, and no
+	// search-step event is rendered or stored. -json brackets each
 	// experiment with counter snapshots to attribute the totals.
 	var sink *stars.Sink
 	if *metricsF || *jsonOut != "" {
@@ -222,13 +222,12 @@ func main() {
 // reportCoverage runs the coverage workload corpus under the built-in
 // repertoire and prints alternative-space utilization alongside the
 // experiments' perf numbers: how much of the repertoire the representative
-// workload exercises (the deep report is `starburst cover`). Event-keeping
-// sinks are scoped to this section — the experiments themselves keep their
-// metrics-only observability.
+// workload exercises (the deep report is `starburst cover`). The per-run
+// coverage summary is all it reads, so non-tracing sinks do.
 func reportCoverage() {
 	acc := stars.NewCoverageAccumulator()
 	for _, entry := range stars.WorkloadCorpus() {
-		sink := stars.NewSink()
+		sink := stars.NewMetricsSink()
 		if _, err := stars.Optimize(entry.Cat, entry.Query, stars.Options{Obs: sink}); err != nil {
 			fmt.Fprintf(os.Stderr, "coverage: %s: %v\n", entry.Name, err)
 			continue

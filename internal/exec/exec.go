@@ -226,8 +226,10 @@ func emitOpEvents(sink *obs.Sink, root *plan.Node, ops map[*plan.Node]*OpStats) 
 		}
 		seen[n] = true
 		if st := ops[n]; st != nil {
-			sink.Emit(obs.Event{Name: obs.EvExecOp, A1: string(n.Op), A2: n.Table,
-				N1: st.Rows, N2: st.IO.TotalPages()})
+			if sink.Tracing() {
+				sink.Emit(obs.Event{Name: obs.EvExecOp, A1: string(n.Op), A2: n.Table,
+					N1: st.Rows, N2: st.IO.TotalPages()})
+			}
 			var est float64
 			if n.Props != nil {
 				est = n.Props.Card
@@ -238,6 +240,7 @@ func emitOpEvents(sink *obs.Sink, root *plan.Node, ops map[*plan.Node]*OpStats) 
 			if st.Opens > 1 {
 				act /= float64(st.Opens)
 			}
+			//obsguard:ignore the Q-error ledger and the flight watchdog read exec.feedback from every enabled sink; once per executed operator
 			sink.Emit(obs.Event{Name: obs.EvExecFeedback, A1: string(n.Op), A2: n.Fingerprint(),
 				N1: st.Rows, N2: st.Opens, F1: est, F2: plan.QError(est, act)})
 			reg.Counter("qerror_observations_total").Add(1)

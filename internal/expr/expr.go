@@ -260,9 +260,9 @@ func (c *Cmp) Eval(b Binding) datum.Datum {
 
 // Key implements Expr. Symmetric operators canonicalize operand order so
 // that a=b and b=a key identically.
-func (c *Cmp) Key() string {
-	lk, rk := c.L.Key(), c.R.Key()
-	op := c.Op
+func (c *Cmp) Key() string { return cmpKey(c.Op, c.L.Key(), c.R.Key()) }
+
+func cmpKey(op CmpOp, lk, rk string) string {
 	switch op {
 	case EQ, NE:
 		if rk < lk {
@@ -403,6 +403,35 @@ func (n *Not) Key() string { return "NOT(" + n.Kid.Key() + ")" }
 func (n *Not) String() string { return "NOT " + n.Kid.String() }
 
 func (n *Not) walk(f func(Expr)) { f(n); n.Kid.walk(f) }
+
+// ShapeKey is Key with every literal rendered as "?": expressions that
+// differ only in their constants share it.
+func ShapeKey(e Expr) string {
+	kids := func(ks []Expr) string {
+		keys := make([]string, len(ks))
+		for i, k := range ks {
+			keys[i] = ShapeKey(k)
+		}
+		sort.Strings(keys)
+		return strings.Join(keys, ",")
+	}
+	switch n := e.(type) {
+	case *Const:
+		return "?"
+	case *Arith:
+		return "(" + ShapeKey(n.L) + n.Op.String() + ShapeKey(n.R) + ")"
+	case *Cmp:
+		return cmpKey(n.Op, ShapeKey(n.L), ShapeKey(n.R))
+	case *And:
+		return "AND(" + kids(n.Kids) + ")"
+	case *Or:
+		return "OR(" + kids(n.Kids) + ")"
+	case *Not:
+		return "NOT(" + ShapeKey(n.Kid) + ")"
+	default:
+		return e.Key()
+	}
+}
 
 // EvalBool evaluates e as a predicate: only a definite true passes, matching
 // the WHERE-clause treatment of NULL as not-satisfied.

@@ -114,6 +114,35 @@ func TestKeyCanonicalization(t *testing.T) {
 	}
 }
 
+// TestShapeKeyMasksLiterals: ShapeKey is Key with constants as "?", keeping
+// Key's canonicalization.
+func TestShapeKeyMasksLiterals(t *testing.T) {
+	lit := func(v int64) Expr { return &Const{Val: datum.NewInt(v)} }
+	eq := func(v int64) Expr { return &Cmp{Op: EQ, L: C("T", "A"), R: lit(v)} }
+	if eq(1).Key() == eq(2).Key() || ShapeKey(eq(1)) != ShapeKey(eq(2)) {
+		t.Errorf("T.A=1 / T.A=2: keys %q %q, shape keys %q %q", eq(1).Key(), eq(2).Key(), ShapeKey(eq(1)), ShapeKey(eq(2)))
+	}
+	if got := ShapeKey(eq(1)); got != "(?=T.A)" {
+		t.Errorf("ShapeKey(T.A=1) = %q", got)
+	}
+	flipped := &Cmp{Op: GT, L: lit(7), R: C("T", "A")}
+	if ShapeKey(flipped) != ShapeKey(&Cmp{Op: LT, L: C("T", "A"), R: lit(9)}) {
+		t.Error("7>T.A and T.A<9 must share a shape key")
+	}
+	if ShapeKey(eq(1)) == ShapeKey(&Cmp{Op: EQ, L: C("T", "B"), R: lit(1)}) {
+		t.Error("different columns must not share a shape key")
+	}
+	nested := &Not{Kid: &Or{Kids: []Expr{eq(1), &And{Kids: []Expr{eq(2),
+		&Cmp{Op: LE, L: &Arith{Op: Add, L: C("U", "C"), R: lit(3)}, R: lit(4)}}}}}}
+	if got, want := ShapeKey(nested), "NOT(OR((?=T.A),AND(((U.C+?)<=?),(?=T.A))))"; got != want {
+		t.Errorf("ShapeKey(nested) = %q, want %q", got, want)
+	}
+	joinPred := &Cmp{Op: EQ, L: C("T", "A"), R: C("U", "B")}
+	if ShapeKey(joinPred) != joinPred.Key() {
+		t.Error("a literal-free predicate's shape key must be its key")
+	}
+}
+
 // genExpr builds a random expression over T.A, T.B, U.C with bounded depth.
 func genExpr(r *rand.Rand, depth int) Expr {
 	if depth <= 0 || r.Intn(3) == 0 {

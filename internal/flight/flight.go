@@ -10,8 +10,10 @@
 // per-template rolling history; the watchdog compares each new record
 // against its template's history and flags
 //
-//   - plan flips: the plan fingerprint changed although the template, the
-//     catalog-stats epoch, and the rule-set hash all stayed the same,
+//   - plan flips: the plan's shape (its fingerprint with literals masked, so
+//     a template's different constants don't count) changed although the
+//     template, the catalog-stats epoch, and the rule-set hash all stayed
+//     the same,
 //   - latency outliers: wall time beyond LatencyFactor times the template's
 //     rolling baseline (and above LatencyFloor, the noise gate), and
 //   - Q-error blowups: an executed request whose worst per-operator
@@ -40,7 +42,7 @@ import (
 var Kinds = []string{KindPlanFlip, KindQError, KindLatency}
 
 const (
-	// KindPlanFlip: fingerprint changed for an unchanged
+	// KindPlanFlip: plan shape changed for an unchanged
 	// template+catalog-epoch+rule-hash.
 	KindPlanFlip = "plan_flip"
 	// KindQError: an executed plan's worst operator Q-error reached the
@@ -136,6 +138,11 @@ type Record struct {
 	Status int `json:"status"`
 	// PlanFP is the chosen plan's stable fingerprint (empty on failures).
 	PlanFP string `json:"plan_fp,omitempty"`
+	// ShapeFP is the plan's literal-insensitive fingerprint
+	// (plan.Node.ShapeFingerprint) — what the plan-flip watchdog compares,
+	// since PlanFP differs between two constants of one template. Records
+	// without one are compared on PlanFP.
+	ShapeFP string `json:"shape_fp,omitempty"`
 	// EstCost and EstRows are the optimizer's estimates for the chosen
 	// plan.
 	EstCost float64 `json:"est_cost,omitempty"`
@@ -153,6 +160,14 @@ type Record struct {
 	// Q-error the run's exec.feedback events carried.
 	Executed  bool    `json:"executed,omitempty"`
 	MaxQError float64 `json:"max_qerror,omitempty"`
+}
+
+// shape is the identity plan-flip detection compares.
+func (r *Record) shape() string {
+	if r.ShapeFP != "" {
+		return r.ShapeFP
+	}
+	return r.PlanFP
 }
 
 // Trigger is one watchdog rule that fired on a record.
@@ -323,7 +338,7 @@ func (r *Recorder) Observe(rec Record) Observation {
 
 	// Watchdog. Judged against the history as it stood before this
 	// record, so an anomaly can't raise its own bar.
-	if p := out.Prev; p != nil && p.PlanFP != rec.PlanFP &&
+	if p := out.Prev; p != nil && p.shape() != rec.shape() &&
 		p.CatalogEpoch == rec.CatalogEpoch && p.RulesHash == rec.RulesHash {
 		out.Triggers = append(out.Triggers, Trigger{
 			Kind:   KindPlanFlip,

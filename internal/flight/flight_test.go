@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -81,6 +82,28 @@ func TestWatchdogPlanFlip(t *testing.T) {
 	n.RulesHash = "rules-b"
 	if o := r.Observe(n); o.Kind() == flight.KindPlanFlip {
 		t.Fatalf("rules change still flagged as flip: %+v", o.Triggers)
+	}
+}
+
+// TestWatchdogComparesShape: records carrying a shape fingerprint flip on it
+// alone — a template's different literals change PlanFP but not the plan.
+func TestWatchdogComparesShape(t *testing.T) {
+	r := newRecorder(t, flight.Config{})
+	shaped := func(fp, shape string) flight.Record {
+		n := rec("Q", fp, time.Millisecond)
+		n.ShapeFP = shape
+		return n
+	}
+	r.Observe(shaped("fp-lit1", "shape-a"))
+	if o := r.Observe(shaped("fp-lit2", "shape-a")); len(o.Triggers) != 0 {
+		t.Fatalf("a literal change triggered: %+v", o.Triggers)
+	}
+	o := r.Observe(shaped("fp-lit3", "shape-b"))
+	if o.Kind() != flight.KindPlanFlip {
+		t.Fatalf("a shape change did not flip: %+v", o.Triggers)
+	}
+	if tr := o.Triggers[0]; tr.PrevFP != "fp-lit2" || !strings.Contains(tr.Detail, "fp-lit2 -> fp-lit3") {
+		t.Errorf("the flip must cite the displayed fingerprints: %+v", tr)
 	}
 }
 

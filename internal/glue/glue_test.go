@@ -1,6 +1,7 @@
 package glue
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -383,9 +384,60 @@ func TestCheapestOf(t *testing.T) {
 
 func TestStatsAdd(t *testing.T) {
 	a := Stats{Calls: 1, Hits: 2, Misses: 3, Veneers: 4}
-	a.Add(Stats{Calls: 10, Hits: 20, Misses: 30, Veneers: 40})
-	if a != (Stats{Calls: 11, Hits: 22, Misses: 33, Veneers: 44}) {
+	a.VeneersByOp[1] = 4
+	b := Stats{Calls: 10, Hits: 20, Misses: 30, Veneers: 40}
+	b.VeneersByOp[1], b.VeneersByOp[5] = 30, 10
+	a.Add(b)
+	want := Stats{Calls: 11, Hits: 22, Misses: 33, Veneers: 44}
+	want.VeneersByOp[1], want.VeneersByOp[5] = 34, 10
+	if a != want {
 		t.Errorf("Stats.Add = %+v", a)
+	}
+}
+
+// TestPruneTally: dominance decisions are tallied by the origins of victim
+// and dominator on any enabled sink — without an event on a non-tracing one —
+// survive Absorb, and are not kept at all without a sink.
+func TestPruneTally(t *testing.T) {
+	ts := deptSet()
+	mk := func(origin string, total float64) *plan.Node {
+		return &plan.Node{Op: plan.OpAccess, Flavor: plan.FlavorHeap, Table: "DEPT", Path: origin,
+			Origin: origin, Props: &plan.Props{Cost: plan.Cost{Total: total}}}
+	}
+	tally := func(pt *PlanTable) map[[2]string]int64 {
+		out := map[[2]string]int64{}
+		pt.ForEachPrune(func(v, d string, n int64) { out[[2]string{v, d}] += n })
+		return out
+	}
+	for _, sink := range []*obs.Sink{obs.NewSink(), obs.NewMetricsSink(), nil} {
+		base := NewPlanTable()
+		base.Obs = sink
+		base.Insert(ts, predsK, []*plan.Node{mk("R#1", 50)})
+		ov := NewOverlay(base)
+		ov.Obs = sink.Child()
+		ov.Insert(ts, predsK, []*plan.Node{mk("R#2", 90), mk("R#3", 5)}) // R#2 rejected by the base's R#1
+		base.Absorb(ov)                                                  // R#3 evicts R#1 on replay
+		got := tally(base)
+		if sink == nil {
+			if len(got) != 0 {
+				t.Errorf("nil sink kept a prune tally: %v", got)
+			}
+			continue
+		}
+		want := map[[2]string]int64{{"R#2", "R#1"}: 1, {"R#1", "R#3"}: 1}
+		if !reflect.DeepEqual(got, want) || base.Pruned != 2 {
+			t.Errorf("tracing=%v: prune tally %v (Pruned %d), want %v", sink.Tracing(), got, base.Pruned, want)
+		}
+		sink.Absorb(ov.Obs)
+		events := 0
+		for _, e := range sink.Events() {
+			if e.Name == obs.EvPlanPrune {
+				events++
+			}
+		}
+		if wantEvents := map[bool]int{true: 2, false: 0}[sink.Tracing()]; events != wantEvents || (!sink.Tracing() && sink.Len() != 0) {
+			t.Errorf("tracing=%v: %d prune events, Len %d", sink.Tracing(), events, sink.Len())
+		}
 	}
 }
 

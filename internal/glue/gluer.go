@@ -21,7 +21,12 @@ type Stats struct {
 	Misses int64
 	// Veneers counts Glue operators injected.
 	Veneers int64
+	// VeneersByOp splits Veneers by operator, in VeneerOps order.
+	VeneersByOp [len(VeneerOps)]int64
 }
+
+// VeneerOps lists the operators Glue injects, in Stats.VeneersByOp order.
+var VeneerOps = [...]plan.Op{plan.OpShip, plan.OpSort, plan.OpStore, plan.OpBuildIndex, plan.OpAccess, plan.OpFilter}
 
 // Add accumulates another run's counters (mirrors star.Stats.Add).
 func (s *Stats) Add(o Stats) {
@@ -29,6 +34,9 @@ func (s *Stats) Add(o Stats) {
 	s.Hits += o.Hits
 	s.Misses += o.Misses
 	s.Veneers += o.Veneers
+	for i, n := range o.VeneersByOp {
+		s.VeneersByOp[i] += n
+	}
 }
 
 // Gluer is the Glue mechanism wired to a STAR engine, a query, and a plan
@@ -58,7 +66,11 @@ func (g *Gluer) Glue(req *star.GlueRequest) (result []*plan.Node, err error) {
 	g.Stats.Calls++
 	var sp obs.Span
 	if g.Engine.Obs.Enabled() {
-		sp = g.Engine.Obs.StartSpan(obs.EvGlue, req.Tables.Key(), req.Req.String(), 0)
+		rendered := ""
+		if g.Engine.Obs.Tracing() {
+			rendered = req.Req.String()
+		}
+		sp = g.Engine.Obs.StartSpan(obs.EvGlue, req.Tables.Key(), rendered, 0)
 		defer func() { sp.End(int64(len(result))) }()
 	}
 	base := g.Graph.EligibleWithin(req.Tables)
@@ -121,13 +133,13 @@ func (g *Gluer) Glue(req *star.GlueRequest) (result []*plan.Node, err error) {
 func (g *Gluer) ensurePlans(tables expr.TableSet, preds expr.PredSet) ([]*plan.Node, error) {
 	if plans := g.Table.Lookup(tables, preds); len(plans) > 0 {
 		g.Stats.Hits++
-		if g.Engine.Obs.Enabled() {
+		if g.Engine.Obs.Tracing() {
 			g.Engine.Obs.Emit(obs.Event{Name: obs.EvGlueHit, A1: tables.Key(), N1: int64(len(plans))})
 		}
 		return plans, nil
 	}
 	g.Stats.Misses++
-	if g.Engine.Obs.Enabled() {
+	if g.Engine.Obs.Tracing() {
 		g.Engine.Obs.Emit(obs.Event{Name: obs.EvGlueMiss, A1: tables.Key()})
 	}
 	names := tables.Slice()
@@ -267,7 +279,13 @@ func (g *Gluer) addVeneer(n *plan.Node) (*plan.Node, error) {
 	}
 	n.Origin = "Glue"
 	g.Stats.Veneers++
-	if g.Engine.Obs.Enabled() {
+	for i, op := range VeneerOps {
+		if op == n.Op {
+			g.Stats.VeneersByOp[i]++
+			break
+		}
+	}
+	if g.Engine.Obs.Tracing() {
 		e := obs.Event{Name: obs.EvVeneer, A1: string(n.Op), A2: n.Fingerprint(), N1: 1,
 			F1: n.Props.Cost.Total}
 		if in := n.Outer(); in != nil {

@@ -52,9 +52,13 @@ type PlanTable struct {
 	Inserted      int64
 	Pruned        int64
 	PruneDisabled bool
-	// Obs, when enabled, receives plantable.insert / plantable.prune
-	// events.
+	// Obs, when tracing, receives plantable.offer / insert / prune events;
+	// when merely enabled, dominance decisions are still tallied by origin
+	// (ForEachPrune).
 	Obs *obs.Sink
+	// prunes tallies dominance decisions by the origins of the victim and
+	// of the plan that dominated it, while Obs is enabled.
+	prunes map[pruneKey]int64
 
 	// base, when non-nil, makes this table an overlay: reads fall through
 	// to base (which must stay frozen while the overlay is live), writes
@@ -71,6 +75,9 @@ type PlanTable struct {
 	// first-write order — the deterministic replay schedule Absorb follows.
 	order []*entry
 }
+
+// pruneKey names the two sides of a dominance decision by plan origin.
+type pruneKey struct{ victim, dominator string }
 
 // NewPlanTable returns an empty plan table.
 func NewPlanTable() *PlanTable {
@@ -168,14 +175,14 @@ func (pt *PlanTable) Insert(tables expr.TableSet, preds expr.PredSet, plans []*p
 	}
 	for _, p := range plans {
 		pt.Inserted++
-		if pt.Obs.Enabled() {
+		if pt.Obs.Tracing() {
 			pt.Obs.Emit(obs.Event{Name: obs.EvPlanOffer, A1: tables.Key(),
 				A2: p.Fingerprint(), A3: offerDetail(p),
 				F1: p.Props.Cost.Total, F2: p.Props.Card})
 		}
 		pt.addPruned(e, baseEntry, p)
 	}
-	if pt.Obs.Enabled() {
+	if pt.Obs.Tracing() {
 		pt.Obs.Emit(obs.Event{Name: obs.EvPlanInsert, A1: tables.Key(), A2: e.pk,
 			N1: int64(len(plans)), N2: int64(len(e.plans))})
 	}
@@ -220,7 +227,7 @@ func (pt *PlanTable) addPruned(e *entry, baseEntry *entry, p *plan.Node) {
 		}
 		if plan.Dominates(q.Props, p.Props) {
 			pt.Pruned++
-			pt.emitPrune(e.tables.Key(), p, q, 0)
+			pt.notePrune(e.tables.Key(), p, q, 0)
 			return
 		}
 	}
@@ -230,7 +237,7 @@ func (pt *PlanTable) addPruned(e *entry, baseEntry *entry, p *plan.Node) {
 		}
 		if plan.Dominates(q.Props, p.Props) {
 			pt.Pruned++
-			pt.emitPrune(e.tables.Key(), p, q, 0) // incoming p rejected, dominated by existing q
+			pt.notePrune(e.tables.Key(), p, q, 0) // incoming p rejected, dominated by existing q
 			return
 		}
 	}
@@ -238,7 +245,7 @@ func (pt *PlanTable) addPruned(e *entry, baseEntry *entry, p *plan.Node) {
 	for _, q := range e.plans {
 		if plan.Dominates(p.Props, q.Props) {
 			pt.Pruned++
-			pt.emitPrune(e.tables.Key(), q, p, 1) // existing q evicted by incoming p
+			pt.notePrune(e.tables.Key(), q, p, 1) // existing q evicted by incoming p
 			continue
 		}
 		out = append(out, q)
@@ -263,7 +270,7 @@ func (pt *PlanTable) Absorb(o *PlanTable) {
 	if profiled {
 		t0 = time.Now()
 	}
-	full := pt.Obs.Enabled() || pt.PruneDisabled
+	full := pt.Obs.Tracing() || pt.PruneDisabled
 	for _, oe := range o.order {
 		if len(oe.plans) == 0 {
 			continue
@@ -275,6 +282,12 @@ func (pt *PlanTable) Absorb(o *PlanTable) {
 	}
 	pt.Inserted += o.Inserted
 	pt.Pruned += o.Pruned
+	if len(o.prunes) > 0 && pt.prunes == nil {
+		pt.prunes = make(map[pruneKey]int64, len(o.prunes))
+	}
+	for k, n := range o.prunes {
+		pt.prunes[k] += n
+	}
 	if profiled {
 		// The absorb meter overlaps plantable_offer: replaying an overlay
 		// goes through Insert, which times its own offers too.
@@ -302,7 +315,7 @@ func memoizePlans(plans []*plan.Node, full bool) {
 // goroutines: plan.Node memoizes lazily, which is a write, and must happen
 // while the table is still single-threaded.
 func (pt *PlanTable) MemoizeIdentities() {
-	full := pt.Obs.Enabled() || pt.PruneDisabled
+	full := pt.Obs.Tracing() || pt.PruneDisabled
 	pt.ForEach(func(_, _ string, p *plan.Node) {
 		if full {
 			p.Fingerprint()
@@ -312,17 +325,34 @@ func (pt *PlanTable) MemoizeIdentities() {
 	})
 }
 
-// emitPrune records one dominance decision with the identity and cost of
-// both the victim and the dominator — the forensic record provenance.WhyNot
-// answers from. direction is 0 when the incoming plan was rejected, 1 when
-// an existing plan was evicted.
-func (pt *PlanTable) emitPrune(tk string, victim, dominator *plan.Node, direction int64) {
+// notePrune records one dominance decision: tallied by the origins of the
+// victim and the dominator on any enabled sink, and on a tracing sink also
+// emitted with the identity and cost of both — the forensic record
+// provenance.WhyNot answers from. direction is 0 when the incoming plan was
+// rejected, 1 when an existing plan was evicted.
+func (pt *PlanTable) notePrune(tk string, victim, dominator *plan.Node, direction int64) {
 	if !pt.Obs.Enabled() {
+		return
+	}
+	if pt.prunes == nil {
+		pt.prunes = map[pruneKey]int64{}
+	}
+	pt.prunes[pruneKey{victim.Origin, dominator.Origin}]++
+	if !pt.Obs.Tracing() {
 		return
 	}
 	pt.Obs.Emit(obs.Event{Name: obs.EvPlanPrune, A1: tk, N1: direction,
 		A2: victim.Fingerprint(), A3: dominator.Fingerprint(),
 		F1: victim.Props.Cost.Total, F2: dominator.Props.Cost.Total})
+}
+
+// ForEachPrune visits the dominance decisions tallied while Obs was enabled
+// (this table's own and every absorbed overlay's), grouped by the victim's
+// and the dominator's plan origin, in unspecified order.
+func (pt *PlanTable) ForEachPrune(fn func(victimOrigin, dominatorOrigin string, n int64)) {
+	for k, n := range pt.prunes {
+		fn(k.victim, k.dominator, n)
+	}
 }
 
 // offerDetail renders the origin and operator of an offered plan for the

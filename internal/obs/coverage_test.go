@@ -71,16 +71,19 @@ func TestParseRejectsForeignEvents(t *testing.T) {
 	}
 }
 
-func TestKeepsEvents(t *testing.T) {
+func TestTracing(t *testing.T) {
 	var nilSink *Sink
-	if nilSink.KeepsEvents() {
-		t.Error("nil sink claims to keep events")
+	if nilSink.Tracing() || nilSink.KeepsEvents() {
+		t.Error("nil sink claims to trace")
 	}
-	if !NewSink().KeepsEvents() {
-		t.Error("recording sink denies keeping events")
+	if s := NewSink(); !s.Tracing() || !s.KeepsEvents() {
+		t.Error("recording sink denies tracing")
 	}
-	if NewMetricsSink().KeepsEvents() {
-		t.Error("metrics-only sink claims to keep events")
+	if s := NewRequestSink("r1"); !s.Tracing() {
+		t.Error("request sink denies tracing")
+	}
+	if s := NewMetricsSink(); s.Tracing() || s.KeepsEvents() {
+		t.Error("metrics-only sink claims to trace")
 	}
 }
 

@@ -5,13 +5,24 @@
 //
 // The design constraint is that the *disabled* path must cost nothing: every
 // entry point is safe on a nil *Sink (and nil *Registry, *Counter, ...), so
-// instrumented code writes
+// instrumented code pays only a nil check when observability is off.
+// BenchmarkObsOverhead in the repository root verifies the disabled-path
+// overhead stays under a few percent.
 //
-//	en.Obs.Emit(obs.Event{Name: obs.EvAltFired, ...})
+// An enabled sink works at one of two tiers. Every enabled sink (Enabled)
+// feeds the metrics registry, the duration histograms, the self-profiler
+// and the fixed-size tallies instrumented code keeps; only a tracing sink
+// (Tracing) also records the search-step event stream — one record per rule
+// reference, alternative, Glue lookup, veneer, plan-table offer and prune —
+// whose arguments cost an allocation each to render. Instrumented code
+// therefore writes
 //
-// unconditionally and pays only a nil check plus a stack-allocated Event
-// when observability is off. BenchmarkObsOverhead in the repository root
-// verifies the disabled-path overhead stays under a few percent.
+//	if en.Obs.Tracing() {
+//		en.Obs.Emit(obs.Event{Name: obs.EvAltFired, ...})
+//	}
+//
+// and a non-tracing sink is left holding only the handful of summary events
+// emitted unconditionally (opt.alt.coverage, exec.feedback, ...).
 //
 // Event taxonomy, metric names, and exporter formats are documented in
 // docs/OBSERVABILITY.md.
@@ -163,24 +174,30 @@ type Sink struct {
 	events  []Event
 	seq     int64
 	spanSeq atomic.Int64
-	drop    bool   // metrics-only: count, but keep no event log
+	tracing bool   // records span and search-step events (see Tracing)
 	tag     string // request id stamped into every event's Req field
 	tees    []func(Event)
 	reg     *Registry
-	prof    *Prof // optional self-profiler (EnableProf); nil costs one check
+	hists   map[histKey]*Histogram // span histograms by (name, a1); under mu
+	prof    *Prof                  // optional self-profiler (EnableProf); nil costs one check
 }
 
-// NewSink returns a sink that records events and metrics.
+// histKey addresses a span's duration histogram without rendering its name.
+type histKey struct{ name, a1 string }
+
+// NewSink returns a tracing sink: it records the full event stream and
+// metrics.
 func NewSink() *Sink {
-	return &Sink{start: time.Now(), reg: NewRegistry()}
+	return &Sink{start: time.Now(), reg: NewRegistry(), tracing: true}
 }
 
-// NewMetricsSink returns a sink that maintains metrics but discards the
-// event log — the shape long-running aggregation (cmd/starbench -metrics)
-// wants, since the event log grows without bound.
+// NewMetricsSink returns a non-tracing sink: metrics, histograms, profiler
+// and tallies, but no span or search-step events, so instrumented code
+// renders no arguments for it. Its log holds only the summary events emitted
+// unconditionally — O(#alternatives) per optimization.
 func NewMetricsSink() *Sink {
 	s := NewSink()
-	s.drop = true
+	s.tracing = false
 	return s
 }
 
@@ -195,16 +212,26 @@ func NewRequestSink(req string) *Sink {
 	return s
 }
 
-// Child returns a fresh sink of the same shape as s (event-keeping or
-// metrics-only) for one unit of isolated work — e.g. one subset task of the
-// parallel join enumeration. Workers record into their child sink without
-// contending on the parent, and the parent later folds the child back in
-// with Absorb, in a deterministic order. Nil for the nil sink.
+// SetTracing moves the sink between the two tiers (see Tracing). Must be
+// called before the sink is shared across goroutines. No-op on nil.
+func (s *Sink) SetTracing(on bool) {
+	if s != nil {
+		s.tracing = on
+	}
+}
+
+// Child returns a fresh sink at the same tier as s for one unit of isolated
+// work — e.g. one subset task of the parallel join enumeration. Workers
+// record into their child sink without contending on the parent, and the
+// parent later folds the child back in with Absorb, in a deterministic
+// order. The child keeps every event it materialises, so Absorb hands the
+// parent's log and tees exactly what reporting into the parent directly
+// would have. Nil for the nil sink.
 func (s *Sink) Child() *Sink {
 	if s == nil {
 		return nil
 	}
-	c := &Sink{start: time.Now(), reg: NewRegistry(), drop: s.drop}
+	c := &Sink{start: time.Now(), reg: NewRegistry(), tracing: s.tracing}
 	if s.prof != nil {
 		c.prof = newProf(ProfOptions{Labels: s.prof.labels})
 	}
@@ -218,12 +245,16 @@ func (s *Sink) Child() *Sink {
 // re-based onto s's epoch preserving real durations, and s's request tag is
 // stamped onto untagged events — exactly what Emit would have done had the
 // work reported into s directly. Tees see the absorbed events in order.
-// No-op when either side is nil.
+// The child must have finished its work. No-op when either side is nil.
 func (s *Sink) Absorb(child *Sink) {
 	if s == nil || child == nil {
 		return
 	}
-	events := child.Events()
+	// The log is append-only, so the prefix read here stays valid without
+	// copying it.
+	child.mu.Lock()
+	events := child.events
+	child.mu.Unlock()
 	offset := child.start.Sub(s.start)
 	s.mu.Lock()
 	var spanMap map[int64]int64
@@ -245,9 +276,7 @@ func (s *Sink) Absorb(child *Sink) {
 			}
 			e.Span = ns
 		}
-		if !s.drop {
-			s.events = append(s.events, e)
-		}
+		s.events = append(s.events, e)
 		for _, fn := range s.tees {
 			fn(e)
 		}
@@ -267,9 +296,9 @@ func (s *Sink) Tag() string {
 	return s.tag
 }
 
-// Tee registers fn to be called with every event the sink sees (after Seq,
-// T, and Req are stamped), including on metrics-only sinks that drop their
-// own log — the fan-out hook live event streaming subscribes through. fn is
+// Tee registers fn to be called with every event the sink materialises
+// (after Seq, T, and Req are stamped) — the fan-out hook live event
+// streaming subscribes through. fn is
 // invoked under the sink's lock so subscribers observe one sink's events in
 // order; it must be fast, must not block, and must not call back into the
 // sink. Tee must be called before the sink is shared across goroutines.
@@ -299,15 +328,21 @@ func DefaultSink() *Sink { return defaultSink.Load() }
 // up the new sink on their next resolution.
 func SetDefault(s *Sink) { defaultSink.Store(s) }
 
-// Enabled reports whether the sink records anything; instrumented code uses
-// it to guard argument rendering that would otherwise allocate.
+// Enabled reports whether the sink records anything: metrics, span
+// durations (histograms and the self-profiler) and the tallies instrumented
+// code keeps. Spans open behind it; tally increments need no guard at all.
 func (s *Sink) Enabled() bool { return s != nil }
 
-// KeepsEvents reports whether the sink retains its event log (false for the
-// nil sink and for metrics-only sinks). Work whose output is derived from
-// the recorded log — coverage summaries, provenance — is skipped when the
-// log is dropped.
-func (s *Sink) KeepsEvents() bool { return s != nil && !s.drop }
+// Tracing reports whether the sink records the search-step event stream —
+// span begin/end records and the per-step instants (star.alt.*, glue.hit,
+// glue.miss, glue.veneer, plantable.*, opt.pair). Instrumented code guards
+// those Emit calls, and the rendering of their arguments and of span
+// arguments, with it. Work derived from that stream (provenance, the
+// rule-firing trace) needs a tracing sink.
+func (s *Sink) Tracing() bool { return s != nil && s.tracing }
+
+// KeepsEvents is the older name of Tracing.
+func (s *Sink) KeepsEvents() bool { return s.Tracing() }
 
 // Registry returns the sink's metrics registry (nil for the nil sink —
 // every Registry method is nil-safe too).
@@ -331,9 +366,7 @@ func (s *Sink) Emit(e Event) {
 	if e.Req == "" {
 		e.Req = s.tag
 	}
-	if !s.drop {
-		s.events = append(s.events, e)
-	}
+	s.events = append(s.events, e)
 	for _, fn := range s.tees {
 		fn(e)
 	}
@@ -348,9 +381,7 @@ func (s *Sink) append(e Event) {
 	if e.Req == "" {
 		e.Req = s.tag
 	}
-	if !s.drop {
-		s.events = append(s.events, e)
-	}
+	s.events = append(s.events, e)
 	for _, fn := range s.tees {
 		fn(e)
 	}
@@ -368,15 +399,20 @@ type Span struct {
 }
 
 // StartSpan opens a span. depth is the caller's nesting depth (0 when not
-// meaningful). Ending the span also observes its duration into the
-// histogram named after the span (see the Ev* docs).
+// meaningful). Ending the span observes its duration into the histogram
+// named after the span (see the Ev* docs) and into the self-profiler; the
+// begin/end event records — the only use of a2, depth and End's n1 — are
+// written by a tracing sink alone.
 func (s *Sink) StartSpan(name, a1, a2 string, depth int) Span {
 	if s == nil {
 		return Span{}
 	}
-	id := s.spanSeq.Add(1)
+	var id int64
 	t := time.Since(s.start)
-	s.append(Event{Kind: KindSpanBegin, Name: name, A1: a1, A2: a2, Depth: depth, Span: id, T: t})
+	if s.tracing {
+		id = s.spanSeq.Add(1)
+		s.append(Event{Kind: KindSpanBegin, Name: name, A1: a1, A2: a2, Depth: depth, Span: id, T: t})
+	}
 	s.prof.spanBegin(name, a1, t)
 	return Span{s: s, id: id, name: name, a1: a1, t0: t}
 }
@@ -388,9 +424,28 @@ func (sp Span) End(n1 int64) {
 		return
 	}
 	t := time.Since(sp.s.start)
-	sp.s.append(Event{Kind: KindSpanEnd, Name: sp.name, A1: sp.a1, Span: sp.id, T: t, N1: n1})
-	sp.s.reg.Histogram(spanHistName(sp.name, sp.a1)).Observe(t - sp.t0)
+	if sp.s.tracing {
+		sp.s.append(Event{Kind: KindSpanEnd, Name: sp.name, A1: sp.a1, Span: sp.id, T: t, N1: n1})
+	}
+	sp.s.spanHist(sp.name, sp.a1).Observe(t - sp.t0)
 	sp.s.prof.spanEnd(sp.name, t)
+}
+
+// spanHist resolves a span's histogram, rendering its name only on the
+// first span of each (name, a1) the sink sees.
+func (s *Sink) spanHist(name, a1 string) *Histogram {
+	k := histKey{name, a1}
+	s.mu.Lock()
+	h := s.hists[k]
+	if h == nil {
+		if s.hists == nil {
+			s.hists = map[histKey]*Histogram{}
+		}
+		h = s.reg.Histogram(spanHistName(name, a1))
+		s.hists[k] = h
+	}
+	s.mu.Unlock()
+	return h
 }
 
 // spanHistName derives the histogram name a span observes into:
@@ -423,8 +478,9 @@ func (s *Sink) Events() []Event {
 	return append([]Event(nil), s.events...)
 }
 
-// Len returns the number of events seen (including dropped ones on a
-// metrics-only sink).
+// Len returns the number of events the sink has materialised: its own plus
+// those absorbed from child sinks. On a non-tracing sink that is the few
+// summary events, not the search steps taken.
 func (s *Sink) Len() int64 {
 	if s == nil {
 		return 0

@@ -116,16 +116,29 @@ func TestMetricsConcurrent(t *testing.T) {
 	}
 }
 
-func TestMetricsSinkDropsEventsKeepsMetrics(t *testing.T) {
+// TestMetricsSinkTier pins the non-tracing tier: spans leave no event record
+// but still feed their histogram, an unconditional Emit is materialised, and
+// Len counts exactly what was.
+func TestMetricsSinkTier(t *testing.T) {
 	s := NewMetricsSink()
-	s.Emit(Event{Name: EvPair})
-	sp := s.StartSpan(EvPhase, "access", "", 0)
-	sp.End(0)
-	if got := s.Events(); len(got) != 0 {
-		t.Fatalf("metrics sink kept %d events", len(got))
+	if !s.Enabled() || s.Tracing() {
+		t.Fatalf("metrics sink: Enabled %v Tracing %v, want true false", s.Enabled(), s.Tracing())
 	}
-	if h := s.Registry().Histogram(`opt_phase_seconds{name="access"}`); h.Count() != 1 {
-		t.Errorf("metrics sink lost the span histogram")
+	s.Emit(Event{Name: EvAltCoverage})
+	for i := 0; i < 3; i++ {
+		sp := s.StartSpan(EvPhase, "access", "rendered", 0)
+		sp.End(0)
+	}
+	if got := s.Events(); len(got) != 1 || got[0].Name != EvAltCoverage || s.Len() != 1 {
+		t.Fatalf("metrics sink materialised %d events (Len %d): %+v", len(got), s.Len(), got)
+	}
+	if h := s.Registry().Histogram(`opt_phase_seconds{name="access"}`); h.Count() != 3 {
+		t.Errorf("span histogram count = %d, want 3", h.Count())
+	}
+	s.SetTracing(true)
+	s.StartSpan(EvPhase, "root", "", 0).End(0)
+	if s.Len() != 3 {
+		t.Errorf("after SetTracing(true) Len = %d, want 3", s.Len())
 	}
 }
 
@@ -329,15 +342,22 @@ func TestChildAbsorb(t *testing.T) {
 	if got := parent.Registry().Counters()["worker_total"]; got != 2 {
 		t.Fatalf("merged counter = %d", got)
 	}
-	// A metrics-only parent's children inherit drop mode: events are
-	// dropped on absorb, metrics still merge.
+	// A non-tracing parent's children inherit its tier: their spans leave
+	// no record, what they do emit reaches the parent's log and tees, and
+	// metrics still merge.
 	mp := NewMetricsSink()
+	var mteed int
+	mp.Tee(func(Event) { mteed++ })
 	mc := mp.Child()
-	mc.Emit(Event{Name: EvPair})
+	if mc.Tracing() {
+		t.Fatal("child of a non-tracing sink must not trace")
+	}
+	mc.StartSpan(EvRule, "JoinRoot", "", 1).End(0)
+	mc.Emit(Event{Name: EvAltCoverage})
 	mc.Registry().Counter("worker_total").Add(1)
 	mp.Absorb(mc)
-	if got := mp.Events(); got != nil {
-		t.Fatalf("metrics-only parent recorded %v", got)
+	if got := mp.Events(); len(got) != 1 || mp.Len() != 1 || mteed != 1 {
+		t.Fatalf("non-tracing parent: %d events, Len %d, tee saw %d; want 1 each", len(got), mp.Len(), mteed)
 	}
 	if got := mp.Registry().Counters()["worker_total"]; got != 1 {
 		t.Fatalf("metrics-only merged counter = %d", got)

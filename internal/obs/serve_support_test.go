@@ -42,20 +42,18 @@ func TestRequestSinkTagsEvents(t *testing.T) {
 	}
 }
 
-// TestTeeSeesDroppedEvents: a metrics-only sink drops its own log but still
-// fans events out — a server's live stream works even when the per-request
-// log is off.
-func TestTeeSeesDroppedEvents(t *testing.T) {
+// TestTeeSeesMetricsSinkEvents: a non-tracing sink fans out exactly the
+// events it materialises — a server's live stream still carries the
+// request and summary events of requests that ran without tracing.
+func TestTeeSeesMetricsSinkEvents(t *testing.T) {
 	s := NewMetricsSink()
 	var n int
 	s.Tee(func(Event) { n++ })
-	s.Emit(Event{Name: EvGlueHit})
-	s.Emit(Event{Name: EvGlueMiss})
-	if len(s.Events()) != 0 {
-		t.Errorf("metrics sink kept %d events", len(s.Events()))
-	}
-	if n != 2 {
-		t.Errorf("tee saw %d events, want 2", n)
+	s.Emit(Event{Name: EvAltCoverage})
+	s.Emit(Event{Name: EvExecFeedback})
+	s.StartSpan(EvGlue, "A", "", 0).End(0)
+	if len(s.Events()) != 2 || n != 2 {
+		t.Errorf("metrics sink kept %d events, tee saw %d, want 2 and 2", len(s.Events()), n)
 	}
 }
 

@@ -3,8 +3,8 @@ package opt
 import (
 	"sort"
 	"strconv"
-	"strings"
 
+	"stars/internal/glue"
 	"stars/internal/obs"
 	"stars/internal/plan"
 	"stars/internal/star"
@@ -14,28 +14,28 @@ import (
 // one opt.alt.coverage event per alternative of the active repertoire (the
 // whole alternative space, so never-exercised arms are visible in the
 // stream) and one opt.veneer.coverage event per Glue operator seen, plus
-// coverage_* counters in the sink's registry. Firing and rejection tallies
-// come from the recorded event log; retained/pruned/winner attribution from
-// the final plan table and the chosen plan, per Origin ("Rule#alt"). The
-// tallies are a pure function of run state every parallelism level agrees
-// on, so the emitted events are byte-identical across Parallelism levels.
-//
-// Metrics-only sinks drop the event log the attribution reads, so coverage
-// is skipped for them (KeepsEvents) — use an event-keeping sink to collect
-// coverage.
+// coverage_* counters in the sink's registry. Firing, rejection and veneer
+// tallies are the engine's and Glue's own counters; prune attribution is the
+// plan table's, by the Origin ("Rule#alt") of victim and dominator;
+// retained/winner attribution comes from the final plan table and the chosen
+// plan. All of it is a pure function of run state every parallelism level
+// and both sink tiers agree on, so the emitted events are byte-identical
+// across them.
 func emitCoverage(sink *obs.Sink, rules *star.RuleSet, res *Result) {
-	if !sink.KeepsEvents() {
-		return
-	}
-
 	altKey := func(rule string, alt int) string { return rule + "#" + strconv.Itoa(alt) }
 	alts := map[string]*obs.AltCoverage{}
 	var altOrder []string
+	tallies := res.Stats.Star.Alts
 	for _, name := range rules.Names() {
-		r := rules.Get(name)
-		for i := range r.Alts {
+		slot := rules.AltSlot(name)
+		for i := range rules.Get(name).Alts {
+			c := &obs.AltCoverage{Rule: name, Alt: i + 1}
+			if slot+i < len(tallies) {
+				t := tallies[slot+i]
+				c.Fired, c.Rejected, c.Built = t.Fired, t.Rejected, t.Built
+			}
 			k := altKey(name, i+1)
-			alts[k] = &obs.AltCoverage{Rule: name, Alt: i + 1}
+			alts[k] = c
 			altOrder = append(altOrder, k)
 		}
 	}
@@ -48,50 +48,23 @@ func emitCoverage(sink *obs.Sink, rules *star.RuleSet, res *Result) {
 		}
 		return v
 	}
-
-	// Event pass: firings and rejections per alternative, veneer
-	// injections, the fingerprint->origin map offers recorded, and the
-	// prune decisions to attribute afterwards.
-	originOf := map[string]string{}
-	var prunes []obs.Event
-	for _, e := range sink.Events() {
-		switch e.Name {
-		case obs.EvAltFired:
-			if c := alts[altKey(e.A1, int(e.N1))]; c != nil {
-				c.Fired++
-				c.Built += e.N2
-			}
-		case obs.EvAltRejected:
-			if e.Kind != obs.KindInstant {
-				continue
-			}
-			if c := alts[altKey(e.A1, int(e.N1))]; c != nil {
-				c.Rejected++
-			}
-		case obs.EvVeneer:
-			veneer(e.A1).Injected++
-			originOf[e.A2] = "Glue"
-		case obs.EvPlanOffer:
-			if i := strings.IndexByte(e.A3, ' '); i > 0 {
-				originOf[e.A2] = e.A3[:i]
-			}
-		case obs.EvPlanPrune:
-			prunes = append(prunes, e)
+	for i, n := range res.Stats.Glue.VeneersByOp {
+		if n > 0 {
+			veneer(string(glue.VeneerOps[i])).Injected = n
 		}
 	}
 
 	// Structure pass: every distinct plan node surviving in the final
 	// table (or on the chosen plan) counts once toward its origin's
 	// Retained; the chosen plan's derivation chain counts toward Winner.
-	count := func(root *plan.Node, seen map[string]bool, alt func(*obs.AltCoverage), ven func(*obs.VeneerCoverage)) {
+	count := func(root *plan.Node, seen map[uint64]bool, alt func(*obs.AltCoverage), ven func(*obs.VeneerCoverage)) {
 		var walk func(n *plan.Node)
 		walk = func(n *plan.Node) {
-			fp := n.Fingerprint()
+			fp := n.FP64()
 			if seen[fp] {
 				return
 			}
 			seen[fp] = true
-			originOf[fp] = n.Origin
 			if n.Origin == "Glue" {
 				ven(veneer(string(n.Op)))
 			} else if c := alts[n.Origin]; c != nil {
@@ -103,7 +76,7 @@ func emitCoverage(sink *obs.Sink, rules *star.RuleSet, res *Result) {
 		}
 		walk(root)
 	}
-	retained := map[string]bool{}
+	retained := map[uint64]bool{}
 	markRetained := func(c *obs.AltCoverage) { c.Retained++ }
 	markRetainedV := func(v *obs.VeneerCoverage) { v.Retained++ }
 	if res.Table != nil {
@@ -111,7 +84,7 @@ func emitCoverage(sink *obs.Sink, rules *star.RuleSet, res *Result) {
 	}
 	if res.Best != nil {
 		count(res.Best, retained, markRetained, markRetainedV)
-		count(res.Best, map[string]bool{},
+		count(res.Best, map[uint64]bool{},
 			func(c *obs.AltCoverage) { c.Winner++ },
 			func(v *obs.VeneerCoverage) { v.Winner++ })
 	}
@@ -119,20 +92,21 @@ func emitCoverage(sink *obs.Sink, rules *star.RuleSet, res *Result) {
 	// Prune attribution: the victim's origin takes the hit, the
 	// dominator's origin is named (Q: which alternative keeps beating
 	// this one). Veneer victims have no alternative to charge.
-	for _, e := range prunes {
-		c := alts[originOf[e.A2]]
-		if c == nil {
-			continue
-		}
-		c.Pruned++
-		dom := originOf[e.A3]
-		if dom == "" {
-			dom = "?"
-		}
-		if c.PrunedBy == nil {
-			c.PrunedBy = map[string]int64{}
-		}
-		c.PrunedBy[dom]++
+	if res.Table != nil {
+		res.Table.ForEachPrune(func(victim, dom string, n int64) {
+			c := alts[victim]
+			if c == nil {
+				return
+			}
+			c.Pruned += n
+			if dom == "" {
+				dom = "?"
+			}
+			if c.PrunedBy == nil {
+				c.PrunedBy = map[string]int64{}
+			}
+			c.PrunedBy[dom] += n
+		})
 	}
 
 	// Emit in repertoire definition order (then sorted veneer ops) and
@@ -142,7 +116,7 @@ func emitCoverage(sink *obs.Sink, rules *star.RuleSet, res *Result) {
 	reg.Counter("coverage_runs_total").Add(1)
 	for _, k := range altOrder {
 		c := alts[k]
-		sink.Emit(c.Event())
+		sink.Emit(c.Event()) //obsguard:ignore summary event every enabled sink keeps; once per alternative per run
 		labels := `{rule="` + c.Rule + `",alt="` + strconv.Itoa(c.Alt) + `"}`
 		reg.Counter("coverage_alt_fired_total" + labels).Add(c.Fired)
 		reg.Counter("coverage_alt_retained_total" + labels).Add(c.Retained)
@@ -155,7 +129,7 @@ func emitCoverage(sink *obs.Sink, rules *star.RuleSet, res *Result) {
 	sort.Strings(ops)
 	for _, op := range ops {
 		v := veneers[op]
-		sink.Emit(v.Event())
+		sink.Emit(v.Event()) //obsguard:ignore summary event every enabled sink keeps; once per veneer operator per run
 		reg.Counter(`coverage_veneer_injected_total{op="` + op + `"}`).Add(v.Injected)
 	}
 }

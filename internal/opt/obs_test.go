@@ -11,7 +11,7 @@ import (
 
 func TestObsSinkCapturesEventsAndMetrics(t *testing.T) {
 	sink := obs.NewSink()
-	res, err := New(workload.EmpDept(), Options{Obs: sink}).Optimize(workload.Figure1Query())
+	res, err := New(workload.EmpDept(), Options{Obs: sink, Trace: true}).Optimize(workload.Figure1Query())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +48,8 @@ func TestObsSinkCapturesEventsAndMetrics(t *testing.T) {
 	if reg.Histogram("opt_elapsed_seconds").Count() != 1 {
 		t.Error("opt_elapsed_seconds not observed")
 	}
-	// An injected sink also yields the reconstructed trace.
+	// With Trace set, an injected tracing sink yields the reconstructed
+	// trace too.
 	if len(res.Trace) == 0 {
 		t.Fatal("trace not reconstructed from the event stream")
 	}

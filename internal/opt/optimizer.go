@@ -45,16 +45,17 @@ type Options struct {
 	DisablePruning bool
 	// Weights override the cost weights; zero value uses DefaultWeights.
 	Weights cost.Weights
-	// Rules overrides the repertoire; nil loads the built-in rule set.
+	// Rules overrides the repertoire; nil selects the built-in rule set.
 	Rules *star.RuleSet
-	// Obs, when non-nil, receives the optimization's event stream (rule
-	// spans, Glue and plan-table events, phase spans) and metrics. When
-	// nil, obs.DefaultSink() is consulted; when that is nil too, observability
-	// is off and costs only nil checks.
+	// Obs, when non-nil, receives the optimization's metrics, phase/rule
+	// timings and coverage summary and — when it is a tracing sink — the
+	// event stream (rule spans, Glue and plan-table events, phase spans).
+	// When nil, obs.DefaultSink() is consulted; when that is nil too,
+	// observability is off and costs only nil checks.
 	Obs *obs.Sink
-	// Trace captures the rule-firing log (Result.Trace). It is sugar for
-	// injecting a private sink via Obs: the log is reconstructed from the
-	// event stream.
+	// Trace captures the rule-firing log (Result.Trace), reconstructed
+	// from the event stream. Without Obs it gets a private tracing sink;
+	// with Obs, that sink must be a tracing one.
 	Trace bool
 	// JoinRoot overrides the root join STAR's name; default "JoinRoot".
 	JoinRoot string
@@ -114,6 +115,12 @@ type Result struct {
 	// Release recycles it.
 	arena *plan.Arena
 }
+
+// builtinRules is the built-in repertoire a nil Options.Rules resolves to,
+// parsed on first use. Every such optimization shares it, so it is never
+// handed to code that may mutate it (star.DefaultRules returns a fresh
+// copy for that).
+var builtinRules = sync.OnceValue(star.DefaultRules)
 
 // arenaPool recycles plan arenas across optimizations so a long-running
 // server reuses slabs instead of growing the heap per query.
@@ -203,7 +210,7 @@ func (o *Optimizer) Optimize(g *query.Graph) (*Result, error) {
 
 	rules := o.Opts.Rules
 	if rules == nil {
-		rules = star.DefaultRules()
+		rules = builtinRules()
 	}
 
 	// Memoize the needed-columns resolution once per query: the engine,
@@ -301,7 +308,9 @@ func (o *Optimizer) Optimize(g *query.Graph) (*Result, error) {
 		if p := sink.Prof(); p != nil {
 			p.PublishMetrics(sink.Registry())
 		}
-		res.Trace = star.TraceFromEvents(sink.Events())
+		if o.Opts.Trace {
+			res.Trace = star.TraceFromEvents(sink.Events())
+		}
 	}
 	return res, nil
 }

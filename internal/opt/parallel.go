@@ -369,7 +369,7 @@ func (o *Optimizer) joinSubset(t *subsetTask, g *query.Graph, en *star.Engine, t
 	}
 	for _, pr := range pairs {
 		t.pairs++
-		if sink.Enabled() {
+		if sink.Tracing() {
 			sink.Emit(obs.Event{Name: obs.EvPair,
 				A1: mc.key(pr.s1), A2: mc.key(pr.s2)})
 		}

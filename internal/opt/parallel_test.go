@@ -27,7 +27,7 @@ func tableSignature(res *Result) string {
 	return strings.Join(lines, "\n")
 }
 
-// counters strips the wall-clock field so Stats compares with ==.
+// counters strips the wall-clock field so Stats compares with reflect.DeepEqual.
 func counters(res *Result) Stats {
 	s := res.Stats
 	s.Elapsed = 0
@@ -79,7 +79,7 @@ func assertEquivalent(t *testing.T, cat *catalog.Catalog, mkGraph func() *query.
 	if s, p := tableSignature(serial), tableSignature(par); s != p {
 		t.Errorf("plan-table contents diverge\nserial:\n%s\n\nparallel:\n%s", s, p)
 	}
-	if s, p := counters(serial), counters(par); s != p {
+	if s, p := counters(serial), counters(par); !reflect.DeepEqual(s, p) {
 		t.Errorf("counters diverge\nserial:   %+v\nparallel: %+v", s, p)
 	}
 	if s, p := serialSink.Registry().Counters(), parSink.Registry().Counters(); !reflect.DeepEqual(s, p) {
@@ -211,7 +211,7 @@ func TestParallelRunsAreReproducible(t *testing.T) {
 		if tableSignature(first) != tableSignature(next) {
 			t.Fatalf("run %d: plan table changed", i)
 		}
-		if counters(first) != counters(next) {
+		if !reflect.DeepEqual(counters(first), counters(next)) {
 			t.Fatalf("run %d: counters changed", i)
 		}
 		fl, nl := eventLog(firstSink), eventLog(nextSink)
@@ -287,4 +287,26 @@ func TestEnumerationHotPathAllocs(t *testing.T) {
 	}); n != 0 {
 		t.Errorf("disabled-sink pair emission allocates %.1f/op", n)
 	}
+
+	// The always-on tier renders nothing per search step: a non-tracing
+	// sink with the profiler attached (what the daemon runs by default) may
+	// cost at most a tenth more allocations than no sink at all.
+	cat := workload.StarCatalog(6, 100000, 1000)
+	allocs := func(mkSink func() *obs.Sink) float64 {
+		return testing.AllocsPerRun(3, func() {
+			if _, err := New(cat, Options{Obs: mkSink(), Parallelism: 1}).Optimize(workload.StarQuery(6)); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	bare := allocs(func() *obs.Sink { return nil })
+	tier0 := allocs(func() *obs.Sink {
+		s := obs.NewMetricsSink()
+		s.EnableProf(obs.ProfOptions{})
+		return s
+	})
+	if tier0 > 1.10*bare {
+		t.Errorf("star6 allocations: non-tracing sink %.0f > 1.10 x nil sink %.0f", tier0, bare)
+	}
+	t.Logf("star6 allocations: nil sink %.0f, non-tracing sink %.0f (%.3fx)", bare, tier0, tier0/bare)
 }

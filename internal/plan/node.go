@@ -226,7 +226,7 @@ func (n *Node) Count() int {
 func (n *Node) Key() string {
 	if n.key == "" {
 		var b strings.Builder
-		n.writeKey(&b)
+		n.writeKey(&b, false)
 		n.key = b.String()
 	}
 	return n.key
@@ -257,11 +257,21 @@ func (n *Node) FP64() uint64 {
 		if n.key != "" {
 			h.WriteString(n.key)
 		} else {
-			n.writeKey(&h)
+			n.writeKey(&h, false)
 		}
 		n.fpBits = h.h
 	}
 	return n.fpBits
+}
+
+// ShapeFingerprint is Fingerprint with every predicate literal hashed as
+// "?": the plans one query template gets for different constants share it
+// unless their operators, methods, access paths or join order differ. Not
+// memoized; meant for one call per chosen plan.
+func (n *Node) ShapeFingerprint() string {
+	h := fnvWriter{h: offset64}
+	n.writeKey(&h, true)
+	return fmt.Sprintf("%016x", h.h)
 }
 
 const (
@@ -295,7 +305,9 @@ type keyWriter interface {
 	WriteByte(c byte) error
 }
 
-func (n *Node) writeKey(b keyWriter) {
+// writeKey renders the canonical key; with shape set, predicate literals
+// render as "?" (see ShapeFingerprint).
+func (n *Node) writeKey(b keyWriter, shape bool) {
 	b.WriteString(string(n.Op))
 	if n.Flavor != "" {
 		b.WriteByte('/')
@@ -328,11 +340,11 @@ func (n *Node) writeKey(b keyWriter) {
 	}
 	if !n.Preds.Empty() {
 		tag("w=")
-		writePredKeys(b, n.Preds)
+		writePredKeys(b, n.Preds, shape)
 	}
 	if !n.Residual.Empty() {
 		tag("r=")
-		writePredKeys(b, n.Residual)
+		writePredKeys(b, n.Residual, shape)
 	}
 	if len(n.SortCols) > 0 {
 		tag("s=")
@@ -351,10 +363,10 @@ func (n *Node) writeKey(b keyWriter) {
 		// subtree; enumeration memoizes base-plan identities before
 		// fanning out, so deep plans hash in time proportional to their
 		// top layer.
-		if in.key != "" {
+		if in.key != "" && !shape {
 			b.WriteString(in.key)
 		} else {
-			in.writeKey(b)
+			in.writeKey(b, shape)
 		}
 	}
 	b.WriteByte(')')
@@ -373,8 +385,19 @@ func writeCols(b keyWriter, cols []expr.ColID) {
 }
 
 // writePredKeys renders the set's canonical key exactly as PredSet.Key but
-// without allocating, using the per-predicate cached keys.
-func writePredKeys(b keyWriter, ps expr.PredSet) {
+// without allocating, using the per-predicate cached keys. With shape set it
+// renders the literal-free keys instead, re-sorted: the set's own order
+// follows the literals.
+func writePredKeys(b keyWriter, ps expr.PredSet, shape bool) {
+	if shape {
+		keys := make([]string, ps.Len())
+		for i, p := range ps.Slice() {
+			keys[i] = expr.ShapeKey(p)
+		}
+		sort.Strings(keys)
+		b.WriteString(strings.Join(keys, "&"))
+		return
+	}
 	for i, n := 0, ps.Len(); i < n; i++ {
 		if i > 0 {
 			b.WriteByte('&')

@@ -82,6 +82,36 @@ func TestKeyDistinguishesAndMemoizes(t *testing.T) {
 	}
 }
 
+// TestShapeFingerprintIgnoresLiterals: plans differing only in predicate
+// constants share a shape fingerprint — even when the constants reorder the
+// predicate set — and plans differing in anything else do not.
+func TestShapeFingerprintIgnoresLiterals(t *testing.T) {
+	build := func(a, b int64, method string) *Node {
+		left := scan("T")
+		left.Preds = expr.NewPredSet(pred("T", "A", a), pred("T", "B", b))
+		return &Node{Op: OpJoin, Flavor: method, Inputs: []*Node{left, scan("U")},
+			Residual: expr.NewPredSet(pred("U", "A", a))}
+	}
+	x, y := build(1, 9, MethodNL), build(9, 1, MethodNL)
+	if x.Fingerprint() == y.Fingerprint() {
+		t.Fatal("fingerprints must carry the literals")
+	}
+	x.Key() // a memoized key must not leak literals into the shape
+	if x.ShapeFingerprint() != y.ShapeFingerprint() {
+		t.Errorf("same shape, different literals: %s vs %s", x.ShapeFingerprint(), y.ShapeFingerprint())
+	}
+	if len(x.ShapeFingerprint()) != 16 || x.ShapeFingerprint() == x.Fingerprint() {
+		t.Errorf("shape fingerprint %q (fingerprint %q)", x.ShapeFingerprint(), x.Fingerprint())
+	}
+	if x.ShapeFingerprint() == build(1, 9, MethodMG).ShapeFingerprint() {
+		t.Error("a different join method must change the shape")
+	}
+	bare := scan("T")
+	if bare.ShapeFingerprint() != bare.Fingerprint() {
+		t.Error("a literal-free plan's shape fingerprint must equal its fingerprint")
+	}
+}
+
 func TestFingerprintIsStableAndDistinguishes(t *testing.T) {
 	a := scan("T")
 	b := scan("T")

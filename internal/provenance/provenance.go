@@ -94,13 +94,13 @@ type DAG struct {
 }
 
 // FromResult builds the derivation DAG of an optimization. The run must
-// have recorded events (Options.Obs with an event-keeping sink).
+// have recorded the search-step events (Options.Obs with a tracing sink).
 func FromResult(res *opt.Result) (*DAG, error) {
 	if res == nil {
 		return nil, errors.New("provenance: nil result")
 	}
-	if !res.Obs.Enabled() {
-		return nil, errors.New("provenance: the optimization ran without observability; set Options.Obs = stars.NewSink()")
+	if !res.Obs.Tracing() {
+		return nil, errors.New("provenance: the optimization ran without a tracing sink; set Options.Obs = stars.NewSink()")
 	}
 	return Build(res.Table, res.Best, res.Obs.Events())
 }
@@ -111,7 +111,7 @@ func FromResult(res *opt.Result) (*DAG, error) {
 // dominators of everything that did not.
 func Build(table *glue.PlanTable, best *plan.Node, events []obs.Event) (*DAG, error) {
 	if len(events) == 0 {
-		return nil, errors.New("provenance: empty event stream (metrics-only sink? use stars.NewSink)")
+		return nil, errors.New("provenance: empty event stream (non-tracing sink? use stars.NewSink)")
 	}
 	d := &DAG{Plans: map[string]*Plan{}}
 

@@ -12,6 +12,7 @@ import (
 	"stars/internal/opt"
 	"stars/internal/prof"
 	"stars/internal/provenance"
+	"stars/internal/sqlparse"
 )
 
 // fnvHex digests a string to the repository's standard 16-hex-digit FNV-64a
@@ -43,6 +44,7 @@ func (s *Server) foldFlight(reqID, tmpl string, req OptimizeRequest, sink *obs.S
 	}
 	if res != nil && res.Best != nil {
 		rec.PlanFP = res.Best.Fingerprint()
+		rec.ShapeFP = res.Best.ShapeFingerprint()
 		rec.EstCost = res.Best.Props.Cost.Total
 		rec.EstRows = res.Best.Props.Card
 	}
@@ -57,9 +59,17 @@ func (s *Server) foldFlight(reqID, tmpl string, req OptimizeRequest, sink *obs.S
 
 	o := s.flight.Observe(rec)
 	s.reg.Counter("flight_records_total").Add(1)
-	if len(o.Triggers) == 0 {
-		return
+	if len(o.Triggers) > 0 {
+		s.fileIncident(o, req, tmpl, sink, res)
 	}
+	st := s.flight.Stats()
+	s.reg.Gauge("flight_templates").Set(int64(st.Templates))
+	s.reg.Gauge("flight_incidents").Set(int64(st.Incidents))
+}
+
+// fileIncident counts a triggering observation's anomalies and files its
+// incident bundle.
+func (s *Server) fileIncident(o flight.Observation, req OptimizeRequest, tmpl string, sink *obs.Sink, res *opt.Result) {
 	for _, t := range o.Triggers {
 		s.reg.Counter(`flight_anomaly_total{kind="` + t.Kind + `"}`).Add(1)
 		if t.Kind == flight.KindPlanFlip {
@@ -75,9 +85,6 @@ func (s *Server) foldFlight(reqID, tmpl string, req OptimizeRequest, sink *obs.S
 		s.reg.Counter("flight_incidents_total").Add(1)
 		s.cfg.Log.Printf("flight: incident %s (%s): %s", inc.ID, inc.Kind, inc.Triggers[0].Detail)
 	}
-	st := s.flight.Stats()
-	s.reg.Gauge("flight_templates").Set(int64(st.Templates))
-	s.reg.Gauge("flight_incidents").Set(int64(st.Incidents))
 }
 
 // captureRequest builds the self-contained replay bundle for one anomalous
@@ -85,7 +92,10 @@ func (s *Server) foldFlight(reqID, tmpl string, req OptimizeRequest, sink *obs.S
 // since boot is exactly what a plan-flip capture wants on record), the rule
 // text, the options, the full event trace, the derivation DAG, and the
 // self-profile. Only runs on a watchdog trigger, so its cost is off the
-// steady-state path.
+// steady-state path — including, for a request that ran without the
+// search-step stream, optimizing the query a second time into a tracing
+// sink: optimization is deterministic, so the second run's trace and DAG
+// are the first's. The profile stays the original request's.
 func (s *Server) captureRequest(req OptimizeRequest, tmpl string, sink *obs.Sink, res *opt.Result) flight.Capture {
 	par := s.cfg.Options.Parallelism
 	if par == 0 {
@@ -115,11 +125,35 @@ func (s *Server) captureRequest(req OptimizeRequest, tmpl string, sink *obs.Sink
 		s.cfg.Log.Printf("flight: catalog capture: %v", err)
 	}
 	events := sink.Events()
+	if res != nil && !sink.Tracing() {
+		traced := obs.NewRequestSink(sink.Tag())
+		var again *opt.Result
+		g, err := sqlparse.Parse(req.SQL, s.cfg.Catalog)
+		if err == nil {
+			again, err = opt.New(s.cfg.Catalog, s.optimizerOptions(traced)).Optimize(g)
+		}
+		if err != nil {
+			s.cfg.Log.Printf("flight: re-trace: %v", err)
+		} else {
+			defer again.Release()
+			res = again
+			// The second run repeated the coverage summary; everything
+			// else the request recorded (serve.request*, exec.feedback)
+			// follows its trace.
+			own := events
+			events = traced.Events()
+			for _, e := range own {
+				if e.Name != obs.EvAltCoverage && e.Name != obs.EvVeneerCoverage {
+					events = append(events, e)
+				}
+			}
+		}
+	}
 	cap.Events = make([]obs.WireEvent, 0, len(events))
 	for _, e := range events {
 		cap.Events = append(cap.Events, obs.Wire(e))
 	}
-	if res != nil {
+	if res != nil && res.Obs.Tracing() {
 		if dag, err := provenance.FromResult(res); err == nil {
 			var buf bytes.Buffer
 			if err := dag.WriteJSON(&buf); err == nil {

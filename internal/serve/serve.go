@@ -571,7 +571,12 @@ func (s *Server) doLabeled(reqID, tmpl string, req OptimizeRequest) outcome {
 	}
 	start := time.Now()
 	allocs0 := obs.HeapAllocs()
+	// The search-step stream is recorded only when someone will read it:
+	// this request's provenance, or a live /events tail. Everything else —
+	// metrics, profile, coverage and Q-error folds, the flight record —
+	// needs no more than the always-on tier.
 	sink := obs.NewRequestSink(reqID)
+	sink.SetTracing(req.Provenance || s.bcast.subscribers.Value() > 0)
 	sink.Tee(s.bcast.publish)
 	if !s.cfg.DisableProfiling {
 		sink.EnableProf(obs.ProfOptions{})
@@ -642,12 +647,7 @@ func (s *Server) doLabeled(reqID, tmpl string, req OptimizeRequest) outcome {
 	if err != nil {
 		return fail(http.StatusBadRequest, err)
 	}
-	opts := s.cfg.Options
-	opts.Obs = sink
-	if opts.Parallelism == 0 {
-		opts.Parallelism = s.cfg.Parallelism
-	}
-	res, err := opt.New(s.cfg.Catalog, opts).Optimize(g)
+	res, err := opt.New(s.cfg.Catalog, s.optimizerOptions(sink)).Optimize(g)
 	if err != nil {
 		return fail(http.StatusUnprocessableEntity, err)
 	}
@@ -700,6 +700,18 @@ func (s *Server) doLabeled(reqID, tmpl string, req OptimizeRequest) outcome {
 	resp.Stats = statsJSON(res.Stats, sink.Len())
 	resp.Metrics = sink.Registry().Counters()
 	return outcome{status: status, resp: resp}
+}
+
+// optimizerOptions are the daemon's optimizer options for one run reporting
+// into sink.
+func (s *Server) optimizerOptions(sink *obs.Sink) opt.Options {
+	opts := s.cfg.Options
+	opts.Obs = sink
+	opts.Rules = s.rules
+	if opts.Parallelism == 0 {
+		opts.Parallelism = s.cfg.Parallelism
+	}
+	return opts
 }
 
 // explain renders the plan tree.

@@ -12,6 +12,11 @@ import (
 type RuleSet struct {
 	rules map[string]*Rule
 	order []string
+	// altBase numbers the set's alternatives densely: rule name -> slot of
+	// its first alternative, nAlts slots in all. Per-alternative tallies
+	// (Stats.Alts) are indexed by it. A replaced rule takes fresh slots.
+	altBase map[string]int
+	nAlts   int
 	// redefined records same-source redefinitions (see Redefinition); the
 	// parser populates it so the linter can flag definitions that silently
 	// drop alternatives. Merge does not record: overlaying one rule set on
@@ -36,7 +41,7 @@ type Redefinition struct {
 
 // NewRuleSet returns an empty rule set.
 func NewRuleSet() *RuleSet {
-	return &RuleSet{rules: map[string]*Rule{}}
+	return &RuleSet{rules: map[string]*Rule{}, altBase: map[string]int{}}
 }
 
 // Add registers a rule, replacing any rule of the same name.
@@ -50,7 +55,13 @@ func (rs *RuleSet) Add(r *Rule) {
 		}
 	}
 	rs.rules[r.Name] = r
+	rs.altBase[r.Name] = rs.nAlts
+	rs.nAlts += len(r.Alts)
 }
+
+// AltSlot returns the Stats.Alts index of the named rule's first
+// alternative; its i-th alternative (0-based) tallies at AltSlot(name)+i.
+func (rs *RuleSet) AltSlot(name string) int { return rs.altBase[name] }
 
 // addRecordingRedefinition is Add for the parser: a replacement within one
 // source file is recorded for the linter's hygiene pass.

@@ -70,10 +70,28 @@ type Stats struct {
 	GlueCalls int64
 	// HelperCalls counts helper/condition invocations.
 	HelperCalls int64
+	// Alts tallies each alternative's fate, indexed by RuleSet.AltSlot.
+	// Kept only while the engine's Obs is enabled (nil otherwise): it is
+	// what the end-of-run coverage summary reads.
+	Alts []AltTally
+}
+
+// AltTally counts one alternative's firings (guard held), rejections (guard
+// failed, or an OTHERWISE arm skipped) and the plans its body produced.
+type AltTally struct {
+	Fired, Rejected, Built int64
 }
 
 // Add accumulates o into s.
 func (s *Stats) Add(o Stats) {
+	if len(o.Alts) > len(s.Alts) {
+		s.Alts = append(s.Alts, make([]AltTally, len(o.Alts)-len(s.Alts))...)
+	}
+	for i, t := range o.Alts {
+		s.Alts[i].Fired += t.Fired
+		s.Alts[i].Rejected += t.Rejected
+		s.Alts[i].Built += t.Built
+	}
 	s.RuleRefs += o.RuleRefs
 	s.AltsConsidered += o.AltsConsidered
 	s.AltsFired += o.AltsFired
@@ -253,9 +271,15 @@ func (en *Engine) EvalRule(name string, args []Value) (out []*plan.Node, err err
 	en.depth++
 	en.Stats.RuleRefs++
 	var sp obs.Span
+	var tally []AltTally // this rule's window of Stats.Alts; nil when unobserved
 	if en.Obs.Enabled() {
-		// renderArgs allocates, so the span opens only behind the guard.
-		sp = en.Obs.StartSpan(obs.EvRule, name, renderArgs(args), en.depth)
+		// renderArgs allocates, so it runs only for a sink that records it.
+		rendered := ""
+		if en.Obs.Tracing() {
+			rendered = renderArgs(args)
+		}
+		sp = en.Obs.StartSpan(obs.EvRule, name, rendered, en.depth)
+		tally = en.altTallies(rule)
 	}
 	defer func() {
 		sp.End(int64(len(out)))
@@ -315,9 +339,12 @@ func (en *Engine) EvalRule(name string, args []Value) (out []*plan.Node, err err
 		}
 		if !applicable {
 			en.Stats.AltsRejected++
-			if en.Obs.Enabled() {
+			if tally != nil {
+				tally[i].Rejected++
+			}
+			if en.Obs.Tracing() {
 				// Name the failing condition of applicability so WHYNOT
-				// can cite it; rendering allocates, so only when observed.
+				// can cite it; rendering allocates, so only when traced.
 				cond := "OTHERWISE: an earlier alternative fired"
 				if !alt.Otherwise && alt.Cond != nil {
 					cond = alt.Cond.String()
@@ -346,7 +373,11 @@ func (en *Engine) EvalRule(name string, args []Value) (out []*plan.Node, err err
 				out = append(out, p)
 			}
 		}
-		if en.Obs.Enabled() {
+		if tally != nil {
+			tally[i].Fired++
+			tally[i].Built += int64(len(v.SAP))
+		}
+		if en.Obs.Tracing() {
 			en.Obs.Emit(obs.Event{Name: obs.EvAltFired, A1: name, Depth: en.depth + 1, N1: int64(i + 1), N2: int64(len(v.SAP))})
 		}
 		if rule.Exclusive {
@@ -354,6 +385,18 @@ func (en *Engine) EvalRule(name string, args []Value) (out []*plan.Node, err err
 		}
 	}
 	return out, nil
+}
+
+// altTallies returns rule's window of Stats.Alts, sizing the slice to the
+// repertoire on first use.
+func (en *Engine) altTallies(rule *Rule) []AltTally {
+	base := en.Rules.altBase[rule.Name]
+	if end := base + len(rule.Alts); end > len(en.Stats.Alts) {
+		grown := make([]AltTally, max(end, en.Rules.nAlts))
+		copy(grown, en.Stats.Alts)
+		en.Stats.Alts = grown
+	}
+	return en.Stats.Alts[base : base+len(rule.Alts)]
 }
 
 func renderArgs(args []Value) string {

@@ -395,3 +395,51 @@ func TestValueTruthinessAndString(t *testing.T) {
 		t.Error("stream rendering")
 	}
 }
+
+// TestAltTallies: an observed engine tallies each alternative's fate in its
+// rule set's slot — on a non-tracing sink without materialising an event, on
+// no sink not at all — and Stats.Add folds the tallies slot by slot.
+func TestAltTallies(t *testing.T) {
+	const rules = `
+star First() = LEAF('x')
+star R() = [
+  | LEAF('a') if no()
+  | LEAF('b') if yes()
+  | First()
+]`
+	for _, sink := range []*obs.Sink{obs.NewMetricsSink(), obs.NewSink(), nil} {
+		en := stubEngine(t, rules)
+		en.Obs = sink
+		for i := 0; i < 2; i++ {
+			if _, err := en.EvalRule("R", nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if sink == nil {
+			if en.Stats.Alts != nil {
+				t.Errorf("unobserved engine kept tallies: %+v", en.Stats.Alts)
+			}
+			continue
+		}
+		r, first := en.Rules.AltSlot("R"), en.Rules.AltSlot("First")
+		want := map[int]AltTally{r: {Rejected: 2}, r + 1: {Fired: 2, Built: 2}, r + 2: {Fired: 2, Built: 2}, first: {Fired: 2, Built: 2}}
+		for slot, tally := range en.Stats.Alts {
+			if tally != want[slot] {
+				t.Errorf("tracing=%v: slot %d tallied %+v, want %+v", sink.Tracing(), slot, tally, want[slot])
+			}
+		}
+		if len(en.Stats.Alts) != 4 {
+			t.Errorf("tallies cover %d slots, want the repertoire's 4", len(en.Stats.Alts))
+		}
+		if !sink.Tracing() && sink.Len() != 0 {
+			t.Errorf("non-tracing sink materialised %d events", sink.Len())
+		}
+
+		var sum Stats
+		sum.Add(en.Stats)
+		sum.Add(en.Stats)
+		if got := sum.Alts[r+1]; got != (AltTally{Fired: 4, Built: 4}) || sum.AltsFired != 2*en.Stats.AltsFired {
+			t.Errorf("Stats.Add: slot tally %+v, AltsFired %d", got, sum.AltsFired)
+		}
+	}
+}

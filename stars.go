@@ -148,13 +148,15 @@ func SetDefaultParallelism(n int) { opt.SetDefaultParallelism(n) }
 // everywhere and costs only a nil check — observability off is the default.
 type Sink = obs.Sink
 
-// NewSink returns an enabled sink recording both events and metrics; pass it
-// via Options.Obs or Runtime.Obs, then export with its WriteNDJSON,
-// WriteChromeTrace, or DumpMetrics methods.
+// NewSink returns a tracing sink: it records the full event stream and the
+// metrics; pass it via Options.Obs or Runtime.Obs, then export with its
+// WriteNDJSON, WriteChromeTrace, or DumpMetrics methods.
 func NewSink() *Sink { return obs.NewSink() }
 
-// NewMetricsSink returns a sink that aggregates metrics but drops the event
-// log — for long-running processes where an unbounded event log would leak.
+// NewMetricsSink returns a non-tracing sink: metrics, timings, the
+// self-profiler and the per-run coverage summary, but none of the
+// search-step events — the cheap always-on tier for long-running processes
+// (see docs/OBSERVABILITY.md § Telemetry tiers).
 func NewMetricsSink() *Sink { return obs.NewMetricsSink() }
 
 // SetDefaultSink installs the process-wide fallback sink consulted whenever
@@ -163,7 +165,7 @@ func NewMetricsSink() *Sink { return obs.NewMetricsSink() }
 // to install or replace while optimizations run on other goroutines.
 func SetDefaultSink(s *Sink) { obs.SetDefault(s) }
 
-// NewRequestSink returns an enabled sink that stamps every event with the
+// NewRequestSink returns a tracing sink that stamps every event with the
 // given request id — the per-request isolation unit of a serving daemon:
 // concurrent optimizations each write into their own tagged sink, so traces
 // never interleave and merged streams stay attributable.
@@ -421,8 +423,8 @@ type ProvenanceDAG = provenance.DAG
 type ProvenanceDiffReport = provenance.DiffReport
 
 // Provenance reconstructs the derivation DAG of an optimization run. The
-// run must have been observed: set Options.Obs to NewSink() (a metrics-only
-// sink has no event log and is rejected).
+// run must have been traced: set Options.Obs to NewSink() (a non-tracing
+// sink records no search steps and is rejected).
 func Provenance(r *Result) (*ProvenanceDAG, error) { return provenance.FromResult(r) }
 
 // ReadProvenance loads a DAG previously saved with its WriteJSON method.

@@ -1,10 +1,21 @@
 // Package obsguard statically enforces the repo's zero-alloc observability
-// invariant: every event- or profile-emitting call on an obs sink —
-// Emit, StartSpan, ProfActivity, ProfRank, ProfPhase — must be dominated
-// by a cheap enabled-guard (Enabled, ProfEnabled, ProfLabels, KeepsEvents),
-// because rendering the call's arguments (fingerprints, condition strings,
-// composite events) costs allocations even when the sink is nil and would
-// discard the result. See the Enabled doc in internal/obs.
+// invariant: every event- or profile-emitting call on an obs sink must be
+// dominated by the cheap guard of the tier that consumes it, because
+// rendering the call's arguments (fingerprints, condition strings,
+// composite events) costs allocations even when the sink would discard the
+// result. See the Enabled and Tracing docs in internal/obs.
+//
+//   - Emit records an event, which only a tracing sink wants: it must be
+//     dominated by Tracing (or its older name KeepsEvents). The few summary
+//     events every enabled sink keeps carry an ignore directive.
+//   - StartSpan, ProfActivity, ProfRank, ProfPhase feed the always-on tier
+//     (histograms, the self-profiler): any guard — Enabled, ProfEnabled,
+//     ProfLabels, Tracing — will do. StartSpan's a2 argument, though, is
+//     recorded by tracing sinks alone, so a call rendering it in place must
+//     be dominated by Tracing too (render it into a variable behind the
+//     guard instead).
+//   - Tally increments (Stats counters, fixed-size per-alternative or
+//     per-operator arrays) are not calls on the sink and need no guard.
 //
 // A call is considered guarded when, within its enclosing function:
 //
@@ -47,12 +58,39 @@ var emitMethods = map[string]bool{
 	"ProfPhase":    true,
 }
 
-// guardMethods are the cheap nil-safe predicates that establish domination.
-var guardMethods = map[string]bool{
-	"Enabled":     true,
-	"ProfEnabled": true,
-	"ProfLabels":  true,
-	"KeepsEvents": true,
+// guardMethods are the cheap nil-safe predicates that establish domination;
+// traceGuardMethods the subset that also establishes the tracing tier.
+var (
+	guardMethods = map[string]bool{
+		"Enabled":     true,
+		"ProfEnabled": true,
+		"ProfLabels":  true,
+		"Tracing":     true,
+		"KeepsEvents": true,
+	}
+	traceGuardMethods = map[string]bool{
+		"Tracing":     true,
+		"KeepsEvents": true,
+	}
+)
+
+// needsTrace reports whether an emit call is only of use to a tracing sink:
+// every Emit, and a StartSpan that renders its a2 argument in place.
+func needsTrace(method string, call *ast.CallExpr) bool {
+	if method == "Emit" {
+		return true
+	}
+	if method != "StartSpan" || len(call.Args) < 3 {
+		return false
+	}
+	renders := false
+	ast.Inspect(call.Args[2], func(n ast.Node) bool {
+		if _, ok := n.(*ast.CallExpr); ok {
+			renders = true
+		}
+		return !renders
+	})
+	return renders
 }
 
 // Diagnostic is one violation: an emit call with no dominating guard.
@@ -64,13 +102,21 @@ type Diagnostic struct {
 type callSite struct {
 	from      string // key of the calling function
 	dominated bool   // guard-dominated (or exempted) at the site
+	traced    bool   // Tracing-dominated (or exempted) at the site
+}
+
+// pendingDiag is an emit call with no local guard of the tier it needs,
+// awaiting caller resolution.
+type pendingDiag struct {
+	Diagnostic
+	trace bool // needs a Tracing guard, not just any
 }
 
 // fnInfo is the per-function record the helper fixpoint runs over.
 type fnInfo struct {
-	exempt  bool         // function-level directive
-	pending []Diagnostic // emit calls with no local guard, awaiting caller resolution
-	sites   []callSite   // package-local calls of this function
+	exempt  bool // function-level directive
+	pending []pendingDiag
+	sites   []callSite // package-local calls of this function
 }
 
 type checker struct {
@@ -176,7 +222,8 @@ func recvTypeName(e ast.Expr) string {
 func (c *checker) scanFunc(fn *ast.FuncDecl) {
 	key := funcKey(fn)
 	info := c.fns[key]
-	guards := guardIdents(fn.Body)
+	guards := guardIdents(fn.Body, guardMethods)
+	traceGuards := guardIdents(fn.Body, traceGuardMethods)
 	ast.Inspect(fn.Body, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
 		if !ok {
@@ -187,13 +234,23 @@ func (c *checker) scanFunc(fn *ast.FuncDecl) {
 			if !emitMethods[fun.Sel.Name] {
 				return true
 			}
-			if info.exempt || c.ignoredAt(call.Pos()) || dominated(fn.Body, call, guards) {
+			if info.exempt || c.ignoredAt(call.Pos()) {
 				return true
 			}
-			info.pending = append(info.pending, Diagnostic{
+			trace := needsTrace(fun.Sel.Name, call)
+			want := "an Enabled()/ProfEnabled()"
+			if trace {
+				if dominated(fn.Body, call, traceGuards, traceGuardMethods) {
+					return true
+				}
+				want = "a Tracing()"
+			} else if dominated(fn.Body, call, guards, guardMethods) {
+				return true
+			}
+			info.pending = append(info.pending, pendingDiag{trace: trace, Diagnostic: Diagnostic{
 				Pos: call.Pos(),
-				Msg: fun.Sel.Name + " call not dominated by an Enabled()/ProfEnabled() guard (zero-alloc invariant; guard it, hoist it behind the caller's guard, or annotate //obsguard:ignore with a reason)",
-			})
+				Msg: fun.Sel.Name + " call not dominated by " + want + " guard (zero-alloc invariant; guard it, hoist it behind the caller's guard, or annotate //obsguard:ignore with a reason)",
+			}})
 		case *ast.Ident:
 			// A package-local helper call: record whether this site is
 			// guarded so the helper's own emit calls can inherit it.
@@ -201,63 +258,74 @@ func (c *checker) scanFunc(fn *ast.FuncDecl) {
 			if !known {
 				return true
 			}
+			exempt := info.exempt || c.ignoredAt(call.Pos())
 			callee.sites = append(callee.sites, callSite{
 				from:      key,
-				dominated: info.exempt || c.ignoredAt(call.Pos()) || dominated(fn.Body, call, guards),
+				dominated: exempt || dominated(fn.Body, call, guards, guardMethods),
+				traced:    exempt || dominated(fn.Body, call, traceGuards, traceGuardMethods),
 			})
 		}
 		return true
 	})
 }
 
-// resolveHelpers flushes pending diagnostics: a function keeps its findings
-// unless every package-local call site is guarded (transitively through
-// caller helpers). Functions nobody in the package calls — exported API,
-// handlers — get no benefit of the doubt.
+// resolveHelpers flushes pending diagnostics: a function keeps a finding
+// unless every package-local call site is guarded at the tier the finding
+// needs (transitively through caller helpers). Functions nobody in the
+// package calls — exported API, handlers — get no benefit of the doubt.
 func (c *checker) resolveHelpers() {
-	memo := map[string]bool{}
-	var guardedFn func(key string, onPath map[string]bool) bool
-	guardedFn = func(key string, onPath map[string]bool) bool {
-		if v, ok := memo[key]; ok {
+	type query struct {
+		key   string
+		trace bool
+	}
+	memo := map[query]bool{}
+	var guardedFn func(q query, onPath map[string]bool) bool
+	guardedFn = func(q query, onPath map[string]bool) bool {
+		if v, ok := memo[q]; ok {
 			return v
 		}
-		if onPath[key] {
+		if onPath[q.key] {
 			return false // recursion: no guarantee
 		}
-		onPath[key] = true
-		defer delete(onPath, key)
-		info := c.fns[key]
+		onPath[q.key] = true
+		defer delete(onPath, q.key)
+		info := c.fns[q.key]
 		ok := info != nil && len(info.sites) > 0
 		if info != nil {
 			for _, s := range info.sites {
-				if !s.dominated && !guardedFn(s.from, onPath) {
+				here := s.dominated
+				if q.trace {
+					here = s.traced
+				}
+				if !here && !guardedFn(query{s.from, q.trace}, onPath) {
 					ok = false
 					break
 				}
 			}
 		}
-		memo[key] = ok
+		memo[q] = ok
 		return ok
 	}
 	for key, info := range c.fns {
-		if len(info.pending) == 0 || guardedFn(key, map[string]bool{}) {
-			continue
+		for _, p := range info.pending {
+			if !guardedFn(query{key, p.trace}, map[string]bool{}) {
+				c.diags = append(c.diags, p.Diagnostic)
+			}
 		}
-		c.diags = append(c.diags, info.pending...)
 	}
 }
 
 // guardIdents collects names assigned (anywhere in the body) from an
-// expression that includes a guard call: `profiled := s.ProfEnabled()`,
-// `full := pt.Obs.Enabled() || pt.PruneDisabled`.
-func guardIdents(body *ast.BlockStmt) map[string]bool {
+// expression that includes a call of one of the guard methods:
+// `profiled := s.ProfEnabled()`, `full := pt.Obs.Tracing() || pt.PruneDisabled`.
+func guardIdents(body *ast.BlockStmt, methods map[string]bool) map[string]bool {
 	out := map[string]bool{}
 	ast.Inspect(body, func(n ast.Node) bool {
 		switch st := n.(type) {
 		case *ast.AssignStmt:
 			hit := false
 			for _, rhs := range st.Rhs {
-				if exprHasGuard(rhs, nil) {
+				if exprHasGuard(rhs, nil, methods) {
 					hit = true
 				}
 			}
@@ -271,7 +339,7 @@ func guardIdents(body *ast.BlockStmt) map[string]bool {
 		case *ast.ValueSpec:
 			hit := false
 			for _, rhs := range st.Values {
-				if exprHasGuard(rhs, nil) {
+				if exprHasGuard(rhs, nil, methods) {
 					hit = true
 				}
 			}
@@ -286,14 +354,14 @@ func guardIdents(body *ast.BlockStmt) map[string]bool {
 	return out
 }
 
-// exprHasGuard reports whether the expression mentions a guard-method call
-// or a known guard boolean.
-func exprHasGuard(e ast.Expr, guards map[string]bool) bool {
+// exprHasGuard reports whether the expression mentions a call of one of the
+// guard methods or a known guard boolean.
+func exprHasGuard(e ast.Expr, guards, methods map[string]bool) bool {
 	found := false
 	ast.Inspect(e, func(n ast.Node) bool {
 		switch x := n.(type) {
 		case *ast.CallExpr:
-			if sel, ok := x.Fun.(*ast.SelectorExpr); ok && guardMethods[sel.Sel.Name] {
+			if sel, ok := x.Fun.(*ast.SelectorExpr); ok && methods[sel.Sel.Name] {
 				found = true
 			}
 		case *ast.Ident:
@@ -310,7 +378,7 @@ func exprHasGuard(e ast.Expr, guards map[string]bool) bool {
 // an enclosing if-body whose condition mentions a guard, or an earlier
 // early-exit statement `if !guard { return/continue/break/panic }` in an
 // enclosing block.
-func dominated(body *ast.BlockStmt, target ast.Node, guards map[string]bool) bool {
+func dominated(body *ast.BlockStmt, target ast.Node, guards, methods map[string]bool) bool {
 	path := pathTo(body, target)
 	for i, n := range path {
 		var next ast.Node
@@ -319,7 +387,7 @@ func dominated(body *ast.BlockStmt, target ast.Node, guards map[string]bool) boo
 		}
 		switch s := n.(type) {
 		case *ast.IfStmt:
-			if next == s.Body && exprHasGuard(s.Cond, guards) {
+			if next == s.Body && exprHasGuard(s.Cond, guards, methods) {
 				return true
 			}
 		case *ast.BlockStmt:
@@ -328,7 +396,7 @@ func dominated(body *ast.BlockStmt, target ast.Node, guards map[string]bool) boo
 					break
 				}
 				ifs, ok := st.(*ast.IfStmt)
-				if ok && negatedGuard(ifs.Cond, guards) && alwaysExits(ifs.Body) {
+				if ok && negatedGuard(ifs.Cond, guards, methods) && alwaysExits(ifs.Body) {
 					return true
 				}
 			}
@@ -338,7 +406,7 @@ func dominated(body *ast.BlockStmt, target ast.Node, guards map[string]bool) boo
 					break
 				}
 				ifs, ok := st.(*ast.IfStmt)
-				if ok && negatedGuard(ifs.Cond, guards) && alwaysExits(ifs.Body) {
+				if ok && negatedGuard(ifs.Cond, guards, methods) && alwaysExits(ifs.Body) {
 					return true
 				}
 			}
@@ -347,9 +415,9 @@ func dominated(body *ast.BlockStmt, target ast.Node, guards map[string]bool) boo
 	return false
 }
 
-func negatedGuard(cond ast.Expr, guards map[string]bool) bool {
+func negatedGuard(cond ast.Expr, guards, methods map[string]bool) bool {
 	u, ok := cond.(*ast.UnaryExpr)
-	return ok && u.Op == token.NOT && exprHasGuard(u.X, guards)
+	return ok && u.Op == token.NOT && exprHasGuard(u.X, guards, methods)
 }
 
 // alwaysExits reports whether a block certainly diverts control flow:

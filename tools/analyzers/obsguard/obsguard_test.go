@@ -30,7 +30,7 @@ const header = "package p\n\nfunc work() {}\n"
 func TestDirectGuardShapes(t *testing.T) {
 	clean := header + `
 func a(s *Sink) {
-	if s.Enabled() {
+	if s.Tracing() {
 		s.Emit(ev())
 	}
 }
@@ -41,7 +41,7 @@ func b(s *Sink) {
 	}
 }
 func c(s *Sink) {
-	if !s.Enabled() {
+	if !s.Tracing() {
 		return
 	}
 	s.Emit(ev())
@@ -53,8 +53,8 @@ func d(s *Sink, disabled bool) {
 	}
 }
 func e(s *Sink) {
-	if s.Enabled() {
-		sp := s.StartSpan("x", "", "", 0)
+	if s.KeepsEvents() {
+		sp := s.StartSpan("x", "", render(), 0)
 		_ = sp
 		s.Emit(ev())
 	}
@@ -62,6 +62,70 @@ func e(s *Sink) {
 `
 	if diags := check(t, clean); len(diags) != 0 {
 		t.Errorf("clean shapes flagged: %+v", diags)
+	}
+}
+
+// TestTracingTier: events and rendered span arguments belong to the tracing
+// tier — an Enabled guard is not enough for them — while spans themselves
+// and tally increments belong to the always-on one.
+func TestTracingTier(t *testing.T) {
+	clean := header + `
+func a(s *Sink, st *Stats) {
+	st.Fired++
+	st.ByOp[2]++
+	if s.Enabled() {
+		rendered := ""
+		if s.Tracing() {
+			rendered = render()
+		}
+		sp := s.StartSpan("x", key(), rendered, 0)
+		_ = sp
+	}
+}
+func note(s *Sink) {
+	s.Emit(ev())
+}
+func b(s *Sink) {
+	if !s.Enabled() {
+		return
+	}
+	work()
+	if s.Tracing() {
+		note(s)
+	}
+}
+`
+	if diags := check(t, clean); len(diags) != 0 {
+		t.Errorf("clean tier shapes flagged: %+v", diags)
+	}
+	bad := header + `
+func a(s *Sink) {
+	if s.Enabled() {
+		s.Emit(ev())
+	}
+}
+func b(s *Sink) {
+	if s.Enabled() {
+		s.StartSpan("x", "", render(), 0)
+	}
+}
+func note(s *Sink) {
+	s.Emit(ev())
+}
+func c(s *Sink) {
+	if s.ProfEnabled() {
+		note(s)
+	}
+}
+`
+	diags := check(t, bad)
+	if len(diags) != 3 {
+		t.Fatalf("got %d diagnostics, want 3: %+v", len(diags), diags)
+	}
+	for _, d := range diags {
+		if !strings.Contains(d.Msg, "Tracing()") {
+			t.Errorf("unexpected message %q", d.Msg)
+		}
 	}
 }
 
@@ -101,12 +165,12 @@ func emitAll(s *Sink) {
 	s.Emit(ev())
 }
 func a(s *Sink) {
-	if s.Enabled() {
+	if s.Tracing() {
 		emitAll(s)
 	}
 }
 func b(s *Sink) {
-	if !s.Enabled() {
+	if !s.Tracing() {
 		return
 	}
 	emitAll(s)
