@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: build test verify lint shapes obsguard fuzz-smoke cover cover-demo bench enum-bench enum-check trend memprofile profile profile-demo trace-demo dag-demo serve serve-demo flight-demo experiments
+.PHONY: build test verify lint shapes obsguard fuzz-smoke cover cover-demo bench memprofile profile profile-demo trace-demo dag-demo serve serve-demo flight-demo experiments
 
 build:
 	go build ./...
@@ -63,20 +63,6 @@ cover-demo:
 
 bench:
 	go test -bench=. -benchmem
-
-# Regenerate / gate the rank-parallel enumeration baseline
-# (docs/PERFORMANCE.md). CI runs enum-check on every push.
-enum-bench:
-	go run ./cmd/starbench -enum-bench BENCH_enumerate.json
-
-enum-check:
-	go run ./cmd/starbench -enum-check BENCH_enumerate.json
-
-# Perf-trend tracking: -enum-bench appends every measurement to
-# BENCH_history.jsonl; trend prints the trajectory and gates allocation
-# drift against the historical best (docs/PERFORMANCE.md § Profiling).
-trend:
-	go run ./cmd/starbench -trend
 
 # Allocation-profile the star8 enumeration workload (one serial run,
 # MemProfileRate=1) and check in the pprof -top rendering, so allocation

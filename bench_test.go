@@ -233,12 +233,11 @@ func BenchmarkOptimizeChain(b *testing.B) {
 
 func chainName(n int) string { return "n=" + string(rune('0'+n)) }
 
-// BenchmarkEnumerate is the regression anchor for the rank-parallel join
-// enumeration (docs/PERFORMANCE.md): an 8-table chain and an 8-quantifier
-// star optimized serially (Parallelism 1) and with a rank fan-out of
-// GOMAXPROCS. cmd/starbench -enum-bench measures the same workloads when
-// regenerating BENCH_enumerate.json; allocs/op here is the number the
-// committed baseline's allocation gate watches.
+// BenchmarkEnumerate times the rank-parallel join enumeration
+// (docs/PERFORMANCE.md) while you work: an 8-table chain and an
+// 8-quantifier star optimized serially (Parallelism 1) and with a rank
+// fan-out of GOMAXPROCS. The gated numbers are bench/'s (BENCHMARK.json),
+// whose lib_scale sweep has both fixtures as points.
 func BenchmarkEnumerate(b *testing.B) {
 	chainCat := workload.ChainCatalog(8, 400, 150, 60, 200, 90, 500, 120, 80)
 	chainQ := workload.ChainQuery(8)

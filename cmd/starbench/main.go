@@ -18,22 +18,16 @@
 //	                          regenerated tables, wall-clock ns and heap
 //	                          allocations, and per-experiment optimizer
 //	                          counters (plans enumerated, prune rate, ...)
-//	starbench -parallel N     run every optimization with a join-enumeration
-//	                          fan-out of N workers (0 = GOMAXPROCS; results
-//	                          are identical at every level)
-//	starbench -enum-bench f   measure the enumeration workloads and write
-//	                          the baseline (schema starbench/enumerate/v1);
-//	                          also appends to the -history ledger
-//	starbench -enum-check f   measure and gate against a committed baseline
-//	                          (see enumbench.go for the gates)
 //	starbench -profile        also report a per-workload self-profile of
 //	                          the coverage corpus: phase wall-time and
 //	                          allocation breakdowns (deep report:
 //	                          starburst profile)
-//	starbench -trend          gate the newest BENCH_history.jsonl entry
-//	                          against the historical best (allocation
-//	                          drift, plan-fingerprint changes); exits
-//	                          nonzero on regression beyond -trend-threshold
+//	starbench -memprofile f   optimize star8 once serially and write its
+//	                          allocation profile (make memprofile)
+//
+// Experiments optimize at the library default fan-out (GOMAXPROCS; results
+// are identical at every level). Performance is measured and gated by
+// bench/ (BENCHMARK.json), not here.
 package main
 
 import (
@@ -42,11 +36,13 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"runtime/pprof"
 	"strings"
 	"time"
 
 	"stars"
 	"stars/internal/experiments"
+	"stars/internal/workload"
 )
 
 // jsonSchema tags the -json export; bump on incompatible changes.
@@ -77,9 +73,9 @@ type jsonExperiment struct {
 
 type jsonDoc struct {
 	Schema string `json:"schema"`
-	// Parallelism is the -parallel value the run used (0 = GOMAXPROCS);
-	// GOMAXPROCS records the machine's core budget, for interpreting the
-	// elapsed numbers.
+	// Parallelism is the join-enumeration fan-out the experiments'
+	// optimizations ran with; GOMAXPROCS records the machine's core
+	// budget, for interpreting the elapsed numbers.
 	Parallelism int              `json:"parallelism"`
 	GOMAXPROCS  int              `json:"gomaxprocs"`
 	Experiments []jsonExperiment `json:"experiments"`
@@ -92,36 +88,17 @@ func main() {
 		markdown  = flag.Bool("md", false, "emit a Markdown summary table after the reports")
 		metricsF  = flag.Bool("metrics", false, "print Prometheus text-format metrics aggregated over all runs")
 		jsonOut   = flag.String("json", "", "write machine-readable per-experiment results (schema starbench/v1) to this path")
-		parallel  = flag.Int("parallel", 1, "join-enumeration worker fan-out for every optimization (0 = GOMAXPROCS)")
-		enumBench = flag.String("enum-bench", "", "measure the enumeration workloads and write the baseline to this path")
-		enumCheck = flag.String("enum-check", "", "measure the enumeration workloads and gate against this baseline")
-		enumIters = flag.Int("enum-iters", 3, "iterations per (workload, parallelism) pair for -enum-bench/-enum-check")
 		coverageF = flag.Bool("coverage", false, "also report alternative-space utilization: run the coverage corpus and print how much of the repertoire the workload exercises")
 		profileF  = flag.Bool("profile", false, "also report a per-workload self-profile of the coverage corpus: phase wall-time and allocation breakdowns")
-		history   = flag.String("history", "BENCH_history.jsonl", "append-only perf-history ledger -enum-bench records into and -trend reads")
-		trend     = flag.Bool("trend", false, "gate the newest history entry against the historical best (allocation drift, plan fingerprints) and exit nonzero on regression")
-		trendTol  = flag.Float64("trend-threshold", 0.30, "relative allocation growth -trend tolerates over the historical best")
 		memProf   = flag.String("memprofile", "", "optimize the star8 workload once serially and write its allocation profile to this path (render with go tool pprof -top)")
 	)
 	flag.Parse()
 
-	// The process-default knob, rather than per-call Options plumbing,
-	// carries -parallel to every optimization the experiments run.
-	stars.SetDefaultParallelism(*parallel)
-	if *trend {
-		trendMain(*history, *trendTol)
-		return
-	}
 	if *memProf != "" {
-		memProfileMain(*memProf)
-		return
-	}
-	if *enumBench != "" {
-		enumBenchMain(*enumBench, *enumIters, *history)
-		return
-	}
-	if *enumCheck != "" {
-		enumCheckMain(*enumCheck, *enumIters)
+		if err := memProfile(*memProf); err != nil {
+			fmt.Fprintf(os.Stderr, "error: %v\n", err)
+			os.Exit(1)
+		}
 		return
 	}
 
@@ -197,7 +174,7 @@ func main() {
 		reportCoverage()
 	}
 	if *profileF {
-		reportProfile(*parallel)
+		reportProfile()
 	}
 	if *metricsF {
 		fmt.Println("\n## Metrics (Prometheus text format)")
@@ -207,7 +184,7 @@ func main() {
 		}
 	}
 	if *jsonOut != "" {
-		if err := writeJSON(*jsonOut, results, *parallel); err != nil {
+		if err := writeJSON(*jsonOut, results); err != nil {
 			fmt.Fprintf(os.Stderr, "error: %v\n", err)
 			os.Exit(1)
 		}
@@ -247,17 +224,15 @@ func reportCoverage() {
 
 // reportProfile runs the coverage corpus with the self-profiler attached
 // and prints each workload's phase breakdown plus the merged totals (the
-// deep report is `starburst profile`).
-func reportProfile(parallel int) {
-	if parallel == 0 {
-		parallel = runtime.GOMAXPROCS(0)
-	}
-	report := stars.NewProfileReport(runtime.GOMAXPROCS(0), parallel)
+// deep report is `starburst profile`). Like that command it runs serially,
+// where the per-rule allocation attribution is exact.
+func reportProfile() {
+	report := stars.NewProfileReport(runtime.GOMAXPROCS(0), 1)
 	for _, entry := range stars.WorkloadCorpus() {
 		sink := stars.NewMetricsSink()
 		stars.EnableProfiling(sink, stars.ProfileOptions{})
 		a0, t0 := stars.HeapAllocs(), time.Now()
-		if _, err := stars.Optimize(entry.Cat, entry.Query, stars.Options{Obs: sink, Parallelism: parallel}); err != nil {
+		if _, err := stars.Optimize(entry.Cat, entry.Query, stars.Options{Obs: sink, Parallelism: 1}); err != nil {
 			fmt.Fprintf(os.Stderr, "profile: %s: %v\n", entry.Name, err)
 			continue
 		}
@@ -299,17 +274,63 @@ func counterDelta(a, b map[string]int64) map[string]int64 {
 	return out
 }
 
-func writeJSON(path string, results []jsonExperiment, parallelism int) error {
+func writeJSON(path string, results []jsonExperiment) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
 	enc := json.NewEncoder(f)
 	enc.SetIndent("", "  ")
-	err = enc.Encode(jsonDoc{Schema: jsonSchema, Parallelism: parallelism,
-		GOMAXPROCS: runtime.GOMAXPROCS(0), Experiments: results})
+	// The experiments leave Options.Parallelism zero, which is GOMAXPROCS.
+	procs := runtime.GOMAXPROCS(0)
+	err = enc.Encode(jsonDoc{Schema: jsonSchema, Parallelism: procs,
+		GOMAXPROCS: procs, Experiments: results})
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}
 	return err
+}
+
+// memProfile handles -memprofile: optimize the star8 workload once serially —
+// after a warmup run so steady-state (pooled-arena) allocation is what the
+// profile shows — and write the allocation profile. `make memprofile`
+// renders it with `go tool pprof -top` into the checked-in
+// docs/perf/star8_allocs.txt snapshot, so allocation regressions show up in
+// review diffs.
+func memProfile(path string) error {
+	cat := workload.StarCatalog(8, 100000, 500)
+	run := func() (elapsed time.Duration, allocs int64, fp string, err error) {
+		a0, t0 := stars.HeapAllocs(), time.Now()
+		res, err := stars.Optimize(cat, workload.StarQuery(8), stars.Options{Parallelism: 1})
+		if err != nil {
+			return 0, 0, "", fmt.Errorf("star8: %w", err)
+		}
+		elapsed, allocs = time.Since(t0), stars.HeapAllocs()-a0
+		fp = res.Best.Fingerprint()
+		res.Release()
+		return elapsed, allocs, fp, nil
+	}
+	if _, _, _, err := run(); err != nil {
+		return err
+	}
+	runtime.MemProfileRate = 1
+	elapsed, allocs, fp, err := run()
+	if err != nil {
+		return err
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	runtime.GC() // flush the profile's accounting before the snapshot
+	err = pprof.Lookup("allocs").WriteTo(f, 0)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return fmt.Errorf("writing %s: %w", path, err)
+	}
+	fmt.Fprintf(os.Stderr, "star8 serial: %v, %d allocs, fp %s; wrote allocation profile to %s\n",
+		elapsed.Round(time.Millisecond), allocs, fp, path)
+	return nil
 }

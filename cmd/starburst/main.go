@@ -181,11 +181,6 @@ func main() {
 		fatal(err)
 	}
 	opts := stars.Options{Parallelism: *parallel}
-	if *parallel == 0 {
-		// Options.Parallelism 0 defers to the process default; the flag's 0
-		// explicitly asks for GOMAXPROCS.
-		opts.Parallelism = runtime.GOMAXPROCS(0)
-	}
 	if *rules != "" {
 		rs, err := loadRuleFile(*rules)
 		if err != nil {
@@ -203,11 +198,18 @@ func main() {
 
 	switch cmd {
 	case "serve":
+		// ServerConfig.Parallelism 0 is the daemon's default of 1; the
+		// flag's 0 asks for GOMAXPROCS like every other command.
+		par := *parallel
+		if par == 0 {
+			par = runtime.GOMAXPROCS(0)
+		}
 		srv, err := stars.NewServer(stars.ServerConfig{
 			Addr:          *addr,
 			Catalog:       cat,
 			Demo:          demo,
 			Options:       opts,
+			Parallelism:   par,
 			Seed:          *seed,
 			MaxInflight:   *maxInfl,
 			Timeout:       *timeout,

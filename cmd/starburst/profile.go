@@ -127,9 +127,9 @@ func profileMain(args []string) {
 	emitProfile(report, *jsonOut, *topN, target)
 }
 
-// profileWorkloads is the corpus plus the two enumeration-benchmark
-// fixtures, so `starburst profile -workload star8` profiles exactly the
-// workload BENCH_enumerate.json measures.
+// profileWorkloads is the corpus plus the two enumeration fixtures
+// TestPinnedEnumerationFixtures (internal/opt) pins and bench/'s lib_scale
+// sweeps, so `starburst profile -workload star8` profiles exactly them.
 func profileWorkloads() []stars.WorkloadEntry {
 	entries := stars.WorkloadCorpus()
 	entries = append(entries,

@@ -10,6 +10,8 @@ import (
 	"stars/ext/semijoin"
 	"stars/internal/datum"
 	"stars/internal/plan"
+	"stars/internal/star"
+	"stars/internal/workload"
 )
 
 // shipCatalog mirrors ext/bloom's scenario: a large remote EMP, a selective
@@ -140,4 +142,50 @@ func render(r *stars.ExecResult, sel []stars.ColID) []string {
 	}
 	sort.Strings(out)
 	return out
+}
+
+// TestForkedEnginesShareRegistries optimizes a star join under the semijoin
+// repertoire — whose Prepare fills the engine's builder and signature
+// registries, plus a helper here so all three are extension-populated —
+// serially and at a fan-out of 8. The per-subset engines share those
+// registries instead of copying them, so under -race this proves nothing
+// writes them during enumeration, and the plan and counters must not move.
+func TestForkedEnginesShareRegistries(t *testing.T) {
+	cat := workload.StarCatalog(5, 100000, 500)
+	run := func(par int) *stars.Result {
+		t.Helper()
+		opts := stars.Options{Parallelism: par}
+		if err := semijoin.Install(&opts); err != nil {
+			t.Fatal(err)
+		}
+		install := opts.Prepare
+		opts.Prepare = func(en *star.Engine) {
+			install(en)
+			en.RegisterHelper("always", func(*star.Engine, []star.Value) (star.Value, error) {
+				return star.BoolValue(true), nil
+			})
+		}
+		res, err := stars.Optimize(cat, workload.StarQuery(5), opts)
+		if err != nil {
+			t.Fatalf("parallelism %d: %v", par, err)
+		}
+		res.Stats.Elapsed = 0
+		return res
+	}
+	serial, parallel := run(1), run(8)
+	if s, p := serial.Best.Fingerprint(), parallel.Best.Fingerprint(); s != p {
+		t.Errorf("best plan: serial %s, parallel %s", s, p)
+	}
+	if !reflect.DeepEqual(serial.Stats, parallel.Stats) {
+		t.Errorf("counters differ:\nserial   %+v\nparallel %+v", serial.Stats, parallel.Stats)
+	}
+	// A local star never retains a semijoin plan, so the builder having run
+	// in the forked engines shows in the effort counters instead.
+	base, err := stars.Optimize(cat, workload.StarQuery(5), stars.Options{Parallelism: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, without := parallel.Stats.Star.PlansBuilt, base.Stats.Star.PlansBuilt; got <= without {
+		t.Errorf("%d plans built with SEMIJOIN installed, %d without: the extension builder never ran", got, without)
+	}
 }

@@ -59,15 +59,6 @@ func (e *Env) SetSelectivity(ps expr.PredSet) float64 {
 	return s
 }
 
-// PredsSelectivity multiplies the selectivities of a predicate slice.
-func (e *Env) PredsSelectivity(ps []expr.Expr) float64 {
-	s := 1.0
-	for _, p := range ps {
-		s *= e.Selectivity(p)
-	}
-	return s
-}
-
 func (e *Env) cmpSelectivity(c *expr.Cmp) float64 {
 	lc, lok := c.L.(*expr.Col)
 	rc, rok := c.R.(*expr.Col)

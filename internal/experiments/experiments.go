@@ -174,22 +174,6 @@ func Run(id string) (*Report, error) {
 	return nil, fmt.Errorf("unknown experiment %q (known: %s)", id, strings.Join(known, ", "))
 }
 
-// RunAll executes every experiment in registration order, collecting
-// failures rather than stopping.
-func RunAll() ([]*Report, []error) {
-	var reports []*Report
-	var errs []error
-	for _, id := range IDs() {
-		rep, err := Run(id)
-		if err != nil {
-			errs = append(errs, err)
-			continue
-		}
-		reports = append(reports, rep)
-	}
-	return reports, errs
-}
-
 // f1 formats a float with one decimal.
 func f1(v float64) string { return fmt.Sprintf("%.1f", v) }
 

@@ -79,19 +79,6 @@ func (s PredSet) Empty() bool { return len(s.ps) == 0 }
 // the set's internal storage: callers must not mutate it.
 func (s PredSet) Slice() []Expr { return s.ps }
 
-// Keys returns the canonical keys in order, parallel to Slice. The slice
-// aliases internal storage: callers must not mutate it.
-func (s PredSet) Keys() []string {
-	if len(s.info) == 0 {
-		return nil
-	}
-	keys := make([]string, len(s.info))
-	for i := range s.info {
-		keys[i] = s.info[i].key
-	}
-	return keys
-}
-
 // KeyAt returns the canonical key of the i-th predicate (in Slice order);
 // it lets callers stream the set's key without allocating.
 func (s PredSet) KeyAt(i int) string { return s.info[i].key }
@@ -266,21 +253,10 @@ func (s PredSet) Within(tables TableSet) PredSet {
 	})
 }
 
-// Filter returns the subset of s satisfying keep.
-func (s PredSet) Filter(keep func(Expr) bool) PredSet {
-	var idx []int
-	for i, p := range s.ps {
-		if keep(p) {
-			idx = append(idx, i)
-		}
-	}
-	return s.subset(idx)
-}
-
-// filterInfo is Filter with access to the cached analysis; the classifiers
-// use it to avoid re-walking expression trees. keep must be pure: the
-// counting pass may evaluate it twice per element so that keep-everything
-// (identity) and keep-nothing outcomes allocate nothing.
+// filterInfo returns the subset of s satisfying keep, which sees the cached
+// analysis so the classifiers avoid re-walking expression trees. keep must
+// be pure: the counting pass may evaluate it twice per element so that
+// keep-everything (identity) and keep-nothing outcomes allocate nothing.
 func (s PredSet) filterInfo(keep func(Expr, *predInfo) bool) PredSet {
 	kept := 0
 	for i := range s.ps {

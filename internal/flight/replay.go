@@ -80,9 +80,6 @@ func Replay(inc *Incident) (*ReplayResult, error) {
 		Parallelism:       co.Parallelism,
 		Obs:               obs.NewSink(),
 	}
-	if co.Parallelism == 0 {
-		opts.Parallelism = 1 // captured zero means "daemon default"; replay deterministically
-	}
 	res, err := opt.New(cat, opts).Optimize(g)
 	if err != nil {
 		return nil, fmt.Errorf("flight: replay %s: optimize: %w", inc.ID, err)

@@ -228,9 +228,6 @@ func HeapAllocs() int64 {
 	return 0
 }
 
-// LabelsOn reports whether pprof label pinning was requested.
-func (p *Prof) LabelsOn() bool { return p != nil && p.labels }
-
 // spanBegin pauses the enclosing frame's self accounting and opens a frame
 // for the new span. t is the sink-relative begin time.
 func (p *Prof) spanBegin(name, a1 string, t time.Duration) {

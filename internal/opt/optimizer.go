@@ -64,11 +64,10 @@ type Options struct {
 	Prepare func(*star.Engine)
 	// Parallelism is the number of worker goroutines the bottom-up join
 	// enumeration fans each subset-size rank out to. 1 runs the rank
-	// single-threaded; 0 uses the process default (SetDefaultParallelism,
-	// falling back to GOMAXPROCS). Whatever the value, results are
-	// deterministic: every parallelism level chooses plans with identical
-	// fingerprints, retains an identical plan table, and reports identical
-	// counters. See docs/PERFORMANCE.md.
+	// single-threaded; 0 (or less) uses GOMAXPROCS. Whatever the value,
+	// results are deterministic: every parallelism level chooses plans
+	// with identical fingerprints, retains an identical plan table, and
+	// reports identical counters. See docs/PERFORMANCE.md.
 	Parallelism int
 }
 

@@ -9,6 +9,7 @@ import (
 	"stars/internal/expr"
 	"stars/internal/plan"
 	"stars/internal/query"
+	"stars/internal/workload"
 )
 
 // figure1Catalog is the paper's Section 2.1 schema: DEPT and EMP with an
@@ -87,5 +88,43 @@ func TestOptimizeFigure1(t *testing.T) {
 	}
 	if !strings.Contains(out, "JOIN") {
 		t.Fatalf("no JOIN in plan:\n%s", out)
+	}
+}
+
+// TestPinnedEnumerationFixtures pins the chosen plan and the search effort of
+// an 8-table chain and an 8-quantifier star. A change to the cost model, the
+// repertoire or the enumeration that moves any of them must move these
+// constants deliberately.
+func TestPinnedEnumerationFixtures(t *testing.T) {
+	for _, tc := range []struct {
+		name        string
+		cat         *catalog.Catalog
+		g           *query.Graph
+		fingerprint string
+		pairs       int64
+		retained    int64
+		slow        bool
+	}{
+		{name: "chain8", cat: workload.ChainCatalog(8, 400, 150, 60, 200, 90, 500, 120, 80), g: workload.ChainQuery(8),
+			fingerprint: "2f116bd688a4fb74", pairs: 84, retained: 1250},
+		{name: "star8", cat: workload.StarCatalog(8, 100000, 500), g: workload.StarQuery(8),
+			fingerprint: "3bafc4ff54518f0d", pairs: 1024, retained: 25095, slow: true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if tc.slow && testing.Short() {
+				t.Skip("star8 takes seconds")
+			}
+			res, err := New(tc.cat, Options{Parallelism: 1}).Optimize(tc.g)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := res.Best.Fingerprint(); got != tc.fingerprint {
+				t.Errorf("best fingerprint %s, want %s", got, tc.fingerprint)
+			}
+			if res.Stats.Pairs != tc.pairs || res.Stats.PlansRetained != tc.retained {
+				t.Errorf("effort: %d pairs, %d plans retained; want %d, %d",
+					res.Stats.Pairs, res.Stats.PlansRetained, tc.pairs, tc.retained)
+			}
+		})
 	}
 }

@@ -36,7 +36,6 @@ import (
 	"runtime/pprof"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"stars/internal/expr"
@@ -47,28 +46,11 @@ import (
 	"stars/internal/star"
 )
 
-// defaultParallelism is the process-wide fan-out used when
-// Options.Parallelism is zero; zero here falls back to GOMAXPROCS.
-var defaultParallelism atomic.Int32
-
-// SetDefaultParallelism sets the process-wide enumeration fan-out used when
-// Options.Parallelism is zero (n <= 0 restores the GOMAXPROCS default).
-// Batch tools expose it as a -parallel flag; servers should prefer setting
-// Options.Parallelism per request.
-func SetDefaultParallelism(n int) {
-	if n < 0 {
-		n = 0
-	}
-	defaultParallelism.Store(int32(n))
-}
-
-// resolveParallelism maps an Options.Parallelism value to a worker count.
+// resolveParallelism maps an Options.Parallelism value to a worker count:
+// n > 0 is n, anything else GOMAXPROCS.
 func resolveParallelism(n int) int {
 	if n > 0 {
 		return n
-	}
-	if d := defaultParallelism.Load(); d > 0 {
-		return int(d)
 	}
 	return runtime.GOMAXPROCS(0)
 }

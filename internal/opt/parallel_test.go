@@ -3,6 +3,7 @@ package opt
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
@@ -221,19 +222,20 @@ func TestParallelRunsAreReproducible(t *testing.T) {
 	}
 }
 
-// TestParallelismResolution covers the Options → worker-count mapping,
-// including the process-wide default knob.
+// TestParallelismResolution covers the Options.Parallelism → worker-count
+// mapping, the library's only fan-out control.
 func TestParallelismResolution(t *testing.T) {
-	if got := resolveParallelism(3); got != 3 {
-		t.Errorf("explicit parallelism: got %d", got)
-	}
-	SetDefaultParallelism(5)
-	if got := resolveParallelism(0); got != 5 {
-		t.Errorf("default parallelism: got %d", got)
-	}
-	SetDefaultParallelism(0)
-	if got := resolveParallelism(0); got < 1 {
-		t.Errorf("GOMAXPROCS fallback: got %d", got)
+	procs := runtime.GOMAXPROCS(0)
+	for _, tc := range []struct{ in, want int }{
+		{1, 1},
+		{3, 3},
+		{procs + 5, procs + 5},
+		{0, procs},
+		{-1, procs},
+	} {
+		if got := resolveParallelism(tc.in); got != tc.want {
+			t.Errorf("resolveParallelism(%d) = %d, want %d", tc.in, got, tc.want)
+		}
 	}
 }
 

@@ -79,14 +79,6 @@ func (a *Arena) NewProps(p Props) *Props {
 	return q
 }
 
-// NodeCount returns the number of nodes the arena holds.
-func (a *Arena) NodeCount() int {
-	if a == nil || len(a.nodeChunks) == 0 {
-		return 0
-	}
-	return (len(a.nodeChunks)-1)*arenaChunk + a.nodeN
-}
-
 // Absorb moves every chunk of o into a, leaving o empty. Node addresses are
 // unchanged — the slabs themselves change owner — so plans built in a
 // worker's sub-arena stay valid after the rank barrier folds the sub-arena

@@ -34,13 +34,9 @@ func (s *Server) foldFlight(reqID, tmpl string, req OptimizeRequest, sink *obs.S
 	if s.flight == nil {
 		return
 	}
-	par := s.cfg.Options.Parallelism
-	if par == 0 {
-		par = s.cfg.Parallelism
-	}
 	rec := flight.Record{
 		Req: reqID, Template: tmpl, SQL: req.SQL, Status: status,
-		WallNS: wall.Nanoseconds(), Parallelism: par,
+		WallNS: wall.Nanoseconds(), Parallelism: s.cfg.Parallelism,
 	}
 	if res != nil && res.Best != nil {
 		rec.PlanFP = res.Best.Fingerprint()
@@ -97,10 +93,6 @@ func (s *Server) fileIncident(o flight.Observation, req OptimizeRequest, tmpl st
 // sink: optimization is deterministic, so the second run's trace and DAG
 // are the first's. The profile stays the original request's.
 func (s *Server) captureRequest(req OptimizeRequest, tmpl string, sink *obs.Sink, res *opt.Result) flight.Capture {
-	par := s.cfg.Options.Parallelism
-	if par == 0 {
-		par = s.cfg.Parallelism
-	}
 	w := s.cfg.Options.Weights
 	cap := flight.Capture{
 		SQL:          req.SQL,
@@ -109,7 +101,7 @@ func (s *Server) captureRequest(req OptimizeRequest, tmpl string, sink *obs.Sink
 		RulesHash:    s.rulesHash,
 		CatalogEpoch: s.catalogEpoch,
 		Options: flight.CapturedOptions{
-			Parallelism:       par,
+			Parallelism:       s.cfg.Parallelism,
 			JoinRoot:          s.cfg.Options.JoinRoot,
 			CartesianProducts: s.cfg.Options.CartesianProducts,
 			NoCompositeInners: s.cfg.Options.NoCompositeInners,

@@ -78,7 +78,7 @@ type Config struct {
 	// matching catalog statistics. Implied when Catalog is nil.
 	Demo bool
 	// Options are the base optimizer options; per-request sinks overwrite
-	// Options.Obs.
+	// Options.Obs and Parallelism (below) overwrites Options.Parallelism.
 	Options opt.Options
 	// Seed drives deterministic data generation for Execute requests.
 	Seed int64
@@ -98,12 +98,12 @@ type Config struct {
 	// Limit is the default row cap echoed back by Execute when the
 	// request doesn't set one (default 100).
 	Limit int
-	// Parallelism caps the join-enumeration worker fan-out of each
-	// optimize request (default 1: concurrency across requests already
-	// keeps a loaded server's cores busy, so intra-query fan-out only
-	// helps latency on idle servers; results are identical either way).
-	// Zero selects the default; negative means the process default
-	// (opt.SetDefaultParallelism / GOMAXPROCS).
+	// Parallelism is the join-enumeration worker fan-out of every
+	// optimize request — the daemon's only fan-out control, and the value
+	// flight records, incident bundles and /profile report (default 1:
+	// concurrency across requests already keeps a loaded server's cores
+	// busy, so intra-query fan-out only helps latency on idle servers;
+	// results are identical either way). Zero or less selects the default.
 	Parallelism int
 	// DisableProfiling turns the per-request self-profiler off. By default
 	// every request's optimization is profiled (cheap accumulators on the
@@ -150,10 +150,8 @@ func (c Config) withDefaults() Config {
 	if c.Limit == 0 {
 		c.Limit = 100
 	}
-	if c.Parallelism == 0 {
+	if c.Parallelism <= 0 {
 		c.Parallelism = 1
-	} else if c.Parallelism < 0 {
-		c.Parallelism = 0 // process default (SetDefaultParallelism / GOMAXPROCS)
 	}
 	if c.Log == nil {
 		c.Log = log.New(io.Discard, "", 0)
@@ -708,9 +706,7 @@ func (s *Server) optimizerOptions(sink *obs.Sink) opt.Options {
 	opts := s.cfg.Options
 	opts.Obs = sink
 	opts.Rules = s.rules
-	if opts.Parallelism == 0 {
-		opts.Parallelism = s.cfg.Parallelism
-	}
+	opts.Parallelism = s.cfg.Parallelism
 	return opts
 }
 

@@ -15,6 +15,8 @@ import (
 	"time"
 
 	"stars/internal/obs"
+	"stars/internal/opt"
+	"stars/internal/prof"
 )
 
 const figure1SQL = "SELECT DEPT.DNO, EMP.NAME FROM DEPT, EMP WHERE DEPT.DNO = EMP.DNO AND DEPT.MGR = 'Haas'"
@@ -568,28 +570,58 @@ func truncate(s string, n int) string {
 	return s[:n] + "..."
 }
 
-// TestParallelismConfig pins the Config.Parallelism plumbing: the default
-// keeps per-request enumeration single-threaded, an explicit fan-out is
-// honored, and the chosen plan's fingerprint is identical either way.
+// TestParallelismConfig pins the Config.Parallelism plumbing: it is the
+// daemon's only fan-out control (zero or less is the default of 1, and
+// Options.Parallelism is not a second one), the resolved value is what
+// flight records, incident bundles and /profile report, and the chosen
+// plan's fingerprint is identical at every level.
 func TestParallelismConfig(t *testing.T) {
-	if got := (Config{}).withDefaults().Parallelism; got != 1 {
-		t.Errorf("default parallelism = %d, want 1", got)
-	}
-	if got := (Config{Parallelism: -1}).withDefaults().Parallelism; got != 0 {
-		t.Errorf("negative parallelism = %d, want 0 (process default)", got)
-	}
-	var fps [2]string
-	for i, par := range []int{1, 8} {
-		s := newTestServer(t, Config{Parallelism: par})
-		ts := httptest.NewServer(s.Handler())
-		status, resp, bad := postOptimize(t, ts.URL, OptimizeRequest{SQL: figure1SQL})
-		ts.Close()
-		if status != http.StatusOK {
-			t.Fatalf("parallelism %d: status %d (%+v)", par, status, bad)
+	fps := map[string]bool{}
+	for _, tc := range []struct {
+		par, optsPar, want int
+	}{
+		{par: 0, want: 1},
+		{par: -1, want: 1},
+		{par: 8, want: 8},
+		{par: 0, optsPar: 4, want: 1},
+	} {
+		cfg := Config{Parallelism: tc.par, Options: opt.Options{Parallelism: tc.optsPar}}
+		cfg.Flight = aggressiveFlight("") // the second request files a latency incident
+		if got := cfg.withDefaults().Parallelism; got != tc.want {
+			t.Errorf("Config{Parallelism: %d}.withDefaults().Parallelism = %d, want %d", tc.par, got, tc.want)
 		}
-		fps[i] = resp.Plan.Fingerprint
+		s := newTestServer(t, cfg)
+		if got := s.optimizerOptions(nil).Parallelism; got != tc.want {
+			t.Errorf("%+v: optimizer runs at %d, want %d", tc, got, tc.want)
+		}
+		ts := httptest.NewServer(s.Handler())
+		for i := 0; i < 2; i++ {
+			status, resp, bad := postOptimize(t, ts.URL, OptimizeRequest{SQL: figure1SQL})
+			if status != http.StatusOK {
+				t.Fatalf("%+v: status %d (%+v)", tc, status, bad)
+			}
+			fps[resp.Plan.Fingerprint] = true
+		}
+		var rep prof.Report
+		getJSON(t, ts.URL+"/profile", &rep)
+		ts.Close()
+		if rep.Parallelism != tc.want {
+			t.Errorf("%+v: /profile reports parallelism %d, want %d", tc, rep.Parallelism, tc.want)
+		}
+		for _, rec := range s.flight.Recent() {
+			if rec.Parallelism != tc.want {
+				t.Errorf("%+v: flight record %s has parallelism %d, want %d", tc, rec.Req, rec.Parallelism, tc.want)
+			}
+		}
+		incs := s.flight.Incidents()
+		if len(incs) != 1 {
+			t.Fatalf("%+v: %d incidents, want 1", tc, len(incs))
+		}
+		if got := incs[0].Capture.Options.Parallelism; got != tc.want {
+			t.Errorf("%+v: captured bundle has parallelism %d, want %d", tc, got, tc.want)
+		}
 	}
-	if fps[0] != fps[1] {
-		t.Errorf("fingerprint depends on parallelism: %s vs %s", fps[0], fps[1])
+	if len(fps) != 1 {
+		t.Errorf("fingerprint depends on parallelism: %v", fps)
 	}
 }

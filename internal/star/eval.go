@@ -191,30 +191,24 @@ func NewEngine(rules *RuleSet, costEnv *cost.Env) *Engine {
 }
 
 // Fork returns an engine for one worker of a parallel enumeration. The
-// repertoire and the builder/helper registries are copied from en (so
-// Prepare-installed extensions carry over; builders and helpers are
-// stateless functions receiving the engine per call), while the pricing
-// environment, observability sink, and name prefix are the worker's own.
-// Counters start at zero; the caller folds them back with Stats.Add. The
-// caller wires Glue and PlanSites to the worker's Gluer.
+// repertoire and the builder, helper and declared-signature registries are
+// shared with en, not copied: Options.Prepare fills them before the first
+// reference is evaluated and nothing writes them afterwards (builders and
+// helpers are stateless functions receiving the engine per call), so
+// concurrent workers only ever read them. The pricing environment,
+// observability sink, and name prefix are the worker's own. Counters start
+// at zero; the caller folds them back with Stats.Add. The caller wires Glue
+// and PlanSites to the worker's Gluer.
 func (en *Engine) Fork(costEnv *cost.Env, sink *obs.Sink, namePrefix string) *Engine {
-	builders := make(map[string]LolepopBuilder, len(en.builders))
-	for name, b := range en.builders {
-		builders[name] = b
-	}
-	helpers := make(map[string]HelperFunc, len(en.helpers))
-	for name, h := range en.helpers {
-		helpers[name] = h
-	}
 	return &Engine{
 		Rules:       en.Rules,
 		Cost:        costEnv,
 		QueryTables: en.QueryTables,
 		NeededCols:  en.NeededCols,
 		Obs:         sink,
-		builders:    builders,
-		helpers:     helpers,
-		declared:    en.declared.Clone(),
+		builders:    en.builders,
+		helpers:     en.helpers,
+		declared:    en.declared,
 		namePrefix:  namePrefix,
 	}
 }
@@ -225,12 +219,6 @@ func (en *Engine) RegisterBuilder(name string, b LolepopBuilder) { en.builders[n
 
 // RegisterHelper installs a helper/condition function.
 func (en *Engine) RegisterHelper(name string, h HelperFunc) { en.helpers[name] = h }
-
-// HasBuilder reports whether name is a registered LOLEPOP.
-func (en *Engine) HasBuilder(name string) bool { _, ok := en.builders[name]; return ok }
-
-// HasHelper reports whether name is a registered helper.
-func (en *Engine) HasHelper(name string) bool { _, ok := en.helpers[name]; return ok }
 
 // Validate checks the rule set against this engine's registries via the
 // shared reference pass (CheckRefs): undefined references, STAR and Glue

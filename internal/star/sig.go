@@ -90,28 +90,8 @@ type Signature struct {
 	Produces []string
 }
 
-// ProducesProp reports whether the signature declares it can establish the
-// required-property key.
-func (s Signature) ProducesProp(key string) bool {
-	for _, k := range s.Produces {
-		if k == key {
-			return true
-		}
-	}
-	return false
-}
-
 // SigTable maps callable names to signatures.
 type SigTable map[string]Signature
-
-// Clone returns a copy the caller may extend.
-func (t SigTable) Clone() SigTable {
-	out := make(SigTable, len(t))
-	for k, v := range t {
-		out[k] = v
-	}
-	return out
-}
 
 // Names returns the table's names, sorted.
 func (t SigTable) Names() []string {

@@ -41,9 +41,6 @@ func NewBTree(keyLen int) *BTree {
 	return &BTree{keyLen: keyLen, root: leaf, height: 1, nodes: 1}
 }
 
-// KeyLen returns the number of key columns.
-func (b *BTree) KeyLen() int { return b.keyLen }
-
 // Len returns the number of stored entries.
 func (b *BTree) Len() int64 { return b.size }
 

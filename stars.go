@@ -137,11 +137,6 @@ func Optimize(cat *Catalog, g *Graph, o Options) (*Result, error) {
 	return opt.New(cat, o).Optimize(g)
 }
 
-// SetDefaultParallelism sets the process-wide join-enumeration fan-out used
-// when Options.Parallelism is zero (n <= 0 restores the GOMAXPROCS default).
-// Results are identical at every parallelism level; see docs/PERFORMANCE.md.
-func SetDefaultParallelism(n int) { opt.SetDefaultParallelism(n) }
-
 // Sink collects the optimizer's and evaluator's observability stream:
 // events (rule spans, Glue calls, plan-table churn, executor operators) and
 // metrics (counters, gauges, latency histograms). A nil *Sink is valid
