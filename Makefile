@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: build test verify lint shapes obsguard fuzz-smoke cover cover-demo bench memprofile profile profile-demo trace-demo dag-demo serve serve-demo flight-demo experiments
+.PHONY: build test verify loc lint shapes obsguard fuzz-smoke cover cover-demo bench memprofile profile profile-demo trace-demo dag-demo serve serve-demo flight-demo experiments
 
 build:
 	go build ./...
@@ -11,6 +11,15 @@ test:
 # The tier-1 verify recipe (ROADMAP.md).
 verify:
 	go build ./... && go vet ./... && go test ./... && go test -race ./...
+
+# Non-test Go lines per package outside bench/ (`wc -l`: comments and blank
+# lines count) — the before/after table a simplicity PR records in CHANGES.md.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.*' -print0 \
+		| xargs -0 wc -l \
+		| awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \
+			END { for (d in n) printf "%6d %s\n", n[d], d; printf "%6d total\n", t }' \
+		| sort -k2
 
 # Static analysis: the STAR rule linter over the built-in and extension
 # repertoires (docs/LINTING.md), warnings fatal. CI also runs staticcheck

@@ -292,8 +292,9 @@ func writeJSON(path string, results []jsonExperiment) error {
 }
 
 // memProfile handles -memprofile: optimize the star8 workload once serially —
-// after a warmup run so steady-state (pooled-arena) allocation is what the
-// profile shows — and write the allocation profile. `make memprofile`
+// after a warmup run whose Release leaves its grown arena in the pool, so the
+// profile shows steady-state allocation (no Node or Props chunks) — and write
+// the allocation profile. `make memprofile`
 // renders it with `go tool pprof -top` into the checked-in
 // docs/perf/star8_allocs.txt snapshot, so allocation regressions show up in
 // review diffs.

@@ -75,8 +75,10 @@ type Env struct {
 	// timings; nil (the default) costs one check per Price call.
 	Obs *obs.Sink
 	// Arena, when non-nil, slab-allocates the Props this environment
-	// prices; nil prices onto the heap (tests, tools). The optimizer wires
-	// one arena per optimization and per worker (see internal/opt).
+	// prices (and the nodes builders and Glue construct through it); nil
+	// prices onto the heap (tests, tools). The optimizer points the root
+	// environment and every environment forked for a subset task at the
+	// arena of the worker goroutine running it (see internal/opt).
 	Arena *plan.Arena
 
 	funcs map[plan.Op]PropertyFunc

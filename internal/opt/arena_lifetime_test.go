@@ -3,6 +3,7 @@ package opt
 import (
 	"testing"
 
+	"stars/internal/expr"
 	"stars/internal/plan"
 	"stars/internal/query"
 	"stars/internal/workload"
@@ -16,10 +17,12 @@ import (
 //
 //   - Best stays usable after Release (it is detached to the heap first) and
 //     its fingerprint never drifts across arena reuse;
-//   - plans NOT detached really do die at Release (the poison is observed on
-//     a deliberately-escaped pointer), proving the harness would catch a
-//     serve/provenance/flight consumer holding plans past Release;
-//   - the pooled arena is safe to reuse immediately by the next optimization.
+//   - plans NOT detached really do die at Release — every retained plan, so
+//     the root arena and each worker's arena alike were reset (the poison is
+//     observed on deliberately-escaped pointers), proving the harness would
+//     catch a serve/provenance/flight consumer holding plans past Release;
+//   - the pooled arenas are safe to reuse immediately by the next
+//     optimization, whatever its worker count.
 func TestArenaLifetimeOptimizeReleaseLoop(t *testing.T) {
 	arenaPoison = true
 	defer func() { arenaPoison = false }()
@@ -28,17 +31,14 @@ func TestArenaLifetimeOptimizeReleaseLoop(t *testing.T) {
 	newG := func() *query.Graph { return workload.StarQuery(4) }
 
 	var fp string
-	var escaped *plan.Node // deliberately held across Release
 	for i := 0; i < 100; i++ {
 		par := 1 + i%3 // exercise serial and rank-parallel arenas alike
 		res, err := New(cat, Options{Parallelism: par}).Optimize(newG())
 		if err != nil {
 			t.Fatalf("iteration %d: %v", i, err)
 		}
-		if escaped != nil && !escaped.Poisoned() {
-			// The previous iteration's undetached pointer must be dead by
-			// now: its arena was reset at Release and reused above.
-			t.Fatalf("iteration %d: plan held across Release was not poisoned — escapes would go undetected", i)
+		if len(res.arenas) != par {
+			t.Fatalf("iteration %d: %d arenas at Parallelism %d, want one per worker", i, len(res.arenas), par)
 		}
 		got := res.Best.Fingerprint()
 		if i == 0 {
@@ -46,9 +46,17 @@ func TestArenaLifetimeOptimizeReleaseLoop(t *testing.T) {
 		} else if got != fp {
 			t.Fatalf("iteration %d: fingerprint %s, want %s", i, got, fp)
 		}
-		escaped = res.Best
+		// Deliberately held across Release: the chosen plan and every
+		// retained alternative, wherever a worker put them.
+		escaped := []*plan.Node{res.Best}
+		res.Table.ForEach(func(_, _ string, p *plan.Node) { escaped = append(escaped, p) })
 		res.Release()
-		if res.Best == escaped {
+		for _, p := range escaped {
+			if !p.Poisoned() {
+				t.Fatalf("iteration %d: plan held across Release was not poisoned — escapes would go undetected", i)
+			}
+		}
+		if res.Best == escaped[0] {
 			t.Fatal("Release must detach Best, not alias the arena node")
 		}
 		// The detached Best survives the reset that just poisoned its
@@ -75,5 +83,42 @@ func assertAlive(t *testing.T, iter int, n *plan.Node) {
 	}
 	for _, in := range n.Inputs {
 		assertAlive(t, iter, in)
+	}
+}
+
+// TestFailedOptimizeReturnsArenas: an optimization that fails after checking
+// its arenas out — here enumeration finds no complete plan for a disconnected
+// join graph — puts them back, so a request mix heavy in unplannable queries
+// does not grow new slabs per request. Each round runs one failing and one
+// successful single-arena optimization; leaking the failing one's arena would
+// make the pool construct at least one arena per round. (Under -race
+// sync.Pool drops a quarter of what it is given — half an arena a round —
+// hence "fewer than rounds", not "none".)
+func TestFailedOptimizeReturnsArenas(t *testing.T) {
+	constructed := 0
+	pooledNew := arenaPool.New
+	arenaPool.New = func() any { constructed++; return pooledNew() }
+	defer func() { arenaPool.New = pooledNew }()
+
+	cat := workload.ChainCatalog(4, 40, 30, 20, 10)
+	disconnected := func() *query.Graph {
+		g := workload.ChainQuery(4)
+		g.Preds = expr.NewPredSet(g.Preds.Slice()[0]) // T1-T2 joined; T3, T4 isolated
+		return g
+	}
+	const rounds = 64
+	for i := 0; i < rounds; i++ {
+		if res, err := New(cat, Options{Parallelism: 1}).Optimize(disconnected()); err == nil {
+			res.Release()
+			t.Fatal("a disconnected join graph planned without CartesianProducts")
+		}
+		res, err := New(cat, Options{Parallelism: 1}).Optimize(workload.ChainQuery(4))
+		if err != nil {
+			t.Fatal(err)
+		}
+		res.Release()
+	}
+	if constructed >= rounds {
+		t.Errorf("%d arenas constructed over %d failing+successful rounds: failed optimizations leak their arenas", constructed, rounds)
 	}
 }

@@ -110,9 +110,10 @@ type Result struct {
 	// tests and tools).
 	Engine *star.Engine
 
-	// arena owns the storage of every plan node this optimization built;
-	// Release recycles it.
-	arena *plan.Arena
+	// arenas own the storage of every plan node this optimization built,
+	// one per enumeration worker (arenas[0] also holds the access plans and
+	// root veneers); Release recycles them.
+	arenas []*plan.Arena
 }
 
 // builtinRules is the built-in repertoire a nil Options.Rules resolves to,
@@ -121,34 +122,42 @@ type Result struct {
 // copy for that).
 var builtinRules = sync.OnceValue(star.DefaultRules)
 
-// arenaPool recycles plan arenas across optimizations so a long-running
-// server reuses slabs instead of growing the heap per query.
+// arenaPool recycles plan arenas, chunks included, across optimizations: a
+// long-running server fills the slabs earlier requests grew instead of
+// allocating its own. Only getArena and Release touch it.
 var arenaPool = sync.Pool{New: func() any { return plan.NewArena() }}
 
 // arenaPoison, when set (lifetime tests only), turns on poison-on-reset for
 // every arena an optimization checks out, so a plan pointer that escapes
 // Release without being detached reads a recognizably dead node instead of
-// silently stale data.
+// another query's plan.
 var arenaPoison bool
 
-// Release recycles the result's plan storage for a later optimization. After
-// Release only Best remains usable — it is detached (deep-copied to the
-// heap) first — while Table, Engine, and every other plan pointer obtained
-// from this result become invalid. Callers that never Release simply let the
-// GC reclaim the arena with the result; callers on a hot path (the serve
-// loop, benchmarks) Release to make plan storage O(live queries) instead of
-// O(queries ever run).
+func getArena() *plan.Arena {
+	a := arenaPool.Get().(*plan.Arena)
+	a.SetPoison(arenaPoison)
+	return a
+}
+
+// Release hands the result's plan storage to later optimizations, which
+// overwrite it. After Release only Best remains usable — it is detached
+// (deep-copied to the heap) first — while Table, Engine, and every other plan
+// pointer obtained from this result become invalid. Callers that never
+// Release simply let the GC reclaim the arenas with the result; callers on a
+// hot path (the serve loop, benchmarks) Release so a steady stream of queries
+// allocates no plan storage at all.
 func (r *Result) Release() {
-	a := r.arena
-	if a == nil {
+	if r.arenas == nil {
 		return
 	}
-	r.arena = nil
 	r.Best = plan.Detach(r.Best)
 	r.Table = nil
 	r.Engine = nil
-	a.Reset()
-	arenaPool.Put(a)
+	for _, a := range r.arenas {
+		a.Reset()
+		arenaPool.Put(a)
+	}
+	r.arenas = nil
 }
 
 // Optimizer optimizes queries against one catalog.
@@ -164,7 +173,7 @@ func New(cat *catalog.Catalog, opts Options) *Optimizer {
 
 // Optimize builds all plans for the query bottom-up and returns the cheapest
 // plan satisfying the root requirements.
-func (o *Optimizer) Optimize(g *query.Graph) (*Result, error) {
+func (o *Optimizer) Optimize(g *query.Graph) (_ *Result, err error) {
 	start := time.Now()
 	// Resolve the sink first so the prepare phase (validation, environment
 	// and engine construction) is attributed when a profiler rides on it: an
@@ -199,10 +208,15 @@ func (o *Optimizer) Optimize(g *query.Graph) (*Result, error) {
 	}
 	env := cost.NewEnv(o.Cat, w)
 	env.Obs = sink
-	env.Arena = arenaPool.Get().(*plan.Arena)
-	if arenaPoison {
-		env.Arena.SetPoison(true)
-	}
+	env.Arena = getArena()
+	res := &Result{Obs: sink, arenas: []*plan.Arena{env.Arena}}
+	defer func() {
+		if err != nil {
+			// Nothing of a failed optimization is handed out, so its plan
+			// storage goes straight back to the pool.
+			res.Release()
+		}
+	}()
 	for _, q := range g.Quants {
 		env.BindQuantifier(q.Name, q.Table)
 	}
@@ -240,7 +254,7 @@ func (o *Optimizer) Optimize(g *query.Graph) (*Result, error) {
 	en.Glue = gl.Glue
 	en.PlanSites = gl.PlanSites
 
-	res := &Result{Table: table, Engine: en, Obs: sink, arena: env.Arena}
+	res.Table, res.Engine = table, en
 	prepSp.End(0)
 
 	// Phase 1: access plans for every quantifier (Section 2.3).

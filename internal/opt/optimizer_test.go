@@ -92,7 +92,9 @@ func TestOptimizeFigure1(t *testing.T) {
 }
 
 // TestPinnedEnumerationFixtures pins the chosen plan and the search effort of
-// an 8-table chain and an 8-quantifier star. A change to the cost model, the
+// an 8-table chain and an 8-dimension star — subsets visited (including the
+// ones with nothing to join, which build no task state), pairs, Glue
+// references, veneers and plans retained. A change to the cost model, the
 // repertoire or the enumeration that moves any of them must move these
 // constants deliberately.
 func TestPinnedEnumerationFixtures(t *testing.T) {
@@ -101,14 +103,17 @@ func TestPinnedEnumerationFixtures(t *testing.T) {
 		cat         *catalog.Catalog
 		g           *query.Graph
 		fingerprint string
+		subsets     int64
 		pairs       int64
+		glueCalls   int64
+		veneers     int64
 		retained    int64
 		slow        bool
 	}{
 		{name: "chain8", cat: workload.ChainCatalog(8, 400, 150, 60, 200, 90, 500, 120, 80), g: workload.ChainQuery(8),
-			fingerprint: "2f116bd688a4fb74", pairs: 84, retained: 1250},
+			fingerprint: "2f116bd688a4fb74", subsets: 247, pairs: 84, glueCalls: 2241, veneers: 28016, retained: 1250},
 		{name: "star8", cat: workload.StarCatalog(8, 100000, 500), g: workload.StarQuery(8),
-			fingerprint: "3bafc4ff54518f0d", pairs: 1024, retained: 25095, slow: true},
+			fingerprint: "3bafc4ff54518f0d", subsets: 502, pairs: 1024, glueCalls: 24513, veneers: 334728, retained: 25095, slow: true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			if tc.slow && testing.Short() {
@@ -121,9 +126,12 @@ func TestPinnedEnumerationFixtures(t *testing.T) {
 			if got := res.Best.Fingerprint(); got != tc.fingerprint {
 				t.Errorf("best fingerprint %s, want %s", got, tc.fingerprint)
 			}
-			if res.Stats.Pairs != tc.pairs || res.Stats.PlansRetained != tc.retained {
-				t.Errorf("effort: %d pairs, %d plans retained; want %d, %d",
-					res.Stats.Pairs, res.Stats.PlansRetained, tc.pairs, tc.retained)
+			st := res.Stats
+			if st.Subsets != tc.subsets || st.Pairs != tc.pairs || st.Glue.Calls != tc.glueCalls ||
+				st.Glue.Veneers != tc.veneers || st.PlansRetained != tc.retained {
+				t.Errorf("effort: %d subsets, %d pairs, %d Glue calls, %d veneers, %d plans retained; want %d, %d, %d, %d, %d",
+					st.Subsets, st.Pairs, st.Glue.Calls, st.Glue.Veneers, st.PlansRetained,
+					tc.subsets, tc.pairs, tc.glueCalls, tc.veneers, tc.retained)
 			}
 		})
 	}

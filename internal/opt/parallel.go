@@ -11,11 +11,13 @@
 // with identical fingerprints, retain an identical plan table, and report
 // identical counters to a serial run. Three mechanisms deliver it:
 //
-//  1. Isolation: each task works against its own overlay plan table
-//     (glue.NewOverlay) over the frozen base, its own forked engine and
-//     pricing environment, and its own child obs sink. A task's outcome
-//     therefore depends only on the committed base — never on how sibling
-//     tasks were scheduled.
+//  1. Isolation: each task that has something to join works against its own
+//     overlay plan table (glue.NewOverlay) over the frozen base, its own
+//     forked engine and pricing environment, and its own child obs sink. A
+//     task's outcome therefore depends only on the committed base — never
+//     on how sibling tasks were scheduled. Plan storage is the exception:
+//     it belongs to the worker goroutine (one plan.Arena each), because
+//     where a node lives is not part of any outcome.
 //  2. Namespacing: forked engines derive temp/index names from the task's
 //     subset mask ("_t<mask>.<seq>"), so generated names are a function of
 //     the work item, not of scheduling order.
@@ -60,16 +62,16 @@ func resolveParallelism(n int) int {
 // computationally out of reach anyway) translations are computed on demand.
 const denseMaskLimit = 16
 
-// maskCache interns the mask -> TableSet / canonical-key translation for
-// one query. The old per-reference closure rebuilt a map[string]bool for
-// every mask mention — twice per pair — which dominated the enumeration's
-// allocation profile. The cache is built once, before the rank loop, and is
-// read-only afterwards, so enumeration workers share it without locks.
+// maskCache interns the mask -> TableSet translation (each set carries its
+// canonical key) for one query. The old per-reference closure rebuilt a
+// map[string]bool for every mask mention — twice per pair — which dominated
+// the enumeration's allocation profile. The cache is built once, before the
+// rank loop, and is read-only afterwards, so enumeration workers share it
+// without locks.
 type maskCache struct {
 	n     int
 	names []string
 	sets  []expr.TableSet
-	keys  []string
 }
 
 func newMaskCache(g *query.Graph) *maskCache {
@@ -79,11 +81,8 @@ func newMaskCache(g *query.Graph) *maskCache {
 	}
 	full := uint32(1)<<uint(mc.n) - 1
 	mc.sets = make([]expr.TableSet, full+1)
-	mc.keys = make([]string, full+1)
 	for mask := uint32(1); mask <= full; mask++ {
-		ts := mc.build(mask)
-		mc.sets[mask] = ts
-		mc.keys[mask] = ts.Key()
+		mc.sets[mask] = mc.build(mask)
 	}
 	return mc
 }
@@ -94,14 +93,6 @@ func (mc *maskCache) set(mask uint32) expr.TableSet {
 		return mc.sets[mask]
 	}
 	return mc.build(mask)
-}
-
-// key returns the canonical table-set key for mask.
-func (mc *maskCache) key(mask uint32) string {
-	if mc.keys != nil {
-		return mc.keys[mask]
-	}
-	return mc.build(mask).Key()
 }
 
 func (mc *maskCache) build(mask uint32) expr.TableSet {
@@ -116,14 +107,14 @@ func (mc *maskCache) build(mask uint32) expr.TableSet {
 
 // subsetTask is one unit of rank-parallel work: all joinable partitions of
 // one quantifier subset, evaluated against isolated state that the barrier
-// later folds back in.
+// later folds back in: gl is the task's Gluer, holding its forked engine
+// (whose Obs is the child sink and Cost the forked environment) and its
+// overlay table. A subset with no joinable partition builds none of it and
+// leaves gl nil.
 type subsetTask struct {
 	mask  uint32
 	pairs int64
-	sink  *obs.Sink
-	en    *star.Engine
 	gl    *glue.Gluer
-	table *glue.PlanTable
 	err   error
 }
 
@@ -182,8 +173,14 @@ func (o *Optimizer) enumerate(g *query.Graph, en *star.Engine, gl *glue.Gluer, t
 			collectNS = int64(time.Since(rankStart))
 			execStart = time.Now()
 		}
-		busy := runTasks(par, profiled, tasks, func(t *subsetTask) {
-			o.runSubset(t, g, en, gl, table, mc, sink)
+		// One arena per worker goroutine, kept for the whole optimization;
+		// worker 0 allocates from the root arena, which is idle while a
+		// rank executes.
+		for len(res.arenas) < min(par, len(tasks)) {
+			res.arenas = append(res.arenas, getArena())
+		}
+		busy := runTasks(par, profiled, tasks, func(worker int, t *subsetTask) {
+			o.runSubset(t, res.arenas[worker], g, gl, mc)
 		})
 		var execNS int64
 		var absorbStart time.Time
@@ -201,13 +198,16 @@ func (o *Optimizer) enumerate(g *query.Graph, en *star.Engine, gl *glue.Gluer, t
 				return t.err
 			}
 			res.Stats.Subsets++
+			if t.gl == nil {
+				continue // nothing joinable: the task built nothing to fold
+			}
 			res.Stats.Pairs += t.pairs
-			sink.Absorb(t.sink)
-			en.Stats.Add(t.en.Stats)
+			ten := t.gl.Engine
+			sink.Absorb(ten.Obs)
+			en.Stats.Add(ten.Stats)
 			gl.Stats.Add(t.gl.Stats)
-			en.Cost.AbsorbTemps(t.en.Cost)
-			en.Cost.Arena.Absorb(t.en.Cost.Arena)
-			table.Absorb(t.table)
+			en.Cost.AbsorbTemps(ten.Cost)
+			table.Absorb(t.gl.Table)
 		}
 		if profiled {
 			sink.ProfRank(obs.RankSample{
@@ -229,26 +229,23 @@ func (o *Optimizer) enumerate(g *query.Graph, en *star.Engine, gl *glue.Gluer, t
 	return nil
 }
 
-// runTasks executes the rank's tasks on par workers (inline when par <= 1).
-// Task completion order is scheduling-dependent; the caller re-establishes
-// determinism by merging in task order. When profiled, the returned slice
-// holds each worker's busy time over the execution window (each slot is
-// written by exactly one worker goroutine and read only after wg.Wait);
-// otherwise it is nil.
-func runTasks(par int, profiled bool, tasks []*subsetTask, run func(*subsetTask)) []int64 {
+// runTasks executes the rank's tasks on par workers (inline, as worker 0,
+// when par <= 1), telling run which worker it is on. Task completion order is
+// scheduling-dependent; the caller re-establishes determinism by merging in
+// task order. When profiled, the returned slice holds each worker's busy time
+// over the execution window (each slot is written by exactly one worker
+// goroutine and read only after wg.Wait); otherwise it is nil.
+func runTasks(par int, profiled bool, tasks []*subsetTask, run func(worker int, t *subsetTask)) []int64 {
 	if par > len(tasks) {
 		par = len(tasks)
 	}
 	if par <= 1 {
-		if !profiled {
-			for _, t := range tasks {
-				run(t)
-			}
-			return nil
-		}
 		start := time.Now()
 		for _, t := range tasks {
-			run(t)
+			run(0, t)
+		}
+		if !profiled {
+			return nil
 		}
 		return []int64{int64(time.Since(start))}
 	}
@@ -265,10 +262,10 @@ func runTasks(par int, profiled bool, tasks []*subsetTask, run func(*subsetTask)
 			for t := range ch {
 				if profiled {
 					t0 := time.Now()
-					run(t)
+					run(w, t)
 					busy[w] += int64(time.Since(t0))
 				} else {
-					run(t)
+					run(w, t)
 				}
 			}
 		}(i)
@@ -281,47 +278,13 @@ func runTasks(par int, profiled bool, tasks []*subsetTask, run func(*subsetTask)
 	return busy
 }
 
-// runSubset builds the isolated state for one subset task — child sink,
-// forked pricing environment and engine (temp names namespaced by the
-// subset mask), overlay plan table, and Gluer — then evaluates the subset.
-func (o *Optimizer) runSubset(t *subsetTask, g *query.Graph, parent *star.Engine, parentGl *glue.Gluer, base *glue.PlanTable, mc *maskCache, sink *obs.Sink) {
-	t.sink = sink.Child() // nil when observability is off
-	env := parent.Cost.Fork()
-	env.Obs = t.sink
-	// A fresh sub-arena per task keeps node allocation single-goroutine; the
-	// barrier absorbs its slabs into the parent arena (addresses unchanged).
-	env.Arena = plan.NewArena()
-	en := parent.Fork(env, t.sink, strconv.FormatUint(uint64(t.mask), 10)+".")
-	if t.sink.ProfLabels() {
-		// Label the worker goroutine with the rank it is executing; EvalRule
-		// composes star= on top. Labels follow the task, so a worker pool
-		// goroutine re-labels per task.
-		rank := strconv.Itoa(bits.OnesCount32(t.mask))
-		ctx := pprof.WithLabels(context.Background(), pprof.Labels("phase", "join-"+rank, "rank", rank))
-		pprof.SetGoroutineLabels(ctx)
-		en.LabelCtx = ctx
-	}
-	ov := glue.NewOverlay(base)
-	ov.Obs = t.sink
-	gl := &glue.Gluer{Engine: en, Graph: g, Table: ov, KeepAll: parentGl.KeepAll}
-	en.Glue = gl.Glue
-	en.PlanSites = gl.PlanSites
-	t.en, t.gl, t.table = en, gl, ov
-	t.err = o.joinSubset(t, g, en, ov, mc)
-}
+// maskPair is one unordered partition of a subset into two joinable halves.
+type maskPair struct{ s1, s2 uint32 }
 
-// joinSubset references JoinRoot for every joinable partition of the task's
-// subset — the body of the old serial per-mask loop, now reading committed
-// entries through the overlay and writing results into it.
-func (o *Optimizer) joinSubset(t *subsetTask, g *query.Graph, en *star.Engine, table *glue.PlanTable, mc *maskCache) error {
-	mask := t.mask
-	S := mc.set(mask)
-	eligible := g.EligibleWithin(S)
-	sink := en.Obs
-	full := uint32(1)<<uint(mc.n) - 1
-
-	type pair struct{ s1, s2 uint32 }
-	var connected, cartesian []pair
+// partitions lists the joinable partitions of mask against the committed
+// table, predicate-connected pairs first.
+func (o *Optimizer) partitions(mask uint32, g *query.Graph, table *glue.PlanTable, mc *maskCache) []maskPair {
+	var connected, cartesian []maskPair
 	low := mask & (^mask + 1) // dedupe unordered partitions: s1 keeps the lowest bit
 	for sub := (mask - 1) & mask; sub > 0; sub = (sub - 1) & mask {
 		if sub&low == 0 {
@@ -336,36 +299,72 @@ func (o *Optimizer) joinSubset(t *subsetTask, g *query.Graph, en *star.Engine, t
 			continue
 		}
 		if g.Connected(mc.set(s1), mc.set(s2)) {
-			connected = append(connected, pair{s1, s2})
+			connected = append(connected, maskPair{s1, s2})
 		} else {
-			cartesian = append(cartesian, pair{s1, s2})
+			cartesian = append(cartesian, maskPair{s1, s2})
 		}
 	}
-	pairs := connected
 	// Prefer predicate-connected pairs as System R and R* did; consider
 	// Cartesian products only when configured, or when nothing connects
 	// the subset at the final join (so queries with disconnected join
 	// graphs still plan).
+	full := uint32(1)<<uint(mc.n) - 1
 	if o.Opts.CartesianProducts || (len(connected) == 0 && mask == full) {
-		pairs = append(pairs, cartesian...)
+		return append(connected, cartesian...)
 	}
+	return connected
+}
+
+// runSubset evaluates one subset task against the root Gluer's committed
+// table. The partitions are listed first: most subsets of a sparse join
+// graph have none and cost nothing more. Only a task with something to join
+// builds isolated state — child sink, forked pricing environment (allocating
+// from the worker's arena) and engine (temp names namespaced by the subset
+// mask), overlay plan table, and Gluer — and references JoinRoot for every
+// pair, reading committed entries through the overlay and writing results
+// into it.
+func (o *Optimizer) runSubset(t *subsetTask, arena *plan.Arena, g *query.Graph, root *glue.Gluer, mc *maskCache) {
+	pairs := o.partitions(t.mask, g, root.Table, mc)
+	if len(pairs) == 0 {
+		return
+	}
+	sink := root.Engine.Obs.Child() // nil when observability is off
+	env := root.Engine.Cost.Fork()
+	env.Obs = sink
+	env.Arena = arena
+	en := root.Engine.Fork(env, sink, strconv.FormatUint(uint64(t.mask), 10)+".")
+	if sink.ProfLabels() {
+		// Label the worker goroutine with the rank it is executing; EvalRule
+		// composes star= on top. Labels follow the task, so a worker pool
+		// goroutine re-labels per task.
+		rank := strconv.Itoa(bits.OnesCount32(t.mask))
+		ctx := pprof.WithLabels(context.Background(), pprof.Labels("phase", "join-"+rank, "rank", rank))
+		pprof.SetGoroutineLabels(ctx)
+		en.LabelCtx = ctx
+	}
+	ov := glue.NewOverlay(root.Table)
+	ov.Obs = sink
+	t.gl = &glue.Gluer{Engine: en, Graph: g, Table: ov, KeepAll: root.KeepAll}
+	en.Glue = t.gl.Glue
+	en.PlanSites = t.gl.PlanSites
+
+	S := mc.set(t.mask)
+	eligible := g.EligibleWithin(S)
 	for _, pr := range pairs {
 		t.pairs++
+		s1, s2 := mc.set(pr.s1), mc.set(pr.s2)
 		if sink.Tracing() {
-			sink.Emit(obs.Event{Name: obs.EvPair,
-				A1: mc.key(pr.s1), A2: mc.key(pr.s2)})
+			sink.Emit(obs.Event{Name: obs.EvPair, A1: s1.Key(), A2: s2.Key()})
 		}
-		p := g.NewlyEligible(mc.set(pr.s1), mc.set(pr.s2))
 		sap, err := en.EvalRule(o.joinRootName(), []star.Value{
-			star.StreamValue(mc.set(pr.s1)),
-			star.StreamValue(mc.set(pr.s2)),
-			star.PredsValue(p),
+			star.StreamValue(s1),
+			star.StreamValue(s2),
+			star.PredsValue(g.NewlyEligible(s1, s2)),
 		})
 		if err != nil {
-			return fmt.Errorf("opt: joining {%s} with {%s}: %w",
-				mc.key(pr.s1), mc.key(pr.s2), err)
+			t.err = fmt.Errorf("opt: joining {%s} with {%s}: %w", s1.Key(), s2.Key(), err)
+			return
 		}
-		table.Insert(S, eligible, sap)
+		ov.Insert(S, eligible, sap)
 	}
-	return nil
 }

@@ -157,6 +157,31 @@ func TestParallelMatchesSerialCartesianProducts(t *testing.T) {
 		Options{CartesianProducts: true})
 }
 
+// TestParallelMatchesSerialCartesianSparseGraph: a subset with no joinable
+// partition builds no task state, and CartesianProducts is the only option
+// that changes which subsets those are. On a graph where only T1-T2-T3 are
+// chained, subsets like {T1,T4} or {T4,T5} join nothing without it (and the
+// query does not plan); with it every partition of every subset is a pair.
+// Either way all 2^5-5-1 subsets are visited and counted.
+func TestParallelMatchesSerialCartesianSparseGraph(t *testing.T) {
+	cat := workload.ChainCatalog(5, 300, 100, 50, 200, 80)
+	sparse := func() *query.Graph {
+		g := workload.ChainQuery(5)
+		g.Preds = expr.NewPredSet(g.Preds.Slice()[:2]...)
+		return g
+	}
+	assertEquivalent(t, cat, sparse, Options{CartesianProducts: true})
+	res, _ := optimizeAt(t, cat, sparse, Options{CartesianProducts: true}, 8)
+	if res.Stats.Subsets != 26 || res.Stats.Pairs != 90 {
+		t.Errorf("Cartesian enumeration visited %d subsets, %d pairs; want 26, 90", res.Stats.Subsets, res.Stats.Pairs)
+	}
+	for _, par := range []int{1, 8} {
+		if _, err := New(cat, Options{Parallelism: par}).Optimize(sparse()); err == nil {
+			t.Errorf("parallelism %d: disconnected graph planned without CartesianProducts", par)
+		}
+	}
+}
+
 func TestParallelMatchesSerialKeepAllGlue(t *testing.T) {
 	cat := workload.ChainCatalog(4, 300, 100, 50, 200)
 	assertEquivalent(t, cat, func() *query.Graph { return workload.ChainQuery(4) },

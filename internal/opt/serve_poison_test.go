@@ -1,0 +1,108 @@
+package opt_test
+
+import (
+	"bytes"
+	"encoding/json"
+	"net/http"
+	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	"stars/internal/flight"
+	"stars/internal/opt"
+	"stars/internal/serve"
+	"stars/internal/workload"
+)
+
+// TestServeNeverReadsReleasedPlans drives the daemon's handler with arena
+// poisoning on (run under -race in tier-1): every request releases its plan
+// arenas, concurrent requests and the next ones refill them, and a plan
+// pointer that any part of the request path — rendering, execution, the
+// ledger and flight folds, a watchdog-triggered incident capture — kept past
+// Release would surface as a __POISONED__ operator in a response body or an
+// incident bundle. Every request shape is covered, at Parallelism 2 so
+// worker arenas are recycled too, and each filed incident must replay to the
+// identical derivation.
+func TestServeNeverReadsReleasedPlans(t *testing.T) {
+	opt.SetArenaPoison(true)
+	defer opt.SetArenaPoison(false)
+
+	dir := t.TempDir()
+	s, err := serve.New(serve.Config{
+		Catalog:     workload.ChainCatalog(5, 40, 30, 20, 10, 25),
+		Parallelism: 2,
+		// Any execute+analyze request is a Q-error incident (Q-error is
+		// never below 1); nothing is a latency outlier.
+		Flight: flight.Config{MinSamples: 1, LatencyFactor: 1e9, LatencyFloor: time.Hour,
+			QErrorThreshold: 1, IncidentDir: dir},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const (
+		chain3 = "SELECT T1.ID, T3.ID FROM T1, T2, T3 WHERE T1.K = T2.J AND T2.K = T3.J"
+		chain5 = "SELECT T1.ID, T5.ID FROM T1, T2, T3, T4, T5 WHERE T1.K = T2.J AND T2.K = T3.J AND T3.K = T4.J AND T4.K = T5.J ORDER BY T1.ID"
+	)
+	requests := []serve.OptimizeRequest{
+		{SQL: chain5},
+		{SQL: chain3, Verbose: true, Format: "both"},
+		{SQL: chain3, Execute: true, Analyze: true},
+		{SQL: chain5, Provenance: true},
+	}
+
+	var wg sync.WaitGroup
+	for c := 0; c < 3; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for i := 0; i < 8; i++ {
+				req := requests[(c+i)%len(requests)]
+				body, err := json.Marshal(req)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				rec := httptest.NewRecorder()
+				s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/optimize", bytes.NewReader(body)))
+				if rec.Code != http.StatusOK {
+					t.Errorf("%+v: status %d: %s", req, rec.Code, rec.Body)
+					return
+				}
+				if strings.Contains(rec.Body.String(), "__POISONED__") {
+					t.Errorf("%+v: response renders a released plan:\n%s", req, rec.Body)
+					return
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+
+	bundles, err := filepath.Glob(filepath.Join(dir, "*.json"))
+	if err != nil || len(bundles) == 0 {
+		t.Fatalf("no incident bundle filed (err %v)", err)
+	}
+	for _, path := range bundles {
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if bytes.Contains(raw, []byte("__POISONED__")) {
+			t.Fatalf("%s captures a released plan", filepath.Base(path))
+		}
+		inc, err := flight.ReadIncident(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rr, err := flight.Replay(inc)
+		if err != nil {
+			t.Fatalf("%s: replay: %v", inc.ID, err)
+		}
+		if !rr.FingerprintMatch() || !rr.Identical {
+			t.Fatalf("%s: replay diverged: fp=%s captured=%s identical=%v", inc.ID, rr.Fingerprint, rr.CapturedFP, rr.Identical)
+		}
+	}
+}

@@ -4,33 +4,66 @@ package plan
 // optimization builds millions of transient candidate nodes; allocating them
 // individually makes the global heap the enumeration bottleneck. An arena
 // hands out slots from fixed-size chunks instead — one heap allocation per
-// chunk — and releases everything wholesale when the optimization's result
-// has been consumed.
+// chunk — and Reset rewinds it so the next optimization fills the same
+// chunks again.
 //
 // Concurrency: an Arena is single-goroutine. The rank-parallel enumeration
-// gives every worker its own sub-arena and the barrier absorbs them into the
-// parent (Absorb), mirroring how overlay plan tables merge.
+// keeps one arena per worker goroutine for the whole optimization; a node
+// never moves, so plans built by one worker stay valid for every later rank.
 //
 // Lifetime: nodes stay valid as long as the arena is reachable; an arena that
 // is simply dropped is reclaimed by the GC like any other storage, so callers
-// that never Reset need no discipline at all. Reset recycles the chunks for
-// the next optimization — after a Reset every node the arena ever produced is
-// invalid, and anything that must outlive it (a served best plan, a
-// provenance DAG, a flight-recorder capture) must be copied out with Detach
-// first. Poisoning (SetPoison) overwrites recycled slots so an escaped
-// pointer fails loudly in tests instead of silently reading stale plans.
+// that never Reset need no discipline at all. After a Reset every node the
+// arena ever produced is invalid — its slot will be handed out again — and
+// anything that must outlive it (a served best plan, a provenance DAG, a
+// flight-recorder capture) must be copied out with Detach first. Poisoning
+// (SetPoison) overwrites recycled slots so an escaped pointer fails loudly in
+// tests instead of silently reading stale plans.
 type Arena struct {
-	nodeChunks  [][]Node
-	propsChunks [][]Props
-	nodeN       int // slots used in the last node chunk
-	propsN      int // slots used in the last props chunk
-	poison      bool
+	nodes  slab[Node]
+	props  slab[Props]
+	poison bool
 }
 
-// arenaChunk is the slab size. 512 nodes ≈ 100KiB per chunk: big enough to
-// amortize the heap allocation a thousandfold, small enough that the tail of
-// a worker's sub-arena wastes little.
+// arenaChunk is the slab size. 512 nodes ≈ 168 KB per chunk: big enough to
+// amortize the heap allocation a thousandfold, small enough that a
+// two-table query's arena stays small.
 const arenaChunk = 512
+
+// slab hands out slots of T from arenaChunk-sized chunks. Chunks are never
+// resliced or freed, so used counts slots from the start of chunks[0].
+type slab[T any] struct {
+	chunks [][]T
+	used   int
+}
+
+// next returns the address of the next free slot, growing by one chunk when
+// every chunk is full.
+func (s *slab[T]) next() *T {
+	c := s.used / arenaChunk
+	if c == len(s.chunks) {
+		s.chunks = append(s.chunks, make([]T, arenaChunk))
+	}
+	p := &s.chunks[c][s.used%arenaChunk]
+	s.used++
+	return p
+}
+
+// rewind frees every used slot, zeroing it or, when fill is non-nil,
+// overwriting it with *fill.
+func (s *slab[T]) rewind(fill *T) {
+	for c := 0; c*arenaChunk < s.used; c++ {
+		chunk := s.chunks[c][:min(arenaChunk, s.used-c*arenaChunk)]
+		if fill == nil {
+			clear(chunk)
+			continue
+		}
+		for i := range chunk {
+			chunk[i] = *fill
+		}
+	}
+	s.used = 0
+}
 
 // poisonOp marks recycled node slots when poisoning is on; any consumer that
 // kept a pointer across Reset sees an operator no rule ever built.
@@ -50,14 +83,8 @@ func (a *Arena) NewNode(n Node) *Node {
 		m := n
 		return &m
 	}
-	if len(a.nodeChunks) == 0 || a.nodeN == len(a.nodeChunks[len(a.nodeChunks)-1]) {
-		a.nodeChunks = append(a.nodeChunks, make([]Node, arenaChunk))
-		a.nodeN = 0
-	}
-	chunk := a.nodeChunks[len(a.nodeChunks)-1]
-	chunk[a.nodeN] = n
-	p := &chunk[a.nodeN]
-	a.nodeN++
+	p := a.nodes.next()
+	*p = n
 	return p
 }
 
@@ -68,86 +95,26 @@ func (a *Arena) NewProps(p Props) *Props {
 		q := p
 		return &q
 	}
-	if len(a.propsChunks) == 0 || a.propsN == len(a.propsChunks[len(a.propsChunks)-1]) {
-		a.propsChunks = append(a.propsChunks, make([]Props, arenaChunk))
-		a.propsN = 0
-	}
-	chunk := a.propsChunks[len(a.propsChunks)-1]
-	chunk[a.propsN] = p
-	q := &chunk[a.propsN]
-	a.propsN++
+	q := a.props.next()
+	*q = p
 	return q
 }
 
-// Absorb moves every chunk of o into a, leaving o empty. Node addresses are
-// unchanged — the slabs themselves change owner — so plans built in a
-// worker's sub-arena stay valid after the rank barrier folds the sub-arena
-// into the parent.
-func (a *Arena) Absorb(o *Arena) {
-	if a == nil || o == nil || a == o {
-		return
-	}
-	// Full chunks transfer wholesale; the partially filled tails stay as
-	// they are (slots in a tail that was absorbed are never reused, which
-	// wastes at most one chunk's tail per worker per rank — cheap compared
-	// to copying nodes and breaking their addresses).
-	a.sealTail()
-	a.nodeChunks = append(a.nodeChunks, o.nodeChunks...)
-	a.propsChunks = append(a.propsChunks, o.propsChunks...)
-	a.nodeN = o.nodeN
-	a.propsN = o.propsN
-	if len(o.nodeChunks) == 0 {
-		a.nodeN = arenaChunkLen(a.nodeChunks)
-	}
-	if len(o.propsChunks) == 0 {
-		a.propsN = arenaChunkLen(a.propsChunks)
-	}
-	o.nodeChunks, o.propsChunks, o.nodeN, o.propsN = nil, nil, 0, 0
-}
-
-// sealTail marks the current tail chunks as fully used so Absorb can append
-// the absorbed arena's chunks after them without overwriting live slots.
-func (a *Arena) sealTail() {
-	if len(a.nodeChunks) > 0 {
-		a.nodeChunks[len(a.nodeChunks)-1] = a.nodeChunks[len(a.nodeChunks)-1][:a.nodeN]
-		a.nodeN = 0
-	}
-	if len(a.propsChunks) > 0 {
-		a.propsChunks[len(a.propsChunks)-1] = a.propsChunks[len(a.propsChunks)-1][:a.propsN]
-		a.propsN = 0
-	}
-}
-
-// arenaChunkLen returns the used length of the final chunk.
-func arenaChunkLen[T any](chunks [][]T) int {
-	if len(chunks) == 0 {
-		return 0
-	}
-	return len(chunks[len(chunks)-1])
-}
-
 // Reset recycles the arena for the next optimization: every slot the arena
-// ever handed out becomes invalid. With poisoning on, slots are overwritten
-// so escaped pointers read recognizably dead nodes. The chunk storage is
-// dropped rather than reused (chunk slices may have been resliced by
-// Absorb); pooling happens at the arena level via opt's sync.Pool.
+// handed out becomes invalid and free, and the chunks are kept. Used slots
+// are zeroed, so a pooled arena pins nothing the dead plans pointed at; with
+// poisoning on, node slots are instead overwritten with a marker so escaped
+// pointers read recognizably dead nodes.
 func (a *Arena) Reset() {
 	if a == nil {
 		return
 	}
+	var dead *Node
 	if a.poison {
-		for _, c := range a.nodeChunks {
-			for i := range c {
-				c[i] = Node{Op: poisonOp, Origin: "poisoned: plan used after arena Reset"}
-			}
-		}
-		for _, c := range a.propsChunks {
-			for i := range c {
-				c[i] = Props{}
-			}
-		}
+		dead = &Node{Op: poisonOp, Origin: "poisoned: plan used after arena Reset"}
 	}
-	a.nodeChunks, a.propsChunks, a.nodeN, a.propsN = nil, nil, 0, 0
+	a.nodes.rewind(dead)
+	a.props.rewind(nil)
 }
 
 // Poisoned reports whether n is a recycled arena slot (only meaningful when

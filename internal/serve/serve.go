@@ -615,9 +615,10 @@ func (s *Server) doLabeled(reqID, tmpl string, req OptimizeRequest) outcome {
 		s.ledger.PublishMetrics(s.reg, s.rules)
 		s.foldFlight(reqID, tmpl, req, sink, flightRes, status, time.Since(start), flightExec)
 		// Every consumer of the result is done (the response is rendered,
-		// incident captures serialize plans to JSON): recycle the plan
-		// arena so steady-state serving reuses slabs instead of growing
-		// the heap per request.
+		// incident captures serialize plans to JSON): hand the plan arenas
+		// back, so the next request fills the same chunks instead of
+		// allocating its own. From here on every plan pointer into them is
+		// dead; nothing above may have kept one.
 		if flightRes != nil {
 			flightRes.Release()
 		}
