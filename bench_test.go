@@ -18,6 +18,7 @@ import (
 	"stars/internal/expr"
 	"stars/internal/obs"
 	"stars/internal/opt"
+	"stars/internal/query"
 	"stars/internal/star"
 	"stars/internal/storage"
 	"stars/internal/workload"
@@ -396,20 +397,19 @@ func e6e7Catalog(outerCard, innerCard, innerNDV int64, padWidth int) *stars.Cata
 }
 
 func e6e7Query(budget float64) *stars.Graph {
-	return &stars.Graph{
-		Quants: []stars.Quantifier{
+	g := query.MustNew(
+		[]query.Quantifier{
 			{Name: "OUTERT", Table: "OUTERT"},
 			{Name: "INNERT", Table: "INNERT"},
 		},
-		Preds: expr.NewPredSet(
-			&expr.Cmp{Op: expr.EQ, L: expr.C("OUTERT", "K"), R: expr.C("INNERT", "J")},
-			&expr.Cmp{Op: expr.LT, L: expr.C("OUTERT", "BUDGET"), R: &expr.Const{Val: datum.NewFloat(budget)}},
-		),
-		Select: []stars.ColID{
-			{Table: "OUTERT", Col: "K"},
-			{Table: "INNERT", Col: "VAL"},
-		},
+		&expr.Cmp{Op: expr.EQ, L: expr.C("OUTERT", "K"), R: expr.C("INNERT", "J")},
+		&expr.Cmp{Op: expr.LT, L: expr.C("OUTERT", "BUDGET"), R: &expr.Const{Val: datum.NewFloat(budget)}},
+	)
+	g.Select = []stars.ColID{
+		{Table: "OUTERT", Col: "K"},
+		{Table: "INNERT", Col: "VAL"},
 	}
+	return g
 }
 
 // BenchmarkE12Optimality measures the optimality-comparison unit: STAR

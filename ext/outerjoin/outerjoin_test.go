@@ -38,20 +38,19 @@ func twoTables() *stars.Catalog {
 }
 
 func outerQuery() *query.Graph {
-	return &query.Graph{
-		Quants: []query.Quantifier{{Name: "L", Table: "L"}, {Name: "R", Table: "R"}},
-		Preds: expr.NewPredSet(
-			&expr.Cmp{Op: expr.EQ, L: expr.C("L", "K"), R: expr.C("R", "J")},
-		),
-		Select: []expr.ColID{
-			{Table: "L", Col: "ID"}, {Table: "L", Col: "K"}, {Table: "R", Col: "V"},
-		},
+	g := query.MustNew(
+		[]query.Quantifier{{Name: "L", Table: "L"}, {Name: "R", Table: "R"}},
+		&expr.Cmp{Op: expr.EQ, L: expr.C("L", "K"), R: expr.C("R", "J")},
+	)
+	g.Select = []expr.ColID{
+		{Table: "L", Col: "ID"}, {Table: "L", Col: "K"}, {Table: "R", Col: "V"},
 	}
+	return g
 }
 
 func TestOuterJoinPlansWithoutPermutation(t *testing.T) {
-	cat := twoTables()
-	res, err := outerjoin.Optimize(cat, outerQuery(), stars.Options{})
+	cat, g := twoTables(), outerQuery()
+	res, err := outerjoin.Optimize(cat, g, stars.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +64,7 @@ func TestOuterJoinPlansWithoutPermutation(t *testing.T) {
 	}
 	// No permutation alternative exists: every retained OUTERJOIN plan has
 	// L as the outer.
-	for _, p := range res.Table.Entry(expr.NewTableSet("L", "R")) {
+	for _, p := range res.Table.Entry(g.TableSet()) {
 		if p.Op == outerjoin.OpOuter && !p.Outer().Props.Tables().Contains("L") {
 			t.Fatal("outer join permuted — it must not commute")
 		}

@@ -10,9 +10,12 @@ import (
 	"stars/internal/datum"
 	"stars/internal/expr"
 	"stars/internal/plan"
+	"stars/internal/query"
 )
 
-func testEnv() *Env {
+// testEnv prices over quantifiers T and U; conjuncts are the WHERE clause the
+// test's plan nodes draw their predicate sets from.
+func testEnv(conjuncts ...expr.Expr) *Env {
 	lo, hi := 0.0, 100.0
 	cat := catalog.New()
 	cat.AddTable(&catalog.Table{
@@ -39,8 +42,7 @@ func testEnv() *Env {
 		panic(err)
 	}
 	e := NewEnv(cat, DefaultWeights)
-	e.BindQuantifier("T", "T")
-	e.BindQuantifier("U", "U")
+	e.Bind(query.MustNew([]query.Quantifier{{Name: "T", Table: "T"}, {Name: "U", Table: "U"}}, conjuncts...))
 	return e
 }
 
@@ -128,7 +130,7 @@ func scanT(e *Env, preds ...expr.Expr) *plan.Node {
 	return &plan.Node{
 		Op: plan.OpAccess, Flavor: plan.FlavorHeap, Table: "T", Quantifier: "T",
 		Cols:  []expr.ColID{{Table: "T", Col: "A"}, {Table: "T", Col: "S"}},
-		Preds: expr.NewPredSet(preds...),
+		Preds: e.u.PredSet(preds...),
 	}
 }
 
@@ -140,7 +142,7 @@ func scanU(e *Env) *plan.Node {
 }
 
 func TestAccessProps(t *testing.T) {
-	e := testEnv()
+	e := testEnv(cEQ("T", "A", 3))
 	n := price(t, e, scanT(e, cEQ("T", "A", 3)))
 	p := n.Props
 	if math.Abs(p.Card-200) > 1e-6 { // 10000/50
@@ -161,11 +163,11 @@ func TestAccessProps(t *testing.T) {
 }
 
 func TestIndexAccessProps(t *testing.T) {
-	e := testEnv()
+	e := testEnv(cEQ("T", "A", 3))
 	probe := price(t, e, &plan.Node{
 		Op: plan.OpAccess, Flavor: plan.FlavorIndex, Table: "T", Quantifier: "T", Path: "T_A",
 		Cols:  []expr.ColID{{Table: "T", Col: plan.TIDCol}, {Table: "T", Col: "A"}},
-		Preds: expr.NewPredSet(cEQ("T", "A", 3)),
+		Preds: e.u.PredSet(cEQ("T", "A", 3)),
 	})
 	full := price(t, e, &plan.Node{
 		Op: plan.OpAccess, Flavor: plan.FlavorIndex, Table: "T", Quantifier: "T", Path: "T_A",
@@ -180,7 +182,7 @@ func TestIndexAccessProps(t *testing.T) {
 }
 
 func TestSortShipStoreFilterProps(t *testing.T) {
-	e := testEnv()
+	e := testEnv(cEQ("T", "A", 1))
 	base := scanT(e)
 	sorted := price(t, e, &plan.Node{Op: plan.OpSort,
 		SortCols: []expr.ColID{{Table: "T", Col: "A"}}, Inputs: []*plan.Node{base}})
@@ -217,7 +219,7 @@ func TestSortShipStoreFilterProps(t *testing.T) {
 	}
 
 	filtered := price(t, e, &plan.Node{Op: plan.OpFilter,
-		Preds: expr.NewPredSet(cEQ("T", "A", 1)), Inputs: []*plan.Node{base}})
+		Preds: e.u.PredSet(cEQ("T", "A", 1)), Inputs: []*plan.Node{base}})
 	if filtered.Props.Card >= base.Props.Card {
 		t.Error("FILTER reduces cardinality")
 	}
@@ -227,8 +229,8 @@ func TestSortShipStoreFilterProps(t *testing.T) {
 }
 
 func TestJoinProps(t *testing.T) {
-	e := testEnv()
 	jp := &expr.Cmp{Op: expr.EQ, L: expr.C("T", "A"), R: expr.C("U", "A")}
+	e := testEnv(jp)
 	outer := scanU(e)
 	for _, method := range []string{plan.MethodNL, plan.MethodMG, plan.MethodHA} {
 		inner := scanT(e)
@@ -246,14 +248,14 @@ func TestJoinProps(t *testing.T) {
 			residual = []expr.Expr{jp} // collision recheck
 		}
 		j := price(t, e, &plan.Node{Op: plan.OpJoin, Flavor: method,
-			Preds: expr.NewPredSet(applied...), Residual: expr.NewPredSet(residual...),
+			Preds: e.u.PredSet(applied...), Residual: e.u.PredSet(residual...),
 			Inputs: []*plan.Node{outer, inner}})
 		// Output cardinality ≈ |T|·|U|/max(ndv) = 10000·500/200 = 25000
 		// for every method (no double counting).
 		if math.Abs(j.Props.Card-25000) > 1 {
 			t.Errorf("%s card = %v, want 25000", method, j.Props.Card)
 		}
-		if !j.Props.Tables().Equal(expr.NewTableSet("T", "U")) {
+		if !j.Props.Tables().Equal(e.u.All()) {
 			t.Errorf("%s tables", method)
 		}
 		if method == plan.MethodHA && len(j.Props.Order) != 0 {
@@ -368,10 +370,10 @@ func TestPriceIsIdempotentAndChecksInputs(t *testing.T) {
 // TestCardinalityMonotone property-checks that adding a predicate never
 // increases estimated cardinality.
 func TestCardinalityMonotone(t *testing.T) {
-	e := testEnv()
 	f := func(v1, v2 int64) bool {
 		p1 := cEQ("T", "A", v1%50)
 		p2 := cEQ("T", "S", v2%1000)
+		e := testEnv(p1, p2)
 		n1 := scanT(e, p1)
 		n2 := scanT(e, p1, p2)
 		if err := e.PriceTree(n1); err != nil {

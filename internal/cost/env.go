@@ -18,6 +18,7 @@ import (
 	"stars/internal/expr"
 	"stars/internal/obs"
 	"stars/internal/plan"
+	"stars/internal/query"
 )
 
 // Weights are the coefficients of the linear cost combination.
@@ -85,14 +86,15 @@ type Env struct {
 	temps map[string]*plan.Props // stored temp name -> props at STORE time
 	rels  map[relKey][]*plan.Rel // interned relational property vectors
 	base  *Env                   // frozen parent of a forked environment
+	u     *expr.Universe         // of the bound query: ACCESS resolves its quantifier's table set
 }
 
-// relKey buckets interned Rels by their canonical table and predicate keys;
-// both strings are cached on the sets, so probing the intern table allocates
-// nothing. Cols differ within a bucket (projection variants) and are compared
-// linearly.
+// relKey buckets interned Rels by the words of their sets: the table set's
+// mask and the predicate set's Hash64, so probing the intern table renders
+// nothing. Within a bucket the predicate set is verified and Cols
+// (projection variants) compared linearly.
 type relKey struct {
-	tk, pk string
+	tables, ph uint64
 }
 
 // NewEnv builds a pricing environment with the built-in property functions
@@ -130,7 +132,7 @@ func (e *Env) Fork() *Env {
 	// Obs is deliberately not inherited: the caller wires the worker's own
 	// child sink so profiling tallies absorb deterministically.
 	return &Env{
-		Cat: e.Cat, W: e.W, Quant: e.Quant, funcs: e.funcs,
+		Cat: e.Cat, W: e.W, Quant: e.Quant, u: e.u, funcs: e.funcs,
 		temps: map[string]*plan.Props{},
 		rels:  map[relKey][]*plan.Rel{},
 		base:  e,
@@ -151,7 +153,7 @@ func (e *Env) AbsorbTemps(o *Env) {
 	next:
 		for _, r := range rs {
 			for _, h := range have {
-				if colsEqual(h.Cols, r.Cols) {
+				if h.Preds.Equal(r.Preds) && colsEqual(h.Cols, r.Cols) {
 					continue next
 				}
 			}
@@ -164,13 +166,12 @@ func (e *Env) AbsorbTemps(o *Env) {
 // InternRel returns the canonical *Rel for the given relational property
 // triple, deduplicated per optimization: plans that compute the same WHAT
 // share one Rel no matter how their HOW differs. Lookups allocate nothing on
-// a hit (both set keys are cached). Forked environments intern locally over
-// the frozen parent chain.
+// a hit. Forked environments intern locally over the frozen parent chain.
 func (e *Env) InternRel(tables expr.TableSet, cols []expr.ColID, preds expr.PredSet) *plan.Rel {
-	k := relKey{tk: tables.Key(), pk: preds.Key()}
+	k := relKey{tables: tables.Mask(), ph: preds.Hash64()}
 	for env := e; env != nil; env = env.base {
 		for _, r := range env.rels[k] {
-			if colsEqual(r.Cols, cols) {
+			if r.Preds.Equal(preds) && colsEqual(r.Cols, cols) {
 				return r
 			}
 		}
@@ -199,8 +200,14 @@ func (e *Env) Register(op plan.Op, f PropertyFunc) { e.funcs[op] = f }
 // Registered reports whether op has a property function.
 func (e *Env) Registered(op plan.Op) bool { _, ok := e.funcs[op]; return ok }
 
-// BindQuantifier records that quantifier q ranges over base table t.
-func (e *Env) BindQuantifier(q, t string) { e.Quant[q] = t }
+// Bind points the environment at the query it prices plans of: the universe
+// its sets are subsets of, and the base table each quantifier ranges over.
+func (e *Env) Bind(g *query.Graph) {
+	e.u = g.Universe()
+	for _, q := range g.Quants {
+		e.Quant[q.Name] = q.Table
+	}
+}
 
 // BaseTable resolves a quantifier to its catalog table; nil for temps or
 // unknown quantifiers.

@@ -47,10 +47,14 @@ func accessProps(e *Env, n *plan.Node) (*plan.Props, error) {
 	if q == "" {
 		q = n.Table
 	}
+	qi := e.u.Ordinal(q)
+	if qi < 0 {
+		return nil, fmt.Errorf("cost: ACCESS of %q by unknown quantifier %q", n.Table, q)
+	}
 	sel := e.SetSelectivity(n.Preds)
 	card := float64(t.Card) * sel
 	p := e.newProps(plan.Props{
-		Rel:   e.InternRel(expr.NewTableSet(q), n.Cols, n.Preds),
+		Rel:   e.InternRel(e.u.Subset(1<<uint(qi)), n.Cols, n.Preds),
 		Site:  e.Cat.SiteOf(n.Table),
 		Card:  card,
 		Paths: catalogPaths(t, q),
@@ -72,7 +76,7 @@ func accessProps(e *Env, n *plan.Node) (*plan.Props, error) {
 		keyCols := qualify(path.Cols, q)
 		p.Order = keyCols
 		leafPages := indexLeafPages(e, t, path)
-		matchSel, matched := e.indexMatch(keyCols, n.Preds.Slice())
+		matchSel, matched := e.indexMatch(keyCols, n.Preds)
 		var io float64
 		if matched > 0 {
 			io = indexHeight(leafPages) + math.Ceil(matchSel*leafPages)
@@ -137,7 +141,7 @@ func tempAccessProps(e *Env, n *plan.Node) (*plan.Props, error) {
 		}
 		p.Order = path.Cols
 		leafPages := e.PagesFor(in.Card, path.Cols)
-		matchSel, matched := e.indexMatch(path.Cols, n.Preds.Slice())
+		matchSel, matched := e.indexMatch(path.Cols, n.Preds)
 		if matched == 0 {
 			matchSel = 1
 		}

@@ -8,6 +8,7 @@ import (
 	"stars/internal/datum"
 	"stars/internal/expr"
 	"stars/internal/plan"
+	"stars/internal/query"
 )
 
 // probeT builds a priced index probe on T_A.
@@ -16,7 +17,7 @@ func probeT(t *testing.T, e *Env, preds ...expr.Expr) *plan.Node {
 	return price(t, e, &plan.Node{
 		Op: plan.OpAccess, Flavor: plan.FlavorIndex, Table: "T", Quantifier: "T", Path: "T_A",
 		Cols:  []expr.ColID{{Table: "T", Col: plan.TIDCol}, {Table: "T", Col: "A"}},
-		Preds: expr.NewPredSet(preds...),
+		Preds: e.u.PredSet(preds...),
 	})
 }
 
@@ -67,7 +68,7 @@ func TestGetPropsFetchModes(t *testing.T) {
 }
 
 func TestTempAccessProps(t *testing.T) {
-	e := testEnv()
+	e := testEnv(cEQ("T", "A", 3))
 	stored := price(t, e, &plan.Node{Op: plan.OpStore, Table: "_tmp1",
 		Inputs: []*plan.Node{scanT(e)}})
 
@@ -94,7 +95,7 @@ func TestTempAccessProps(t *testing.T) {
 	probe := price(t, e, &plan.Node{
 		Op: plan.OpAccess, Flavor: plan.FlavorIndex, Table: "_tmp1", Path: "_ix1",
 		Cols:   []expr.ColID{{Table: "T", Col: "A"}},
-		Preds:  expr.NewPredSet(cEQ("T", "A", 3)),
+		Preds:  e.u.PredSet(cEQ("T", "A", 3)),
 		Inputs: []*plan.Node{ixd},
 	})
 	if probe.Props.Card >= stored.Props.Card {
@@ -138,7 +139,7 @@ func TestUnionProps(t *testing.T) {
 }
 
 func TestIndexAndProps(t *testing.T) {
-	e := testEnv()
+	e := testEnv(cEQ("T", "A", 1), cEQ("T", "A", 2))
 	a := probeT(t, e, cEQ("T", "A", 1))
 	b := probeT(t, e, cEQ("T", "A", 2))
 	n := price(t, e, &plan.Node{Op: plan.OpIndexAnd, Inputs: []*plan.Node{a, b}})
@@ -210,16 +211,17 @@ func TestIndexMatchPrefixSemantics(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := NewEnv(cat, DefaultWeights)
-	e.BindQuantifier("M", "M")
+	conjuncts := []expr.Expr{
+		cEQ("M", "A", 1),
+		&expr.Cmp{Op: expr.LT, L: expr.C("M", "B"), R: &expr.Const{Val: datum.NewFloat(50)}},
+		cEQ("M", "C", 3),
+	}
+	e.Bind(query.MustNew([]query.Quantifier{{Name: "M", Table: "M"}}, conjuncts...))
 	key := []expr.ColID{{Table: "M", Col: "A"}, {Table: "M", Col: "B"}, {Table: "M", Col: "C"}}
 
 	// EQ on A then range on B: both match, C's pred does not (range ends
 	// the prefix).
-	sel, matched := e.indexMatch(key, []expr.Expr{
-		cEQ("M", "A", 1),
-		&expr.Cmp{Op: expr.LT, L: expr.C("M", "B"), R: &expr.Const{Val: datum.NewFloat(50)}},
-		cEQ("M", "C", 3),
-	})
+	sel, matched := e.indexMatch(key, e.u.Preds())
 	if matched != 2 {
 		t.Fatalf("matched = %d, want 2", matched)
 	}
@@ -227,7 +229,7 @@ func TestIndexMatchPrefixSemantics(t *testing.T) {
 		t.Errorf("prefix sel = %v, want 0.05", sel)
 	}
 	// No predicate on A: nothing matches.
-	if _, m := e.indexMatch(key, []expr.Expr{cEQ("M", "C", 3)}); m != 0 {
+	if _, m := e.indexMatch(key, e.u.PredSet(conjuncts[2])); m != 0 {
 		t.Errorf("gap in prefix must stop matching, got %d", m)
 	}
 }

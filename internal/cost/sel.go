@@ -53,9 +53,7 @@ func (e *Env) Selectivity(p expr.Expr) float64 {
 // assuming independence (the System-R convention).
 func (e *Env) SetSelectivity(ps expr.PredSet) float64 {
 	s := 1.0
-	for _, p := range ps.Slice() {
-		s *= e.Selectivity(p)
-	}
+	ps.ForEach(func(p expr.Expr, _ string) { s *= e.Selectivity(p) })
 	return s
 }
 
@@ -173,8 +171,10 @@ func clampSel(s float64) float64 {
 // that column (by EQ, or by a range as the last matched column) against
 // something not on the indexed table — constants or outer-side expressions
 // (sideways information passing makes those constants per probe).
-func (e *Env) indexMatch(keyCols []expr.ColID, preds []expr.Expr) (sel float64, matched int) {
+func (e *Env) indexMatch(keyCols []expr.ColID, ps expr.PredSet) (sel float64, matched int) {
 	sel = 1.0
+	preds := make([]expr.Expr, 0, 8)
+	ps.ForEach(func(p expr.Expr, _ string) { preds = append(preds, p) })
 	used := make([]bool, len(preds))
 	for _, kc := range keyCols {
 		foundEq := false

@@ -42,14 +42,13 @@ func ixandCatalog() *catalog.Catalog {
 }
 
 func ixandQuery() *query.Graph {
-	return &query.Graph{
-		Quants: []query.Quantifier{{Name: "T", Table: "T"}},
-		Preds: expr.NewPredSet(
-			&expr.Cmp{Op: expr.EQ, L: expr.C("T", "A"), R: &expr.Const{Val: datum.NewInt(3)}},
-			&expr.Cmp{Op: expr.EQ, L: expr.C("T", "B"), R: &expr.Const{Val: datum.NewInt(7)}},
-		),
-		Select: []expr.ColID{{Table: "T", Col: "ID"}, {Table: "T", Col: "PAD"}},
-	}
+	g := query.MustNew(
+		[]query.Quantifier{{Name: "T", Table: "T"}},
+		&expr.Cmp{Op: expr.EQ, L: expr.C("T", "A"), R: &expr.Const{Val: datum.NewInt(3)}},
+		&expr.Cmp{Op: expr.EQ, L: expr.C("T", "B"), R: &expr.Const{Val: datum.NewInt(7)}},
+	)
+	g.Select = []expr.ColID{{Table: "T", Col: "ID"}, {Table: "T", Col: "PAD"}}
+	return g
 }
 
 func TestIndexAndingWinsAndExecutes(t *testing.T) {

@@ -77,13 +77,11 @@ func TestIndexRangeProbe(t *testing.T) {
 	cat := workload.ChainCatalog(1, 2000)
 	cluster := storage.NewCluster()
 	workload.Populate(cluster, cat, 6)
-	g := &query.Graph{
-		Quants: []query.Quantifier{{Name: "T1", Table: "T1"}},
-		Preds: expr.NewPredSet(
-			&expr.Cmp{Op: expr.LT, L: expr.C("T1", "J"), R: &expr.Const{Val: datum.NewInt(20)}},
-		),
-		Select: []expr.ColID{{Table: "T1", Col: "ID"}, {Table: "T1", Col: "J"}},
-	}
+	g := query.MustNew(
+		[]query.Quantifier{{Name: "T1", Table: "T1"}},
+		&expr.Cmp{Op: expr.LT, L: expr.C("T1", "J"), R: &expr.Const{Val: datum.NewInt(20)}},
+	)
+	g.Select = []expr.ColID{{Table: "T1", Col: "ID"}, {Table: "T1", Col: "J"}}
 	res, err := opt.New(cat, opt.Options{}).Optimize(g)
 	if err != nil {
 		t.Fatal(err)

@@ -9,6 +9,7 @@ import (
 	"stars/internal/exec"
 	"stars/internal/expr"
 	"stars/internal/plan"
+	"stars/internal/query"
 	"stars/internal/storage"
 )
 
@@ -34,12 +35,14 @@ func miniSetup(t *testing.T) (*catalog.Catalog, *storage.Cluster, *cost.Env, fun
 		td.Heap.Insert(datum.Row{datum.NewInt(i)}, nil)
 	}
 	env := cost.NewEnv(cat, cost.DefaultWeights)
-	env.BindQuantifier("T", "T")
+	g := query.MustNew([]query.Quantifier{{Name: "T", Table: "T"}}, lessThan(3), atLeast(7))
+	env.Bind(g)
+	u := g.Universe()
 	mk := func(preds ...expr.Expr) *plan.Node {
 		n := &plan.Node{
 			Op: plan.OpAccess, Flavor: plan.FlavorHeap, Table: "T", Quantifier: "T",
 			Cols:  []expr.ColID{{Table: "T", Col: "X"}},
-			Preds: expr.NewPredSet(preds...),
+			Preds: u.PredSet(preds...),
 		}
 		if err := env.PriceTree(n); err != nil {
 			t.Fatal(err)

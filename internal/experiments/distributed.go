@@ -50,13 +50,11 @@ func e8() (*Report, error) {
 			},
 			Card: cardB,
 		})
-		g := &query.Graph{
-			Quants: []query.Quantifier{{Name: "A", Table: "A"}, {Name: "B", Table: "B"}},
-			Preds: expr.NewPredSet(
-				&expr.Cmp{Op: expr.EQ, L: expr.C("A", "X"), R: expr.C("B", "Y")},
-			),
-			Select: []expr.ColID{{Table: "A", Col: "X"}},
-		}
+		g := query.MustNew(
+			[]query.Quantifier{{Name: "A", Table: "A"}, {Name: "B", Table: "B"}},
+			&expr.Cmp{Op: expr.EQ, L: expr.C("A", "X"), R: expr.C("B", "Y")},
+		)
+		g.Select = []expr.ColID{{Table: "A", Col: "X"}}
 		return cat, g
 	}
 	joinSite := func(p *plan.Node) string {
@@ -131,12 +129,13 @@ func e9() (*Report, error) {
 		return nil, err
 	}
 	g := twoTableQuery(990)
-	gNE := twoTableQuery(990)
-	// Replace the equality join predicate with an inequality.
-	gNE.Preds = expr.NewPredSet(
+	// The same query with the equality join predicate replaced by an
+	// inequality.
+	gNE := query.MustNew(g.Quants,
 		&expr.Cmp{Op: expr.LT, L: expr.C("OUTERT", "K"), R: expr.C("INNERT", "J")},
 		&expr.Cmp{Op: expr.LT, L: expr.C("OUTERT", "BUDGET"), R: &expr.Const{Val: datum.NewFloat(990)}},
 	)
+	gNE.Select = g.Select
 	ok := true
 	for _, tc := range []struct {
 		name string
@@ -199,15 +198,13 @@ func e10() (*Report, error) {
 	if err := cat.Validate(); err != nil {
 		return nil, err
 	}
-	g := &query.Graph{
-		Quants: []query.Quantifier{{Name: "DEPT", Table: "DEPT"}, {Name: "EMP", Table: "EMP"}},
-		Preds: expr.NewPredSet(
-			&expr.Cmp{Op: expr.EQ, L: expr.C("DEPT", "DNO"), R: expr.C("EMP", "DNO")},
-			&expr.Cmp{Op: expr.LT, L: expr.C("DEPT", "BUDGET"), R: &expr.Const{Val: datum.NewFloat(150)}},
-		),
-		Select: []expr.ColID{
-			{Table: "DEPT", Col: "DNO"}, {Table: "DEPT", Col: "PROFILE"}, {Table: "EMP", Col: "NAME"},
-		},
+	g := query.MustNew(
+		[]query.Quantifier{{Name: "DEPT", Table: "DEPT"}, {Name: "EMP", Table: "EMP"}},
+		&expr.Cmp{Op: expr.EQ, L: expr.C("DEPT", "DNO"), R: expr.C("EMP", "DNO")},
+		&expr.Cmp{Op: expr.LT, L: expr.C("DEPT", "BUDGET"), R: &expr.Const{Val: datum.NewFloat(150)}},
+	)
+	g.Select = []expr.ColID{
+		{Table: "DEPT", Col: "DNO"}, {Table: "DEPT", Col: "PROFILE"}, {Table: "EMP", Col: "NAME"},
 	}
 	base, err := opt.New(cat, opt.Options{}).Optimize(g)
 	if err != nil {

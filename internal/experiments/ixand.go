@@ -40,14 +40,12 @@ func e14() (*Report, error) {
 		if err := cat.Validate(); err != nil {
 			panic(err)
 		}
-		g := &query.Graph{
-			Quants: []query.Quantifier{{Name: "T", Table: "T"}},
-			Preds: expr.NewPredSet(
-				&expr.Cmp{Op: expr.EQ, L: expr.C("T", "A"), R: &expr.Const{Val: datum.NewInt(1)}},
-				&expr.Cmp{Op: expr.EQ, L: expr.C("T", "B"), R: &expr.Const{Val: datum.NewInt(1)}},
-			),
-			Select: []expr.ColID{{Table: "T", Col: "ID"}, {Table: "T", Col: "PAD"}},
-		}
+		g := query.MustNew(
+			[]query.Quantifier{{Name: "T", Table: "T"}},
+			&expr.Cmp{Op: expr.EQ, L: expr.C("T", "A"), R: &expr.Const{Val: datum.NewInt(1)}},
+			&expr.Cmp{Op: expr.EQ, L: expr.C("T", "B"), R: &expr.Const{Val: datum.NewInt(1)}},
+		)
+		g.Select = []expr.ColID{{Table: "T", Col: "ID"}, {Table: "T", Col: "PAD"}}
 		return cat, g
 	}
 	kind := func(p *plan.Node) string {

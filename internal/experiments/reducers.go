@@ -52,15 +52,13 @@ func e13() (*Report, error) {
 		}
 		// BUDGET < x selects buildRows of the 20000 departments.
 		threshold := float64(buildRows) / 20000 * 1000
-		g := &query.Graph{
-			Quants: []query.Quantifier{{Name: "DEPT", Table: "DEPT"}, {Name: "EMP", Table: "EMP"}},
-			Preds: expr.NewPredSet(
-				&expr.Cmp{Op: expr.EQ, L: expr.C("DEPT", "DNO"), R: expr.C("EMP", "DNO")},
-				&expr.Cmp{Op: expr.LT, L: expr.C("DEPT", "BUDGET"), R: &expr.Const{Val: datum.NewFloat(threshold)}},
-			),
-			Select: []expr.ColID{
-				{Table: "DEPT", Col: "DNO"}, {Table: "DEPT", Col: "PROFILE"}, {Table: "EMP", Col: "NAME"},
-			},
+		g := query.MustNew(
+			[]query.Quantifier{{Name: "DEPT", Table: "DEPT"}, {Name: "EMP", Table: "EMP"}},
+			&expr.Cmp{Op: expr.EQ, L: expr.C("DEPT", "DNO"), R: expr.C("EMP", "DNO")},
+			&expr.Cmp{Op: expr.LT, L: expr.C("DEPT", "BUDGET"), R: &expr.Const{Val: datum.NewFloat(threshold)}},
+		)
+		g.Select = []expr.ColID{
+			{Table: "DEPT", Col: "DNO"}, {Table: "DEPT", Col: "PROFILE"}, {Table: "EMP", Col: "NAME"},
 		}
 		return cat, g, nil
 	}

@@ -50,20 +50,19 @@ func twoTableCatalog(outerCard, innerCard, innerNDV int64, padWidth int) *catalo
 // selectivity (BUDGET < sel*1000), projecting the join column and VAL (PAD
 // stays unprojected).
 func twoTableQuery(budget float64) *query.Graph {
-	return &query.Graph{
-		Quants: []query.Quantifier{
+	g := query.MustNew(
+		[]query.Quantifier{
 			{Name: "OUTERT", Table: "OUTERT"},
 			{Name: "INNERT", Table: "INNERT"},
 		},
-		Preds: expr.NewPredSet(
-			&expr.Cmp{Op: expr.EQ, L: expr.C("OUTERT", "K"), R: expr.C("INNERT", "J")},
-			&expr.Cmp{Op: expr.LT, L: expr.C("OUTERT", "BUDGET"), R: &expr.Const{Val: datum.NewFloat(budget)}},
-		),
-		Select: []expr.ColID{
-			{Table: "OUTERT", Col: "K"},
-			{Table: "INNERT", Col: "VAL"},
-		},
+		&expr.Cmp{Op: expr.EQ, L: expr.C("OUTERT", "K"), R: expr.C("INNERT", "J")},
+		&expr.Cmp{Op: expr.LT, L: expr.C("OUTERT", "BUDGET"), R: &expr.Const{Val: datum.NewFloat(budget)}},
+	)
+	g.Select = []expr.ColID{
+		{Table: "OUTERT", Col: "K"},
+		{Table: "INNERT", Col: "VAL"},
 	}
+	return g
 }
 
 func hasOp(p *plan.Node, op plan.Op) bool {

@@ -18,9 +18,7 @@ func newGluerWithRules(cat *catalog.Catalog, g *query.Graph, rules *star.RuleSet
 		return nil, nil, err
 	}
 	env := cost.NewEnv(cat, cost.DefaultWeights)
-	for _, q := range g.Quants {
-		env.BindQuantifier(q.Name, q.Table)
-	}
+	env.Bind(g)
 	en := star.NewEngine(rules, env)
 	en.QueryTables = g.QuantNames()
 	en.NeededCols = func(q string) []expr.ColID { return g.NeededCols(cat, q) }

@@ -1,351 +1,203 @@
 package expr
 
 import (
+	"math/bits"
+	"slices"
 	"sort"
 	"strings"
 )
 
-// predInfo caches per-predicate analysis shared by every set holding the
-// predicate: the canonical key, the distinct referenced columns (sorted), and
-// whether the predicate contains a disjunction. Computing these once per
-// predicate — instead of once per classifier call — is what lets the Section 4
-// classifiers (JP/SP/HP/XP/IP) run without walking expression trees in the
-// enumeration's hot loop.
-type predInfo struct {
-	key   string
-	cols  []ColID
-	hasOr bool
-}
-
-// PredSet is a canonical set of predicates, keyed on Expr.Key. The STAR rule
-// language manipulates these sets with union, difference, and the Section 4
-// classifiers; determinism matters (plans must be reproducible), so iteration
-// is always in key order.
+// PredSet is a set of a query's WHERE conjuncts: a bitset over the conjunct
+// ordinals of its Universe. The STAR rule language manipulates these sets
+// with union, difference, and the Section 4 classifiers; determinism matters
+// (plans must be reproducible), so iteration is always in ordinal order,
+// which is canonical-key order.
 //
-// PredSet is an immutable value: the predicate slice is sorted by key at
-// construction and shared structurally by derived sets (Union, Minus, Filter
-// never copy an Expr or recompute its analysis). Slices returned by Slice and
-// Keys alias internal storage and must not be mutated.
+// PredSet is an immutable value and the zero value is the empty set in any
+// universe. Operands of one operation must come from one universe. The first
+// 64 conjuncts live in an inline word, so the algebra allocates nothing for
+// a WHERE clause of up to 64 conjuncts; longer ones spill into hi.
 type PredSet struct {
-	ps   []Expr
-	info []predInfo
+	u  *Universe
+	lo uint64
+	// hi holds conjuncts 64 and up, one word per 64. It is nil when none of
+	// them is a member, has the universe's full spill length otherwise, and
+	// is never written once a set holds it.
+	hi []uint64
 }
 
-// NewPredSet builds a set from the given predicates, deduplicating by key.
-func NewPredSet(preds ...Expr) PredSet {
-	if len(preds) == 0 {
-		return PredSet{}
-	}
-	s := PredSet{
-		ps:   make([]Expr, 0, len(preds)),
-		info: make([]predInfo, 0, len(preds)),
-	}
-	for _, p := range preds {
-		s.ps = append(s.ps, p)
-		s.info = append(s.info, predInfo{key: p.Key(), cols: Columns(p), hasOr: ContainsOr(p)})
-	}
-	sort.Sort(predSorter{&s})
-	// Dedupe adjacent equal keys in place.
-	w := 1
-	for i := 1; i < len(s.ps); i++ {
-		if s.info[i].key == s.info[w-1].key {
-			continue
+// spillOp combines the spill words of two sets of one universe.
+func spillOp(a, b []uint64, op func(x, y uint64) uint64) []uint64 {
+	out := make([]uint64, max(len(a), len(b)))
+	var any uint64
+	for k := range out {
+		var x, y uint64
+		if a != nil {
+			x = a[k]
 		}
-		s.ps[w], s.info[w] = s.ps[i], s.info[i]
-		w++
-	}
-	s.ps, s.info = s.ps[:w], s.info[:w]
-	return s
-}
-
-// predSorter orders the parallel slices by key (construction only; sets are
-// immutable afterwards).
-type predSorter struct{ s *PredSet }
-
-func (ps predSorter) Len() int           { return len(ps.s.ps) }
-func (ps predSorter) Less(i, j int) bool { return ps.s.info[i].key < ps.s.info[j].key }
-func (ps predSorter) Swap(i, j int) {
-	ps.s.ps[i], ps.s.ps[j] = ps.s.ps[j], ps.s.ps[i]
-	ps.s.info[i], ps.s.info[j] = ps.s.info[j], ps.s.info[i]
-}
-
-// Len returns the number of predicates in the set.
-func (s PredSet) Len() int { return len(s.ps) }
-
-// Empty reports whether the set has no predicates.
-func (s PredSet) Empty() bool { return len(s.ps) == 0 }
-
-// Slice returns the predicates in canonical (key) order. The slice aliases
-// the set's internal storage: callers must not mutate it.
-func (s PredSet) Slice() []Expr { return s.ps }
-
-// KeyAt returns the canonical key of the i-th predicate (in Slice order);
-// it lets callers stream the set's key without allocating.
-func (s PredSet) KeyAt(i int) string { return s.info[i].key }
-
-// Contains reports whether the set holds a predicate structurally equal to p.
-func (s PredSet) Contains(p Expr) bool {
-	return s.indexOfKey(p.Key()) >= 0
-}
-
-func (s PredSet) indexOfKey(key string) int {
-	lo, hi := 0, len(s.info)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if s.info[mid].key < key {
-			lo = mid + 1
-		} else {
-			hi = mid
+		if b != nil {
+			y = b[k]
 		}
+		out[k] = op(x, y)
+		any |= out[k]
 	}
-	if lo < len(s.info) && s.info[lo].key == key {
-		return lo
+	if any == 0 {
+		return nil
+	}
+	return out
+}
+
+// universe returns whichever operand's universe is set (either may be the
+// zero value).
+func universe(a, b *Universe) *Universe {
+	if a != nil {
+		return a
+	}
+	return b
+}
+
+// next returns the smallest member ordinal >= i, or -1: the loop
+// `for i := s.next(0); i >= 0; i = s.next(i + 1)` visits members in key order.
+func (s PredSet) next(i int) int {
+	if i < 64 {
+		if w := s.lo >> uint(i); w != 0 {
+			return i + bits.TrailingZeros64(w)
+		}
+		i = 64
+	}
+	for k := i/64 - 1; k < len(s.hi); k, i = k+1, 0 {
+		if w := s.hi[k] >> uint(i%64); w != 0 {
+			return 64*(k+1) + i%64 + bits.TrailingZeros64(w)
+		}
 	}
 	return -1
 }
 
-// subset builds a derived set from ascending indices into s; entries are
-// shared, not copied.
-func (s PredSet) subset(idx []int) PredSet {
-	if len(idx) == 0 {
-		return PredSet{}
+// has reports whether conjunct i is a member.
+func (s PredSet) has(i int) bool {
+	if i < 64 {
+		return s.lo>>uint(i)&1 != 0
 	}
-	if len(idx) == len(s.ps) {
-		return s
+	return s.hi != nil && s.hi[i/64-1]>>uint(i%64)&1 != 0
+}
+
+// Len returns the number of predicates in the set.
+func (s PredSet) Len() int {
+	n := bits.OnesCount64(s.lo)
+	for _, w := range s.hi {
+		n += bits.OnesCount64(w)
 	}
-	out := PredSet{ps: make([]Expr, len(idx)), info: make([]predInfo, len(idx))}
-	for i, j := range idx {
-		out.ps[i] = s.ps[j]
-		out.info[i] = s.info[j]
+	return n
+}
+
+// Empty reports whether the set has no predicates.
+func (s PredSet) Empty() bool { return s.lo == 0 && s.hi == nil }
+
+// Slice returns the predicates in canonical (key) order. The slice is
+// memoized in the universe and shared with every equal set: callers must not
+// mutate it.
+func (s PredSet) Slice() []Expr {
+	if s.Empty() {
+		return nil
+	}
+	return s.u.slice(s)
+}
+
+// ForEach calls f with each member and its canonical key, in key order. It
+// allocates nothing and reads only immutable state: the way to walk a set
+// inside the optimization (pricing, fingerprints), where Slice's memo would
+// be a lock shared by every enumeration worker.
+func (s PredSet) ForEach(f func(p Expr, key string)) {
+	for i := s.next(0); i >= 0; i = s.next(i + 1) {
+		f(s.u.preds[i], s.u.info[i].key)
+	}
+}
+
+// Contains reports whether the set holds a predicate structurally equal to p.
+func (s PredSet) Contains(p Expr) bool {
+	i := s.u.predOrdinal(p.Key())
+	return i >= 0 && s.has(i)
+}
+
+// zip combines two sets word by word.
+func (s PredSet) zip(o PredSet, op func(x, y uint64) uint64) PredSet {
+	out := PredSet{u: universe(s.u, o.u), lo: op(s.lo, o.lo)}
+	if s.hi != nil || o.hi != nil {
+		out.hi = spillOp(s.hi, o.hi, op)
 	}
 	return out
 }
 
 // Union returns s ∪ o.
 func (s PredSet) Union(o PredSet) PredSet {
-	if o.Empty() {
-		return s
-	}
-	if s.Empty() {
-		return o
-	}
-	// Identity fast paths: when one operand contains the other, return it
-	// unchanged — the dominant case on the join hot path, where a subset's
-	// predicates are unioned with mostly-overlapping child predicates.
-	if s.containsAll(o) {
-		return s
-	}
-	if o.containsAll(s) {
-		return o
-	}
-	out := PredSet{
-		ps:   make([]Expr, 0, len(s.ps)+len(o.ps)),
-		info: make([]predInfo, 0, len(s.ps)+len(o.ps)),
-	}
-	i, j := 0, 0
-	for i < len(s.ps) && j < len(o.ps) {
-		switch {
-		case s.info[i].key < o.info[j].key:
-			out.ps, out.info = append(out.ps, s.ps[i]), append(out.info, s.info[i])
-			i++
-		case s.info[i].key > o.info[j].key:
-			out.ps, out.info = append(out.ps, o.ps[j]), append(out.info, o.info[j])
-			j++
-		default:
-			out.ps, out.info = append(out.ps, s.ps[i]), append(out.info, s.info[i])
-			i++
-			j++
-		}
-	}
-	out.ps = append(out.ps, s.ps[i:]...)
-	out.info = append(out.info, s.info[i:]...)
-	out.ps = append(out.ps, o.ps[j:]...)
-	out.info = append(out.info, o.info[j:]...)
-	return out
+	return s.zip(o, func(x, y uint64) uint64 { return x | y })
 }
 
-// containsAll reports o ⊆ s via one merge scan, no allocation.
-func (s PredSet) containsAll(o PredSet) bool {
-	if len(o.ps) > len(s.ps) {
-		return false
-	}
-	i := 0
-	for j := 0; j < len(o.ps); j++ {
-		for i < len(s.ps) && s.info[i].key < o.info[j].key {
-			i++
-		}
-		if i == len(s.ps) || s.info[i].key != o.info[j].key {
-			return false
-		}
-		i++
-	}
-	return true
-}
-
-// Minus returns s − o. Two passes: the first only counts, so the common
-// identity outcome (nothing removed) allocates nothing and the rest
-// allocate exactly once per slice.
+// Minus returns s − o.
 func (s PredSet) Minus(o PredSet) PredSet {
-	if s.Empty() || o.Empty() {
-		return s
-	}
-	removed := 0
-	j := 0
-	for i := 0; i < len(s.ps); i++ {
-		for j < len(o.ps) && o.info[j].key < s.info[i].key {
-			j++
-		}
-		if j < len(o.ps) && o.info[j].key == s.info[i].key {
-			removed++
-		}
-	}
-	if removed == 0 {
-		return s
-	}
-	if removed == len(s.ps) {
-		return PredSet{}
-	}
-	keep := len(s.ps) - removed
-	out := PredSet{ps: make([]Expr, 0, keep), info: make([]predInfo, 0, keep)}
-	j = 0
-	for i := 0; i < len(s.ps); i++ {
-		for j < len(o.ps) && o.info[j].key < s.info[i].key {
-			j++
-		}
-		if j < len(o.ps) && o.info[j].key == s.info[i].key {
-			continue
-		}
-		out.ps = append(out.ps, s.ps[i])
-		out.info = append(out.info, s.info[i])
-	}
-	return out
+	return s.zip(o, func(x, y uint64) uint64 { return x &^ y })
 }
 
 // Intersect returns s ∩ o.
 func (s PredSet) Intersect(o PredSet) PredSet {
-	if s.Empty() || o.Empty() {
-		return PredSet{}
-	}
-	var idx []int
-	j := 0
-	for i := 0; i < len(s.ps); i++ {
-		for j < len(o.ps) && o.info[j].key < s.info[i].key {
-			j++
-		}
-		if j < len(o.ps) && o.info[j].key == s.info[i].key {
-			idx = append(idx, i)
-		}
-	}
-	return s.subset(idx)
+	return s.zip(o, func(x, y uint64) uint64 { return x & y })
 }
 
-// Within returns the predicates whose every column lies inside tables —
-// the eligibility test of Section 4.4 — using the cached per-predicate
-// column analysis (no expression walks, no allocation beyond the subset).
-func (s PredSet) Within(tables TableSet) PredSet {
-	return s.filterInfo(func(_ Expr, in *predInfo) bool {
-		for _, c := range in.cols {
-			if !tables.Contains(c.Table) {
-				return false
-			}
-		}
-		return true
-	})
-}
+// Equal reports set equality.
+func (s PredSet) Equal(o PredSet) bool { return s.lo == o.lo && slices.Equal(s.hi, o.hi) }
 
-// filterInfo returns the subset of s satisfying keep, which sees the cached
-// analysis so the classifiers avoid re-walking expression trees. keep must
-// be pure: the counting pass may evaluate it twice per element so that
-// keep-everything (identity) and keep-nothing outcomes allocate nothing.
-func (s PredSet) filterInfo(keep func(Expr, *predInfo) bool) PredSet {
-	kept := 0
-	for i := range s.ps {
-		if keep(s.ps[i], &s.info[i]) {
-			kept++
+// filter returns the members satisfying keep, which sees the cached analysis
+// so the classifiers avoid re-walking expression trees.
+func (s PredSet) filter(keep func(Expr, *predInfo) bool) PredSet {
+	out := s
+	for i := s.next(0); i >= 0; i = s.next(i + 1) {
+		if keep(s.u.preds[i], &s.u.info[i]) {
+			continue
 		}
-	}
-	if kept == len(s.ps) {
-		return s
-	}
-	if kept == 0 {
-		return PredSet{}
-	}
-	out := PredSet{ps: make([]Expr, 0, kept), info: make([]predInfo, 0, kept)}
-	for i := range s.ps {
-		if keep(s.ps[i], &s.info[i]) {
-			out.ps = append(out.ps, s.ps[i])
-			out.info = append(out.info, s.info[i])
+		if i < 64 {
+			out.lo &^= 1 << uint(i)
+		} else {
+			out = out.Minus(s.u.pred(i))
 		}
 	}
 	return out
 }
 
-// Equal reports set equality.
-func (s PredSet) Equal(o PredSet) bool {
-	if len(s.ps) != len(o.ps) {
-		return false
-	}
-	for i := range s.info {
-		if s.info[i].key != o.info[i].key {
-			return false
-		}
-	}
-	return true
+// Within returns the predicates whose every column lies inside tables —
+// the eligibility test of Section 4.4.
+func (s PredSet) Within(tables TableSet) PredSet {
+	return s.filter(func(_ Expr, in *predInfo) bool { return in.tables&^tables.mask == 0 })
 }
 
-// Key returns a canonical string for the whole set; the Glue plan table is
-// hashed on (tables, preds) using it.
+// Key returns a canonical string for the whole set: the member keys in
+// order, '&'-separated.
 func (s PredSet) Key() string {
-	switch len(s.info) {
-	case 0:
-		return ""
-	case 1:
-		return s.info[0].key
-	}
-	n := len(s.info) - 1
-	for i := range s.info {
-		n += len(s.info[i].key)
-	}
 	var b strings.Builder
-	b.Grow(n)
-	for i := range s.info {
-		if i > 0 {
+	for i := s.next(0); i >= 0; i = s.next(i + 1) {
+		if b.Len() > 0 {
 			b.WriteByte('&')
 		}
-		b.WriteString(s.info[i].key)
+		b.WriteString(s.u.info[i].key)
 	}
 	return b.String()
 }
 
-// Hash64 returns a 64-bit FNV-1a hash over the same byte stream Key()
-// renders ('&'-separated canonical predicate keys), without building the
-// string. The plan table probes on it; collisions are resolved by Equal.
+// Hash64 folds the set's words into one; for a universe of up to 64
+// conjuncts it is the set itself. The plan table and the Rel intern table
+// probe on it; collisions are resolved by Equal.
 func (s PredSet) Hash64() uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for i := range s.info {
-		if i > 0 {
-			h = (h ^ '&') * prime64
-		}
-		k := s.info[i].key
-		for j := 0; j < len(k); j++ {
-			h = (h ^ uint64(k[j])) * prime64
-		}
+	h := s.lo
+	for _, w := range s.hi {
+		h = h*1099511628211 ^ w
 	}
 	return h
 }
 
 // String renders the set for EXPLAIN output.
 func (s PredSet) String() string {
-	if s.Empty() {
-		return "{}"
-	}
-	parts := make([]string, len(s.ps))
-	for i, p := range s.ps {
-		parts[i] = p.String()
+	parts := make([]string, 0, s.Len())
+	for _, p := range s.Slice() {
+		parts = append(parts, p.String())
 	}
 	return "{" + strings.Join(parts, ", ") + "}"
 }
@@ -353,8 +205,8 @@ func (s PredSet) String() string {
 // Columns returns the distinct columns referenced anywhere in the set.
 func (s PredSet) Columns() []ColID {
 	seen := map[ColID]bool{}
-	for i := range s.info {
-		for _, c := range s.info[i].cols {
+	for i := s.next(0); i >= 0; i = s.next(i + 1) {
+		for _, c := range s.u.info[i].cols {
 			seen[c] = true
 		}
 	}
@@ -366,152 +218,84 @@ func (s PredSet) Columns() []ColID {
 	return out
 }
 
-// TableSet is a set of quantifier names; χ(T) in the paper's notation ranges
-// over its columns.
+// TableSet is a set of a query's quantifiers — χ(T) in the paper's notation
+// ranges over its columns — as one word over the quantifier ordinals of its
+// Universe: bit i is the i-th quantifier in FROM order.
 //
-// TableSet is an immutable value: the member slice is sorted at construction
-// and the canonical key is computed eagerly, so Key (the plan table's hash
-// input) never builds a string after construction. The zero value is the
-// empty set. Slices returned by Slice alias internal storage and must not be
-// mutated.
+// TableSet is an immutable value and the zero value is the empty set in any
+// universe. Operands of one operation must come from one universe.
 type TableSet struct {
-	names []string
-	key   string
+	u    *Universe
+	mask uint64
 }
 
-// NewTableSet builds a table set.
-func NewTableSet(names ...string) TableSet {
-	switch len(names) {
-	case 0:
-		return TableSet{}
-	case 1:
-		return TableSet{names: names[:1:1], key: names[0]}
-	}
-	sorted := make([]string, len(names))
-	copy(sorted, names)
-	sort.Strings(sorted)
-	w := 1
-	for i := 1; i < len(sorted); i++ {
-		if sorted[i] == sorted[w-1] {
-			continue
-		}
-		sorted[w] = sorted[i]
-		w++
-	}
-	sorted = sorted[:w]
-	return TableSet{names: sorted, key: strings.Join(sorted, ",")}
-}
+// Mask returns the set as a word — the inverse of Universe.Subset. The plan
+// table and the Rel intern table key on it.
+func (t TableSet) Mask() uint64 { return t.mask }
 
 // Len returns the number of members.
-func (t TableSet) Len() int { return len(t.names) }
+func (t TableSet) Len() int { return bits.OnesCount64(t.mask) }
 
 // Empty reports whether the set has no members.
-func (t TableSet) Empty() bool { return len(t.names) == 0 }
+func (t TableSet) Empty() bool { return t.mask == 0 }
 
-// Slice returns the members in sorted order. The slice aliases the set's
-// internal storage: callers must not mutate it.
-func (t TableSet) Slice() []string { return t.names }
+// Slice returns the members sorted by name. A one-member slice aliases the
+// universe's storage: callers must not mutate it.
+func (t TableSet) Slice() []string {
+	switch t.Len() {
+	case 0:
+		return nil
+	case 1:
+		i := bits.TrailingZeros64(t.mask)
+		return t.u.quants[i : i+1 : i+1]
+	}
+	out := make([]string, 0, t.Len())
+	for _, i := range t.u.byName {
+		if t.mask>>uint(i)&1 != 0 {
+			out = append(out, t.u.quants[i])
+		}
+	}
+	return out
+}
 
-// Key returns a canonical string for the set (precomputed at construction).
-func (t TableSet) Key() string { return t.key }
+// Key returns a canonical string for the set: the sorted member names,
+// comma-separated. The always-on telemetry tier names a Glue span by it, so
+// it renders in one allocation (none for a single member).
+func (t TableSet) Key() string {
+	if t.Len() < 2 {
+		return strings.Join(t.Slice(), ",")
+	}
+	var buf [64]byte
+	key := buf[:0]
+	for _, i := range t.u.byName {
+		if t.mask>>uint(i)&1 != 0 {
+			key = append(append(key, ','), t.u.quants[i]...)
+		}
+	}
+	return string(key[1:])
+}
 
 // Contains reports membership.
 func (t TableSet) Contains(name string) bool {
-	// Linear scan: sets are tiny (quantifier counts), and this avoids the
-	// branch-mispredict cost of binary search on short slices.
-	for _, n := range t.names {
-		if n == name {
-			return true
-		}
-	}
-	return false
+	i := t.u.Ordinal(name)
+	return i >= 0 && t.mask>>uint(i)&1 != 0
 }
 
 // ContainsAll reports whether every member of o is in t.
-func (t TableSet) ContainsAll(o TableSet) bool {
-	if len(o.names) > len(t.names) {
-		return false
-	}
-	i := 0
-	for _, n := range o.names {
-		for i < len(t.names) && t.names[i] < n {
-			i++
-		}
-		if i >= len(t.names) || t.names[i] != n {
-			return false
-		}
-		i++
-	}
-	return true
-}
+func (t TableSet) ContainsAll(o TableSet) bool { return o.mask&^t.mask == 0 }
 
 // Union returns t ∪ o.
 func (t TableSet) Union(o TableSet) TableSet {
-	if o.Empty() || t.ContainsAll(o) {
-		return t
-	}
-	if t.Empty() || o.ContainsAll(t) {
-		return o
-	}
-	merged := make([]string, 0, len(t.names)+len(o.names))
-	i, j := 0, 0
-	for i < len(t.names) && j < len(o.names) {
-		switch {
-		case t.names[i] < o.names[j]:
-			merged = append(merged, t.names[i])
-			i++
-		case t.names[i] > o.names[j]:
-			merged = append(merged, o.names[j])
-			j++
-		default:
-			merged = append(merged, t.names[i])
-			i++
-			j++
-		}
-	}
-	merged = append(merged, t.names[i:]...)
-	merged = append(merged, o.names[j:]...)
-	return TableSet{names: merged, key: strings.Join(merged, ",")}
+	return TableSet{u: universe(t.u, o.u), mask: t.mask | o.mask}
 }
 
 // Equal reports set equality.
-func (t TableSet) Equal(o TableSet) bool { return t.key == o.key && len(t.names) == len(o.names) }
+func (t TableSet) Equal(o TableSet) bool { return t.mask == o.mask }
 
-// colsSides splits cached predicate columns by which side of the join they
-// belong to. ok is false if the predicate touches tables outside t1 ∪ t2 or
-// only one side.
-func colsSides(cols []ColID, t1, t2 TableSet) (left, right []ColID, ok bool) {
-	touch1, touch2 := false, false
-	for _, c := range cols {
-		switch {
-		case t1.Contains(c.Table):
-			touch1 = true
-			left = append(left, c)
-		case t2.Contains(c.Table):
-			touch2 = true
-			right = append(right, c)
-		default:
-			return nil, nil, false
-		}
-	}
-	return left, right, touch1 && touch2
-}
-
-// spansBoth reports whether cols touches both sides and nothing outside
-// t1 ∪ t2 — colsSides without materializing the split.
-func spansBoth(cols []ColID, t1, t2 TableSet) bool {
-	touch1, touch2 := false, false
-	for _, c := range cols {
-		switch {
-		case t1.Contains(c.Table):
-			touch1 = true
-		case t2.Contains(c.Table):
-			touch2 = true
-		default:
-			return false
-		}
-	}
-	return touch1 && touch2
+// spansBoth reports whether a predicate over the quantifiers in tables
+// touches both sides and nothing outside t1 ∪ t2.
+func spansBoth(tables uint64, t1, t2 TableSet) bool {
+	return tables&t1.mask != 0 && tables&t2.mask != 0 && tables&^(t1.mask|t2.mask) == 0
 }
 
 // JoinPreds computes JP: the predicates in p that reference columns on both
@@ -519,8 +303,8 @@ func spansBoth(cols []ColID, t1, t2 TableSet) bool {
 // exactly the paper's Section 4.4 definition (subqueries do not exist in this
 // reproduction's language).
 func JoinPreds(p PredSet, t1, t2 TableSet) PredSet {
-	return p.filterInfo(func(_ Expr, in *predInfo) bool {
-		return !in.hasOr && spansBoth(in.cols, t1, t2)
+	return p.filter(func(_ Expr, in *predInfo) bool {
+		return !in.hasOr && spansBoth(in.tables, t1, t2)
 	})
 }
 
@@ -533,29 +317,38 @@ func colOnly(e Expr) (ColID, bool) {
 	return c.ID, true
 }
 
+// joinCmps returns the comparisons in JP that shape accepts: SP, HP and XP
+// are all subsets of JP picked by the comparison's form.
+func joinCmps(p PredSet, t1, t2 TableSet, shape func(*Cmp) bool) PredSet {
+	return p.filter(func(e Expr, in *predInfo) bool {
+		c, ok := e.(*Cmp)
+		return ok && !in.hasOr && spansBoth(in.tables, t1, t2) && shape(c)
+	})
+}
+
+// sides reports how a comparison's operands split over the join: fwd when
+// the left operand draws its columns (at least one) from T1 alone and the
+// right operand from T2 alone, rev for the reverse. Neither holds when an
+// operand is constant or mixes the sides.
+func (u *Universe) sides(c *Cmp, t1, t2 TableSet) (fwd, rev bool) {
+	l, r := u.tablesOf(c.L), u.tablesOf(c.R)
+	if l == 0 || r == 0 {
+		return false, false
+	}
+	return l&^t1.mask == 0 && r&^t2.mask == 0, l&^t2.mask == 0 && r&^t1.mask == 0
+}
+
+func isCol(e Expr) bool { _, ok := e.(*Col); return ok }
+
 // SortablePreds computes SP ⊆ JP: predicates of the form col1 = col2 with
-// col1 ∈ χ(T1) and col2 ∈ χ(T2) or vice versa. The paper admits any
-// comparison operator in SP; this reproduction restricts SP to equality so
-// the merge-join executor's semantics stay simple — the classic sort-merge
+// col1 ∈ χ(T1) and col2 ∈ χ(T2) or vice versa (a join predicate between two
+// bare columns has one on each side). The paper admits any comparison
+// operator in SP; this reproduction restricts SP to equality so the
+// merge-join executor's semantics stay simple — the classic sort-merge
 // equijoin — and documents the narrowing here. Inequality merge joins would
 // slot in as a new flavor without touching the rule language.
 func SortablePreds(p PredSet, t1, t2 TableSet) PredSet {
-	return p.filterInfo(func(e Expr, in *predInfo) bool {
-		if in.hasOr || !spansBoth(in.cols, t1, t2) {
-			return false
-		}
-		c, ok := e.(*Cmp)
-		if !ok || c.Op != EQ {
-			return false
-		}
-		lc, lok := colOnly(c.L)
-		rc, rok := colOnly(c.R)
-		if !lok || !rok {
-			return false
-		}
-		return (t1.Contains(lc.Table) && t2.Contains(rc.Table)) ||
-			(t2.Contains(lc.Table) && t1.Contains(rc.Table))
-	})
+	return joinCmps(p, t1, t2, func(c *Cmp) bool { return c.Op == EQ && isCol(c.L) && isCol(c.R) })
 }
 
 // HashablePreds computes HP: predicates of the form
@@ -563,53 +356,10 @@ func SortablePreds(p PredSet, t1, t2 TableSet) PredSet {
 // side and an expression purely over the other (Section 4.5.1). HP overlaps
 // SP but also admits expressions; it excludes inequalities.
 func HashablePreds(p PredSet, t1, t2 TableSet) PredSet {
-	return p.filterInfo(func(e Expr, in *predInfo) bool {
-		if in.hasOr || !spansBoth(in.cols, t1, t2) {
-			return false
-		}
-		c, ok := e.(*Cmp)
-		if !ok || c.Op != EQ {
-			return false
-		}
-		return oneSided(c.L, t1, t2) && oneSided(c.R, t1, t2) &&
-			!sameSide(c.L, c.R, t1)
+	return joinCmps(p, t1, t2, func(c *Cmp) bool {
+		fwd, rev := p.u.sides(c, t1, t2)
+		return c.Op == EQ && (fwd || rev)
 	})
-}
-
-// oneSided reports whether every column of e lies within a single side.
-func oneSided(e Expr, t1, t2 TableSet) bool {
-	any := false
-	in1, in2 := true, true
-	e.walk(func(n Expr) {
-		c, ok := n.(*Col)
-		if !ok {
-			return
-		}
-		any = true
-		if !t1.Contains(c.ID.Table) {
-			in1 = false
-		}
-		if !t2.Contains(c.ID.Table) {
-			in2 = false
-		}
-	})
-	return any && (in1 || in2)
-}
-
-// sameSide reports whether a and b both draw all columns from t1.
-func sameSide(a, b Expr, t1 TableSet) bool {
-	return allIn(a, t1) == allIn(b, t1)
-}
-
-// allIn reports whether every column of e belongs to t.
-func allIn(e Expr, t TableSet) bool {
-	in := true
-	e.walk(func(n Expr) {
-		if c, ok := n.(*Col); ok && !t.Contains(c.ID.Table) {
-			in = false
-		}
-	})
-	return in
 }
 
 // IndexablePreds computes XP: predicates of the form
@@ -618,50 +368,36 @@ func allIn(e Expr, t TableSet) bool {
 // be applied by an index on the inner once the outer side is instantiated
 // ("sideways information passing").
 func IndexablePreds(p PredSet, t1, t2 TableSet) PredSet {
-	return p.filterInfo(func(e Expr, in *predInfo) bool {
-		if in.hasOr || !spansBoth(in.cols, t1, t2) {
-			return false
-		}
-		c, ok := e.(*Cmp)
-		if !ok {
-			return false
-		}
-		return indexableShape(c.L, c.R, t1, t2) || indexableShape(c.R, c.L, t1, t2)
+	return joinCmps(p, t1, t2, func(c *Cmp) bool {
+		fwd, rev := p.u.sides(c, t1, t2)
+		return fwd && isCol(c.R) || rev && isCol(c.L)
 	})
-}
-
-func indexableShape(outerSide, innerSide Expr, t1, t2 TableSet) bool {
-	ic, ok := colOnly(innerSide)
-	if !ok || !t2.Contains(ic.Table) {
-		return false
-	}
-	any := false
-	in1 := true
-	outerSide.walk(func(n Expr) {
-		if c, ok := n.(*Col); ok {
-			any = true
-			if !t1.Contains(c.ID.Table) {
-				in1 = false
-			}
-		}
-	})
-	return any && in1
 }
 
 // InnerPreds computes IP: predicates whose columns all lie within T2, i.e.
 // χ(p) ⊆ χ(T2) — eligible on the inner alone.
 func InnerPreds(p PredSet, t2 TableSet) PredSet {
-	return p.filterInfo(func(_ Expr, in *predInfo) bool {
-		if len(in.cols) == 0 {
-			return false
+	return p.filter(func(_ Expr, in *predInfo) bool {
+		return in.tables != 0 && in.tables&^t2.mask == 0
+	})
+}
+
+// sideCols calls add — in set order, once per column not yet seen — with each
+// bare-column operand of a comparison in ps that belongs to side t, and
+// whether the comparison is an equality.
+func sideCols(seen map[ColID]bool, ps PredSet, t TableSet, add func(id ColID, isEq bool)) {
+	for i := ps.next(0); i >= 0; i = ps.next(i + 1) {
+		c, ok := ps.u.preds[i].(*Cmp)
+		if !ok {
+			continue
 		}
-		for _, c := range in.cols {
-			if !t2.Contains(c.Table) {
-				return false
+		for _, side := range [2]Expr{c.L, c.R} {
+			if id, ok := colOnly(side); ok && t.Contains(id.Table) && !seen[id] {
+				seen[id] = true
+				add(id, c.Op == EQ)
 			}
 		}
-		return true
-	})
+	}
 }
 
 // SortColsFor returns the columns of the sortable predicates that belong to
@@ -670,16 +406,7 @@ func InnerPreds(p PredSet, t2 TableSet) PredSet {
 // column = column predicates and canonical predicate order fixes the pairing.
 func SortColsFor(sp PredSet, t TableSet) []ColID {
 	var out []ColID
-	seen := map[ColID]bool{}
-	for _, p := range sp.Slice() {
-		c := p.(*Cmp)
-		for _, side := range []Expr{c.L, c.R} {
-			if id, ok := colOnly(side); ok && t.Contains(id.Table) && !seen[id] {
-				seen[id] = true
-				out = append(out, id)
-			}
-		}
-	}
+	sideCols(map[ColID]bool{}, sp, t, func(id ColID, _ bool) { out = append(out, id) })
 	return out
 }
 
@@ -690,31 +417,14 @@ func IndexColsFor(xp, ip PredSet, t2 TableSet) []ColID {
 	var eqCols, otherCols []ColID
 	seen := map[ColID]bool{}
 	add := func(id ColID, isEq bool) {
-		if seen[id] {
-			return
-		}
-		seen[id] = true
 		if isEq {
 			eqCols = append(eqCols, id)
 		} else {
 			otherCols = append(otherCols, id)
 		}
 	}
-	collect := func(ps PredSet) {
-		for _, p := range ps.Slice() {
-			c, ok := p.(*Cmp)
-			if !ok {
-				continue
-			}
-			for _, side := range []Expr{c.L, c.R} {
-				if id, ok := colOnly(side); ok && t2.Contains(id.Table) {
-					add(id, c.Op == EQ)
-				}
-			}
-		}
-	}
-	collect(xp)
-	collect(ip)
+	sideCols(seen, xp, t2, add)
+	sideCols(seen, ip, t2, add)
 	return append(eqCols, otherCols...)
 }
 
@@ -724,27 +434,19 @@ func IndexColsFor(xp, ip PredSet, t2 TableSet) []ColID {
 // not reference the indexed quantifier (constants, or outer expressions
 // bound per probe — "sideways information passing").
 func MatchIndexPrefix(preds PredSet, keyCols []ColID) PredSet {
-	var used []int
-	taken := func(i int) bool {
-		for _, u := range used {
-			if u == i {
-				return true
-			}
-		}
-		return false
-	}
+	used := PredSet{u: preds.u}
 	for _, kc := range keyCols {
 		eqPick, rangePick := -1, -1
-		for i, p := range preds.ps {
-			if taken(i) {
+		for i := preds.next(0); i >= 0; i = preds.next(i + 1) {
+			if used.has(i) {
 				continue
 			}
-			c, ok := p.(*Cmp)
+			c, ok := preds.u.preds[i].(*Cmp)
 			if !ok {
 				continue
 			}
 			col, other := cmpColSide(c, kc)
-			if col == nil || referencesQuant(other, kc.Table) {
+			if col == nil || References(other, kc.Table) {
 				continue
 			}
 			if c.Op == EQ {
@@ -756,16 +458,15 @@ func MatchIndexPrefix(preds PredSet, keyCols []ColID) PredSet {
 			}
 		}
 		if eqPick >= 0 {
-			used = append(used, eqPick)
+			used = used.Union(preds.u.pred(eqPick))
 			continue
 		}
 		if rangePick >= 0 {
-			used = append(used, rangePick)
+			used = used.Union(preds.u.pred(rangePick))
 		}
 		break
 	}
-	sort.Ints(used)
-	return preds.subset(used)
+	return used
 }
 
 func cmpColSide(c *Cmp, id ColID) (*Col, Expr) {
@@ -777,8 +478,6 @@ func cmpColSide(c *Cmp, id ColID) (*Col, Expr) {
 	}
 	return nil, nil
 }
-
-func referencesQuant(e Expr, q string) bool { return References(e, q) }
 
 // BindOuter converts the join predicates in jp into single-table predicates
 // on the inner by instantiating the outer side's columns from b — the

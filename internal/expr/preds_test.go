@@ -2,6 +2,7 @@ package expr
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -13,12 +14,23 @@ func lt(l, r Expr) Expr  { return &Cmp{Op: LT, L: l, R: r} }
 func ci(v int64) Expr    { return &Const{Val: datum.NewInt(v)} }
 func add(l, r Expr) Expr { return &Arith{Op: Add, L: l, R: r} }
 
+// mustUniverse builds the universe of the given quantifiers and conjuncts.
+func mustUniverse(t testing.TB, quants []string, conjuncts ...Expr) *Universe {
+	t.Helper()
+	u, err := NewUniverse(quants, conjuncts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return u
+}
+
 func TestPredSetOps(t *testing.T) {
 	a := eq(C("T", "A"), ci(1))
 	b := eq(C("T", "B"), ci(2))
 	c := eq(C("U", "C"), ci(3))
-	s1 := NewPredSet(a, b)
-	s2 := NewPredSet(b, c)
+	u := mustUniverse(t, []string{"T", "U"}, a, b, c)
+	s1 := u.PredSet(a, b)
+	s2 := u.PredSet(b, c)
 
 	if got := s1.Union(s2).Len(); got != 3 {
 		t.Errorf("union len = %d", got)
@@ -47,6 +59,7 @@ func TestPredSetAlgebra(t *testing.T) {
 		eq(C("T", "A"), ci(1)), eq(C("T", "B"), ci(2)), eq(C("U", "C"), ci(3)),
 		eq(C("T", "A"), C("U", "C")), lt(C("T", "B"), C("U", "C")),
 	}
+	u := mustUniverse(t, []string{"T", "U"}, pool...)
 	pick := func() PredSet {
 		var ps []Expr
 		for _, p := range pool {
@@ -54,7 +67,7 @@ func TestPredSetAlgebra(t *testing.T) {
 				ps = append(ps, p)
 			}
 		}
-		return NewPredSet(ps...)
+		return u.PredSet(ps...)
 	}
 	for i := 0; i < 300; i++ {
 		a, b := pick(), pick()
@@ -73,33 +86,41 @@ func TestPredSetAlgebra(t *testing.T) {
 func TestPredSetKeyDeterministic(t *testing.T) {
 	a := eq(C("T", "A"), ci(1))
 	b := eq(C("T", "B"), ci(2))
-	if NewPredSet(a, b).Key() != NewPredSet(b, a).Key() {
+	u1 := mustUniverse(t, []string{"T"}, a, b)
+	u2 := mustUniverse(t, []string{"T"}, b, a, b)
+	if u1.Preds().Key() != u2.Preds().Key() || u2.Preds().Len() != 2 {
+		t.Error("set key must not depend on insertion order or duplicates")
+	}
+	if u1.PredSet(a, b).Key() != u1.PredSet(b, a).Key() {
 		t.Error("set key must not depend on insertion order")
 	}
 }
 
 func TestTableSetOps(t *testing.T) {
-	s := NewTableSet("B", "A")
-	if s.Key() != "A,B" {
-		t.Errorf("key = %q", s.Key())
+	// FROM order C, B, A: ordinals follow it, names render sorted.
+	u := mustUniverse(t, []string{"C", "B", "A", "D"})
+	s := u.Tables("B", "A")
+	if s.Key() != "A,B" || !slices.Equal(s.Slice(), []string{"A", "B"}) {
+		t.Errorf("key = %q, slice = %v", s.Key(), s.Slice())
 	}
-	if !s.Contains("A") || s.Contains("C") {
+	if !s.Contains("A") || s.Contains("C") || s.Contains("NOPE") {
 		t.Error("membership")
 	}
-	u := s.Union(NewTableSet("C"))
-	if u.Len() != 3 || !u.ContainsAll(s) {
+	all := s.Union(u.Tables("C")).Union(u.Tables("D"))
+	if all.Len() != 4 || !all.ContainsAll(s) || s.ContainsAll(all) || !all.Equal(u.All()) {
 		t.Error("union/containsAll")
 	}
-	if !s.Equal(NewTableSet("A", "B")) {
-		t.Error("equality")
+	if !s.Equal(u.Tables("A", "B")) || !s.Equal(u.Subset(0b110)) {
+		t.Error("equality: bit i is the i-th quantifier in FROM order")
+	}
+	var zero TableSet
+	if !zero.Empty() || zero.Key() != "" || zero.Slice() != nil || zero.Contains("A") || !zero.Union(s).Equal(s) {
+		t.Error("the zero value is the empty set in any universe")
 	}
 }
 
 // The Section 4 classification fixtures: T1 = {D}, T2 = {E}.
 var (
-	t1 = NewTableSet("D")
-	t2 = NewTableSet("E")
-
 	pJoin    = eq(C("D", "DNO"), C("E", "DNO"))                     // JP, SP, HP, XP
 	pExprJn  = eq(add(C("D", "X"), ci(1)), C("E", "Y"))             // JP, HP, XP (expr on outer)
 	pIneqJn  = lt(C("D", "X"), C("E", "Y"))                         // JP, XP; not SP/HP
@@ -109,8 +130,17 @@ var (
 	pBothExp = eq(add(C("D", "X"), ci(0)), add(C("E", "Y"), ci(0))) // JP, HP; not XP (inner not bare col)
 )
 
+// deUniverse is the universe of the classification fixtures plus any extra
+// conjuncts a test classifies.
+func deUniverse(t testing.TB, extra ...Expr) (u *Universe, t1, t2 TableSet) {
+	u = mustUniverse(t, []string{"D", "E"},
+		append([]Expr{pJoin, pExprJn, pIneqJn, pInner, pOuter, pOrJoin, pBothExp}, extra...)...)
+	return u, u.Tables("D"), u.Tables("E")
+}
+
 func TestJoinPreds(t *testing.T) {
-	p := NewPredSet(pJoin, pExprJn, pIneqJn, pInner, pOuter, pOrJoin)
+	u, t1, t2 := deUniverse(t)
+	p := u.PredSet(pJoin, pExprJn, pIneqJn, pInner, pOuter, pOrJoin)
 	jp := JoinPreds(p, t1, t2)
 	if jp.Len() != 3 {
 		t.Fatalf("JP = %s", jp)
@@ -126,7 +156,8 @@ func TestJoinPreds(t *testing.T) {
 }
 
 func TestSortablePreds(t *testing.T) {
-	p := NewPredSet(pJoin, pExprJn, pIneqJn, pBothExp)
+	u, t1, t2 := deUniverse(t)
+	p := u.PredSet(pJoin, pExprJn, pIneqJn, pBothExp)
 	sp := SortablePreds(p, t1, t2)
 	if sp.Len() != 1 || !sp.Contains(pJoin) {
 		t.Fatalf("SP = %s, want only col=col", sp)
@@ -139,7 +170,8 @@ func TestSortablePreds(t *testing.T) {
 }
 
 func TestHashablePreds(t *testing.T) {
-	p := NewPredSet(pJoin, pExprJn, pIneqJn, pBothExp, pInner)
+	u, t1, t2 := deUniverse(t)
+	p := u.PredSet(pJoin, pExprJn, pIneqJn, pBothExp, pInner)
 	hp := HashablePreds(p, t1, t2)
 	if hp.Len() != 3 {
 		t.Fatalf("HP = %s", hp)
@@ -155,7 +187,8 @@ func TestHashablePreds(t *testing.T) {
 }
 
 func TestIndexablePreds(t *testing.T) {
-	p := NewPredSet(pJoin, pExprJn, pIneqJn, pBothExp)
+	u, t1, t2 := deUniverse(t)
+	p := u.PredSet(pJoin, pExprJn, pIneqJn, pBothExp)
 	xp := IndexablePreds(p, t1, t2)
 	// pJoin: D.DNO vs E.DNO — inner bare col ✓; pExprJn: expr vs E.Y ✓;
 	// pIneqJn: D.X < E.Y ✓; pBothExp: inner side is an expression ✗.
@@ -166,14 +199,15 @@ func TestIndexablePreds(t *testing.T) {
 		t.Error("expression on the inner side is not indexable")
 	}
 	// Asymmetric: flipping sides changes which column must be bare.
-	xpFlip := IndexablePreds(NewPredSet(pExprJn), t2, t1)
+	xpFlip := IndexablePreds(u.PredSet(pExprJn), t2, t1)
 	if xpFlip.Len() != 0 {
 		t.Errorf("expr(χ(T1)) op T2.col flipped must be empty, got %s", xpFlip)
 	}
 }
 
 func TestInnerPreds(t *testing.T) {
-	p := NewPredSet(pJoin, pInner, pOuter)
+	u, _, t2 := deUniverse(t)
+	p := u.PredSet(pJoin, pInner, pOuter)
 	ip := InnerPreds(p, t2)
 	if ip.Len() != 1 || !ip.Contains(pInner) {
 		t.Fatalf("IP = %s", ip)
@@ -182,7 +216,8 @@ func TestInnerPreds(t *testing.T) {
 
 func TestSortColsForPairsUp(t *testing.T) {
 	p2 := eq(C("D", "A2"), C("E", "B2"))
-	sp := NewPredSet(pJoin, p2)
+	u, t1, t2 := deUniverse(t, p2)
+	sp := u.PredSet(pJoin, p2)
 	outer := SortColsFor(sp, t1)
 	inner := SortColsFor(sp, t2)
 	if len(outer) != 2 || len(inner) != 2 {
@@ -210,7 +245,8 @@ func TestIndexColsForEqFirst(t *testing.T) {
 	xpEq := eq(C("D", "X"), C("E", "B"))
 	xpRange := lt(C("D", "X"), C("E", "A"))
 	ipEq := eq(C("E", "C"), ci(1))
-	ix := IndexColsFor(NewPredSet(xpRange, xpEq), NewPredSet(ipEq), t2)
+	u, _, t2 := deUniverse(t, xpEq, xpRange, ipEq)
+	ix := IndexColsFor(u.PredSet(xpRange, xpEq), u.PredSet(ipEq), t2)
 	if len(ix) != 3 {
 		t.Fatalf("IX = %v", ix)
 	}
@@ -227,33 +263,34 @@ func TestMatchIndexPrefix(t *testing.T) {
 	pb := eq(C("E", "B"), C("D", "X")) // bound join pred counts
 	pcRange := lt(C("E", "C"), ci(9))
 	pd := eq(C("E", "D"), ci(2)) // not a key column
+	pbRange := lt(C("E", "B"), ci(5))
+	self := eq(C("E", "A"), C("E", "B"))
+	u, _, _ := deUniverse(t, pa, pb, pcRange, pd, pbRange, self)
 
-	m := MatchIndexPrefix(NewPredSet(pa, pb, pcRange, pd), key)
+	m := MatchIndexPrefix(u.PredSet(pa, pb, pcRange, pd), key)
 	if m.Len() != 3 {
 		t.Fatalf("matched = %s", m)
 	}
 	// A gap in the prefix stops matching.
-	m2 := MatchIndexPrefix(NewPredSet(pb, pcRange), key)
+	m2 := MatchIndexPrefix(u.PredSet(pb, pcRange), key)
 	if m2.Len() != 0 {
 		t.Fatalf("no prefix on A: matched = %s", m2)
 	}
 	// A range pred terminates the prefix: C's pred cannot match after a
 	// range on B.
-	pbRange := lt(C("E", "B"), ci(5))
-	m3 := MatchIndexPrefix(NewPredSet(pa, pbRange, pcRange), key)
+	m3 := MatchIndexPrefix(u.PredSet(pa, pbRange, pcRange), key)
 	if m3.Len() != 2 || !m3.Contains(pa) || !m3.Contains(pbRange) {
 		t.Fatalf("range must end the prefix: %s", m3)
 	}
 	// Predicates referencing the indexed quantifier on both sides cannot
 	// be applied by a probe.
-	self := eq(C("E", "A"), C("E", "B"))
-	if MatchIndexPrefix(NewPredSet(self), key).Len() != 0 {
+	if MatchIndexPrefix(u.PredSet(self), key).Len() != 0 {
 		t.Error("self-referencing predicate must not match")
 	}
 }
 
 func TestBindOuter(t *testing.T) {
-	outer := NewTableSet("D")
+	_, outer, _ := deUniverse(t)
 	b := MapBinding{ColID{"D", "DNO"}: datum.NewInt(42)}
 	bound := BindOuter([]Expr{pJoin}, outer, b)
 	if len(bound) != 1 {
@@ -301,7 +338,8 @@ func TestClassificationSubsets(t *testing.T) {
 		for i := 0; i < 6; i++ {
 			ps = append(ps, mkPred())
 		}
-		p := NewPredSet(ps...)
+		u, t1, t2 := deUniverse(t, ps...)
+		p := u.PredSet(ps...)
 		jp := JoinPreds(p, t1, t2)
 		for _, cls := range []PredSet{
 			SortablePreds(p, t1, t2),

@@ -44,17 +44,15 @@ func fixture(t *testing.T) (*Gluer, *star.Engine, *query.Graph) {
 	if err := cat.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	g := &query.Graph{
-		Quants: []query.Quantifier{{Name: "DEPT", Table: "DEPT"}, {Name: "EMP", Table: "EMP"}},
-		Preds: expr.NewPredSet(
-			&expr.Cmp{Op: expr.EQ, L: expr.C("DEPT", "DNO"), R: expr.C("EMP", "DNO")},
-		),
-		Select: []expr.ColID{{Table: "DEPT", Col: "MGR"}, {Table: "EMP", Col: "NAME"}},
-	}
+	// DEPT joins EMP; E2, a second range variable over EMP, exists so that a
+	// predicate can be bound from outside the DEPT-EMP composite.
+	g := query.MustNew(
+		[]query.Quantifier{{Name: "DEPT", Table: "DEPT"}, {Name: "EMP", Table: "EMP"}, {Name: "E2", Table: "EMP"}},
+		deptEmpJoin, empE2Join,
+	)
+	g.Select = []expr.ColID{{Table: "DEPT", Col: "MGR"}, {Table: "EMP", Col: "NAME"}}
 	env := cost.NewEnv(cat, cost.DefaultWeights)
-	for _, q := range g.Quants {
-		env.BindQuantifier(q.Name, q.Table)
-	}
+	env.Bind(g)
 	en := star.NewEngine(star.DefaultRules(), env)
 	en.QueryTables = g.QuantNames()
 	en.NeededCols = func(q string) []expr.ColID { return g.NeededCols(cat, q) }
@@ -65,13 +63,35 @@ func fixture(t *testing.T) (*Gluer, *star.Engine, *query.Graph) {
 	return gl, en, g
 }
 
-func deptSet() expr.TableSet { return expr.NewTableSet("DEPT") }
-
-// Distinct predicate sets standing in for plan-table keys in unit tests.
+// The fixture query's conjuncts.
 var (
-	predsK     = expr.NewPredSet(&expr.Cmp{Op: expr.EQ, L: expr.C("T", "A"), R: expr.C("T", "B")})
-	predsOther = expr.NewPredSet(&expr.Cmp{Op: expr.GT, L: expr.C("T", "A"), R: expr.C("T", "B")})
-	predsP     = expr.NewPredSet(&expr.Cmp{Op: expr.LT, L: expr.C("T", "A"), R: expr.C("T", "B")})
+	deptEmpJoin = &expr.Cmp{Op: expr.EQ, L: expr.C("DEPT", "DNO"), R: expr.C("EMP", "DNO")}
+	empE2Join   = &expr.Cmp{Op: expr.EQ, L: expr.C("EMP", "NAME"), R: expr.C("E2", "NAME")}
+)
+
+// tables names a table set of the fixture query.
+func tables(g *query.Graph, names ...string) expr.TableSet { return g.Universe().Tables(names...) }
+
+// keyU is the universe of the plan-table unit tests, which need no query:
+// one table set and three distinct predicate sets standing in for keys.
+var keyU = func() *expr.Universe {
+	u, err := expr.NewUniverse([]string{"DEPT"}, []expr.Expr{
+		&expr.Cmp{Op: expr.EQ, L: expr.C("DEPT", "DNO"), R: expr.C("DEPT", "MGR")},
+		&expr.Cmp{Op: expr.GT, L: expr.C("DEPT", "DNO"), R: expr.C("DEPT", "MGR")},
+		&expr.Cmp{Op: expr.LT, L: expr.C("DEPT", "DNO"), R: expr.C("DEPT", "MGR")},
+	})
+	if err != nil {
+		panic(err)
+	}
+	return u
+}()
+
+func deptSet() expr.TableSet { return keyU.All() }
+
+var (
+	predsK     = keyU.PredSet(keyU.Preds().Slice()[0])
+	predsOther = keyU.PredSet(keyU.Preds().Slice()[1])
+	predsP     = keyU.PredSet(keyU.Preds().Slice()[2])
 )
 
 func TestPlanTableInsertLookupAndPruning(t *testing.T) {
@@ -198,8 +218,8 @@ func TestPlanTablePruneDisabled(t *testing.T) {
 }
 
 func TestGlueMissReferencesAccessRoot(t *testing.T) {
-	gl, en, _ := fixture(t)
-	plans, err := gl.Glue(&star.GlueRequest{Tables: deptSet()})
+	gl, en, g := fixture(t)
+	plans, err := gl.Glue(&star.GlueRequest{Tables: tables(g, "DEPT")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +230,7 @@ func TestGlueMissReferencesAccessRoot(t *testing.T) {
 		t.Error("the miss must have referenced AccessRoot")
 	}
 	// Second reference hits the table.
-	if _, err := gl.Glue(&star.GlueRequest{Tables: deptSet()}); err != nil {
+	if _, err := gl.Glue(&star.GlueRequest{Tables: tables(g, "DEPT")}); err != nil {
 		t.Fatal(err)
 	}
 	if gl.Stats.Hits == 0 {
@@ -219,13 +239,13 @@ func TestGlueMissReferencesAccessRoot(t *testing.T) {
 }
 
 func TestGlueSatisfiesOrderAndSite(t *testing.T) {
-	gl, _, _ := fixture(t)
+	gl, _, g := fixture(t)
 	la := "LA"
 	req := plan.Reqd{
 		Site:  &la,
 		Order: []expr.ColID{{Table: "DEPT", Col: "DNO"}},
 	}
-	plans, err := gl.Glue(&star.GlueRequest{Tables: deptSet(), Req: req})
+	plans, err := gl.Glue(&star.GlueRequest{Tables: tables(g, "DEPT"), Req: req})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,13 +259,13 @@ func TestGlueSatisfiesOrderAndSite(t *testing.T) {
 }
 
 func TestGlueBoundPredsStayAboveStore(t *testing.T) {
-	gl, _, _ := fixture(t)
+	gl, _, g := fixture(t)
 	// Push the (bound) join predicate while requiring a temp: the
 	// predicate must appear above the STORE, never below it.
-	jp := &expr.Cmp{Op: expr.EQ, L: expr.C("DEPT", "DNO"), R: expr.C("EMP", "DNO")}
+	jp := deptEmpJoin
 	plans, err := gl.Glue(&star.GlueRequest{
-		Tables: deptSet(),
-		Push:   expr.NewPredSet(jp),
+		Tables: tables(g, "DEPT"),
+		Push:   g.Universe().PredSet(jp),
 		Req:    plan.Reqd{Temp: true},
 	})
 	if err != nil {
@@ -278,13 +298,13 @@ func TestGlueBoundPredsStayAboveStore(t *testing.T) {
 }
 
 func TestGlueDynamicIndexVeneer(t *testing.T) {
-	gl, _, _ := fixture(t)
-	jp := &expr.Cmp{Op: expr.EQ, L: expr.C("DEPT", "DNO"), R: expr.C("EMP", "DNO")}
+	gl, _, g := fixture(t)
+	jp := deptEmpJoin
 	// Require an index on EMP.DNO (EMP has no catalog index): Glue must
 	// STORE, BUILDINDEX, and probe.
 	plans, err := gl.Glue(&star.GlueRequest{
-		Tables: expr.NewTableSet("EMP"),
-		Push:   expr.NewPredSet(jp),
+		Tables: tables(g, "EMP"),
+		Push:   g.Universe().PredSet(jp),
 		Req:    plan.Reqd{PathCols: []expr.ColID{{Table: "EMP", Col: "DNO"}}},
 	})
 	if err != nil {
@@ -312,8 +332,8 @@ func TestGlueDynamicIndexVeneer(t *testing.T) {
 }
 
 func TestGlueAllReturnsEverySatisfying(t *testing.T) {
-	gl, _, _ := fixture(t)
-	plans, err := gl.Glue(&star.GlueRequest{Tables: deptSet(), All: true})
+	gl, _, g := fixture(t)
+	plans, err := gl.Glue(&star.GlueRequest{Tables: tables(g, "DEPT"), All: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,20 +345,20 @@ func TestGlueAllReturnsEverySatisfying(t *testing.T) {
 func TestGlueCompositeRetrofitsFilter(t *testing.T) {
 	gl, en, g := fixture(t)
 	// Seed a composite entry by building the join through the engine.
-	both := expr.NewTableSet("DEPT", "EMP")
+	both := tables(g, "DEPT", "EMP")
 	sap, err := en.EvalRule("JoinRoot", []star.Value{
-		star.StreamValue(deptSet()),
-		star.StreamValue(expr.NewTableSet("EMP")),
-		star.PredsValue(g.Preds),
+		star.StreamValue(tables(g, "DEPT")),
+		star.StreamValue(tables(g, "EMP")),
+		star.PredsValue(g.NewlyEligible(tables(g, "DEPT"), tables(g, "EMP"))),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	gl.Table.Insert(both, g.EligibleWithin(both), sap)
-	// Pushing an extra static predicate onto the composite retrofits a
-	// FILTER.
-	extra := &expr.Cmp{Op: expr.EQ, L: expr.C("EMP", "NAME"), R: &expr.Const{Val: datum.NewString("x")}}
-	plans, err := gl.Glue(&star.GlueRequest{Tables: both, Push: expr.NewPredSet(extra)})
+	// Pushing a predicate bound from outside the composite retrofits a
+	// FILTER onto the enumerated entry.
+	extra := empE2Join
+	plans, err := gl.Glue(&star.GlueRequest{Tables: both, Push: g.Universe().PredSet(extra)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -348,24 +368,24 @@ func TestGlueCompositeRetrofitsFilter(t *testing.T) {
 }
 
 func TestGlueCompositeWithoutEntryFails(t *testing.T) {
-	gl, _, _ := fixture(t)
-	_, err := gl.Glue(&star.GlueRequest{Tables: expr.NewTableSet("DEPT", "EMP")})
+	gl, _, g := fixture(t)
+	_, err := gl.Glue(&star.GlueRequest{Tables: tables(g, "DEPT", "EMP")})
 	if err == nil || !strings.Contains(err.Error(), "no plans exist") {
 		t.Fatalf("err = %v", err)
 	}
 }
 
 func TestPlanSitesFallsBackToCatalog(t *testing.T) {
-	gl, _, _ := fixture(t)
-	sites := gl.PlanSites(deptSet())
+	gl, _, g := fixture(t)
+	sites := gl.PlanSites(tables(g, "DEPT"))
 	if len(sites) != 1 || sites[0] != "NY" {
 		t.Fatalf("sites = %v (catalog fallback)", sites)
 	}
 	// After plans exist, their sites win.
-	if _, err := gl.Glue(&star.GlueRequest{Tables: deptSet()}); err != nil {
+	if _, err := gl.Glue(&star.GlueRequest{Tables: tables(g, "DEPT")}); err != nil {
 		t.Fatal(err)
 	}
-	sites = gl.PlanSites(deptSet())
+	sites = gl.PlanSites(tables(g, "DEPT"))
 	if len(sites) == 0 {
 		t.Fatal("plan sites after population")
 	}
@@ -518,5 +538,21 @@ func TestOverlayPruneDisabled(t *testing.T) {
 	base.Absorb(ov)
 	if got := len(base.Lookup(ts, predsP)); got != 2 {
 		t.Fatalf("base after absorb holds %d plans", got)
+	}
+}
+
+// TestLookupAcrossEqualUniverses: the table keys on the sets' words, not on
+// which Universe value they came from, so a caller that rebuilds the same
+// query (the experiments do) still finds the entries.
+func TestLookupAcrossEqualUniverses(t *testing.T) {
+	gl, _, g := fixture(t)
+	if _, err := gl.Glue(&star.GlueRequest{Tables: tables(g, "DEPT")}); err != nil {
+		t.Fatal(err)
+	}
+	_, _, again := fixture(t)
+	dept := tables(again, "DEPT")
+	if !gl.Table.HasEntry(dept) || len(gl.Table.Entry(dept)) == 0 ||
+		len(gl.Table.Lookup(dept, again.EligibleWithin(dept))) == 0 {
+		t.Error("an equal table set of a rebuilt query must find the entry")
 	}
 }

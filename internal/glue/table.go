@@ -20,22 +20,19 @@ import (
 	"stars/internal/plan"
 )
 
-// entryKey addresses one plan-table entry: the table set's cached canonical
-// key plus a 64-bit hash of the predicate set's canonical keys. Probing
-// builds no strings — both components come off the sets unchanged.
+// entryKey addresses one plan-table entry by the words of its sets: the
+// table set's mask and the predicate set's Hash64 (the set itself, for a
+// WHERE clause of up to 64 conjuncts). Probing renders no names.
 type entryKey struct {
-	tk string
-	ph uint64
+	tables, ph uint64
 }
 
 // entry is one (TABLES, PREDS) cell of the plan table. The predicate set is
 // retained for exact verification (two distinct sets hashing alike chain via
-// next); pk is the canonical predicate key, rendered once at entry creation
-// for observability events and ForEach.
+// next).
 type entry struct {
 	tables expr.TableSet
 	preds  expr.PredSet
-	pk     string
 	plans  []*plan.Node
 	next   *entry
 }
@@ -46,7 +43,7 @@ type entry struct {
 // plan is at least as cheap and offers every physical property it offers.
 type PlanTable struct {
 	entries  map[entryKey]*entry
-	byTables map[string][]*entry // entries per table set, in creation order
+	byTables map[uint64][]*entry // entries per table-set mask, in creation order
 	// Inserted counts insertion attempts; Pruned counts plans rejected or
 	// evicted by dominance. PruneDisabled turns dominance off (ablation).
 	Inserted      int64
@@ -83,7 +80,7 @@ type pruneKey struct{ victim, dominator string }
 func NewPlanTable() *PlanTable {
 	return &PlanTable{
 		entries:  map[entryKey]*entry{},
-		byTables: map[string][]*entry{},
+		byTables: map[uint64][]*entry{},
 	}
 }
 
@@ -93,16 +90,16 @@ func NewPlanTable() *PlanTable {
 func NewOverlay(base *PlanTable) *PlanTable {
 	return &PlanTable{
 		entries:       map[entryKey]*entry{},
-		byTables:      map[string][]*entry{},
+		byTables:      map[uint64][]*entry{},
 		base:          base,
 		PruneDisabled: base.PruneDisabled,
 	}
 }
 
-// find returns the verified entry for (tk, ph, preds) in this table alone
+// find returns the verified entry for (tables, preds) in this table alone
 // (no base fall-through), or nil.
-func (pt *PlanTable) find(tk string, ph uint64, preds expr.PredSet) *entry {
-	for e := pt.entries[entryKey{tk: tk, ph: ph}]; e != nil; e = e.next {
+func (pt *PlanTable) find(tables expr.TableSet, preds expr.PredSet) *entry {
+	for e := pt.entries[entryKey{tables.Mask(), preds.Hash64()}]; e != nil; e = e.next {
 		if e.preds.Equal(preds) {
 			return e
 		}
@@ -111,37 +108,33 @@ func (pt *PlanTable) find(tk string, ph uint64, preds expr.PredSet) *entry {
 }
 
 // ensure returns the entry for (tables, preds), creating it on first write.
-func (pt *PlanTable) ensure(tables expr.TableSet, ph uint64, preds expr.PredSet) (*entry, bool) {
-	tk := tables.Key()
-	if e := pt.find(tk, ph, preds); e != nil {
+func (pt *PlanTable) ensure(tables expr.TableSet, preds expr.PredSet) (*entry, bool) {
+	if e := pt.find(tables, preds); e != nil {
 		return e, false
 	}
-	e := &entry{tables: tables, preds: preds, pk: preds.Key()}
-	k := entryKey{tk: tk, ph: ph}
+	e := &entry{tables: tables, preds: preds}
+	k := entryKey{tables.Mask(), preds.Hash64()}
 	e.next = pt.entries[k]
 	pt.entries[k] = e
-	pt.byTables[tk] = append(pt.byTables[tk], e)
+	pt.byTables[tables.Mask()] = append(pt.byTables[tables.Mask()], e)
 	return e, true
 }
 
 // Lookup returns the retained plans for exactly this table set and predicate
-// set, or nil. The probe builds no strings: the table-set key is cached and
-// the predicate set hashes by its cached per-predicate keys. On an overlay,
+// set, or nil. The probe is a map lookup on the sets' words. On an overlay,
 // base plans come first and local plans after — the same order a serial run
 // would have accumulated them in, so cheapest-of tie-breaks stay
 // deterministic.
 func (pt *PlanTable) Lookup(tables expr.TableSet, preds expr.PredSet) []*plan.Node {
-	tk := tables.Key()
-	ph := preds.Hash64()
 	var local []*plan.Node
-	if e := pt.find(tk, ph, preds); e != nil {
+	if e := pt.find(tables, preds); e != nil {
 		local = e.plans
 	}
 	if pt.base == nil {
 		return local
 	}
 	var basePlans []*plan.Node
-	if e := pt.base.find(tk, ph, preds); e != nil {
+	if e := pt.base.find(tables, preds); e != nil {
 		basePlans = e.plans
 	}
 	if len(basePlans) == 0 {
@@ -164,14 +157,13 @@ func (pt *PlanTable) Insert(tables expr.TableSet, preds expr.PredSet, plans []*p
 	if profiled {
 		t0 = time.Now()
 	}
-	ph := preds.Hash64()
-	e, created := pt.ensure(tables, ph, preds)
+	e, created := pt.ensure(tables, preds)
 	if created && pt.base != nil {
 		pt.order = append(pt.order, e)
 	}
 	var baseEntry *entry
 	if pt.base != nil {
-		baseEntry = pt.base.find(tables.Key(), ph, preds)
+		baseEntry = pt.base.find(tables, preds)
 	}
 	for _, p := range plans {
 		pt.Inserted++
@@ -183,7 +175,7 @@ func (pt *PlanTable) Insert(tables expr.TableSet, preds expr.PredSet, plans []*p
 		pt.addPruned(e, baseEntry, p)
 	}
 	if pt.Obs.Tracing() {
-		pt.Obs.Emit(obs.Event{Name: obs.EvPlanInsert, A1: tables.Key(), A2: e.pk,
+		pt.Obs.Emit(obs.Event{Name: obs.EvPlanInsert, A1: tables.Key(), A2: preds.Key(),
 			N1: int64(len(plans)), N2: int64(len(e.plans))})
 	}
 	if profiled {
@@ -227,7 +219,7 @@ func (pt *PlanTable) addPruned(e *entry, baseEntry *entry, p *plan.Node) {
 		}
 		if plan.Dominates(q.Props, p.Props) {
 			pt.Pruned++
-			pt.notePrune(e.tables.Key(), p, q, 0)
+			pt.notePrune(e.tables, p, q, 0)
 			return
 		}
 	}
@@ -237,7 +229,7 @@ func (pt *PlanTable) addPruned(e *entry, baseEntry *entry, p *plan.Node) {
 		}
 		if plan.Dominates(q.Props, p.Props) {
 			pt.Pruned++
-			pt.notePrune(e.tables.Key(), p, q, 0) // incoming p rejected, dominated by existing q
+			pt.notePrune(e.tables, p, q, 0) // incoming p rejected, dominated by existing q
 			return
 		}
 	}
@@ -245,7 +237,7 @@ func (pt *PlanTable) addPruned(e *entry, baseEntry *entry, p *plan.Node) {
 	for _, q := range e.plans {
 		if plan.Dominates(p.Props, q.Props) {
 			pt.Pruned++
-			pt.notePrune(e.tables.Key(), q, p, 1) // existing q evicted by incoming p
+			pt.notePrune(e.tables, q, p, 1) // existing q evicted by incoming p
 			continue
 		}
 		out = append(out, q)
@@ -276,7 +268,7 @@ func (pt *PlanTable) Absorb(o *PlanTable) {
 			continue
 		}
 		pt.Insert(oe.tables, oe.preds, oe.plans)
-		if e := pt.find(oe.tables.Key(), oe.preds.Hash64(), oe.preds); e != nil {
+		if e := pt.find(oe.tables, oe.preds); e != nil {
 			memoizePlans(e.plans, full)
 		}
 	}
@@ -330,7 +322,7 @@ func (pt *PlanTable) MemoizeIdentities() {
 // emitted with the identity and cost of both — the forensic record
 // provenance.WhyNot answers from. direction is 0 when the incoming plan was
 // rejected, 1 when an existing plan was evicted.
-func (pt *PlanTable) notePrune(tk string, victim, dominator *plan.Node, direction int64) {
+func (pt *PlanTable) notePrune(tables expr.TableSet, victim, dominator *plan.Node, direction int64) {
 	if !pt.Obs.Enabled() {
 		return
 	}
@@ -341,7 +333,7 @@ func (pt *PlanTable) notePrune(tk string, victim, dominator *plan.Node, directio
 	if !pt.Obs.Tracing() {
 		return
 	}
-	pt.Obs.Emit(obs.Event{Name: obs.EvPlanPrune, A1: tk, N1: direction,
+	pt.Obs.Emit(obs.Event{Name: obs.EvPlanPrune, A1: tables.Key(), N1: direction,
 		A2: victim.Fingerprint(), A3: dominator.Fingerprint(),
 		F1: victim.Props.Cost.Total, F2: dominator.Props.Cost.Total})
 }
@@ -376,10 +368,12 @@ func (pt *PlanTable) ForEach(fn func(tablesKey, predsKey string, p *plan.Node)) 
 	if pt.base != nil {
 		pt.base.ForEach(fn)
 	}
-	for tk, es := range pt.byTables {
+	for _, es := range pt.byTables {
+		tk := es[0].tables.Key()
 		for _, e := range es {
+			pk := e.preds.Key()
 			for _, p := range e.plans {
-				fn(tk, e.pk, p)
+				fn(tk, pk, p)
 			}
 		}
 	}
@@ -391,7 +385,7 @@ func (pt *PlanTable) HasEntry(tables expr.TableSet) bool {
 	if pt.base != nil && pt.base.HasEntry(tables) {
 		return true
 	}
-	for _, e := range pt.byTables[tables.Key()] {
+	for _, e := range pt.byTables[tables.Mask()] {
 		if len(e.plans) > 0 {
 			return true
 		}
@@ -406,7 +400,7 @@ func (pt *PlanTable) Entry(tables expr.TableSet) []*plan.Node {
 	if pt.base != nil {
 		out = pt.base.Entry(tables)
 	}
-	for _, e := range pt.byTables[tables.Key()] {
+	for _, e := range pt.byTables[tables.Mask()] {
 		out = append(out, e.plans...)
 	}
 	return out

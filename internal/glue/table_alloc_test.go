@@ -8,9 +8,8 @@ import (
 
 // TestProbePathsAllocationFree pins the plan table's hot probe paths at zero
 // allocations: Lookup and a duplicate Offer build no strings and no
-// intermediate slices per probe — the table-set key is cached on the set and
-// the predicate set hashes by its cached per-predicate keys. A regression
-// here (say, a probe that re-renders tablesKey with strings.Join) fails the
+// intermediate slices per probe — the table keys on the sets' words. A
+// regression here (say, a probe that renders TableSet.Key) fails the
 // exact-zero comparison.
 func TestProbePathsAllocationFree(t *testing.T) {
 	pt := NewPlanTable()

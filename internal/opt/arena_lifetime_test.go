@@ -3,7 +3,6 @@ package opt
 import (
 	"testing"
 
-	"stars/internal/expr"
 	"stars/internal/plan"
 	"stars/internal/query"
 	"stars/internal/workload"
@@ -103,8 +102,9 @@ func TestFailedOptimizeReturnsArenas(t *testing.T) {
 	cat := workload.ChainCatalog(4, 40, 30, 20, 10)
 	disconnected := func() *query.Graph {
 		g := workload.ChainQuery(4)
-		g.Preds = expr.NewPredSet(g.Preds.Slice()[0]) // T1-T2 joined; T3, T4 isolated
-		return g
+		sparse := query.MustNew(g.Quants, g.Preds.Slice()[0]) // T1-T2 joined; T3, T4 isolated
+		sparse.Select = g.Select
+		return sparse
 	}
 	const rounds = 64
 	for i := 0; i < rounds; i++ {

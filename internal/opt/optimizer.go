@@ -217,9 +217,7 @@ func (o *Optimizer) Optimize(g *query.Graph) (_ *Result, err error) {
 			res.Release()
 		}
 	}()
-	for _, q := range g.Quants {
-		env.BindQuantifier(q.Name, q.Table)
-	}
+	env.Bind(g)
 
 	rules := o.Opts.Rules
 	if rules == nil {
@@ -263,9 +261,9 @@ func (o *Optimizer) Optimize(g *query.Graph) (_ *Result, err error) {
 		accessSp = sink.StartSpan(obs.EvPhase, "access", "", 0)
 	}
 	phaseLabels(en, labels, "access")
-	for _, q := range g.Quants {
-		ts := expr.NewTableSet(q.Name)
-		preds := g.BasePreds(q.Name)
+	for i, q := range g.Quants {
+		ts := g.Universe().Subset(1 << uint(i))
+		preds := g.EligibleWithin(ts)
 		sap, err := en.EvalRule(glue.AccessRootRule, []star.Value{
 			star.StreamValue(ts),
 			star.ColsValue(needed[q.Name]),

@@ -48,25 +48,24 @@ func figure1Catalog() *catalog.Catalog {
 // figure1Query is DEPT ⋈ EMP on DNO with MGR = 'Haas' on DEPT, projecting
 // the columns Figure 1 shows.
 func figure1Query() *query.Graph {
-	return &query.Graph{
-		Quants: []query.Quantifier{
+	g := query.MustNew(
+		[]query.Quantifier{
 			{Name: "DEPT", Table: "DEPT"},
 			{Name: "EMP", Table: "EMP"},
 		},
-		Preds: expr.NewPredSet(
-			&expr.Cmp{Op: expr.EQ, L: expr.C("DEPT", "DNO"), R: expr.C("EMP", "DNO")},
-			&expr.Cmp{Op: expr.EQ, L: expr.C("DEPT", "MGR"), R: &expr.Const{Val: datum.NewString("Haas")}},
-		),
-		Select: []expr.ColID{
-			{Table: "DEPT", Col: "DNO"}, {Table: "DEPT", Col: "MGR"},
-			{Table: "EMP", Col: "NAME"}, {Table: "EMP", Col: "ADDRESS"},
-		},
+		&expr.Cmp{Op: expr.EQ, L: expr.C("DEPT", "DNO"), R: expr.C("EMP", "DNO")},
+		&expr.Cmp{Op: expr.EQ, L: expr.C("DEPT", "MGR"), R: &expr.Const{Val: datum.NewString("Haas")}},
+	)
+	g.Select = []expr.ColID{
+		{Table: "DEPT", Col: "DNO"}, {Table: "DEPT", Col: "MGR"},
+		{Table: "EMP", Col: "NAME"}, {Table: "EMP", Col: "ADDRESS"},
 	}
+	return g
 }
 
 func TestOptimizeFigure1(t *testing.T) {
-	o := New(figure1Catalog(), Options{})
-	res, err := o.Optimize(figure1Query())
+	o, g := New(figure1Catalog(), Options{}), figure1Query()
+	res, err := o.Optimize(g)
 	if err != nil {
 		t.Fatalf("optimize: %v", err)
 	}
@@ -79,7 +78,7 @@ func TestOptimizeFigure1(t *testing.T) {
 	if res.Best.Props.Cost.Total <= 0 {
 		t.Fatalf("non-positive cost: %v", res.Best.Props.Cost)
 	}
-	if !res.Best.Props.Tables().Equal(expr.NewTableSet("DEPT", "EMP")) {
+	if !res.Best.Props.Tables().Equal(g.TableSet()) {
 		t.Fatalf("best plan tables = %v", res.Best.Props.Tables().Slice())
 	}
 	// The plan must apply both predicates somewhere.

@@ -14,11 +14,8 @@ import (
 
 func TestSingleTableQuery(t *testing.T) {
 	cat := workload.EmpDept()
-	g := &query.Graph{
-		Quants: []query.Quantifier{{Name: "DEPT", Table: "DEPT"}},
-		Preds:  expr.NewPredSet(),
-		Select: []expr.ColID{{Table: "DEPT", Col: "MGR"}},
-	}
+	g := query.MustNew([]query.Quantifier{{Name: "DEPT", Table: "DEPT"}})
+	g.Select = []expr.ColID{{Table: "DEPT", Col: "MGR"}}
 	res, err := New(cat, Options{}).Optimize(g)
 	if err != nil {
 		t.Fatal(err)
@@ -64,11 +61,8 @@ func TestDistributedRootComesHome(t *testing.T) {
 
 func TestDisconnectedGraphNeedsCartesian(t *testing.T) {
 	cat := workload.ChainCatalog(2, 10, 20)
-	g := &query.Graph{
-		Quants: []query.Quantifier{{Name: "T1", Table: "T1"}, {Name: "T2", Table: "T2"}},
-		Preds:  expr.NewPredSet(), // no join predicate at all
-		Select: []expr.ColID{{Table: "T1", Col: "ID"}},
-	}
+	g := query.MustNew([]query.Quantifier{{Name: "T1", Table: "T1"}, {Name: "T2", Table: "T2"}}) // no join predicate at all
+	g.Select = []expr.ColID{{Table: "T1", Col: "ID"}}
 	// Even without the option, the final join admits a Cartesian pair so
 	// the query still plans (Section 2.3's fallback).
 	res, err := New(cat, Options{}).Optimize(g)
@@ -82,10 +76,7 @@ func TestDisconnectedGraphNeedsCartesian(t *testing.T) {
 
 func TestUnknownQuantifierFails(t *testing.T) {
 	cat := workload.EmpDept()
-	g := &query.Graph{
-		Quants: []query.Quantifier{{Name: "X", Table: "NOPE"}},
-		Preds:  expr.NewPredSet(),
-	}
+	g := query.MustNew([]query.Quantifier{{Name: "X", Table: "NOPE"}})
 	if _, err := New(cat, Options{}).Optimize(g); err == nil {
 		t.Fatal("unknown table must fail")
 	}
@@ -181,12 +172,10 @@ func TestTIDSortAlternativeWins(t *testing.T) {
 	// Make the indexed column unselective (10k matches) so random fetches
 	// dominate the plain index plan.
 	cat.Table("T1").Column("J").NDV = 50
-	g := &query.Graph{
-		Quants: []query.Quantifier{{Name: "T1", Table: "T1"}},
-		Preds: expr.NewPredSet(&expr.Cmp{Op: expr.EQ,
-			L: expr.C("T1", "J"), R: &expr.Const{Val: datum.NewInt(3)}}),
-		Select: []expr.ColID{{Table: "T1", Col: "ID"}, {Table: "T1", Col: "PAD"}},
-	}
+	g := query.MustNew([]query.Quantifier{{Name: "T1", Table: "T1"}},
+		&expr.Cmp{Op: expr.EQ,
+			L: expr.C("T1", "J"), R: &expr.Const{Val: datum.NewInt(3)}})
+	g.Select = []expr.ColID{{Table: "T1", Col: "ID"}, {Table: "T1", Col: "PAD"}}
 	res, err := New(cat, Options{}).Optimize(g)
 	if err != nil {
 		t.Fatal(err)
@@ -198,13 +187,13 @@ func TestTIDSortAlternativeWins(t *testing.T) {
 }
 
 func TestTooManyQuantifiers(t *testing.T) {
-	g := &query.Graph{}
 	cat := workload.ChainCatalog(2, 10)
+	var quants []query.Quantifier
 	for i := 0; i < 31; i++ {
-		g.Quants = append(g.Quants, query.Quantifier{Name: string(rune('a' + i)), Table: "T1"})
+		quants = append(quants, query.Quantifier{Name: string(rune('a' + i)), Table: "T1"})
 	}
-	g.Preds = expr.NewPredSet()
-	if _, err := New(cat, Options{}).Optimize(g); err == nil {
-		t.Fatal("31 quantifiers must be rejected")
+	_, err := New(cat, Options{}).Optimize(query.MustNew(quants))
+	if err == nil || !strings.Contains(err.Error(), "exceeds the enumeration limit") {
+		t.Fatalf("31 quantifiers must be rejected by the enumerator, got %v", err)
 	}
 }

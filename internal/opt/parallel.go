@@ -40,7 +40,6 @@ import (
 	"sync"
 	"time"
 
-	"stars/internal/expr"
 	"stars/internal/glue"
 	"stars/internal/obs"
 	"stars/internal/plan"
@@ -55,54 +54,6 @@ func resolveParallelism(n int) int {
 		return n
 	}
 	return runtime.GOMAXPROCS(0)
-}
-
-// denseMaskLimit bounds the quantifier count for which the mask cache
-// precomputes all 2^n subsets. Beyond it (where exhaustive enumeration is
-// computationally out of reach anyway) translations are computed on demand.
-const denseMaskLimit = 16
-
-// maskCache interns the mask -> TableSet translation (each set carries its
-// canonical key) for one query. The old per-reference closure rebuilt a
-// map[string]bool for every mask mention — twice per pair — which dominated
-// the enumeration's allocation profile. The cache is built once, before the
-// rank loop, and is read-only afterwards, so enumeration workers share it
-// without locks.
-type maskCache struct {
-	n     int
-	names []string
-	sets  []expr.TableSet
-}
-
-func newMaskCache(g *query.Graph) *maskCache {
-	mc := &maskCache{n: len(g.Quants), names: g.QuantNames()}
-	if mc.n > denseMaskLimit {
-		return mc
-	}
-	full := uint32(1)<<uint(mc.n) - 1
-	mc.sets = make([]expr.TableSet, full+1)
-	for mask := uint32(1); mask <= full; mask++ {
-		mc.sets[mask] = mc.build(mask)
-	}
-	return mc
-}
-
-// set returns the (shared, never-mutated) TableSet for mask.
-func (mc *maskCache) set(mask uint32) expr.TableSet {
-	if mc.sets != nil {
-		return mc.sets[mask]
-	}
-	return mc.build(mask)
-}
-
-func (mc *maskCache) build(mask uint32) expr.TableSet {
-	names := make([]string, 0, bits.OnesCount32(mask))
-	for i := 0; i < mc.n; i++ {
-		if mask&(1<<uint(i)) != 0 {
-			names = append(names, mc.names[i])
-		}
-	}
-	return expr.NewTableSet(names...)
 }
 
 // subsetTask is one unit of rank-parallel work: all joinable partitions of
@@ -132,7 +83,6 @@ func (o *Optimizer) enumerate(g *query.Graph, en *star.Engine, gl *glue.Gluer, t
 	if n == 1 {
 		return nil
 	}
-	mc := newMaskCache(g)
 	par := resolveParallelism(o.Opts.Parallelism)
 	sink := res.Obs
 
@@ -180,7 +130,7 @@ func (o *Optimizer) enumerate(g *query.Graph, en *star.Engine, gl *glue.Gluer, t
 			res.arenas = append(res.arenas, getArena())
 		}
 		busy := runTasks(par, profiled, tasks, func(worker int, t *subsetTask) {
-			o.runSubset(t, res.arenas[worker], g, gl, mc)
+			o.runSubset(t, res.arenas[worker], g, gl)
 		})
 		var execNS int64
 		var absorbStart time.Time
@@ -282,8 +232,11 @@ func runTasks(par int, profiled bool, tasks []*subsetTask, run func(worker int, 
 type maskPair struct{ s1, s2 uint32 }
 
 // partitions lists the joinable partitions of mask against the committed
-// table, predicate-connected pairs first.
-func (o *Optimizer) partitions(mask uint32, g *query.Graph, table *glue.PlanTable, mc *maskCache) []maskPair {
+// table, predicate-connected pairs first. A subset mask is a table set of the
+// query's universe as it stands (bit i = g.Quants[i]), so the probes below
+// are word operations.
+func (o *Optimizer) partitions(mask uint32, g *query.Graph, table *glue.PlanTable) []maskPair {
+	u := g.Universe()
 	var connected, cartesian []maskPair
 	low := mask & (^mask + 1) // dedupe unordered partitions: s1 keeps the lowest bit
 	for sub := (mask - 1) & mask; sub > 0; sub = (sub - 1) & mask {
@@ -295,10 +248,11 @@ func (o *Optimizer) partitions(mask uint32, g *query.Graph, table *glue.PlanTabl
 			bits.OnesCount32(s1) > 1 && bits.OnesCount32(s2) > 1 {
 			continue
 		}
-		if !table.HasEntry(mc.set(s1)) || !table.HasEntry(mc.set(s2)) {
+		t1, t2 := u.Subset(uint64(s1)), u.Subset(uint64(s2))
+		if !table.HasEntry(t1) || !table.HasEntry(t2) {
 			continue
 		}
-		if g.Connected(mc.set(s1), mc.set(s2)) {
+		if g.Connected(t1, t2) {
 			connected = append(connected, maskPair{s1, s2})
 		} else {
 			cartesian = append(cartesian, maskPair{s1, s2})
@@ -308,7 +262,7 @@ func (o *Optimizer) partitions(mask uint32, g *query.Graph, table *glue.PlanTabl
 	// Cartesian products only when configured, or when nothing connects
 	// the subset at the final join (so queries with disconnected join
 	// graphs still plan).
-	full := uint32(1)<<uint(mc.n) - 1
+	full := uint32(1)<<uint(len(g.Quants)) - 1
 	if o.Opts.CartesianProducts || (len(connected) == 0 && mask == full) {
 		return append(connected, cartesian...)
 	}
@@ -323,8 +277,8 @@ func (o *Optimizer) partitions(mask uint32, g *query.Graph, table *glue.PlanTabl
 // mask), overlay plan table, and Gluer — and references JoinRoot for every
 // pair, reading committed entries through the overlay and writing results
 // into it.
-func (o *Optimizer) runSubset(t *subsetTask, arena *plan.Arena, g *query.Graph, root *glue.Gluer, mc *maskCache) {
-	pairs := o.partitions(t.mask, g, root.Table, mc)
+func (o *Optimizer) runSubset(t *subsetTask, arena *plan.Arena, g *query.Graph, root *glue.Gluer) {
+	pairs := o.partitions(t.mask, g, root.Table)
 	if len(pairs) == 0 {
 		return
 	}
@@ -348,11 +302,12 @@ func (o *Optimizer) runSubset(t *subsetTask, arena *plan.Arena, g *query.Graph, 
 	en.Glue = t.gl.Glue
 	en.PlanSites = t.gl.PlanSites
 
-	S := mc.set(t.mask)
+	u := g.Universe()
+	S := u.Subset(uint64(t.mask))
 	eligible := g.EligibleWithin(S)
 	for _, pr := range pairs {
 		t.pairs++
-		s1, s2 := mc.set(pr.s1), mc.set(pr.s2)
+		s1, s2 := u.Subset(uint64(pr.s1)), u.Subset(uint64(pr.s2))
 		if sink.Tracing() {
 			sink.Emit(obs.Event{Name: obs.EvPair, A1: s1.Key(), A2: s2.Key()})
 		}

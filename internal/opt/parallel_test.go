@@ -9,7 +9,9 @@ import (
 	"testing"
 
 	"stars/internal/catalog"
+	"stars/internal/cost"
 	"stars/internal/expr"
+	"stars/internal/glue"
 	"stars/internal/obs"
 	"stars/internal/plan"
 	"stars/internal/query"
@@ -167,8 +169,9 @@ func TestParallelMatchesSerialCartesianSparseGraph(t *testing.T) {
 	cat := workload.ChainCatalog(5, 300, 100, 50, 200, 80)
 	sparse := func() *query.Graph {
 		g := workload.ChainQuery(5)
-		g.Preds = expr.NewPredSet(g.Preds.Slice()[:2]...)
-		return g
+		sparse := query.MustNew(g.Quants, g.Preds.Slice()[:2]...)
+		sparse.Select = g.Select
+		return sparse
 	}
 	assertEquivalent(t, cat, sparse, Options{CartesianProducts: true})
 	res, _ := optimizeAt(t, cat, sparse, Options{CartesianProducts: true}, 8)
@@ -201,11 +204,9 @@ func TestParallelMatchesSerialDisablePruning(t *testing.T) {
 func TestParallelDisconnectedFallback(t *testing.T) {
 	cat := workload.ChainCatalog(3, 10, 20, 30)
 	mkTwo := func() *query.Graph {
-		return &query.Graph{
-			Quants: []query.Quantifier{{Name: "T1", Table: "T1"}, {Name: "T2", Table: "T2"}},
-			Preds:  expr.NewPredSet(),
-			Select: []expr.ColID{{Table: "T1", Col: "ID"}},
-		}
+		g := query.MustNew([]query.Quantifier{{Name: "T1", Table: "T1"}, {Name: "T2", Table: "T2"}})
+		g.Select = []expr.ColID{{Table: "T1", Col: "ID"}}
+		return g
 	}
 	assertEquivalent(t, cat, mkTwo, Options{})
 	res, _ := optimizeAt(t, cat, mkTwo, Options{}, 8)
@@ -213,13 +214,11 @@ func TestParallelDisconnectedFallback(t *testing.T) {
 		t.Errorf("cross-product card = %v", res.Best.Props.Card)
 	}
 	mkThree := func() *query.Graph {
-		return &query.Graph{
-			Quants: []query.Quantifier{
-				{Name: "T1", Table: "T1"}, {Name: "T2", Table: "T2"}, {Name: "T3", Table: "T3"},
-			},
-			Preds:  expr.NewPredSet(),
-			Select: []expr.ColID{{Table: "T1", Col: "ID"}},
-		}
+		g := query.MustNew([]query.Quantifier{
+			{Name: "T1", Table: "T1"}, {Name: "T2", Table: "T2"}, {Name: "T3", Table: "T3"},
+		})
+		g.Select = []expr.ColID{{Table: "T1", Col: "ID"}}
+		return g
 	}
 	assertEquivalent(t, cat, mkThree, Options{CartesianProducts: true})
 }
@@ -264,52 +263,95 @@ func TestParallelismResolution(t *testing.T) {
 	}
 }
 
-// TestMaskCacheSparseMatchesDense pins the on-demand (n > denseMaskLimit)
-// translation to the precomputed one.
-func TestMaskCacheSparseMatchesDense(t *testing.T) {
-	g := workload.ChainQuery(10)
-	dense := newMaskCache(g)
-	if dense.sets == nil {
-		t.Fatal("10-quantifier cache should be dense")
-	}
-	sparse := &maskCache{n: dense.n, names: dense.names}
-	full := uint32(1)<<uint(dense.n) - 1
-	for mask := uint32(1); mask <= full; mask += 7 {
-		if !dense.set(mask).Equal(sparse.set(mask)) {
-			t.Fatalf("mask %b: set diverges", mask)
+// TestSubsetMaskIsTheTableSet pins what the driver relies on instead of a
+// translation table: bit i of a subset mask is g.Quants[i], at any quantifier
+// count, and the set renders the sorted, comma-joined key events carry.
+func TestSubsetMaskIsTheTableSet(t *testing.T) {
+	for _, n := range []int{10, 20} {
+		g := workload.ChainQuery(n)
+		u := g.Universe()
+		full := uint32(1)<<uint(n) - 1
+		for mask := uint32(1); mask <= full; mask += full/150 + 7 {
+			set := u.Subset(uint64(mask))
+			var names []string
+			for i, q := range g.Quants {
+				if set.Contains(q.Name) != (mask&(1<<uint(i)) != 0) {
+					t.Fatalf("n=%d mask %b: membership of %s diverges from bit %d", n, mask, q.Name, i)
+				}
+				if mask&(1<<uint(i)) != 0 {
+					names = append(names, q.Name)
+				}
+			}
+			sort.Strings(names)
+			if set.Key() != strings.Join(names, ",") || !set.Equal(u.Tables(names...)) {
+				t.Fatalf("n=%d mask %b: key %q, want %q", n, mask, set.Key(), strings.Join(names, ","))
+			}
 		}
-		if dense.key(mask) != sparse.key(mask) {
-			t.Fatalf("mask %b: key diverges", mask)
+		if !u.Subset(uint64(full)).Equal(g.TableSet()) {
+			t.Errorf("n=%d: the full mask must be the query's table set", n)
 		}
-	}
-	big := &query.Graph{}
-	for i := 0; i < denseMaskLimit+1; i++ {
-		big.Quants = append(big.Quants, query.Quantifier{Name: fmt.Sprintf("Q%02d", i), Table: "T"})
-	}
-	if mc := newMaskCache(big); mc.sets != nil {
-		t.Errorf("%d-quantifier cache should be sparse", denseMaskLimit+1)
 	}
 }
 
-// TestEnumerationHotPathAllocs pins the allocation behaviour the tentpole
-// bought: mask translation is alloc-free on the dense cache, and the
-// observability guard costs nothing when the sink is off.
+// allocSink keeps TestSetAlgebraAllocs' results observable.
+var allocSink struct {
+	p expr.PredSet
+	b bool
+	n []*plan.Node
+	r *plan.Rel
+	f float64
+}
+
+// TestSetAlgebraAllocs pins the point of keeping sets as words: on chain8's
+// universe the set algebra, the eligibility and joinability probes, the plan
+// table's lookups and a Rel-intern hit allocate nothing.
+func TestSetAlgebraAllocs(t *testing.T) {
+	cat := workload.ChainCatalog(8, 100, 100, 100, 100, 100, 100, 100, 100)
+	g := workload.ChainQuery(8)
+	u := g.Universe()
+	s1, s2 := u.Subset(0b00000111), u.Subset(0b00111000)
+	a, b := g.EligibleWithin(s1.Union(s2)), g.EligibleWithin(u.Subset(0b11111100))
+	table := glue.NewPlanTable()
+	table.Insert(s1, a, []*plan.Node{{Op: plan.OpAccess, Props: &plan.Props{}}})
+	overlay := glue.NewOverlay(table)
+	env := cost.NewEnv(cat, cost.DefaultWeights)
+	env.Bind(g)
+	cols := g.NeededCols(cat, "T1")
+	rel := env.InternRel(s1, cols, a)
+	for _, tc := range []struct {
+		name string
+		f    func()
+	}{
+		{"Union", func() { allocSink.p = a.Union(b) }},
+		{"Minus", func() { allocSink.p = a.Minus(b) }},
+		{"Intersect", func() { allocSink.p = a.Intersect(b) }},
+		{"Within", func() { allocSink.p = g.Preds.Within(s1) }},
+		{"JoinPreds", func() { allocSink.p = expr.JoinPreds(g.Preds, s1, s2) }},
+		{"NewlyEligible", func() { allocSink.p = g.NewlyEligible(s1, s2) }},
+		{"Connected", func() { allocSink.b = g.Connected(s1, s2) }},
+		{"PlanTable.Lookup", func() { allocSink.n = table.Lookup(s1, a) }},
+		{"PlanTable.Lookup through an overlay", func() { allocSink.n = overlay.Lookup(s1, a) }},
+		{"PlanTable.HasEntry", func() { allocSink.b = overlay.HasEntry(s1) && !overlay.HasEntry(s2) }},
+		{"InternRel hit", func() { allocSink.r = env.Fork().InternRel(s1, cols, a) }},
+		{"SetSelectivity (pricing walks a set with ForEach, not Slice's memo)", func() { allocSink.f = env.SetSelectivity(a) }},
+	} {
+		if n := testing.AllocsPerRun(1000, tc.f); n != 0 {
+			t.Errorf("%s allocates %.1f/op, want 0", tc.name, n)
+		}
+	}
+	if allocSink.r != rel || len(allocSink.n) != 1 || !allocSink.b || allocSink.p.Len() != 1 {
+		t.Errorf("probes lost their answers: %+v", allocSink)
+	}
+}
+
+// TestEnumerationHotPathAllocs pins that the observability guard costs
+// nothing when the sink is off, and what the always-on tier may cost.
 func TestEnumerationHotPathAllocs(t *testing.T) {
-	mc := newMaskCache(workload.ChainQuery(8))
+	u := workload.ChainQuery(8).Universe()
 	var sink *obs.Sink
-	var got string
-	if n := testing.AllocsPerRun(1000, func() {
-		_ = mc.set(0b10110101)
-		got = mc.key(0b10110101)
-	}); n != 0 {
-		t.Errorf("dense mask lookup allocates %.1f/op", n)
-	}
-	if got == "" {
-		t.Fatal("empty key")
-	}
 	if n := testing.AllocsPerRun(1000, func() {
 		if sink.Enabled() {
-			sink.Emit(obs.Event{Name: obs.EvPair, A1: mc.key(0b11), A2: mc.key(0b100)})
+			sink.Emit(obs.Event{Name: obs.EvPair, A1: u.Subset(0b11).Key(), A2: u.Subset(0b100).Key()})
 		}
 	}); n != 0 {
 		t.Errorf("disabled-sink pair emission allocates %.1f/op", n)

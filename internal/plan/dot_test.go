@@ -3,17 +3,15 @@ package plan
 import (
 	"strings"
 	"testing"
-
-	"stars/internal/expr"
 )
 
 func TestDOTRendersSharedDAGOnce(t *testing.T) {
 	shared := scan("T")
-	shared.Props = &Props{Rel: &Rel{Tables: expr.NewTableSet("T")}, Card: 5}
-	filter := &Node{Op: OpFilter, Preds: expr.NewPredSet(pred("T", "A", 1)), Inputs: []*Node{shared}}
-	filter.Props = &Props{Rel: &Rel{Tables: expr.NewTableSet("T")}, Card: 1}
+	shared.Props = &Props{Rel: &Rel{Tables: tableSet("T")}, Card: 5}
+	filter := &Node{Op: OpFilter, Preds: predSet(pred("T", "A", 1)), Inputs: []*Node{shared}}
+	filter.Props = &Props{Rel: &Rel{Tables: tableSet("T")}, Card: 1}
 	j := &Node{Op: OpJoin, Flavor: MethodNL, Inputs: []*Node{shared, filter}}
-	j.Props = &Props{Rel: &Rel{Tables: expr.NewTableSet("T")}, Card: 5}
+	j.Props = &Props{Rel: &Rel{Tables: tableSet("T")}, Card: 5}
 
 	out := DOT(j)
 	if !strings.HasPrefix(out, "digraph qep {") || !strings.HasSuffix(out, "}\n") {

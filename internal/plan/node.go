@@ -390,20 +390,20 @@ func writeCols(b keyWriter, cols []expr.ColID) {
 // follows the literals.
 func writePredKeys(b keyWriter, ps expr.PredSet, shape bool) {
 	if shape {
-		keys := make([]string, ps.Len())
-		for i, p := range ps.Slice() {
-			keys[i] = expr.ShapeKey(p)
-		}
+		keys := make([]string, 0, ps.Len())
+		ps.ForEach(func(p expr.Expr, _ string) { keys = append(keys, expr.ShapeKey(p)) })
 		sort.Strings(keys)
 		b.WriteString(strings.Join(keys, "&"))
 		return
 	}
-	for i, n := 0, ps.Len(); i < n; i++ {
-		if i > 0 {
+	sep := false
+	ps.ForEach(func(_ expr.Expr, key string) {
+		if sep {
 			b.WriteByte('&')
 		}
-		b.WriteString(ps.KeyAt(i))
-	}
+		sep = true
+		b.WriteString(key)
+	})
 }
 
 func colList(cols []expr.ColID) string {

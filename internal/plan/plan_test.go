@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -13,6 +14,34 @@ func col(t, c string) expr.ColID { return expr.ColID{Table: t, Col: c} }
 
 func pred(t, c string, v int64) expr.Expr {
 	return &expr.Cmp{Op: expr.EQ, L: expr.C(t, c), R: &expr.Const{Val: datum.NewInt(v)}}
+}
+
+// predSet returns the set of the given conjuncts, in a universe made of
+// exactly them and the quantifiers they mention.
+func predSet(ps ...expr.Expr) expr.PredSet {
+	var quants []string
+	for _, p := range ps {
+		for _, q := range expr.Tables(p) {
+			if !slices.Contains(quants, q) {
+				quants = append(quants, q)
+			}
+		}
+	}
+	u, err := expr.NewUniverse(quants, ps)
+	if err != nil {
+		panic(err)
+	}
+	return u.Preds()
+}
+
+// tableSet returns the set of the given quantifiers, in a universe made of
+// exactly them.
+func tableSet(names ...string) expr.TableSet {
+	u, err := expr.NewUniverse(names, nil)
+	if err != nil {
+		panic(err)
+	}
+	return u.All()
 }
 
 func scan(table string) *Node {
@@ -71,8 +100,8 @@ func TestKeyDistinguishesAndMemoizes(t *testing.T) {
 		t.Error("input order must differ (join inputs are ordered)")
 	}
 	// Predicate order inside a node does not change the key.
-	p1 := &Node{Op: OpFilter, Preds: expr.NewPredSet(pred("T", "A", 1), pred("T", "B", 2)), Inputs: []*Node{a}}
-	p2 := &Node{Op: OpFilter, Preds: expr.NewPredSet(pred("T", "B", 2), pred("T", "A", 1)), Inputs: []*Node{a}}
+	p1 := &Node{Op: OpFilter, Preds: predSet(pred("T", "A", 1), pred("T", "B", 2)), Inputs: []*Node{a}}
+	p2 := &Node{Op: OpFilter, Preds: predSet(pred("T", "B", 2), pred("T", "A", 1)), Inputs: []*Node{a}}
 	if p1.Key() != p2.Key() {
 		t.Error("predicate order must not affect the key")
 	}
@@ -88,9 +117,9 @@ func TestKeyDistinguishesAndMemoizes(t *testing.T) {
 func TestShapeFingerprintIgnoresLiterals(t *testing.T) {
 	build := func(a, b int64, method string) *Node {
 		left := scan("T")
-		left.Preds = expr.NewPredSet(pred("T", "A", a), pred("T", "B", b))
+		left.Preds = predSet(pred("T", "A", a), pred("T", "B", b))
 		return &Node{Op: OpJoin, Flavor: method, Inputs: []*Node{left, scan("U")},
-			Residual: expr.NewPredSet(pred("U", "A", a))}
+			Residual: predSet(pred("U", "A", a))}
 	}
 	x, y := build(1, 9, MethodNL), build(9, 1, MethodNL)
 	if x.Fingerprint() == y.Fingerprint() {
@@ -145,7 +174,7 @@ func TestFingerprintIsStableAndDistinguishes(t *testing.T) {
 func TestWalkAndCount(t *testing.T) {
 	shared := scan("T")
 	j := &Node{Op: OpJoin, Flavor: MethodNL, Inputs: []*Node{shared,
-		&Node{Op: OpFilter, Preds: expr.NewPredSet(pred("T", "A", 1)), Inputs: []*Node{shared}}}}
+		&Node{Op: OpFilter, Preds: predSet(pred("T", "A", 1)), Inputs: []*Node{shared}}}}
 	if j.Count() != 3 {
 		t.Errorf("distinct nodes = %d, want 3 (shared subplan counted once)", j.Count())
 	}
@@ -295,7 +324,7 @@ func TestCostArithmetic(t *testing.T) {
 
 func TestPropsCloneIsolation(t *testing.T) {
 	p := &Props{
-		Rel:   &Rel{Tables: expr.NewTableSet("T"), Cols: []expr.ColID{col("T", "A")}},
+		Rel:   &Rel{Tables: tableSet("T"), Cols: []expr.ColID{col("T", "A")}},
 		Order: []expr.ColID{col("T", "A")},
 		Paths: []PathInfo{{Name: "ix"}},
 		Extra: map[string]string{"k": "v"},
@@ -312,13 +341,13 @@ func TestPropsCloneIsolation(t *testing.T) {
 
 func TestExplainAndFunctional(t *testing.T) {
 	inner := scan("EMP")
-	inner.Props = &Props{Rel: &Rel{Tables: expr.NewTableSet("EMP")}, Card: 10}
+	inner.Props = &Props{Rel: &Rel{Tables: tableSet("EMP")}, Card: 10}
 	outer := scan("DEPT")
-	outer.Props = &Props{Rel: &Rel{Tables: expr.NewTableSet("DEPT")}, Card: 5}
+	outer.Props = &Props{Rel: &Rel{Tables: tableSet("DEPT")}, Card: 5}
 	j := &Node{Op: OpJoin, Flavor: MethodMG,
-		Preds:  expr.NewPredSet(&expr.Cmp{Op: expr.EQ, L: expr.C("DEPT", "DNO"), R: expr.C("EMP", "DNO")}),
+		Preds:  predSet(&expr.Cmp{Op: expr.EQ, L: expr.C("DEPT", "DNO"), R: expr.C("EMP", "DNO")}),
 		Inputs: []*Node{outer, inner}, Origin: "JMeth#2"}
-	j.Props = &Props{Rel: &Rel{Tables: expr.NewTableSet("DEPT", "EMP")}, Card: 50}
+	j.Props = &Props{Rel: &Rel{Tables: tableSet("DEPT", "EMP")}, Card: 50}
 
 	out := Explain(j)
 	for _, want := range []string{"JOIN(MG)", "ACCESS(heap)", "DEPT", "EMP", "«JMeth#2»", "card=50"} {
@@ -341,9 +370,9 @@ func TestExplainAndFunctional(t *testing.T) {
 func TestDescribeListsFigure2Fields(t *testing.T) {
 	p := &Props{
 		Rel: &Rel{
-			Tables: expr.NewTableSet("T"),
+			Tables: tableSet("T"),
 			Cols:   []expr.ColID{col("T", "A")},
-			Preds:  expr.NewPredSet(pred("T", "A", 1)),
+			Preds:  predSet(pred("T", "A", 1)),
 		},
 		Order: []expr.ColID{col("T", "A")},
 		Site:  "NY",

@@ -23,18 +23,47 @@ type Quantifier struct {
 	Table string
 }
 
-// Graph is one query's optimizer input.
+// Graph is one query's optimizer input, built by New.
 type Graph struct {
 	// Quants are the range variables in FROM order.
 	Quants []Quantifier
-	// Preds is the conjunctive WHERE clause.
+	// Preds is the conjunctive WHERE clause: every conjunct of the universe.
 	Preds expr.PredSet
 	// Select is the projection as qualified columns; empty means every
 	// column of every quantifier.
 	Select []expr.ColID
 	// OrderBy is the required output order, if any.
 	OrderBy []expr.ColID
+
+	u *expr.Universe
 }
+
+// New builds the graph of a FROM list and the conjuncts of its WHERE clause.
+// This is where both lists are final, so it fixes the query's universe: every
+// table set and predicate set of the optimization is a subset of it. Select
+// and OrderBy are the caller's to fill in.
+func New(quants []Quantifier, where ...expr.Expr) (*Graph, error) {
+	g := &Graph{Quants: quants}
+	u, err := expr.NewUniverse(g.QuantNames(), where)
+	if err != nil {
+		return nil, fmt.Errorf("query: %w", err)
+	}
+	g.u, g.Preds = u, u.Preds()
+	return g, nil
+}
+
+// MustNew is New for graphs whose shape is fixed in source (workloads,
+// experiments, tests); it panics where New fails.
+func MustNew(quants []Quantifier, where ...expr.Expr) *Graph {
+	g, err := New(quants, where...)
+	if err != nil {
+		panic(err)
+	}
+	return g
+}
+
+// Universe returns the ordinals the query's sets are subsets of.
+func (g *Graph) Universe() *expr.Universe { return g.u }
 
 // Quant returns the named quantifier, or nil.
 func (g *Graph) Quant(name string) *Quantifier {
@@ -61,12 +90,10 @@ func (g *Graph) Validate(cat *catalog.Catalog) error {
 	if len(g.Quants) == 0 {
 		return fmt.Errorf("query: no quantifiers")
 	}
-	seen := map[string]bool{}
-	for _, q := range g.Quants {
-		if seen[q.Name] {
-			return fmt.Errorf("query: duplicate quantifier %q", q.Name)
+	for i, q := range g.Quants {
+		if g.u.Ordinal(q.Name) != i {
+			return fmt.Errorf("query: quantifier %q is not in the graph's universe (graphs are built by query.New)", q.Name)
 		}
-		seen[q.Name] = true
 		if cat.Table(q.Table) == nil {
 			return fmt.Errorf("query: quantifier %q over unknown table %q", q.Name, q.Table)
 		}
@@ -81,12 +108,16 @@ func (g *Graph) Validate(cat *catalog.Catalog) error {
 		}
 		return nil
 	}
-	for _, p := range g.Preds.Slice() {
+	var err error
+	g.Preds.ForEach(func(p expr.Expr, _ string) {
 		for _, c := range expr.Columns(p) {
-			if err := check(c); err != nil {
-				return err
+			if err == nil {
+				err = check(c)
 			}
 		}
+	})
+	if err != nil {
+		return err
 	}
 	for _, c := range g.Select {
 		if err := check(c); err != nil {
@@ -134,10 +165,8 @@ func (g *Graph) NeededCols(cat *catalog.Catalog, q string) []expr.ColID {
 	for _, c := range g.SelectCols(cat) {
 		add(c)
 	}
-	for _, p := range g.Preds.Slice() {
-		for _, c := range expr.Columns(p) {
-			add(c)
-		}
+	for _, c := range g.Preds.Columns() {
+		add(c)
 	}
 	for _, c := range g.OrderBy {
 		add(c)
@@ -170,10 +199,10 @@ func (g *Graph) Connected(s1, s2 expr.TableSet) bool {
 // BasePreds returns the single-quantifier predicates of q — those eligible
 // at table-access time.
 func (g *Graph) BasePreds(q string) expr.PredSet {
-	return g.EligibleWithin(expr.NewTableSet(q))
+	return g.EligibleWithin(g.u.Tables(q))
 }
 
 // TableSet returns the full quantifier set of the query.
 func (g *Graph) TableSet() expr.TableSet {
-	return expr.NewTableSet(g.QuantNames()...)
+	return g.u.All()
 }

@@ -1,6 +1,7 @@
 package query
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -25,20 +26,48 @@ func cat3() *catalog.Catalog {
 }
 
 func chain3() *Graph {
-	return &Graph{
-		Quants: []Quantifier{{Name: "A", Table: "A"}, {Name: "B", Table: "B"}, {Name: "C", Table: "C"}},
-		Preds: expr.NewPredSet(
-			&expr.Cmp{Op: expr.EQ, L: expr.C("A", "Y"), R: expr.C("B", "X")},
-			&expr.Cmp{Op: expr.EQ, L: expr.C("B", "Y"), R: expr.C("C", "X")},
-			&expr.Cmp{Op: expr.EQ, L: expr.C("A", "X"), R: &expr.Const{Val: datum.NewInt(1)}},
-		),
-		Select: []expr.ColID{{Table: "A", Col: "X"}},
-	}
+	g := MustNew(
+		[]Quantifier{{Name: "A", Table: "A"}, {Name: "B", Table: "B"}, {Name: "C", Table: "C"}},
+		&expr.Cmp{Op: expr.EQ, L: expr.C("A", "Y"), R: expr.C("B", "X")},
+		&expr.Cmp{Op: expr.EQ, L: expr.C("B", "Y"), R: expr.C("C", "X")},
+		&expr.Cmp{Op: expr.EQ, L: expr.C("A", "X"), R: &expr.Const{Val: datum.NewInt(1)}},
+	)
+	g.Select = []expr.ColID{{Table: "A", Col: "X"}}
+	return g
 }
 
 func TestValidateOK(t *testing.T) {
 	if err := chain3().Validate(cat3()); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestNewErrors covers what the constructor rejects: the universe cannot
+// give these ordinals.
+func TestNewErrors(t *testing.T) {
+	abc := chain3().Quants
+	wide := make([]Quantifier, 65)
+	for i := range wide {
+		wide[i] = Quantifier{Name: fmt.Sprintf("Q%d", i), Table: "A"}
+	}
+	cases := []struct {
+		name   string
+		quants []Quantifier
+		where  []expr.Expr
+		want   string
+	}{
+		{"dup quantifier", append(abc[:3:3], Quantifier{Name: "A", Table: "A"}), nil, `query: duplicate quantifier "A"`},
+		{"bad pred quantifier", abc, []expr.Expr{&expr.Cmp{Op: expr.EQ, L: expr.C("Z", "X"), R: expr.C("B", "X")}},
+			"query: column Z.X references unknown quantifier"},
+		{"FROM wider than a table set", wide, nil, "65 quantifiers exceed"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			g, err := New(tc.quants, tc.where...)
+			if g != nil || err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("New = %v, %v; want error %q", g, err, tc.want)
+			}
+		})
 	}
 }
 
@@ -49,14 +78,12 @@ func TestValidateErrors(t *testing.T) {
 		want  string
 	}{
 		{"no quantifiers", func(g *Graph) { g.Quants = nil }, "no quantifiers"},
-		{"dup quantifier", func(g *Graph) { g.Quants = append(g.Quants, Quantifier{Name: "A", Table: "A"}) }, "duplicate"},
+		{"quantifier added after New", func(g *Graph) { g.Quants = append(g.Quants, Quantifier{Name: "A", Table: "A"}) }, "not in the graph's universe"},
+		{"graph not built by New", func(g *Graph) { *g = Graph{Quants: g.Quants} }, "not in the graph's universe"},
 		{"unknown table", func(g *Graph) { g.Quants[0].Table = "NOPE" }, "unknown table"},
 		{"bad pred column", func(g *Graph) {
-			g.Preds = expr.NewPredSet(&expr.Cmp{Op: expr.EQ, L: expr.C("A", "Z"), R: expr.C("B", "X")})
+			*g = *MustNew(g.Quants, &expr.Cmp{Op: expr.EQ, L: expr.C("A", "Z"), R: expr.C("B", "X")})
 		}, "not in table"},
-		{"bad pred quantifier", func(g *Graph) {
-			g.Preds = expr.NewPredSet(&expr.Cmp{Op: expr.EQ, L: expr.C("Z", "X"), R: expr.C("B", "X")})
-		}, "unknown quantifier"},
 		{"bad select", func(g *Graph) { g.Select = []expr.ColID{{Table: "A", Col: "Z"}} }, "not in table"},
 		{"bad order by", func(g *Graph) { g.OrderBy = []expr.ColID{{Table: "Z", Col: "X"}} }, "unknown quantifier"},
 	}
@@ -74,11 +101,12 @@ func TestValidateErrors(t *testing.T) {
 
 func TestEligibleWithin(t *testing.T) {
 	g := chain3()
-	a := g.EligibleWithin(expr.NewTableSet("A"))
+	u := g.Universe()
+	a := g.EligibleWithin(u.Tables("A"))
 	if a.Len() != 1 {
 		t.Fatalf("A-only preds = %s", a)
 	}
-	ab := g.EligibleWithin(expr.NewTableSet("A", "B"))
+	ab := g.EligibleWithin(u.Tables("A", "B"))
 	if ab.Len() != 2 {
 		t.Fatalf("AB preds = %s", ab)
 	}
@@ -90,10 +118,8 @@ func TestEligibleWithin(t *testing.T) {
 
 func TestNewlyEligible(t *testing.T) {
 	g := chain3()
-	a := expr.NewTableSet("A")
-	b := expr.NewTableSet("B")
-	ab := expr.NewTableSet("A", "B")
-	c := expr.NewTableSet("C")
+	u := g.Universe()
+	a, b, ab, c := u.Tables("A"), u.Tables("B"), u.Tables("A", "B"), u.Tables("C")
 	p := g.NewlyEligible(a, b)
 	if p.Len() != 1 {
 		t.Fatalf("A⨝B newly eligible = %s", p)

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net"
 	"net/http"
@@ -128,6 +129,14 @@ func TestOptimizeErrors(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
+	// wide is a request whose FROM list has n range variables over EMP.
+	wide := func(n int) string {
+		from := make([]string, n)
+		for i := range from {
+			from[i] = fmt.Sprintf("EMP E%d", i)
+		}
+		return `{"sql":"SELECT E0.NAME FROM ` + strings.Join(from, ", ") + `"}`
+	}
 	for _, tc := range []struct {
 		name string
 		body string
@@ -138,6 +147,12 @@ func TestOptimizeErrors(t *testing.T) {
 		{"parse error", `{"sql":"SELECT FROM WHERE"}`, http.StatusBadRequest},
 		{"unknown table", `{"sql":"SELECT NOPE.X FROM NOPE"}`, http.StatusBadRequest},
 		{"bad format", `{"sql":"SELECT EMP.NAME FROM EMP","format":"yaml"}`, http.StatusBadRequest},
+		// Past the enumerator's 30 quantifiers the optimizer refuses (422);
+		// past the 64 a table-set word holds the query is not representable
+		// and is refused where it is parsed (400).
+		{"31 quantifiers", wide(31), http.StatusUnprocessableEntity},
+		{"64 quantifiers", wide(64), http.StatusUnprocessableEntity},
+		{"65 quantifiers", wide(65), http.StatusBadRequest},
 	} {
 		resp, err := http.Post(ts.URL+"/optimize", "application/json", strings.NewReader(tc.body))
 		if err != nil {

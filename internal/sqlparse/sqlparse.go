@@ -129,7 +129,9 @@ type parser struct {
 	toks []tok
 	pos  int
 	cat  *catalog.Catalog
-	g    *query.Graph
+	// g carries the FROM list while the rest of the statement resolves
+	// names against it; parseSelect returns the graph built from it.
+	g *query.Graph
 }
 
 func (p *parser) cur() tok { return p.toks[p.pos] }
@@ -213,8 +215,8 @@ func (p *parser) parseSelect() (*query.Graph, error) {
 			break
 		}
 	}
+	var preds []expr.Expr
 	if p.kw("WHERE") {
-		var preds []expr.Expr
 		for {
 			pred, err := p.parsePred()
 			if err != nil {
@@ -225,9 +227,6 @@ func (p *parser) parseSelect() (*query.Graph, error) {
 				break
 			}
 		}
-		p.g.Preds = expr.NewPredSet(preds...)
-	} else {
-		p.g.Preds = expr.NewPredSet()
 	}
 	if p.kw("ORDER") {
 		if !p.kw("BY") {
@@ -258,6 +257,9 @@ func (p *parser) parseSelect() (*query.Graph, error) {
 				return nil, fmt.Errorf("sql: unknown quantifier %q", item.table)
 			}
 			t := p.cat.Table(q.Table)
+			if t == nil {
+				continue // Validate reports the unknown table
+			}
 			for _, c := range t.Cols {
 				p.g.Select = append(p.g.Select, expr.ColID{Table: q.Name, Col: c.Name})
 			}
@@ -269,7 +271,13 @@ func (p *parser) parseSelect() (*query.Graph, error) {
 			p.g.Select = append(p.g.Select, c)
 		}
 	}
-	return p.g, nil
+	// Both lists are final: fix the query's universe.
+	g, err := query.New(p.g.Quants, preds...)
+	if err != nil {
+		return nil, err
+	}
+	g.Select, g.OrderBy = p.g.Select, p.g.OrderBy
+	return g, nil
 }
 
 func isKeyword(s string) bool {

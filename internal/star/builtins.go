@@ -66,7 +66,7 @@ func (en *Engine) price(n *plan.Node) (*plan.Node, bool, error) {
 func onlyQuantifier(sv *StreamVal, op string) (string, error) {
 	names := sv.Tables.Slice()
 	if len(names) != 1 {
-		return "", fmt.Errorf("%s wants a single-table stream, got {%s}", op, sortedTableKey(sv.Tables))
+		return "", fmt.Errorf("%s wants a single-table stream, got {%s}", op, sv.Tables.Key())
 	}
 	return names[0], nil
 }

@@ -8,6 +8,7 @@ import (
 	"stars/internal/datum"
 	"stars/internal/expr"
 	"stars/internal/plan"
+	"stars/internal/query"
 )
 
 // builderEngine wires an engine over EMP/DEPT-like tables for exercising
@@ -39,8 +40,7 @@ func builderEngine(t *testing.T) *Engine {
 		t.Fatal(err)
 	}
 	env := cost.NewEnv(cat, cost.DefaultWeights)
-	env.BindQuantifier("DEPT", "DEPT")
-	env.BindQuantifier("EMP", "EMP")
+	env.Bind(deptEmpG)
 	en := NewEngine(NewRuleSet(), env)
 	en.QueryTables = []string{"DEPT", "EMP"}
 	en.NeededCols = func(q string) []expr.ColID {
@@ -52,9 +52,27 @@ func builderEngine(t *testing.T) *Engine {
 	return en
 }
 
-func deptStream() Value { return StreamValue(expr.NewTableSet("DEPT")) }
-func empStream() Value  { return StreamValue(expr.NewTableSet("EMP")) }
-func noPreds() Value    { return PredsValue(expr.NewPredSet()) }
+// The builder tests' query: DEPT joins EMP on DNO, with DEPT.DNO = 1.
+var (
+	deptDNO1    = &expr.Cmp{Op: expr.EQ, L: expr.C("DEPT", "DNO"), R: &expr.Const{Val: datum.NewInt(1)}}
+	deptEmpJoin = &expr.Cmp{Op: expr.EQ, L: expr.C("DEPT", "DNO"), R: expr.C("EMP", "DNO")}
+	deptEmpG    = selfNamed([]string{"DEPT", "EMP"}, deptDNO1, deptEmpJoin)
+	deptEmpU    = deptEmpG.Universe()
+)
+
+// selfNamed builds the query whose quantifiers range over the tables they
+// are named after.
+func selfNamed(quants []string, conjuncts ...expr.Expr) *query.Graph {
+	qs := make([]query.Quantifier, len(quants))
+	for i, q := range quants {
+		qs[i] = query.Quantifier{Name: q, Table: q}
+	}
+	return query.MustNew(qs, conjuncts...)
+}
+
+func deptStream() Value { return StreamValue(deptEmpU.Tables("DEPT")) }
+func empStream() Value  { return StreamValue(deptEmpU.Tables("EMP")) }
+func noPreds() Value    { return PredsValue(expr.PredSet{}) }
 
 // mustSAP returns a closure unwrapping a builder's (Value, error) result
 // into its plan slice, failing the test on error or non-SAP values.
@@ -176,8 +194,7 @@ func TestSortShipStoreBuildersPassThrough(t *testing.T) {
 func TestFilterBuilder(t *testing.T) {
 	en := builderEngine(t)
 	base := mustSAP(t)(biAccess(en, []Value{StrValue("heap"), deptStream(), AllColsValue, noPreds()}))
-	p := expr.NewPredSet(&expr.Cmp{Op: expr.EQ,
-		L: expr.C("DEPT", "DNO"), R: &expr.Const{Val: datum.NewInt(1)}})
+	p := deptEmpU.PredSet(deptDNO1)
 	f := mustSAP(t)(biFilter(en, []Value{SAPValue(base), PredsValue(p)}))
 	if f[0].Op != plan.OpFilter || f[0].Props.Card >= base[0].Props.Card {
 		t.Fatal("FILTER must reduce card")
@@ -195,8 +212,7 @@ func TestJoinBuilderCrossProductAndSiteCheck(t *testing.T) {
 	emp := mustSAP(t)(biAccess(en, []Value{StrValue("btree"), empStream(), AllColsValue, noPreds()}))
 	empShipped := mustSAP(t)(biShip(en, []Value{SAPValue(emp), StrValue("X")}))
 
-	jp := expr.NewPredSet(&expr.Cmp{Op: expr.EQ,
-		L: expr.C("DEPT", "DNO"), R: expr.C("EMP", "DNO")})
+	jp := deptEmpU.PredSet(deptEmpJoin)
 	both := append(append([]*plan.Node{}, emp...), empShipped...)
 	out := mustSAP(t)(biJoin(en, []Value{
 		StrValue(plan.MethodHA), SAPValue(dept), SAPValue(both),
@@ -213,8 +229,7 @@ func TestJoinBuilderCrossProductAndSiteCheck(t *testing.T) {
 
 func TestHelperClassifiersThroughEngine(t *testing.T) {
 	en := builderEngine(t)
-	jp := &expr.Cmp{Op: expr.EQ, L: expr.C("DEPT", "DNO"), R: expr.C("EMP", "DNO")}
-	p := PredsValue(expr.NewPredSet(jp))
+	p := PredsValue(deptEmpU.PredSet(deptEmpJoin))
 	args := []Value{p, deptStream(), empStream()}
 	for _, h := range []string{"joinPreds", "sortablePreds", "hashablePreds", "indexablePreds"} {
 		v, err := en.helpers[h](en, args)
@@ -258,7 +273,7 @@ func TestCatalogProbingHelpers(t *testing.T) {
 	if err != nil || len(v.List) != 1 {
 		t.Errorf("allSites = %v", v)
 	}
-	v, err = en.helpers["isComposite"](en, []Value{StreamValue(expr.NewTableSet("A", "B"))})
+	v, err = en.helpers["isComposite"](en, []Value{StreamValue(deptEmpU.All())})
 	if err != nil || !v.Bool {
 		t.Error("two-table stream is composite")
 	}
@@ -273,7 +288,7 @@ func TestSiteDiffersHelper(t *testing.T) {
 	en.PlanSites = func(t expr.TableSet) []string { return []string{"NY"} }
 	la := "LA"
 	annotated := Value{Kind: VStream, Stream: &StreamVal{
-		Tables: expr.NewTableSet("EMP"), Req: plan.Reqd{Site: &la},
+		Tables: deptEmpU.Tables("EMP"), Req: plan.Reqd{Site: &la},
 	}}
 	v, err := en.helpers["siteDiffers"](en, []Value{annotated})
 	if err != nil || !v.Bool {

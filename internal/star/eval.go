@@ -409,7 +409,7 @@ func (en *Engine) evalExpr(e RExpr, frame map[string]Value) (Value, error) {
 	case *NumLit:
 		return NumValue(n.Val), nil
 	case *EmptySet:
-		return PredsValue(expr.NewPredSet()), nil
+		return PredsValue(expr.PredSet{}), nil
 	case *AllCols:
 		return AllColsValue, nil
 	case *Annot:

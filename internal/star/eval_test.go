@@ -10,7 +10,25 @@ import (
 	"stars/internal/expr"
 	"stars/internal/obs"
 	"stars/internal/plan"
+	"stars/internal/query"
 )
+
+// leafPred is the predicate LEAF(name) tags its scan with, so that leaves of
+// different names are different plans; leafU is the one-table query whose
+// WHERE clause holds one per name the tests use.
+func leafPred(name string) expr.Expr {
+	return &expr.Cmp{Op: expr.EQ, L: expr.C("T", "A"), R: &expr.Const{Val: datum.NewString(name)}}
+}
+
+var leafG = func() *query.Graph {
+	var conjuncts []expr.Expr
+	for _, name := range []string{"leaf", "x", "one", "two", "three", "a", "b", "same", "fallback", "none", "haspreds"} {
+		conjuncts = append(conjuncts, leafPred(name))
+	}
+	return selfNamed([]string{"T"}, conjuncts...)
+}()
+
+var leafU = leafG.Universe()
 
 // stubEngine wires an engine over a tiny catalog with a stub LEAF builder
 // that manufactures one priced plan per call, so rule-evaluation semantics
@@ -31,7 +49,7 @@ func stubEngine(t *testing.T, ruleText string) *Engine {
 		t.Fatal(err)
 	}
 	env := cost.NewEnv(cat, cost.DefaultWeights)
-	env.BindQuantifier("T", "T")
+	env.Bind(leafG)
 	en := NewEngine(rs, env)
 	en.QueryTables = []string{"T"}
 	en.NeededCols = func(q string) []expr.ColID {
@@ -47,8 +65,7 @@ func stubEngine(t *testing.T, ruleText string) *Engine {
 			Op: plan.OpAccess, Flavor: plan.FlavorHeap, Table: "T", Quantifier: "T",
 			Cols:   []expr.ColID{{Table: "T", Col: "A"}},
 			Origin: "LEAF:" + name,
-			Preds: expr.NewPredSet(&expr.Cmp{Op: expr.EQ,
-				L: expr.C("T", "A"), R: &expr.Const{Val: datum.NewString(name)}}),
+			Preds:  leafU.PredSet(leafPred(name)),
 		}
 		if err := en.Cost.Price(n); err != nil {
 			return Null, err
@@ -148,8 +165,7 @@ star R(P) = {
 } where
   Q = P
 `)
-	withPreds := expr.NewPredSet(&expr.Cmp{Op: expr.EQ,
-		L: expr.C("T", "A"), R: &expr.Const{Val: datum.NewInt(1)}})
+	withPreds := leafU.PredSet(leafPred("x"))
 	sap, err := en.EvalRule("R", []Value{PredsValue(withPreds)})
 	if err != nil {
 		t.Fatal(err)
@@ -157,7 +173,7 @@ star R(P) = {
 	if sap[0].Origin != "LEAF:haspreds" {
 		t.Errorf("got %s", sap[0].Origin)
 	}
-	sap, err = en.EvalRule("R", []Value{PredsValue(expr.NewPredSet())})
+	sap, err = en.EvalRule("R", []Value{PredsValue(expr.PredSet{})})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +204,7 @@ star Inner(T) = grab(T[temp])
 		return SAPValue(nil), nil
 	})
 	_, err = en.EvalRule("Outer", []Value{
-		StreamValue(expr.NewTableSet("T")), StrValue("LA"),
+		StreamValue(leafU.All()), StrValue("LA"),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -208,7 +224,7 @@ func TestRecursionGuard(t *testing.T) {
 
 func TestErrorsSurfaceWithRuleContext(t *testing.T) {
 	en := stubEngine(t, `star R(T) = Nope(T)`)
-	_, err := en.EvalRule("R", []Value{StreamValue(expr.NewTableSet("T"))})
+	_, err := en.EvalRule("R", []Value{StreamValue(leafU.All())})
 	if err == nil || !strings.Contains(err.Error(), "Nope") {
 		t.Fatalf("err = %v", err)
 	}
@@ -222,7 +238,7 @@ func TestErrorsSurfaceWithRuleContext(t *testing.T) {
 	}
 	// Condition type errors.
 	en2 := stubEngine(t, `star R(T) = LEAF('x') if T[site = 'x']`)
-	_, err = en2.EvalRule("R", []Value{PredsValue(expr.NewPredSet())})
+	_, err = en2.EvalRule("R", []Value{PredsValue(expr.PredSet{})})
 	if err == nil {
 		t.Fatal("annotating a non-stream must error")
 	}
@@ -351,7 +367,7 @@ func TestGlueBridging(t *testing.T) {
 		got = req
 		return nil, nil
 	}
-	if _, err := en.EvalRule("R", []Value{StreamValue(expr.NewTableSet("T"))}); err != nil {
+	if _, err := en.EvalRule("R", []Value{StreamValue(leafU.All())}); err != nil {
 		t.Fatal(err)
 	}
 	if got == nil || got.Req.Site == nil || *got.Req.Site != "LA" || !got.Tables.Contains("T") {
@@ -362,7 +378,7 @@ func TestGlueBridging(t *testing.T) {
 	}
 	// Without a glue mechanism the reference errors.
 	en.Glue = nil
-	if _, err := en.EvalRule("R", []Value{StreamValue(expr.NewTableSet("T"))}); err == nil {
+	if _, err := en.EvalRule("R", []Value{StreamValue(leafU.All())}); err == nil {
 		t.Fatal("Glue without a mechanism must error")
 	}
 }
@@ -377,7 +393,7 @@ func TestValueTruthinessAndString(t *testing.T) {
 		{BoolValue(false), false},
 		{NumValue(0), false},
 		{NumValue(2), true},
-		{PredsValue(expr.NewPredSet()), false},
+		{PredsValue(expr.PredSet{}), false},
 		{ColsValue(nil), false},
 		{ColsValue([]expr.ColID{{Table: "T", Col: "A"}}), true},
 		{ListValue(nil), false},
@@ -391,7 +407,7 @@ func TestValueTruthinessAndString(t *testing.T) {
 		}
 		_ = c.v.String() // must not panic
 	}
-	if StreamValue(expr.NewTableSet("T")).String() != "{T}" {
+	if StreamValue(leafU.All()).String() != "{T}" {
 		t.Error("stream rendering")
 	}
 }

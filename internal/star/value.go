@@ -21,7 +21,6 @@ package star
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"stars/internal/expr"
@@ -210,11 +209,4 @@ func (v Value) String() string {
 	default:
 		return "?"
 	}
-}
-
-// sortedTableKey returns a canonical key for a quantifier set.
-func sortedTableKey(t expr.TableSet) string {
-	names := t.Slice()
-	sort.Strings(names)
-	return strings.Join(names, ",")
 }

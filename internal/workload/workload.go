@@ -51,20 +51,19 @@ func EmpDept() *catalog.Catalog {
 // Figure1Query returns the query of Figure 1: DEPT join EMP on DNO with
 // MGR = 'Haas', projecting DNO, MGR, NAME, ADDRESS.
 func Figure1Query() *query.Graph {
-	return &query.Graph{
-		Quants: []query.Quantifier{
+	g := query.MustNew(
+		[]query.Quantifier{
 			{Name: "DEPT", Table: "DEPT"},
 			{Name: "EMP", Table: "EMP"},
 		},
-		Preds: expr.NewPredSet(
-			&expr.Cmp{Op: expr.EQ, L: expr.C("DEPT", "DNO"), R: expr.C("EMP", "DNO")},
-			&expr.Cmp{Op: expr.EQ, L: expr.C("DEPT", "MGR"), R: &expr.Const{Val: datum.NewString("Haas")}},
-		),
-		Select: []expr.ColID{
-			{Table: "DEPT", Col: "DNO"}, {Table: "DEPT", Col: "MGR"},
-			{Table: "EMP", Col: "NAME"}, {Table: "EMP", Col: "ADDRESS"},
-		},
+		&expr.Cmp{Op: expr.EQ, L: expr.C("DEPT", "DNO"), R: expr.C("EMP", "DNO")},
+		&expr.Cmp{Op: expr.EQ, L: expr.C("DEPT", "MGR"), R: &expr.Const{Val: datum.NewString("Haas")}},
+	)
+	g.Select = []expr.ColID{
+		{Table: "DEPT", Col: "DNO"}, {Table: "DEPT", Col: "MGR"},
+		{Table: "EMP", Col: "NAME"}, {Table: "EMP", Col: "ADDRESS"},
 	}
+	return g
 }
 
 // PopulateEmpDept fills a cluster with EMP/DEPT data in which department 42
@@ -147,18 +146,20 @@ func ChainCatalog(n int, cards ...int64) *catalog.Catalog {
 
 // ChainQuery joins T1..Tn with Ti.K = Ti+1.J, selecting every ID column.
 func ChainQuery(n int) *query.Graph {
-	g := &query.Graph{}
+	var quants []query.Quantifier
+	var sel []expr.ColID
 	var preds []expr.Expr
 	for i := 1; i <= n; i++ {
 		name := fmt.Sprintf("T%d", i)
-		g.Quants = append(g.Quants, query.Quantifier{Name: name, Table: name})
-		g.Select = append(g.Select, expr.ColID{Table: name, Col: "ID"})
+		quants = append(quants, query.Quantifier{Name: name, Table: name})
+		sel = append(sel, expr.ColID{Table: name, Col: "ID"})
 		if i > 1 {
 			prev := fmt.Sprintf("T%d", i-1)
 			preds = append(preds, &expr.Cmp{Op: expr.EQ, L: expr.C(prev, "K"), R: expr.C(name, "J")})
 		}
 	}
-	g.Preds = expr.NewPredSet(preds...)
+	g := query.MustNew(quants, preds...)
+	g.Select = sel
 	return g
 }
 
@@ -197,22 +198,21 @@ func StarCatalog(k int, factCard, dimCard int64) *catalog.Catalog {
 
 // StarQuery joins F with its first k dimensions on the foreign keys.
 func StarQuery(k int) *query.Graph {
-	g := &query.Graph{
-		Quants: []query.Quantifier{{Name: "F", Table: "F"}},
-		Select: []expr.ColID{{Table: "F", Col: "ID"}},
-	}
+	quants := []query.Quantifier{{Name: "F", Table: "F"}}
+	sel := []expr.ColID{{Table: "F", Col: "ID"}}
 	var preds []expr.Expr
 	for i := 1; i <= k; i++ {
 		d := fmt.Sprintf("D%d", i)
-		g.Quants = append(g.Quants, query.Quantifier{Name: d, Table: d})
-		g.Select = append(g.Select, expr.ColID{Table: d, Col: "ATTR"})
+		quants = append(quants, query.Quantifier{Name: d, Table: d})
+		sel = append(sel, expr.ColID{Table: d, Col: "ATTR"})
 		preds = append(preds, &expr.Cmp{
 			Op: expr.EQ,
 			L:  expr.C("F", fmt.Sprintf("FK%d", i)),
 			R:  expr.C(d, "ID"),
 		})
 	}
-	g.Preds = expr.NewPredSet(preds...)
+	g := query.MustNew(quants, preds...)
+	g.Select = sel
 	return g
 }
 

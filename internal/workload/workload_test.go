@@ -37,10 +37,10 @@ func TestChainQueryShape(t *testing.T) {
 		t.Fatalf("chain 4: %d quants, %d preds", len(g.Quants), g.Preds.Len())
 	}
 	// Adjacent tables connected, ends not.
-	if !g.Connected(expr.NewTableSet("T1"), expr.NewTableSet("T2")) {
+	if !g.Connected(g.Universe().Tables("T1"), g.Universe().Tables("T2")) {
 		t.Error("T1-T2 connected")
 	}
-	if g.Connected(expr.NewTableSet("T1"), expr.NewTableSet("T3")) {
+	if g.Connected(g.Universe().Tables("T1"), g.Universe().Tables("T3")) {
 		t.Error("T1-T3 disconnected")
 	}
 }
@@ -67,10 +67,7 @@ func TestPopulateIsDeterministic(t *testing.T) {
 	c1, c2 := storage.NewCluster(), storage.NewCluster()
 	Populate(c1, cat, 42)
 	Populate(c2, cat, 42)
-	g := &query.Graph{
-		Quants: []query.Quantifier{{Name: "T1", Table: "T1"}},
-		Preds:  expr.NewPredSet(),
-	}
+	g := query.MustNew([]query.Quantifier{{Name: "T1", Table: "T1"}})
 	r1 := Oracle(c1, cat, g)
 	r2 := Oracle(c2, cat, g)
 	if len(r1) != 50 || len(r1) != len(r2) {
@@ -152,11 +149,8 @@ func TestRenderRowsMatchesOracleEncoding(t *testing.T) {
 	cat := ChainCatalog(1, 5)
 	cl := storage.NewCluster()
 	Populate(cl, cat, 2)
-	g := &query.Graph{
-		Quants: []query.Quantifier{{Name: "T1", Table: "T1"}},
-		Preds:  expr.NewPredSet(),
-		Select: []expr.ColID{{Table: "T1", Col: "ID"}, {Table: "T1", Col: "J"}},
-	}
+	g := query.MustNew([]query.Quantifier{{Name: "T1", Table: "T1"}})
+	g.Select = []expr.ColID{{Table: "T1", Col: "ID"}, {Table: "T1", Col: "J"}}
 	want := Oracle(cl, cat, g)
 	// Read the rows directly and render them through RenderRows.
 	var rows []datum.Row

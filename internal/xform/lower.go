@@ -19,15 +19,15 @@ import (
 // scratch, which is the re-derivation cost of transformational systems the
 // paper contrasts with the building-blocks approach (Section 6).
 func (o *Optimizer) Lower(n *LNode) (*plan.Node, error) {
-	return o.lower(n, expr.NewPredSet())
+	return o.lower(n, expr.PredSet{})
 }
 
 func (o *Optimizer) lower(n *LNode, push expr.PredSet) (*plan.Node, error) {
 	if n.Kind == LScan {
 		return o.lowerScan(n, push)
 	}
-	t1 := n.L.TableSet()
-	t2 := n.R.TableSet()
+	t1 := n.L.TableSet(o.Graph.Universe())
+	t2 := n.R.TableSet(o.Graph.Universe())
 	p := o.Graph.NewlyEligible(t1, t2).Union(push)
 	jp := expr.JoinPreds(p, t1, t2)
 	sp := expr.SortablePreds(p, t1, t2)
@@ -36,7 +36,7 @@ func (o *Optimizer) lower(n *LNode, push expr.PredSet) (*plan.Node, error) {
 
 	switch n.Method {
 	case plan.MethodNL:
-		outer, err := o.lower(n.L, expr.NewPredSet())
+		outer, err := o.lower(n.L, expr.PredSet{})
 		if err != nil || outer == nil {
 			return nil, err
 		}
@@ -54,7 +54,7 @@ func (o *Optimizer) lower(n *LNode, push expr.PredSet) (*plan.Node, error) {
 		if sp.Empty() {
 			return nil, nil
 		}
-		outer, err := o.lowerOrdered(n.L, expr.NewPredSet(), expr.SortColsFor(sp, t1))
+		outer, err := o.lowerOrdered(n.L, expr.PredSet{}, expr.SortColsFor(sp, t1))
 		if err != nil || outer == nil {
 			return nil, err
 		}
@@ -72,7 +72,7 @@ func (o *Optimizer) lower(n *LNode, push expr.PredSet) (*plan.Node, error) {
 		if hp.Empty() {
 			return nil, nil
 		}
-		outer, err := o.lower(n.L, expr.NewPredSet())
+		outer, err := o.lower(n.L, expr.PredSet{})
 		if err != nil || outer == nil {
 			return nil, err
 		}
@@ -98,7 +98,7 @@ func (o *Optimizer) lowerInner(n *LNode, push expr.PredSet) (*plan.Node, error) 
 	if n.Kind == LScan {
 		return o.lowerScan(n, push)
 	}
-	sub, err := o.lower(n, expr.NewPredSet())
+	sub, err := o.lower(n, expr.PredSet{})
 	if err != nil || sub == nil {
 		return nil, err
 	}

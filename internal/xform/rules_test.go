@@ -6,6 +6,7 @@ import (
 	"stars/internal/cost"
 	"stars/internal/expr"
 	"stars/internal/plan"
+	"stars/internal/query"
 	"stars/internal/workload"
 )
 
@@ -96,10 +97,10 @@ func TestImplementationRulesGateOnPredicates(t *testing.T) {
 		t.Fatalf("methods = %v", keysOf(methods))
 	}
 	// With an inequality join, only NL applies.
-	o.Graph.Preds = expr.NewPredSet(
+	o = New(o.Cat, query.MustNew(o.Graph.Quants,
 		&expr.Cmp{Op: expr.LT, L: expr.C("T1", "K"), R: expr.C("T2", "J")},
 		&expr.Cmp{Op: expr.EQ, L: expr.C("T2", "K"), R: expr.C("T3", "J")},
-	)
+	), cost.DefaultWeights)
 	methods = applyAt(o, o.Initial(), "impl-join-method", func(n *LNode) bool {
 		return n.Kind == LJoin && n.L.Kind == LScan
 	})

@@ -108,11 +108,11 @@ func (n *LNode) tables(out *[]string) {
 	n.R.tables(out)
 }
 
-// TableSet returns the quantifier set under n.
-func (n *LNode) TableSet() expr.TableSet {
+// TableSet returns the quantifier set under n, within the query's universe.
+func (n *LNode) TableSet(u *expr.Universe) expr.TableSet {
 	var names []string
 	n.tables(&names)
-	return expr.NewTableSet(names...)
+	return u.Tables(names...)
 }
 
 // complete reports whether every node carries its implementation
@@ -204,9 +204,7 @@ const DefaultMaxPlans = 500000
 // the given catalog and query, sharing the STAR optimizer's cost model.
 func New(cat *catalog.Catalog, g *query.Graph, w cost.Weights) *Optimizer {
 	env := cost.NewEnv(cat, w)
-	for _, q := range g.Quants {
-		env.BindQuantifier(q.Name, q.Table)
-	}
+	env.Bind(g)
 	return &Optimizer{Cat: cat, Graph: g, Env: env, Rules: DefaultRules()}
 }
 
@@ -261,8 +259,8 @@ func DefaultRules() []*Rule {
 				if cur.Kind != LJoin || cur.Method != "" {
 					return nil
 				}
-				t1 := cur.L.TableSet()
-				t2 := cur.R.TableSet()
+				t1 := cur.L.TableSet(o.Graph.Universe())
+				t2 := cur.R.TableSet(o.Graph.Universe())
 				p := o.Graph.NewlyEligible(t1, t2)
 				var out []*LNode
 				set := func(m string) {
