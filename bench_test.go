@@ -289,10 +289,10 @@ func BenchmarkObsOverhead(b *testing.B) {
 				b.Fatal("nil sink reports enabled")
 			}
 			sink.Emit(obs.Event{Name: obs.EvPlanPrune, A1: "DEPT,EMP",
-				A2: "c02d0ccb80ef20c4", A3: "32dd2088733d3006",
+				P1: 0xc02d0ccb80ef20c4, P2: 0x32dd2088733d3006,
 				N1: 1, F1: 111.7, F2: 2.0})
 			sink.Emit(obs.Event{Name: obs.EvPlanOffer, A1: "DEPT,EMP",
-				A2: "c02d0ccb80ef20c4", A3: "JMeth#1 JOIN(NL)",
+				P1: 0xc02d0ccb80ef20c4, A3: "JMeth#1 JOIN(NL)",
 				F1: 111.7, F2: 111})
 		}
 	})

@@ -409,13 +409,13 @@ func TestSketchQuantiles(t *testing.T) {
 
 func TestLedger(t *testing.T) {
 	l := coverage.NewLedger(2)
-	feedback := func(op, fp string, rows int64, est, q float64) obs.Event {
-		return obs.Event{Name: obs.EvExecFeedback, A1: op, A2: fp, N1: rows, N2: 1, F1: est, F2: q}
+	feedback := func(op string, id uint64, rows int64, est, q float64) obs.Event {
+		return obs.Event{Name: obs.EvExecFeedback, A1: op, P1: id, N1: rows, N2: 1, F1: est, F2: q}
 	}
 	events := []obs.Event{
 		(&obs.AltCoverage{Rule: "JMeth", Alt: 1, Fired: 1, Built: 1, Winner: 1}).Event(),
-		feedback("JOIN", "aaaa", 100, 50, 2),
-		feedback("ACCESS", "bbbb", 10, 10, 1),
+		feedback("JOIN", 0xaaaa, 100, 50, 2),
+		feedback("ACCESS", 0xbbbb, 10, 10, 1),
 	}
 	l.Record(coverage.Template("SELECT 1"), events)
 	l.Record(coverage.Template("SELECT 2"), events) // same template: literals collapse
@@ -435,7 +435,8 @@ func TestLedger(t *testing.T) {
 	if tr.QError == nil || tr.QError.Count != 4 || tr.QError.Max != 2 {
 		t.Errorf("template qerror: %+v", tr.QError)
 	}
-	if len(tr.Ops) != 2 || tr.Ops[0].Op != "JOIN" || tr.Ops[0].MaxQError != 2 {
+	if len(tr.Ops) != 2 || tr.Ops[0].Op != "JOIN" || tr.Ops[0].MaxQError != 2 ||
+		tr.Ops[0].Fingerprint != "000000000000aaaa" || tr.Ops[1].Fingerprint != "000000000000bbbb" {
 		t.Errorf("ops: %+v", tr.Ops)
 	}
 	if rep.Templates[1].Executions != 0 {
@@ -463,7 +464,7 @@ func TestLedgerBoundsTemplates(t *testing.T) {
 	l := coverage.NewLedger(2)
 	for _, tmpl := range []string{"a", "b", "c", "d"} {
 		l.Record(tmpl, []obs.Event{
-			{Name: obs.EvExecFeedback, A1: "JOIN", A2: "ffff", N1: 1, N2: 1, F1: 1, F2: 5},
+			{Name: obs.EvExecFeedback, A1: "JOIN", P1: 0xffff, N1: 1, N2: 1, F1: 1, F2: 5},
 		})
 	}
 	rep := l.Snapshot(nil)

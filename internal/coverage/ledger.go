@@ -7,6 +7,7 @@ import (
 	"sync"
 
 	"stars/internal/obs"
+	"stars/internal/plan"
 	"stars/internal/star"
 )
 
@@ -193,7 +194,6 @@ func (s *Sketch) Digest() *QErrorDigest {
 // template.
 type opFeedback struct {
 	op   string
-	fp   string
 	n    int64
 	est  float64
 	act  float64
@@ -205,8 +205,8 @@ type templateStats struct {
 	requests   int64
 	executions int64
 	qerr       Sketch
-	ops        map[string]*opFeedback
-	opOrder    []string
+	ops        map[uint64]*opFeedback // by plan-node identity (plan.Node.ID)
+	opOrder    []uint64
 }
 
 // maxLedgerOps bounds the per-template operator map: plans are small, so
@@ -253,7 +253,7 @@ func (l *Ledger) Record(template string, events []obs.Event) {
 
 	t := l.templates[template]
 	if t == nil && len(l.templates) < l.maxTemplates {
-		t = &templateStats{ops: map[string]*opFeedback{}}
+		t = &templateStats{ops: map[uint64]*opFeedback{}}
 		l.templates[template] = t
 		l.order = append(l.order, template)
 	}
@@ -271,14 +271,14 @@ func (l *Ledger) Record(template string, events []obs.Event) {
 			continue
 		}
 		t.qerr.Observe(e.F2)
-		of := t.ops[e.A2]
+		of := t.ops[e.P1]
 		if of == nil {
 			if len(t.ops) >= maxLedgerOps {
 				continue
 			}
-			of = &opFeedback{op: e.A1, fp: e.A2}
-			t.ops[e.A2] = of
-			t.opOrder = append(t.opOrder, e.A2)
+			of = &opFeedback{op: e.A1}
+			t.ops[e.P1] = of
+			t.opOrder = append(t.opOrder, e.P1)
 		}
 		of.n++
 		of.est = e.F1
@@ -343,10 +343,10 @@ func (l *Ledger) Snapshot(rs *star.RuleSet) *LedgerReport {
 			Template: tmpl, Requests: t.requests, Executions: t.executions,
 			QError: t.qerr.Digest(),
 		}
-		for _, fp := range t.opOrder {
-			of := t.ops[fp]
+		for _, id := range t.opOrder {
+			of := t.ops[id]
 			tr.Ops = append(tr.Ops, OpReport{
-				Op: of.op, Fingerprint: of.fp, Count: of.n,
+				Op: of.op, Fingerprint: plan.FormatID(id), Count: of.n,
 				EstimatedRows: of.est, ActualRows: of.act, MaxQError: of.maxQ,
 			})
 		}

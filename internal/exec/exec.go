@@ -241,7 +241,7 @@ func emitOpEvents(sink *obs.Sink, root *plan.Node, ops map[*plan.Node]*OpStats) 
 				act /= float64(st.Opens)
 			}
 			//obsguard:ignore the Q-error ledger and the flight watchdog read exec.feedback from every enabled sink; once per executed operator
-			sink.Emit(obs.Event{Name: obs.EvExecFeedback, A1: string(n.Op), A2: n.Fingerprint(),
+			sink.Emit(obs.Event{Name: obs.EvExecFeedback, A1: string(n.Op), P1: n.ID(),
 				N1: st.Rows, N2: st.Opens, F1: est, F2: plan.QError(est, act)})
 			reg.Counter("qerror_observations_total").Add(1)
 		}

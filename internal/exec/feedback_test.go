@@ -48,7 +48,7 @@ func TestExecFeedbackEvents(t *testing.T) {
 		t.Fatal("no exec.feedback events")
 	}
 	for _, e := range events {
-		if e.A1 == "" || len(e.A2) != 16 {
+		if e.A1 == "" || e.P1 == 0 {
 			t.Errorf("feedback without operator/fingerprint: %+v", e)
 		}
 		if e.F2 < 1 {

@@ -11,6 +11,7 @@ package expr
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -466,15 +467,25 @@ func Columns(e Expr) []ColID {
 }
 
 // References reports whether e references any column of the given
-// quantifier, without materializing the column list.
+// quantifier. A direct recursion rather than a walk: it captures nothing, so
+// it allocates nothing, and it stops at the first hit.
 func References(e Expr, table string) bool {
-	found := false
-	e.walk(func(n Expr) {
-		if c, ok := n.(*Col); ok && c.ID.Table == table {
-			found = true
-		}
-	})
-	return found
+	var kids []Expr
+	switch n := e.(type) {
+	case *Col:
+		return n.ID.Table == table
+	case *Arith:
+		return References(n.L, table) || References(n.R, table)
+	case *Cmp:
+		return References(n.L, table) || References(n.R, table)
+	case *Not:
+		return References(n.Kid, table)
+	case *And:
+		kids = n.Kids
+	case *Or:
+		kids = n.Kids
+	}
+	return slices.ContainsFunc(kids, func(k Expr) bool { return References(k, table) })
 }
 
 // Tables returns the distinct quantifier names referenced by e, sorted.

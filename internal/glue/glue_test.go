@@ -159,7 +159,7 @@ func TestPlanTablePruneForensics(t *testing.T) {
 		t.Fatalf("offers = %d, want 2", len(offers))
 	}
 	for _, e := range offers {
-		if e.A1 != "DEPT" || e.A2 == "" || e.F1 == 0 {
+		if e.A1 != "DEPT" || e.P1 == 0 || e.F1 == 0 {
 			t.Errorf("offer lacks key/fingerprint/cost: %+v", e)
 		}
 	}
@@ -173,8 +173,8 @@ func TestPlanTablePruneForensics(t *testing.T) {
 	if e.N1 != 1 {
 		t.Errorf("direction = %d, want 1 (existing plan evicted)", e.N1)
 	}
-	if e.A2 != pricey.Fingerprint() || e.A3 != cheap.Fingerprint() {
-		t.Errorf("victim/dominator = %q/%q, want %q/%q", e.A2, e.A3,
+	if w := obs.Wire("", e); w.A2 != pricey.Fingerprint() || w.A3 != cheap.Fingerprint() {
+		t.Errorf("victim/dominator = %q/%q, want %q/%q", w.A2, w.A3,
 			pricey.Fingerprint(), cheap.Fingerprint())
 	}
 	if e.F1 != 50 || e.F2 != 5 {
@@ -197,8 +197,8 @@ func TestPlanTablePruneForensics(t *testing.T) {
 		if e.N1 != 0 {
 			t.Errorf("direction = %d, want 0 (incoming rejected)", e.N1)
 		}
-		if e.A2 != pricey2.Fingerprint() || e.A3 != cheap2.Fingerprint() {
-			t.Errorf("victim/dominator = %q/%q", e.A2, e.A3)
+		if e.P1 != pricey2.ID() || e.P2 != cheap2.ID() {
+			t.Errorf("victim/dominator = %x/%x", e.P1, e.P2)
 		}
 	}
 }

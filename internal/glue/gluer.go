@@ -66,11 +66,13 @@ func (g *Gluer) Glue(req *star.GlueRequest) (result []*plan.Node, err error) {
 	g.Stats.Calls++
 	var sp obs.Span
 	if g.Engine.Obs.Enabled() {
-		rendered := ""
+		// The span's arguments are rendered for the begin/end records only:
+		// its histogram and profile entry are label-free.
+		tables, reqd := "", ""
 		if g.Engine.Obs.Tracing() {
-			rendered = req.Req.String()
+			tables, reqd = req.Tables.Key(), req.Req.String()
 		}
-		sp = g.Engine.Obs.StartSpan(obs.EvGlue, req.Tables.Key(), rendered, 0)
+		sp = g.Engine.Obs.StartSpan(obs.EvGlue, tables, reqd, 0)
 		defer func() { sp.End(int64(len(result))) }()
 	}
 	base := g.Graph.EligibleWithin(req.Tables)
@@ -104,7 +106,7 @@ func (g *Gluer) Glue(req *star.GlueRequest) (result []*plan.Node, err error) {
 		}
 	}
 	if len(out) == 0 {
-		return nil, fmt.Errorf("glue: no plan for {%s} satisfies %s", req.Tables.Key(), req.Req)
+		return nil, fmt.Errorf("glue: no plan for {%s} satisfies %s", req.Tables.Key(), req.Req) //obsguard:ignore error path
 	}
 	// Newly veneered plans join the table so later references find them
 	// (Figure 3's third plan came from an earlier Glue reference).
@@ -117,7 +119,7 @@ func (g *Gluer) Glue(req *star.GlueRequest) (result []*plan.Node, err error) {
 		}
 	}
 	if len(satisfying) == 0 {
-		return nil, fmt.Errorf("glue: veneering failed to satisfy %s for {%s}", req.Req, req.Tables.Key())
+		return nil, fmt.Errorf("glue: veneering failed to satisfy %s for {%s}", req.Req, req.Tables.Key()) //obsguard:ignore error path
 	}
 	if g.KeepAll || req.All {
 		return satisfying, nil
@@ -164,7 +166,7 @@ func (g *Gluer) ensurePlans(tables expr.TableSet, preds expr.PredSet) ([]*plan.N
 	base := g.Graph.EligibleWithin(tables)
 	cands := g.Table.Lookup(tables, base)
 	if len(cands) == 0 {
-		return nil, fmt.Errorf("glue: no plans exist for composite {%s} (enumeration order violated?)", tables.Key())
+		return nil, fmt.Errorf("glue: no plans exist for composite {%s} (enumeration order violated?)", tables.Key()) //obsguard:ignore error path
 	}
 	missing := preds.Minus(base)
 	var out []*plan.Node
@@ -286,10 +288,10 @@ func (g *Gluer) addVeneer(n *plan.Node) (*plan.Node, error) {
 		}
 	}
 	if g.Engine.Obs.Tracing() {
-		e := obs.Event{Name: obs.EvVeneer, A1: string(n.Op), A2: n.Fingerprint(), N1: 1,
+		e := obs.Event{Name: obs.EvVeneer, A1: string(n.Op), P1: n.ID(), N1: 1,
 			F1: n.Props.Cost.Total}
 		if in := n.Outer(); in != nil {
-			e.A3 = in.Fingerprint()
+			e.P2 = in.ID()
 		}
 		g.Engine.Obs.Emit(e)
 	}

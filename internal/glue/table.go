@@ -169,7 +169,7 @@ func (pt *PlanTable) Insert(tables expr.TableSet, preds expr.PredSet, plans []*p
 		pt.Inserted++
 		if pt.Obs.Tracing() {
 			pt.Obs.Emit(obs.Event{Name: obs.EvPlanOffer, A1: tables.Key(),
-				A2: p.Fingerprint(), A3: offerDetail(p),
+				P1: p.ID(), A3: offerDetail(p),
 				F1: p.Props.Cost.Total, F2: p.Props.Card})
 		}
 		pt.addPruned(e, baseEntry, p)
@@ -196,12 +196,12 @@ func (pt *PlanTable) addPruned(e *entry, baseEntry *entry, p *plan.Node) {
 	}
 	if pt.PruneDisabled {
 		for _, q := range basePlans {
-			if q == p || q.FP64() == p.FP64() {
+			if q == p || q.ID() == p.ID() {
 				return
 			}
 		}
 		for _, q := range e.plans {
-			if q == p || q.FP64() == p.FP64() {
+			if q == p || q.ID() == p.ID() {
 				return
 			}
 		}
@@ -253,23 +253,16 @@ func (pt *PlanTable) addPruned(e *entry, baseEntry *entry, p *plan.Node) {
 // subset pruning one another — are made here, with the usual
 // offer/insert/prune events going to pt.Obs. Absorbing a rank's overlays in
 // ascending subset order therefore yields a table whose contents are
-// independent of how the tasks were scheduled. Identity memos of every plan
-// in a touched entry are populated before returning, so subsequent
-// concurrent readers of pt never race on the lazy memoization.
+// independent of how the tasks were scheduled.
 func (pt *PlanTable) Absorb(o *PlanTable) {
 	var t0 time.Time
 	profiled := pt.Obs.ProfEnabled()
 	if profiled {
 		t0 = time.Now()
 	}
-	full := pt.Obs.Tracing() || pt.PruneDisabled
 	for _, oe := range o.order {
-		if len(oe.plans) == 0 {
-			continue
-		}
-		pt.Insert(oe.tables, oe.preds, oe.plans)
-		if e := pt.find(oe.tables, oe.preds); e != nil {
-			memoizePlans(e.plans, full)
+		if len(oe.plans) > 0 {
+			pt.Insert(oe.tables, oe.preds, oe.plans)
 		}
 	}
 	pt.Inserted += o.Inserted
@@ -285,36 +278,6 @@ func (pt *PlanTable) Absorb(o *PlanTable) {
 		// goes through Insert, which times its own offers too.
 		pt.Obs.ProfActivity(obs.ActAbsorb, time.Since(t0), 1)
 	}
-}
-
-// memoizePlans populates the lazy identity memos workers may read
-// concurrently: the 64-bit structural hash always (the rule engine's
-// duplicate check), and the full Key/Fingerprint strings only when something
-// will render them from a worker (observability events, or the
-// pruning-disabled duplicate scan's diagnostics).
-func memoizePlans(plans []*plan.Node, full bool) {
-	for _, p := range plans {
-		if full {
-			p.Fingerprint()
-		} else {
-			p.FP64()
-		}
-	}
-}
-
-// MemoizeIdentities precomputes every retained plan's identity memos. The
-// optimizer calls it before fanning readers of the table out to worker
-// goroutines: plan.Node memoizes lazily, which is a write, and must happen
-// while the table is still single-threaded.
-func (pt *PlanTable) MemoizeIdentities() {
-	full := pt.Obs.Tracing() || pt.PruneDisabled
-	pt.ForEach(func(_, _ string, p *plan.Node) {
-		if full {
-			p.Fingerprint()
-		} else {
-			p.FP64()
-		}
-	})
 }
 
 // notePrune records one dominance decision: tallied by the origins of the
@@ -334,7 +297,7 @@ func (pt *PlanTable) notePrune(tables expr.TableSet, victim, dominator *plan.Nod
 		return
 	}
 	pt.Obs.Emit(obs.Event{Name: obs.EvPlanPrune, A1: tables.Key(), N1: direction,
-		A2: victim.Fingerprint(), A3: dominator.Fingerprint(),
+		P1: victim.ID(), P2: dominator.ID(),
 		F1: victim.Props.Cost.Total, F2: dominator.Props.Cost.Total})
 }
 
@@ -364,6 +327,8 @@ func offerDetail(p *plan.Node) string {
 // ForEach visits every retained plan, keyed by table-set and predicate key,
 // in unspecified order — provenance walks the final population through it.
 // On an overlay, base plans are visited too.
+//
+//obsguard:ignore display walk, once per optimization: the keys are what its callers print
 func (pt *PlanTable) ForEach(fn func(tablesKey, predsKey string, p *plan.Node)) {
 	if pt.base != nil {
 		pt.base.ForEach(fn)

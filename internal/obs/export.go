@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"strconv"
 )
 
 // WireEvent is the JSON wire form of one event — the framing shared by the
@@ -27,20 +28,36 @@ type WireEvent struct {
 	F2    float64 `json:"f2,omitempty"`
 }
 
-// Wire converts an event to its wire form.
-func Wire(e Event) WireEvent {
-	return WireEvent{
+// Wire converts an event of the sink tagged req (Sink.Tag) to its wire form.
+// Plan identities leave as the 16 hex digits plan.Node.Fingerprint shows: a
+// nonzero P1 is a2, a nonzero P2 is a3.
+func Wire(req string, e Event) WireEvent {
+	w := WireEvent{
 		Seq: e.Seq, TUs: float64(e.T.Microseconds()), Kind: e.Kind.String(),
-		Name: e.Name, Req: e.Req, A1: e.A1, A2: e.A2, A3: e.A3,
+		Name: e.Name, Req: req, A1: e.A1, A2: e.A2, A3: e.A3,
 		Depth: e.Depth, Span: e.Span, N1: e.N1, N2: e.N2, F1: e.F1, F2: e.F2,
 	}
+	if e.P1 != 0 {
+		w.A2 = hex16(e.P1)
+	}
+	if e.P2 != 0 {
+		w.A3 = hex16(e.P2)
+	}
+	return w
+}
+
+// hex16 renders a plan identity as plan.FormatID does — obs sits below plan
+// and cannot import it — zero-padded to 16 digits.
+func hex16(id uint64) string {
+	s := strconv.FormatUint(id, 16)
+	return "0000000000000000"[len(s):] + s
 }
 
 // EncodeNDJSON writes one event as a single NDJSON line — the framing both
 // the batch export below and a server's live /events stream use, so a tail
 // of the live stream is jq-compatible with a saved trace file.
-func EncodeNDJSON(w io.Writer, e Event) error {
-	return json.NewEncoder(w).Encode(Wire(e))
+func EncodeNDJSON(w io.Writer, req string, e Event) error {
+	return json.NewEncoder(w).Encode(Wire(req, e))
 }
 
 // WriteNDJSON writes the event log as newline-delimited JSON, one event per
@@ -51,7 +68,7 @@ func (s *Sink) WriteNDJSON(w io.Writer) error {
 	}
 	enc := json.NewEncoder(w)
 	for _, e := range s.Events() {
-		if err := enc.Encode(Wire(e)); err != nil {
+		if err := enc.Encode(Wire(s.tag, e)); err != nil {
 			return err
 		}
 	}
@@ -95,14 +112,14 @@ func (s *Sink) WriteChromeTrace(w io.Writer) error {
 		switch e.Kind {
 		case KindSpanBegin:
 			ce.Phase = "B"
-			ce.Args = chromeArgs(e)
+			ce.Args = chromeArgs(s.tag, e)
 		case KindSpanEnd:
 			ce.Phase = "E"
 			ce.Args = map[string]any{"n1": e.N1}
 		default:
 			ce.Phase = "i"
 			ce.Scope = "t"
-			ce.Args = chromeArgs(e)
+			ce.Args = chromeArgs(s.tag, e)
 		}
 		out.TraceEvents = append(out.TraceEvents, ce)
 	}
@@ -110,17 +127,19 @@ func (s *Sink) WriteChromeTrace(w io.Writer) error {
 	return enc.Encode(out)
 }
 
-// chromeArgs packs an event's payload into trace-viewer args.
-func chromeArgs(e Event) map[string]any {
+// chromeArgs packs an event's payload, as Wire renders it, into trace-viewer
+// args.
+func chromeArgs(req string, e Event) map[string]any {
+	w := Wire(req, e)
 	args := map[string]any{}
-	if e.Req != "" {
-		args["req"] = e.Req
+	if req != "" {
+		args["req"] = req
 	}
-	if e.A2 != "" {
-		args["detail"] = e.A2
+	if w.A2 != "" {
+		args["detail"] = w.A2
 	}
-	if e.A3 != "" {
-		args["detail2"] = e.A3
+	if w.A3 != "" {
+		args["detail2"] = w.A3
 	}
 	if e.Depth != 0 {
 		args["depth"] = e.Depth

@@ -62,7 +62,8 @@ func (k Kind) String() string {
 
 // Event names — the taxonomy. Span names double as the base of the duration
 // histogram the span observes into (dots become underscores, "_seconds" is
-// appended): a "star.rule" span feeds star_rule_seconds{name="<rule>"}.
+// appended): a "star.rule" span feeds star_rule_seconds{name="<rule>"}, a
+// "glue.call" span the label-free glue_call_seconds (see spanHist).
 const (
 	// EvRule spans one STAR reference; A1 is the rule name, A2 the
 	// rendered arguments, end N1 the SAP size returned.
@@ -83,23 +84,23 @@ const (
 	EvGlueHit  = "glue.hit"
 	EvGlueMiss = "glue.miss"
 	// EvVeneer marks a Glue operator injected over a plan; A1 is the
-	// LOLEPOP name (SHIP, SORT, STORE, BUILDINDEX, FILTER, ...), A2 the
-	// veneer node's fingerprint, A3 its input plan's fingerprint, F1 its
-	// estimated total cost.
+	// LOLEPOP name (SHIP, SORT, STORE, BUILDINDEX, FILTER, ...), P1 the
+	// veneer node's identity, P2 its input plan's, F1 its estimated total
+	// cost.
 	EvVeneer = "glue.veneer"
 	// EvPlanInsert marks a plan-table insertion; A1 table-set key, A2 the
 	// predicate key, N1 plans offered, N2 plans retained in the entry
 	// afterwards.
 	EvPlanInsert = "plantable.insert"
 	// EvPlanOffer marks one plan offered to a plan-table entry, before
-	// dominance is decided; A1 table-set key, A2 the plan fingerprint,
+	// dominance is decided; A1 table-set key, P1 the plan's identity,
 	// A3 "origin desc" (the STAR alternative that built it and the
 	// operator), F1 estimated total cost, F2 estimated cardinality.
 	// Provenance reconstructs pruned plans' identities from these.
 	EvPlanOffer = "plantable.offer"
 	// EvPlanPrune marks a dominance decision; A1 table-set key, N1 0 when
 	// the incoming plan was rejected as dominated, 1 when an existing plan
-	// was evicted by the incoming one. A2 is the victim's fingerprint, A3
+	// was evicted by the incoming one. P1 is the victim's identity, P2
 	// the dominator's, F1 the victim's total cost, F2 the dominator's.
 	EvPlanPrune = "plantable.prune"
 	// EvPhase spans one optimizer phase; A1 names it ("access", "join-2",
@@ -128,32 +129,34 @@ const (
 	// with VeneerCoverage.Event / ParseVeneerCoverage.
 	EvVeneerCoverage = "opt.veneer.coverage"
 	// EvExecFeedback closes the estimate-vs-actual loop after an execution
-	// with per-operator attribution: A1 is the operator name, A2 the plan
-	// node's fingerprint, N1 actual rows (summed over loops), N2 the loop
+	// with per-operator attribution: A1 is the operator name, P1 the plan
+	// node's identity, N1 actual rows (summed over loops), N2 the loop
 	// (open) count, F1 the optimizer's estimated cardinality, F2 the
 	// resulting Q-error (max(est/act, act/est), both clamped to >= 1).
 	EvExecFeedback = "exec.feedback"
 )
 
 // Event is one observation. Sequence number and timestamp are assigned by
-// the sink; callers fill the rest. The two string and two numeric payload
-// slots keep the struct flat (no per-event allocations on the emit path).
+// the sink; callers fill the rest. The fixed payload slots keep the struct
+// flat (no per-event allocations on the emit path). The request an event
+// belongs to is its sink's Tag, not a field: it is the same on every event of
+// a sink, so exporters stamp it (Wire) instead of every event carrying it.
 type Event struct {
 	// Seq is the sink-assigned sequence number (1-based).
 	Seq int64
 	// T is the offset from the sink's start time.
 	T time.Duration
-	// Req is the request id the event belongs to, stamped by the sink
-	// when it carries a tag (NewRequestSink). Empty outside a server:
-	// batch tools run one query per process and need no disambiguation.
-	Req string
 	// Kind is instant, span-begin, or span-end.
 	Kind Kind
 	// Name is the taxonomy name (Ev* constants).
 	Name string
-	// A1, A2, and A3 are string payloads (rule name, table-set key, plan
-	// fingerprints, ...).
+	// A1, A2, and A3 are string payloads (rule name, table-set key,
+	// rendered arguments, ...).
 	A1, A2, A3 string
+	// P1 and P2 are plan identities (plan.Node.ID) carried as words, so the
+	// emit path renders no hex; the exporters show a nonzero P1 as a2 and a
+	// nonzero P2 as a3. An event sets P1 or A2, never both (likewise P2/A3).
+	P1, P2 uint64
 	// Depth is the caller's nesting depth, when meaningful (STAR
 	// recursion depth).
 	Depth int
@@ -175,10 +178,10 @@ type Sink struct {
 	seq     int64
 	spanSeq atomic.Int64
 	tracing bool   // records span and search-step events (see Tracing)
-	tag     string // request id stamped into every event's Req field
+	tag     string // request id of every event recorded here (Tag)
 	tees    []func(Event)
 	reg     *Registry
-	hists   map[histKey]*Histogram // span histograms by (name, a1); under mu
+	hists   map[histKey]*Histogram // span histograms by (name, label); under mu
 	prof    *Prof                  // optional self-profiler (EnableProf); nil costs one check
 }
 
@@ -201,11 +204,11 @@ func NewMetricsSink() *Sink {
 	return s
 }
 
-// NewRequestSink returns a sink whose every event is stamped with the
-// request id req before being recorded or fanned out — the per-request
-// isolation unit of a long-running server: each concurrent optimization
-// writes into its own sink, so traces never interleave, and the Req field
-// keeps attribution after streams from many requests are merged.
+// NewRequestSink returns a sink tagged with the request id req — the
+// per-request isolation unit of a long-running server: each concurrent
+// optimization writes into its own sink, so traces never interleave, and the
+// exporters stamp the tag on every event they write (Wire), which keeps
+// attribution after streams from many requests are merged.
 func NewRequestSink(req string) *Sink {
 	s := NewSink()
 	s.tag = req
@@ -241,10 +244,10 @@ func (s *Sink) Child() *Sink {
 // Absorb replays every event a child sink recorded into s, in the child's
 // order, and merges the child's metrics registry. Sequence numbers are
 // re-stamped from s's counter, span ids are remapped through s's span
-// counter (so absorbed spans never collide with s's own), timestamps are
-// re-based onto s's epoch preserving real durations, and s's request tag is
-// stamped onto untagged events — exactly what Emit would have done had the
-// work reported into s directly. Tees see the absorbed events in order.
+// counter (so absorbed spans never collide with s's own) and timestamps are
+// re-based onto s's epoch preserving real durations — exactly what Emit would
+// have done had the work reported into s directly. Tees see the absorbed
+// events in order.
 // The child must have finished its work. No-op when either side is nil.
 func (s *Sink) Absorb(child *Sink) {
 	if s == nil || child == nil {
@@ -262,9 +265,6 @@ func (s *Sink) Absorb(child *Sink) {
 		s.seq++
 		e.Seq = s.seq
 		e.T += offset
-		if e.Req == "" {
-			e.Req = s.tag
-		}
 		if e.Span != 0 {
 			if spanMap == nil {
 				spanMap = make(map[int64]int64)
@@ -297,8 +297,9 @@ func (s *Sink) Tag() string {
 }
 
 // Tee registers fn to be called with every event the sink materialises
-// (after Seq, T, and Req are stamped) — the fan-out hook live event
-// streaming subscribes through. fn is
+// (after Seq and T are stamped) — the fan-out hook live event streaming
+// subscribes through; a subscriber merging several sinks pairs each event
+// with its sink's Tag. fn is
 // invoked under the sink's lock so subscribers observe one sink's events in
 // order; it must be fast, must not block, and must not call back into the
 // sink. Tee must be called before the sink is shared across goroutines.
@@ -353,34 +354,21 @@ func (s *Sink) Registry() *Registry {
 	return s.reg
 }
 
-// Emit records an instant event. Seq, T, and Req are assigned here.
+// Emit records an instant event. Seq and T are assigned here.
 func (s *Sink) Emit(e Event) {
 	if s == nil {
 		return
 	}
 	e.Kind = KindInstant
-	s.mu.Lock()
-	s.seq++
-	e.Seq = s.seq
 	e.T = time.Since(s.start)
-	if e.Req == "" {
-		e.Req = s.tag
-	}
-	s.events = append(s.events, e)
-	for _, fn := range s.tees {
-		fn(e)
-	}
-	s.mu.Unlock()
+	s.append(e)
 }
 
-// append records a pre-filled span event under the lock.
+// append records an event whose Kind and T are filled, under the lock.
 func (s *Sink) append(e Event) {
 	s.mu.Lock()
 	s.seq++
 	e.Seq = s.seq
-	if e.Req == "" {
-		e.Req = s.tag
-	}
 	s.events = append(s.events, e)
 	for _, fn := range s.tees {
 		fn(e)
@@ -432,8 +420,16 @@ func (sp Span) End(n1 int64) {
 }
 
 // spanHist resolves a span's histogram, rendering its name only on the
-// first span of each (name, a1) the sink sees.
+// first span of each (name, label) the sink sees. Only span kinds whose a1
+// comes from a bounded vocabulary (rule, phase and operator names) are
+// labelled by it: a Glue span's a1 is a table-set key of user-chosen aliases,
+// and one series per key would grow a serving process's registry forever.
 func (s *Sink) spanHist(name, a1 string) *Histogram {
+	switch name {
+	case EvRule, EvPhase, EvExecRun:
+	default:
+		a1 = ""
+	}
 	k := histKey{name, a1}
 	s.mu.Lock()
 	h := s.hists[k]

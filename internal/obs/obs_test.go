@@ -3,10 +3,12 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 func TestNilSinkIsSafeAndFree(t *testing.T) {
@@ -41,9 +43,9 @@ func TestNilSinkIsSafeAndFree(t *testing.T) {
 	// the Event's flat value fields).
 	allocs := testing.AllocsPerRun(100, func() {
 		s.Emit(Event{Name: EvAltFired, A1: "R", N1: 1, N2: 2})
-		s.Emit(Event{Name: EvPlanPrune, A1: "DEPT,EMP", A2: "c02d0ccb80ef20c4",
-			A3: "32dd2088733d3006", N1: 1, F1: 111.7, F2: 2.0})
-		s.Emit(Event{Name: EvPlanOffer, A1: "DEPT,EMP", A2: "c02d0ccb80ef20c4",
+		s.Emit(Event{Name: EvPlanPrune, A1: "DEPT,EMP", P1: 0xc02d0ccb80ef20c4,
+			P2: 0x32dd2088733d3006, N1: 1, F1: 111.7, F2: 2.0})
+		s.Emit(Event{Name: EvPlanOffer, A1: "DEPT,EMP", P1: 0xc02d0ccb80ef20c4,
 			A3: "JMeth#1 JOIN(NL)", F1: 111.7, F2: 111})
 		sp := s.StartSpan(EvRule, "R", "", 1)
 		sp.End(0)
@@ -236,43 +238,52 @@ func TestExportersProduceValidJSON(t *testing.T) {
 	}
 }
 
-// TestExportersRoundTripProvenancePayload checks the enriched event fields
-// (A3, F1, F2) survive both exporters through encoding/json.
+// TestExportersRoundTripProvenancePayload pins the wire contract of the identity words:
+// an event carrying plan identities in P1/P2 exports, through both exporters,
+// the very bytes an event carrying the 16-hex fingerprints as A2/A3 strings
+// does, alongside the other provenance fields (A3, F1, F2).
 func TestExportersRoundTripProvenancePayload(t *testing.T) {
-	s := NewSink()
-	s.Emit(Event{Name: EvPlanPrune, A1: "DEPT,EMP", A2: "victimfp00000000",
-		A3: "dominatorfp00000", N1: 1, F1: 111.7, F2: 2.5})
+	export := func(e Event) (ndjson, chrome string) {
+		s := NewRequestSink("r1")
+		s.append(e) // like Emit, but leaves the clock field alone
+		var nd, ct bytes.Buffer
+		if err := s.WriteNDJSON(&nd); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.WriteChromeTrace(&ct); err != nil {
+			t.Fatal(err)
+		}
+		return nd.String(), ct.String()
+	}
+	const victim, dominator = 0xc02d0ccb80ef20c4, 0x00dd2088733d3006 // leading zeros must survive
+	wordsND, wordsCT := export(Event{Name: EvPlanPrune, A1: "DEPT,EMP", P1: victim, P2: dominator, N1: 1, F1: 111.7, F2: 2.5})
+	textND, textCT := export(Event{Name: EvPlanPrune, A1: "DEPT,EMP", A2: fmt.Sprintf("%016x", uint64(victim)),
+		A3: fmt.Sprintf("%016x", uint64(dominator)), N1: 1, F1: 111.7, F2: 2.5})
+	if wordsND != textND || wordsCT != textCT {
+		t.Errorf("P1/P2 export differs from the A2/A3 strings:\n%s%s%s%s", wordsND, textND, wordsCT, textCT)
+	}
+	for _, want := range []string{`"req":"r1"`, `"a2":"c02d0ccb80ef20c4"`, `"a3":"00dd2088733d3006"`, `"f1":111.7`, `"f2":2.5`} {
+		if !strings.Contains(wordsND, want) {
+			t.Errorf("ndjson line lacks %s: %s", want, wordsND)
+		}
+	}
+	for _, want := range []string{`"req":"r1"`, `"detail":"c02d0ccb80ef20c4"`, `"detail2":"00dd2088733d3006"`, `"f1":111.7`} {
+		if !strings.Contains(wordsCT, want) {
+			t.Errorf("chrome trace lacks %s: %s", want, wordsCT)
+		}
+	}
+	// A zero word is "no identity" and is never rendered.
+	if w := Wire("", Event{Name: EvVeneer, A1: "SORT"}); w.A2 != "" || w.A3 != "" {
+		t.Errorf("zero identity words rendered: %+v", w)
+	}
+}
 
-	var nd bytes.Buffer
-	if err := s.WriteNDJSON(&nd); err != nil {
-		t.Fatal(err)
-	}
-	var obj map[string]any
-	if err := json.Unmarshal(bytes.TrimSpace(nd.Bytes()), &obj); err != nil {
-		t.Fatalf("ndjson line: %v", err)
-	}
-	if obj["a3"] != "dominatorfp00000" || obj["f1"] != 111.7 || obj["f2"] != 2.5 {
-		t.Errorf("ndjson lost provenance fields: %v", obj)
-	}
-
-	var ct bytes.Buffer
-	if err := s.WriteChromeTrace(&ct); err != nil {
-		t.Fatal(err)
-	}
-	var trace struct {
-		TraceEvents []struct {
-			Args map[string]any `json:"args"`
-		} `json:"traceEvents"`
-	}
-	if err := json.Unmarshal(ct.Bytes(), &trace); err != nil {
-		t.Fatalf("chrome trace: %v", err)
-	}
-	if len(trace.TraceEvents) != 1 {
-		t.Fatalf("chrome trace has %d events, want 1", len(trace.TraceEvents))
-	}
-	args := trace.TraceEvents[0].Args
-	if args["detail2"] != "dominatorfp00000" || args["f1"] != 111.7 || args["f2"] != 2.5 {
-		t.Errorf("chrome trace lost provenance fields: %v", args)
+// TestEventSize pins what carrying identities as words cost: nothing. The
+// two words took the place of the per-event request id (now the sink's), so
+// an event is as big as it was — and every traced search step appends one.
+func TestEventSize(t *testing.T) {
+	if n := unsafe.Sizeof(Event{}); n > 152 {
+		t.Errorf("obs.Event is %d bytes, want <= 152", n)
 	}
 }
 

@@ -9,8 +9,9 @@ import (
 	"time"
 )
 
-// TestRequestSinkTagsEvents: every event recorded by a request sink carries
-// the request id, on the emit path, the span path, and the tee fan-out.
+// TestRequestSinkTagsEvents: every event recorded by a request sink — emit
+// path and span path — leaves tagged with the request id, and the tee sees
+// exactly the recorded events.
 func TestRequestSinkTagsEvents(t *testing.T) {
 	s := NewRequestSink("r42")
 	if s.Tag() != "r42" {
@@ -27,10 +28,12 @@ func TestRequestSinkTagsEvents(t *testing.T) {
 	if len(events) != 3 {
 		t.Fatalf("recorded %d events, want 3", len(events))
 	}
-	for _, e := range events {
-		if e.Req != "r42" {
-			t.Errorf("event %s has Req=%q, want r42", e.Name, e.Req)
-		}
+	var nd bytes.Buffer
+	if err := s.WriteNDJSON(&nd); err != nil {
+		t.Fatal(err)
+	}
+	if n := strings.Count(nd.String(), `"req":"r42"`); n != 3 {
+		t.Errorf("%d of 3 exported lines carry the request id:\n%s", n, nd.String())
 	}
 	if len(teed) != 3 {
 		t.Fatalf("teed %d events, want 3", len(teed))
@@ -68,7 +71,7 @@ func TestNDJSONCarriesRequestID(t *testing.T) {
 		t.Fatal(err)
 	}
 	var single bytes.Buffer
-	if err := EncodeNDJSON(&single, s.Events()[0]); err != nil {
+	if err := EncodeNDJSON(&single, s.Tag(), s.Events()[0]); err != nil {
 		t.Fatal(err)
 	}
 	if batch.String() != single.String() {

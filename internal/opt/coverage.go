@@ -60,7 +60,7 @@ func emitCoverage(sink *obs.Sink, rules *star.RuleSet, res *Result) {
 	count := func(root *plan.Node, seen map[uint64]bool, alt func(*obs.AltCoverage), ven func(*obs.VeneerCoverage)) {
 		var walk func(n *plan.Node)
 		walk = func(n *plan.Node) {
-			fp := n.FP64()
+			fp := n.ID()
 			if seen[fp] {
 				return
 			}

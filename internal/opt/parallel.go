@@ -86,11 +86,6 @@ func (o *Optimizer) enumerate(g *query.Graph, en *star.Engine, gl *glue.Gluer, t
 	par := resolveParallelism(o.Opts.Parallelism)
 	sink := res.Obs
 
-	// plan.Node memoizes Key/Fingerprint lazily — a write. Populate the
-	// memos of the committed access plans while the table is still
-	// single-threaded; Absorb keeps the invariant for later ranks.
-	table.MemoizeIdentities()
-
 	profiled := sink.ProfEnabled()
 	labels := sink.ProfLabels()
 	full := uint32(1)<<uint(n) - 1
@@ -317,7 +312,7 @@ func (o *Optimizer) runSubset(t *subsetTask, arena *plan.Arena, g *query.Graph, 
 			star.PredsValue(g.NewlyEligible(s1, s2)),
 		})
 		if err != nil {
-			t.err = fmt.Errorf("opt: joining {%s} with {%s}: %w", s1.Key(), s2.Key(), err)
+			t.err = fmt.Errorf("opt: joining {%s} with {%s}: %w", s1.Key(), s2.Key(), err) //obsguard:ignore error path
 			return
 		}
 		ov.Insert(S, eligible, sap)

@@ -44,8 +44,8 @@ func eventLog(sink *obs.Sink) []string {
 	events := sink.Events()
 	out := make([]string, len(events))
 	for i, e := range events {
-		out[i] = fmt.Sprintf("%d %d %s %d|%s|%s|%s|%d|%d|%.4f|%.4f",
-			e.Seq, e.Span, e.Name, e.Kind, e.A1, e.A2, e.A3, e.N1, e.N2, e.F1, e.F2)
+		out[i] = fmt.Sprintf("%d %d %s %d|%s|%s|%s|%x|%x|%d|%d|%.4f|%.4f",
+			e.Seq, e.Span, e.Name, e.Kind, e.A1, e.A2, e.A3, e.P1, e.P2, e.N1, e.N2, e.F1, e.F2)
 	}
 	return out
 }
@@ -304,7 +304,8 @@ var allocSink struct {
 
 // TestSetAlgebraAllocs pins the point of keeping sets as words: on chain8's
 // universe the set algebra, the eligibility and joinability probes, the plan
-// table's lookups and a Rel-intern hit allocate nothing.
+// table's lookups, a Rel-intern hit and the index-prefix match (with the
+// column-reference test under it) allocate nothing.
 func TestSetAlgebraAllocs(t *testing.T) {
 	cat := workload.ChainCatalog(8, 100, 100, 100, 100, 100, 100, 100, 100)
 	g := workload.ChainQuery(8)
@@ -318,6 +319,7 @@ func TestSetAlgebraAllocs(t *testing.T) {
 	env.Bind(g)
 	cols := g.NeededCols(cat, "T1")
 	rel := env.InternRel(s1, cols, a)
+	join := &expr.Cmp{Op: expr.EQ, L: expr.C("T2", "K"), R: expr.C("T3", "J")}
 	for _, tc := range []struct {
 		name string
 		f    func()
@@ -334,6 +336,8 @@ func TestSetAlgebraAllocs(t *testing.T) {
 		{"PlanTable.HasEntry", func() { allocSink.b = overlay.HasEntry(s1) && !overlay.HasEntry(s2) }},
 		{"InternRel hit", func() { allocSink.r = env.Fork().InternRel(s1, cols, a) }},
 		{"SetSelectivity (pricing walks a set with ForEach, not Slice's memo)", func() { allocSink.f = env.SetSelectivity(a) }},
+		{"References", func() { allocSink.b = expr.References(join, "T3") && !expr.References(join, "T1") }},
+		{"MatchIndexPrefix", func() { allocSink.p = expr.MatchIndexPrefix(a, []expr.ColID{{Table: "T3", Col: "J"}}) }},
 	} {
 		if n := testing.AllocsPerRun(1000, tc.f); n != 0 {
 			t.Errorf("%s allocates %.1f/op, want 0", tc.name, n)
@@ -359,7 +363,8 @@ func TestEnumerationHotPathAllocs(t *testing.T) {
 
 	// The always-on tier renders nothing per search step: a non-tracing
 	// sink with the profiler attached (what the daemon runs by default) may
-	// cost at most a tenth more allocations than no sink at all.
+	// cost at most a twentieth more allocations than no sink at all (1.022x
+	// measured: a Glue span renders nothing at this tier).
 	cat := workload.StarCatalog(6, 100000, 1000)
 	allocs := func(mkSink func() *obs.Sink) float64 {
 		return testing.AllocsPerRun(3, func() {
@@ -374,8 +379,8 @@ func TestEnumerationHotPathAllocs(t *testing.T) {
 		s.EnableProf(obs.ProfOptions{})
 		return s
 	})
-	if tier0 > 1.10*bare {
-		t.Errorf("star6 allocations: non-tracing sink %.0f > 1.10 x nil sink %.0f", tier0, bare)
+	if tier0 > 1.05*bare {
+		t.Errorf("star6 allocations: non-tracing sink %.0f > 1.05 x nil sink %.0f", tier0, bare)
 	}
 	t.Logf("star6 allocations: nil sink %.0f, non-tracing sink %.0f (%.3fx)", bare, tier0, tier0/bare)
 }

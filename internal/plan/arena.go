@@ -122,7 +122,7 @@ func (a *Arena) Reset() {
 func (n *Node) Poisoned() bool { return n.Op == poisonOp }
 
 // Detach deep-copies the plan DAG rooted at n out of any arena onto the
-// heap, preserving structure sharing and memoized identities. Consumers that
+// heap, preserving structure sharing and published identities. Consumers that
 // hold a plan beyond Result.Release — serve responses, incident captures,
 // provenance DAGs — detach it first. Rel values are heap-interned, not
 // arena-backed, so they are shared, and slice backings (Cols, Order, Paths)

@@ -8,7 +8,9 @@ package plan
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
+	"sync/atomic"
 
 	"stars/internal/expr"
 )
@@ -123,9 +125,9 @@ type Node struct {
 	// explain/tracing ("the origin of any execution plan", Section 1).
 	Origin string
 
-	key    string // memoized Key; nodes are immutable once built
-	fp     string // memoized Fingerprint
-	fpBits uint64 // memoized 64-bit fingerprint (0 = not yet computed)
+	// id is the identity ID publishes: 0 until first computed, read and
+	// written with sync/atomic only.
+	id uint64
 }
 
 // Outer returns the first input (the outer stream of a join).
@@ -219,59 +221,53 @@ func (n *Node) Count() int {
 	return len(seen)
 }
 
-// Key returns a canonical string identifying the plan's structure —
-// operators, parameters, and inputs — but not its properties. The
-// transformational baseline memoizes on it, and tests use it for plan
-// equality.
-func (n *Node) Key() string {
-	if n.key == "" {
-		var b strings.Builder
-		n.writeKey(&b, false)
-		n.key = b.String()
+// ID returns the plan's identity: the 64-bit FNV-1a hash of its canonical
+// key, so two plans with the same operators, parameters and inputs share it
+// across runs and processes. It is the one identity a node has — the rule
+// engine dedupes on it, events and provenance carry it as a word, and
+// Fingerprint renders it. Computed on first use by streaming the key through
+// the hash (no string is built) and published atomically, so any number of
+// goroutines may ask a shared node; 0 means "not yet computed" and is never
+// rendered.
+func (n *Node) ID() uint64 {
+	if id := atomic.LoadUint64(&n.id); id != 0 {
+		return id
 	}
-	return n.key
+	w := keyWriter{h: offset64}
+	n.writeKey(&w, false)
+	atomic.StoreUint64(&n.id, w.h)
+	return w.h
 }
 
-// Fingerprint returns a short, stable identity for the plan's structure: the
-// 64-bit FNV-1a hash of Key() as 16 hex digits. Two plans with the same
-// operators, parameters, and inputs share a fingerprint across runs and
-// processes, which is what lets provenance diff two optimizations and lets
-// the CLI's -whynot address a plan the optimizer discarded.
-func (n *Node) Fingerprint() string {
-	if n.fp == "" {
-		n.fp = fmt.Sprintf("%016x", n.FP64())
-	}
-	return n.fp
+// FormatID renders an identity the way every display boundary shows it: 16
+// lower-case hex digits.
+func FormatID(id uint64) string {
+	s := strconv.FormatUint(id, 16)
+	return "0000000000000000"[len(s):] + s
 }
 
-// FP64 returns the raw 64-bit FNV-1a fingerprint — the same hash Fingerprint
-// renders as hex — without materializing the key string. The rule engine
-// dedupes freshly built alternatives on it, so the canonical key bytes are
-// streamed through the hash rather than concatenated. Like Key, the memo
-// write is not synchronized: callers must not invoke it concurrently on a
-// shared node unless the node's identity was memoized first.
-func (n *Node) FP64() uint64 {
-	if n.fpBits == 0 {
-		var h fnvWriter
-		h.h = offset64
-		if n.key != "" {
-			h.WriteString(n.key)
-		} else {
-			n.writeKey(&h, false)
-		}
-		n.fpBits = h.h
-	}
-	return n.fpBits
-}
+// Fingerprint renders ID for display: what lets provenance diff two
+// optimizations and lets the CLI's -whynot address a plan the optimizer
+// discarded.
+func (n *Node) Fingerprint() string { return FormatID(n.ID()) }
 
 // ShapeFingerprint is Fingerprint with every predicate literal hashed as
 // "?": the plans one query template gets for different constants share it
-// unless their operators, methods, access paths or join order differ. Not
-// memoized; meant for one call per chosen plan.
+// unless their operators, methods, access paths or join order differ. Meant
+// for one call per chosen plan.
 func (n *Node) ShapeFingerprint() string {
-	h := fnvWriter{h: offset64}
-	n.writeKey(&h, true)
-	return fmt.Sprintf("%016x", h.h)
+	w := keyWriter{h: offset64}
+	n.writeKey(&w, true)
+	return FormatID(w.h)
+}
+
+// Key renders the canonical string ID hashes — operators, parameters, and
+// inputs, but not properties. The transformational baseline memoizes on it,
+// and tests use it for plan equality.
+func (n *Node) Key() string {
+	var b strings.Builder
+	n.writeKey(&keyWriter{b: &b}, false)
+	return b.String()
 }
 
 const (
@@ -279,60 +275,62 @@ const (
 	prime64  uint64 = 1099511628211
 )
 
-// fnvWriter streams bytes into an FNV-1a 64 hash; it implements keyWriter so
-// writeKey can hash the canonical key without building the string.
-type fnvWriter struct{ h uint64 }
+// keyWriter is what writeKey renders into: the key string when b is set,
+// otherwise an FNV-1a 64 hash of the same bytes. A concrete type, so hashing
+// a plan allocates nothing.
+type keyWriter struct {
+	h uint64
+	b *strings.Builder
+}
 
-func (w *fnvWriter) WriteString(s string) (int, error) {
+func (w *keyWriter) str(s string) {
+	if w.b != nil {
+		w.b.WriteString(s)
+		return
+	}
 	h := w.h
 	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= prime64
+		h = (h ^ uint64(s[i])) * prime64
 	}
 	w.h = h
-	return len(s), nil
 }
 
-func (w *fnvWriter) WriteByte(c byte) error {
+func (w *keyWriter) char(c byte) {
+	if w.b != nil {
+		w.b.WriteByte(c)
+		return
+	}
 	w.h = (w.h ^ uint64(c)) * prime64
-	return nil
-}
-
-// keyWriter is the sink writeKey renders into: a strings.Builder when the key
-// string is wanted, an fnvWriter when only the fingerprint is.
-type keyWriter interface {
-	WriteString(s string) (int, error)
-	WriteByte(c byte) error
 }
 
 // writeKey renders the canonical key; with shape set, predicate literals
 // render as "?" (see ShapeFingerprint).
-func (n *Node) writeKey(b keyWriter, shape bool) {
-	b.WriteString(string(n.Op))
+func (n *Node) writeKey(b *keyWriter, shape bool) {
+	b.str(string(n.Op))
 	if n.Flavor != "" {
-		b.WriteByte('/')
-		b.WriteString(n.Flavor)
+		b.char('/')
+		b.str(n.Flavor)
 	}
-	b.WriteByte('(')
+	b.char('(')
 	sep := false
 	tag := func(t string) {
 		if sep {
-			b.WriteByte(';')
+			b.char(';')
 		}
 		sep = true
-		b.WriteString(t)
+		b.str(t)
 	}
 	if n.Table != "" {
 		tag("t=")
-		b.WriteString(n.Table)
+		b.str(n.Table)
 	}
 	if n.Quantifier != "" {
 		tag("q=")
-		b.WriteString(n.Quantifier)
+		b.str(n.Quantifier)
 	}
 	if n.Path != "" {
 		tag("p=")
-		b.WriteString(n.Path)
+		b.str(n.Path)
 	}
 	if len(n.Cols) > 0 {
 		tag("c=")
@@ -352,35 +350,27 @@ func (n *Node) writeKey(b keyWriter, shape bool) {
 	}
 	if n.Op == OpShip || n.Site != "" {
 		tag("@=")
-		b.WriteString(n.Site)
+		b.str(n.Site)
 	}
 	for _, in := range n.Inputs {
 		if sep {
-			b.WriteByte(';')
+			b.char(';')
 		}
 		sep = true
-		// Reuse an input's memoized key rather than re-rendering its
-		// subtree; enumeration memoizes base-plan identities before
-		// fanning out, so deep plans hash in time proportional to their
-		// top layer.
-		if in.key != "" && !shape {
-			b.WriteString(in.key)
-		} else {
-			in.writeKey(b, shape)
-		}
+		in.writeKey(b, shape)
 	}
-	b.WriteByte(')')
+	b.char(')')
 }
 
 // writeCols renders cols exactly as colList but without allocating.
-func writeCols(b keyWriter, cols []expr.ColID) {
+func writeCols(b *keyWriter, cols []expr.ColID) {
 	for i, c := range cols {
 		if i > 0 {
-			b.WriteByte(',')
+			b.char(',')
 		}
-		b.WriteString(c.Table)
-		b.WriteByte('.')
-		b.WriteString(c.Col)
+		b.str(c.Table)
+		b.char('.')
+		b.str(c.Col)
 	}
 }
 
@@ -388,21 +378,21 @@ func writeCols(b keyWriter, cols []expr.ColID) {
 // without allocating, using the per-predicate cached keys. With shape set it
 // renders the literal-free keys instead, re-sorted: the set's own order
 // follows the literals.
-func writePredKeys(b keyWriter, ps expr.PredSet, shape bool) {
+func writePredKeys(b *keyWriter, ps expr.PredSet, shape bool) {
 	if shape {
 		keys := make([]string, 0, ps.Len())
 		ps.ForEach(func(p expr.Expr, _ string) { keys = append(keys, expr.ShapeKey(p)) })
 		sort.Strings(keys)
-		b.WriteString(strings.Join(keys, "&"))
+		b.str(strings.Join(keys, "&"))
 		return
 	}
 	sep := false
 	ps.ForEach(func(_ expr.Expr, key string) {
 		if sep {
-			b.WriteByte('&')
+			b.char('&')
 		}
 		sep = true
-		b.WriteString(key)
+		b.str(key)
 	})
 }
 

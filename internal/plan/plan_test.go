@@ -1,8 +1,12 @@
 package plan
 
 import (
+	"fmt"
+	"hash/fnv"
 	"slices"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 
@@ -80,7 +84,7 @@ func TestValidate(t *testing.T) {
 	}
 }
 
-func TestKeyDistinguishesAndMemoizes(t *testing.T) {
+func TestKeyDistinguishes(t *testing.T) {
 	a := scan("T")
 	b := scan("T")
 	if a.Key() != b.Key() {
@@ -105,10 +109,6 @@ func TestKeyDistinguishesAndMemoizes(t *testing.T) {
 	if p1.Key() != p2.Key() {
 		t.Error("predicate order must not affect the key")
 	}
-	// Memoization returns the same string on repeat calls.
-	if j1.Key() != j1.Key() {
-		t.Fatal("Key must be stable")
-	}
 }
 
 // TestShapeFingerprintIgnoresLiterals: plans differing only in predicate
@@ -125,7 +125,7 @@ func TestShapeFingerprintIgnoresLiterals(t *testing.T) {
 	if x.Fingerprint() == y.Fingerprint() {
 		t.Fatal("fingerprints must carry the literals")
 	}
-	x.Key() // a memoized key must not leak literals into the shape
+	x.ID() // a published identity must not leak literals into the shape
 	if x.ShapeFingerprint() != y.ShapeFingerprint() {
 		t.Errorf("same shape, different literals: %s vs %s", x.ShapeFingerprint(), y.ShapeFingerprint())
 	}
@@ -157,7 +157,17 @@ func TestFingerprintIsStableAndDistinguishes(t *testing.T) {
 		t.Error("identical structure must share a fingerprint")
 	}
 	if fp != a.Fingerprint() {
-		t.Error("Fingerprint must be memoized and stable")
+		t.Error("Fingerprint must be stable")
+	}
+	// The displayed form is the hash of the key, zero-padded: what ID
+	// streams is byte for byte what Key renders.
+	h := fnv.New64a()
+	h.Write([]byte(a.Key()))
+	if want := fmt.Sprintf("%016x", h.Sum64()); fp != want || a.ID() != h.Sum64() {
+		t.Errorf("fingerprint %s (ID %x), want FNV-1a of Key %s", fp, a.ID(), want)
+	}
+	if got := FormatID(0xabc); got != "0000000000000abc" {
+		t.Errorf("FormatID(0xabc) = %q", got)
 	}
 	if fp == scan("U").Fingerprint() {
 		t.Error("different plans must differ")
@@ -168,6 +178,70 @@ func TestFingerprintIsStableAndDistinguishes(t *testing.T) {
 	fresh := scan("T")
 	if got := fresh.Fingerprint(); got != fp {
 		t.Errorf("fingerprint changed: %s vs %s", got, fp)
+	}
+}
+
+// deepPlan builds a never-hashed left-deep join over n scans that share one
+// subplan, the shape enumeration hands its workers.
+func deepPlan(n int) *Node {
+	shared := scan("S")
+	shared.Preds = predSet(pred("S", "A", 1))
+	cur := &Node{Op: OpSort, SortCols: []expr.ColID{{Table: "S", Col: "A"}}, Inputs: []*Node{shared}}
+	for i := 0; i < n; i++ {
+		cur = &Node{Op: OpJoin, Flavor: MethodNL, Inputs: []*Node{cur, shared},
+			Residual: predSet(pred("S", "A", int64(i)))}
+	}
+	return cur
+}
+
+// TestIDIsSafeToShare: any number of goroutines may ask a freshly built,
+// never-hashed plan DAG — and its shared interior nodes — for its identity at
+// once, and all get the same answer. Run under -race: ID publishes with
+// sync/atomic, there is no "memoize before sharing" protocol to follow.
+func TestIDIsSafeToShare(t *testing.T) {
+	root := deepPlan(12)
+	want := deepPlan(12).ID()
+	const G = 8
+	got := make([]uint64, G)
+	var wg sync.WaitGroup
+	for g := 0; g < G; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			// Half the goroutines start at an interior node, so parents and
+			// children are hashed and published concurrently.
+			if g%2 == 1 {
+				root.Outer().ID()
+				root.Outer().Inner().ID()
+			}
+			got[g] = root.ID()
+		}(g)
+	}
+	wg.Wait()
+	for g, id := range got {
+		if id != want || id == 0 {
+			t.Errorf("goroutine %d read identity %x, want %x", g, id, want)
+		}
+	}
+}
+
+// TestIDHashesWithoutAllocating: computing an identity streams the key
+// through the hash and allocates nothing, first call included; rendering it
+// costs the one 16-byte string.
+func TestIDHashesWithoutAllocating(t *testing.T) {
+	root := deepPlan(6)
+	var sum uint64
+	if n := testing.AllocsPerRun(100, func() {
+		atomic.StoreUint64(&root.id, 0) // forget the published identity: hash again
+		sum += root.ID()
+	}); n != 0 {
+		t.Errorf("ID allocates %.1f/op, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { sum += uint64(len(root.Fingerprint())) }); n > 1 {
+		t.Errorf("Fingerprint allocates %.1f/op, want <= 1", n)
+	}
+	if sum == 0 {
+		t.Error("identities must be nonzero")
 	}
 }
 

@@ -16,7 +16,8 @@
 //	dag.WriteDOT(f)                     // render the search space
 //	provenance.Diff(dagA, dagB)         // what did an ablation change
 //
-// Plans are identified by plan.Node.Fingerprint(), which is stable across
+// Plans are identified by plan.Node.Fingerprint() (the hex of Node.ID, which
+// is what events and Build carry), which is stable across
 // runs and processes, so fingerprints printed by one run address plans in
 // another (that is what makes Diff and the CLI's -whynot usable).
 package provenance
@@ -108,29 +109,30 @@ func FromResult(res *opt.Result) (*DAG, error) {
 // Build reconstructs the DAG from the final plan table, the chosen plan, and
 // the event stream. The table and best plan supply structure (edges) for
 // everything that survived; the events supply the identities, costs, and
-// dominators of everything that did not.
+// dominators of everything that did not. Plans and events both name a plan by
+// its 64-bit identity; the fingerprint the DAG is keyed on is rendered once
+// per distinct plan.
 func Build(table *glue.PlanTable, best *plan.Node, events []obs.Event) (*DAG, error) {
 	if len(events) == 0 {
 		return nil, errors.New("provenance: empty event stream (non-tracing sink? use stars.NewSink)")
 	}
-	d := &DAG{Plans: map[string]*Plan{}}
+	b := builder{d: &DAG{Plans: map[string]*Plan{}}, byID: map[uint64]*Plan{}}
 
 	// Structure pass: walk every retained plan's subtree; interior nodes
 	// are retained too (they are part of surviving plans).
 	if table != nil {
-		table.ForEach(func(tk, pk string, p *plan.Node) { d.addTree(p) })
+		table.ForEach(func(tk, pk string, p *plan.Node) { b.addTree(p) })
 	}
 	if best != nil {
-		d.addTree(best)
-		d.BestFP = best.Fingerprint()
-		d.markBest(best)
+		b.d.BestFP = b.addTree(best).FP
+		b.markBest(best)
 	}
 
 	// Event pass: pruned victims, veneers, rejected alternatives.
 	for _, e := range events {
 		switch e.Name {
 		case obs.EvPlanOffer:
-			n := d.ensure(e.A2)
+			n := b.ensure(e.P1)
 			if n.Desc == "" {
 				n.Origin, n.Desc = splitDetail(e.A3)
 			}
@@ -141,23 +143,24 @@ func Build(table *glue.PlanTable, best *plan.Node, events []obs.Event) (*DAG, er
 				n.Cost, n.Card = e.F1, e.F2
 			}
 		case obs.EvPlanPrune:
-			n := d.ensure(e.A2)
+			n := b.ensure(e.P1)
 			if n.Tables == "" {
 				n.Tables = e.A1
 			}
 			if n.Cost == 0 {
 				n.Cost = e.F1
 			}
+			// The dominator exists even if later evicted.
+			dom := b.ensure(e.P2)
 			// A plan pruned in one entry may be retained in another;
 			// the final table is authoritative.
 			if !n.Retained {
-				n.PrunedBy = e.A3
+				n.PrunedBy = dom.FP
 				n.PrunedByCost = e.F2
 				n.Evicted = e.N1 == 1
 			}
-			d.ensure(e.A3) // the dominator exists even if later evicted
 		case obs.EvVeneer:
-			n := d.ensure(e.A2)
+			n := b.ensure(e.P1)
 			n.Veneer = true
 			if n.Desc == "" {
 				n.Desc = e.A1
@@ -165,37 +168,45 @@ func Build(table *glue.PlanTable, best *plan.Node, events []obs.Event) (*DAG, er
 			if n.Cost == 0 {
 				n.Cost = e.F1
 			}
-			if len(n.Inputs) == 0 && e.A3 != "" {
-				n.Inputs = []string{e.A3}
+			if len(n.Inputs) == 0 && e.P2 != 0 {
+				// The input was itself offered or veneered: this finds it.
+				n.Inputs = []string{b.ensure(e.P2).FP}
 			}
 		case obs.EvAltRejected:
 			if e.Kind == obs.KindInstant {
-				d.Rejections = append(d.Rejections, Rejection{
+				b.d.Rejections = append(b.d.Rejections, Rejection{
 					Rule: e.A1, Alt: int(e.N1), Cond: e.A2, Depth: e.Depth,
 				})
 			}
 		}
 	}
-	return d, nil
+	return b.d, nil
 }
 
-// ensure returns the node for fp, creating a stub if unseen.
-func (d *DAG) ensure(fp string) *Plan {
-	n := d.Plans[fp]
+// builder is Build's working state: the DAG under construction plus its
+// nodes indexed by plan identity.
+type builder struct {
+	d    *DAG
+	byID map[uint64]*Plan
+}
+
+// ensure returns the node for the plan identity, creating a stub if unseen.
+func (b *builder) ensure(id uint64) *Plan {
+	n := b.byID[id]
 	if n == nil {
-		n = &Plan{FP: fp}
-		d.Plans[fp] = n
+		n = &Plan{FP: plan.FormatID(id)}
+		b.byID[id] = n
+		b.d.Plans[n.FP] = n
 	}
 	return n
 }
 
 // addTree records a plan node and its whole subtree as retained, with edges.
-func (d *DAG) addTree(p *plan.Node) {
-	fp := p.Fingerprint()
-	if n := d.Plans[fp]; n != nil && n.Retained {
-		return
+func (b *builder) addTree(p *plan.Node) *Plan {
+	n := b.ensure(p.ID())
+	if n.Retained {
+		return n
 	}
-	n := d.ensure(fp)
 	n.Retained = true
 	n.Desc = p.Describe()
 	n.Origin = p.Origin
@@ -212,20 +223,20 @@ func (d *DAG) addTree(p *plan.Node) {
 	}
 	n.Inputs = n.Inputs[:0]
 	for _, in := range p.Inputs {
-		n.Inputs = append(n.Inputs, in.Fingerprint())
-		d.addTree(in)
+		n.Inputs = append(n.Inputs, b.addTree(in).FP)
 	}
+	return n
 }
 
 // markBest flags the winning derivation chain.
-func (d *DAG) markBest(p *plan.Node) {
-	n := d.Plans[p.Fingerprint()]
+func (b *builder) markBest(p *plan.Node) {
+	n := b.byID[p.ID()]
 	if n == nil || n.Best {
 		return
 	}
 	n.Best = true
 	for _, in := range p.Inputs {
-		d.markBest(in)
+		b.markBest(in)
 	}
 }
 

@@ -26,11 +26,12 @@ func fnvHex(s string) string {
 }
 
 // foldFlight folds one finished request into the flight recorder and, when
-// the watchdog fires, snapshots an incident bundle. Called from the
+// the watchdog fires, snapshots an incident bundle. planFP is res.Best's
+// fingerprint as the response already rendered it. Called from the
 // doLabeled defer after the request's event stream is final; no-op (and
 // allocation-free) when recording is disabled.
 func (s *Server) foldFlight(reqID, tmpl string, req OptimizeRequest, sink *obs.Sink,
-	res *opt.Result, status int, wall time.Duration, executed bool) {
+	res *opt.Result, planFP string, status int, wall time.Duration, executed bool) {
 	if s.flight == nil {
 		return
 	}
@@ -39,7 +40,7 @@ func (s *Server) foldFlight(reqID, tmpl string, req OptimizeRequest, sink *obs.S
 		WallNS: wall.Nanoseconds(), Parallelism: s.cfg.Parallelism,
 	}
 	if res != nil && res.Best != nil {
-		rec.PlanFP = res.Best.Fingerprint()
+		rec.PlanFP = planFP
 		rec.ShapeFP = res.Best.ShapeFingerprint()
 		rec.EstCost = res.Best.Props.Cost.Total
 		rec.EstRows = res.Best.Props.Card
@@ -143,7 +144,7 @@ func (s *Server) captureRequest(req OptimizeRequest, tmpl string, sink *obs.Sink
 	}
 	cap.Events = make([]obs.WireEvent, 0, len(events))
 	for _, e := range events {
-		cap.Events = append(cap.Events, obs.Wire(e))
+		cap.Events = append(cap.Events, obs.Wire(sink.Tag(), e))
 	}
 	if res != nil && res.Obs.Tracing() {
 		if dag, err := provenance.FromResult(res); err == nil {

@@ -575,7 +575,7 @@ func (s *Server) doLabeled(reqID, tmpl string, req OptimizeRequest) outcome {
 	// needs no more than the always-on tier.
 	sink := obs.NewRequestSink(reqID)
 	sink.SetTracing(req.Provenance || s.bcast.subscribers.Value() > 0)
-	sink.Tee(s.bcast.publish)
+	sink.Tee(func(e obs.Event) { s.bcast.publish(reqID, e) })
 	if !s.cfg.DisableProfiling {
 		sink.EnableProf(obs.ProfOptions{})
 	}
@@ -608,12 +608,13 @@ func (s *Server) doLabeled(reqID, tmpl string, req OptimizeRequest) outcome {
 	status := http.StatusOK
 	var (
 		flightRes  *opt.Result
+		flightFP   string // the chosen plan's fingerprint, rendered once
 		flightExec bool
 	)
 	defer func() {
 		s.ledger.Record(tmpl, sink.Events())
 		s.ledger.PublishMetrics(s.reg, s.rules)
-		s.foldFlight(reqID, tmpl, req, sink, flightRes, status, time.Since(start), flightExec)
+		s.foldFlight(reqID, tmpl, req, sink, flightRes, flightFP, status, time.Since(start), flightExec)
 		// Every consumer of the result is done (the response is rendered,
 		// incident captures serialize plans to JSON): hand the plan arenas
 		// back, so the next request fills the same chunks instead of
@@ -650,14 +651,14 @@ func (s *Server) doLabeled(reqID, tmpl string, req OptimizeRequest) outcome {
 	if err != nil {
 		return fail(http.StatusUnprocessableEntity, err)
 	}
-	flightRes = res
+	flightRes, flightFP = res, res.Best.Fingerprint()
 
 	resp := &OptimizeResponse{
 		Schema:    SchemaV1,
 		RequestID: reqID,
 		SQL:       req.SQL,
 		Plan: PlanJSON{
-			Fingerprint:   res.Best.Fingerprint(),
+			Fingerprint:   flightFP,
 			EstimatedRows: res.Best.Props.Card,
 			Cost:          costJSON(res.Best.Props.Cost),
 		},

@@ -511,7 +511,7 @@ func TestBroadcasterDropsWhenFull(t *testing.T) {
 	b := newBroadcaster(reg)
 	sub := b.subscribe(2)
 	for i := 0; i < 5; i++ {
-		b.publish(obs.Event{Name: "e", N1: int64(i)})
+		b.publish("r", obs.Event{Name: "e", N1: int64(i)})
 	}
 	if got := sub.dropped.Load(); got != 3 {
 		t.Errorf("subscriber dropped = %d, want 3", got)
@@ -527,7 +527,7 @@ func TestBroadcasterDropsWhenFull(t *testing.T) {
 		t.Error("subscribe after closeAll should refuse")
 	}
 	// Publishing after close is a no-op, not a panic.
-	b.publish(obs.Event{Name: "e"})
+	b.publish("r", obs.Event{Name: "e"})
 }
 
 // TestHealthEndpoints covers the trivial surfaces: index, healthz, metrics

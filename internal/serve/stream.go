@@ -21,8 +21,15 @@ const EvDropped = "serve.events.dropped"
 // is full the publisher drops rather than blocks — a slow tail must never
 // stall an optimization.
 type subscriber struct {
-	ch      chan obs.Event
+	ch      chan taggedEvent
 	dropped atomic.Int64
+}
+
+// taggedEvent is an event on its way to subscribers, paired with the tag of
+// the request sink it came from: one stream carries many requests.
+type taggedEvent struct {
+	req string
+	e   obs.Event
 }
 
 // broadcaster fans every observed event out to all live subscribers.
@@ -48,14 +55,14 @@ func newBroadcaster(reg *obs.Registry) *broadcaster {
 	}
 }
 
-// publish delivers e to every subscriber with room, dropping (and counting)
-// for the ones without.
-func (b *broadcaster) publish(e obs.Event) {
+// publish delivers request req's event e to every subscriber with room,
+// dropping (and counting) for the ones without.
+func (b *broadcaster) publish(req string, e obs.Event) {
 	b.published.Add(1)
 	b.mu.RLock()
 	for sub := range b.subs {
 		select {
-		case sub.ch <- e:
+		case sub.ch <- taggedEvent{req, e}:
 		default:
 			sub.dropped.Add(1)
 			b.dropped.Add(1)
@@ -71,7 +78,7 @@ func (b *broadcaster) subscribe(buf int) *subscriber {
 	if b.closed {
 		return nil
 	}
-	sub := &subscriber{ch: make(chan obs.Event, buf)}
+	sub := &subscriber{ch: make(chan taggedEvent, buf)}
 	b.subs[sub] = struct{}{}
 	b.subscribers.Set(int64(len(b.subs)))
 	return sub
@@ -129,31 +136,31 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusOK)
 	fl.Flush()
 
-	write := func(e obs.Event) error {
+	write := func(te taggedEvent) error {
 		if sse {
-			if _, err := fmt.Fprintf(w, "event: %s\ndata: ", e.Name); err != nil {
+			if _, err := fmt.Fprintf(w, "event: %s\ndata: ", te.e.Name); err != nil {
 				return err
 			}
-			if err := obs.EncodeNDJSON(w, e); err != nil {
+			if err := obs.EncodeNDJSON(w, te.req, te.e); err != nil {
 				return err
 			}
 			_, err := fmt.Fprint(w, "\n")
 			return err
 		}
-		return obs.EncodeNDJSON(w, e)
+		return obs.EncodeNDJSON(w, te.req, te.e)
 	}
 	for {
 		select {
-		case e, ok := <-sub.ch:
+		case te, ok := <-sub.ch:
 			if !ok {
 				return // draining
 			}
 			if d := sub.dropped.Swap(0); d > 0 {
-				if write(obs.Event{Kind: obs.KindInstant, Name: EvDropped, N1: d}) != nil {
+				if write(taggedEvent{e: obs.Event{Kind: obs.KindInstant, Name: EvDropped, N1: d}}) != nil {
 					return
 				}
 			}
-			if write(e) != nil {
+			if write(te) != nil {
 				return
 			}
 			fl.Flush()

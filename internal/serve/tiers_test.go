@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -226,5 +227,40 @@ func TestUntracedIncidentReplays(t *testing.T) {
 	}
 	if !rr.FingerprintMatch() || !rr.Identical {
 		t.Errorf("replay diverged: fp=%s captured=%s identical=%v", rr.Fingerprint, rr.CapturedFP, rr.Identical)
+	}
+}
+
+// TestMetricsSeriesStayFlatAcrossAliases: quantifier names are request input,
+// so no series may be labelled by them — a daemon fed fresh aliases forever
+// must expose as many series after the thousandth request as after the first.
+func TestMetricsSeriesStayFlatAcrossAliases(t *testing.T) {
+	s := newTestServer(t, Config{})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	series := func() int {
+		var buf bytes.Buffer
+		if err := s.reg.WritePrometheus(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return strings.Count(buf.String(), "\n")
+	}
+	post := func(e, d string) {
+		sql := fmt.Sprintf("SELECT %[1]s.NAME, %[2]s.MGR FROM EMP %[1]s, DEPT %[2]s WHERE %[1]s.DNO = %[2]s.DNO", e, d)
+		if status, _, bad := postOptimize(t, ts.URL, OptimizeRequest{SQL: sql}); status != http.StatusOK {
+			t.Fatalf("%s: status %d: %+v", sql, status, bad)
+		}
+	}
+	post("E", "D")
+	before := series()
+	for i := 0; i < 8; i++ {
+		post(fmt.Sprintf("E%d", i), fmt.Sprintf("D%d", i))
+	}
+	if after := series(); after != before {
+		t.Errorf("/metrics grew from %d to %d lines over 8 requests that differ only in aliases", before, after)
+	}
+	var buf bytes.Buffer
+	_ = s.reg.WritePrometheus(&buf) // a bytes.Buffer write cannot fail
+	if !strings.Contains(buf.String(), "glue_call_seconds_count ") || strings.Contains(buf.String(), "glue_call_seconds_count{") {
+		t.Error("glue_call_seconds must be one label-free histogram")
 	}
 }

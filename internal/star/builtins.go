@@ -32,7 +32,7 @@ func biIndexAnd(en *Engine, args []Value) (Value, error) {
 	var out []*plan.Node
 	for _, a := range args[0].SAP {
 		for _, b := range args[1].SAP {
-			if a.Key() == b.Key() {
+			if a.ID() == b.ID() {
 				// Intersecting a probe with itself is the probe.
 				en.Stats.PlansRejected++
 				continue
@@ -66,7 +66,7 @@ func (en *Engine) price(n *plan.Node) (*plan.Node, bool, error) {
 func onlyQuantifier(sv *StreamVal, op string) (string, error) {
 	names := sv.Tables.Slice()
 	if len(names) != 1 {
-		return "", fmt.Errorf("%s wants a single-table stream, got {%s}", op, sv.Tables.Key())
+		return "", fmt.Errorf("%s wants a single-table stream, got {%s}", op, sv.Tables.Key()) //obsguard:ignore error path
 	}
 	return names[0], nil
 }

@@ -355,7 +355,7 @@ func (en *Engine) EvalRule(name string, args []Value) (out []*plan.Node, err err
 			if p.Origin == "" {
 				p.Origin = alt.origin
 			}
-			k := p.FP64()
+			k := p.ID()
 			if !seen[k] {
 				seen[k] = true
 				out = append(out, p)
@@ -524,7 +524,7 @@ func (en *Engine) evalForall(n *Forall, frame map[string]Value) (Value, error) {
 			return Null, fmt.Errorf("forall body produced %s, want plans", v.Kind)
 		}
 		for _, p := range v.SAP {
-			k := p.FP64()
+			k := p.ID()
 			if !seen[k] {
 				seen[k] = true
 				out = append(out, p)

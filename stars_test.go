@@ -114,7 +114,7 @@ func TestDefaultRuleTextIsTheRepertoire(t *testing.T) {
 // TestConcurrentOptimizeIsolation runs many optimizations in parallel —
 // some observed through per-request sinks, some through the process-wide
 // default fallback — and asserts (a) every result is correct, (b) every
-// event in a request sink carries that request's id and nothing else
+// request sink holds exactly the event sequence its query produces alone
 // (traces never interleave), and (c) both per-request and fallback metrics
 // registries accumulated work. Run under -race this also proves the
 // optimizer's shared inputs (catalog, rule set) tolerate concurrent reads.
@@ -166,6 +166,18 @@ func TestConcurrentOptimizeIsolation(t *testing.T) {
 			t.Fatalf("goroutine %d: no plan", i)
 		}
 	}
+	// solo renders the event sequence a query produces when run alone.
+	solo := func(sql string) string {
+		g, err := stars.ParseSQL(sql, cat)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sink := stars.NewSink()
+		if _, err := stars.Optimize(cat, g, stars.Options{Obs: sink}); err != nil {
+			t.Fatal(err)
+		}
+		return eventNames(sink)
+	}
 	for i, sink := range sinks {
 		if sink == nil {
 			continue
@@ -175,10 +187,11 @@ func TestConcurrentOptimizeIsolation(t *testing.T) {
 		if len(evs) == 0 {
 			t.Fatalf("%s: sink recorded no events", id)
 		}
-		for _, e := range evs {
-			if e.Req != id {
-				t.Fatalf("%s: trace mixing — event %q tagged %q", id, e.Name, e.Req)
-			}
+		if sink.Tag() != id {
+			t.Fatalf("%s: sink tagged %q", id, sink.Tag())
+		}
+		if got, want := eventNames(sink), solo(queries[i%len(queries)]); got != want {
+			t.Fatalf("%s: trace mixing — %d events differ from the query's solo trace", id, len(evs))
 		}
 		if sink.Registry().Counter("star_rule_refs_total").Value() == 0 {
 			t.Errorf("%s: per-request registry empty", id)
@@ -187,6 +200,16 @@ func TestConcurrentOptimizeIsolation(t *testing.T) {
 	if shared.Registry().Counter("star_rule_refs_total").Value() == 0 {
 		t.Error("default fallback sink accumulated no metrics")
 	}
+}
+
+// eventNames renders a trace's deterministic skeleton: sequence number, name
+// and first argument of every event.
+func eventNames(sink *stars.Sink) string {
+	var b strings.Builder
+	for _, e := range sink.Events() {
+		fmt.Fprintf(&b, "%d %s %s\n", e.Seq, e.Name, e.A1)
+	}
+	return b.String()
 }
 
 func TestFacadeIncidentReplay(t *testing.T) {

@@ -16,6 +16,12 @@
 //     guard instead).
 //   - Tally increments (Stats counters, fixed-size per-alternative or
 //     per-operator arrays) are not calls on the sink and need no guard.
+//   - In the packages that run per search step (internal/glue, star, opt,
+//     cost) a plan or set identity is a word — plan.Node.ID, TableSet.Mask,
+//     PredSet.Hash64. Rendering it as a string there (Fingerprint(),
+//     ShapeFingerprint(), Key()) is for a tracing sink's events alone and
+//     must be dominated by Tracing like an Emit; error messages and display
+//     walks carry an ignore directive.
 //
 // A call is considered guarded when, within its enclosing function:
 //
@@ -40,6 +46,8 @@ package obsguard
 import (
 	"go/ast"
 	"go/token"
+	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -56,6 +64,25 @@ var emitMethods = map[string]bool{
 	"ProfActivity": true,
 	"ProfRank":     true,
 	"ProfPhase":    true,
+}
+
+// renderMethods are the argument-less methods that render an identity word
+// as a string; hotPackages the directories where that must stay behind a
+// Tracing guard.
+var (
+	renderMethods = map[string]bool{"Fingerprint": true, "ShapeFingerprint": true, "Key": true}
+	hotPackages   = []string{"internal/glue", "internal/star", "internal/opt", "internal/cost"}
+)
+
+// hotPath reports whether the file holding pos belongs to one of hotPackages.
+func (c *checker) hotPath(pos token.Pos) bool {
+	dir := filepath.ToSlash(filepath.Dir(c.fset.Position(pos).Filename))
+	for _, p := range hotPackages {
+		if dir == p || strings.HasSuffix(dir, "/"+p) {
+			return true
+		}
+	}
+	return false
 }
 
 // guardMethods are the cheap nil-safe predicates that establish domination;
@@ -127,8 +154,13 @@ type checker struct {
 }
 
 // Check analyzes one package's files (parsed with comments, sharing fset)
-// and returns the violations in position order.
+// and returns the violations in position order. Test files are skipped: the
+// invariant is about the product's paths, and tests emit and render freely
+// (`go vet -vettool` hands them in alongside the package).
 func Check(fset *token.FileSet, files []*ast.File) []Diagnostic {
+	files = slices.DeleteFunc(slices.Clone(files), func(f *ast.File) bool {
+		return strings.HasSuffix(fset.Position(f.Pos()).Filename, "_test.go")
+	})
 	c := &checker{
 		fset:        fset,
 		ignoreLines: map[string]map[int]bool{},
@@ -224,6 +256,7 @@ func (c *checker) scanFunc(fn *ast.FuncDecl) {
 	info := c.fns[key]
 	guards := guardIdents(fn.Body, guardMethods)
 	traceGuards := guardIdents(fn.Body, traceGuardMethods)
+	hot := c.hotPath(fn.Pos())
 	ast.Inspect(fn.Body, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
 		if !ok {
@@ -231,10 +264,20 @@ func (c *checker) scanFunc(fn *ast.FuncDecl) {
 		}
 		switch fun := call.Fun.(type) {
 		case *ast.SelectorExpr:
-			if !emitMethods[fun.Sel.Name] {
+			render := hot && renderMethods[fun.Sel.Name] && len(call.Args) == 0
+			if !render && !emitMethods[fun.Sel.Name] {
 				return true
 			}
 			if info.exempt || c.ignoredAt(call.Pos()) {
+				return true
+			}
+			if render {
+				if !dominated(fn.Body, call, traceGuards, traceGuardMethods) {
+					info.pending = append(info.pending, pendingDiag{trace: true, Diagnostic: Diagnostic{
+						Pos: call.Pos(),
+						Msg: fun.Sel.Name + " renders an identity string on the search path and is not dominated by a Tracing() guard (compare or carry the word — ID, Mask, Hash64 — instead, guard it, or annotate //obsguard:ignore with a reason)",
+					}})
+				}
 				return true
 			}
 			trace := needsTrace(fun.Sel.Name, call)

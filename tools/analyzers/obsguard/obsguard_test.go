@@ -13,10 +13,16 @@ import (
 // check parses source snippets as one package and runs the analyzer.
 func check(t *testing.T, srcs ...string) []Diagnostic {
 	t.Helper()
+	return checkIn(t, "", srcs...)
+}
+
+// checkIn is check with the snippets placed in directory dir.
+func checkIn(t *testing.T, dir string, srcs ...string) []Diagnostic {
+	t.Helper()
 	fset := token.NewFileSet()
 	var files []*ast.File
 	for i, src := range srcs {
-		f, err := parser.ParseFile(fset, "src"+string(rune('a'+i))+".go", src, parser.ParseComments)
+		f, err := parser.ParseFile(fset, filepath.Join(dir, "src"+string(rune('a'+i))+".go"), src, parser.ParseComments)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -232,6 +238,62 @@ func inline(s *Sink) {
 	diags := check(t, src)
 	if len(diags) != 1 {
 		t.Fatalf("got %d diagnostics, want 1 (only the undirected emit): %+v", len(diags), diags)
+	}
+}
+
+// TestIdentityRendersStayBehindTracing: in the per-search-step packages an
+// identity is a word; rendering it as a string is a tracing-tier cost like an
+// Emit, so it needs the same guard (or a stated reason). Elsewhere — display
+// code, tests' helpers, the CLI — rendering is the point and is left alone.
+func TestIdentityRendersStayBehindTracing(t *testing.T) {
+	src := header + `
+func a(s *Sink, n *Node, ts TableSet) error {
+	if n.Key() == n.Inputs[0].Key() { // two findings: compare ID() instead
+		return nil
+	}
+	if s.Enabled() {
+		s.StartSpan("glue.call", ts.Key(), "", 0) // the always-on tier is not enough
+	}
+	if s.Tracing() {
+		s.Emit(Event{A1: ts.Key(), A2: n.Fingerprint()})
+		_ = n.ShapeFingerprint()
+	}
+	_ = m[k].Key(1) // not the argument-less renderer
+	_ = n.ID() == n.Inputs[0].ID()
+	return errorf("no plan for %s", ts.Key()) //obsguard:ignore error path
+}
+func describe(n *Node) string { return n.Fingerprint() }
+func b(s *Sink, n *Node) {
+	if !s.Tracing() {
+		return
+	}
+	_ = describe(n)
+}
+`
+	for _, dir := range []string{"internal/glue", "/repo/internal/star", "internal/opt", "internal/cost"} {
+		diags := checkIn(t, dir, src)
+		if len(diags) != 3 {
+			t.Fatalf("%s: got %d diagnostics, want 3: %+v", dir, len(diags), diags)
+		}
+		for _, d := range diags {
+			if !strings.Contains(d.Msg, "Key renders an identity string") {
+				t.Errorf("%s: unexpected message %q", dir, d.Msg)
+			}
+		}
+	}
+	// Tests render and emit freely, wherever they live.
+	fset := token.NewFileSet()
+	f, err := parser.ParseFile(fset, "internal/glue/glue_test.go", src, parser.ParseComments)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if diags := Check(fset, []*ast.File{f}); len(diags) != 0 {
+		t.Errorf("a test file was checked: %+v", diags)
+	}
+	for _, dir := range []string{"", "internal/plan", "internal/provenance", "cmd/starburst", "internal/optional"} {
+		if diags := checkIn(t, dir, src); len(diags) != 0 {
+			t.Errorf("%q is not a search-path package, yet: %+v", dir, diags)
+		}
 	}
 }
 
