@@ -214,9 +214,6 @@ func TestSortShipStoreFilterProps(t *testing.T) {
 	if stored.Props.Rescan.Total >= stored.Props.Cost.Total {
 		t.Error("temp rescan must be cheaper than first production")
 	}
-	if e.TempProps("_t1") == nil {
-		t.Error("STORE registers the temp")
-	}
 
 	filtered := price(t, e, &plan.Node{Op: plan.OpFilter,
 		Preds: e.u.PredSet(cEQ("T", "A", 1)), Inputs: []*plan.Node{base}})

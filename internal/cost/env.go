@@ -77,13 +77,12 @@ type Env struct {
 	Obs *obs.Sink
 	// Arena, when non-nil, slab-allocates the Props this environment
 	// prices (and the nodes builders and Glue construct through it); nil
-	// prices onto the heap (tests, tools). The optimizer points the root
-	// environment and every environment forked for a subset task at the
-	// arena of the worker goroutine running it (see internal/opt).
+	// prices onto the heap (tests, tools). The optimizer gives the root
+	// environment and each enumeration worker's fork an arena of its own
+	// (see internal/opt).
 	Arena *plan.Arena
 
 	funcs map[plan.Op]PropertyFunc
-	temps map[string]*plan.Props // stored temp name -> props at STORE time
 	rels  map[relKey][]*plan.Rel // interned relational property vectors
 	base  *Env                   // frozen parent of a forked environment
 	u     *expr.Universe         // of the bound query: ACCESS resolves its quantifier's table set
@@ -105,7 +104,6 @@ func NewEnv(cat *catalog.Catalog, w Weights) *Env {
 		W:     w,
 		Quant: map[string]string{},
 		funcs: map[plan.Op]PropertyFunc{},
-		temps: map[string]*plan.Props{},
 		rels:  map[relKey][]*plan.Rel{},
 	}
 	e.Register(plan.OpAccess, accessProps)
@@ -124,42 +122,17 @@ func NewEnv(cat *catalog.Catalog, w Weights) *Env {
 // Fork returns a pricing environment for one worker of a parallel
 // enumeration: the catalog, weights, quantifier bindings, and property
 // functions are shared (they are read-only once optimization starts), while
-// the temp-table and Rel-intern registries become overlays — local writes
-// over read-through access to the frozen parent — so forking costs two empty
-// maps regardless of how many temps earlier ranks registered. Fold a
-// worker's registries back with AbsorbTemps.
+// the Rel-intern table becomes an overlay — local writes over read-through
+// access to the frozen parent — that lives as long as the worker and is never
+// merged back: interned Rels are compared by content, never by pointer, so a
+// Rel two workers each interned is merely stored twice.
 func (e *Env) Fork() *Env {
-	// Obs is deliberately not inherited: the caller wires the worker's own
-	// child sink so profiling tallies absorb deterministically.
+	// Obs and Arena are deliberately not inherited: the caller wires the
+	// worker's own.
 	return &Env{
 		Cat: e.Cat, W: e.W, Quant: e.Quant, u: e.u, funcs: e.funcs,
-		temps: map[string]*plan.Props{},
-		rels:  map[relKey][]*plan.Rel{},
-		base:  e,
-	}
-}
-
-// AbsorbTemps copies the temps and interned Rels a forked environment
-// registered back into e. Workers namespace their temp names
-// (star.Engine.Fork), so absorbing several workers in any order yields the
-// same registry; duplicate Rels interned concurrently by two workers are
-// harmless (the parent keeps its first copy).
-func (e *Env) AbsorbTemps(o *Env) {
-	for name, p := range o.temps {
-		e.temps[name] = p
-	}
-	for k, rs := range o.rels {
-		have := e.rels[k]
-	next:
-		for _, r := range rs {
-			for _, h := range have {
-				if h.Preds.Equal(r.Preds) && colsEqual(h.Cols, r.Cols) {
-					continue next
-				}
-			}
-			have = append(have, r)
-		}
-		e.rels[k] = have
+		rels: map[relKey][]*plan.Rel{},
+		base: e,
 	}
 }
 
@@ -217,22 +190,6 @@ func (e *Env) BaseTable(q string) *catalog.Table {
 		name = q
 	}
 	return e.Cat.Table(name)
-}
-
-// RegisterTemp records the properties a temp table had when STOREd, so a
-// later ACCESS of the temp can price itself. The Props pointer is stored
-// as-is: priced property vectors are immutable.
-func (e *Env) RegisterTemp(name string, p *plan.Props) { e.temps[name] = p }
-
-// TempProps returns the recorded properties of a temp, or nil; forked
-// environments read through to the frozen parent chain.
-func (e *Env) TempProps(name string) *plan.Props {
-	for env := e; env != nil; env = env.base {
-		if p, ok := env.temps[name]; ok {
-			return p
-		}
-	}
-	return nil
 }
 
 // newProps places a freshly computed property vector (arena when wired, heap

@@ -307,7 +307,6 @@ func storeProps(e *Env, n *plan.Node) (*plan.Props, error) {
 	p.Paths = nil
 	p.Cost = in.Cost.Add(delta)
 	p.Rescan = plan.Cost{IO: rescanIO(pages), CPU: in.Card}
-	e.RegisterTemp(n.Table, p)
 	return p, nil
 }
 
@@ -357,9 +356,6 @@ func buildIndexProps(e *Env, n *plan.Node) (*plan.Props, error) {
 	p.Paths = paths
 	p.Cost = in.Cost.Add(delta)
 	p.Rescan = in.Rescan
-	if e.TempProps(in.TempName) != nil {
-		e.RegisterTemp(in.TempName, p)
-	}
 	return p, nil
 }
 

@@ -113,10 +113,6 @@ func (e *Env) eqColSel(id expr.ColID) float64 {
 func (e *Env) ndv(id expr.ColID) float64 {
 	t := e.BaseTable(id.Table)
 	if t == nil {
-		// Temps: fall back to the recorded cardinality as an upper bound.
-		if tp := e.TempProps(e.Quant[id.Table]); tp != nil {
-			return tp.Card
-		}
 		return 0
 	}
 	col := t.Column(id.Col)

@@ -324,24 +324,39 @@ func offerDetail(p *plan.Node) string {
 	return origin + " " + head
 }
 
-// ForEach visits every retained plan, keyed by table-set and predicate key,
-// in unspecified order — provenance walks the final population through it.
-// On an overlay, base plans are visited too.
+// eachEntry visits every entry, in unspecified order; on an overlay, base
+// entries come first.
+func (pt *PlanTable) eachEntry(fn func(e *entry)) {
+	if pt.base != nil {
+		pt.base.eachEntry(fn)
+	}
+	for _, es := range pt.byTables {
+		for _, e := range es {
+			fn(e)
+		}
+	}
+}
+
+// ForEachPlan visits every retained plan (base plans too, on an overlay).
+func (pt *PlanTable) ForEachPlan(fn func(p *plan.Node)) {
+	pt.eachEntry(func(e *entry) {
+		for _, p := range e.plans {
+			fn(p)
+		}
+	})
+}
+
+// ForEach is ForEachPlan for callers that print where each plan sits: it
+// renders every entry's table-set and predicate key.
 //
 //obsguard:ignore display walk, once per optimization: the keys are what its callers print
 func (pt *PlanTable) ForEach(fn func(tablesKey, predsKey string, p *plan.Node)) {
-	if pt.base != nil {
-		pt.base.ForEach(fn)
-	}
-	for _, es := range pt.byTables {
-		tk := es[0].tables.Key()
-		for _, e := range es {
-			pk := e.preds.Key()
-			for _, p := range e.plans {
-				fn(tk, pk, p)
-			}
+	pt.eachEntry(func(e *entry) {
+		tk, pk := e.tables.Key(), e.preds.Key()
+		for _, p := range e.plans {
+			fn(tk, pk, p)
 		}
-	}
+	})
 }
 
 // HasEntry reports whether any plan is stored for the table set, without
@@ -402,14 +417,7 @@ func (pt *PlanTable) Best(tables expr.TableSet) *plan.Node {
 // an overlay).
 func (pt *PlanTable) Size() int {
 	n := 0
-	if pt.base != nil {
-		n = pt.base.Size()
-	}
-	for _, es := range pt.byTables {
-		for _, e := range es {
-			n += len(e.plans)
-		}
-	}
+	pt.eachEntry(func(e *entry) { n += len(e.plans) })
 	return n
 }
 

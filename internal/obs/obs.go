@@ -253,12 +253,8 @@ func (s *Sink) Absorb(child *Sink) {
 	if s == nil || child == nil {
 		return
 	}
-	// The log is append-only, so the prefix read here stays valid without
-	// copying it.
-	child.mu.Lock()
-	events := child.events
-	child.mu.Unlock()
 	offset := child.start.Sub(s.start)
+	events := child.Events()
 	s.mu.Lock()
 	var spanMap map[int64]int64
 	for _, e := range events {
@@ -464,14 +460,18 @@ func spanHistName(name, a1 string) string {
 	return string(base)
 }
 
-// Events returns a copy of the recorded event log.
+// Events returns the event log recorded so far as a read-only view, not a
+// copy: the log is append-only, so the returned prefix stays as it is while
+// the sink goes on recording, and its capacity is clipped so that appending
+// to it copies instead of writing into the live log. Callers must not modify
+// its elements.
 func (s *Sink) Events() []Event {
 	if s == nil {
 		return nil
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return append([]Event(nil), s.events...)
+	return s.events[:len(s.events):len(s.events)]
 }
 
 // Len returns the number of events the sink has materialised: its own plus

@@ -55,6 +55,33 @@ func TestNilSinkIsSafeAndFree(t *testing.T) {
 	}
 }
 
+// TestEventsIsAStableView: Events returns the log's prefix uncopied, so what
+// a reader holds must not move under it — later emits (enough of them to
+// regrow the log) leave an earlier view as it was, and appending to a view
+// never lands in the live log.
+func TestEventsIsAStableView(t *testing.T) {
+	s := NewSink()
+	for i := 0; i < 3; i++ {
+		s.Emit(Event{Name: EvAltFired, N1: int64(i)})
+	}
+	view := s.Events()
+	if len(view) != 3 || cap(view) != 3 {
+		t.Fatalf("view has len %d cap %d, want 3 and 3 (capacity clipped)", len(view), cap(view))
+	}
+	_ = append(view, Event{Name: "a caller's own"})
+	for i := 3; i < 100; i++ {
+		s.Emit(Event{Name: EvAltFired, N1: int64(i)})
+	}
+	for i, e := range view {
+		if e.Name != EvAltFired || e.N1 != int64(i) || e.Seq != int64(i+1) {
+			t.Errorf("view[%d] changed under later emits: %+v", i, e)
+		}
+	}
+	if all := s.Events(); len(all) != 100 || all[3].Name != EvAltFired || all[3].N1 != 3 {
+		t.Errorf("appending to a view wrote into the live log: len %d, [3] = %+v", len(all), all[3])
+	}
+}
+
 func TestSinkRecordsEventsAndSpans(t *testing.T) {
 	s := NewSink()
 	sp := s.StartSpan(EvRule, "JoinRoot", "T1, T2", 1)

@@ -86,11 +86,13 @@ func assertAlive(t *testing.T, iter int, n *plan.Node) {
 }
 
 // TestFailedOptimizeReturnsArenas: an optimization that fails after checking
-// its arenas out — here enumeration finds no complete plan for a disconnected
-// join graph — puts them back, so a request mix heavy in unplannable queries
-// does not grow new slabs per request. Each round runs one failing and one
-// successful single-arena optimization; leaking the failing one's arena would
-// make the pool construct at least one arena per round. (Under -race
+// its arenas out puts them back, so a request mix heavy in unplannable queries
+// does not grow new slabs per request. Two failures are covered: enumeration
+// finding no complete plan for a disconnected join graph (the root arena
+// alone, each round followed by a successful single-arena optimization), and a
+// JoinRoot reference failing inside a rank at Parallelism 2, after a second
+// worker checked an arena of its own out. Leaking an arena on either path
+// would make the pool construct at least one per round. (Under -race
 // sync.Pool drops a quarter of what it is given — half an arena a round —
 // hence "fewer than rounds", not "none".)
 func TestFailedOptimizeReturnsArenas(t *testing.T) {
@@ -107,18 +109,31 @@ func TestFailedOptimizeReturnsArenas(t *testing.T) {
 		return sparse
 	}
 	const rounds = 64
-	for i := 0; i < rounds; i++ {
-		if res, err := New(cat, Options{Parallelism: 1}).Optimize(disconnected()); err == nil {
+	for name, round := range map[string]func(){
+		"no complete plan": func() {
+			if res, err := New(cat, Options{Parallelism: 1}).Optimize(disconnected()); err == nil {
+				res.Release()
+				t.Fatal("a disconnected join graph planned without CartesianProducts")
+			}
+			res, err := New(cat, Options{Parallelism: 1}).Optimize(workload.ChainQuery(4))
+			if err != nil {
+				t.Fatal(err)
+			}
 			res.Release()
-			t.Fatal("a disconnected join graph planned without CartesianProducts")
+		},
+		"task error mid-rank": func() {
+			if res, err := New(cat, Options{Parallelism: 2, JoinRoot: "NoSuchSTAR"}).Optimize(workload.ChainQuery(4)); err == nil {
+				res.Release()
+				t.Fatal("an undefined JoinRoot planned")
+			}
+		},
+	} {
+		constructed = 0
+		for i := 0; i < rounds; i++ {
+			round()
 		}
-		res, err := New(cat, Options{Parallelism: 1}).Optimize(workload.ChainQuery(4))
-		if err != nil {
-			t.Fatal(err)
+		if constructed >= rounds {
+			t.Errorf("%s: %d arenas constructed over %d rounds: failed optimizations leak their arenas", name, constructed, rounds)
 		}
-		res.Release()
-	}
-	if constructed >= rounds {
-		t.Errorf("%d arenas constructed over %d failing+successful rounds: failed optimizations leak their arenas", constructed, rounds)
 	}
 }

@@ -2,7 +2,6 @@ package opt
 
 import (
 	"sort"
-	"strconv"
 
 	"stars/internal/glue"
 	"stars/internal/obs"
@@ -22,22 +21,14 @@ import (
 // and both sink tiers agree on, so the emitted events are byte-identical
 // across them.
 func emitCoverage(sink *obs.Sink, rules *star.RuleSet, res *Result) {
-	altKey := func(rule string, alt int) string { return rule + "#" + strconv.Itoa(alt) }
-	alts := map[string]*obs.AltCoverage{}
-	var altOrder []string
-	tallies := res.Stats.Star.Alts
-	for _, name := range rules.Names() {
-		slot := rules.AltSlot(name)
-		for i := range rules.Get(name).Alts {
-			c := &obs.AltCoverage{Rule: name, Alt: i + 1}
-			if slot+i < len(tallies) {
-				t := tallies[slot+i]
-				c.Fired, c.Rejected, c.Built = t.Fired, t.Rejected, t.Built
-			}
-			k := altKey(name, i+1)
-			alts[k] = c
-			altOrder = append(altOrder, k)
+	// Per-alternative tallies live at the alternative's slot in the rule
+	// set's dense numbering, the index star.Stats.Alts already uses.
+	alts := make([]obs.AltCoverage, rules.NumAlts())
+	altOf := func(origin string) *obs.AltCoverage {
+		if slot, ok := rules.OriginSlot(origin); ok {
+			return &alts[slot]
 		}
+		return nil
 	}
 	veneers := map[string]*obs.VeneerCoverage{}
 	veneer := func(op string) *obs.VeneerCoverage {
@@ -67,7 +58,7 @@ func emitCoverage(sink *obs.Sink, rules *star.RuleSet, res *Result) {
 			seen[fp] = true
 			if n.Origin == "Glue" {
 				ven(veneer(string(n.Op)))
-			} else if c := alts[n.Origin]; c != nil {
+			} else if c := altOf(n.Origin); c != nil {
 				alt(c)
 			}
 			for _, in := range n.Inputs {
@@ -80,7 +71,7 @@ func emitCoverage(sink *obs.Sink, rules *star.RuleSet, res *Result) {
 	markRetained := func(c *obs.AltCoverage) { c.Retained++ }
 	markRetainedV := func(v *obs.VeneerCoverage) { v.Retained++ }
 	if res.Table != nil {
-		res.Table.ForEach(func(_, _ string, p *plan.Node) { count(p, retained, markRetained, markRetainedV) })
+		res.Table.ForEachPlan(func(p *plan.Node) { count(p, retained, markRetained, markRetainedV) })
 	}
 	if res.Best != nil {
 		count(res.Best, retained, markRetained, markRetainedV)
@@ -94,7 +85,7 @@ func emitCoverage(sink *obs.Sink, rules *star.RuleSet, res *Result) {
 	// this one). Veneer victims have no alternative to charge.
 	if res.Table != nil {
 		res.Table.ForEachPrune(func(victim, dom string, n int64) {
-			c := alts[victim]
+			c := altOf(victim)
 			if c == nil {
 				return
 			}
@@ -114,13 +105,22 @@ func emitCoverage(sink *obs.Sink, rules *star.RuleSet, res *Result) {
 	// aggregating registries expose the full series surface immediately.
 	reg := sink.Registry()
 	reg.Counter("coverage_runs_total").Add(1)
-	for _, k := range altOrder {
-		c := alts[k]
-		sink.Emit(c.Event()) //obsguard:ignore summary event every enabled sink keeps; once per alternative per run
-		labels := `{rule="` + c.Rule + `",alt="` + strconv.Itoa(c.Alt) + `"}`
-		reg.Counter("coverage_alt_fired_total" + labels).Add(c.Fired)
-		reg.Counter("coverage_alt_retained_total" + labels).Add(c.Retained)
-		reg.Counter("coverage_alt_winner_total" + labels).Add(c.Winner)
+	tallies := res.Stats.Star.Alts
+	for _, name := range rules.Names() {
+		slot := rules.AltSlot(name)
+		for i, alt := range rules.Get(name).Alts {
+			c := &alts[slot+i]
+			c.Rule, c.Alt = name, i+1
+			if slot+i < len(tallies) {
+				t := tallies[slot+i]
+				c.Fired, c.Rejected, c.Built = t.Fired, t.Rejected, t.Built
+			}
+			sink.Emit(c.Event()) //obsguard:ignore summary event every enabled sink keeps; once per alternative per run
+			counters := alt.CoverageCounters()
+			reg.Counter(counters[0]).Add(c.Fired)
+			reg.Counter(counters[1]).Add(c.Retained)
+			reg.Counter(counters[2]).Add(c.Winner)
+		}
 	}
 	ops := make([]string, 0, len(veneers))
 	for op := range veneers {

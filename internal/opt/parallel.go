@@ -11,23 +11,26 @@
 // with identical fingerprints, retain an identical plan table, and report
 // identical counters to a serial run. Three mechanisms deliver it:
 //
-//  1. Isolation: each task that has something to join works against its own
-//     overlay plan table (glue.NewOverlay) over the frozen base, its own
-//     forked engine and pricing environment, and its own child obs sink. A
-//     task's outcome therefore depends only on the committed base — never
-//     on how sibling tasks were scheduled. Plan storage is the exception:
-//     it belongs to the worker goroutine (one plan.Arena each), because
-//     where a node lives is not part of any outcome.
-//  2. Namespacing: forked engines derive temp/index names from the task's
-//     subset mask ("_t<mask>.<seq>"), so generated names are a function of
-//     the work item, not of scheduling order.
-//  3. Ordered merge: at the rank barrier the driver absorbs every task —
-//     events, metrics, stats, temps, and overlay writes — in ascending
-//     subset-mask order, the order a serial walk visits subsets in.
+//  1. Isolation: each task that has something to join writes to its own
+//     overlay plan table (glue.NewOverlay) over the frozen base and records
+//     into its own child obs sink, so its outcome depends only on the
+//     committed base — never on how sibling tasks were scheduled. Everything
+//     else it works with — plan.Arena, forked pricing environment, forked
+//     engine, Gluer — belongs to the worker goroutine for the whole
+//     optimization (newWorker): where a node lives, which copy of an interned
+//     Rel it shares and which engine counted a reference decide no outcome.
+//  2. Namespacing: a worker's engine restarts its temp/index names per task
+//     from the task's subset mask ("_t<mask>.<seq>"), so generated names are
+//     a function of the work item, not of the worker or the schedule.
+//  3. Ordered merge: at the rank barrier the driver absorbs every task's
+//     events (with their metrics) and overlay writes in ascending subset-mask
+//     order, the order a serial walk visits subsets in. Engine and Glue
+//     counters are sums, added once per worker after the last rank.
 //
-// Parallelism: 1 runs the very same task/overlay/merge pipeline on the
-// calling goroutine, which is what makes the equivalence checkable rather
-// than aspirational (internal/opt/parallel_test.go asserts it).
+// Parallelism: 1 runs the very same task/overlay/merge pipeline through a
+// forked worker 0 on the calling goroutine — never through the root engine —
+// which is what makes the equivalence checkable rather than aspirational
+// (internal/opt/parallel_test.go asserts it).
 package opt
 
 import (
@@ -42,7 +45,6 @@ import (
 
 	"stars/internal/glue"
 	"stars/internal/obs"
-	"stars/internal/plan"
 	"stars/internal/query"
 	"stars/internal/star"
 )
@@ -57,15 +59,14 @@ func resolveParallelism(n int) int {
 }
 
 // subsetTask is one unit of rank-parallel work: all joinable partitions of
-// one quantifier subset, evaluated against isolated state that the barrier
-// later folds back in: gl is the task's Gluer, holding its forked engine
-// (whose Obs is the child sink and Cost the forked environment) and its
-// overlay table. A subset with no joinable partition builds none of it and
-// leaves gl nil.
+// one quantifier subset. It owns what the barrier must replay in mask order:
+// ov, the overlay the subset's plans were written to, and ov.Obs, the child
+// sink its events were recorded in (nil when observability is off). A subset
+// with no joinable partition builds neither and leaves ov nil.
 type subsetTask struct {
 	mask  uint32
 	pairs int64
-	gl    *glue.Gluer
+	ov    *glue.PlanTable
 	err   error
 }
 
@@ -89,12 +90,14 @@ func (o *Optimizer) enumerate(g *query.Graph, en *star.Engine, gl *glue.Gluer, t
 	profiled := sink.ProfEnabled()
 	labels := sink.ProfLabels()
 	full := uint32(1)<<uint(n) - 1
+	var workers []*glue.Gluer // one per worker goroutine, built the first time a rank has work for it
 	for size := 2; size <= n; size++ {
 		var sizeSp obs.Span
 		if sink.Enabled() {
-			sizeSp = sink.StartSpan(obs.EvPhase, fmt.Sprintf("join-%d", size), "", 0)
+			phase := "join-" + strconv.Itoa(size)
+			sizeSp = sink.StartSpan(obs.EvPhase, phase, "", 0)
+			phaseLabels(en, labels, phase)
 		}
-		phaseLabels(en, labels, fmt.Sprintf("join-%d", size))
 		sizePairs := res.Stats.Pairs
 		var rankStart time.Time
 		if profiled {
@@ -118,14 +121,11 @@ func (o *Optimizer) enumerate(g *query.Graph, en *star.Engine, gl *glue.Gluer, t
 			collectNS = int64(time.Since(rankStart))
 			execStart = time.Now()
 		}
-		// One arena per worker goroutine, kept for the whole optimization;
-		// worker 0 allocates from the root arena, which is idle while a
-		// rank executes.
-		for len(res.arenas) < min(par, len(tasks)) {
-			res.arenas = append(res.arenas, getArena())
+		for len(workers) < min(par, len(tasks)) {
+			workers = append(workers, newWorker(len(workers), gl, res))
 		}
 		busy := runTasks(par, profiled, tasks, func(worker int, t *subsetTask) {
-			o.runSubset(t, res.arenas[worker], g, gl)
+			o.runSubset(t, workers[worker], gl)
 		})
 		var execNS int64
 		var absorbStart time.Time
@@ -143,16 +143,12 @@ func (o *Optimizer) enumerate(g *query.Graph, en *star.Engine, gl *glue.Gluer, t
 				return t.err
 			}
 			res.Stats.Subsets++
-			if t.gl == nil {
+			if t.ov == nil {
 				continue // nothing joinable: the task built nothing to fold
 			}
 			res.Stats.Pairs += t.pairs
-			ten := t.gl.Engine
-			sink.Absorb(ten.Obs)
-			en.Stats.Add(ten.Stats)
-			gl.Stats.Add(t.gl.Stats)
-			en.Cost.AbsorbTemps(ten.Cost)
-			table.Absorb(t.gl.Table)
+			sink.Absorb(t.ov.Obs)
+			table.Absorb(t.ov)
 		}
 		if profiled {
 			sink.ProfRank(obs.RankSample{
@@ -167,6 +163,11 @@ func (o *Optimizer) enumerate(g *query.Graph, en *star.Engine, gl *glue.Gluer, t
 			})
 		}
 		sizeSp.End(res.Stats.Pairs - sizePairs)
+	}
+	// Sums keep no order: add each worker's counters once, not once per task.
+	for _, w := range workers {
+		en.Stats.Add(w.Engine.Stats)
+		gl.Stats.Add(w.Stats)
 	}
 	if len(table.Entry(g.TableSet())) == 0 {
 		return fmt.Errorf("opt: no complete plan produced (disconnected join graph? enable CartesianProducts)")
@@ -264,24 +265,43 @@ func (o *Optimizer) partitions(mask uint32, g *query.Graph, table *glue.PlanTabl
 	return connected
 }
 
-// runSubset evaluates one subset task against the root Gluer's committed
-// table. The partitions are listed first: most subsets of a sparse join
-// graph have none and cost nothing more. Only a task with something to join
-// builds isolated state — child sink, forked pricing environment (allocating
-// from the worker's arena) and engine (temp names namespaced by the subset
-// mask), overlay plan table, and Gluer — and references JoinRoot for every
-// pair, reading committed entries through the overlay and writing results
-// into it.
-func (o *Optimizer) runSubset(t *subsetTask, arena *plan.Arena, g *query.Graph, root *glue.Gluer) {
+// newWorker builds worker i's state for the rest of the optimization: an
+// arena (the root arena, idle while a rank executes, for worker 0; one checked
+// out and released with the result for the others), forks of the root pricing
+// environment and engine, and a Gluer wiring them together. Its plan table
+// and sink are the running task's (runSubset).
+func newWorker(i int, root *glue.Gluer, res *Result) *glue.Gluer {
+	if i == len(res.arenas) {
+		res.arenas = append(res.arenas, getArena())
+	}
+	env := root.Engine.Cost.Fork()
+	env.Arena = res.arenas[i]
+	w := &glue.Gluer{Engine: root.Engine.Fork(env, nil, ""), Graph: root.Graph, KeepAll: root.KeepAll}
+	w.Engine.Glue = w.Glue
+	w.Engine.PlanSites = w.PlanSites
+	return w
+}
+
+// runSubset evaluates one subset task on worker w against the root Gluer's
+// committed table. The partitions are listed first: most subsets of a sparse
+// join graph have none and cost nothing more. A task with something to join
+// builds the two things it owns — overlay plan table and child sink — points
+// the worker's engine, environment and Gluer at them, restarts the engine's
+// name space at the subset mask, and references JoinRoot for every pair,
+// reading committed entries through the overlay and writing results into it.
+func (o *Optimizer) runSubset(t *subsetTask, w, root *glue.Gluer) {
+	g := root.Graph
 	pairs := o.partitions(t.mask, g, root.Table)
 	if len(pairs) == 0 {
 		return
 	}
 	sink := root.Engine.Obs.Child() // nil when observability is off
-	env := root.Engine.Cost.Fork()
-	env.Obs = sink
-	env.Arena = arena
-	en := root.Engine.Fork(env, sink, strconv.FormatUint(uint64(t.mask), 10)+".")
+	ov := glue.NewOverlay(root.Table)
+	ov.Obs = sink
+	t.ov, w.Table = ov, ov
+	en := w.Engine
+	en.Obs, en.Cost.Obs = sink, sink
+	en.RestartNames(strconv.FormatUint(uint64(t.mask), 10) + ".")
 	if sink.ProfLabels() {
 		// Label the worker goroutine with the rank it is executing; EvalRule
 		// composes star= on top. Labels follow the task, so a worker pool
@@ -291,11 +311,6 @@ func (o *Optimizer) runSubset(t *subsetTask, arena *plan.Arena, g *query.Graph, 
 		pprof.SetGoroutineLabels(ctx)
 		en.LabelCtx = ctx
 	}
-	ov := glue.NewOverlay(root.Table)
-	ov.Obs = sink
-	t.gl = &glue.Gluer{Engine: en, Graph: g, Table: ov, KeepAll: root.KeepAll}
-	en.Glue = t.gl.Glue
-	en.PlanSites = t.gl.PlanSites
 
 	u := g.Universe()
 	S := u.Subset(uint64(t.mask))

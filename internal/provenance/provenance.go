@@ -121,7 +121,7 @@ func Build(table *glue.PlanTable, best *plan.Node, events []obs.Event) (*DAG, er
 	// Structure pass: walk every retained plan's subtree; interior nodes
 	// are retained too (they are part of surviving plans).
 	if table != nil {
-		table.ForEach(func(tk, pk string, p *plan.Node) { b.addTree(p) })
+		table.ForEachPlan(func(p *plan.Node) { b.addTree(p) })
 	}
 	if best != nil {
 		b.d.BestFP = b.addTree(best).FP

@@ -30,7 +30,7 @@ func fnvHex(s string) string {
 // fingerprint as the response already rendered it. Called from the
 // doLabeled defer after the request's event stream is final; no-op (and
 // allocation-free) when recording is disabled.
-func (s *Server) foldFlight(reqID, tmpl string, req OptimizeRequest, sink *obs.Sink,
+func (s *Server) foldFlight(reqID, tmpl string, req OptimizeRequest, sink *obs.Sink, events []obs.Event,
 	res *opt.Result, planFP string, status int, wall time.Duration, executed bool) {
 	if s.flight == nil {
 		return
@@ -47,7 +47,7 @@ func (s *Server) foldFlight(reqID, tmpl string, req OptimizeRequest, sink *obs.S
 	}
 	if executed {
 		rec.Executed = true
-		for _, e := range sink.Events() {
+		for _, e := range events {
 			if e.Name == obs.EvExecFeedback && e.F2 > rec.MaxQError {
 				rec.MaxQError = e.F2
 			}

@@ -275,11 +275,10 @@ func New(cfg Config) (*Server, error) {
 	s.reg.Counter("coverage_runs_total")
 	s.reg.Counter("qerror_observations_total")
 	for _, name := range rules.Names() {
-		for i := range rules.Get(name).Alts {
-			labels := `{rule="` + name + `",alt="` + strconv.Itoa(i+1) + `"}`
-			s.reg.Counter("coverage_alt_fired_total" + labels)
-			s.reg.Counter("coverage_alt_retained_total" + labels)
-			s.reg.Counter("coverage_alt_winner_total" + labels)
+		for _, alt := range rules.Get(name).Alts {
+			for _, c := range alt.CoverageCounters() {
+				s.reg.Counter(c)
+			}
 		}
 	}
 	for _, op := range []plan.Op{plan.OpShip, plan.OpSort, plan.OpStore, plan.OpBuildIndex, plan.OpFilter} {
@@ -612,9 +611,10 @@ func (s *Server) doLabeled(reqID, tmpl string, req OptimizeRequest) outcome {
 		flightExec bool
 	)
 	defer func() {
-		s.ledger.Record(tmpl, sink.Events())
+		events := sink.Events()
+		s.ledger.Record(tmpl, events)
 		s.ledger.PublishMetrics(s.reg, s.rules)
-		s.foldFlight(reqID, tmpl, req, sink, flightRes, flightFP, status, time.Since(start), flightExec)
+		s.foldFlight(reqID, tmpl, req, sink, events, flightRes, flightFP, status, time.Since(start), flightExec)
 		// Every consumer of the result is done (the response is rendered,
 		// incident captures serialize plans to JSON): hand the plan arenas
 		// back, so the next request fills the same chunks instead of

@@ -17,6 +17,9 @@ type RuleSet struct {
 	// (Stats.Alts) are indexed by it. A replaced rule takes fresh slots.
 	altBase map[string]int
 	nAlts   int
+	// originSlot maps a plan's Origin tag ("Rule#2") to its alternative's
+	// slot; a replaced rule's surplus tags keep pointing at its dead slots.
+	originSlot map[string]int
 	// redefined records same-source redefinitions (see Redefinition); the
 	// parser populates it so the linter can flag definitions that silently
 	// drop alternatives. Merge does not record: overlaying one rule set on
@@ -41,7 +44,7 @@ type Redefinition struct {
 
 // NewRuleSet returns an empty rule set.
 func NewRuleSet() *RuleSet {
-	return &RuleSet{rules: map[string]*Rule{}, altBase: map[string]int{}}
+	return &RuleSet{rules: map[string]*Rule{}, altBase: map[string]int{}, originSlot: map[string]int{}}
 }
 
 // Add registers a rule, replacing any rule of the same name.
@@ -51,8 +54,13 @@ func (rs *RuleSet) Add(r *Rule) {
 	}
 	for i, alt := range r.Alts {
 		if alt.origin == "" {
-			alt.origin = r.Name + "#" + strconv.Itoa(i+1)
+			n := strconv.Itoa(i + 1)
+			alt.origin = r.Name + "#" + n
+			labels := `{rule="` + r.Name + `",alt="` + n + `"}`
+			alt.counters = [3]string{"coverage_alt_fired_total" + labels,
+				"coverage_alt_retained_total" + labels, "coverage_alt_winner_total" + labels}
 		}
+		rs.originSlot[alt.origin] = rs.nAlts + i
 	}
 	rs.rules[r.Name] = r
 	rs.altBase[r.Name] = rs.nAlts
@@ -62,6 +70,16 @@ func (rs *RuleSet) Add(r *Rule) {
 // AltSlot returns the Stats.Alts index of the named rule's first
 // alternative; its i-th alternative (0-based) tallies at AltSlot(name)+i.
 func (rs *RuleSet) AltSlot(name string) int { return rs.altBase[name] }
+
+// NumAlts returns the number of slots AltSlot and OriginSlot index into.
+func (rs *RuleSet) NumAlts() int { return rs.nAlts }
+
+// OriginSlot returns the slot of the alternative whose plans carry the given
+// Origin tag; ok is false for any other origin ("Glue", an extension's own).
+func (rs *RuleSet) OriginSlot(origin string) (slot int, ok bool) {
+	slot, ok = rs.originSlot[origin]
+	return slot, ok
+}
 
 // addRecordingRedefinition is Add for the parser: a replacement within one
 // source file is recorded for the linter's hygiene pass.
@@ -191,7 +209,14 @@ type Alt struct {
 	// plans the alternative produces (filled by RuleSet.Add so EvalRule
 	// does not format it per firing).
 	origin string
+	// counters names the alternative's coverage counters, rendered beside
+	// origin for the same reason: every observed run publishes all three.
+	counters [3]string
 }
+
+// CoverageCounters returns the names of the registry counters an observed run
+// adds the alternative's fired, retained and winner tallies to.
+func (a *Alt) CoverageCounters() [3]string { return a.counters }
 
 // WalkCalls invokes f for every Call node in the rule's alternatives
 // (bodies and conditions) and where-bindings, in source order. The linter's

@@ -165,8 +165,8 @@ type Engine struct {
 	tempSeq  int
 	ixSeq    int
 	// namePrefix namespaces NextTempName/NextIndexName ("" on the root
-	// engine; a subset-task id on forked engines) so names generated by
-	// concurrent workers are unique and — because the prefix derives from
+	// engine; the running subset task's id on a worker's) so names generated
+	// by concurrent workers are unique and — because the prefix derives from
 	// the work item, not the worker — identical across schedules.
 	namePrefix string
 }
@@ -195,10 +195,11 @@ func NewEngine(rules *RuleSet, costEnv *cost.Env) *Engine {
 // shared with en, not copied: Options.Prepare fills them before the first
 // reference is evaluated and nothing writes them afterwards (builders and
 // helpers are stateless functions receiving the engine per call), so
-// concurrent workers only ever read them. The pricing environment,
-// observability sink, and name prefix are the worker's own. Counters start
-// at zero; the caller folds them back with Stats.Add. The caller wires Glue
-// and PlanSites to the worker's Gluer.
+// concurrent workers only ever read them. The pricing environment and the
+// counters (zero here; the caller adds them back with Stats.Add) are the
+// worker's own for its whole life, the sink and the name space its current
+// task's (RestartNames). The caller wires Glue and PlanSites to the worker's
+// Gluer.
 func (en *Engine) Fork(costEnv *cost.Env, sink *obs.Sink, namePrefix string) *Engine {
 	return &Engine{
 		Rules:       en.Rules,
@@ -211,6 +212,13 @@ func (en *Engine) Fork(costEnv *cost.Env, sink *obs.Sink, namePrefix string) *En
 		declared:    en.declared,
 		namePrefix:  namePrefix,
 	}
+}
+
+// RestartNames begins a new temp/index name space: the next names are
+// "_t<prefix>1" and "_ix<prefix>1", whatever the engine generated before. A
+// worker's engine restarts at every task, with the task's id.
+func (en *Engine) RestartNames(prefix string) {
+	en.namePrefix, en.tempSeq, en.ixSeq = prefix, 0, 0
 }
 
 // RegisterBuilder installs a LOLEPOP builder under its reference name

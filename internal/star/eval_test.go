@@ -459,3 +459,30 @@ star R() = [
 		}
 	}
 }
+
+// TestRestartNamesBeginsAtOne: a worker engine serves many tasks, and a
+// generated name must be a function of the task alone — after task A's names,
+// task B's first temp is _t<B>.1 and its first index _ix<B>.1.
+func TestRestartNamesBeginsAtOne(t *testing.T) {
+	root := NewEngine(NewRuleSet(), nil)
+	if got := root.NextTempName(); got != "_t1" {
+		t.Errorf("root engine's first temp = %q, want _t1", got)
+	}
+	w := root.Fork(nil, nil, "")
+	w.RestartNames("5.")
+	for _, want := range []string{"_t5.1", "_t5.2"} {
+		if got := w.NextTempName(); got != want {
+			t.Errorf("task 5 temp = %q, want %q", got, want)
+		}
+	}
+	if got := w.NextIndexName(); got != "_ix5.1" {
+		t.Errorf("task 5 first index = %q, want _ix5.1", got)
+	}
+	w.RestartNames("6.")
+	if tn, ix := w.NextTempName(), w.NextIndexName(); tn != "_t6.1" || ix != "_ix6.1" {
+		t.Errorf("task 6 after task 5 names %q and %q, want _t6.1 and _ix6.1", tn, ix)
+	}
+	if got := root.NextTempName(); got != "_t2" {
+		t.Errorf("a fork's names moved the root engine's sequence: %q, want _t2", got)
+	}
+}
