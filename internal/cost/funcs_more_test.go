@@ -233,3 +233,28 @@ func TestIndexMatchPrefixSemantics(t *testing.T) {
 		t.Errorf("gap in prefix must stop matching, got %d", m)
 	}
 }
+
+// TestVeneerOperatorsNeverLowerCost: Glue's cost bound skips a candidate whose
+// own cost is already above the cheapest satisfying plan, which is sound only
+// if no veneer operator prices below its input. One case per operator Glue
+// injects, each component checked as well as the weighted total.
+func TestVeneerOperatorsNeverLowerCost(t *testing.T) {
+	e := testEnv(cEQ("T", "A", 3))
+	a := []expr.ColID{{Table: "T", Col: "A"}}
+	stored := price(t, e, &plan.Node{Op: plan.OpStore, Table: "_t1", Inputs: []*plan.Node{scanT(e)}})
+	indexed := price(t, e, &plan.Node{Op: plan.OpBuildIndex, Path: "_ix1", SortCols: a, Inputs: []*plan.Node{stored}})
+	for _, n := range []*plan.Node{
+		{Op: plan.OpShip, Site: "X", Inputs: []*plan.Node{scanT(e)}},
+		{Op: plan.OpSort, SortCols: a, Inputs: []*plan.Node{scanT(e)}},
+		stored,
+		indexed,
+		{Op: plan.OpAccess, Flavor: plan.FlavorIndex, Table: "_t1", Path: "_ix1",
+			Preds: e.u.PredSet(cEQ("T", "A", 3)), Inputs: []*plan.Node{indexed}},
+		{Op: plan.OpFilter, Preds: e.u.PredSet(cEQ("T", "A", 3)), Inputs: []*plan.Node{scanT(e)}},
+	} {
+		got, in := price(t, e, n).Props.Cost, n.Inputs[0].Props.Cost
+		if got.Total < in.Total || got.IO < in.IO || got.CPU < in.CPU || got.Msg < in.Msg || got.Bytes < in.Bytes {
+			t.Errorf("%s/%s prices at %+v, below its input's %+v", n.Op, n.Flavor, got, in)
+		}
+	}
+}

@@ -106,8 +106,8 @@ func TestPlanTableInsertLookupAndPruning(t *testing.T) {
 		Props: &plan.Props{Cost: plan.Cost{Total: 80},
 			Order: []expr.ColID{{Table: "DEPT", Col: "DNO"}}}}
 
-	got := pt.Insert(ts, predsK, []*plan.Node{pricey, cheap, ordered})
-	if len(got) != 2 {
+	pt.Insert(ts, predsK, []*plan.Node{pricey, cheap, ordered})
+	if got := pt.Lookup(ts, predsK); len(got) != 2 {
 		t.Fatalf("retained = %d, want 2 (pricey dominated; ordered shielded)", len(got))
 	}
 	if pt.Pruned != 1 {
@@ -116,7 +116,7 @@ func TestPlanTableInsertLookupAndPruning(t *testing.T) {
 	if len(pt.Lookup(ts, predsK)) != 2 || pt.Lookup(ts, predsOther) != nil {
 		t.Error("lookup keys")
 	}
-	if pt.Best(ts) == nil || pt.Best(ts).Props.Cost.Total != 5 {
+	if best := CheapestOf(pt.Entry(ts)); best == nil || best.Props.Cost.Total != 5 {
 		t.Error("best")
 	}
 	if pt.Size() != 2 {
@@ -480,8 +480,8 @@ func TestOverlayIsolation(t *testing.T) {
 	// A dominated offer is rejected by the base plan without touching base.
 	dominated := &plan.Node{Op: plan.OpAccess, Flavor: plan.FlavorBTreeStore, Table: "DEPT",
 		Props: &plan.Props{Cost: plan.Cost{Total: 50}}}
-	out := ov.Insert(ts, predsP, []*plan.Node{dominated})
-	if len(out) != 1 || out[0] != cheap {
+	ov.Insert(ts, predsP, []*plan.Node{dominated})
+	if out := ov.Lookup(ts, predsP); len(out) != 1 || out[0] != cheap {
 		t.Fatalf("combined view after dominated offer = %v", out)
 	}
 	if ov.Pruned != 1 || base.Pruned != 0 {
@@ -491,9 +491,9 @@ func TestOverlayIsolation(t *testing.T) {
 	// survives until Absorb (the base is frozen while tasks run).
 	winner := &plan.Node{Op: plan.OpAccess, Flavor: plan.FlavorHeap, Table: "DEPT",
 		Props: &plan.Props{Cost: plan.Cost{Total: 1}}}
-	out = ov.Insert(ts, predsP, []*plan.Node{winner})
-	if len(out) != 2 {
-		t.Fatalf("combined view after dominating offer = %d plans", len(out))
+	ov.Insert(ts, predsP, []*plan.Node{winner})
+	if out := ov.Lookup(ts, predsP); len(out) != 2 || out[0] != cheap || out[1] != winner {
+		t.Fatalf("combined view after dominating offer = %v (base plans first)", out)
 	}
 	if got := base.Lookup(ts, predsP); len(got) != 1 || got[0] != cheap {
 		t.Fatalf("base mutated while overlay live: %v", got)
@@ -531,8 +531,8 @@ func TestOverlayPruneDisabled(t *testing.T) {
 		Props: &plan.Props{Cost: plan.Cost{Total: 5}}}
 	worse := &plan.Node{Op: plan.OpAccess, Flavor: plan.FlavorBTreeStore, Table: "DEPT",
 		Props: &plan.Props{Cost: plan.Cost{Total: 50}}}
-	out := ov.Insert(ts, predsP, []*plan.Node{dup, worse})
-	if len(out) != 2 {
+	ov.Insert(ts, predsP, []*plan.Node{dup, worse})
+	if out := ov.Lookup(ts, predsP); len(out) != 2 {
 		t.Fatalf("combined view = %d plans (dup must dedupe, worse must stay)", len(out))
 	}
 	base.Absorb(ov)

@@ -2,6 +2,7 @@ package glue
 
 import (
 	"fmt"
+	"math"
 
 	"stars/internal/expr"
 	"stars/internal/obs"
@@ -23,6 +24,10 @@ type Stats struct {
 	Veneers int64
 	// VeneersByOp splits Veneers by operator, in VeneerOps order.
 	VeneersByOp [len(VeneerOps)]int64
+	// Reused and Bounded count candidates a reference did not veneer: an
+	// earlier one with the same requirement already had (the mark), or their
+	// own cost was already above the cheapest satisfying plan (the bound).
+	Reused, Bounded int64
 }
 
 // VeneerOps lists the operators Glue injects, in Stats.VeneersByOp order.
@@ -37,6 +42,8 @@ func (s *Stats) Add(o Stats) {
 	for i, n := range o.VeneersByOp {
 		s.VeneersByOp[i] += n
 	}
+	s.Reused += o.Reused
+	s.Bounded += o.Bounded
 }
 
 // Gluer is the Glue mechanism wired to a STAR engine, a query, and a plan
@@ -55,6 +62,8 @@ type Gluer struct {
 	KeepAll bool
 	// Stats accumulates counters.
 	Stats Stats
+	// built is Glue's scratch list of the veneers one reference offers.
+	built []*plan.Node
 }
 
 // AccessRootRule names the STAR Glue references when no plans exist for a
@@ -93,52 +102,107 @@ func (g *Gluer) Glue(req *star.GlueRequest) (result []*plan.Node, err error) {
 	if err != nil {
 		return nil, err
 	}
-
 	full := base.Union(static).Union(bound)
-	var out []*plan.Node
-	for _, cand := range cands {
-		v, err := g.veneer(cand, req.Req, full)
-		if err != nil {
-			return nil, err
-		}
-		if v != nil {
-			out = append(out, v)
+	target := g.Table.cell(req.Tables, full)
+
+	// Find before building (package comment): the mark passes over candidates
+	// an earlier reference of this job dealt with, the bound over those
+	// already dearer than the cheapest plan satisfying the requirement.
+	all := g.KeepAll || req.All
+	k := markKey{req.Tables.Mask(), lookup.Hash64(), full.Hash64(), req.Req.Hash64(), all}
+	m := g.Table.markOf(k)
+	var best *plan.Node
+	limit := math.Inf(1)
+	if !all {
+		if best = target.cheapest(req.Req); best != nil {
+			limit = best.Props.Cost.Total
 		}
 	}
-	if len(out) == 0 {
+	sameCell := lookup.Equal(full)
+	var reused, bounded int64
+	var skipped *plan.Node // the cheapest candidate the bound passed over
+	built := g.built[:0]
+	for half, e := range cands {
+		i := e.fresh(m[half])
+		reused += int64(i)
+		for _, cand := range e.plans[i:] {
+			if cand.Props.Cost.Total > limit {
+				bounded++
+				if skipped == nil || cand.Props.Cost.Total < skipped.Props.Cost.Total {
+					skipped = cand
+				}
+				continue
+			}
+			v, err := g.veneer(cand, req.Req, full)
+			if err != nil {
+				return nil, err
+			}
+			if v == cand && sameCell {
+				continue // needs nothing and already sits where it would be offered
+			}
+			built = append(built, v)
+			if !all && v.Props.Cost.Total < limit && req.Req.SatisfiedBy(v.Props) {
+				limit = v.Props.Cost.Total
+			}
+		}
+	}
+	g.Stats.Reused += reused
+	g.Stats.Bounded += bounded
+	if len(built) > 0 {
+		// Newly veneered plans join the table so later references find them
+		// (Figure 3's third plan came from an earlier Glue reference).
+		g.Table.Insert(req.Tables, full, built)
+		cands, target = g.Table.cell(req.Tables, lookup), g.Table.cell(req.Tables, full)
+		if !all {
+			best = target.cheapest(req.Req)
+		}
+	}
+	g.built = built[:0]
+	// Where candidates and veneers share a cell this passes the new veneers
+	// too: they already satisfy what they were built for.
+	if now := (mark{cands[0].seq, cands[1].seq}); now != m {
+		g.Table.marks[k] = now
+	}
+
+	if best != nil {
+		result = []*plan.Node{best}
+	} else if all {
+		for _, e := range target {
+			for _, p := range e.plans {
+				if req.Req.SatisfiedBy(p.Props) {
+					result = append(result, p)
+				}
+			}
+		}
+	}
+	if len(result) == 0 {
 		return nil, fmt.Errorf("glue: no plan for {%s} satisfies %s", req.Tables.Key(), req.Req) //obsguard:ignore error path
 	}
-	// Newly veneered plans join the table so later references find them
-	// (Figure 3's third plan came from an earlier Glue reference).
-	out = g.Table.Insert(req.Tables, full, out)
-
-	var satisfying []*plan.Node
-	for _, p := range out {
-		if req.Req.SatisfiedBy(p.Props) {
-			satisfying = append(satisfying, p)
+	if g.Engine.Obs.Tracing() && reused+bounded > 0 {
+		// One record per reference, never per candidate. When the bound
+		// skipped any: the cheapest of them, and the plan it could not beat.
+		e := obs.Event{Name: obs.EvGlueSkip, A1: req.Tables.Key(), N1: reused, N2: bounded}
+		if skipped != nil {
+			e.P1, e.F1 = skipped.ID(), skipped.Props.Cost.Total
+			e.P2, e.F2 = best.ID(), best.Props.Cost.Total
 		}
+		g.Engine.Obs.Emit(e)
 	}
-	if len(satisfying) == 0 {
-		return nil, fmt.Errorf("glue: veneering failed to satisfy %s for {%s}", req.Req, req.Tables.Key()) //obsguard:ignore error path
-	}
-	if g.KeepAll || req.All {
-		return satisfying, nil
-	}
-	return []*plan.Node{CheapestOf(satisfying)}, nil
+	return result, nil
 }
 
-// ensurePlans returns plans for (tables, preds), creating them on a miss:
+// ensurePlans returns the (tables, preds) cell, filling it on a miss:
 // single tables re-reference the top-most access STAR with the full
 // predicate set (so index plans can exploit pushed join predicates rather
 // than retrofitting a FILTER — Section 4.4); composites retrofit the
 // missing predicates onto the enumerated entry.
-func (g *Gluer) ensurePlans(tables expr.TableSet, preds expr.PredSet) ([]*plan.Node, error) {
-	if plans := g.Table.Lookup(tables, preds); len(plans) > 0 {
+func (g *Gluer) ensurePlans(tables expr.TableSet, preds expr.PredSet) (cell, error) {
+	if c := g.Table.cell(tables, preds); c.len() > 0 {
 		g.Stats.Hits++
 		if g.Engine.Obs.Tracing() {
-			g.Engine.Obs.Emit(obs.Event{Name: obs.EvGlueHit, A1: tables.Key(), N1: int64(len(plans))})
+			g.Engine.Obs.Emit(obs.Event{Name: obs.EvGlueHit, A1: tables.Key(), N1: int64(c.len())})
 		}
-		return plans, nil
+		return c, nil
 	}
 	g.Stats.Misses++
 	if g.Engine.Obs.Tracing() {
@@ -154,132 +218,107 @@ func (g *Gluer) ensurePlans(tables expr.TableSet, preds expr.PredSet) ([]*plan.N
 			star.PredsValue(preds),
 		})
 		if err != nil {
-			return nil, fmt.Errorf("glue: access plans for %s: %w", q, err)
+			return cell{}, fmt.Errorf("glue: access plans for %s: %w", q, err)
 		}
 		if len(sap) == 0 {
-			return nil, fmt.Errorf("glue: no access plans for %s", q)
+			return cell{}, fmt.Errorf("glue: no access plans for %s", q)
 		}
-		return g.Table.Insert(tables, preds, sap), nil
+		g.Table.Insert(tables, preds, sap)
+		return g.Table.cell(tables, preds), nil
 	}
 	// Composite: the enumeration inserted plans under the eligible
 	// predicate set; add the missing predicates as a FILTER veneer.
 	base := g.Graph.EligibleWithin(tables)
-	cands := g.Table.Lookup(tables, base)
-	if len(cands) == 0 {
-		return nil, fmt.Errorf("glue: no plans exist for composite {%s} (enumeration order violated?)", tables.Key()) //obsguard:ignore error path
+	cands := g.Table.cell(tables, base)
+	if cands.len() == 0 {
+		return cell{}, fmt.Errorf("glue: no plans exist for composite {%s} (enumeration order violated?)", tables.Key()) //obsguard:ignore error path
 	}
 	missing := preds.Minus(base)
-	var out []*plan.Node
-	for _, c := range cands {
-		f, err := g.addFilter(c, missing)
-		if err != nil {
-			return nil, err
+	out := make([]*plan.Node, 0, cands.len())
+	for _, e := range cands {
+		for _, c := range e.plans {
+			f, err := g.addFilter(c, missing)
+			if err != nil {
+				return cell{}, err
+			}
+			out = append(out, f)
 		}
-		out = append(out, f)
 	}
-	return g.Table.Insert(tables, preds, out), nil
+	g.Table.Insert(tables, preds, out)
+	return g.Table.cell(tables, preds), nil
 }
 
 // veneer augments one plan with Glue operators until it satisfies the
 // requirements, applying any still-missing predicates of full above every
-// materialization. It returns nil when the plan cannot be patched (which
-// simply removes it from the candidate set).
-func (g *Gluer) veneer(p *plan.Node, req plan.Reqd, full expr.PredSet) (*plan.Node, error) {
-	cur := p
+// materialization. A plan that needs nothing is returned as it is.
+func (g *Gluer) veneer(cur *plan.Node, req plan.Reqd, full expr.PredSet) (_ *plan.Node, err error) {
 	// 1. Move to the required site (shipping first puts any temp at the
 	// destination, as condition C1 of Section 4.3 intends).
 	if req.Site != nil && cur.Props.Site != *req.Site {
-		var err error
-		cur, err = g.addVeneer(g.arenaNode(plan.Node{Op: plan.OpShip, Site: *req.Site, Inputs: []*plan.Node{cur}}))
-		if err != nil {
+		if cur, err = g.addVeneer(cur, plan.Node{Op: plan.OpShip, Site: *req.Site}); err != nil {
 			return nil, err
 		}
 	}
 	// 2. Achieve the required order (before STORE, so the temp inherits
 	// it).
 	if len(req.Order) > 0 && !plan.OrderSatisfies(cur.Props.Order, req.Order) {
-		var err error
-		cur, err = g.addVeneer(g.arenaNode(plan.Node{Op: plan.OpSort, SortCols: req.Order, Inputs: []*plan.Node{cur}}))
-		if err != nil {
+		if cur, err = g.addVeneer(cur, plan.Node{Op: plan.OpSort, SortCols: req.Order}); err != nil {
 			return nil, err
 		}
 	}
 	// 3. Materialize when required.
 	if (req.Temp || len(req.PathCols) > 0) && !cur.Props.Temp {
-		var err error
-		cur, err = g.addVeneer(g.arenaNode(plan.Node{Op: plan.OpStore, Table: g.Engine.NextTempName(), Inputs: []*plan.Node{cur}}))
-		if err != nil {
+		if cur, err = g.addVeneer(cur, plan.Node{Op: plan.OpStore, Table: g.Engine.NextTempName()}); err != nil {
 			return nil, err
 		}
 	}
 	// 4. Create the required index and probe it with the per-probe
 	// predicates (Section 4.5.3).
 	if len(req.PathCols) > 0 {
-		var err error
-		cur, err = g.dynamicIndex(cur, req.PathCols, full)
-		if err != nil {
+		if cur, err = g.dynamicIndex(cur, req.PathCols, full); err != nil {
 			return nil, err
-		}
-		if cur == nil {
-			return nil, nil
 		}
 	}
 	// 5. Any predicates of the target set the plan still has not applied
 	// go above everything as a per-probe FILTER.
-	missing := full.Minus(cur.Props.Preds())
-	if !missing.Empty() {
-		var err error
-		cur, err = g.addFilter(cur, missing)
-		if err != nil {
-			return nil, err
-		}
-	}
-	return cur, nil
+	return g.addFilter(cur, full.Minus(cur.Props.Preds()))
 }
 
 // dynamicIndex ensures an index on ixCols exists on the materialized stream
 // and replaces the stream with an index probe applying the matching pushed
 // predicates.
-func (g *Gluer) dynamicIndex(cur *plan.Node, ixCols []expr.ColID, full expr.PredSet) (*plan.Node, error) {
+func (g *Gluer) dynamicIndex(cur *plan.Node, ixCols []expr.ColID, full expr.PredSet) (_ *plan.Node, err error) {
 	if cur.Props.PathOn(ixCols) == nil {
-		var err error
-		cur, err = g.addVeneer(g.arenaNode(plan.Node{
-			Op: plan.OpBuildIndex, Path: g.Engine.NextIndexName(),
-			SortCols: ixCols, Inputs: []*plan.Node{cur},
-		}))
-		if err != nil {
+		ix := plan.Node{Op: plan.OpBuildIndex, Path: g.Engine.NextIndexName(), SortCols: ixCols}
+		if cur, err = g.addVeneer(cur, ix); err != nil {
 			return nil, err
 		}
 	}
 	path := cur.Props.PathOn(ixCols)
 	missing := full.Minus(cur.Props.Preds())
-	probePreds := expr.MatchIndexPrefix(missing, path.Cols)
-	probe := g.arenaNode(plan.Node{
+	return g.addVeneer(cur, plan.Node{
 		Op: plan.OpAccess, Flavor: plan.FlavorIndex,
 		Table: cur.Props.TempName, Path: path.Name,
 		Cols:  cur.Props.Cols(), // interned and never mutated; sharing is safe
-		Preds: probePreds, Inputs: []*plan.Node{cur},
+		Preds: expr.MatchIndexPrefix(missing, path.Cols),
 	})
-	return g.addVeneer(probe)
 }
 
 func (g *Gluer) addFilter(cur *plan.Node, preds expr.PredSet) (*plan.Node, error) {
 	if preds.Empty() {
 		return cur, nil
 	}
-	return g.addVeneer(g.arenaNode(plan.Node{Op: plan.OpFilter, Preds: preds, Inputs: []*plan.Node{cur}}))
+	return g.addVeneer(cur, plan.Node{Op: plan.OpFilter, Preds: preds})
 }
 
-// arenaNode allocates a veneer node from the optimization's arena.
-func (g *Gluer) arenaNode(n plan.Node) *plan.Node {
-	return g.Engine.Cost.Arena.NewNode(n)
-}
-
-func (g *Gluer) addVeneer(n *plan.Node) (*plan.Node, error) {
+// addVeneer puts the Glue operator n over in: a node from the optimization's
+// arena, priced and counted.
+func (g *Gluer) addVeneer(in *plan.Node, op plan.Node) (*plan.Node, error) {
+	op.Inputs, op.Origin = []*plan.Node{in}, "Glue"
+	n := g.Engine.Cost.Arena.NewNode(op)
 	if err := g.Engine.Cost.Price(n); err != nil {
 		return nil, fmt.Errorf("glue: pricing %s veneer: %w", n.Op, err)
 	}
-	n.Origin = "Glue"
 	g.Stats.Veneers++
 	for i, op := range VeneerOps {
 		if op == n.Op {
@@ -288,12 +327,8 @@ func (g *Gluer) addVeneer(n *plan.Node) (*plan.Node, error) {
 		}
 	}
 	if g.Engine.Obs.Tracing() {
-		e := obs.Event{Name: obs.EvVeneer, A1: string(n.Op), P1: n.ID(), N1: 1,
-			F1: n.Props.Cost.Total}
-		if in := n.Outer(); in != nil {
-			e.P2 = in.ID()
-		}
-		g.Engine.Obs.Emit(e)
+		g.Engine.Obs.Emit(obs.Event{Name: obs.EvVeneer, A1: string(n.Op), P1: n.ID(), P2: in.ID(), N1: 1,
+			F1: n.Props.Cost.Total})
 	}
 	return n, nil
 }

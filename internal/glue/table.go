@@ -9,6 +9,23 @@
 // The package also owns the plan table: the data structure, hashed on the
 // tables and predicates (Section 4.4), that makes "do plans exist for these
 // relational properties?" a dictionary lookup.
+//
+// Glue finds before it builds. Step 2 is a job — patch the candidates of one
+// cell up to one requirement — and the table keeps a mark per job: the
+// insertion sequence of the last candidate the job has dealt with. A
+// reference veneers only candidates born after the mark, so an exact repeat
+// builds nothing and reads its answer out of the cell the veneers went to.
+// A mark has a half for the frozen base's entry and one for the overlay's
+// own. Absorb folds the base half into the base by max — every overlay of a
+// rank saw the same frozen entries and max commutes, so the base's marks are
+// the same at every Parallelism — and the own half dies with its task.
+// When only the cheapest plan is wanted there is also a bound: no veneer
+// costs less than its input, so a candidate strictly dearer than the
+// cheapest plan already satisfying the requirement gets no node, no generated
+// name and no pricing. Ties are still built (a veneer may evict the incumbent
+// it ties with, and first-offered tie-breaks must stand), and the bound only
+// falls — a satisfying plan is evicted only by one at least as cheap that
+// satisfies too — so what the bound skipped once the mark may pass for good.
 package glue
 
 import (
@@ -29,13 +46,65 @@ type entryKey struct {
 
 // entry is one (TABLES, PREDS) cell of the plan table. The predicate set is
 // retained for exact verification (two distinct sets hashing alike chain via
-// next).
+// next). born[i] is the insertion sequence plans[i] was retained under, seq the
+// last one handed out; eviction keeps order, so born ascends and the plans a
+// mark has not passed are a suffix.
 type entry struct {
 	tables expr.TableSet
 	preds  expr.PredSet
 	plans  []*plan.Node
+	born   []uint32
+	seq    uint32
 	next   *entry
 }
+
+// fresh returns the index of the first plan born after seq.
+func (e *entry) fresh(seq uint32) int {
+	i := len(e.born)
+	for i > 0 && e.born[i-1] > seq {
+		i--
+	}
+	return i
+}
+
+// cell is one (TABLES, PREDS) cell as a table sees it — the frozen base's
+// entry, then its own — with noEntry for an absent half (a root table has no
+// base half). Base plans come first, the order a serial run would have
+// accumulated them in, so first-offered tie-breaks ignore the schedule.
+type cell [2]*entry
+
+// noEntry is the empty half of a cell. It is never written.
+var noEntry = &entry{}
+
+func (c cell) len() int { return len(c[0].plans) + len(c[1].plans) }
+
+// cheapest returns the cheapest plan of the cell satisfying req — on a tie
+// the first offered — or nil.
+func (c cell) cheapest(req plan.Reqd) *plan.Node {
+	var best *plan.Node
+	for _, e := range c {
+		for _, p := range e.plans {
+			if (best == nil || p.Props.Cost.Total < best.Props.Cost.Total) && req.SatisfiedBy(p.Props) {
+				best = p
+			}
+		}
+	}
+	return best
+}
+
+// markKey names one veneering job by the words of its sets and requirement
+// (Mask, Hash64 — a probe renders and allocates nothing): patching the
+// candidates of the (tables, lookup) cell up to reqd and the full predicate
+// set, for references that want all satisfying plans or only the cheapest.
+type markKey struct {
+	tables, lookup, full, reqd uint64
+	all                        bool
+}
+
+// mark is how far a job has got through its candidate cell, half by half:
+// the insertion sequence of the last candidate it has dealt with in the base
+// table's entry and in this table's own (the package comment has the rules).
+type mark [2]uint32
 
 // PlanTable stores every Set of Alternative Plans produced so far, keyed by
 // (TABLES, PREDS) — the relational properties of Figure 2. Within one entry
@@ -71,6 +140,9 @@ type PlanTable struct {
 	// order is the append-only log of locally-created entries in
 	// first-write order — the deterministic replay schedule Absorb follows.
 	order []*entry
+	// marks is Glue's memo: how far each veneering job has got. An overlay
+	// records its own and falls back to the base's (markOf).
+	marks map[markKey]mark
 }
 
 // pruneKey names the two sides of a dominance decision by plan origin.
@@ -81,6 +153,7 @@ func NewPlanTable() *PlanTable {
 	return &PlanTable{
 		entries:  map[entryKey]*entry{},
 		byTables: map[uint64][]*entry{},
+		marks:    map[markKey]mark{},
 	}
 }
 
@@ -91,6 +164,7 @@ func NewOverlay(base *PlanTable) *PlanTable {
 	return &PlanTable{
 		entries:       map[entryKey]*entry{},
 		byTables:      map[uint64][]*entry{},
+		marks:         map[markKey]mark{},
 		base:          base,
 		PruneDisabled: base.PruneDisabled,
 	}
@@ -120,38 +194,48 @@ func (pt *PlanTable) ensure(tables expr.TableSet, preds expr.PredSet) (*entry, b
 	return e, true
 }
 
-// Lookup returns the retained plans for exactly this table set and predicate
-// set, or nil. The probe is a map lookup on the sets' words. On an overlay,
-// base plans come first and local plans after — the same order a serial run
-// would have accumulated them in, so cheapest-of tie-breaks stay
-// deterministic.
-func (pt *PlanTable) Lookup(tables expr.TableSet, preds expr.PredSet) []*plan.Node {
-	var local []*plan.Node
+// cell returns both halves of the (tables, preds) cell: one map probe on the
+// sets' words per half.
+func (pt *PlanTable) cell(tables expr.TableSet, preds expr.PredSet) cell {
+	c := cell{noEntry, noEntry}
+	if pt.base != nil {
+		if e := pt.base.find(tables, preds); e != nil {
+			c[0] = e
+		}
+	}
 	if e := pt.find(tables, preds); e != nil {
-		local = e.plans
+		c[1] = e
 	}
-	if pt.base == nil {
-		return local
-	}
-	var basePlans []*plan.Node
-	if e := pt.base.find(tables, preds); e != nil {
-		basePlans = e.plans
-	}
-	if len(basePlans) == 0 {
-		return local
-	}
-	if len(local) == 0 {
-		return basePlans
-	}
-	out := make([]*plan.Node, 0, len(basePlans)+len(local))
-	out = append(out, basePlans...)
-	return append(out, local...)
+	return c
 }
 
-// Insert adds plans to the (tables, preds) entry, pruning dominated ones,
-// and returns the retained entry (on an overlay: the combined base + local
-// view, matching what a serial run's entry would hold).
-func (pt *PlanTable) Insert(tables expr.TableSet, preds expr.PredSet, plans []*plan.Node) []*plan.Node {
+// Lookup returns the retained plans for exactly this table set and predicate
+// set, or nil. Glue reads cells in place; this is for callers outside the
+// package, and on an overlay holding plans in both halves it merges them.
+func (pt *PlanTable) Lookup(tables expr.TableSet, preds expr.PredSet) []*plan.Node {
+	c := pt.cell(tables, preds)
+	if len(c[0].plans) == 0 {
+		return c[1].plans
+	}
+	if len(c[1].plans) == 0 {
+		return c[0].plans
+	}
+	return append(append(make([]*plan.Node, 0, c.len()), c[0].plans...), c[1].plans...)
+}
+
+// markOf returns how far job k has got: this table's own record, else what
+// the frozen base had seen (a base counts in its own half).
+func (pt *PlanTable) markOf(k markKey) mark {
+	m, ok := pt.marks[k]
+	if !ok && pt.base != nil {
+		m[0] = pt.base.marks[k][1]
+	}
+	return m
+}
+
+// Insert offers plans to the (tables, preds) entry, retaining the ones no
+// other plan dominates.
+func (pt *PlanTable) Insert(tables expr.TableSet, preds expr.PredSet, plans []*plan.Node) {
 	var t0 time.Time
 	profiled := pt.Obs.ProfEnabled()
 	if profiled {
@@ -161,10 +245,7 @@ func (pt *PlanTable) Insert(tables expr.TableSet, preds expr.PredSet, plans []*p
 	if created && pt.base != nil {
 		pt.order = append(pt.order, e)
 	}
-	var baseEntry *entry
-	if pt.base != nil {
-		baseEntry = pt.base.find(tables, preds)
-	}
+	c := pt.cell(tables, preds)
 	for _, p := range plans {
 		pt.Inserted++
 		if pt.Obs.Tracing() {
@@ -172,7 +253,7 @@ func (pt *PlanTable) Insert(tables expr.TableSet, preds expr.PredSet, plans []*p
 				P1: p.ID(), A3: offerDetail(p),
 				F1: p.Props.Cost.Total, F2: p.Props.Card})
 		}
-		pt.addPruned(e, baseEntry, p)
+		pt.addPruned(c, p)
 	}
 	if pt.Obs.Tracing() {
 		pt.Obs.Emit(obs.Event{Name: obs.EvPlanInsert, A1: tables.Key(), A2: preds.Key(),
@@ -183,66 +264,39 @@ func (pt *PlanTable) Insert(tables expr.TableSet, preds expr.PredSet, plans []*p
 		// the duration covers their dominance scans.
 		pt.Obs.ProfActivity(obs.ActOffer, time.Since(t0), int64(len(plans)))
 	}
-	if pt.base == nil {
-		return e.plans
-	}
-	return pt.Lookup(tables, preds)
 }
 
-func (pt *PlanTable) addPruned(e *entry, baseEntry *entry, p *plan.Node) {
-	var basePlans []*plan.Node
-	if baseEntry != nil {
-		basePlans = baseEntry.plans
-	}
-	if pt.PruneDisabled {
-		for _, q := range basePlans {
-			if q == p || q.ID() == p.ID() {
+// addPruned offers p to the cell's own entry. Base plans are scanned first
+// (they were retained first, exactly as in a serial run) and may reject p, but
+// are never evicted here: an overlay must not mutate its shared, frozen base.
+// A base plan p dominates is evicted later, when Absorb replays this write
+// into the base on the barrier goroutine.
+func (pt *PlanTable) addPruned(c cell, p *plan.Node) {
+	e := c[1]
+	for _, half := range c {
+		for _, q := range half.plans {
+			if q == p || (pt.PruneDisabled && q.ID() == p.ID()) {
+				return
+			}
+			if !pt.PruneDisabled && plan.Dominates(q.Props, p.Props) {
+				pt.Pruned++
+				pt.notePrune(e.tables, p, q, 0) // incoming p rejected, dominated by existing q
 				return
 			}
 		}
-		for _, q := range e.plans {
-			if q == p || q.ID() == p.ID() {
-				return
-			}
-		}
-		e.plans = append(e.plans, p)
-		return
 	}
-	// Base plans are scanned first (they were retained first, exactly as in
-	// a serial run) and may reject the incoming plan, but are never evicted
-	// here: an overlay must not mutate its shared, frozen base. A base plan
-	// the incoming plan dominates is evicted later, when Absorb replays
-	// this write into the base on the barrier goroutine.
-	for _, q := range basePlans {
-		if q == p {
-			return
-		}
-		if plan.Dominates(q.Props, p.Props) {
-			pt.Pruned++
-			pt.notePrune(e.tables, p, q, 0)
-			return
-		}
-	}
-	for _, q := range e.plans {
-		if q == p {
-			return
-		}
-		if plan.Dominates(q.Props, p.Props) {
-			pt.Pruned++
-			pt.notePrune(e.tables, p, q, 0) // incoming p rejected, dominated by existing q
-			return
-		}
-	}
-	out := e.plans[:0]
-	for _, q := range e.plans {
-		if plan.Dominates(p.Props, q.Props) {
+	kept := 0
+	for i, q := range e.plans {
+		if !pt.PruneDisabled && plan.Dominates(p.Props, q.Props) {
 			pt.Pruned++
 			pt.notePrune(e.tables, q, p, 1) // existing q evicted by incoming p
 			continue
 		}
-		out = append(out, q)
+		e.plans[kept], e.born[kept] = q, e.born[i]
+		kept++
 	}
-	e.plans = append(out, p)
+	e.seq++
+	e.plans, e.born = append(e.plans[:kept], p), append(e.born[:kept], e.seq)
 }
 
 // Absorb replays an overlay's locally-retained plans into pt, walking the
@@ -263,6 +317,13 @@ func (pt *PlanTable) Absorb(o *PlanTable) {
 	for _, oe := range o.order {
 		if len(oe.plans) > 0 {
 			pt.Insert(oe.tables, oe.preds, oe.plans)
+		}
+	}
+	// The base half of an overlay's mark counts in pt's numbering, and max
+	// commutes: neither the order of tasks nor of this map changes the result.
+	for k, m := range o.marks {
+		if m[0] > pt.marks[k][1] {
+			pt.marks[k] = mark{1: m[0]}
 		}
 	}
 	pt.Inserted += o.Inserted
@@ -399,18 +460,6 @@ func (pt *PlanTable) Sites(tables expr.TableSet) []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// Best returns the cheapest plan across every predicate key of the table
-// set, or nil.
-func (pt *PlanTable) Best(tables expr.TableSet) *plan.Node {
-	var best *plan.Node
-	for _, p := range pt.Entry(tables) {
-		if best == nil || p.Props.Cost.Total < best.Props.Cost.Total {
-			best = p
-		}
-	}
-	return best
 }
 
 // Size returns the total number of retained plans (including base plans on

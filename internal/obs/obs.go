@@ -83,6 +83,14 @@ const (
 	// A1 is the table-set key.
 	EvGlueHit  = "glue.hit"
 	EvGlueMiss = "glue.miss"
+	// EvGlueSkip reports, once per Glue reference that found plans instead of
+	// building them, what it did not build: A1 is the table-set key, N1 the
+	// candidates an earlier reference with the same requirement had already
+	// veneered (the mark), N2 the candidates whose own cost was already above
+	// the cheapest satisfying plan (the bound). When N2 > 0, P1 and F1 are the
+	// identity and cost of the cheapest such candidate, P2 and F2 those of the
+	// plan it could not beat — the one the reference returned.
+	EvGlueSkip = "glue.skip"
 	// EvVeneer marks a Glue operator injected over a plan; A1 is the
 	// LOLEPOP name (SHIP, SORT, STORE, BUILDINDEX, FILTER, ...), P1 the
 	// veneer node's identity, P2 its input plan's, F1 its estimated total

@@ -355,6 +355,8 @@ func publishMetrics(reg *obs.Registry, res *Result) {
 	reg.Counter("glue_hits_total").Add(st.Glue.Hits)
 	reg.Counter("glue_misses_total").Add(st.Glue.Misses)
 	reg.Counter("glue_veneers_total").Add(st.Glue.Veneers)
+	reg.Counter("glue_reused_total").Add(st.Glue.Reused)
+	reg.Counter("glue_bounded_total").Add(st.Glue.Bounded)
 	reg.Counter("plantable_inserted_total").Add(st.PlansInserted)
 	reg.Counter("plantable_pruned_total").Add(st.PlansPruned)
 	reg.Counter("opt_subsets_total").Add(st.Subsets)

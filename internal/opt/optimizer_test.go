@@ -109,10 +109,10 @@ func TestPinnedEnumerationFixtures(t *testing.T) {
 		retained    int64
 		slow        bool
 	}{
-		{name: "chain8", cat: workload.ChainCatalog(8, 400, 150, 60, 200, 90, 500, 120, 80), g: workload.ChainQuery(8),
-			fingerprint: "2f116bd688a4fb74", subsets: 247, pairs: 84, glueCalls: 2241, veneers: 28016, retained: 1250},
+		{name: "chain8", cat: workload.ChainCatalog(8, chainCards...), g: workload.ChainQuery(8),
+			fingerprint: "2f116bd688a4fb74", subsets: 247, pairs: 84, glueCalls: 2241, veneers: 9759, retained: 1140},
 		{name: "star8", cat: workload.StarCatalog(8, 100000, 500), g: workload.StarQuery(8),
-			fingerprint: "3bafc4ff54518f0d", subsets: 502, pairs: 1024, glueCalls: 24513, veneers: 334728, retained: 25095, slow: true},
+			fingerprint: "3bafc4ff54518f0d", subsets: 502, pairs: 1024, glueCalls: 24513, veneers: 138776, retained: 13629, slow: true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			if tc.slow && testing.Short() {

@@ -419,23 +419,26 @@ func TestEnumerationHotPathAllocs(t *testing.T) {
 
 	// With the sink off nothing is rendered — no phase name per rank, no
 	// key, no label — and what is left is the search itself. chain8 measures
-	// 119 715 (a hundred more under -race, where sync.Pool drops arenas).
+	// 62 786 (a hundred more under -race, where sync.Pool drops arenas).
 	chain := workload.ChainCatalog(8, 100, 100, 100, 100, 100, 100, 100, 100)
-	if n := testing.AllocsPerRun(3, func() {
+	chainAllocs := testing.AllocsPerRun(3, func() {
 		res, err := New(chain, Options{Parallelism: 1}).Optimize(workload.ChainQuery(8))
 		if err != nil {
 			t.Fatal(err)
 		}
 		res.Release()
-	}); n > 119_850 {
-		t.Errorf("chain8 with no sink allocates %.0f/op, want at most 119850", n)
+	})
+	if chainAllocs > 62_950 {
+		t.Errorf("chain8 with no sink allocates %.0f/op, want at most 62950", chainAllocs)
 	}
 
 	// The always-on tier renders nothing per search step: a non-tracing
-	// sink with the profiler attached (what the daemon runs by default) may
-	// cost at most a fiftieth more allocations than no sink at all (1.018x
-	// measured, 221 795 to 225 690: a Glue span renders nothing at this
-	// tier, and a worker's tallies are allocated once, not once per task).
+	// sink with the profiler attached (what the daemon runs by default) costs
+	// a fixed surplus over no sink at all — a child sink, registry and
+	// profiler per subset task with something to join, nothing per Glue
+	// reference or veneer. The gate is that surplus in allocations (3 875 of
+	// 125 914 measured), not a ratio, which moves whenever the search under it
+	// shrinks or grows.
 	cat := workload.StarCatalog(6, 100000, 1000)
 	allocs := func(mkSink func() *obs.Sink) float64 {
 		return testing.AllocsPerRun(3, func() {
@@ -450,11 +453,12 @@ func TestEnumerationHotPathAllocs(t *testing.T) {
 		s.EnableProf(obs.ProfOptions{})
 		return s
 	})
-	if bare > 222_000 {
-		t.Errorf("star6 with no sink allocates %.0f/op, want at most 222000", bare)
+	if bare > 126_100 {
+		t.Errorf("star6 with no sink allocates %.0f/op, want at most 126100", bare)
 	}
-	if tier0 > 1.02*bare {
-		t.Errorf("star6 allocations: non-tracing sink %.0f > 1.02 x nil sink %.0f", tier0, bare)
+	if tier0-bare > 4_000 {
+		t.Errorf("star6 allocations: non-tracing sink %.0f is %.0f over nil sink %.0f, want at most 4000 over", tier0, tier0-bare, bare)
 	}
-	t.Logf("star6 allocations: nil sink %.0f, non-tracing sink %.0f (%.3fx)", bare, tier0, tier0/bare)
+	t.Logf("chain8 allocations: nil sink %.0f", chainAllocs)
+	t.Logf("star6 allocations: nil sink %.0f, non-tracing sink %.0f (+%.0f, %.3fx)", bare, tier0, tier0-bare, tier0/bare)
 }

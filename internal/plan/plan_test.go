@@ -480,3 +480,42 @@ func TestColHelpers(t *testing.T) {
 		t.Errorf("MergeCols = %v", m)
 	}
 }
+
+// TestReqdHash64: Glue's memo keys a requirement on this word, so equal
+// requirements must agree, the requirements a query can pose side by side must
+// differ — the same columns as an order and as an index key, one list split
+// differently — and hashing must not allocate (a key rendered with String made
+// the memo cost more than it saved).
+func TestReqdHash64(t *testing.T) {
+	la, ny := "LA", "NY"
+	a, b := expr.ColID{Table: "T", Col: "A"}, expr.ColID{Table: "T", Col: "B"}
+	reqs := []Reqd{
+		{},
+		{Temp: true},
+		{Site: &la},
+		{Site: &ny},
+		{Site: &la, Temp: true},
+		{Order: []expr.ColID{a}},
+		{PathCols: []expr.ColID{a}},
+		{Order: []expr.ColID{a, b}},
+		{Order: []expr.ColID{a}, PathCols: []expr.ColID{b}},
+		{Order: []expr.ColID{b, a}},
+		{Order: []expr.ColID{{Table: "T.A", Col: ""}}},
+	}
+	seen := map[uint64]int{}
+	for i, r := range reqs {
+		if j, dup := seen[r.Hash64()]; dup {
+			t.Errorf("%s and %s hash alike", reqs[j], r)
+		}
+		seen[r.Hash64()] = i
+	}
+	la2 := "LA"
+	if (Reqd{Site: &la, Order: []expr.ColID{a}}).Hash64() != (Reqd{Site: &la2, Order: []expr.ColID{{Table: "T", Col: "A"}}}).Hash64() {
+		t.Error("equal requirements hash differently")
+	}
+	r := Reqd{Site: &la, Order: []expr.ColID{a, b}, Temp: true, PathCols: []expr.ColID{a}}
+	var sink uint64
+	if n := testing.AllocsPerRun(1000, func() { sink += r.Hash64() }); n != 0 {
+		t.Errorf("Hash64 allocates %.1f/op", n)
+	}
+}

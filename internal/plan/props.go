@@ -252,6 +252,32 @@ func (r Reqd) SatisfiedBy(p *Props) bool {
 	return true
 }
 
+// Hash64 folds the requirements into one word without allocating — what
+// Glue's memo keys a requirement on (FNV-1a over the fields, each list
+// delimited, so [order=A] and [paths⊇ix(A)] differ).
+func (r Reqd) Hash64() uint64 {
+	w := keyWriter{h: offset64}
+	cols := func(tag byte, cs []expr.ColID) {
+		w.char(tag)
+		for _, c := range cs {
+			w.str(c.Table)
+			w.char('.')
+			w.str(c.Col)
+			w.char(',')
+		}
+	}
+	cols('o', r.Order)
+	cols('p', r.PathCols)
+	if r.Temp {
+		w.char('t')
+	}
+	if r.Site != nil {
+		w.char('s')
+		w.str(*r.Site)
+	}
+	return w.h
+}
+
 // String renders the requirements in the paper's [bracket] notation.
 func (r Reqd) String() string {
 	var parts []string

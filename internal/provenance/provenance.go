@@ -66,6 +66,12 @@ type Plan struct {
 	// Evicted distinguishes an existing plan evicted by a later arrival
 	// (true) from an incoming plan rejected on arrival (false).
 	Evicted bool `json:"evicted,omitempty"`
+	// BoundedBy is the fingerprint of the plan that kept Glue from building
+	// veneers over this one — the cheapest plan already satisfying the
+	// reference's requirement, at BoundedByCost, below this plan's own cost
+	// (glue.skip records one such candidate per reference, the cheapest).
+	BoundedBy     string  `json:"bounded_by,omitempty"`
+	BoundedByCost float64 `json:"bounded_by_cost,omitempty"`
 }
 
 // Rejection is one STAR alternative whose condition of applicability failed
@@ -92,6 +98,10 @@ type DAG struct {
 	Plans map[string]*Plan
 	// Rejections lists every alternative rejected by its condition.
 	Rejections []Rejection
+	// Reused and Bounded total what Glue found instead of building: candidates
+	// an earlier reference had already veneered, and candidates whose own cost
+	// was already above the cheapest satisfying plan.
+	Reused, Bounded int64
 }
 
 // FromResult builds the derivation DAG of an optimization. The run must
@@ -171,6 +181,16 @@ func Build(table *glue.PlanTable, best *plan.Node, events []obs.Event) (*DAG, er
 			if len(n.Inputs) == 0 && e.P2 != 0 {
 				// The input was itself offered or veneered: this finds it.
 				n.Inputs = []string{b.ensure(e.P2).FP}
+			}
+		case obs.EvGlueSkip:
+			b.d.Reused += e.N1
+			b.d.Bounded += e.N2
+			if e.P1 != 0 {
+				n := b.ensure(e.P1)
+				if n.Cost == 0 {
+					n.Cost = e.F1
+				}
+				n.BoundedBy, n.BoundedByCost = b.ensure(e.P2).FP, e.F2
 			}
 		case obs.EvAltRejected:
 			if e.Kind == obs.KindInstant {
@@ -353,6 +373,9 @@ func (d *DAG) WhyNot(fp string) string {
 	var b strings.Builder
 	if n == nil {
 		fmt.Fprintf(&b, "WHYNOT %s: never derived — no STAR alternative built a plan with this fingerprint.\n", fp)
+		if d.Bounded > 0 {
+			fmt.Fprintf(&b, "Glue left %d candidate(s) unveneered in this run: their own cost was already above the cheapest plan satisfying the requirement.\n", d.Bounded)
+		}
 		if len(d.Rejections) > 0 {
 			b.WriteString("conditions of applicability that closed off branches during this run:\n")
 			for _, r := range dedupeRejections(d.Rejections) {
@@ -377,6 +400,10 @@ func (d *DAG) WhyNot(fp string) string {
 		}
 	default:
 		fmt.Fprintf(&b, "WHYNOT %s: %s\n  derived but neither retained nor recorded as pruned (superseded by an identical plan)\n", fp, n.label())
+	}
+	if n.BoundedBy != "" {
+		fmt.Fprintf(&b, "  Glue veneers over it for {%s} were not built: base cost %.1f already above cheapest satisfying %.1f (%s)\n",
+			n.Tables, n.Cost, n.BoundedByCost, n.BoundedBy)
 	}
 	return b.String()
 }

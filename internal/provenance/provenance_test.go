@@ -328,3 +328,42 @@ func TestFromResultRequiresEvents(t *testing.T) {
 		t.Error("FromResult accepted a metrics-only sink (no events)")
 	}
 }
+
+// TestWhyNotCitesGlueBound: a candidate Glue passed over because it already
+// cost more than the cheapest satisfying plan says so in WhyNot, from the one
+// glue.skip record its reference left; and the never-derived answer mentions
+// that the run skipped candidates at all.
+func TestWhyNotCitesGlueBound(t *testing.T) {
+	cat, g := figure3Catalog(t)
+	res := runOpt(t, cat, g, opt.Options{})
+	d, err := FromResult(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d.Bounded == 0 || d.Reused == 0 {
+		t.Fatalf("figure 3 run skipped nothing (reused %d, bounded %d)", d.Reused, d.Bounded)
+	}
+	if d.Bounded != res.Stats.Glue.Bounded || d.Reused != res.Stats.Glue.Reused {
+		t.Errorf("DAG totals %d/%d, Stats %d/%d", d.Reused, d.Bounded, res.Stats.Glue.Reused, res.Stats.Glue.Bounded)
+	}
+	cited := 0
+	for _, n := range d.sorted() {
+		if n.BoundedBy == "" {
+			continue
+		}
+		cited++
+		if n.Cost <= n.BoundedByCost || d.Plans[n.BoundedBy] == nil {
+			t.Errorf("%s bounded at %.1f by %s at %.1f", n.FP, n.Cost, n.BoundedBy, n.BoundedByCost)
+		}
+		if out := d.WhyNot(n.FP); !strings.Contains(out, "were not built: base cost") ||
+			!strings.Contains(out, "already above cheapest satisfying") || !strings.Contains(out, n.BoundedBy) {
+			t.Errorf("WhyNot(%s) does not cite the bound:\n%s", n.FP, out)
+		}
+	}
+	if cited == 0 {
+		t.Error("no plan carries a bound citation")
+	}
+	if out := d.WhyNot("0000000000000000"); !strings.Contains(out, "candidate(s) unveneered") {
+		t.Errorf("never-derived answer does not mention the bound:\n%s", out)
+	}
+}
