@@ -319,10 +319,10 @@ func colOnly(e Expr) (ColID, bool) {
 
 // joinCmps returns the comparisons in JP that shape accepts: SP, HP and XP
 // are all subsets of JP picked by the comparison's form.
-func joinCmps(p PredSet, t1, t2 TableSet, shape func(*Cmp) bool) PredSet {
+func joinCmps(p PredSet, t1, t2 TableSet, shape func(*Cmp, *predInfo) bool) PredSet {
 	return p.filter(func(e Expr, in *predInfo) bool {
 		c, ok := e.(*Cmp)
-		return ok && !in.hasOr && spansBoth(in.tables, t1, t2) && shape(c)
+		return ok && !in.hasOr && spansBoth(in.tables, t1, t2) && shape(c, in)
 	})
 }
 
@@ -330,8 +330,8 @@ func joinCmps(p PredSet, t1, t2 TableSet, shape func(*Cmp) bool) PredSet {
 // the left operand draws its columns (at least one) from T1 alone and the
 // right operand from T2 alone, rev for the reverse. Neither holds when an
 // operand is constant or mixes the sides.
-func (u *Universe) sides(c *Cmp, t1, t2 TableSet) (fwd, rev bool) {
-	l, r := u.tablesOf(c.L), u.tablesOf(c.R)
+func (in *predInfo) sides(t1, t2 TableSet) (fwd, rev bool) {
+	l, r := in.left, in.right
 	if l == 0 || r == 0 {
 		return false, false
 	}
@@ -348,7 +348,7 @@ func isCol(e Expr) bool { _, ok := e.(*Col); return ok }
 // equijoin — and documents the narrowing here. Inequality merge joins would
 // slot in as a new flavor without touching the rule language.
 func SortablePreds(p PredSet, t1, t2 TableSet) PredSet {
-	return joinCmps(p, t1, t2, func(c *Cmp) bool { return c.Op == EQ && isCol(c.L) && isCol(c.R) })
+	return joinCmps(p, t1, t2, func(c *Cmp, _ *predInfo) bool { return c.Op == EQ && isCol(c.L) && isCol(c.R) })
 }
 
 // HashablePreds computes HP: predicates of the form
@@ -356,8 +356,8 @@ func SortablePreds(p PredSet, t1, t2 TableSet) PredSet {
 // side and an expression purely over the other (Section 4.5.1). HP overlaps
 // SP but also admits expressions; it excludes inequalities.
 func HashablePreds(p PredSet, t1, t2 TableSet) PredSet {
-	return joinCmps(p, t1, t2, func(c *Cmp) bool {
-		fwd, rev := p.u.sides(c, t1, t2)
+	return joinCmps(p, t1, t2, func(c *Cmp, in *predInfo) bool {
+		fwd, rev := in.sides(t1, t2)
 		return c.Op == EQ && (fwd || rev)
 	})
 }
@@ -368,8 +368,8 @@ func HashablePreds(p PredSet, t1, t2 TableSet) PredSet {
 // be applied by an index on the inner once the outer side is instantiated
 // ("sideways information passing").
 func IndexablePreds(p PredSet, t1, t2 TableSet) PredSet {
-	return joinCmps(p, t1, t2, func(c *Cmp) bool {
-		fwd, rev := p.u.sides(c, t1, t2)
+	return joinCmps(p, t1, t2, func(c *Cmp, in *predInfo) bool {
+		fwd, rev := in.sides(t1, t2)
 		return fwd && isCol(c.R) || rev && isCol(c.L)
 	})
 }

@@ -12,15 +12,17 @@ const tableBits = 64
 
 // predInfo caches per-predicate analysis shared by every set holding the
 // predicate: the canonical key, the distinct referenced columns (sorted),
-// whether the predicate contains a disjunction, and the mask of quantifier
-// ordinals those columns belong to. Computing these once per predicate is
-// what lets the Section 4 classifiers (JP/SP/HP/XP/IP) and the eligibility
-// test run as word operations in the enumeration's hot loop.
+// whether the predicate contains a disjunction, the mask of quantifier
+// ordinals those columns belong to and, for a comparison, the masks of its
+// left and right operands. Computing these once per predicate is what lets
+// the Section 4 classifiers (JP/SP/HP/XP/IP) and the eligibility test run as
+// word operations in the enumeration's hot loop.
 type predInfo struct {
-	key    string
-	cols   []ColID
-	hasOr  bool
-	tables uint64
+	key         string
+	cols        []ColID
+	hasOr       bool
+	tables      uint64
+	left, right uint64
 }
 
 // Universe is one query's fixed vocabulary: its quantifiers and the
@@ -92,6 +94,9 @@ func NewUniverse(quants []string, conjuncts []Expr) (*Universe, error) {
 				return nil, fmt.Errorf("column %s references unknown quantifier", c)
 			}
 			in.tables |= 1 << uint(q)
+		}
+		if c, ok := conjuncts[i].(*Cmp); ok {
+			in.left, in.right = u.tablesOf(c.L), u.tablesOf(c.R)
 		}
 		u.preds, u.info = append(u.preds, conjuncts[i]), append(u.info, in)
 	}

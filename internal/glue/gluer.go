@@ -165,7 +165,7 @@ func (g *Gluer) Glue(req *star.GlueRequest) (result []*plan.Node, err error) {
 	}
 
 	if best != nil {
-		result = []*plan.Node{best}
+		result = g.Engine.SAP(best)
 	} else if all {
 		for _, e := range target {
 			for _, p := range e.plans {
@@ -314,8 +314,8 @@ func (g *Gluer) addFilter(cur *plan.Node, preds expr.PredSet) (*plan.Node, error
 // addVeneer puts the Glue operator n over in: a node from the optimization's
 // arena, priced and counted.
 func (g *Gluer) addVeneer(in *plan.Node, op plan.Node) (*plan.Node, error) {
-	op.Inputs, op.Origin = []*plan.Node{in}, "Glue"
-	n := g.Engine.Cost.Arena.NewNode(op)
+	op.Origin = "Glue"
+	n := g.Engine.Cost.Arena.NewNode(op, in)
 	if err := g.Engine.Cost.Price(n); err != nil {
 		return nil, fmt.Errorf("glue: pricing %s veneer: %w", n.Op, err)
 	}

@@ -91,6 +91,7 @@ func (o *Optimizer) enumerate(g *query.Graph, en *star.Engine, gl *glue.Gluer, t
 	labels := sink.ProfLabels()
 	full := uint32(1)<<uint(n) - 1
 	var workers []*glue.Gluer // one per worker goroutine, built the first time a rank has work for it
+	var tasks []subsetTask    // the rank's tasks in ascending mask order, reused from rank to rank
 	for size := 2; size <= n; size++ {
 		var sizeSp obs.Span
 		if sink.Enabled() {
@@ -104,9 +105,9 @@ func (o *Optimizer) enumerate(g *query.Graph, en *star.Engine, gl *glue.Gluer, t
 			rankStart = time.Now()
 		}
 
-		tasks := make([]*subsetTask, 0, 64)
+		tasks = tasks[:0]
 		for mask := uint32(1)<<uint(size) - 1; mask <= full; {
-			tasks = append(tasks, &subsetTask{mask: mask})
+			tasks = append(tasks, subsetTask{mask: mask})
 			// Gosper's hack: next-larger mask with the same popcount.
 			c := mask & (^mask + 1)
 			r := mask + c
@@ -138,7 +139,8 @@ func (o *Optimizer) enumerate(g *query.Graph, en *star.Engine, gl *glue.Gluer, t
 		// serial walk visits subsets in — so dominance tie-breaks, event
 		// sequence numbers, and generated names come out identical at
 		// every parallelism level.
-		for _, t := range tasks {
+		for i := range tasks {
+			t := &tasks[i]
 			if t.err != nil {
 				return t.err
 			}
@@ -181,14 +183,14 @@ func (o *Optimizer) enumerate(g *query.Graph, en *star.Engine, gl *glue.Gluer, t
 // task order. When profiled, the returned slice holds each worker's busy time
 // over the execution window (each slot is written by exactly one worker
 // goroutine and read only after wg.Wait); otherwise it is nil.
-func runTasks(par int, profiled bool, tasks []*subsetTask, run func(worker int, t *subsetTask)) []int64 {
+func runTasks(par int, profiled bool, tasks []subsetTask, run func(worker int, t *subsetTask)) []int64 {
 	if par > len(tasks) {
 		par = len(tasks)
 	}
 	if par <= 1 {
 		start := time.Now()
-		for _, t := range tasks {
-			run(0, t)
+		for i := range tasks {
+			run(0, &tasks[i])
 		}
 		if !profiled {
 			return nil
@@ -216,8 +218,8 @@ func runTasks(par int, profiled bool, tasks []*subsetTask, run func(worker int, 
 			}
 		}(i)
 	}
-	for _, t := range tasks {
-		ch <- t
+	for i := range tasks {
+		ch <- &tasks[i]
 	}
 	close(ch)
 	wg.Wait()

@@ -1,5 +1,7 @@
 package plan
 
+import "slices"
+
 // Arena is a chunked slab allocator for plan Nodes and Props. One
 // optimization builds millions of transient candidate nodes; allocating them
 // individually makes the global heap the enumeration bottleneck. An arena
@@ -20,8 +22,10 @@ package plan
 // (SetPoison) overwrites recycled slots so an escaped pointer fails loudly in
 // tests instead of silently reading stale plans.
 type Arena struct {
-	nodes  slab[Node]
-	props  slab[Props]
+	nodes slab[Node]
+	props slab[Props]
+	// inputs backs the Inputs of nodes built with NewNode(n, inputs...).
+	inputs slab[*Node]
 	poison bool
 }
 
@@ -39,14 +43,24 @@ type slab[T any] struct {
 
 // next returns the address of the next free slot, growing by one chunk when
 // every chunk is full.
-func (s *slab[T]) next() *T {
-	c := s.used / arenaChunk
+func (s *slab[T]) next() *T { return &s.run(1)[0] }
+
+// run returns n adjacent free slots, capped so an append cannot reach the
+// neighbours; more than a chunk's worth come from the heap. A chunk tail too
+// short for them is skipped (rewind clears it with the rest).
+func (s *slab[T]) run(n int) []T {
+	if n > arenaChunk {
+		return make([]T, n)
+	}
+	if free := arenaChunk - s.used%arenaChunk; free < n {
+		s.used += free
+	}
+	c, off := s.used/arenaChunk, s.used%arenaChunk
 	if c == len(s.chunks) {
 		s.chunks = append(s.chunks, make([]T, arenaChunk))
 	}
-	p := &s.chunks[c][s.used%arenaChunk]
-	s.used++
-	return p
+	s.used += n
+	return s.chunks[c][off : off+n : off+n]
 }
 
 // rewind frees every used slot, zeroing it or, when fill is non-nil,
@@ -75,16 +89,24 @@ func NewArena() *Arena { return &Arena{} }
 // SetPoison toggles poison-on-reset (used by lifetime tests; off by default).
 func (a *Arena) SetPoison(on bool) { a.poison = on }
 
-// NewNode copies n into the next slot and returns its stable address. A nil
-// arena falls back to the heap, so plan construction code works unchanged
-// outside an optimization (tests, tools, hand-built plans).
-func (a *Arena) NewNode(n Node) *Node {
+// NewNode copies n into the next slot and returns its stable address; inputs,
+// when given, are copied into the arena beside it and become the node's Inputs,
+// so the caller's argument list never reaches the heap. A nil arena falls back
+// to the heap, so plan construction code works unchanged outside an
+// optimization (tests, tools, hand-built plans).
+func (a *Arena) NewNode(n Node, inputs ...*Node) *Node {
 	if a == nil {
 		m := n
+		if len(inputs) > 0 {
+			m.Inputs = slices.Clone(inputs)
+		}
 		return &m
 	}
 	p := a.nodes.next()
 	*p = n
+	if len(inputs) > 0 {
+		p.Inputs = append(a.inputs.run(len(inputs))[:0], inputs...)
+	}
 	return p
 }
 
@@ -115,6 +137,7 @@ func (a *Arena) Reset() {
 	}
 	a.nodes.rewind(dead)
 	a.props.rewind(nil)
+	a.inputs.rewind(nil)
 }
 
 // Poisoned reports whether n is a recycled arena slot (only meaningful when

@@ -103,3 +103,59 @@ func TestArenaResetPoisonsUsedSlots(t *testing.T) {
 		t.Fatal("a slot never handed out before reads poisoned")
 	}
 }
+
+// TestArenaInputsFollowTheNode: inputs passed to NewNode are copied into the
+// arena and share the node's lifetime — stable while the slab grows by chunks,
+// cleared by Reset (a poisoned node reads none), never aliasing the caller's
+// list or a neighbour's — and a nil arena puts them on the heap.
+func TestArenaInputsFollowTheNode(t *testing.T) {
+	a := NewArena()
+	leaf := a.NewNode(*scan("T"))
+	other := a.NewNode(*scan("U"))
+	var nodes []*Node
+	for i := 0; i < 2*arenaChunk; i++ { // 1- and 2-input runs straddling chunk ends
+		pair := []*Node{leaf, other}
+		n := a.NewNode(Node{Op: OpJoin}, pair[:1+i%2]...)
+		pair[0] = nil // the arena holds a copy
+		nodes = append(nodes, n)
+	}
+	for i, n := range nodes {
+		if len(n.Inputs) != 1+i%2 || n.Inputs[0] != leaf || (i%2 == 1 && n.Inputs[1] != other) {
+			t.Fatalf("node %d: inputs %v moved or were overwritten as the slab grew", i, n.Inputs)
+		}
+		if cap(n.Inputs) != len(n.Inputs) {
+			t.Fatalf("node %d: inputs have spare capacity %d: an append would write into a neighbour", i, cap(n.Inputs))
+		}
+	}
+	if many := a.NewNode(Node{Op: OpJoin}, make([]*Node, arenaChunk+1)...); len(many.Inputs) != arenaChunk+1 {
+		t.Fatalf("an input list wider than a chunk got %d inputs", len(many.Inputs))
+	}
+
+	kept := nodes[0].Inputs
+	a.Reset()
+	if kept[0] != nil {
+		t.Fatal("Reset left an input slot pointing at a dead plan")
+	}
+	a.SetPoison(true)
+	n := a.NewNode(Node{Op: OpSort}, leaf)
+	a.Reset()
+	if !n.Poisoned() || len(n.Inputs) != 0 {
+		t.Fatalf("poisoned node reads stale inputs: %+v", *n)
+	}
+
+	if n := testing.AllocsPerRun(10, func() {
+		for i := 0; i < 100; i++ {
+			a.NewNode(Node{Op: OpJoin}, leaf, other)
+		}
+		a.Reset()
+	}); n != 0 {
+		t.Errorf("NewNode with inputs allocates %.1f per 100 nodes on a warm arena, want 0", n)
+	}
+
+	var none *Arena
+	in := []*Node{leaf}
+	h := none.NewNode(Node{Op: OpSort}, in...)
+	if len(h.Inputs) != 1 || h.Inputs[0] != leaf || &h.Inputs[0] == &in[0] {
+		t.Fatalf("nil arena: inputs %v must be a heap copy", h.Inputs)
+	}
+}

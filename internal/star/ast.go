@@ -47,7 +47,8 @@ func NewRuleSet() *RuleSet {
 	return &RuleSet{rules: map[string]*Rule{}, altBase: map[string]int{}, originSlot: map[string]int{}}
 }
 
-// Add registers a rule, replacing any rule of the same name.
+// Add registers a rule, replacing any rule of the same name, and resolves its
+// names to frame slots (resolve.go).
 func (rs *RuleSet) Add(r *Rule) {
 	if _, exists := rs.rules[r.Name]; !exists {
 		rs.order = append(rs.order, r.Name)
@@ -62,6 +63,7 @@ func (rs *RuleSet) Add(r *Rule) {
 		}
 		rs.originSlot[alt.origin] = rs.nAlts + i
 	}
+	r.resolve()
 	rs.rules[r.Name] = r
 	rs.altBase[r.Name] = rs.nAlts
 	rs.nAlts += len(r.Alts)
@@ -169,6 +171,11 @@ type Rule struct {
 	Doc string
 	// Pos locates the rule's name in its source.
 	Pos Pos
+	// Frame is the number of slots a reference occupies — parameters,
+	// where-bindings, forall variables. The first RuleSet.Add sets it, with
+	// every Slot.
+	Frame    int
+	resolved bool
 }
 
 // IsRoot reports whether the rule's doc comment carries the `lint: root`
@@ -191,6 +198,9 @@ type Let struct {
 	Expr RExpr
 	// Pos locates the binding's name.
 	Pos Pos
+	// Slot is the frame slot the binding writes: below len(Params) when it
+	// shadows a parameter.
+	Slot int
 }
 
 // Alt is one alternative definition: a body guarded by an optional condition
@@ -221,46 +231,18 @@ func (a *Alt) CoverageCounters() [3]string { return a.counters }
 // WalkCalls invokes f for every Call node in the rule's alternatives
 // (bodies and conditions) and where-bindings, in source order. The linter's
 // graph passes are built on it.
-func (r *Rule) WalkCalls(f func(*Call)) { r.walkCalls(f) }
-
-func (r *Rule) walkCalls(f func(*Call)) {
-	var rec func(e RExpr)
-	rec = func(e RExpr) {
-		switch n := e.(type) {
-		case *Call:
-			f(n)
-			for _, a := range n.Args {
-				rec(a)
-			}
-		case *Annot:
-			rec(n.Kid)
-			for _, ri := range n.Reqs {
-				if ri.Val != nil {
-					rec(ri.Val)
-				}
-			}
-		case *Forall:
-			rec(n.Set)
-			rec(n.Body)
-			if n.Cond != nil {
-				rec(n.Cond)
-			}
-		case *Logic:
-			for _, k := range n.Kids {
-				rec(k)
-			}
-		case *NotExpr:
-			rec(n.Kid)
+func (r *Rule) WalkCalls(f func(*Call)) {
+	visit := func(e RExpr) {
+		if c, ok := e.(*Call); ok {
+			f(c)
 		}
 	}
 	for _, a := range r.Alts {
-		rec(a.Body)
-		if a.Cond != nil {
-			rec(a.Cond)
-		}
+		Walk(a.Body, visit)
+		Walk(a.Cond, visit)
 	}
 	for _, l := range r.Where {
-		rec(l.Expr)
+		Walk(l.Expr, visit)
 	}
 }
 
@@ -298,6 +280,9 @@ type Ident struct {
 	Name string
 	// Pos locates the identifier.
 	Pos Pos
+	// Slot is the frame slot the identifier reads, -1 when nothing binds it
+	// (and as parsed, before RuleSet.Add).
+	Slot int
 }
 
 // String implements RExpr.
@@ -386,6 +371,8 @@ type Forall struct {
 	Cond RExpr
 	// Pos locates the `forall` keyword.
 	Pos Pos
+	// Slot is the frame slot Var is bound in.
+	Slot int
 }
 
 // String implements RExpr.

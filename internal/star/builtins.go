@@ -29,7 +29,7 @@ func biIndexAnd(en *Engine, args []Value) (Value, error) {
 	if len(args) != 2 || args[0].Kind != VSAP || args[1].Kind != VSAP {
 		return Null, fmt.Errorf("IXAND wants (plans, plans)")
 	}
-	var out []*plan.Node
+	mark := len(en.saps)
 	for _, a := range args[0].SAP {
 		for _, b := range args[1].SAP {
 			if a.ID() == b.ID() {
@@ -37,33 +37,27 @@ func biIndexAnd(en *Engine, args []Value) (Value, error) {
 				en.Stats.PlansRejected++
 				continue
 			}
-			n := en.Cost.Arena.NewNode(plan.Node{Op: plan.OpIndexAnd, Inputs: []*plan.Node{a, b}})
-			priced, ok, err := en.price(n)
-			if err != nil {
-				return Null, err
-			}
-			if ok {
-				out = append(out, priced)
-			}
+			en.build(en.Cost.Arena.NewNode(plan.Node{Op: plan.OpIndexAnd}, a, b))
 		}
 	}
-	return SAPValue(out), nil
+	return SAPValue(en.since(mark)), nil
 }
 
-// price prices a freshly built node, returning (node, true) on success. A
+// build prices a freshly built node and pushes it on the SAP scratch; a
 // pricing rejection (e.g. join inputs at different sites) drops the node.
-func (en *Engine) price(n *plan.Node) (*plan.Node, bool, error) {
+// Pricing never re-enters the engine, so a builder's result is en.since(mark).
+func (en *Engine) build(n *plan.Node) {
 	if err := en.Cost.Price(n); err != nil {
 		en.Stats.PlansRejected++
-		return nil, false, nil
+		return
 	}
 	en.Stats.PlansBuilt++
-	return n, true, nil
+	en.saps = append(en.saps, n)
 }
 
 // onlyQuantifier returns the single quantifier of a stream, erroring on
 // composites.
-func onlyQuantifier(sv *StreamVal, op string) (string, error) {
+func onlyQuantifier(sv StreamVal, op string) (string, error) {
 	names := sv.Tables.Slice()
 	if len(names) != 1 {
 		return "", fmt.Errorf("%s wants a single-table stream, got {%s}", op, sv.Tables.Key()) //obsguard:ignore error path
@@ -111,6 +105,7 @@ func biAccess(en *Engine, args []Value) (Value, error) {
 	if err != nil {
 		return Null, err
 	}
+	mark := len(en.saps)
 	switch flavor {
 	case "heap", "btree":
 		switch args[1].Kind {
@@ -131,21 +126,12 @@ func biAccess(en *Engine, args []Value) (Value, error) {
 			if flavor == "btree" {
 				fl = plan.FlavorBTreeStore
 			}
-			n := en.Cost.Arena.NewNode(plan.Node{
+			en.build(en.Cost.Arena.NewNode(plan.Node{
 				Op: plan.OpAccess, Flavor: fl,
 				Table: t.Name, Quantifier: q,
 				Cols: cols, Preds: preds,
-			})
-			priced, ok, err := en.price(n)
-			if err != nil {
-				return Null, err
-			}
-			if !ok {
-				return SAPValue(nil), nil
-			}
-			return SAPValue([]*plan.Node{priced}), nil
+			}))
 		case VSAP:
-			var out []*plan.Node
 			for _, p := range args[1].SAP {
 				if p.Props == nil || !p.Props.Temp {
 					return Null, fmt.Errorf("ACCESS over plans requires materialized (temp) inputs")
@@ -154,21 +140,13 @@ func biAccess(en *Engine, args []Value) (Value, error) {
 				if args[2].Kind == VCols {
 					cols = args[2].Cols
 				}
-				n := en.Cost.Arena.NewNode(plan.Node{
+				en.build(en.Cost.Arena.NewNode(plan.Node{
 					Op: plan.OpAccess, Flavor: plan.FlavorHeap,
 					Table: p.Props.TempName,
 					Cols:  append([]expr.ColID(nil), cols...),
-					Preds: preds, Inputs: []*plan.Node{p},
-				})
-				priced, ok, err := en.price(n)
-				if err != nil {
-					return Null, err
-				}
-				if ok {
-					out = append(out, priced)
-				}
+					Preds: preds,
+				}, p))
 			}
-			return SAPValue(out), nil
 		default:
 			return Null, fmt.Errorf("ACCESS target must be a stream or plans, got %s", args[1].Kind)
 		}
@@ -184,22 +162,15 @@ func biAccess(en *Engine, args []Value) (Value, error) {
 			return Null, fmt.Errorf("index ACCESS wants explicit qualified columns")
 		}
 		cols := args[2].Cols
-		n := en.Cost.Arena.NewNode(plan.Node{
+		en.build(en.Cost.Arena.NewNode(plan.Node{
 			Op: plan.OpAccess, Flavor: plan.FlavorIndex,
 			Table: pt.Name, Quantifier: cols[0].Table, Path: path.Name,
 			Cols: cols, Preds: preds,
-		})
-		priced, ok, err := en.price(n)
-		if err != nil {
-			return Null, err
-		}
-		if !ok {
-			return SAPValue(nil), nil
-		}
-		return SAPValue([]*plan.Node{priced}), nil
+		}))
 	default:
 		return Null, fmt.Errorf("unknown ACCESS flavor %q", flavor)
 	}
+	return SAPValue(en.since(mark)), nil
 }
 
 // biGet builds GET nodes: for each input plan, fetch by TID the needed
@@ -231,7 +202,7 @@ func biGet(en *Engine, args []Value) (Value, error) {
 	if err != nil {
 		return Null, err
 	}
-	var out []*plan.Node
+	mark := len(en.saps)
 	for _, p := range args[0].SAP {
 		var fetch []expr.ColID
 		for _, c := range want {
@@ -240,22 +211,15 @@ func biGet(en *Engine, args []Value) (Value, error) {
 			}
 		}
 		if len(fetch) == 0 && preds.Empty() {
-			out = append(out, p)
+			en.saps = append(en.saps, p)
 			continue
 		}
-		n := en.Cost.Arena.NewNode(plan.Node{
+		en.build(en.Cost.Arena.NewNode(plan.Node{
 			Op: plan.OpGet, Table: t.Name, Quantifier: q,
-			Cols: fetch, Preds: preds, Inputs: []*plan.Node{p},
-		})
-		priced, ok, err := en.price(n)
-		if err != nil {
-			return Null, err
-		}
-		if ok {
-			out = append(out, priced)
-		}
+			Cols: fetch, Preds: preds,
+		}, p))
 	}
-	return SAPValue(out), nil
+	return SAPValue(en.since(mark)), nil
 }
 
 // unarySAP maps a node constructor over a SAP argument.
@@ -263,22 +227,15 @@ func unarySAP(en *Engine, v Value, op string, mk func(*plan.Node) *plan.Node) (V
 	if v.Kind != VSAP {
 		return Null, fmt.Errorf("%s input must be plans, got %s", op, v.Kind)
 	}
-	var out []*plan.Node
+	mark := len(en.saps)
 	for _, p := range v.SAP {
-		n := mk(p)
-		if n == p {
-			out = append(out, p)
-			continue
-		}
-		priced, ok, err := en.price(n)
-		if err != nil {
-			return Null, err
-		}
-		if ok {
-			out = append(out, priced)
+		if n := mk(p); n == p {
+			en.saps = append(en.saps, p)
+		} else {
+			en.build(n)
 		}
 	}
-	return SAPValue(out), nil
+	return SAPValue(en.since(mark)), nil
 }
 
 // biSort builds SORT nodes, passing through plans already in the required
@@ -292,7 +249,7 @@ func biSort(en *Engine, args []Value) (Value, error) {
 		if plan.OrderSatisfies(p.Props.Order, key) {
 			return p
 		}
-		return en.Cost.Arena.NewNode(plan.Node{Op: plan.OpSort, SortCols: key, Inputs: []*plan.Node{p}})
+		return en.Cost.Arena.NewNode(plan.Node{Op: plan.OpSort, SortCols: key}, p)
 	})
 }
 
@@ -306,7 +263,7 @@ func biShip(en *Engine, args []Value) (Value, error) {
 		if p.Props.Site == site {
 			return p
 		}
-		return en.Cost.Arena.NewNode(plan.Node{Op: plan.OpShip, Site: site, Inputs: []*plan.Node{p}})
+		return en.Cost.Arena.NewNode(plan.Node{Op: plan.OpShip, Site: site}, p)
 	})
 }
 
@@ -319,7 +276,7 @@ func biStore(en *Engine, args []Value) (Value, error) {
 		if p.Props.Temp {
 			return p
 		}
-		return en.Cost.Arena.NewNode(plan.Node{Op: plan.OpStore, Table: en.NextTempName(), Inputs: []*plan.Node{p}})
+		return en.Cost.Arena.NewNode(plan.Node{Op: plan.OpStore, Table: en.NextTempName()}, p)
 	})
 }
 
@@ -336,7 +293,7 @@ func biFilter(en *Engine, args []Value) (Value, error) {
 		return args[0], nil
 	}
 	return unarySAP(en, args[0], "FILTER", func(p *plan.Node) *plan.Node {
-		return en.Cost.Arena.NewNode(plan.Node{Op: plan.OpFilter, Preds: preds, Inputs: []*plan.Node{p}})
+		return en.Cost.Arena.NewNode(plan.Node{Op: plan.OpFilter, Preds: preds}, p)
 	})
 }
 
@@ -350,7 +307,7 @@ func biBuildIndex(en *Engine, args []Value) (Value, error) {
 		if p.Props.PathOn(key) != nil {
 			return p
 		}
-		return en.Cost.Arena.NewNode(plan.Node{Op: plan.OpBuildIndex, Path: en.NextIndexName(), SortCols: key, Inputs: []*plan.Node{p}})
+		return en.Cost.Arena.NewNode(plan.Node{Op: plan.OpBuildIndex, Path: en.NextIndexName(), SortCols: key}, p)
 	})
 }
 
@@ -375,28 +332,20 @@ func biJoin(en *Engine, args []Value) (Value, error) {
 	if err != nil {
 		return Null, err
 	}
-	var out []*plan.Node
+	mark := len(en.saps)
 	for _, o := range args[1].SAP {
 		for _, i := range args[2].SAP {
 			if o.Props.Site != i.Props.Site {
 				en.Stats.PlansRejected++
 				continue
 			}
-			n := en.Cost.Arena.NewNode(plan.Node{
+			en.build(en.Cost.Arena.NewNode(plan.Node{
 				Op: plan.OpJoin, Flavor: args[0].Str,
 				Preds: applied, Residual: residual,
-				Inputs: []*plan.Node{o, i},
-			})
-			priced, ok, err := en.price(n)
-			if err != nil {
-				return Null, err
-			}
-			if ok {
-				out = append(out, priced)
-			}
+			}, o, i))
 		}
 	}
-	return SAPValue(out), nil
+	return SAPValue(en.since(mark)), nil
 }
 
 // registerBuiltinHelpers installs the condition and helper functions the
@@ -639,7 +588,7 @@ func (en *Engine) baseTables(quants []string) []string {
 // and projected inner of a nested-loop join pays when the inner predicates
 // are selective and/or only a few columns are referenced, so that the temp
 // is a very small fraction of the inner table's bytes.
-func (en *Engine) projectionPays(sv *StreamVal, ip expr.PredSet) bool {
+func (en *Engine) projectionPays(sv StreamVal, ip expr.PredSet) bool {
 	names := sv.Tables.Slice()
 	if len(names) != 1 {
 		return false

@@ -287,7 +287,7 @@ func TestSiteDiffersHelper(t *testing.T) {
 	en := builderEngine(t)
 	en.PlanSites = func(t expr.TableSet) []string { return []string{"NY"} }
 	la := "LA"
-	annotated := Value{Kind: VStream, Stream: &StreamVal{
+	annotated := Value{Kind: VStream, Stream: StreamVal{
 		Tables: deptEmpU.Tables("EMP"), Req: plan.Reqd{Site: &la},
 	}}
 	v, err := en.helpers["siteDiffers"](en, []Value{annotated})

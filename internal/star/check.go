@@ -48,7 +48,7 @@ func CheckRefs(rs *RuleSet, lookup func(string) (Signature, bool)) []RefDiag {
 	var diags []RefDiag
 	for _, name := range rs.order {
 		r := rs.rules[name]
-		r.walkCalls(func(c *Call) {
+		r.WalkCalls(func(c *Call) {
 			if c.Name == GlueName {
 				if len(c.Args) != len(GlueSignature.Args) {
 					diags = append(diags, RefDiag{

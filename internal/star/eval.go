@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"runtime/pprof"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -33,7 +34,9 @@ type GlueRequest struct {
 
 // GlueFn is the Glue mechanism's entry point (package glue implements it;
 // the indirection keeps this package free of a dependency cycle, and mirrors
-// the paper's observation that Glue itself can be specified with STARs).
+// the paper's observation that Glue itself can be specified with STARs). req
+// is the caller's and is not kept past the return; the plans returned are
+// valid for as long as Engine.SAP says.
 type GlueFn func(req *GlueRequest) ([]*plan.Node, error)
 
 // LolepopBuilder constructs plan nodes for a LOLEPOP reference. Builders
@@ -41,10 +44,16 @@ type GlueFn func(req *GlueRequest) ([]*plan.Node, error)
 // and implement the map-over-SAP semantics: one node per combination of
 // input alternatives. They price nodes through the engine's cost
 // environment.
+//
+// args is a view of the engine's value stack, valid until the builder returns:
+// values (and the slices inside them) may be copied out and returned, args
+// itself may not be kept or written. Re-entering the engine (Glue, EvalRule)
+// is allowed: the stack is LIFO and a nested reference never changes args.
 type LolepopBuilder func(en *Engine, args []Value) (Value, error)
 
 // HelperFunc is a condition or helper function referenced from rule text —
-// the Go analogue of the paper's compiled C condition functions.
+// the Go analogue of the paper's compiled C condition functions. args is lent
+// on LolepopBuilder's terms.
 type HelperFunc func(en *Engine, args []Value) (Value, error)
 
 // Stats counts the work the engine performs; experiment E5 compares these
@@ -169,6 +178,17 @@ type Engine struct {
 	// by concurrent workers are unique and — because the prefix derives from
 	// the work item, not the worker — identical across schedules.
 	namePrefix string
+
+	// stack holds the frame of every reference and call in progress, innermost
+	// last (push, pop).
+	stack []Value
+	// saps is the SAP scratch: every SAP of an evaluation is built on it
+	// (merge), and only the outermost reference's result reaches the heap.
+	saps []*plan.Node
+	// seen is merge's dedupe set, cleared per use.
+	seen map[uint64]bool
+	// glueReq is evalGlue's request, nil while a Glue reference is using it.
+	glueReq *GlueRequest
 }
 
 // maxDepth bounds rule recursion; the paper assumes the DBC writes STARs
@@ -184,6 +204,7 @@ func NewEngine(rules *RuleSet, costEnv *cost.Env) *Engine {
 		Cost:     costEnv,
 		builders: map[string]LolepopBuilder{},
 		helpers:  map[string]HelperFunc{},
+		seen:     map[uint64]bool{},
 	}
 	registerBuiltinBuilders(en)
 	registerBuiltinHelpers(en)
@@ -211,6 +232,7 @@ func (en *Engine) Fork(costEnv *cost.Env, sink *obs.Sink, namePrefix string) *En
 		helpers:     en.helpers,
 		declared:    en.declared,
 		namePrefix:  namePrefix,
+		seen:        map[uint64]bool{},
 	}
 }
 
@@ -252,14 +274,49 @@ func (en *Engine) NextIndexName() string {
 // EvalRule evaluates a reference of the named STAR with the given arguments
 // and returns its SAP. This is the paper's substitution step: replace the
 // reference with the alternative definitions whose conditions hold, binding
-// parameters to arguments.
-func (en *Engine) EvalRule(name string, args []Value) (out []*plan.Node, err error) {
+// parameters to arguments. args is copied into a frame the engine pushes. The
+// result's lifetime is Engine.SAP's: the outermost reference copies it off the
+// scratch for the caller to keep, one made while another is in progress
+// (Glue's access STARs, a helper's) returns a piece of the scratch.
+func (en *Engine) EvalRule(name string, args []Value) ([]*plan.Node, error) {
 	rule := en.Rules.Get(name)
 	if rule == nil {
 		return nil, fmt.Errorf("star: reference of undefined STAR %q", name)
 	}
-	if len(args) != len(rule.Params) {
-		return nil, fmt.Errorf("star: %s expects %d arguments, got %d", name, len(rule.Params), len(args))
+	outermost, mark := en.depth == 0, len(en.saps)
+	fp := en.push(max(rule.Frame, len(args)))
+	copy(en.stack[fp:], args)
+	out, err := en.reference(rule, fp, len(args))
+	en.pop(fp)
+	if outermost {
+		out = slices.Clone(out)
+		en.release(mark)
+	}
+	return out, err
+}
+
+// push reserves a frame of n zero slots on top of the value stack and returns
+// its offset. Growing may move the stack: frames are addressed by offset, and a
+// view handed to a builder or helper goes on reading the old, intact copy.
+func (en *Engine) push(n int) int {
+	fp := len(en.stack)
+	en.stack = slices.Grow(en.stack, n)[:fp+n]
+	return fp
+}
+
+// pop releases every frame from offset fp up, zeroing the slots so the stack
+// pins nothing a finished reference computed (and push finds them zero).
+func (en *Engine) pop(fp int) {
+	clear(en.stack[fp:])
+	en.stack = en.stack[:fp]
+}
+
+// reference evaluates a reference of rule whose frame is at fp with its nargs
+// arguments already in the first slots.
+func (en *Engine) reference(rule *Rule, fp, nargs int) (out []*plan.Node, err error) {
+	name := rule.Name
+	if nargs != len(rule.Params) {
+		return nil, fmt.Errorf("star: %s expects %d arguments, got %d", name, len(rule.Params), nargs)
 	}
 	if en.depth >= maxDepth {
 		return nil, fmt.Errorf("star: rule recursion exceeds %d at %s (cycle in STARs?)", maxDepth, name)
@@ -272,7 +329,7 @@ func (en *Engine) EvalRule(name string, args []Value) (out []*plan.Node, err err
 		// renderArgs allocates, so it runs only for a sink that records it.
 		rendered := ""
 		if en.Obs.Tracing() {
-			rendered = renderArgs(args)
+			rendered = renderArgs(en.stack[fp : fp+nargs])
 		}
 		sp = en.Obs.StartSpan(obs.EvRule, name, rendered, en.depth)
 		tally = en.altTallies(rule)
@@ -299,20 +356,15 @@ func (en *Engine) EvalRule(name string, args []Value) (out []*plan.Node, err err
 		}()
 	}
 
-	frame := make(map[string]Value, len(rule.Params)+len(rule.Where))
-	for i, p := range rule.Params {
-		frame[p] = args[i]
-	}
 	for _, let := range rule.Where {
-		v, err := en.evalExpr(let.Expr, frame)
+		v, err := en.evalExpr(let.Expr, fp)
 		if err != nil {
 			return nil, fmt.Errorf("star: %s where %s: %w", name, let.Name, err)
 		}
-		frame[let.Name] = v
+		en.stack[fp+let.Slot] = v
 	}
 
-	seen := map[uint64]bool{}
-	fired := false
+	base, fired := len(en.saps), false // the SAP accumulates at en.saps[base:]
 	for i, alt := range rule.Alts {
 		en.Stats.AltsConsidered++
 		applicable := true
@@ -324,7 +376,7 @@ func (en *Engine) EvalRule(name string, args []Value) (out []*plan.Node, err err
 			if profiled {
 				g0 = time.Now()
 			}
-			cv, err := en.evalExpr(alt.Cond, frame)
+			cv, err := en.evalExpr(alt.Cond, fp)
 			if profiled {
 				en.Obs.ProfActivity(obs.ActGuard, time.Since(g0), 1)
 			}
@@ -352,7 +404,7 @@ func (en *Engine) EvalRule(name string, args []Value) (out []*plan.Node, err err
 		}
 		fired = true
 		en.Stats.AltsFired++
-		v, err := en.evalExpr(alt.Body, frame)
+		v, err := en.evalExpr(alt.Body, fp)
 		if err != nil {
 			return nil, fmt.Errorf("star: %s alternative %d: %w", name, i+1, err)
 		}
@@ -363,12 +415,8 @@ func (en *Engine) EvalRule(name string, args []Value) (out []*plan.Node, err err
 			if p.Origin == "" {
 				p.Origin = alt.origin
 			}
-			k := p.ID()
-			if !seen[k] {
-				seen[k] = true
-				out = append(out, p)
-			}
 		}
+		out = en.merge(base, len(out), v.SAP)
 		if tally != nil {
 			tally[i].Fired++
 			tally[i].Built += int64(len(v.SAP))
@@ -381,6 +429,55 @@ func (en *Engine) EvalRule(name string, args []Value) (out []*plan.Node, err err
 		}
 	}
 	return out, nil
+}
+
+// SAP copies plans onto the SAP scratch and returns the copy — how a builder
+// or Glue returns plans without a heap slice — valid, like every SAP the
+// engine hands out, until the outermost reference in progress returns. With
+// none in progress (Glue called from Go) nothing would release the copy, so
+// it is a heap slice and the caller's to keep.
+func (en *Engine) SAP(plans ...*plan.Node) []*plan.Node {
+	if en.depth == 0 {
+		return slices.Clone(plans)
+	}
+	mark := len(en.saps)
+	en.saps = append(en.saps, plans...)
+	return en.since(mark)
+}
+
+// since returns the scratch from mark up, capped so appending to it cannot
+// reach what the engine puts there next.
+func (en *Engine) since(mark int) []*plan.Node {
+	return en.saps[mark:len(en.saps):len(en.saps)]
+}
+
+// release frees the scratch from mark up, clearing it: a SAP kept past its
+// release reads nil plans, with or without arena poisoning.
+func (en *Engine) release(mark int) {
+	clear(en.saps[mark:])
+	en.saps = en.saps[:mark]
+}
+
+// merge appends to the SAP accumulating at en.saps[base:base+k] the plans of
+// sap it does not hold yet, in order, releases what the scratch holds above the
+// result, and returns it. sap usually sits on the scratch itself, above base+k:
+// plans move down in order, so a slot is read before one at or below it is written.
+func (en *Engine) merge(base, k int, sap []*plan.Node) []*plan.Node {
+	top := len(en.saps)
+	out := en.saps[:base+k]
+	clear(en.seen)
+	for _, p := range out[base:] {
+		en.seen[p.ID()] = true
+	}
+	for _, p := range sap {
+		if !en.seen[p.ID()] {
+			en.seen[p.ID()] = true
+			out = append(out, p)
+		}
+	}
+	en.saps = out[:max(top, len(out))]
+	en.release(len(out))
+	return en.since(base)
 }
 
 // altTallies returns rule's window of Stats.Alts, sizing the slice to the
@@ -403,15 +500,14 @@ func renderArgs(args []Value) string {
 	return strings.Join(parts, ", ")
 }
 
-// evalExpr evaluates one rule-language expression under the frame.
-func (en *Engine) evalExpr(e RExpr, frame map[string]Value) (Value, error) {
+// evalExpr evaluates one rule-language expression against the frame at fp.
+func (en *Engine) evalExpr(e RExpr, fp int) (Value, error) {
 	switch n := e.(type) {
 	case *Ident:
-		v, ok := frame[n.Name]
-		if !ok {
+		if n.Slot < 0 {
 			return Null, fmt.Errorf("unbound name %q", n.Name)
 		}
-		return v, nil
+		return en.stack[fp+n.Slot], nil
 	case *StrLit:
 		return StrValue(n.Val), nil
 	case *NumLit:
@@ -421,12 +517,12 @@ func (en *Engine) evalExpr(e RExpr, frame map[string]Value) (Value, error) {
 	case *AllCols:
 		return AllColsValue, nil
 	case *Annot:
-		return en.evalAnnot(n, frame)
+		return en.evalAnnot(n, fp)
 	case *Forall:
-		return en.evalForall(n, frame)
+		return en.evalForall(n, fp)
 	case *Logic:
 		for _, k := range n.Kids {
-			v, err := en.evalExpr(k, frame)
+			v, err := en.evalExpr(k, fp)
 			if err != nil {
 				return Null, err
 			}
@@ -439,20 +535,20 @@ func (en *Engine) evalExpr(e RExpr, frame map[string]Value) (Value, error) {
 		}
 		return BoolValue(n.OpAnd), nil
 	case *NotExpr:
-		v, err := en.evalExpr(n.Kid, frame)
+		v, err := en.evalExpr(n.Kid, fp)
 		if err != nil {
 			return Null, err
 		}
 		return BoolValue(!v.Truthy()), nil
 	case *Call:
-		return en.evalCall(n, frame)
+		return en.evalCall(n, fp)
 	default:
 		return Null, fmt.Errorf("unknown expression node %T", e)
 	}
 }
 
-func (en *Engine) evalAnnot(n *Annot, frame map[string]Value) (Value, error) {
-	kid, err := en.evalExpr(n.Kid, frame)
+func (en *Engine) evalAnnot(n *Annot, fp int) (Value, error) {
+	kid, err := en.evalExpr(n.Kid, fp)
 	if err != nil {
 		return Null, err
 	}
@@ -463,7 +559,7 @@ func (en *Engine) evalAnnot(n *Annot, frame map[string]Value) (Value, error) {
 	for _, item := range n.Reqs {
 		var v Value
 		if item.Val != nil {
-			v, err = en.evalExpr(item.Val, frame)
+			v, err = en.evalExpr(item.Val, fp)
 			if err != nil {
 				return Null, err
 			}
@@ -497,25 +593,22 @@ func (en *Engine) evalAnnot(n *Annot, frame map[string]Value) (Value, error) {
 	return kid.WithReq(req), nil
 }
 
-func (en *Engine) evalForall(n *Forall, frame map[string]Value) (Value, error) {
-	set, err := en.evalExpr(n.Set, frame)
+// evalForall binds the loop variable's own slot to each element in turn.
+func (en *Engine) evalForall(n *Forall, fp int) (Value, error) {
+	set, err := en.evalExpr(n.Set, fp)
 	if err != nil {
 		return Null, err
 	}
 	if set.Kind != VList {
 		return Null, fmt.Errorf("forall wants a list, got %s", set.Kind)
 	}
-	inner := make(map[string]Value, len(frame)+1)
-	for k, v := range frame {
-		inner[k] = v
-	}
 	var out []*plan.Node
-	seen := map[uint64]bool{}
+	base := len(en.saps)
 	for _, elem := range set.List {
-		inner[n.Var] = elem
+		en.stack[fp+n.Slot] = elem
 		if n.Cond != nil {
 			en.Stats.AltsConsidered++
-			cv, err := en.evalExpr(n.Cond, inner)
+			cv, err := en.evalExpr(n.Cond, fp)
 			if err != nil {
 				return Null, err
 			}
@@ -524,44 +617,44 @@ func (en *Engine) evalForall(n *Forall, frame map[string]Value) (Value, error) {
 			}
 			en.Stats.AltsFired++
 		}
-		v, err := en.evalExpr(n.Body, inner)
+		v, err := en.evalExpr(n.Body, fp)
 		if err != nil {
 			return Null, err
 		}
 		if v.Kind != VSAP {
 			return Null, fmt.Errorf("forall body produced %s, want plans", v.Kind)
 		}
-		for _, p := range v.SAP {
-			k := p.ID()
-			if !seen[k] {
-				seen[k] = true
-				out = append(out, p)
-			}
-		}
+		out = en.merge(base, len(out), v.SAP)
 	}
 	return SAPValue(out), nil
 }
 
-func (en *Engine) evalCall(n *Call, frame map[string]Value) (Value, error) {
-	args := make([]Value, len(n.Args))
+// evalCall evaluates a call's arguments straight into a frame on top of the
+// stack and dispatches on the name. For a STAR that frame is the callee's (its
+// arguments are its first slots); Glue, builders and helpers get a view of it.
+func (en *Engine) evalCall(n *Call, fp int) (Value, error) {
+	rule, size := en.Rules.Get(n.Name), len(n.Args)
+	if rule != nil {
+		size = max(size, rule.Frame)
+	}
+	callee := en.push(size)
+	defer en.pop(callee)
 	for i, a := range n.Args {
-		v, err := en.evalExpr(a, frame)
+		v, err := en.evalExpr(a, fp)
 		if err != nil {
 			return Null, err
 		}
-		args[i] = v
+		en.stack[callee+i] = v
 	}
-	// Glue is special: it bridges to the plan table.
-	if n.Name == "Glue" {
+	args := en.stack[callee : callee+len(n.Args) : callee+len(n.Args)]
+	switch {
+	case n.Name == GlueName:
+		// Glue is special: it bridges to the plan table.
 		return en.evalGlue(args)
-	}
-	// A rule reference: the dictionary-lookup substitution step.
-	if en.Rules.Get(n.Name) != nil {
-		sap, err := en.EvalRule(n.Name, args)
-		if err != nil {
-			return Null, err
-		}
-		return SAPValue(sap), nil
+	case rule != nil:
+		// A rule reference: the dictionary-lookup substitution step.
+		sap, err := en.reference(rule, callee, len(n.Args))
+		return SAPValue(sap), err
 	}
 	if b, ok := en.builders[n.Name]; ok {
 		return b(en, args)
@@ -589,16 +682,18 @@ func (en *Engine) evalGlue(args []Value) (Value, error) {
 		return Null, fmt.Errorf("no Glue mechanism wired to the engine")
 	}
 	en.Stats.GlueCalls++
-	sv := args[0].Stream
-	plans, err := en.Glue(&GlueRequest{
-		Tables: sv.Tables,
-		Push:   args[1].Preds,
-		Req:    sv.Req,
-	})
-	if err != nil {
-		return Null, err
+	// The request is reused from reference to reference. On a plan-table miss
+	// Glue re-enters the engine; a Glue reference made from there finds the
+	// request taken and allocates its own (no built-in rule nests them).
+	req := en.glueReq
+	en.glueReq = nil
+	if req == nil {
+		req = new(GlueRequest)
 	}
-	return SAPValue(plans), nil
+	*req = GlueRequest{Tables: args[0].Stream.Tables, Push: args[1].Preds, Req: args[0].Stream.Req}
+	plans, err := en.Glue(req)
+	en.glueReq = req
+	return SAPValue(plans), err
 }
 
 // TraceFromEvents reconstructs the rule-firing log from an observability

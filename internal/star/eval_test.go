@@ -188,7 +188,7 @@ star Outer(T, s) = Inner(T[site = s])
 star Inner(T) = Probe(T[temp])
 star Probe(T) = LEAF('x')
 `)
-	var seen *StreamVal
+	var seen StreamVal
 	// Capture the accumulated requirements via a helper that records the
 	// stream it receives.
 	rs, err := ParseRules(`
@@ -209,7 +209,7 @@ star Inner(T) = grab(T[temp])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if seen == nil || seen.Req.Site == nil || *seen.Req.Site != "LA" || !seen.Req.Temp {
+	if seen.Req.Site == nil || *seen.Req.Site != "LA" || !seen.Req.Temp {
 		t.Fatalf("accumulated req = %+v", seen)
 	}
 }

@@ -8,7 +8,9 @@ import (
 // invariants are crash-freedom (no panic, no hang on any input) and
 // determinism (the same text parses to the same outcome twice — rule names
 // and error text included — which is what lets lint goldens and the shapes
-// grammar be byte-reproducible).
+// grammar be byte-reproducible). Whatever parses has also been through the
+// name resolver (RuleSet.Add): every slot it wrote lies inside the rule's
+// frame, so no rule text can make the evaluator index past it.
 func FuzzParseFile(f *testing.F) {
 	f.Add(DefaultRuleText)
 	f.Add("star R(T, P) = Glue(T, P)")
@@ -41,8 +43,35 @@ func FuzzParseFile(f *testing.F) {
 			}
 		}
 		for _, name := range n1 {
-			if rs1.Get(name) == nil {
+			r := rs1.Get(name)
+			if r == nil {
 				t.Fatalf("Names lists %q but Get returns nil", name)
+			}
+			if r.Frame < len(r.Params) {
+				t.Fatalf("%s: frame of %d slots cannot hold %d parameters", name, r.Frame, len(r.Params))
+			}
+			inFrame := func(what string, slot int) {
+				if slot < -1 || slot >= r.Frame {
+					t.Fatalf("%s: %s resolved to slot %d outside the frame of %d", name, what, slot, r.Frame)
+				}
+			}
+			slots := func(e RExpr) {
+				switch n := e.(type) {
+				case *Ident:
+					inFrame(n.Name, n.Slot)
+				case *Forall:
+					inFrame("forall "+n.Var, n.Slot)
+				}
+			}
+			for _, l := range r.Where {
+				inFrame("binding "+l.Name, l.Slot)
+				Walk(l.Expr, slots)
+			}
+			for _, a := range r.Alts {
+				Walk(a.Body, slots)
+				if a.Cond != nil {
+					Walk(a.Cond, slots)
+				}
 			}
 		}
 	})

@@ -350,7 +350,7 @@ func (p *parser) parsePrimary() (RExpr, error) {
 		}
 		p.next()
 		if !p.peekIs(tokLParen, "") {
-			return &Ident{Name: t.text, Pos: p.at(t)}, nil
+			return &Ident{Name: t.text, Pos: p.at(t), Slot: -1}, nil
 		}
 		p.next()
 		c := &Call{Name: t.text, Pos: p.at(t)}

@@ -1,0 +1,253 @@
+package star
+
+import (
+	"strings"
+	"testing"
+
+	"stars/internal/expr"
+	"stars/internal/plan"
+)
+
+// seeEngine is stubEngine plus see(...), which records the rendering of the
+// arguments it is called with and returns no plans, note(...), which records
+// them and holds as a guard, and cat(a, b), which concatenates two strings —
+// enough to watch which value a name resolves to.
+func seeEngine(t *testing.T, ruleText string) (*Engine, *[]string) {
+	t.Helper()
+	en := stubEngine(t, ruleText)
+	var seen []string
+	en.RegisterHelper("see", func(_ *Engine, args []Value) (Value, error) {
+		seen = append(seen, renderArgs(args))
+		return SAPValue(nil), nil
+	})
+	en.RegisterHelper("note", func(_ *Engine, args []Value) (Value, error) {
+		seen = append(seen, renderArgs(args))
+		return BoolValue(true), nil
+	})
+	en.RegisterHelper("cat", func(_ *Engine, args []Value) (Value, error) {
+		return StrValue(args[0].Str + args[1].Str), nil
+	})
+	return en, &seen
+}
+
+// TestSlotResolutionKeepsMapSemantics pins the scoping the frame-slot resolver
+// must reproduce from the map-frame evaluator it replaced.
+func TestSlotResolutionKeepsMapSemantics(t *testing.T) {
+	eval := func(t *testing.T, text, rule string, args ...Value) ([]string, error) {
+		t.Helper()
+		en, seen := seeEngine(t, text)
+		_, err := en.EvalRule(rule, args)
+		if len(en.stack) != 0 || en.depth != 0 {
+			t.Errorf("after the reference: %d stack slots in use at depth %d, want none", len(en.stack), en.depth)
+		}
+		return *seen, err
+	}
+	expect := func(t *testing.T, got []string, err error, want ...string) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if strings.Join(got, " | ") != strings.Join(want, " | ") {
+			t.Errorf("saw %q, want %q", got, want)
+		}
+	}
+
+	t.Run("a binding that shadows a parameter overwrites it", func(t *testing.T) {
+		// The binding's own expression still reads the argument; everything
+		// after it — later bindings, guards, bodies — reads the new value.
+		got, err := eval(t, `
+star R(p, q) = [
+  | see(p, q, r) if note(p)
+] where
+  p = cat(p, '+')
+  r = cat(p, q)
+  p = cat(p, '!')`, "R", StrValue("a"), StrValue("b"))
+		expect(t, got, err, "'a+!'", "'a+!', 'b', 'a+b'")
+		r := seeRule(t, "star R(p) = see(p) where p = cat(p, 'x')")
+		if r.Where[0].Slot != 0 || r.Frame != 1 {
+			t.Errorf("shadowing binding got slot %d in a frame of %d, want the parameter's slot 0 of 1", r.Where[0].Slot, r.Frame)
+		}
+	})
+
+	t.Run("a binding sees only earlier bindings", func(t *testing.T) {
+		_, err := eval(t, `
+star R(p) = see(a, b) where
+  a = cat(b, p)
+  b = cat(p, p)`, "R", StrValue("x"))
+		if err == nil || err.Error() != `star: R where a: unbound name "b"` {
+			t.Errorf("use before definition: err = %v", err)
+		}
+	})
+
+	t.Run("a forall variable is visible in its body and condition only", func(t *testing.T) {
+		got, err := eval(t, `
+star R(i) = [
+  | forall i in items(): see(i) if note('cond', i)
+  | see(i)
+]`, "R", StrValue("param"))
+		expect(t, got, err, "'cond', 'a'", "'a'", "'cond', 'b'", "'b'", "'param'")
+
+		_, err = eval(t, `
+star R() = [
+  | forall i in items(): see(i)
+  | see(i)
+]`, "R")
+		if err == nil || err.Error() != `star: R alternative 2: unbound name "i"` {
+			t.Errorf("forall variable after its clause: err = %v", err)
+		}
+		_, err = eval(t, `star R() = forall i in wrap(i): see(i)`, "R")
+		if err == nil || !strings.Contains(err.Error(), `unbound name "i"`) {
+			t.Errorf("forall variable in its own set: err = %v", err)
+		}
+	})
+
+	t.Run("nested foralls bind distinct slots", func(t *testing.T) {
+		got, err := eval(t, `
+star R(p) = forall i in items(): forall j in items(): see(p, i, j)`, "R", StrValue("p"))
+		expect(t, got, err, "'p', 'a', 'a'", "'p', 'a', 'b'", "'p', 'b', 'a'", "'p', 'b', 'b'")
+		// The inner clause may reuse the outer variable's name: innermost wins.
+		got, err = eval(t, `
+star R() = forall i in items(): forall i in items(): see(i)`, "R")
+		expect(t, got, err, "'a'", "'b'", "'a'", "'b'")
+	})
+
+	t.Run("an unbound name is the same run-time error", func(t *testing.T) {
+		// Load succeeds; only evaluating the alternative that reads it fails.
+		got, err := eval(t, `
+star R() = {
+  | see('first') if yes()
+  | see(Mystery)
+}`, "R")
+		expect(t, got, err, "'first'")
+		_, err = eval(t, `star R() = see(Mystery)`, "R")
+		if err == nil || err.Error() != `star: R alternative 1: unbound name "Mystery"` {
+			t.Errorf("err = %v", err)
+		}
+	})
+
+	t.Run("a rule shared through Merge resolves once for both sets", func(t *testing.T) {
+		shared, err := ParseRules(`
+star R(p) = forall i in items(): see(p, i, w) where w = cat(p, '.')`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, base := range []string{`star Other(a, b, c) = see(a)`, `star R(z) = see(z)`} {
+			en, seen := seeEngine(t, base)
+			en.Rules.Merge(shared)
+			if en.Rules.Get("R") != shared.Get("R") {
+				t.Fatal("Merge must share the rule, not copy it")
+			}
+			if _, err := en.EvalRule("R", []Value{StrValue("x")}); err != nil {
+				t.Fatal(err)
+			}
+			expect(t, *seen, nil, "'x', 'a', 'x.'", "'x', 'b', 'x.'")
+		}
+	})
+}
+
+// TestMergeDoesNotRewriteASharedRule: a rule is resolved by the first Add only,
+// so merging it into another rule set while an engine of the first evaluates it
+// writes nothing to the shared AST (the race detector is the judge).
+func TestMergeDoesNotRewriteASharedRule(t *testing.T) {
+	en, _ := seeEngine(t, `
+star R(p) = forall i in items(): see(p, i, w) where w = cat(p, '.')`)
+	done := make(chan error)
+	go func() {
+		var err error
+		for i := 0; i < 200 && err == nil; i++ {
+			_, err = en.EvalRule("R", []Value{StrValue("x")})
+		}
+		done <- err
+	}()
+	for i := 0; i < 200; i++ {
+		NewRuleSet().Merge(en.Rules)
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	// As parsed, before any Add, a name reads no slot at all.
+	toks, err := newLexer("p", "").lexAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if id, err := (&parser{toks: toks}).parsePrimary(); err != nil || id.(*Ident).Slot != -1 {
+		t.Errorf("a freshly parsed identifier: %+v, %v; want slot -1", id, err)
+	}
+}
+
+// TestSAPOutsideAReferenceIsTheCallers: with no reference in progress nothing
+// would ever release a scratch slot, so Engine.SAP (Glue called from Go, as the
+// driver does for the root requirement) hands out a heap slice.
+func TestSAPOutsideAReferenceIsTheCallers(t *testing.T) {
+	en := builderEngine(t)
+	p := &plan.Node{Op: plan.OpAccess}
+	got := en.SAP(p)
+	if len(en.saps) != 0 {
+		t.Fatalf("SAP at depth 0 left %d slots on the scratch that nothing releases", len(en.saps))
+	}
+	if len(got) != 1 || got[0] != p {
+		t.Fatalf("SAP returned %v", got)
+	}
+}
+
+func seeRule(t *testing.T, text string) *Rule {
+	t.Helper()
+	rs, err := ParseRules(text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rs.Get(rs.Names()[0])
+}
+
+// TestReferenceAllocatesOnlyPlans: on a warm engine — stack, SAP scratch and
+// arena chunks grown by an earlier reference — a JoinRoot reference over two
+// base tables allocates what it returns and what its plans are made of, and
+// nothing for the evaluation itself: no frame, argument slice, Glue request
+// or SAP accumulator.
+func TestReferenceAllocatesOnlyPlans(t *testing.T) {
+	en := builderEngine(t)
+	en.Rules = DefaultRules()
+	// The plan table: one heap-resident access plan per table, built before
+	// the engine gets the arena each reference's joins go to (and that each
+	// run resets).
+	access := map[uint64][]*plan.Node{}
+	for _, s := range []Value{deptStream(), empStream()} {
+		v, err := biAccess(en, []Value{StrValue("heap"), s, AllColsValue, noPreds()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		access[s.Stream.Tables.Mask()] = v.SAP
+	}
+	en.Cost.Arena = plan.NewArena()
+	held := len(en.saps) // the access plans: built outside any reference, so never released
+	en.Glue = func(req *GlueRequest) ([]*plan.Node, error) {
+		return en.SAP(access[req.Tables.Mask()]...), nil
+	}
+	en.PlanSites = func(expr.TableSet) []string { return []string{""} }
+	args := []Value{deptStream(), empStream(), PredsValue(deptEmpU.PredSet(deptEmpJoin))}
+	var plans int
+	ref := func() {
+		sap, err := en.EvalRule("JoinRoot", args)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plans = len(sap)
+		en.Cost.Arena.Reset()
+	}
+	ref()
+	if plans == 0 {
+		t.Fatal("JoinRoot over DEPT, EMP built no plans")
+	}
+	// The 27 measured are values, not bookkeeping: the result slice (1), the
+	// merged column lists of the joins priced (16), and the column lists and
+	// table names sortCols, indexCols and localQuery return (10).
+	const ceiling = 30
+	if n := testing.AllocsPerRun(20, ref); n > ceiling {
+		t.Errorf("a warm JoinRoot reference building %d plans allocates %.0f objects, want at most %d", plans, n, ceiling)
+	} else {
+		t.Logf("warm JoinRoot reference: %d plans, %.0f allocations", plans, n)
+	}
+	if len(en.stack) != 0 || len(en.saps) != held {
+		t.Errorf("after the reference: %d stack slots and %d scratch slots in use, want none", len(en.stack), len(en.saps)-held)
+	}
+}

@@ -17,6 +17,14 @@
 // Section 5's extensibility story. Conditions and helper functions are Go
 // functions in a registry, the analogue of the paper's compiled C condition
 // functions.
+//
+// The dictionary lookup is held to its word: RuleSet.Add resolves a rule's
+// names to frame slots once (resolve.go), and a reference is evaluated on
+// storage the Engine owns and reuses — a Value stack for frames and arguments
+// (push, pop), a scratch stack for the SAPs under construction (merge, SAP),
+// the plan arena for nodes and their inputs — so it allocates the plans it
+// returns and nothing for having been evaluated. DESIGN.md § "A reference is
+// a dictionary lookup" has the lifetime rules.
 package star
 
 import (
@@ -93,10 +101,11 @@ type StreamVal struct {
 	Req plan.Reqd
 }
 
-// Value is one dynamically-typed rule-language value.
+// Value is one dynamically-typed rule-language value. It holds its stream
+// payload inline, so annotating or passing a stream allocates nothing.
 type Value struct {
 	Kind   VKind
-	Stream *StreamVal
+	Stream StreamVal
 	SAP    []*plan.Node
 	Preds  expr.PredSet
 	Cols   []expr.ColID
@@ -111,7 +120,7 @@ var Null = Value{}
 
 // StreamValue wraps a quantifier set as a stream value.
 func StreamValue(tables expr.TableSet) Value {
-	return Value{Kind: VStream, Stream: &StreamVal{Tables: tables}}
+	return Value{Kind: VStream, Stream: StreamVal{Tables: tables}}
 }
 
 // SAPValue wraps plans as a SAP value.
@@ -167,8 +176,8 @@ func (v Value) WithReq(r plan.Reqd) Value {
 	if v.Kind != VStream {
 		panic("star: WithReq on non-stream")
 	}
-	sv := &StreamVal{Tables: v.Stream.Tables, Req: v.Stream.Req.Merge(r)}
-	return Value{Kind: VStream, Stream: sv}
+	v.Stream.Req = v.Stream.Req.Merge(r)
+	return v
 }
 
 // String renders the value for traces and error messages.

@@ -27,6 +27,9 @@ func checkHygiene(rs *star.RuleSet) []Diag {
 	return diags
 }
 
+// hygieneInRule reads the scoping RuleSet.Add resolved (the Slot of every
+// Ident and Let) instead of walking scopes itself, so what the linter calls unbound,
+// shadowed or unused is by construction what the evaluator binds.
 func hygieneInRule(r *star.Rule) []Diag {
 	var diags []Diag
 	report := func(code string, pos star.Pos, format string, args ...any) {
@@ -36,103 +39,66 @@ func hygieneInRule(r *star.Rule) []Diag {
 		})
 	}
 
-	params := map[string]bool{}
-	for _, p := range r.Params {
-		params[p] = true
-	}
 	whereIdx := map[string]int{}
 	for i, l := range r.Where {
 		whereIdx[l.Name] = i
-		if params[l.Name] {
+		if l.Slot < len(r.Params) {
 			report(CodeShadowedParam, l.Pos,
 				"where-binding %s of %s shadows the parameter of the same name", l.Name, r.Name)
 		}
 	}
 
-	used := map[string]bool{}
-	use := func(fromWhere int) func(id *star.Ident) {
-		return func(id *star.Ident) {
-			if j, isWhere := whereIdx[id.Name]; isWhere && !params[id.Name] {
-				if fromWhere >= 0 && j >= fromWhere {
-					if j == fromWhere {
-						report(CodeUseBeforeDef, id.Pos,
-							"where-binding %s of %s references itself; bindings evaluate in order and cannot recurse", id.Name, r.Name)
-					} else {
-						report(CodeUseBeforeDef, id.Pos,
-							"where-binding of %s references %s before its definition; bindings evaluate in order", r.Name, id.Name)
-					}
-				}
-				used[id.Name] = true
-				return
-			}
-			if params[id.Name] {
-				used[id.Name] = true
-				return
-			}
+	used := make([]bool, r.Frame)
+	// ident judges one identifier of where-binding number where's expression
+	// (-1: of an alternative).
+	ident := func(id *star.Ident, where int) {
+		if id.Slot >= 0 {
+			used[id.Slot] = true
+			return
+		}
+		// Unbound where it stands. The one way a rule's own name gets there is
+		// a where-binding referenced at or before its definition — which still
+		// counts as a use of it.
+		j, isWhere := whereIdx[id.Name]
+		if isWhere {
+			used[r.Where[j].Slot] = true
+		}
+		switch {
+		case isWhere && j == where:
+			report(CodeUseBeforeDef, id.Pos,
+				"where-binding %s of %s references itself; bindings evaluate in order and cannot recurse", id.Name, r.Name)
+		case isWhere:
+			report(CodeUseBeforeDef, id.Pos,
+				"where-binding of %s references %s before its definition; bindings evaluate in order", r.Name, id.Name)
+		default:
 			report(CodeUnboundName, id.Pos,
 				"%s references %s, which is not a parameter, where-binding, or forall variable", r.Name, id.Name)
 		}
 	}
-
+	idents := func(e star.RExpr, where int) {
+		star.Walk(e, func(x star.RExpr) {
+			if id, ok := x.(*star.Ident); ok {
+				ident(id, where)
+			}
+		})
+	}
 	for i, l := range r.Where {
-		walkFree(l.Expr, nil, use(i))
+		idents(l.Expr, i)
 	}
 	for _, alt := range r.Alts {
-		walkFree(alt.Body, nil, use(-1))
-		if alt.Cond != nil {
-			walkFree(alt.Cond, nil, use(-1))
-		}
+		idents(alt.Body, -1)
+		idents(alt.Cond, -1)
 	}
 
-	for _, p := range r.Params {
-		if !used[p] {
+	for i, p := range r.Params {
+		if !used[i] {
 			report(CodeUnusedParam, r.Pos, "parameter %s of %s is never used", p, r.Name)
 		}
 	}
 	for _, l := range r.Where {
-		if !used[l.Name] && !params[l.Name] {
+		if !used[l.Slot] && l.Slot >= len(r.Params) {
 			report(CodeUnusedWhere, l.Pos, "where-binding %s of %s is never used", l.Name, r.Name)
 		}
 	}
 	return diags
-}
-
-// walkFree invokes f for every identifier not bound by an enclosing forall —
-// the identifiers that resolve against the rule's parameters and
-// where-bindings. shadow may be nil.
-func walkFree(x star.RExpr, shadow map[string]bool, f func(id *star.Ident)) {
-	switch n := x.(type) {
-	case *star.Ident:
-		if !shadow[n.Name] {
-			f(n)
-		}
-	case *star.Call:
-		for _, a := range n.Args {
-			walkFree(a, shadow, f)
-		}
-	case *star.Annot:
-		walkFree(n.Kid, shadow, f)
-		for _, ri := range n.Reqs {
-			if ri.Val != nil {
-				walkFree(ri.Val, shadow, f)
-			}
-		}
-	case *star.Forall:
-		walkFree(n.Set, shadow, f)
-		inner := make(map[string]bool, len(shadow)+1)
-		for k := range shadow {
-			inner[k] = true
-		}
-		inner[n.Var] = true
-		walkFree(n.Body, inner, f)
-		if n.Cond != nil {
-			walkFree(n.Cond, inner, f)
-		}
-	case *star.Logic:
-		for _, k := range n.Kids {
-			walkFree(k, shadow, f)
-		}
-	case *star.NotExpr:
-		walkFree(n.Kid, shadow, f)
-	}
 }
