@@ -12,6 +12,7 @@ package cost
 import (
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"stars/internal/catalog"
@@ -141,29 +142,47 @@ func (e *Env) Fork() *Env {
 // share one Rel no matter how their HOW differs. Lookups allocate nothing on
 // a hit. Forked environments intern locally over the frozen parent chain.
 func (e *Env) InternRel(tables expr.TableSet, cols []expr.ColID, preds expr.PredSet) *plan.Rel {
+	return e.InternMerged(tables, cols, nil, preds)
+}
+
+// InternMerged is InternRel of plan.MergeCols(a, b) — the COLS of a JOIN or a
+// GET — finding the Rel before merging: a stored column list is compared with
+// the would-be merge in place, and the list is built only on a miss.
+func (e *Env) InternMerged(tables expr.TableSet, a, b []expr.ColID, preds expr.PredSet) *plan.Rel {
 	k := relKey{tables: tables.Mask(), ph: preds.Hash64()}
 	for env := e; env != nil; env = env.base {
 		for _, r := range env.rels[k] {
-			if r.Preds.Equal(preds) && colsEqual(r.Cols, cols) {
+			if r.Preds.Equal(preds) && mergesTo(r.Cols, a, b) {
 				return r
 			}
 		}
+	}
+	cols := a
+	if len(b) > 0 {
+		cols = plan.MergeCols(a, b)
 	}
 	r := &plan.Rel{Tables: tables, Cols: cols, Preds: preds}
 	e.rels[k] = append(e.rels[k], r)
 	return r
 }
 
-func colsEqual(a, b []expr.ColID) bool {
-	if len(a) != len(b) {
+// mergesTo reports whether cols is what plan.MergeCols(a, b) would build: a,
+// then the columns of b not seen before, in order.
+func mergesTo(cols, a, b []expr.ColID) bool {
+	n := len(a)
+	if len(cols) < n || !slices.Equal(cols[:n], a) {
 		return false
 	}
-	for i := range a {
-		if a[i] != b[i] {
+	for _, c := range b {
+		if plan.HasCol(cols[:n], c) {
+			continue
+		}
+		if n == len(cols) || cols[n] != c {
 			return false
 		}
+		n++
 	}
-	return true
+	return n == len(cols)
 }
 
 // Register installs (or replaces) the property function for an Op. This is

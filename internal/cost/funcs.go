@@ -113,6 +113,7 @@ func tempAccessProps(e *Env, n *plan.Node) (*plan.Props, error) {
 		Site:     in.Site,
 		Temp:     true,
 		TempName: in.TempName,
+		TempGen:  in.TempGen,
 		Card:     card,
 		Paths:    in.Paths,
 	})
@@ -131,13 +132,13 @@ func tempAccessProps(e *Env, n *plan.Node) (*plan.Props, error) {
 	case plan.FlavorIndex:
 		var path *plan.PathInfo
 		for i := range in.Paths {
-			if in.Paths[i].Name == n.Path {
+			if in.Paths[i].Name == n.Path && in.Paths[i].Gen == n.PathGen {
 				path = &in.Paths[i]
 				break
 			}
 		}
 		if path == nil {
-			return nil, fmt.Errorf("cost: temp ACCESS path %q not in input PATHS", n.Path)
+			return nil, fmt.Errorf("cost: temp ACCESS path %q not in input PATHS", n.PathName())
 		}
 		p.Order = path.Cols
 		leafPages := e.PagesFor(in.Card, path.Cols)
@@ -175,13 +176,7 @@ func rescanIO(pages float64) float64 {
 func catalogPaths(t *catalog.Table, q string) []plan.PathInfo {
 	out := make([]plan.PathInfo, 0, len(t.Paths))
 	for _, ap := range t.Paths {
-		out = append(out, plan.PathInfo{
-			Name:       ap.Name,
-			Table:      t.Name,
-			Quantifier: q,
-			Cols:       qualify(ap.Cols, q),
-			Clustered:  ap.Clustered,
-		})
+		out = append(out, plan.PathInfo{Name: ap.Name, Cols: qualify(ap.Cols, q), Clustered: ap.Clustered})
 	}
 	return out
 }
@@ -242,11 +237,12 @@ func getProps(e *Env, n *plan.Node) (*plan.Props, error) {
 		rescanDelta.IO = 0
 	}
 	p := e.newProps(plan.Props{
-		Rel:      e.InternRel(in.Tables(), plan.MergeCols(in.Cols(), n.Cols), in.Preds().Union(n.Preds)),
+		Rel:      e.InternMerged(in.Tables(), in.Cols(), n.Cols, in.Preds().Union(n.Preds)),
 		Order:    in.Order,
 		Site:     in.Site,
 		Temp:     in.Temp,
 		TempName: in.TempName,
+		TempGen:  in.TempGen,
 		Paths:    in.Paths,
 		Card:     card,
 		Cost:     in.Cost.Add(delta),
@@ -287,7 +283,7 @@ func shipProps(e *Env, n *plan.Node) (*plan.Props, error) {
 	p := e.cloneProps(in)
 	p.Site = n.Site
 	p.Temp = false
-	p.TempName = ""
+	p.TempName, p.TempGen = "", plan.GenName{}
 	// Access paths do not travel with the tuples.
 	p.Paths = nil
 	p.Cost = in.Cost.Add(delta)
@@ -303,7 +299,7 @@ func storeProps(e *Env, n *plan.Node) (*plan.Props, error) {
 	delta := plan.Cost{IO: pages, CPU: in.Card}
 	p := e.cloneProps(in)
 	p.Temp = true
-	p.TempName = n.Table
+	p.TempName, p.TempGen = n.Table, n.TableGen
 	p.Paths = nil
 	p.Cost = in.Cost.Add(delta)
 	p.Rescan = plan.Cost{IO: rescanIO(pages), CPU: in.Card}
@@ -338,22 +334,9 @@ func buildIndexProps(e *Env, n *plan.Node) (*plan.Props, error) {
 		IO:  tempPages + ixPages,
 		CPU: in.Card * math.Max(1, math.Log2(math.Max(in.Card, 2))),
 	}
-	q := ""
-	if len(n.SortCols) > 0 {
-		q = n.SortCols[0].Table
-	}
 	p := e.cloneProps(in)
 	// Copy-on-append: the input's PATHS slice is shared.
-	paths := make([]plan.PathInfo, len(in.Paths)+1)
-	copy(paths, in.Paths)
-	paths[len(in.Paths)] = plan.PathInfo{
-		Name:       n.Path,
-		Table:      in.TempName,
-		Quantifier: q,
-		Cols:       n.SortCols,
-		Dynamic:    true,
-	}
-	p.Paths = paths
+	p.Paths = e.Arena.JoinPaths(in.Paths, []plan.PathInfo{{Name: n.Path, Gen: n.PathGen, Cols: n.SortCols, Dynamic: true}})
 	p.Cost = in.Cost.Add(delta)
 	p.Rescan = in.Rescan
 	return p, nil
@@ -368,13 +351,13 @@ func joinProps(e *Env, n *plan.Node) (*plan.Props, error) {
 		return nil, fmt.Errorf("cost: JOIN inputs at different sites (%q vs %q)", outer.Site, inner.Site)
 	}
 	p := e.newProps(plan.Props{
-		Rel: e.InternRel(
+		Rel: e.InternMerged(
 			outer.Tables().Union(inner.Tables()),
-			plan.MergeCols(outer.Cols(), inner.Cols()),
+			outer.Cols(), inner.Cols(),
 			outer.Preds().Union(inner.Preds()).Union(n.Preds).Union(n.Residual),
 		),
 		Site:  outer.Site,
-		Paths: mergePaths(outer.Paths, inner.Paths),
+		Paths: e.mergePaths(outer.Paths, inner.Paths),
 	})
 	resSel := e.SetSelectivity(n.Residual)
 	switch n.Flavor {
@@ -421,15 +404,14 @@ func joinProps(e *Env, n *plan.Node) (*plan.Props, error) {
 
 // mergePaths concatenates two PATHS lists without touching either backing
 // array; either side may be returned as-is when the other is empty.
-func mergePaths(a, b []plan.PathInfo) []plan.PathInfo {
+func (e *Env) mergePaths(a, b []plan.PathInfo) []plan.PathInfo {
 	switch {
 	case len(b) == 0:
 		return a
 	case len(a) == 0:
 		return b
 	}
-	out := make([]plan.PathInfo, 0, len(a)+len(b))
-	return append(append(out, a...), b...)
+	return e.Arena.JoinPaths(a, b)
 }
 
 // appliedAndResidual unions a join's method-applied and residual predicates,

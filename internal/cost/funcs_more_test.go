@@ -258,3 +258,55 @@ func TestVeneerOperatorsNeverLowerCost(t *testing.T) {
 		}
 	}
 }
+
+// TestInternMergedFindsBeforeItMerges: InternMerged(a, b) is InternRel of
+// MergeCols(a, b) — same Rel, whichever of the two interned it first — for
+// overlapping, disjoint, duplicated and empty lists, tells apart every column
+// list that is not that merge (a permutation, a prefix, an extension, a
+// substitution), and on a hit allocates nothing: the merge is never built.
+func TestInternMergedFindsBeforeItMerges(t *testing.T) {
+	c := func(tab, col string) expr.ColID { return expr.ColID{Table: tab, Col: col} }
+	ta, tb, ts, ua, uv := c("T", "A"), c("T", "B"), c("T", "S"), c("U", "A"), c("U", "V")
+	e := testEnv()
+	both := e.u.Tables("T", "U")
+	for i, tc := range []struct{ a, b []expr.ColID }{
+		{[]expr.ColID{ta, tb}, []expr.ColID{ua, uv}},
+		{[]expr.ColID{ta, tb}, []expr.ColID{tb, ua, ta}},
+		{[]expr.ColID{ta, tb}, []expr.ColID{ua, ua, uv, ua}},
+		{[]expr.ColID{ta, ta}, []expr.ColID{ta, ts}},
+		{[]expr.ColID{ta}, nil},
+		{nil, []expr.ColID{ua}},
+		{nil, nil},
+	} {
+		merged := plan.MergeCols(tc.a, tc.b)
+		if !mergesTo(merged, tc.a, tc.b) {
+			t.Errorf("case %d: %v is not recognised as the merge of %v and %v", i, merged, tc.a, tc.b)
+		}
+		wrong := [][]expr.ColID{append(append([]expr.ColID{}, merged...), ts)}
+		if n := len(merged); n > 0 {
+			wrong = append(wrong, merged[:n-1], append(append([]expr.ColID{}, merged[:n-1]...), c("U", "X")))
+			if n > 1 && merged[0] != merged[1] {
+				swapped := append([]expr.ColID{}, merged...)
+				swapped[0], swapped[1] = swapped[1], swapped[0]
+				wrong = append(wrong, swapped)
+			}
+		}
+		for _, w := range wrong {
+			if mergesTo(w, tc.a, tc.b) {
+				t.Errorf("case %d: %v taken for the merge of %v and %v (%v)", i, w, tc.a, tc.b, merged)
+			}
+		}
+		// Interned from either side, found from the other.
+		first, second := e, testEnv()
+		r1, r2 := first.InternMerged(both, tc.a, tc.b, expr.PredSet{}), second.InternRel(both, merged, expr.PredSet{})
+		if first.InternRel(both, merged, expr.PredSet{}) != r1 || second.InternMerged(both, tc.a, tc.b, expr.PredSet{}) != r2 {
+			t.Errorf("case %d: InternMerged and InternRel of the merged list intern different Rels", i)
+		}
+		if len(r1.Cols) != len(merged) || !mergesTo(r1.Cols, merged, nil) {
+			t.Errorf("case %d: interned COLS %v, want %v", i, r1.Cols, merged)
+		}
+		if n := testing.AllocsPerRun(100, func() { first.InternMerged(both, tc.a, tc.b, expr.PredSet{}) }); n != 0 {
+			t.Errorf("case %d: a hit allocates %.1f, want 0", i, n)
+		}
+	}
+}

@@ -171,14 +171,10 @@ func (e *Env) indexMatch(keyCols []expr.ColID, ps expr.PredSet) (sel float64, ma
 	sel = 1.0
 	preds := make([]expr.Expr, 0, 8)
 	ps.ForEach(func(p expr.Expr, _ string) { preds = append(preds, p) })
-	used := make([]bool, len(preds))
 	for _, kc := range keyCols {
 		foundEq := false
 		for i, p := range preds {
-			if used[i] {
-				continue
-			}
-			c, ok := p.(*expr.Cmp)
+			c, ok := p.(*expr.Cmp) // nil once matched
 			if !ok {
 				continue
 			}
@@ -192,14 +188,13 @@ func (e *Env) indexMatch(keyCols []expr.ColID, ps expr.PredSet) (sel float64, ma
 				continue
 			}
 			if c.Op == expr.EQ {
-				used[i] = true
+				preds[i] = nil
 				matched++
 				sel *= e.Selectivity(p)
 				foundEq = true
 				break
 			}
 			// A range predicate matches but terminates the prefix.
-			used[i] = true
 			matched++
 			sel *= e.Selectivity(p)
 			return sel, matched

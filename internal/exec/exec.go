@@ -227,7 +227,7 @@ func emitOpEvents(sink *obs.Sink, root *plan.Node, ops map[*plan.Node]*OpStats) 
 		seen[n] = true
 		if st := ops[n]; st != nil {
 			if sink.Tracing() {
-				sink.Emit(obs.Event{Name: obs.EvExecOp, A1: string(n.Op), A2: n.Table,
+				sink.Emit(obs.Event{Name: obs.EvExecOp, A1: string(n.Op), A2: n.TableName(),
 					N1: st.Rows, N2: st.IO.TotalPages()})
 			}
 			var est float64

@@ -53,7 +53,7 @@ func (ec *Ctx) ensureTemp(n *plan.Node) (*tempHandle, error) {
 		site := n.Props.Site
 		st := ec.rt.Cluster.Store(site)
 		width := 8 * len(schema)
-		td := st.CreateTable(n.Table, names, width)
+		td := st.CreateTable(n.TableName(), names, width)
 		if err := in.Open(nil); err != nil {
 			return nil, err
 		}
@@ -84,7 +84,7 @@ func (ec *Ctx) ensureTemp(n *plan.Node) (*tempHandle, error) {
 		for i, c := range n.SortCols {
 			keys[i] = c.String()
 		}
-		if _, err := st.BuildIndex(h.td.Name, n.Path, keys); err != nil {
+		if _, err := st.BuildIndex(h.td.Name, n.PathName(), keys); err != nil {
 			return nil, err
 		}
 		ec.temps[n] = h
@@ -364,6 +364,7 @@ type tempAccessIter struct {
 	cur    *storage.HeapCursor
 	// index-probe state
 	probe   bool
+	path    string // the probed index's name, rendered once
 	entries []storage.TID
 	pos     int
 	bind    *RowBinding
@@ -371,7 +372,7 @@ type tempAccessIter struct {
 }
 
 func buildTempAccess(ec *Ctx, n *plan.Node) (Iterator, error) {
-	it := &tempAccessIter{ec: ec, n: n, schema: n.Cols, probe: n.Flavor == plan.FlavorIndex}
+	it := &tempAccessIter{ec: ec, n: n, schema: n.Cols, probe: n.Flavor == plan.FlavorIndex, path: n.PathName()}
 	return it, nil
 }
 
@@ -400,9 +401,9 @@ func (it *tempAccessIter) Open(outer expr.Binding) error {
 		it.cur = h.td.Heap.Cursor(&st.Counters)
 		return nil
 	}
-	bt := h.td.Indexes[it.n.Path]
+	bt := h.td.Indexes[it.path]
 	if bt == nil {
-		return fmt.Errorf("exec: temp %s lacks index %s", h.td.Name, it.n.Path)
+		return fmt.Errorf("exec: temp %s lacks index %s", h.td.Name, it.path)
 	}
 	// Key columns of the dynamic index, resolved through the temp schema.
 	var keyCols []expr.ColID

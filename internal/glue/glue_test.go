@@ -107,13 +107,13 @@ func TestPlanTableInsertLookupAndPruning(t *testing.T) {
 			Order: []expr.ColID{{Table: "DEPT", Col: "DNO"}}}}
 
 	pt.Insert(ts, predsK, []*plan.Node{pricey, cheap, ordered})
-	if got := pt.Lookup(ts, predsK); len(got) != 2 {
+	if got := plansOf(pt.Lookup(ts, predsK)); len(got) != 2 {
 		t.Fatalf("retained = %d, want 2 (pricey dominated; ordered shielded)", len(got))
 	}
 	if pt.Pruned != 1 {
 		t.Errorf("pruned = %d", pt.Pruned)
 	}
-	if len(pt.Lookup(ts, predsK)) != 2 || pt.Lookup(ts, predsOther) != nil {
+	if pt.Lookup(ts, predsK).Len() != 2 || pt.Lookup(ts, predsOther).Len() != 0 {
 		t.Error("lookup keys")
 	}
 	if best := CheapestOf(pt.Entry(ts)); best == nil || best.Props.Cost.Total != 5 {
@@ -474,14 +474,14 @@ func TestOverlayIsolation(t *testing.T) {
 
 	ov := NewOverlay(base)
 	// Reads fall through.
-	if got := ov.Lookup(ts, predsP); len(got) != 1 || got[0] != cheap {
+	if got := plansOf(ov.Lookup(ts, predsP)); len(got) != 1 || got[0] != cheap {
 		t.Fatalf("overlay lookup = %v", got)
 	}
 	// A dominated offer is rejected by the base plan without touching base.
 	dominated := &plan.Node{Op: plan.OpAccess, Flavor: plan.FlavorBTreeStore, Table: "DEPT",
 		Props: &plan.Props{Cost: plan.Cost{Total: 50}}}
 	ov.Insert(ts, predsP, []*plan.Node{dominated})
-	if out := ov.Lookup(ts, predsP); len(out) != 1 || out[0] != cheap {
+	if out := plansOf(ov.Lookup(ts, predsP)); len(out) != 1 || out[0] != cheap {
 		t.Fatalf("combined view after dominated offer = %v", out)
 	}
 	if ov.Pruned != 1 || base.Pruned != 0 {
@@ -492,15 +492,15 @@ func TestOverlayIsolation(t *testing.T) {
 	winner := &plan.Node{Op: plan.OpAccess, Flavor: plan.FlavorHeap, Table: "DEPT",
 		Props: &plan.Props{Cost: plan.Cost{Total: 1}}}
 	ov.Insert(ts, predsP, []*plan.Node{winner})
-	if out := ov.Lookup(ts, predsP); len(out) != 2 || out[0] != cheap || out[1] != winner {
+	if out := plansOf(ov.Lookup(ts, predsP)); len(out) != 2 || out[0] != cheap || out[1] != winner {
 		t.Fatalf("combined view after dominating offer = %v (base plans first)", out)
 	}
-	if got := base.Lookup(ts, predsP); len(got) != 1 || got[0] != cheap {
+	if got := plansOf(base.Lookup(ts, predsP)); len(got) != 1 || got[0] != cheap {
 		t.Fatalf("base mutated while overlay live: %v", got)
 	}
 	// Absorb replays the overlay's writes: the winner evicts the base plan.
 	base.Absorb(ov)
-	if got := base.Lookup(ts, predsP); len(got) != 1 || got[0] != winner {
+	if got := plansOf(base.Lookup(ts, predsP)); len(got) != 1 || got[0] != winner {
 		t.Fatalf("base after absorb = %v", got)
 	}
 	// Counters fold: overlay offers (2, one rejected) plus the replayed
@@ -532,11 +532,11 @@ func TestOverlayPruneDisabled(t *testing.T) {
 	worse := &plan.Node{Op: plan.OpAccess, Flavor: plan.FlavorBTreeStore, Table: "DEPT",
 		Props: &plan.Props{Cost: plan.Cost{Total: 50}}}
 	ov.Insert(ts, predsP, []*plan.Node{dup, worse})
-	if out := ov.Lookup(ts, predsP); len(out) != 2 {
+	if out := plansOf(ov.Lookup(ts, predsP)); len(out) != 2 {
 		t.Fatalf("combined view = %d plans (dup must dedupe, worse must stay)", len(out))
 	}
 	base.Absorb(ov)
-	if got := len(base.Lookup(ts, predsP)); got != 2 {
+	if got := base.Lookup(ts, predsP).Len(); got != 2 {
 		t.Fatalf("base after absorb holds %d plans", got)
 	}
 }
@@ -552,7 +552,10 @@ func TestLookupAcrossEqualUniverses(t *testing.T) {
 	_, _, again := fixture(t)
 	dept := tables(again, "DEPT")
 	if !gl.Table.HasEntry(dept) || len(gl.Table.Entry(dept)) == 0 ||
-		len(gl.Table.Lookup(dept, again.EligibleWithin(dept))) == 0 {
+		gl.Table.Lookup(dept, again.EligibleWithin(dept)).Len() == 0 {
 		t.Error("an equal table set of a rebuilt query must find the entry")
 	}
 }
+
+// plansOf copies a cell's plans out, base half first.
+func plansOf(c Cell) []*plan.Node { return c[1].appendTo(c[0].appendTo(nil)) }

@@ -103,7 +103,7 @@ func (g *Gluer) Glue(req *star.GlueRequest) (result []*plan.Node, err error) {
 		return nil, err
 	}
 	full := base.Union(static).Union(bound)
-	target := g.Table.cell(req.Tables, full)
+	target := g.Table.Lookup(req.Tables, full)
 
 	// Find before building (package comment): the mark passes over candidates
 	// an earlier reference of this job dealt with, the bound over those
@@ -129,15 +129,15 @@ func (g *Gluer) Glue(req *star.GlueRequest) (result []*plan.Node, err error) {
 			if cand.Props.Cost.Total > limit {
 				bounded++
 				if skipped == nil || cand.Props.Cost.Total < skipped.Props.Cost.Total {
-					skipped = cand
+					skipped = cand.Node
 				}
 				continue
 			}
-			v, err := g.veneer(cand, req.Req, full)
+			v, err := g.veneer(cand.Node, req.Req, full)
 			if err != nil {
 				return nil, err
 			}
-			if v == cand && sameCell {
+			if v == cand.Node && sameCell {
 				continue // needs nothing and already sits where it would be offered
 			}
 			built = append(built, v)
@@ -152,7 +152,7 @@ func (g *Gluer) Glue(req *star.GlueRequest) (result []*plan.Node, err error) {
 		// Newly veneered plans join the table so later references find them
 		// (Figure 3's third plan came from an earlier Glue reference).
 		g.Table.Insert(req.Tables, full, built)
-		cands, target = g.Table.cell(req.Tables, lookup), g.Table.cell(req.Tables, full)
+		cands, target = g.Table.Lookup(req.Tables, lookup), g.Table.Lookup(req.Tables, full)
 		if !all {
 			best = target.cheapest(req.Req)
 		}
@@ -170,7 +170,7 @@ func (g *Gluer) Glue(req *star.GlueRequest) (result []*plan.Node, err error) {
 		for _, e := range target {
 			for _, p := range e.plans {
 				if req.Req.SatisfiedBy(p.Props) {
-					result = append(result, p)
+					result = append(result, p.Node)
 				}
 			}
 		}
@@ -196,11 +196,11 @@ func (g *Gluer) Glue(req *star.GlueRequest) (result []*plan.Node, err error) {
 // predicate set (so index plans can exploit pushed join predicates rather
 // than retrofitting a FILTER — Section 4.4); composites retrofit the
 // missing predicates onto the enumerated entry.
-func (g *Gluer) ensurePlans(tables expr.TableSet, preds expr.PredSet) (cell, error) {
-	if c := g.Table.cell(tables, preds); c.len() > 0 {
+func (g *Gluer) ensurePlans(tables expr.TableSet, preds expr.PredSet) (Cell, error) {
+	if c := g.Table.Lookup(tables, preds); c.Len() > 0 {
 		g.Stats.Hits++
 		if g.Engine.Obs.Tracing() {
-			g.Engine.Obs.Emit(obs.Event{Name: obs.EvGlueHit, A1: tables.Key(), N1: int64(c.len())})
+			g.Engine.Obs.Emit(obs.Event{Name: obs.EvGlueHit, A1: tables.Key(), N1: int64(c.Len())})
 		}
 		return c, nil
 	}
@@ -218,34 +218,34 @@ func (g *Gluer) ensurePlans(tables expr.TableSet, preds expr.PredSet) (cell, err
 			star.PredsValue(preds),
 		})
 		if err != nil {
-			return cell{}, fmt.Errorf("glue: access plans for %s: %w", q, err)
+			return Cell{}, fmt.Errorf("glue: access plans for %s: %w", q, err)
 		}
 		if len(sap) == 0 {
-			return cell{}, fmt.Errorf("glue: no access plans for %s", q)
+			return Cell{}, fmt.Errorf("glue: no access plans for %s", q)
 		}
 		g.Table.Insert(tables, preds, sap)
-		return g.Table.cell(tables, preds), nil
+		return g.Table.Lookup(tables, preds), nil
 	}
 	// Composite: the enumeration inserted plans under the eligible
 	// predicate set; add the missing predicates as a FILTER veneer.
 	base := g.Graph.EligibleWithin(tables)
-	cands := g.Table.cell(tables, base)
-	if cands.len() == 0 {
-		return cell{}, fmt.Errorf("glue: no plans exist for composite {%s} (enumeration order violated?)", tables.Key()) //obsguard:ignore error path
+	cands := g.Table.Lookup(tables, base)
+	if cands.Len() == 0 {
+		return Cell{}, fmt.Errorf("glue: no plans exist for composite {%s} (enumeration order violated?)", tables.Key()) //obsguard:ignore error path
 	}
 	missing := preds.Minus(base)
-	out := make([]*plan.Node, 0, cands.len())
+	out := make([]*plan.Node, 0, cands.Len())
 	for _, e := range cands {
 		for _, c := range e.plans {
-			f, err := g.addFilter(c, missing)
+			f, err := g.addFilter(c.Node, missing)
 			if err != nil {
-				return cell{}, err
+				return Cell{}, err
 			}
 			out = append(out, f)
 		}
 	}
 	g.Table.Insert(tables, preds, out)
-	return g.Table.cell(tables, preds), nil
+	return g.Table.Lookup(tables, preds), nil
 }
 
 // veneer augments one plan with Glue operators until it satisfies the
@@ -268,7 +268,7 @@ func (g *Gluer) veneer(cur *plan.Node, req plan.Reqd, full expr.PredSet) (_ *pla
 	}
 	// 3. Materialize when required.
 	if (req.Temp || len(req.PathCols) > 0) && !cur.Props.Temp {
-		if cur, err = g.addVeneer(cur, plan.Node{Op: plan.OpStore, Table: g.Engine.NextTempName()}); err != nil {
+		if cur, err = g.addVeneer(cur, plan.Node{Op: plan.OpStore, TableGen: g.Engine.NextTempName()}); err != nil {
 			return nil, err
 		}
 	}
@@ -289,7 +289,7 @@ func (g *Gluer) veneer(cur *plan.Node, req plan.Reqd, full expr.PredSet) (_ *pla
 // predicates.
 func (g *Gluer) dynamicIndex(cur *plan.Node, ixCols []expr.ColID, full expr.PredSet) (_ *plan.Node, err error) {
 	if cur.Props.PathOn(ixCols) == nil {
-		ix := plan.Node{Op: plan.OpBuildIndex, Path: g.Engine.NextIndexName(), SortCols: ixCols}
+		ix := plan.Node{Op: plan.OpBuildIndex, PathGen: g.Engine.NextIndexName(), SortCols: ixCols}
 		if cur, err = g.addVeneer(cur, ix); err != nil {
 			return nil, err
 		}
@@ -298,7 +298,8 @@ func (g *Gluer) dynamicIndex(cur *plan.Node, ixCols []expr.ColID, full expr.Pred
 	missing := full.Minus(cur.Props.Preds())
 	return g.addVeneer(cur, plan.Node{
 		Op: plan.OpAccess, Flavor: plan.FlavorIndex,
-		Table: cur.Props.TempName, Path: path.Name,
+		Table: cur.Props.TempName, TableGen: cur.Props.TempGen,
+		Path: path.Name, PathGen: path.Gen,
 		Cols:  cur.Props.Cols(), // interned and never mutated; sharing is safe
 		Preds: expr.MatchIndexPrefix(missing, path.Cols),
 	})

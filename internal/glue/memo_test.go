@@ -298,3 +298,61 @@ func TestGlueSkipEvent(t *testing.T) {
 		t.Errorf("stats: reused %d, bounded %d; want 4, 1", gl.Stats.Reused, gl.Stats.Bounded)
 	}
 }
+
+// TestDominatedVeneersAllocateNothing: a candidate costs the heap nothing
+// until it is kept. On a warm arena, a Glue reference that materializes every
+// candidate, builds a dynamic index on it and probes that — three veneers,
+// two generated names and a PATHS list each — and then sees all of them
+// dominated by what an earlier reference left in the table allocates no
+// object at all: the nodes, property vectors, input and PATHS lists are arena
+// slots, and a name is a value until somebody renders it. The reference is
+// made from a rule, as the enumeration makes it: Glue called from Go returns
+// its answer in a heap slice (star.Engine.SAP).
+func TestDominatedVeneersAllocateNothing(t *testing.T) {
+	gl, en, g := fixture(t)
+	rules, err := star.ParseRules(star.DefaultRuleText + "\nstar Probe(T, C, P) = DROP(Glue(T[paths = C], P))\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	en.Rules = rules
+	en.RegisterBuilder("DROP", func(*star.Engine, []star.Value) (star.Value, error) { return star.SAPValue(nil), nil })
+
+	// A warm arena: two chunks of every slab, grown by an earlier query.
+	arena := plan.NewArena()
+	for i := 0; i < 1024; i++ {
+		n := arena.NewNode(plan.Node{Props: arena.NewProps(plan.Props{})})
+		arena.NewNode(plan.Node{}, n).Props = &plan.Props{Paths: arena.JoinPaths(make([]plan.PathInfo, 1), nil)}
+	}
+	arena.Reset()
+	en.Cost.Arena = arena
+
+	for _, tc := range []struct{ table, col string }{{"EMP", "DNO"}, {"DEPT", "MGR"}} {
+		args := []star.Value{
+			star.StreamValue(tables(g, tc.table)),
+			star.ColsValue([]expr.ColID{{Table: tc.table, Col: tc.col}}),
+			star.PredsValue(g.Universe().PredSet(deptEmpJoin)),
+		}
+		reference := func() {
+			// Forget how far the job got, so every candidate is veneered again.
+			clear(gl.Table.marks)
+			if _, err := en.EvalRule("Probe", args); err != nil {
+				t.Fatal(err)
+			}
+		}
+		reference()
+		size, pruned, veneers := gl.Table.Size(), gl.Table.Pruned, gl.Stats.VeneersByOp
+		if n := testing.AllocsPerRun(50, reference); n != 0 {
+			t.Errorf("%s: a reference whose veneers are all dominated allocates %.0f objects, want 0", tc.table, n)
+		}
+		built := gl.Stats.VeneersByOp
+		for i, op := range VeneerOps {
+			if (op == plan.OpStore || op == plan.OpBuildIndex || op == plan.OpAccess) && built[i] < veneers[i]+51 {
+				t.Errorf("%s: 51 references built %d %s veneers, want one per candidate each", tc.table, built[i]-veneers[i], op)
+			}
+		}
+		if gl.Table.Size() != size || gl.Table.Pruned <= pruned {
+			t.Errorf("%s: table went from %d plans to %d (%d more pruned): the veneers were not all dominated",
+				tc.table, size, gl.Table.Size(), gl.Table.Pruned-pruned)
+		}
+	}
+}

@@ -46,46 +46,59 @@ type entryKey struct {
 
 // entry is one (TABLES, PREDS) cell of the plan table. The predicate set is
 // retained for exact verification (two distinct sets hashing alike chain via
-// next). born[i] is the insertion sequence plans[i] was retained under, seq the
-// last one handed out; eviction keeps order, so born ascends and the plans a
-// mark has not passed are a suffix.
+// next). A retained plan sits beside the insertion sequence it was born under
+// (one backing array for both), seq being the last one handed out; eviction
+// keeps order, so born ascends and the plans a mark has not passed are a suffix.
 type entry struct {
 	tables expr.TableSet
 	preds  expr.PredSet
-	plans  []*plan.Node
-	born   []uint32
+	plans  []retained
 	seq    uint32
 	next   *entry
 }
 
+type retained struct {
+	*plan.Node
+	born uint32
+}
+
+// appendTo appends the entry's plans to out.
+func (e *entry) appendTo(out []*plan.Node) []*plan.Node {
+	for _, p := range e.plans {
+		out = append(out, p.Node)
+	}
+	return out
+}
+
 // fresh returns the index of the first plan born after seq.
 func (e *entry) fresh(seq uint32) int {
-	i := len(e.born)
-	for i > 0 && e.born[i-1] > seq {
+	i := len(e.plans)
+	for i > 0 && e.plans[i-1].born > seq {
 		i--
 	}
 	return i
 }
 
-// cell is one (TABLES, PREDS) cell as a table sees it — the frozen base's
+// Cell is one (TABLES, PREDS) cell as a table sees it — the frozen base's
 // entry, then its own — with noEntry for an absent half (a root table has no
 // base half). Base plans come first, the order a serial run would have
 // accumulated them in, so first-offered tie-breaks ignore the schedule.
-type cell [2]*entry
+type Cell [2]*entry
 
 // noEntry is the empty half of a cell. It is never written.
 var noEntry = &entry{}
 
-func (c cell) len() int { return len(c[0].plans) + len(c[1].plans) }
+// Len counts the cell's plans.
+func (c Cell) Len() int { return len(c[0].plans) + len(c[1].plans) }
 
 // cheapest returns the cheapest plan of the cell satisfying req — on a tie
 // the first offered — or nil.
-func (c cell) cheapest(req plan.Reqd) *plan.Node {
+func (c Cell) cheapest(req plan.Reqd) *plan.Node {
 	var best *plan.Node
 	for _, e := range c {
 		for _, p := range e.plans {
 			if (best == nil || p.Props.Cost.Total < best.Props.Cost.Total) && req.SatisfiedBy(p.Props) {
-				best = p
+				best = p.Node
 			}
 		}
 	}
@@ -143,6 +156,8 @@ type PlanTable struct {
 	// marks is Glue's memo: how far each veneering job has got. An overlay
 	// records its own and falls back to the base's (markOf).
 	marks map[markKey]mark
+	// replay is Absorb's scratch: the plans of the overlay entry being replayed.
+	replay []*plan.Node
 }
 
 // pruneKey names the two sides of a dominance decision by plan origin.
@@ -194,10 +209,10 @@ func (pt *PlanTable) ensure(tables expr.TableSet, preds expr.PredSet) (*entry, b
 	return e, true
 }
 
-// cell returns both halves of the (tables, preds) cell: one map probe on the
-// sets' words per half.
-func (pt *PlanTable) cell(tables expr.TableSet, preds expr.PredSet) cell {
-	c := cell{noEntry, noEntry}
+// Lookup returns both halves of the (tables, preds) cell, which Glue reads in
+// place: one map probe on the sets' words per half, nothing allocated.
+func (pt *PlanTable) Lookup(tables expr.TableSet, preds expr.PredSet) Cell {
+	c := Cell{noEntry, noEntry}
 	if pt.base != nil {
 		if e := pt.base.find(tables, preds); e != nil {
 			c[0] = e
@@ -207,20 +222,6 @@ func (pt *PlanTable) cell(tables expr.TableSet, preds expr.PredSet) cell {
 		c[1] = e
 	}
 	return c
-}
-
-// Lookup returns the retained plans for exactly this table set and predicate
-// set, or nil. Glue reads cells in place; this is for callers outside the
-// package, and on an overlay holding plans in both halves it merges them.
-func (pt *PlanTable) Lookup(tables expr.TableSet, preds expr.PredSet) []*plan.Node {
-	c := pt.cell(tables, preds)
-	if len(c[0].plans) == 0 {
-		return c[1].plans
-	}
-	if len(c[1].plans) == 0 {
-		return c[0].plans
-	}
-	return append(append(make([]*plan.Node, 0, c.len()), c[0].plans...), c[1].plans...)
 }
 
 // markOf returns how far job k has got: this table's own record, else what
@@ -245,7 +246,7 @@ func (pt *PlanTable) Insert(tables expr.TableSet, preds expr.PredSet, plans []*p
 	if created && pt.base != nil {
 		pt.order = append(pt.order, e)
 	}
-	c := pt.cell(tables, preds)
+	c := pt.Lookup(tables, preds)
 	for _, p := range plans {
 		pt.Inserted++
 		if pt.Obs.Tracing() {
@@ -271,32 +272,32 @@ func (pt *PlanTable) Insert(tables expr.TableSet, preds expr.PredSet, plans []*p
 // are never evicted here: an overlay must not mutate its shared, frozen base.
 // A base plan p dominates is evicted later, when Absorb replays this write
 // into the base on the barrier goroutine.
-func (pt *PlanTable) addPruned(c cell, p *plan.Node) {
+func (pt *PlanTable) addPruned(c Cell, p *plan.Node) {
 	e := c[1]
 	for _, half := range c {
 		for _, q := range half.plans {
-			if q == p || (pt.PruneDisabled && q.ID() == p.ID()) {
+			if q.Node == p || (pt.PruneDisabled && q.ID() == p.ID()) {
 				return
 			}
 			if !pt.PruneDisabled && plan.Dominates(q.Props, p.Props) {
 				pt.Pruned++
-				pt.notePrune(e.tables, p, q, 0) // incoming p rejected, dominated by existing q
+				pt.notePrune(e.tables, p, q.Node, 0) // incoming p rejected, dominated by existing q
 				return
 			}
 		}
 	}
 	kept := 0
-	for i, q := range e.plans {
+	for _, q := range e.plans {
 		if !pt.PruneDisabled && plan.Dominates(p.Props, q.Props) {
 			pt.Pruned++
-			pt.notePrune(e.tables, q, p, 1) // existing q evicted by incoming p
+			pt.notePrune(e.tables, q.Node, p, 1) // existing q evicted by incoming p
 			continue
 		}
-		e.plans[kept], e.born[kept] = q, e.born[i]
+		e.plans[kept] = q
 		kept++
 	}
 	e.seq++
-	e.plans, e.born = append(e.plans[:kept], p), append(e.born[:kept], e.seq)
+	e.plans = append(e.plans[:kept], retained{p, e.seq})
 }
 
 // Absorb replays an overlay's locally-retained plans into pt, walking the
@@ -316,7 +317,8 @@ func (pt *PlanTable) Absorb(o *PlanTable) {
 	}
 	for _, oe := range o.order {
 		if len(oe.plans) > 0 {
-			pt.Insert(oe.tables, oe.preds, oe.plans)
+			pt.replay = oe.appendTo(pt.replay[:0])
+			pt.Insert(oe.tables, oe.preds, pt.replay)
 		}
 	}
 	// The base half of an overlay's mark counts in pt's numbering, and max
@@ -402,7 +404,7 @@ func (pt *PlanTable) eachEntry(fn func(e *entry)) {
 func (pt *PlanTable) ForEachPlan(fn func(p *plan.Node)) {
 	pt.eachEntry(func(e *entry) {
 		for _, p := range e.plans {
-			fn(p)
+			fn(p.Node)
 		}
 	})
 }
@@ -415,7 +417,7 @@ func (pt *PlanTable) ForEach(fn func(tablesKey, predsKey string, p *plan.Node)) 
 	pt.eachEntry(func(e *entry) {
 		tk, pk := e.tables.Key(), e.preds.Key()
 		for _, p := range e.plans {
-			fn(tk, pk, p)
+			fn(tk, pk, p.Node)
 		}
 	})
 }
@@ -442,7 +444,7 @@ func (pt *PlanTable) Entry(tables expr.TableSet) []*plan.Node {
 		out = pt.base.Entry(tables)
 	}
 	for _, e := range pt.byTables[tables.Mask()] {
-		out = append(out, e.plans...)
+		out = e.appendTo(out)
 	}
 	return out
 }

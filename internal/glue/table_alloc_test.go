@@ -19,14 +19,14 @@ func TestProbePathsAllocationFree(t *testing.T) {
 	pt.Insert(ts, predsK, []*plan.Node{cheap})
 
 	if got := testing.AllocsPerRun(1000, func() {
-		if pt.Lookup(ts, predsK) == nil {
+		if pt.Lookup(ts, predsK).Len() == 0 {
 			t.Fatal("lookup lost the entry")
 		}
 	}); got != 0 {
 		t.Errorf("Lookup (hit) allocates %.1f per probe, want 0", got)
 	}
 	if got := testing.AllocsPerRun(1000, func() {
-		if pt.Lookup(ts, predsOther) != nil {
+		if pt.Lookup(ts, predsOther).Len() != 0 {
 			t.Fatal("lookup invented an entry")
 		}
 	}); got != 0 {
@@ -43,7 +43,7 @@ func TestProbePathsAllocationFree(t *testing.T) {
 	// as free as the base path when the overlay holds nothing local.
 	ov := NewOverlay(pt)
 	if got := testing.AllocsPerRun(1000, func() {
-		if ov.Lookup(ts, predsK) == nil {
+		if ov.Lookup(ts, predsK).Len() == 0 {
 			t.Fatal("overlay lookup lost the base entry")
 		}
 	}); got != 0 {

@@ -1,6 +1,7 @@
 package opt
 
 import (
+	"strings"
 	"testing"
 
 	"stars/internal/plan"
@@ -68,6 +69,50 @@ func TestArenaLifetimeOptimizeReleaseLoop(t *testing.T) {
 			t.Fatal("Release must invalidate Table and Engine")
 		}
 		res.Release() // idempotent
+	}
+}
+
+// TestDetachedDynamicIndexPlanSurvivesArenaReuse: a plan's PATHS lists (like
+// its Inputs) are arena storage, and its generated temp and index names are
+// values rendered on demand, so Detach has to copy the first out and keep the
+// second intact. A detached best plan that STOREs and BUILDINDEXes renders the
+// same EXPLAIN — operators, names, the PATHS line of every property vector —
+// the same functional form and the same fingerprint after its arenas were
+// Reset (under poison) and refilled by another query.
+func TestDetachedDynamicIndexPlanSurvivesArenaReuse(t *testing.T) {
+	arenaPoison = true
+	defer func() { arenaPoison = false }()
+
+	cat := workload.ChainCatalog(3, 300, 100, 50)
+	render := func(n *plan.Node) string {
+		return plan.ExplainVerbose(n) + plan.Functional(n) + "\n" + n.Fingerprint() + " " + n.ShapeFingerprint()
+	}
+	for _, par := range []int{1, 2} {
+		res, err := New(cat, Options{Parallelism: par, Rules: DynamicIndexRules()}).Optimize(workload.ChainQuery(3))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := render(res.Best)
+		for _, s := range []string{"STORE table=_t", "BUILDINDEX path=_ix", "ACCESS(index) path=_ix", "PATHS  T3_J(T3.J), _ix", "Index _ix"} {
+			if !strings.Contains(want, s) {
+				t.Fatalf("Parallelism %d: fixture's best plan renders no %q:\n%s", par, s, want)
+			}
+		}
+		res.Release()
+		if got := render(res.Best); got != want {
+			t.Errorf("Parallelism %d: detached plan renders differently after Release:\n%s\nwant:\n%s", par, got, want)
+		}
+		// Another query refills the recycled slabs — nodes, props, inputs and
+		// paths alike — at the same worker count.
+		other, err := New(workload.StarCatalog(4, 100000, 500), Options{Parallelism: par, Rules: DynamicIndexRules()}).Optimize(workload.StarQuery(4))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := render(res.Best); got != want {
+			t.Errorf("Parallelism %d: detached plan renders differently once another query refilled its arenas:\n%s\nwant:\n%s", par, got, want)
+		}
+		assertAlive(t, par, res.Best)
+		other.Release()
 	}
 }
 

@@ -278,7 +278,7 @@ func newWorker(i int, root *glue.Gluer, res *Result) *glue.Gluer {
 	}
 	env := root.Engine.Cost.Fork()
 	env.Arena = res.arenas[i]
-	w := &glue.Gluer{Engine: root.Engine.Fork(env, nil, ""), Graph: root.Graph, KeepAll: root.KeepAll}
+	w := &glue.Gluer{Engine: root.Engine.Fork(env, nil), Graph: root.Graph, KeepAll: root.KeepAll}
 	w.Engine.Glue = w.Glue
 	w.Engine.PlanSites = w.PlanSites
 	return w
@@ -303,7 +303,7 @@ func (o *Optimizer) runSubset(t *subsetTask, w, root *glue.Gluer) {
 	t.ov, w.Table = ov, ov
 	en := w.Engine
 	en.Obs, en.Cost.Obs = sink, sink
-	en.RestartNames(strconv.FormatUint(uint64(t.mask), 10) + ".")
+	en.RestartNames(uint64(t.mask))
 	if sink.ProfLabels() {
 		// Label the worker goroutine with the rank it is executing; EvalRule
 		// composes star= on top. Labels follow the task, so a worker pool

@@ -26,14 +26,25 @@ import (
 // Release would surface as a __POISONED__ operator in a response body or an
 // incident bundle. Every request shape is covered, at Parallelism 2 so
 // worker arenas are recycled too, and each filed incident must replay to the
-// identical derivation.
+// identical derivation. The second repertoire makes every served plan STORE
+// its inners and probe dynamic indexes on them, so what is rendered, executed
+// and captured after Release includes generated names and arena-backed PATHS.
 func TestServeNeverReadsReleasedPlans(t *testing.T) {
 	opt.SetArenaPoison(true)
 	defer opt.SetArenaPoison(false)
+	t.Run("builtin", func(t *testing.T) { serveUnderPoison(t, opt.Options{}, "") })
+	t.Run("dynamic indexes", func(t *testing.T) {
+		serveUnderPoison(t, opt.Options{Rules: opt.DynamicIndexRules()}, "BUILDINDEX path=_ix")
+	})
+}
 
+// serveUnderPoison is TestServeNeverReadsReleasedPlans for one repertoire;
+// every explain rendering must mention mustRender.
+func serveUnderPoison(t *testing.T, opts opt.Options, mustRender string) {
 	dir := t.TempDir()
 	s, err := serve.New(serve.Config{
 		Catalog:     workload.ChainCatalog(5, 40, 30, 20, 10, 25),
+		Options:     opts,
 		Parallelism: 2,
 		// Any execute+analyze request is a Q-error incident (Q-error is
 		// never below 1); nothing is a latency outlier.
@@ -74,6 +85,15 @@ func TestServeNeverReadsReleasedPlans(t *testing.T) {
 				}
 				if strings.Contains(rec.Body.String(), "__POISONED__") {
 					t.Errorf("%+v: response renders a released plan:\n%s", req, rec.Body)
+					return
+				}
+				var resp serve.OptimizeResponse
+				if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil || !strings.Contains(resp.Plan.Explain, mustRender) {
+					t.Errorf("%+v: explain (decode error %v) lacks %q:\n%s", req, err, mustRender, resp.Plan.Explain)
+					return
+				}
+				if req.Verbose && mustRender != "" && !strings.Contains(resp.Plan.Explain, "*(T") {
+					t.Errorf("%+v: verbose explain lists no dynamic path in any PATHS:\n%s", req, resp.Plan.Explain)
 					return
 				}
 			}

@@ -26,10 +26,12 @@ type Arena struct {
 	props slab[Props]
 	// inputs backs the Inputs of nodes built with NewNode(n, inputs...).
 	inputs slab[*Node]
+	// paths backs the PATHS lists JoinPaths builds.
+	paths  slab[PathInfo]
 	poison bool
 }
 
-// arenaChunk is the slab size. 512 nodes ≈ 168 KB per chunk: big enough to
+// arenaChunk is the slab size. 512 nodes ≈ 160 KB per chunk: big enough to
 // amortize the heap allocation a thousandfold, small enough that a
 // two-table query's arena stays small.
 const arenaChunk = 512
@@ -122,6 +124,15 @@ func (a *Arena) NewProps(p Props) *Props {
 	return q
 }
 
+// JoinPaths returns x followed by y as one PATHS list in the arena (on the
+// heap for a nil arena); neither argument is retained or written.
+func (a *Arena) JoinPaths(x, y []PathInfo) []PathInfo {
+	if a == nil {
+		return slices.Concat(x, y)
+	}
+	return append(append(a.paths.run(len(x) + len(y))[:0], x...), y...)
+}
+
 // Reset recycles the arena for the next optimization: every slot the arena
 // handed out becomes invalid and free, and the chunks are kept. Used slots
 // are zeroed, so a pooled arena pins nothing the dead plans pointed at; with
@@ -138,6 +149,7 @@ func (a *Arena) Reset() {
 	a.nodes.rewind(dead)
 	a.props.rewind(nil)
 	a.inputs.rewind(nil)
+	a.paths.rewind(nil)
 }
 
 // Poisoned reports whether n is a recycled arena slot (only meaningful when
@@ -147,9 +159,10 @@ func (n *Node) Poisoned() bool { return n.Op == poisonOp }
 // Detach deep-copies the plan DAG rooted at n out of any arena onto the
 // heap, preserving structure sharing and published identities. Consumers that
 // hold a plan beyond Result.Release — serve responses, incident captures,
-// provenance DAGs — detach it first. Rel values are heap-interned, not
-// arena-backed, so they are shared, and slice backings (Cols, Order, Paths)
-// are heap storage already.
+// provenance DAGs — detach it first. Inputs and PATHS lists are arena storage
+// (NewNode, JoinPaths) and are copied with the node; Rel values are
+// heap-interned and the Cols, Order and SortCols backings are heap storage
+// already, so those are shared.
 func Detach(n *Node) *Node {
 	if n == nil {
 		return nil
@@ -164,6 +177,7 @@ func detach(n *Node, seen map[*Node]*Node) *Node {
 	m := *n
 	if n.Props != nil {
 		q := *n.Props
+		q.Paths = slices.Clone(q.Paths)
 		m.Props = &q
 	}
 	if len(n.Inputs) > 0 {

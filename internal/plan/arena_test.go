@@ -3,6 +3,8 @@ package plan
 import (
 	"reflect"
 	"testing"
+
+	"stars/internal/expr"
 )
 
 // fillArena allocates n priced two-node plans and returns every slot handed
@@ -157,5 +159,46 @@ func TestArenaInputsFollowTheNode(t *testing.T) {
 	h := none.NewNode(Node{Op: OpSort}, in...)
 	if len(h.Inputs) != 1 || h.Inputs[0] != leaf || &h.Inputs[0] == &in[0] {
 		t.Fatalf("nil arena: inputs %v must be a heap copy", h.Inputs)
+	}
+}
+
+// TestArenaPathsFollowTheProps: a PATHS list JoinPaths builds is arena storage
+// with its owner's lifetime — the two lists copied in order, stable and capped
+// while the slab grows, no heap object on a warm arena, zeroed by Reset — so
+// Detach copies it out with the property vector; a nil arena joins on the heap.
+func TestArenaPathsFollowTheProps(t *testing.T) {
+	a := NewArena()
+	x := []PathInfo{{Name: "T_A", Cols: []expr.ColID{col("T", "A")}}}
+	y := []PathInfo{{Gen: GenName{Task: 3, Seq: 1, Index: true}, Dynamic: true}}
+	var lists [][]PathInfo
+	for i := 0; i < arenaChunk; i++ {
+		lists = append(lists, a.JoinPaths(x, y))
+	}
+	for i, l := range lists {
+		if len(l) != 2 || cap(l) != 2 || l[0].Name != "T_A" || l[1].Gen != y[0].Gen || &l[0] == &x[0] {
+			t.Fatalf("list %d: %v (cap %d) is not a capped copy of x then y", i, l, cap(l))
+		}
+	}
+	n := a.NewNode(*scan("T"))
+	n.Props = a.NewProps(Props{Paths: lists[0]})
+	d := Detach(n)
+	a.Reset()
+	if lists[0][0].Name != "" || lists[0][1].Dynamic {
+		t.Fatal("Reset left a PATHS slot describing a dead plan's index")
+	}
+	if got := d.Props.Paths; len(got) != 2 || got[0].String() != "T_A(T.A)" || got[1].String() != "_ix3.1*()" {
+		t.Fatalf("detached PATHS read %v after Reset: Detach must copy them out of the arena", got)
+	}
+	if n := testing.AllocsPerRun(10, func() {
+		for i := 0; i < 100; i++ {
+			a.JoinPaths(x, y)
+		}
+		a.Reset()
+	}); n != 0 {
+		t.Errorf("JoinPaths allocates %.1f per 100 lists on a warm arena, want 0", n)
+	}
+	var none *Arena
+	if h := none.JoinPaths(x, y); len(h) != 2 || h[1].Gen != y[0].Gen || &h[0] == &x[0] {
+		t.Fatalf("nil arena: %v must be a heap copy", h)
 	}
 }

@@ -52,12 +52,11 @@ func describeNode(n *Node) string {
 		head += "(" + n.Flavor + ")"
 	}
 	parts = append(parts, head)
-	if n.Path != "" {
-		parts = append(parts, "path="+n.Path)
+	if path := n.PathName(); path != "" {
+		parts = append(parts, "path="+path)
 	}
-	if n.Table != "" {
-		t := n.Table
-		if n.Quantifier != "" && n.Quantifier != n.Table {
+	if t := n.TableName(); t != "" {
+		if n.Quantifier != "" && n.Quantifier != t {
 			t += " as " + n.Quantifier
 		}
 		parts = append(parts, "table="+t)
@@ -178,9 +177,9 @@ func writeFunctional(b *strings.Builder, n *Node) {
 	}
 	if n.Op == OpAccess {
 		if n.Flavor == FlavorIndex {
-			args = append(args, "Index "+n.Path)
+			args = append(args, "Index "+n.PathName())
 		} else {
-			args = append(args, n.Table)
+			args = append(args, n.TableName())
 		}
 		args = append(args, "{"+colList(n.Cols)+"}")
 	}

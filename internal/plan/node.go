@@ -94,11 +94,15 @@ type Node struct {
 	// name; GET: table fetched from; STORE: created temp name;
 	// BUILDINDEX: table indexed).
 	Table string
+	// TableGen stands in for Table on a temp the optimizer named itself.
+	TableGen GenName
 	// Quantifier is the range-variable name this access serves; produced
 	// columns are Quantifier-qualified. For multi-table temps it is empty.
 	Quantifier string
 	// Path is the access-path name (ACCESS index flavor, BUILDINDEX).
 	Path string
+	// PathGen stands in for Path on a dynamic index the optimizer named.
+	PathGen GenName
 	// Cols are the columns this operator retrieves or adds (ACCESS, GET).
 	Cols []expr.ColID
 	// Preds are the predicates this operator applies: ACCESS/GET
@@ -129,6 +133,44 @@ type Node struct {
 	// written with sync/atomic only.
 	id uint64
 }
+
+// GenName is a name the optimizer generated for a temp table or a dynamic
+// index, as a comparable value: the subset task that minted it (its mask; 0 on
+// the root engine), its sequence within the task (from 1; 0 is "no name") and
+// which of the two it names. Candidate plans carry the value; the text —
+// "_t<task>.<seq>", "_ix<task>.<seq>", "_t<seq>" on the root — exists only
+// while writeKey streams it into a plan key and where String renders it for
+// EXPLAIN, the executor's temp store, events and errors.
+type GenName struct {
+	Task  uint64
+	Seq   uint32
+	Index bool
+}
+
+// appendTo appends the name's text to buf: the one place it is spelled.
+func (g GenName) appendTo(buf []byte) []byte {
+	if g.Seq == 0 {
+		return buf
+	}
+	prefix := "_t"
+	if g.Index {
+		prefix = "_ix"
+	}
+	buf = append(buf, prefix...)
+	if g.Task != 0 {
+		buf = append(strconv.AppendUint(buf, g.Task, 10), '.')
+	}
+	return strconv.AppendUint(buf, uint64(g.Seq), 10)
+}
+
+// String renders the name ("" for the zero value).
+func (g GenName) String() string { return string(g.appendTo(nil)) }
+
+// TableName renders the node's table, catalog-named or generated.
+func (n *Node) TableName() string { return n.Table + n.TableGen.String() }
+
+// PathName renders the node's access path, catalog-named or generated.
+func (n *Node) PathName() string { return n.Path + n.PathGen.String() }
 
 // Outer returns the first input (the outer stream of a join).
 func (n *Node) Outer() *Node {
@@ -167,10 +209,11 @@ func (n *Node) Validate() error {
 		if len(n.Inputs) > 1 {
 			return fmt.Errorf("plan: ACCESS expects at most 1 input, has %d", len(n.Inputs))
 		}
-		if n.Table == "" && n.Path == "" {
+		hasPath := n.Path != "" || n.PathGen.Seq != 0
+		if n.Table == "" && n.TableGen.Seq == 0 && !hasPath {
 			return fmt.Errorf("plan: ACCESS needs a table or path")
 		}
-		if n.Flavor == FlavorIndex && n.Path == "" {
+		if n.Flavor == FlavorIndex && !hasPath {
 			return fmt.Errorf("plan: index ACCESS needs a path")
 		}
 	case OpGet:
@@ -295,6 +338,9 @@ func (w *keyWriter) str(s string) {
 	w.h = h
 }
 
+// gen writes a generated name's text from a stack buffer.
+func (w *keyWriter) gen(g GenName) { w.str(string(g.appendTo(make([]byte, 0, 32)))) }
+
 func (w *keyWriter) char(c byte) {
 	if w.b != nil {
 		w.b.WriteByte(c)
@@ -320,17 +366,19 @@ func (n *Node) writeKey(b *keyWriter, shape bool) {
 		sep = true
 		b.str(t)
 	}
-	if n.Table != "" {
+	if n.Table != "" || n.TableGen.Seq != 0 {
 		tag("t=")
 		b.str(n.Table)
+		b.gen(n.TableGen)
 	}
 	if n.Quantifier != "" {
 		tag("q=")
 		b.str(n.Quantifier)
 	}
-	if n.Path != "" {
+	if n.Path != "" || n.PathGen.Seq != 0 {
 		tag("p=")
 		b.str(n.Path)
+		b.gen(n.PathGen)
 	}
 	if len(n.Cols) > 0 {
 		tag("c=")

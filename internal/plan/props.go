@@ -49,15 +49,11 @@ func (c Cost) String() string {
 // marks indexes created during the query (Section 4.5.3) as opposed to
 // catalog indexes.
 type PathInfo struct {
-	// Name is the access-path name (catalog index name, or a generated
-	// name for dynamic indexes).
+	// Name is the access-path name of a catalog index; a dynamic index
+	// carries the name it was generated under in Gen instead.
 	Name string
-	// Table is the stored table the path indexes.
-	Table string
-	// Quantifier is the range variable the path's columns are qualified
-	// by.
-	Quantifier string
-	// Cols is the ordered key-column list.
+	Gen  GenName
+	// Cols is the ordered key-column list, quantifier-qualified.
 	Cols []expr.ColID
 	// Clustered marks clustering indexes.
 	Clustered bool
@@ -71,7 +67,7 @@ func (p PathInfo) String() string {
 	if p.Dynamic {
 		tag = "*"
 	}
-	return p.Name + tag + "(" + colList(p.Cols) + ")"
+	return p.Name + p.Gen.String() + tag + "(" + colList(p.Cols) + ")"
 }
 
 // Rel is the relational part of the property vector — WHAT the stream
@@ -109,8 +105,9 @@ type Props struct {
 	// Temp reports whether the stream is materialized in a temporary
 	// table.
 	Temp bool
-	// TempName is the stored name of the materialization when Temp holds.
+	// TempName (TempGen, generated) names the materialization when Temp holds.
 	TempName string
+	TempGen  GenName
 	// Paths is the set of available access paths on the stream's tables.
 	Paths []PathInfo
 	// Card is the estimated output cardinality.

@@ -142,7 +142,7 @@ func biAccess(en *Engine, args []Value) (Value, error) {
 				}
 				en.build(en.Cost.Arena.NewNode(plan.Node{
 					Op: plan.OpAccess, Flavor: plan.FlavorHeap,
-					Table: p.Props.TempName,
+					Table: p.Props.TempName, TableGen: p.Props.TempGen,
 					Cols:  append([]expr.ColID(nil), cols...),
 					Preds: preds,
 				}, p))
@@ -276,7 +276,7 @@ func biStore(en *Engine, args []Value) (Value, error) {
 		if p.Props.Temp {
 			return p
 		}
-		return en.Cost.Arena.NewNode(plan.Node{Op: plan.OpStore, Table: en.NextTempName()}, p)
+		return en.Cost.Arena.NewNode(plan.Node{Op: plan.OpStore, TableGen: en.NextTempName()}, p)
 	})
 }
 
@@ -307,7 +307,7 @@ func biBuildIndex(en *Engine, args []Value) (Value, error) {
 		if p.Props.PathOn(key) != nil {
 			return p
 		}
-		return en.Cost.Arena.NewNode(plan.Node{Op: plan.OpBuildIndex, Path: en.NextIndexName(), SortCols: key}, p)
+		return en.Cost.Arena.NewNode(plan.Node{Op: plan.OpBuildIndex, PathGen: en.NextIndexName(), SortCols: key}, p)
 	})
 }
 

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"runtime/pprof"
 	"slices"
-	"strconv"
 	"strings"
 	"time"
 
@@ -171,13 +170,12 @@ type Engine struct {
 	// upgrade static checks from existence-only to arity/kind checking.
 	declared SigTable
 	depth    int
-	tempSeq  int
-	ixSeq    int
-	// namePrefix namespaces NextTempName/NextIndexName ("" on the root
-	// engine; the running subset task's id on a worker's) so names generated
-	// by concurrent workers are unique and — because the prefix derives from
-	// the work item, not the worker — identical across schedules.
-	namePrefix string
+	// nameTask namespaces NextTempName/NextIndexName (0 on the root engine;
+	// the running subset task's mask on a worker's) so names generated by
+	// concurrent workers are unique and — because it derives from the work
+	// item, not the worker — identical across schedules.
+	nameTask       uint64
+	tempSeq, ixSeq uint32
 
 	// stack holds the frame of every reference and call in progress, innermost
 	// last (push, pop).
@@ -221,7 +219,7 @@ func NewEngine(rules *RuleSet, costEnv *cost.Env) *Engine {
 // worker's own for its whole life, the sink and the name space its current
 // task's (RestartNames). The caller wires Glue and PlanSites to the worker's
 // Gluer.
-func (en *Engine) Fork(costEnv *cost.Env, sink *obs.Sink, namePrefix string) *Engine {
+func (en *Engine) Fork(costEnv *cost.Env, sink *obs.Sink) *Engine {
 	return &Engine{
 		Rules:       en.Rules,
 		Cost:        costEnv,
@@ -231,16 +229,15 @@ func (en *Engine) Fork(costEnv *cost.Env, sink *obs.Sink, namePrefix string) *En
 		builders:    en.builders,
 		helpers:     en.helpers,
 		declared:    en.declared,
-		namePrefix:  namePrefix,
 		seen:        map[uint64]bool{},
 	}
 }
 
 // RestartNames begins a new temp/index name space: the next names are
-// "_t<prefix>1" and "_ix<prefix>1", whatever the engine generated before. A
-// worker's engine restarts at every task, with the task's id.
-func (en *Engine) RestartNames(prefix string) {
-	en.namePrefix, en.tempSeq, en.ixSeq = prefix, 0, 0
+// "_t<task>.1" and "_ix<task>.1", whatever the engine generated before. A
+// worker's engine restarts at every task, with the task's subset mask.
+func (en *Engine) RestartNames(task uint64) {
+	en.nameTask, en.tempSeq, en.ixSeq = task, 0, 0
 }
 
 // RegisterBuilder installs a LOLEPOP builder under its reference name
@@ -258,17 +255,17 @@ func (en *Engine) Validate() error {
 	return refDiagsToError(CheckRefsSigs(en.Rules, en.Signatures()))
 }
 
-// NextTempName returns a fresh temp-table name ("_t1" on the root engine,
-// "_t<prefix>1" on a forked worker).
-func (en *Engine) NextTempName() string {
+// NextTempName returns a fresh temp-table name (rendered "_t1" on the root
+// engine, "_t<task>.1" on a worker's).
+func (en *Engine) NextTempName() plan.GenName {
 	en.tempSeq++
-	return "_t" + en.namePrefix + strconv.Itoa(en.tempSeq)
+	return plan.GenName{Task: en.nameTask, Seq: en.tempSeq}
 }
 
 // NextIndexName returns a fresh dynamic-index name.
-func (en *Engine) NextIndexName() string {
+func (en *Engine) NextIndexName() plan.GenName {
 	en.ixSeq++
-	return "_ix" + en.namePrefix + strconv.Itoa(en.ixSeq)
+	return plan.GenName{Task: en.nameTask, Seq: en.ixSeq, Index: true}
 }
 
 // EvalRule evaluates a reference of the named STAR with the given arguments

@@ -462,27 +462,27 @@ star R() = [
 
 // TestRestartNamesBeginsAtOne: a worker engine serves many tasks, and a
 // generated name must be a function of the task alone — after task A's names,
-// task B's first temp is _t<B>.1 and its first index _ix<B>.1.
+// task B's first temp is {B, 1}, rendered _t<B>.1, and its first index
+// _ix<B>.1. The values are what plans carry; the strings what they render.
 func TestRestartNamesBeginsAtOne(t *testing.T) {
-	root := NewEngine(NewRuleSet(), nil)
-	if got := root.NextTempName(); got != "_t1" {
-		t.Errorf("root engine's first temp = %q, want _t1", got)
-	}
-	w := root.Fork(nil, nil, "")
-	w.RestartNames("5.")
-	for _, want := range []string{"_t5.1", "_t5.2"} {
-		if got := w.NextTempName(); got != want {
-			t.Errorf("task 5 temp = %q, want %q", got, want)
+	is := func(what string, got, want plan.GenName, text string) {
+		t.Helper()
+		if got != want || got.String() != text {
+			t.Errorf("%s = %+v rendered %q, want %+v rendered %q", what, got, got, want, text)
 		}
 	}
-	if got := w.NextIndexName(); got != "_ix5.1" {
-		t.Errorf("task 5 first index = %q, want _ix5.1", got)
-	}
-	w.RestartNames("6.")
-	if tn, ix := w.NextTempName(), w.NextIndexName(); tn != "_t6.1" || ix != "_ix6.1" {
-		t.Errorf("task 6 after task 5 names %q and %q, want _t6.1 and _ix6.1", tn, ix)
-	}
-	if got := root.NextTempName(); got != "_t2" {
-		t.Errorf("a fork's names moved the root engine's sequence: %q, want _t2", got)
+	root := NewEngine(NewRuleSet(), nil)
+	is("root engine's first temp", root.NextTempName(), plan.GenName{Seq: 1}, "_t1")
+	w := root.Fork(nil, nil)
+	w.RestartNames(5)
+	is("task 5 first temp", w.NextTempName(), plan.GenName{Task: 5, Seq: 1}, "_t5.1")
+	is("task 5 second temp", w.NextTempName(), plan.GenName{Task: 5, Seq: 2}, "_t5.2")
+	is("task 5 first index", w.NextIndexName(), plan.GenName{Task: 5, Seq: 1, Index: true}, "_ix5.1")
+	w.RestartNames(6)
+	is("task 6 temp after task 5", w.NextTempName(), plan.GenName{Task: 6, Seq: 1}, "_t6.1")
+	is("task 6 index after task 5", w.NextIndexName(), plan.GenName{Task: 6, Seq: 1, Index: true}, "_ix6.1")
+	is("root's second temp (a fork's names must not move its sequence)", root.NextTempName(), plan.GenName{Seq: 2}, "_t2")
+	if zero := (plan.GenName{}).String(); zero != "" {
+		t.Errorf("the zero name renders %q, want nothing", zero)
 	}
 }
