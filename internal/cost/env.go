@@ -77,16 +77,17 @@ type Env struct {
 	// timings; nil (the default) costs one check per Price call.
 	Obs *obs.Sink
 	// Arena, when non-nil, slab-allocates the Props this environment
-	// prices (and the nodes builders and Glue construct through it); nil
-	// prices onto the heap (tests, tools). The optimizer gives the root
-	// environment and each enumeration worker's fork an arena of its own
-	// (see internal/opt).
+	// prices, the Rels it interns and their COLS (and the nodes builders and
+	// Glue construct through it); nil prices onto the heap (tests, tools).
+	// The optimizer gives the root environment and each enumeration worker's
+	// fork an arena of its own (see internal/opt). An environment that has
+	// interned into an arena must not outlive the arena's next Reset.
 	Arena *plan.Arena
 
 	funcs map[plan.Op]PropertyFunc
-	rels  map[relKey][]*plan.Rel // interned relational property vectors
-	base  *Env                   // frozen parent of a forked environment
-	u     *expr.Universe         // of the bound query: ACCESS resolves its quantifier's table set
+	rels  map[relKey]*plan.Rel // interned relational property vectors: bucket heads, chained by Rel.Next
+	base  *Env                 // frozen parent of a forked environment
+	u     *expr.Universe       // of the bound query: ACCESS resolves its quantifier's table set
 }
 
 // relKey buckets interned Rels by the words of their sets: the table set's
@@ -105,7 +106,7 @@ func NewEnv(cat *catalog.Catalog, w Weights) *Env {
 		W:     w,
 		Quant: map[string]string{},
 		funcs: map[plan.Op]PropertyFunc{},
-		rels:  map[relKey][]*plan.Rel{},
+		rels:  map[relKey]*plan.Rel{},
 	}
 	e.Register(plan.OpAccess, accessProps)
 	e.Register(plan.OpGet, getProps)
@@ -132,7 +133,7 @@ func (e *Env) Fork() *Env {
 	// worker's own.
 	return &Env{
 		Cat: e.Cat, W: e.W, Quant: e.Quant, u: e.u, funcs: e.funcs,
-		rels: map[relKey][]*plan.Rel{},
+		rels: map[relKey]*plan.Rel{},
 		base: e,
 	}
 }
@@ -147,11 +148,12 @@ func (e *Env) InternRel(tables expr.TableSet, cols []expr.ColID, preds expr.Pred
 
 // InternMerged is InternRel of plan.MergeCols(a, b) — the COLS of a JOIN or a
 // GET — finding the Rel before merging: a stored column list is compared with
-// the would-be merge in place, and the list is built only on a miss.
+// the would-be merge in place, and the list is built only on a miss — in the
+// environment's arena, like the Rel.
 func (e *Env) InternMerged(tables expr.TableSet, a, b []expr.ColID, preds expr.PredSet) *plan.Rel {
 	k := relKey{tables: tables.Mask(), ph: preds.Hash64()}
 	for env := e; env != nil; env = env.base {
-		for _, r := range env.rels[k] {
+		for r := env.rels[k]; r != nil; r = r.Next() {
 			if r.Preds.Equal(preds) && mergesTo(r.Cols, a, b) {
 				return r
 			}
@@ -159,10 +161,10 @@ func (e *Env) InternMerged(tables expr.TableSet, a, b []expr.ColID, preds expr.P
 	}
 	cols := a
 	if len(b) > 0 {
-		cols = plan.MergeCols(a, b)
+		cols = e.Arena.MergeCols(a, b)
 	}
-	r := &plan.Rel{Tables: tables, Cols: cols, Preds: preds}
-	e.rels[k] = append(e.rels[k], r)
+	r := e.Arena.NewRel(plan.Rel{Tables: tables, Cols: cols, Preds: preds}, e.rels[k])
+	e.rels[k] = r
 	return r
 }
 

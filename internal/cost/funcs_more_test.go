@@ -1,6 +1,7 @@
 package cost
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -307,6 +308,46 @@ func TestInternMergedFindsBeforeItMerges(t *testing.T) {
 		}
 		if n := testing.AllocsPerRun(100, func() { first.InternMerged(both, tc.a, tc.b, expr.PredSet{}) }); n != 0 {
 			t.Errorf("case %d: a hit allocates %.1f, want 0", i, n)
+		}
+	}
+}
+
+// TestInternMergedMissAllocatesNothingOnAWarmArena: a miss takes the Rel and
+// its merged COLS from the environment's arena and chains the Rel into its
+// bucket, so once the arena's chunks have grown — by an earlier environment,
+// before the Reset that ended its life — and the bucket exists, interning a
+// new column list allocates nothing. Every Rel interned stays findable.
+func TestInternMergedMissAllocatesNothingOnAWarmArena(t *testing.T) {
+	const misses = 200
+	lists := make([][2][]expr.ColID, misses+1)
+	for i := range lists {
+		lists[i] = [2][]expr.ColID{{{Table: "T", Col: "A"}}, {{Table: "U", Col: fmt.Sprint("C", i)}}}
+	}
+	arena := plan.NewArena()
+	warm := testEnv()
+	warm.Arena = arena
+	both := warm.u.Tables("T", "U")
+	for _, l := range lists {
+		warm.InternMerged(both, l[0], l[1], expr.PredSet{})
+	}
+	arena.Reset()
+
+	e := testEnv()
+	e.Arena = arena
+	e.InternMerged(both, lists[0][0], lists[0][1], expr.PredSet{}) // the bucket
+	i := 0
+	if n := testing.AllocsPerRun(misses-1, func() {
+		i++
+		if r := e.InternMerged(both, lists[i][0], lists[i][1], expr.PredSet{}); len(r.Cols) != 2 {
+			t.Fatalf("miss %d interned COLS %v", i, r.Cols)
+		}
+	}); n != 0 {
+		t.Errorf("an InternMerged miss on a warm arena allocates %.1f, want 0", n)
+	}
+	for j := 0; j <= i; j++ {
+		r := e.InternMerged(both, lists[j][0], lists[j][1], expr.PredSet{})
+		if want := plan.MergeCols(lists[j][0], lists[j][1]); !mergesTo(r.Cols, want, nil) || len(r.Cols) != len(want) {
+			t.Fatalf("list %d: found COLS %v, want %v", j, r.Cols, want)
 		}
 	}
 }

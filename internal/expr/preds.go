@@ -239,6 +239,15 @@ func (t TableSet) Len() int { return bits.OnesCount64(t.mask) }
 // Empty reports whether the set has no members.
 func (t TableSet) Empty() bool { return t.mask == 0 }
 
+// Only returns the member of a one-member set; ok is false for any other
+// set. It allocates nothing.
+func (t TableSet) Only() (q string, ok bool) {
+	if t.Len() != 1 {
+		return "", false
+	}
+	return t.u.quants[bits.TrailingZeros64(t.mask)], true
+}
+
 // Slice returns the members sorted by name. A one-member slice aliases the
 // universe's storage: callers must not mutate it.
 func (t TableSet) Slice() []string {

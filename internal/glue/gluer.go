@@ -208,9 +208,7 @@ func (g *Gluer) ensurePlans(tables expr.TableSet, preds expr.PredSet) (Cell, err
 	if g.Engine.Obs.Tracing() {
 		g.Engine.Obs.Emit(obs.Event{Name: obs.EvGlueMiss, A1: tables.Key()})
 	}
-	names := tables.Slice()
-	if len(names) == 1 {
-		q := names[0]
+	if q, ok := tables.Only(); ok {
 		cols := g.Engine.NeededCols(q)
 		sap, err := g.Engine.EvalRule(AccessRootRule, []star.Value{
 			star.StreamValue(tables),
@@ -340,9 +338,8 @@ func (g *Gluer) PlanSites(tables expr.TableSet) []string {
 	if sites := g.Table.Sites(tables); len(sites) > 0 {
 		return sites
 	}
-	names := tables.Slice()
-	if len(names) == 1 {
-		if q := g.Graph.Quant(names[0]); q != nil {
+	if name, ok := tables.Only(); ok {
+		if q := g.Graph.Quant(name); q != nil {
 			return []string{g.Engine.Cost.Cat.SiteOf(q.Table)}
 		}
 	}

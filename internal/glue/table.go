@@ -46,15 +46,16 @@ type entryKey struct {
 
 // entry is one (TABLES, PREDS) cell of the plan table. The predicate set is
 // retained for exact verification (two distinct sets hashing alike chain via
-// next). A retained plan sits beside the insertion sequence it was born under
-// (one backing array for both), seq being the last one handed out; eviction
+// next); sibling chains the cells of one table set in creation order. A
+// retained plan sits beside the insertion sequence it was born under (one run
+// of the table's slab for both), seq being the last one handed out; eviction
 // keeps order, so born ascends and the plans a mark has not passed are a suffix.
 type entry struct {
-	tables expr.TableSet
-	preds  expr.PredSet
-	plans  []retained
-	seq    uint32
-	next   *entry
+	tables        expr.TableSet
+	preds         expr.PredSet
+	plans         []retained
+	seq           uint32
+	next, sibling *entry
 }
 
 type retained struct {
@@ -123,9 +124,15 @@ type mark [2]uint32
 // (TABLES, PREDS) — the relational properties of Figure 2. Within one entry
 // only non-dominated plans are retained: a plan survives unless some other
 // plan is at least as cheap and offers every physical property it offers.
+//
+// A table keeps its cells and retained lists in slabs of its own and its maps
+// across Reset, so a table recycled from task to task and optimization to
+// optimization allocates nothing once warm.
 type PlanTable struct {
 	entries  map[entryKey]*entry
-	byTables map[uint64][]*entry // entries per table-set mask, in creation order
+	byTables map[uint64][2]*entry // first and last cell per table-set mask, chained by sibling
+	cells    plan.Slab[entry]
+	runs     plan.Slab[retained]
 	// Inserted counts insertion attempts; Pruned counts plans rejected or
 	// evicted by dominance. PruneDisabled turns dominance off (ablation).
 	Inserted      int64
@@ -167,7 +174,7 @@ type pruneKey struct{ victim, dominator string }
 func NewPlanTable() *PlanTable {
 	return &PlanTable{
 		entries:  map[entryKey]*entry{},
-		byTables: map[uint64][]*entry{},
+		byTables: map[uint64][2]*entry{},
 		marks:    map[markKey]mark{},
 	}
 }
@@ -176,13 +183,27 @@ func NewPlanTable() *PlanTable {
 // base's pruning mode but reports into its own Obs sink (set by the caller)
 // and its own counters; Absorb folds both back.
 func NewOverlay(base *PlanTable) *PlanTable {
-	return &PlanTable{
-		entries:       map[entryKey]*entry{},
-		byTables:      map[uint64][]*entry{},
-		marks:         map[markKey]mark{},
-		base:          base,
-		PruneDisabled: base.PruneDisabled,
-	}
+	pt := NewPlanTable()
+	pt.Reset(base)
+	return pt
+}
+
+// Reset empties the table for reuse, keeping its maps' and slabs' storage:
+// as an overlay over base, or as a root table when base is nil. No cell,
+// retained plan, mark, replay entry, prune tally, counter or sink of its
+// previous use survives, and the pruning mode is base's (off for a root).
+func (pt *PlanTable) Reset(base *PlanTable) {
+	clear(pt.entries)
+	clear(pt.byTables)
+	clear(pt.marks)
+	clear(pt.prunes)
+	clear(pt.order)
+	clear(pt.replay)
+	pt.order, pt.replay = pt.order[:0], pt.replay[:0]
+	pt.cells.Rewind(nil)
+	pt.runs.Rewind(nil)
+	pt.Inserted, pt.Pruned, pt.Obs = 0, 0, nil
+	pt.base, pt.PruneDisabled = base, base != nil && base.PruneDisabled
 }
 
 // find returns the verified entry for (tables, preds) in this table alone
@@ -201,11 +222,16 @@ func (pt *PlanTable) ensure(tables expr.TableSet, preds expr.PredSet) (*entry, b
 	if e := pt.find(tables, preds); e != nil {
 		return e, false
 	}
-	e := &entry{tables: tables, preds: preds}
 	k := entryKey{tables.Mask(), preds.Hash64()}
-	e.next = pt.entries[k]
+	e := pt.cells.Next()
+	*e = entry{tables: tables, preds: preds, next: pt.entries[k]}
 	pt.entries[k] = e
-	pt.byTables[tables.Mask()] = append(pt.byTables[tables.Mask()], e)
+	if c := pt.byTables[k.tables]; c[0] == nil {
+		pt.byTables[k.tables] = [2]*entry{e, e}
+	} else {
+		c[1].sibling, c[1] = e, e
+		pt.byTables[k.tables] = c
+	}
 	return e, true
 }
 
@@ -297,6 +323,12 @@ func (pt *PlanTable) addPruned(c Cell, p *plan.Node) {
 		kept++
 	}
 	e.seq++
+	if kept == cap(e.plans) {
+		// A full run moves to one twice its size; the old one is
+		// garbage until Reset rewinds the slab.
+		run := pt.runs.Run(max(4, 2*kept))
+		e.plans = run[:copy(run, e.plans[:kept])]
+	}
 	e.plans = append(e.plans[:kept], retained{p, e.seq})
 }
 
@@ -393,8 +425,8 @@ func (pt *PlanTable) eachEntry(fn func(e *entry)) {
 	if pt.base != nil {
 		pt.base.eachEntry(fn)
 	}
-	for _, es := range pt.byTables {
-		for _, e := range es {
+	for _, c := range pt.byTables {
+		for e := c[0]; e != nil; e = e.sibling {
 			fn(e)
 		}
 	}
@@ -428,7 +460,7 @@ func (pt *PlanTable) HasEntry(tables expr.TableSet) bool {
 	if pt.base != nil && pt.base.HasEntry(tables) {
 		return true
 	}
-	for _, e := range pt.byTables[tables.Mask()] {
+	for e := pt.byTables[tables.Mask()][0]; e != nil; e = e.sibling {
 		if len(e.plans) > 0 {
 			return true
 		}
@@ -443,7 +475,7 @@ func (pt *PlanTable) Entry(tables expr.TableSet) []*plan.Node {
 	if pt.base != nil {
 		out = pt.base.Entry(tables)
 	}
-	for _, e := range pt.byTables[tables.Mask()] {
+	for e := pt.byTables[tables.Mask()][0]; e != nil; e = e.sibling {
 		out = e.appendTo(out)
 	}
 	return out

@@ -1,11 +1,17 @@
 package opt
 
 import (
+	"fmt"
+	"maps"
+	"runtime"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"stars/internal/plan"
 	"stars/internal/query"
+	"stars/internal/star"
 	"stars/internal/workload"
 )
 
@@ -37,8 +43,8 @@ func TestArenaLifetimeOptimizeReleaseLoop(t *testing.T) {
 		if err != nil {
 			t.Fatalf("iteration %d: %v", i, err)
 		}
-		if len(res.arenas) != par {
-			t.Fatalf("iteration %d: %d arenas at Parallelism %d, want one per worker", i, len(res.arenas), par)
+		if len(res.spaces) != par {
+			t.Fatalf("iteration %d: %d workspaces at Parallelism %d, want one per worker", i, len(res.spaces), par)
 		}
 		got := res.Best.Fingerprint()
 		if i == 0 {
@@ -73,12 +79,14 @@ func TestArenaLifetimeOptimizeReleaseLoop(t *testing.T) {
 }
 
 // TestDetachedDynamicIndexPlanSurvivesArenaReuse: a plan's PATHS lists (like
-// its Inputs) are arena storage, and its generated temp and index names are
-// values rendered on demand, so Detach has to copy the first out and keep the
-// second intact. A detached best plan that STOREs and BUILDINDEXes renders the
-// same EXPLAIN — operators, names, the PATHS line of every property vector —
-// the same functional form and the same fingerprint after its arenas were
-// Reset (under poison) and refilled by another query.
+// its Inputs), its interned Rels and their COLS are arena storage, and its
+// generated temp and index names are values rendered on demand, so Detach has
+// to copy the first out and keep the second intact. A detached best plan —
+// one that STOREs and BUILDINDEXes, and one the built-in repertoire chose —
+// renders the same verbose EXPLAIN — operators, names, the COLS and PATHS
+// lines of every property vector — the same functional form and the same
+// fingerprint after its arenas were Reset (under poison) and refilled by
+// another query.
 func TestDetachedDynamicIndexPlanSurvivesArenaReuse(t *testing.T) {
 	arenaPoison = true
 	defer func() { arenaPoison = false }()
@@ -87,36 +95,45 @@ func TestDetachedDynamicIndexPlanSurvivesArenaReuse(t *testing.T) {
 	render := func(n *plan.Node) string {
 		return plan.ExplainVerbose(n) + plan.Functional(n) + "\n" + n.Fingerprint() + " " + n.ShapeFingerprint()
 	}
-	for _, par := range []int{1, 2} {
-		res, err := New(cat, Options{Parallelism: par, Rules: DynamicIndexRules()}).Optimize(workload.ChainQuery(3))
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := render(res.Best)
-		for _, s := range []string{"STORE table=_t", "BUILDINDEX path=_ix", "ACCESS(index) path=_ix", "PATHS  T3_J(T3.J), _ix", "Index _ix"} {
-			if !strings.Contains(want, s) {
-				t.Fatalf("Parallelism %d: fixture's best plan renders no %q:\n%s", par, s, want)
+	for _, rep := range []struct {
+		rules *star.RuleSet
+		must  []string
+	}{
+		{DynamicIndexRules(), []string{"STORE table=_t", "BUILDINDEX path=_ix", "ACCESS(index) path=_ix", "PATHS  T3_J(T3.J), _ix", "Index _ix", "COLS   T1.ID"}},
+		{nil, []string{"JOIN", "COLS   T1.ID"}},
+	} {
+		for _, par := range []int{1, 2} {
+			res, err := New(cat, Options{Parallelism: par, Rules: rep.rules}).Optimize(workload.ChainQuery(3))
+			if err != nil {
+				t.Fatal(err)
 			}
+			want := render(res.Best)
+			for _, s := range rep.must {
+				if !strings.Contains(want, s) {
+					t.Fatalf("Parallelism %d: fixture's best plan renders no %q:\n%s", par, s, want)
+				}
+			}
+			res.Release()
+			if got := render(res.Best); got != want {
+				t.Errorf("Parallelism %d: detached plan renders differently after Release:\n%s\nwant:\n%s", par, got, want)
+			}
+			// Another query refills the recycled slabs — nodes, props, inputs,
+			// paths, Rels and COLS alike — at the same worker count.
+			other, err := New(workload.StarCatalog(4, 100000, 500), Options{Parallelism: par, Rules: rep.rules}).Optimize(workload.StarQuery(4))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := render(res.Best); got != want {
+				t.Errorf("Parallelism %d: detached plan renders differently once another query refilled its arenas:\n%s\nwant:\n%s", par, got, want)
+			}
+			assertAlive(t, par, res.Best)
+			other.Release()
 		}
-		res.Release()
-		if got := render(res.Best); got != want {
-			t.Errorf("Parallelism %d: detached plan renders differently after Release:\n%s\nwant:\n%s", par, got, want)
-		}
-		// Another query refills the recycled slabs — nodes, props, inputs and
-		// paths alike — at the same worker count.
-		other, err := New(workload.StarCatalog(4, 100000, 500), Options{Parallelism: par, Rules: DynamicIndexRules()}).Optimize(workload.StarQuery(4))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := render(res.Best); got != want {
-			t.Errorf("Parallelism %d: detached plan renders differently once another query refilled its arenas:\n%s\nwant:\n%s", par, got, want)
-		}
-		assertAlive(t, par, res.Best)
-		other.Release()
 	}
 }
 
-// assertAlive walks the detached plan checking no node is a recycled slot.
+// assertAlive walks the detached plan checking no node, Rel or column list
+// is a recycled slot.
 func assertAlive(t *testing.T, iter int, n *plan.Node) {
 	t.Helper()
 	if n == nil {
@@ -125,26 +142,25 @@ func assertAlive(t *testing.T, iter int, n *plan.Node) {
 	if n.Poisoned() {
 		t.Fatalf("iteration %d: detached plan contains a poisoned node — Detach missed it", iter)
 	}
+	if n.Props != nil && strings.Contains(fmt.Sprint(n.Props.Cols(), n.Cols), "__POISONED__") {
+		t.Fatalf("iteration %d: detached plan reads a poisoned Rel or column list — Detach missed it", iter)
+	}
 	for _, in := range n.Inputs {
 		assertAlive(t, iter, in)
 	}
 }
 
 // TestFailedOptimizeReturnsArenas: an optimization that fails after checking
-// its arenas out puts them back, so a request mix heavy in unplannable queries
-// does not grow new slabs per request. Two failures are covered: enumeration
-// finding no complete plan for a disconnected join graph (the root arena
-// alone, each round followed by a successful single-arena optimization), and a
-// JoinRoot reference failing inside a rank at Parallelism 2, after a second
-// worker checked an arena of its own out. Leaking an arena on either path
-// would make the pool construct at least one per round. (Under -race
-// sync.Pool drops a quarter of what it is given — half an arena a round —
-// hence "fewer than rounds", not "none".)
+// its workspaces out puts them back, so a request mix heavy in unplannable
+// queries does not grow new slabs per request. Two failures are covered:
+// enumeration finding no complete plan for a disconnected join graph (the root
+// workspace alone, each round followed by a successful single-workspace
+// optimization), and a JoinRoot reference failing inside a rank at
+// Parallelism 2, after a second worker checked a workspace of its own out.
+// Leaking one on either path would make a later round build a new one, so the
+// idle workspaces after every round are exactly those after the first.
 func TestFailedOptimizeReturnsArenas(t *testing.T) {
-	constructed := 0
-	pooledNew := arenaPool.New
-	arenaPool.New = func() any { constructed++; return pooledNew() }
-	defer func() { arenaPool.New = pooledNew }()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(2, runtime.GOMAXPROCS(0))))
 
 	cat := workload.ChainCatalog(4, 40, 30, 20, 10)
 	disconnected := func() *query.Graph {
@@ -173,12 +189,61 @@ func TestFailedOptimizeReturnsArenas(t *testing.T) {
 			}
 		},
 	} {
-		constructed = 0
+		round()
+		want := idleSpaces()
 		for i := 0; i < rounds; i++ {
 			round()
+			if got := idleSpaces(); !maps.Equal(got, want) {
+				t.Fatalf("%s, round %d: idle workspaces %v, want %v: failed optimizations leak their workspaces", name, i, got, want)
+			}
 		}
-		if constructed >= rounds {
-			t.Errorf("%s: %d arenas constructed over %d rounds: failed optimizations leak their arenas", name, constructed, rounds)
+	}
+}
+
+// idleSpaces is the set of workspaces waiting for a checkout.
+func idleSpaces() map[*workspace]bool {
+	spares.Lock()
+	defer spares.Unlock()
+	idle := map[*workspace]bool{}
+	for _, w := range spares.list {
+		idle[w] = true
+	}
+	return idle
+}
+
+// TestIdleWorkspacesBounded: however many optimizations ran at once, an idle
+// process keeps at most GOMAXPROCS workspaces, each empty, and a checkout
+// takes the one returned last.
+func TestIdleWorkspacesBounded(t *testing.T) {
+	cat := workload.StarCatalog(4, 100000, 500)
+	var wg sync.WaitGroup
+	for c := 0; c < 4*runtime.GOMAXPROCS(0)+2; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			res, err := New(cat, Options{Parallelism: 2}).Optimize(workload.StarQuery(4))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			res.Release()
+		}()
+	}
+	wg.Wait()
+	spares.Lock()
+	idle := slices.Clone(spares.list)
+	spares.Unlock()
+	if len(idle) == 0 || len(idle) > runtime.GOMAXPROCS(0) {
+		t.Fatalf("%d idle workspaces after concurrent optimizations, want 1 to GOMAXPROCS (%d)", len(idle), runtime.GOMAXPROCS(0))
+	}
+	for i, w := range idle {
+		if w.used != 0 || w.table.Size() != 0 {
+			t.Errorf("idle workspace %d holds %d overlays in use and %d plans", i, w.used, w.table.Size())
 		}
+	}
+	if w := checkout(); w != idle[len(idle)-1] {
+		t.Error("checkout did not take the workspace returned last")
+	} else {
+		w.checkin()
 	}
 }

@@ -10,6 +10,7 @@ package opt
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"runtime/pprof"
 	"sync"
 	"time"
@@ -110,10 +111,10 @@ type Result struct {
 	// tests and tools).
 	Engine *star.Engine
 
-	// arenas own the storage of every plan node this optimization built,
-	// one per enumeration worker (arenas[0] also holds the access plans and
-	// root veneers); Release recycles them.
-	arenas []*plan.Arena
+	// spaces own the storage of every plan node, Rel and plan-table cell this
+	// optimization built, one per enumeration worker (spaces[0] also holds
+	// the access plans, root veneers and root table); Release recycles them.
+	spaces []*workspace
 }
 
 // builtinRules is the built-in repertoire a nil Options.Rules resolves to,
@@ -122,10 +123,25 @@ type Result struct {
 // copy for that).
 var builtinRules = sync.OnceValue(star.DefaultRules)
 
-// arenaPool recycles plan arenas, chunks included, across optimizations: a
-// long-running server fills the slabs earlier requests grew instead of
-// allocating its own. Only getArena and Release touch it.
-var arenaPool = sync.Pool{New: func() any { return plan.NewArena() }}
+// workspace is the storage one enumeration worker recycles across
+// optimizations: the arena its plans and Rels live in, a plan table (the root
+// table of an optimization's first workspace), the overlays its tasks write
+// (the first used of them, until the rank barrier) and partition scratch.
+type workspace struct {
+	arena                *plan.Arena
+	table                *glue.PlanTable
+	overlays             []*glue.PlanTable
+	used                 int
+	connected, cartesian []maskPair
+}
+
+// spares is a LIFO list of at most GOMAXPROCS idle workspaces. Unlike a
+// sync.Pool, which keeps a Put where only the same P's Get finds it and
+// empties at GC, it hands the warmest workspace to any goroutine.
+var spares struct {
+	sync.Mutex
+	list []*workspace
+}
 
 // arenaPoison, when set (lifetime tests only), turns on poison-on-reset for
 // every arena an optimization checks out, so a plan pointer that escapes
@@ -133,10 +149,35 @@ var arenaPool = sync.Pool{New: func() any { return plan.NewArena() }}
 // another query's plan.
 var arenaPoison bool
 
-func getArena() *plan.Arena {
-	a := arenaPool.Get().(*plan.Arena)
-	a.SetPoison(arenaPoison)
-	return a
+// checkout takes the idle workspace returned last, or builds one.
+func checkout() *workspace {
+	spares.Lock()
+	var w *workspace
+	if n := len(spares.list); n > 0 {
+		w, spares.list[n-1], spares.list = spares.list[n-1], nil, spares.list[:n-1]
+	}
+	spares.Unlock()
+	if w == nil {
+		w = &workspace{arena: plan.NewArena(), table: glue.NewPlanTable()}
+	}
+	w.arena.SetPoison(arenaPoison)
+	return w
+}
+
+// checkin empties w, so nothing of its optimization stays reachable, and
+// keeps it unless GOMAXPROCS workspaces are idle already.
+func (w *workspace) checkin() {
+	w.arena.Reset()
+	w.table.Reset(nil)
+	for _, ov := range w.overlays {
+		ov.Reset(nil)
+	}
+	w.used = 0
+	spares.Lock()
+	if len(spares.list) < runtime.GOMAXPROCS(0) {
+		spares.list = append(spares.list, w)
+	}
+	spares.Unlock()
 }
 
 // Release hands the result's plan storage to later optimizations, which
@@ -147,17 +188,16 @@ func getArena() *plan.Arena {
 // hot path (the serve loop, benchmarks) Release so a steady stream of queries
 // allocates no plan storage at all.
 func (r *Result) Release() {
-	if r.arenas == nil {
+	if r.spaces == nil {
 		return
 	}
 	r.Best = plan.Detach(r.Best)
 	r.Table = nil
 	r.Engine = nil
-	for _, a := range r.arenas {
-		a.Reset()
-		arenaPool.Put(a)
+	for _, w := range r.spaces {
+		w.checkin()
 	}
-	r.arenas = nil
+	r.spaces = nil
 }
 
 // Optimizer optimizes queries against one catalog.
@@ -208,8 +248,9 @@ func (o *Optimizer) Optimize(g *query.Graph) (_ *Result, err error) {
 	}
 	env := cost.NewEnv(o.Cat, w)
 	env.Obs = sink
-	env.Arena = getArena()
-	res := &Result{Obs: sink, arenas: []*plan.Arena{env.Arena}}
+	ws := checkout()
+	env.Arena = ws.arena
+	res := &Result{Obs: sink, spaces: []*workspace{ws}}
 	defer func() {
 		if err != nil {
 			// Nothing of a failed optimization is handed out, so its plan
@@ -245,7 +286,7 @@ func (o *Optimizer) Optimize(g *query.Graph) (_ *Result, err error) {
 		return nil, err
 	}
 
-	table := glue.NewPlanTable()
+	table := ws.table
 	table.PruneDisabled = o.Opts.DisablePruning
 	table.Obs = sink
 	gl := &glue.Gluer{Engine: en, Graph: g, Table: table, KeepAll: o.Opts.KeepAllGlue}

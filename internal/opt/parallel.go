@@ -12,13 +12,14 @@
 // identical counters to a serial run. Three mechanisms deliver it:
 //
 //  1. Isolation: each task that has something to join writes to its own
-//     overlay plan table (glue.NewOverlay) over the frozen base and records
-//     into its own child obs sink, so its outcome depends only on the
-//     committed base — never on how sibling tasks were scheduled. Everything
-//     else it works with — plan.Arena, forked pricing environment, forked
-//     engine, Gluer — belongs to the worker goroutine for the whole
-//     optimization (newWorker): where a node lives, which copy of an interned
-//     Rel it shares and which engine counted a reference decide no outcome.
+//     overlay plan table over the frozen base — one of its worker's, Reset
+//     for it (workspace.overlay) — and records into its own child obs sink,
+//     so its outcome depends only on the committed base — never on how
+//     sibling tasks were scheduled. Everything else it works with —
+//     plan.Arena, forked pricing environment, forked engine, Gluer — belongs
+//     to the worker goroutine for the whole optimization (newWorker): where a
+//     node lives, which copy of an interned Rel it shares, which overlay held
+//     its writes and which engine counted a reference decide no outcome.
 //  2. Namespacing: a worker's engine restarts its temp/index names per task
 //     from the task's subset mask ("_t<mask>.<seq>"), so generated names are
 //     a function of the work item, not of the worker or the schedule.
@@ -62,7 +63,7 @@ func resolveParallelism(n int) int {
 // one quantifier subset. It owns what the barrier must replay in mask order:
 // ov, the overlay the subset's plans were written to, and ov.Obs, the child
 // sink its events were recorded in (nil when observability is off). A subset
-// with no joinable partition builds neither and leaves ov nil.
+// with no joinable partition takes neither and leaves ov nil.
 type subsetTask struct {
 	mask  uint32
 	pairs int64
@@ -126,7 +127,7 @@ func (o *Optimizer) enumerate(g *query.Graph, en *star.Engine, gl *glue.Gluer, t
 			workers = append(workers, newWorker(len(workers), gl, res))
 		}
 		busy := runTasks(par, profiled, tasks, func(worker int, t *subsetTask) {
-			o.runSubset(t, workers[worker], gl)
+			o.runSubset(t, workers[worker], res.spaces[worker], gl)
 		})
 		var execNS int64
 		var absorbStart time.Time
@@ -151,6 +152,9 @@ func (o *Optimizer) enumerate(g *query.Graph, en *star.Engine, gl *glue.Gluer, t
 			res.Stats.Pairs += t.pairs
 			sink.Absorb(t.ov.Obs)
 			table.Absorb(t.ov)
+		}
+		for _, w := range res.spaces {
+			w.used = 0 // the next rank's tasks reuse the overlays
 		}
 		if profiled {
 			sink.ProfRank(obs.RankSample{
@@ -233,9 +237,10 @@ type maskPair struct{ s1, s2 uint32 }
 // table, predicate-connected pairs first. A subset mask is a table set of the
 // query's universe as it stands (bit i = g.Quants[i]), so the probes below
 // are word operations.
-func (o *Optimizer) partitions(mask uint32, g *query.Graph, table *glue.PlanTable) []maskPair {
+// The list is w's scratch, valid until w's next call.
+func (o *Optimizer) partitions(mask uint32, g *query.Graph, table *glue.PlanTable, w *workspace) []maskPair {
 	u := g.Universe()
-	var connected, cartesian []maskPair
+	connected, cartesian := w.connected[:0], w.cartesian[:0]
 	low := mask & (^mask + 1) // dedupe unordered partitions: s1 keeps the lowest bit
 	for sub := (mask - 1) & mask; sub > 0; sub = (sub - 1) & mask {
 		if sub&low == 0 {
@@ -262,43 +267,56 @@ func (o *Optimizer) partitions(mask uint32, g *query.Graph, table *glue.PlanTabl
 	// graphs still plan).
 	full := uint32(1)<<uint(len(g.Quants)) - 1
 	if o.Opts.CartesianProducts || (len(connected) == 0 && mask == full) {
-		return append(connected, cartesian...)
+		connected = append(connected, cartesian...)
 	}
+	w.connected, w.cartesian = connected, cartesian
 	return connected
 }
 
-// newWorker builds worker i's state for the rest of the optimization: an
-// arena (the root arena, idle while a rank executes, for worker 0; one checked
+// overlay hands the running task one of w's overlays, Reset over base.
+func (w *workspace) overlay(base *glue.PlanTable) *glue.PlanTable {
+	if w.used == len(w.overlays) {
+		w.overlays = append(w.overlays, glue.NewPlanTable())
+	}
+	ov := w.overlays[w.used]
+	w.used++
+	ov.Reset(base)
+	return ov
+}
+
+// newWorker builds worker i's state for the rest of the optimization: a
+// workspace (the root's, idle while a rank executes, for worker 0; one checked
 // out and released with the result for the others), forks of the root pricing
 // environment and engine, and a Gluer wiring them together. Its plan table
 // and sink are the running task's (runSubset).
 func newWorker(i int, root *glue.Gluer, res *Result) *glue.Gluer {
-	if i == len(res.arenas) {
-		res.arenas = append(res.arenas, getArena())
+	if i == len(res.spaces) {
+		res.spaces = append(res.spaces, checkout())
 	}
 	env := root.Engine.Cost.Fork()
-	env.Arena = res.arenas[i]
+	env.Arena = res.spaces[i].arena
 	w := &glue.Gluer{Engine: root.Engine.Fork(env, nil), Graph: root.Graph, KeepAll: root.KeepAll}
 	w.Engine.Glue = w.Glue
 	w.Engine.PlanSites = w.PlanSites
 	return w
 }
 
-// runSubset evaluates one subset task on worker w against the root Gluer's
-// committed table. The partitions are listed first: most subsets of a sparse
-// join graph have none and cost nothing more. A task with something to join
-// builds the two things it owns — overlay plan table and child sink — points
-// the worker's engine, environment and Gluer at them, restarts the engine's
-// name space at the subset mask, and references JoinRoot for every pair,
-// reading committed entries through the overlay and writing results into it.
-func (o *Optimizer) runSubset(t *subsetTask, w, root *glue.Gluer) {
+// runSubset evaluates one subset task on worker w, whose storage is ws,
+// against the root Gluer's committed table. The partitions are listed first:
+// most subsets of a sparse join graph have none and cost nothing more. A task
+// with something to join takes the two things it owns — an overlay plan table
+// from ws and a child sink — points the worker's engine, environment and
+// Gluer at them, restarts the engine's name space at the subset mask, and
+// references JoinRoot for every pair, reading committed entries through the
+// overlay and writing results into it.
+func (o *Optimizer) runSubset(t *subsetTask, w *glue.Gluer, ws *workspace, root *glue.Gluer) {
 	g := root.Graph
-	pairs := o.partitions(t.mask, g, root.Table)
+	pairs := o.partitions(t.mask, g, root.Table, ws)
 	if len(pairs) == 0 {
 		return
 	}
 	sink := root.Engine.Obs.Child() // nil when observability is off
-	ov := glue.NewOverlay(root.Table)
+	ov := ws.overlay(root.Table)
 	ov.Obs = sink
 	t.ov, w.Table = ov, ov
 	en := w.Engine

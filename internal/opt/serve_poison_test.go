@@ -28,7 +28,8 @@ import (
 // worker arenas are recycled too, and each filed incident must replay to the
 // identical derivation. The second repertoire makes every served plan STORE
 // its inners and probe dynamic indexes on them, so what is rendered, executed
-// and captured after Release includes generated names and arena-backed PATHS.
+// and captured after Release includes generated names and arena-backed PATHS;
+// every verbose rendering includes interned Rels' arena-backed COLS.
 func TestServeNeverReadsReleasedPlans(t *testing.T) {
 	opt.SetArenaPoison(true)
 	defer opt.SetArenaPoison(false)
@@ -90,6 +91,10 @@ func serveUnderPoison(t *testing.T, opts opt.Options, mustRender string) {
 				var resp serve.OptimizeResponse
 				if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil || !strings.Contains(resp.Plan.Explain, mustRender) {
 					t.Errorf("%+v: explain (decode error %v) lacks %q:\n%s", req, err, mustRender, resp.Plan.Explain)
+					return
+				}
+				if req.Verbose && !strings.Contains(resp.Plan.Explain, "COLS   T1.ID") {
+					t.Errorf("%+v: verbose explain renders no interned COLS:\n%s", req, resp.Plan.Explain)
 					return
 				}
 				if req.Verbose && mustRender != "" && !strings.Contains(resp.Plan.Explain, "*(T") {

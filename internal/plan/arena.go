@@ -1,13 +1,16 @@
 package plan
 
-import "slices"
+import (
+	"slices"
 
-// Arena is a chunked slab allocator for plan Nodes and Props. One
+	"stars/internal/expr"
+)
+
+// Arena is a chunked slab allocator for plans and what they are made of. One
 // optimization builds millions of transient candidate nodes; allocating them
 // individually makes the global heap the enumeration bottleneck. An arena
-// hands out slots from fixed-size chunks instead — one heap allocation per
-// chunk — and Reset rewinds it so the next optimization fills the same
-// chunks again.
+// hands out slots from chunks instead — one heap allocation per chunk — and
+// Reset rewinds it so the next optimization fills the same chunks again.
 //
 // Concurrency: an Arena is single-goroutine. The rank-parallel enumeration
 // keeps one arena per worker goroutine for the whole optimization; a node
@@ -22,54 +25,62 @@ import "slices"
 // (SetPoison) overwrites recycled slots so an escaped pointer fails loudly in
 // tests instead of silently reading stale plans.
 type Arena struct {
-	nodes slab[Node]
-	props slab[Props]
+	nodes Slab[Node]
+	props Slab[Props]
 	// inputs backs the Inputs of nodes built with NewNode(n, inputs...).
-	inputs slab[*Node]
-	// paths backs the PATHS lists JoinPaths builds.
-	paths  slab[PathInfo]
+	inputs Slab[*Node]
+	// paths, rels and cols back JoinPaths, NewRel and MergeCols.
+	paths  Slab[PathInfo]
+	rels   Slab[Rel]
+	cols   Slab[expr.ColID]
 	poison bool
 }
 
-// arenaChunk is the slab size. 512 nodes ≈ 160 KB per chunk: big enough to
-// amortize the heap allocation a thousandfold, small enough that a
-// two-table query's arena stays small.
-const arenaChunk = 512
+// A slab's first chunk holds firstChunk slots and each next one twice the
+// last, up to arenaChunk (512 nodes ≈ 160 KB): a slab that serves a two-table
+// query, or one overlay's few cells, stays small.
+const (
+	arenaChunk = 512
+	firstChunk = 16
+)
 
-// slab hands out slots of T from arenaChunk-sized chunks. Chunks are never
-// resliced or freed, so used counts slots from the start of chunks[0].
-type slab[T any] struct {
+// Slab hands out slots of T from chunks it allocates once and keeps across
+// Rewind. Slots never move, so their addresses are stable until Rewind. A
+// Slab is single-goroutine; the zero value is ready to use.
+type Slab[T any] struct {
 	chunks [][]T
-	used   int
+	c, off int // the next free slot is chunks[c][off]
 }
 
-// next returns the address of the next free slot, growing by one chunk when
-// every chunk is full.
-func (s *slab[T]) next() *T { return &s.run(1)[0] }
+// Next returns the address of the next free slot.
+func (s *Slab[T]) Next() *T { return &s.Run(1)[0] }
 
-// run returns n adjacent free slots, capped so an append cannot reach the
+// Run returns n adjacent free slots, capped so an append cannot reach the
 // neighbours; more than a chunk's worth come from the heap. A chunk tail too
-// short for them is skipped (rewind clears it with the rest).
-func (s *slab[T]) run(n int) []T {
+// short for them is skipped (Rewind clears it with the rest).
+func (s *Slab[T]) Run(n int) []T {
 	if n > arenaChunk {
 		return make([]T, n)
 	}
-	if free := arenaChunk - s.used%arenaChunk; free < n {
-		s.used += free
+	for ; ; s.c, s.off = s.c+1, 0 {
+		if s.c == len(s.chunks) {
+			s.chunks = append(s.chunks, make([]T, min(firstChunk<<min(s.c, 5), arenaChunk)))
+		}
+		if chunk := s.chunks[s.c]; s.off+n <= len(chunk) {
+			s.off += n
+			return chunk[s.off-n : s.off : s.off]
+		}
 	}
-	c, off := s.used/arenaChunk, s.used%arenaChunk
-	if c == len(s.chunks) {
-		s.chunks = append(s.chunks, make([]T, arenaChunk))
-	}
-	s.used += n
-	return s.chunks[c][off : off+n : off+n]
 }
 
-// rewind frees every used slot, zeroing it or, when fill is non-nil,
+// Rewind frees every slot handed out, zeroing it or, when fill is non-nil,
 // overwriting it with *fill.
-func (s *slab[T]) rewind(fill *T) {
-	for c := 0; c*arenaChunk < s.used; c++ {
-		chunk := s.chunks[c][:min(arenaChunk, s.used-c*arenaChunk)]
+func (s *Slab[T]) Rewind(fill *T) {
+	for c := 0; c <= s.c && c < len(s.chunks); c++ {
+		chunk := s.chunks[c]
+		if c == s.c {
+			chunk = chunk[:s.off]
+		}
 		if fill == nil {
 			clear(chunk)
 			continue
@@ -78,7 +89,7 @@ func (s *slab[T]) rewind(fill *T) {
 			chunk[i] = *fill
 		}
 	}
-	s.used = 0
+	s.c, s.off = 0, 0
 }
 
 // poisonOp marks recycled node slots when poisoning is on; any consumer that
@@ -104,10 +115,10 @@ func (a *Arena) NewNode(n Node, inputs ...*Node) *Node {
 		}
 		return &m
 	}
-	p := a.nodes.next()
+	p := a.nodes.Next()
 	*p = n
 	if len(inputs) > 0 {
-		p.Inputs = append(a.inputs.run(len(inputs))[:0], inputs...)
+		p.Inputs = append(a.inputs.Run(len(inputs))[:0], inputs...)
 	}
 	return p
 }
@@ -119,7 +130,7 @@ func (a *Arena) NewProps(p Props) *Props {
 		q := p
 		return &q
 	}
-	q := a.props.next()
+	q := a.props.Next()
 	*q = p
 	return q
 }
@@ -130,54 +141,100 @@ func (a *Arena) JoinPaths(x, y []PathInfo) []PathInfo {
 	if a == nil {
 		return slices.Concat(x, y)
 	}
-	return append(append(a.paths.run(len(x) + len(y))[:0], x...), y...)
+	return append(append(a.paths.Run(len(x) + len(y))[:0], x...), y...)
+}
+
+// NewRel copies r into the next Rel slot, chained ahead of next — the head
+// of the intern bucket it joins (cost.Env) — and returns its stable address;
+// nil-arena falls back to the heap like NewNode.
+func (a *Arena) NewRel(r Rel, next *Rel) *Rel {
+	r.next = next
+	if a == nil {
+		q := r
+		return &q
+	}
+	q := a.rels.Next()
+	*q = r
+	return q
+}
+
+// MergeCols unions two column lists, preserving first-seen order, into the
+// arena (on the heap for a nil arena); neither argument is retained or
+// written.
+func (a *Arena) MergeCols(x, y []expr.ColID) []expr.ColID {
+	var out []expr.ColID
+	if a != nil {
+		out = a.cols.Run(len(x) + len(y))[:0]
+	}
+	out = append(out, x...)
+	for _, c := range y {
+		if !HasCol(out, c) {
+			out = append(out, c)
+		}
+	}
+	return out[:len(out):len(out)]
 }
 
 // Reset recycles the arena for the next optimization: every slot the arena
 // handed out becomes invalid and free, and the chunks are kept. Used slots
 // are zeroed, so a pooled arena pins nothing the dead plans pointed at; with
-// poisoning on, node slots are instead overwritten with a marker so escaped
-// pointers read recognizably dead nodes.
+// poisoning on, node, Rel and column slots are instead overwritten with a
+// marker so escaped pointers read recognizably dead plans and COLS.
 func (a *Arena) Reset() {
 	if a == nil {
 		return
 	}
-	var dead *Node
+	var node *Node
+	var rel *Rel
+	var col *expr.ColID
 	if a.poison {
-		dead = &Node{Op: poisonOp, Origin: "poisoned: plan used after arena Reset"}
+		node = &Node{Op: poisonOp, Origin: "poisoned: plan used after arena Reset"}
+		rel, col = &poisonRel, &poisonRel.Cols[0]
 	}
-	a.nodes.rewind(dead)
-	a.props.rewind(nil)
-	a.inputs.rewind(nil)
-	a.paths.rewind(nil)
+	a.nodes.Rewind(node)
+	a.props.Rewind(nil)
+	a.inputs.Rewind(nil)
+	a.paths.Rewind(nil)
+	a.rels.Rewind(rel)
+	a.cols.Rewind(col)
 }
+
+// poisonRel and its one column are what Reset writes into recycled Rel and
+// COLS slots when poisoning is on.
+var poisonRel = Rel{Cols: []expr.ColID{{Table: string(poisonOp), Col: string(poisonOp)}}}
 
 // Poisoned reports whether n is a recycled arena slot (only meaningful when
 // the arena had poisoning on).
 func (n *Node) Poisoned() bool { return n.Op == poisonOp }
 
 // Detach deep-copies the plan DAG rooted at n out of any arena onto the
-// heap, preserving structure sharing and published identities. Consumers that
-// hold a plan beyond Result.Release — serve responses, incident captures,
-// provenance DAGs — detach it first. Inputs and PATHS lists are arena storage
-// (NewNode, JoinPaths) and are copied with the node; Rel values are
-// heap-interned and the Cols, Order and SortCols backings are heap storage
-// already, so those are shared.
+// heap, preserving structure sharing — of nodes and of Rels — and published
+// identities. Consumers that hold a plan beyond Result.Release — serve
+// responses, incident captures, provenance DAGs — detach it first. Inputs,
+// PATHS lists, interned Rels and their COLS are arena storage (NewNode,
+// JoinPaths, NewRel, MergeCols) and are copied with the node, as is a node's
+// own column list, which may be its input's COLS (a dynamic index probe's);
+// the Order and SortCols backings are heap storage and are shared.
 func Detach(n *Node) *Node {
 	if n == nil {
 		return nil
 	}
-	return detach(n, make(map[*Node]*Node))
+	return detach(n, map[*Node]*Node{}, map[*Rel]*Rel{})
 }
 
-func detach(n *Node, seen map[*Node]*Node) *Node {
+func detach(n *Node, seen map[*Node]*Node, rels map[*Rel]*Rel) *Node {
 	if d, ok := seen[n]; ok {
 		return d
 	}
 	m := *n
+	m.Cols = slices.Clone(n.Cols)
 	if n.Props != nil {
 		q := *n.Props
 		q.Paths = slices.Clone(q.Paths)
+		if r := q.Rel; r != nil && rels[r] == nil {
+			rels[r] = &Rel{Tables: r.Tables, Cols: slices.Clone(r.Cols), Preds: r.Preds}
+		}
+		q.Rel = rels[q.Rel]
 		m.Props = &q
 	}
 	if len(n.Inputs) > 0 {
@@ -185,7 +242,7 @@ func detach(n *Node, seen map[*Node]*Node) *Node {
 	}
 	seen[n] = &m
 	for i, in := range n.Inputs {
-		m.Inputs[i] = detach(in, seen)
+		m.Inputs[i] = detach(in, seen, rels)
 	}
 	return &m
 }

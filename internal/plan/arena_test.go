@@ -202,3 +202,51 @@ func TestArenaPathsFollowTheProps(t *testing.T) {
 		t.Fatalf("nil arena: %v must be a heap copy", h)
 	}
 }
+
+// TestArenaRelsFollowThePlans: interned Rels and the COLS lists merged for
+// them are arena storage — chained by NewRel, capped, no heap object on a warm
+// arena, zeroed by Reset or, under poison, rendering as dead COLS — so Detach
+// copies each Rel (once, however many nodes share it) with its COLS, and a
+// node's own column list that aliases them. A nil arena uses the heap.
+func TestArenaRelsFollowThePlans(t *testing.T) {
+	a := NewArena()
+	x, y := []expr.ColID{col("T", "A")}, []expr.ColID{col("U", "B"), col("T", "A")}
+	var head *Rel
+	for i := 0; i < arenaChunk; i++ {
+		cols := a.MergeCols(x, y)
+		if len(cols) != 2 || cap(cols) != 2 || cols[1] != y[0] || &cols[0] == &x[0] {
+			t.Fatalf("merge %d: %v (cap %d) is not a capped copy of x then y's new columns", i, cols, cap(cols))
+		}
+		if head = a.NewRel(Rel{Tables: tableSet("T"), Cols: cols}, head); head.Next() == nil && i > 0 {
+			t.Fatalf("Rel %d lost its bucket chain", i)
+		}
+	}
+	leaf := a.NewNode(Node{Op: OpAccess, Table: "T", Cols: head.Cols})
+	leaf.Props = a.NewProps(Props{Rel: head})
+	top := a.NewNode(Node{Op: OpSort}, leaf)
+	top.Props = a.NewProps(Props{Rel: head})
+	d, cols := Detach(top), head.Cols
+	a.SetPoison(true)
+	a.Reset()
+	if head.Next() != nil || head.Cols[0].Table != string(poisonOp) || cols[0].Col != string(poisonOp) {
+		t.Fatalf("Reset under poison left a live Rel (%v) or COLS slot (%v)", *head, cols)
+	}
+	if r := d.Props.Rel; r != d.Inputs[0].Props.Rel || r.Next() != nil || len(r.Cols) != 2 || r.Cols[0] != x[0] ||
+		d.Inputs[0].Cols[1] != y[0] || d.Props.Describe() != (&Props{Rel: &Rel{Tables: tableSet("T"), Cols: []expr.ColID{x[0], y[0]}}}).Describe() {
+		t.Fatalf("detached Rel %+v (input's %p, node COLS %v) is not a shared copy of the arena's", *r, d.Inputs[0].Props.Rel, d.Inputs[0].Cols)
+	}
+	a.SetPoison(false)
+	if n := testing.AllocsPerRun(10, func() {
+		for i := 0; i < 100; i++ {
+			head = a.NewRel(Rel{Cols: a.MergeCols(x, y)}, head)
+		}
+		head = nil
+		a.Reset()
+	}); n != 0 {
+		t.Errorf("NewRel and MergeCols allocate %.1f per 100 Rels on a warm arena, want 0", n)
+	}
+	var none *Arena
+	if r := none.NewRel(Rel{Cols: none.MergeCols(x, y)}, head); len(r.Cols) != 2 || &r.Cols[0] == &x[0] {
+		t.Fatalf("nil arena: %v must be a heap merge", r.Cols)
+	}
+}

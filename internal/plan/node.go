@@ -469,13 +469,5 @@ func HasCol(cols []expr.ColID, c expr.ColID) bool {
 	return false
 }
 
-// MergeCols unions two column lists, preserving first-seen order.
-func MergeCols(a, b []expr.ColID) []expr.ColID {
-	out := append([]expr.ColID(nil), a...)
-	for _, c := range b {
-		if !HasCol(out, c) {
-			out = append(out, c)
-		}
-	}
-	return out
-}
+// MergeCols is Arena.MergeCols on the heap.
+func MergeCols(a, b []expr.ColID) []expr.ColID { return (*Arena)(nil).MergeCols(a, b) }

@@ -84,7 +84,13 @@ type Rel struct {
 	Cols []expr.ColID
 	// Preds is the set of predicates applied so far.
 	Preds expr.PredSet
+	// next is the Rel interned before this one in its intern bucket
+	// (Arena.NewRel).
+	next *Rel
 }
+
+// Next returns the Rel interned before r in its intern bucket, or nil.
+func (r *Rel) Next() *Rel { return r.next }
 
 // Props is the property vector of Figure 2: everything the optimizer knows
 // about the table (stream) a plan produces. Properties divide into

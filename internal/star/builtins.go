@@ -58,11 +58,11 @@ func (en *Engine) build(n *plan.Node) {
 // onlyQuantifier returns the single quantifier of a stream, erroring on
 // composites.
 func onlyQuantifier(sv StreamVal, op string) (string, error) {
-	names := sv.Tables.Slice()
-	if len(names) != 1 {
+	q, ok := sv.Tables.Only()
+	if !ok {
 		return "", fmt.Errorf("%s wants a single-table stream, got {%s}", op, sv.Tables.Key()) //obsguard:ignore error path
 	}
-	return names[0], nil
+	return q, nil
 }
 
 // resolveCols materializes a column-list argument for quantifier q: `*`
@@ -412,11 +412,11 @@ func registerBuiltinHelpers(en *Engine) {
 	})
 
 	en.RegisterHelper("localQuery", func(en *Engine, args []Value) (Value, error) {
-		return BoolValue(en.Cost.Cat.LocalQuery(en.baseTables(en.QueryTables))), nil
+		return BoolValue(en.Cost.Cat.LocalQuery(en.queryBaseTables())), nil
 	})
 
 	en.RegisterHelper("allSites", func(en *Engine, args []Value) (Value, error) {
-		sites := en.Cost.Cat.AllSites(en.baseTables(en.QueryTables))
+		sites := en.Cost.Cat.AllSites(en.queryBaseTables())
 		out := make([]Value, len(sites))
 		for i, s := range sites {
 			out[i] = StrValue(s)
@@ -507,11 +507,7 @@ func registerBuiltinHelpers(en *Engine) {
 		if path == nil {
 			return BoolValue(false), nil
 		}
-		keyCols := make([]expr.ColID, len(path.Cols))
-		for i, c := range path.Cols {
-			keyCols[i] = expr.ColID{Table: q, Col: c}
-		}
-		return BoolValue(plan.OrderSatisfies(keyCols, args[2].Cols)), nil
+		return BoolValue(plan.OrderSatisfies(en.keyCols(q, path.Cols), args[2].Cols)), nil
 	})
 
 	en.RegisterHelper("tidcol", func(en *Engine, args []Value) (Value, error) {
@@ -556,11 +552,7 @@ func registerBuiltinHelpers(en *Engine) {
 		if path == nil {
 			return Null, fmt.Errorf("unknown index %q", args[2].Str)
 		}
-		keyCols := make([]expr.ColID, len(path.Cols))
-		for i, c := range path.Cols {
-			keyCols[i] = expr.ColID{Table: q, Col: c}
-		}
-		return PredsValue(expr.MatchIndexPrefix(args[0].Preds, keyCols)), nil
+		return PredsValue(expr.MatchIndexPrefix(args[0].Preds, en.keyCols(q, path.Cols))), nil
 	})
 
 	en.RegisterHelper("projectionPays", func(en *Engine, args []Value) (Value, error) {
@@ -571,17 +563,30 @@ func registerBuiltinHelpers(en *Engine) {
 	})
 }
 
-// baseTables maps quantifier names to base-table names for catalog queries.
-func (en *Engine) baseTables(quants []string) []string {
-	out := make([]string, 0, len(quants))
-	for _, q := range quants {
-		if t, ok := en.Cost.Quant[q]; ok {
-			out = append(out, t)
-		} else {
-			out = append(out, q)
+// queryBaseTables maps QueryTables to base-table names for catalog queries,
+// on first use: both are fixed for the engine's query, and forks inherit the
+// answer.
+func (en *Engine) queryBaseTables() []string {
+	if en.queryBase == nil {
+		en.queryBase = make([]string, 0, len(en.QueryTables))
+		for _, q := range en.QueryTables {
+			if t, ok := en.Cost.Quant[q]; ok {
+				q = t
+			}
+			en.queryBase = append(en.queryBase, q)
 		}
 	}
-	return out
+	return en.queryBase
+}
+
+// keyCols lists an index's key columns on quantifier q in the engine's
+// scratch, for callers that only read it: valid until the next call.
+func (en *Engine) keyCols(q string, cols []string) []expr.ColID {
+	en.keys = en.keys[:0]
+	for _, c := range cols {
+		en.keys = append(en.keys, expr.ColID{Table: q, Col: c})
+	}
+	return en.keys
 }
 
 // projectionPays is the Section 4.5.2 heuristic: materializing the selected
@@ -589,18 +594,18 @@ func (en *Engine) baseTables(quants []string) []string {
 // are selective and/or only a few columns are referenced, so that the temp
 // is a very small fraction of the inner table's bytes.
 func (en *Engine) projectionPays(sv StreamVal, ip expr.PredSet) bool {
-	names := sv.Tables.Slice()
-	if len(names) != 1 {
+	q, ok := sv.Tables.Only()
+	if !ok {
 		return false
 	}
-	t := en.Cost.BaseTable(names[0])
+	t := en.Cost.BaseTable(q)
 	if t == nil {
 		return false
 	}
 	sel := en.Cost.SetSelectivity(ip)
 	colWidth := 0
 	if en.NeededCols != nil {
-		for _, c := range en.NeededCols(names[0]) {
+		for _, c := range en.NeededCols(q) {
 			if col := t.Column(c.Col); col != nil {
 				colWidth += col.AvgWidth()
 			}

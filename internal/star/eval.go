@@ -187,6 +187,9 @@ type Engine struct {
 	seen map[uint64]bool
 	// glueReq is evalGlue's request, nil while a Glue reference is using it.
 	glueReq *GlueRequest
+	// queryBase and keys are queryBaseTables' answer and keyCols' scratch.
+	queryBase []string
+	keys      []expr.ColID
 }
 
 // maxDepth bounds rule recursion; the paper assumes the DBC writes STARs
@@ -224,6 +227,7 @@ func (en *Engine) Fork(costEnv *cost.Env, sink *obs.Sink) *Engine {
 		Rules:       en.Rules,
 		Cost:        costEnv,
 		QueryTables: en.QueryTables,
+		queryBase:   en.queryBase,
 		NeededCols:  en.NeededCols,
 		Obs:         sink,
 		builders:    en.builders,
