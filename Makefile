@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: build test verify loc loc-check lint shapes obsguard fuzz-smoke cover cover-demo bench memprofile profile profile-demo trace-demo dag-demo serve serve-demo flight-demo experiments
+.PHONY: build test verify loc loc-check lint shapes obsguard fuzz-smoke cover cover-demo bench memprofile cpuprofile profile profile-demo trace-demo dag-demo serve serve-demo flight-demo experiments
 
 build:
 	go build ./...
@@ -89,6 +89,21 @@ memprofile:
 	go run ./cmd/starbench -memprofile /tmp/star8.memprof
 	go tool pprof -top -sample_index=alloc_objects -nodecount=30 /tmp/star8.memprof > docs/perf/star8_allocs.txt
 	@echo wrote docs/perf/star8_allocs.txt
+
+# CPU-profile the star8 and chain14 enumerations (serial, untraced, a few
+# seconds of repeated optimization each) and check in the pprof -top
+# renderings — the hottest functions by self time, then the repository's own
+# functions by cumulative time — so a time claim diffs a committed profile,
+# not only a wall clock (docs/PERFORMANCE.md § Pricing reads numbers).
+CPUPROF_DIR ?= /tmp/stars-cpu
+cpuprofile:
+	go run ./cmd/starbench -cpuprofile $(CPUPROF_DIR)
+	for w in star8 chain14; do \
+		{ go tool pprof -top -nodecount=25 $(CPUPROF_DIR)/$$w.cpuprof; echo; \
+		  go tool pprof -top -cum -nodecount=80 -show='^stars' $(CPUPROF_DIR)/$$w.cpuprof | sed -n '/flat%/,$$p'; \
+		} > docs/perf/$${w}_cpu.txt || exit 1; \
+		echo wrote docs/perf/$${w}_cpu.txt; \
+	done
 
 # Self-profile the optimizer over the workload corpus (plus the chain8 and
 # star8 bench fixtures): per-phase/per-STAR time and allocation

@@ -24,6 +24,9 @@
 //	                          starburst profile)
 //	starbench -memprofile f   optimize star8 once serially and write its
 //	                          allocation profile (make memprofile)
+//	starbench -cpuprofile d   optimize star8 and chain14 serially, untraced,
+//	                          and write d/star8.cpuprof and
+//	                          d/chain14.cpuprof (make cpuprofile)
 //
 // Experiments optimize at the library default fan-out (GOMAXPROCS; results
 // are identical at every level). Performance is measured and gated by
@@ -35,13 +38,16 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"path/filepath"
 	"runtime"
 	"runtime/pprof"
 	"strings"
 	"time"
 
 	"stars"
+	"stars/internal/catalog"
 	"stars/internal/experiments"
+	"stars/internal/query"
 	"stars/internal/workload"
 )
 
@@ -91,11 +97,18 @@ func main() {
 		coverageF = flag.Bool("coverage", false, "also report alternative-space utilization: run the coverage corpus and print how much of the repertoire the workload exercises")
 		profileF  = flag.Bool("profile", false, "also report a per-workload self-profile of the coverage corpus: phase wall-time and allocation breakdowns")
 		memProf   = flag.String("memprofile", "", "optimize the star8 workload once serially and write its allocation profile to this path (render with go tool pprof -top)")
+		cpuProf   = flag.String("cpuprofile", "", "optimize star8 and chain14 serially and untraced for 5 s each, and write their CPU profiles into this directory (render with go tool pprof -top)")
 	)
 	flag.Parse()
 
-	if *memProf != "" {
-		if err := memProfile(*memProf); err != nil {
+	if *memProf != "" || *cpuProf != "" {
+		var err error
+		if *memProf != "" {
+			err = memProfile(*memProf)
+		} else {
+			err = cpuProfile(*cpuProf, 5*time.Second)
+		}
+		if err != nil {
 			fmt.Fprintf(os.Stderr, "error: %v\n", err)
 			os.Exit(1)
 		}
@@ -334,4 +347,66 @@ func memProfile(path string) error {
 	fmt.Fprintf(os.Stderr, "star8 serial: %v, %d allocs, fp %s; wrote allocation profile to %s\n",
 		elapsed.Round(time.Millisecond), allocs, fp, path)
 	return nil
+}
+
+// cpuProfile handles -cpuprofile: for star8 and chain14 in turn, optimize once
+// to warm the workspace pool, then optimize serially and untraced for about d
+// under the CPU profiler, writing dir/<name>.cpuprof. `make cpuprofile`
+// renders them with `go tool pprof -top` into the checked-in
+// docs/perf/*_cpu.txt snapshots, so a time claim diffs a profile, not only a
+// wall clock.
+func cpuProfile(dir string, d time.Duration) error {
+	points := []struct {
+		name string
+		cat  *catalog.Catalog
+		g    *query.Graph
+	}{
+		{"star8", workload.StarCatalog(8, 100000, 500), workload.StarQuery(8)},
+		// The table cardinalities the bench/ chain fixtures use.
+		{"chain14", workload.ChainCatalog(14, 400, 150, 60, 200, 90, 500, 120, 80), workload.ChainQuery(14)},
+	}
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return err
+	}
+	for _, pt := range points {
+		if _, err := optimizeSerial(pt.name, pt.cat, pt.g); err != nil {
+			return err
+		}
+		path := filepath.Join(dir, pt.name+".cpuprof")
+		f, err := os.Create(path)
+		if err != nil {
+			return err
+		}
+		if err := pprof.StartCPUProfile(f); err != nil {
+			f.Close()
+			return err
+		}
+		var fp string
+		n, t0 := 0, time.Now()
+		for ; err == nil && (n == 0 || time.Since(t0) < d); n++ {
+			fp, err = optimizeSerial(pt.name, pt.cat, pt.g)
+		}
+		elapsed := time.Since(t0)
+		pprof.StopCPUProfile()
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(os.Stderr, "%s serial: %d runs, %v/op, fp %s; wrote CPU profile to %s\n",
+			pt.name, n, (elapsed / time.Duration(n)).Round(10*time.Microsecond), fp, path)
+	}
+	return nil
+}
+
+// optimizeSerial optimizes g once at Parallelism 1, untraced, releases the
+// result and returns its best plan's fingerprint.
+func optimizeSerial(name string, cat *catalog.Catalog, g *query.Graph) (string, error) {
+	res, err := stars.Optimize(cat, g, stars.Options{Parallelism: 1})
+	if err != nil {
+		return "", fmt.Errorf("%s: %w", name, err)
+	}
+	defer res.Release()
+	return res.Best.Fingerprint(), nil
 }

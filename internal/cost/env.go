@@ -70,9 +70,6 @@ type Env struct {
 	Cat *catalog.Catalog
 	// W are the cost weights.
 	W Weights
-	// Quant maps quantifier (range-variable) names to base-table names;
-	// selectivity estimation resolves column statistics through it.
-	Quant map[string]string
 	// Obs, when set to a profiled sink, receives cost_price activity
 	// timings; nil (the default) costs one check per Price call.
 	Obs *obs.Sink
@@ -83,12 +80,28 @@ type Env struct {
 	// fork an arena of its own (see internal/opt). An environment that has
 	// interned into an arena must not outlive the arena's next Reset.
 	Arena *plan.Arena
+	// Bound, when set before Bind, is the storage Bind resolves the query's
+	// names into, recycled from one query to the next (the optimizer keeps
+	// one per workspace); Bind allocates one when it is nil.
+	Bound *Binding
 
 	funcs map[plan.Op]PropertyFunc
 	rels  map[relKey]*plan.Rel // interned relational property vectors: bucket heads, chained by Rel.Next
 	base  *Env                 // frozen parent of a forked environment
 	u     *expr.Universe       // of the bound query: ACCESS resolves its quantifier's table set
 }
+
+// Binding is one query's names resolved to numbers (Bind): the catalog table
+// of each quantifier ordinal and the selectivity of each conjunct ordinal.
+// Pricing reads these instead of looking names up per operator. Rebinding
+// reuses the arrays.
+type Binding struct {
+	tables []*catalog.Table
+	sels   []float64
+}
+
+// Reset lets go of the bound catalog tables and keeps the arrays.
+func (b *Binding) Reset() { clear(b.tables) }
 
 // relKey buckets interned Rels by the words of their sets: the table set's
 // mask and the predicate set's Hash64, so probing the intern table renders
@@ -104,7 +117,6 @@ func NewEnv(cat *catalog.Catalog, w Weights) *Env {
 	e := &Env{
 		Cat:   cat,
 		W:     w,
-		Quant: map[string]string{},
 		funcs: map[plan.Op]PropertyFunc{},
 		rels:  map[relKey]*plan.Rel{},
 	}
@@ -122,8 +134,8 @@ func NewEnv(cat *catalog.Catalog, w Weights) *Env {
 }
 
 // Fork returns a pricing environment for one worker of a parallel
-// enumeration: the catalog, weights, quantifier bindings, and property
-// functions are shared (they are read-only once optimization starts), while
+// enumeration: the catalog, weights, query binding, and property functions
+// are shared (they are read-only once optimization starts), while
 // the Rel-intern table becomes an overlay — local writes over read-through
 // access to the frozen parent — that lives as long as the worker and is never
 // merged back: interned Rels are compared by content, never by pointer, so a
@@ -132,7 +144,7 @@ func (e *Env) Fork() *Env {
 	// Obs and Arena are deliberately not inherited: the caller wires the
 	// worker's own.
 	return &Env{
-		Cat: e.Cat, W: e.W, Quant: e.Quant, u: e.u, funcs: e.funcs,
+		Cat: e.Cat, W: e.W, Bound: e.Bound, u: e.u, funcs: e.funcs,
 		rels: map[relKey]*plan.Rel{},
 		base: e,
 	}
@@ -141,16 +153,24 @@ func (e *Env) Fork() *Env {
 // InternRel returns the canonical *Rel for the given relational property
 // triple, deduplicated per optimization: plans that compute the same WHAT
 // share one Rel no matter how their HOW differs. Lookups allocate nothing on
-// a hit. Forked environments intern locally over the frozen parent chain.
+// a hit. Forked environments intern locally over the frozen parent chain. A
+// Rel interned on a miss carries its row width (RowWidth of cols).
 func (e *Env) InternRel(tables expr.TableSet, cols []expr.ColID, preds expr.PredSet) *plan.Rel {
-	return e.InternMerged(tables, cols, nil, preds)
+	return e.intern(tables, cols, nil, preds, -1)
 }
 
-// InternMerged is InternRel of plan.MergeCols(a, b) — the COLS of a JOIN or a
-// GET — finding the Rel before merging: a stored column list is compared with
-// the would-be merge in place, and the list is built only on a miss — in the
-// environment's arena, like the Rel.
-func (e *Env) InternMerged(tables expr.TableSet, a, b []expr.ColID, preds expr.PredSet) *plan.Rel {
+// InternMerged is InternRel of plan.MergeCols(a.Cols, b) — the COLS of a JOIN
+// or a GET, or a's own COLS when b is empty (FILTER) — finding the Rel before
+// merging: a stored column list is compared with the would-be merge in place,
+// and the list is built only on a miss — in the environment's arena, like the
+// Rel. The width extends a's, so a miss resolves only b's new columns.
+func (e *Env) InternMerged(tables expr.TableSet, a *plan.Rel, b []expr.ColID, preds expr.PredSet) *plan.Rel {
+	return e.intern(tables, a.Cols, b, preds, a.Width)
+}
+
+// intern is InternRel of plan.MergeCols(a, b), where aw is a's width when it
+// is known and negative when it is not.
+func (e *Env) intern(tables expr.TableSet, a, b []expr.ColID, preds expr.PredSet, aw float64) *plan.Rel {
 	k := relKey{tables: tables.Mask(), ph: preds.Hash64()}
 	for env := e; env != nil; env = env.base {
 		for r := env.rels[k]; r != nil; r = r.Next() {
@@ -163,7 +183,15 @@ func (e *Env) InternMerged(tables expr.TableSet, a, b []expr.ColID, preds expr.P
 	if len(b) > 0 {
 		cols = e.Arena.MergeCols(a, b)
 	}
-	r := e.Arena.NewRel(plan.Rel{Tables: tables, Cols: cols, Preds: preds}, e.rels[k])
+	// A non-empty list's width is its unclamped sum, so the sum over cols
+	// can start from a's.
+	var w float64
+	if aw < 0 || len(a) == 0 {
+		w = e.RowWidth(cols)
+	} else {
+		w = e.addWidth(aw, cols[len(a):])
+	}
+	r := e.Arena.NewRel(plan.Rel{Tables: tables, Cols: cols, Preds: preds, Width: w}, e.rels[k])
 	e.rels[k] = r
 	return r
 }
@@ -194,23 +222,36 @@ func (e *Env) Register(op plan.Op, f PropertyFunc) { e.funcs[op] = f }
 // Registered reports whether op has a property function.
 func (e *Env) Registered(op plan.Op) bool { _, ok := e.funcs[op]; return ok }
 
-// Bind points the environment at the query it prices plans of: the universe
-// its sets are subsets of, and the base table each quantifier ranges over.
+// Bind points the environment at the query it prices plans of and resolves
+// the query's names once: the universe its sets are subsets of, the catalog
+// table of each quantifier ordinal (FROM position), and the selectivity of
+// each conjunct ordinal. Binding again re-reads the catalog, so statistics
+// changed between two queries are seen by the second.
 func (e *Env) Bind(g *query.Graph) {
+	if e.Bound == nil {
+		e.Bound = &Binding{}
+	}
+	b := e.Bound
 	e.u = g.Universe()
+	b.tables = b.tables[:0]
 	for _, q := range g.Quants {
-		e.Quant[q.Name] = q.Table
+		b.tables = append(b.tables, e.Cat.Table(q.Table))
+	}
+	all := e.u.Preds()
+	b.sels = b.sels[:0]
+	for i := 0; i < all.Len(); i++ {
+		b.sels = append(b.sels, e.Selectivity(e.u.Conjunct(i)))
 	}
 }
 
-// BaseTable resolves a quantifier to its catalog table; nil for temps or
-// unknown quantifiers.
+// BaseTable resolves a quantifier of the bound query to its catalog table;
+// any other name (an unbound environment's) is taken as a table name. Nil
+// for temps and unknown names.
 func (e *Env) BaseTable(q string) *catalog.Table {
-	name, ok := e.Quant[q]
-	if !ok {
-		name = q
+	if i := e.u.Ordinal(q); i >= 0 {
+		return e.Bound.tables[i]
 	}
-	return e.Cat.Table(name)
+	return e.Cat.Table(q)
 }
 
 // newProps places a freshly computed property vector (arena when wired, heap
@@ -276,15 +317,26 @@ func (e *Env) PriceTree(n *plan.Node) error {
 	return e.Price(n)
 }
 
-// RowWidth estimates the byte width of a stream carrying the given columns.
-func (e *Env) RowWidth(cols []expr.ColID) float64 {
-	w := 0.0
+// RowWidth estimates the byte width of a row of the given columns. A priced
+// stream's width is its Rel's, computed once when the Rel is interned;
+// pricing calls this only for ad hoc column lists (index keys).
+func (e *Env) RowWidth(cols []expr.ColID) float64 { return e.addWidth(0, cols) }
+
+// addWidth is RowWidth of a row of width w followed by cols, summed in order
+// so that extending a Rel's width gives the bits RowWidth of the whole list
+// does.
+func (e *Env) addWidth(w float64, cols []expr.ColID) float64 {
+	var q string // a stream's columns come in runs per quantifier: resolve q once a run
+	var t *catalog.Table
 	for _, c := range cols {
 		if c.Col == plan.TIDCol {
 			w += 8
 			continue
 		}
-		if t := e.BaseTable(c.Table); t != nil {
+		if c.Table != q || t == nil {
+			q, t = c.Table, e.BaseTable(c.Table)
+		}
+		if t != nil {
 			if col := t.Column(c.Col); col != nil {
 				w += float64(col.AvgWidth())
 				continue
@@ -300,7 +352,12 @@ func (e *Env) RowWidth(cols []expr.ColID) float64 {
 
 // PagesFor estimates the page count of card rows of the given columns.
 func (e *Env) PagesFor(card float64, cols []expr.ColID) float64 {
-	pages := math.Ceil(card * e.RowWidth(cols) / catalog.PageSize)
+	return pagesOf(card, e.RowWidth(cols))
+}
+
+// pagesOf estimates the page count of card rows of the given byte width.
+func pagesOf(card, width float64) float64 {
+	pages := math.Ceil(card * width / catalog.PageSize)
 	if pages < 1 {
 		pages = 1
 	}

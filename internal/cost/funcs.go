@@ -104,12 +104,18 @@ func tempAccessProps(e *Env, n *plan.Node) (*plan.Props, error) {
 	}
 	sel := e.SetSelectivity(n.Preds)
 	card := in.Card * sel
-	cols := n.Cols
-	if len(cols) == 0 {
-		cols = in.Cols()
+	// An ACCESS that lists no columns carries its input's COLS, as does a
+	// dynamic index probe, which lists its input's very slice: its Rel then
+	// takes the input's width.
+	var rel *plan.Rel
+	preds := in.Preds().Union(n.Preds)
+	if cols := in.Cols(); len(n.Cols) == 0 || len(n.Cols) == len(cols) && &n.Cols[0] == &cols[0] {
+		rel = e.InternMerged(in.Tables(), in.Rel, nil, preds)
+	} else {
+		rel = e.InternRel(in.Tables(), n.Cols, preds)
 	}
 	p := e.newProps(plan.Props{
-		Rel:      e.InternRel(in.Tables(), cols, in.Preds().Union(n.Preds)),
+		Rel:      rel,
 		Site:     in.Site,
 		Temp:     true,
 		TempName: in.TempName,
@@ -117,7 +123,7 @@ func tempAccessProps(e *Env, n *plan.Node) (*plan.Props, error) {
 		Card:     card,
 		Paths:    in.Paths,
 	})
-	pages := e.PagesFor(in.Card, in.Cols())
+	pages := pagesOf(in.Card, rowWidth(in))
 	switch n.Flavor {
 	case plan.FlavorHeap, plan.FlavorBTreeStore:
 		p.Order = in.Order
@@ -141,7 +147,7 @@ func tempAccessProps(e *Env, n *plan.Node) (*plan.Props, error) {
 			return nil, fmt.Errorf("cost: temp ACCESS path %q not in input PATHS", n.PathName())
 		}
 		p.Order = path.Cols
-		leafPages := e.PagesFor(in.Card, path.Cols)
+		leafPages := pagesOf(in.Card, path.KeyWidth)
 		matchSel, matched := e.indexMatch(path.Cols, n.Preds)
 		if matched == 0 {
 			matchSel = 1
@@ -160,6 +166,15 @@ func tempAccessProps(e *Env, n *plan.Node) (*plan.Props, error) {
 		return nil, fmt.Errorf("cost: unknown ACCESS flavor %q", n.Flavor)
 	}
 	return p, nil
+}
+
+// rowWidth is a priced stream's row width: its Rel's, which InternMerged
+// computed once, or RowWidth's floor for a hand-built stream with no Rel.
+func rowWidth(p *plan.Props) float64 {
+	if p.Rel == nil {
+		return 1
+	}
+	return p.Rel.Width
 }
 
 // rescanIO is the page cost of re-reading a retained structure: zero when
@@ -237,7 +252,7 @@ func getProps(e *Env, n *plan.Node) (*plan.Props, error) {
 		rescanDelta.IO = 0
 	}
 	p := e.newProps(plan.Props{
-		Rel:      e.InternMerged(in.Tables(), in.Cols(), n.Cols, in.Preds().Union(n.Preds)),
+		Rel:      e.InternMerged(in.Tables(), in.Rel, n.Cols, in.Preds().Union(n.Preds)),
 		Order:    in.Order,
 		Site:     in.Site,
 		Temp:     in.Temp,
@@ -256,7 +271,7 @@ func getProps(e *Env, n *plan.Node) (*plan.Props, error) {
 // run budget.
 func sortProps(e *Env, n *plan.Node) (*plan.Props, error) {
 	in := n.Inputs[0].Props
-	pages := e.PagesFor(in.Card, in.Cols())
+	pages := pagesOf(in.Card, rowWidth(in))
 	cpu := in.Card * math.Max(1, math.Log2(math.Max(in.Card, 2)))
 	io := 0.0
 	if pages > sortMemPages {
@@ -277,7 +292,7 @@ func sortProps(e *Env, n *plan.Node) (*plan.Props, error) {
 // byte costs that depend on the stream's size (Section 3.1).
 func shipProps(e *Env, n *plan.Node) (*plan.Props, error) {
 	in := n.Inputs[0].Props
-	bytes := in.Card * e.RowWidth(in.Cols())
+	bytes := in.Card * rowWidth(in)
 	msgs := math.Ceil(bytes/catalog.PageSize) + 1
 	delta := plan.Cost{CPU: in.Card, Msg: msgs, Bytes: bytes}
 	p := e.cloneProps(in)
@@ -295,7 +310,7 @@ func shipProps(e *Env, n *plan.Node) (*plan.Props, error) {
 // which sets TEMP and makes rescans cheap.
 func storeProps(e *Env, n *plan.Node) (*plan.Props, error) {
 	in := n.Inputs[0].Props
-	pages := e.PagesFor(in.Card, in.Cols())
+	pages := pagesOf(in.Card, rowWidth(in))
 	delta := plan.Cost{IO: pages, CPU: in.Card}
 	p := e.cloneProps(in)
 	p.Temp = true
@@ -313,7 +328,7 @@ func filterProps(e *Env, n *plan.Node) (*plan.Props, error) {
 	sel := e.SetSelectivity(n.Preds)
 	delta := plan.Cost{CPU: in.Card}
 	p := e.cloneProps(in)
-	p.Rel = e.InternRel(in.Tables(), in.Cols(), in.Preds().Union(n.Preds))
+	p.Rel = e.InternMerged(in.Tables(), in.Rel, nil, in.Preds().Union(n.Preds))
 	p.Card = in.Card * sel
 	p.Cost = in.Cost.Add(delta)
 	p.Rescan = in.Rescan.Add(delta)
@@ -328,15 +343,16 @@ func buildIndexProps(e *Env, n *plan.Node) (*plan.Props, error) {
 	if !in.Temp {
 		return nil, fmt.Errorf("cost: BUILDINDEX requires a materialized (temp) input")
 	}
-	tempPages := e.PagesFor(in.Card, in.Cols())
-	ixPages := e.PagesFor(in.Card, n.SortCols)
+	tempPages := pagesOf(in.Card, rowWidth(in))
+	keyWidth := e.RowWidth(n.SortCols)
+	ixPages := pagesOf(in.Card, keyWidth)
 	delta := plan.Cost{
 		IO:  tempPages + ixPages,
 		CPU: in.Card * math.Max(1, math.Log2(math.Max(in.Card, 2))),
 	}
 	p := e.cloneProps(in)
 	// Copy-on-append: the input's PATHS slice is shared.
-	p.Paths = e.Arena.JoinPaths(in.Paths, []plan.PathInfo{{Name: n.Path, Gen: n.PathGen, Cols: n.SortCols, Dynamic: true}})
+	p.Paths = e.Arena.JoinPaths(in.Paths, []plan.PathInfo{{Name: n.Path, Gen: n.PathGen, Cols: n.SortCols, Dynamic: true, KeyWidth: keyWidth}})
 	p.Cost = in.Cost.Add(delta)
 	p.Rescan = in.Rescan
 	return p, nil
@@ -353,7 +369,7 @@ func joinProps(e *Env, n *plan.Node) (*plan.Props, error) {
 	p := e.newProps(plan.Props{
 		Rel: e.InternMerged(
 			outer.Tables().Union(inner.Tables()),
-			outer.Cols(), inner.Cols(),
+			outer.Rel, inner.Cols(),
 			outer.Preds().Union(inner.Preds()).Union(n.Preds).Union(n.Residual),
 		),
 		Site:  outer.Site,
@@ -384,8 +400,8 @@ func joinProps(e *Env, n *plan.Node) (*plan.Props, error) {
 		// collisions, Section 4.5.1); the PredSet union avoids counting
 		// their selectivity twice.
 		p.Card = outer.Card * inner.Card * e.SetSelectivity(appliedAndResidual(n))
-		innerPages := e.PagesFor(inner.Card, inner.Cols())
-		outerPages := e.PagesFor(outer.Card, outer.Cols())
+		innerPages := pagesOf(inner.Card, rowWidth(inner))
+		outerPages := pagesOf(outer.Card, rowWidth(outer))
 		io := 0.0
 		if innerPages > hashMemPages {
 			// Grace-style partitioning pass over both inputs.
@@ -428,7 +444,7 @@ func unionProps(e *Env, n *plan.Node) (*plan.Props, error) {
 	}
 	delta := plan.Cost{CPU: a.Card + b.Card}
 	p := e.newProps(plan.Props{
-		Rel:    e.InternRel(a.Tables().Union(b.Tables()), a.Cols(), a.Preds().Intersect(b.Preds())),
+		Rel:    e.InternMerged(a.Tables().Union(b.Tables()), a.Rel, nil, a.Preds().Intersect(b.Preds())),
 		Site:   a.Site,
 		Card:   a.Card + b.Card,
 		Cost:   a.Cost.Add(b.Cost).Add(delta),
@@ -462,7 +478,7 @@ func indexAndProps(e *Env, n *plan.Node) (*plan.Props, error) {
 	p := e.newProps(plan.Props{
 		// Positionally, the intersection streams the second input's rows;
 		// the first input contributes only its TID filter.
-		Rel: e.InternRel(a.Tables(), b.Cols(), a.Preds().Union(b.Preds())),
+		Rel: e.InternMerged(a.Tables(), b.Rel, nil, a.Preds().Union(b.Preds())),
 		// The intersection preserves the second input's delivery order.
 		Order:  b.Order,
 		Site:   a.Site,

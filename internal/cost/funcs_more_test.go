@@ -261,7 +261,7 @@ func TestVeneerOperatorsNeverLowerCost(t *testing.T) {
 }
 
 // TestInternMergedFindsBeforeItMerges: InternMerged(a, b) is InternRel of
-// MergeCols(a, b) — same Rel, whichever of the two interned it first — for
+// MergeCols(a.Cols, b) — same Rel, of the same width, whichever of the two interned it first — for
 // overlapping, disjoint, duplicated and empty lists, tells apart every column
 // list that is not that merge (a permutation, a prefix, an extension, a
 // substitution), and on a hit allocates nothing: the merge is never built.
@@ -299,14 +299,18 @@ func TestInternMergedFindsBeforeItMerges(t *testing.T) {
 		}
 		// Interned from either side, found from the other.
 		first, second := e, testEnv()
-		r1, r2 := first.InternMerged(both, tc.a, tc.b, expr.PredSet{}), second.InternRel(both, merged, expr.PredSet{})
-		if first.InternRel(both, merged, expr.PredSet{}) != r1 || second.InternMerged(both, tc.a, tc.b, expr.PredSet{}) != r2 {
+		a := &plan.Rel{Cols: tc.a, Width: e.RowWidth(tc.a)}
+		r1, r2 := first.InternMerged(both, a, tc.b, expr.PredSet{}), second.InternRel(both, merged, expr.PredSet{})
+		if first.InternRel(both, merged, expr.PredSet{}) != r1 || second.InternMerged(both, a, tc.b, expr.PredSet{}) != r2 {
 			t.Errorf("case %d: InternMerged and InternRel of the merged list intern different Rels", i)
 		}
 		if len(r1.Cols) != len(merged) || !mergesTo(r1.Cols, merged, nil) {
 			t.Errorf("case %d: interned COLS %v, want %v", i, r1.Cols, merged)
 		}
-		if n := testing.AllocsPerRun(100, func() { first.InternMerged(both, tc.a, tc.b, expr.PredSet{}) }); n != 0 {
+		if r1.Width != r2.Width || r1.Width != e.RowWidth(merged) {
+			t.Errorf("case %d: widths %v (merged) and %v (whole list), want RowWidth %v", i, r1.Width, r2.Width, e.RowWidth(merged))
+		}
+		if n := testing.AllocsPerRun(100, func() { first.InternMerged(both, a, tc.b, expr.PredSet{}) }); n != 0 {
 			t.Errorf("case %d: a hit allocates %.1f, want 0", i, n)
 		}
 	}
@@ -319,34 +323,35 @@ func TestInternMergedFindsBeforeItMerges(t *testing.T) {
 // new column list allocates nothing. Every Rel interned stays findable.
 func TestInternMergedMissAllocatesNothingOnAWarmArena(t *testing.T) {
 	const misses = 200
-	lists := make([][2][]expr.ColID, misses+1)
+	ta := &plan.Rel{Cols: []expr.ColID{{Table: "T", Col: "A"}}, Width: 8}
+	lists := make([][]expr.ColID, misses+1)
 	for i := range lists {
-		lists[i] = [2][]expr.ColID{{{Table: "T", Col: "A"}}, {{Table: "U", Col: fmt.Sprint("C", i)}}}
+		lists[i] = []expr.ColID{{Table: "U", Col: fmt.Sprint("C", i)}}
 	}
 	arena := plan.NewArena()
 	warm := testEnv()
 	warm.Arena = arena
 	both := warm.u.Tables("T", "U")
 	for _, l := range lists {
-		warm.InternMerged(both, l[0], l[1], expr.PredSet{})
+		warm.InternMerged(both, ta, l, expr.PredSet{})
 	}
 	arena.Reset()
 
 	e := testEnv()
 	e.Arena = arena
-	e.InternMerged(both, lists[0][0], lists[0][1], expr.PredSet{}) // the bucket
+	e.InternMerged(both, ta, lists[0], expr.PredSet{}) // the bucket
 	i := 0
 	if n := testing.AllocsPerRun(misses-1, func() {
 		i++
-		if r := e.InternMerged(both, lists[i][0], lists[i][1], expr.PredSet{}); len(r.Cols) != 2 {
+		if r := e.InternMerged(both, ta, lists[i], expr.PredSet{}); len(r.Cols) != 2 {
 			t.Fatalf("miss %d interned COLS %v", i, r.Cols)
 		}
 	}); n != 0 {
 		t.Errorf("an InternMerged miss on a warm arena allocates %.1f, want 0", n)
 	}
 	for j := 0; j <= i; j++ {
-		r := e.InternMerged(both, lists[j][0], lists[j][1], expr.PredSet{})
-		if want := plan.MergeCols(lists[j][0], lists[j][1]); !mergesTo(r.Cols, want, nil) || len(r.Cols) != len(want) {
+		r := e.InternMerged(both, ta, lists[j], expr.PredSet{})
+		if want := plan.MergeCols(ta.Cols, lists[j]); !mergesTo(r.Cols, want, nil) || len(r.Cols) != len(want) {
 			t.Fatalf("list %d: found COLS %v, want %v", j, r.Cols, want)
 		}
 	}

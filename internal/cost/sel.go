@@ -50,11 +50,24 @@ func (e *Env) Selectivity(p expr.Expr) float64 {
 }
 
 // SetSelectivity multiplies the selectivities of every predicate in ps,
-// assuming independence (the System-R convention).
+// assuming independence (the System-R convention), in ascending ordinal
+// order.
 func (e *Env) SetSelectivity(ps expr.PredSet) float64 {
 	s := 1.0
-	ps.ForEach(func(p expr.Expr, _ string) { s *= e.Selectivity(p) })
+	for i := ps.Next(0); i >= 0; i = ps.Next(i + 1) {
+		s *= e.conjunctSel(ps, i)
+	}
 	return s
+}
+
+// conjunctSel is the selectivity of ps's conjunct with ordinal i: the number
+// Bind stored for it or, in an environment bound to another query or to none
+// (lint, tests), an estimate made now.
+func (e *Env) conjunctSel(ps expr.PredSet, i int) float64 {
+	if u := ps.Universe(); u != e.u {
+		return e.Selectivity(u.Conjunct(i))
+	}
+	return e.Bound.sels[i]
 }
 
 func (e *Env) cmpSelectivity(c *expr.Cmp) float64 {
@@ -169,12 +182,17 @@ func clampSel(s float64) float64 {
 // (sideways information passing makes those constants per probe).
 func (e *Env) indexMatch(keyCols []expr.ColID, ps expr.PredSet) (sel float64, matched int) {
 	sel = 1.0
-	preds := make([]expr.Expr, 0, 8)
-	ps.ForEach(func(p expr.Expr, _ string) { preds = append(preds, p) })
+	ords := make([]int, 0, 8) // conjunct ordinals, -1 once matched
+	for i := ps.Next(0); i >= 0; i = ps.Next(i + 1) {
+		ords = append(ords, i)
+	}
 	for _, kc := range keyCols {
 		foundEq := false
-		for i, p := range preds {
-			c, ok := p.(*expr.Cmp) // nil once matched
+		for j, i := range ords {
+			if i < 0 {
+				continue
+			}
+			c, ok := ps.Universe().Conjunct(i).(*expr.Cmp)
 			if !ok {
 				continue
 			}
@@ -188,15 +206,15 @@ func (e *Env) indexMatch(keyCols []expr.ColID, ps expr.PredSet) (sel float64, ma
 				continue
 			}
 			if c.Op == expr.EQ {
-				preds[i] = nil
+				ords[j] = -1
 				matched++
-				sel *= e.Selectivity(p)
+				sel *= e.conjunctSel(ps, i)
 				foundEq = true
 				break
 			}
 			// A range predicate matches but terminates the prefix.
 			matched++
-			sel *= e.Selectivity(p)
+			sel *= e.conjunctSel(ps, i)
 			return sel, matched
 		}
 		if !foundEq {

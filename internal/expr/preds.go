@@ -56,9 +56,12 @@ func universe(a, b *Universe) *Universe {
 	return b
 }
 
-// next returns the smallest member ordinal >= i, or -1: the loop
-// `for i := s.next(0); i >= 0; i = s.next(i + 1)` visits members in key order.
-func (s PredSet) next(i int) int {
+// Next returns the smallest member conjunct ordinal >= i, or -1: the loop
+// `for i := s.Next(0); i >= 0; i = s.Next(i + 1)` visits members in key
+// order, the order ForEach does, with no callback. Universe().Conjunct(i) is
+// the member; an ordinal also indexes per-conjunct arrays a caller binds once
+// per query (cost.Env's selectivities).
+func (s PredSet) Next(i int) int {
 	if i < 64 {
 		if w := s.lo >> uint(i); w != 0 {
 			return i + bits.TrailingZeros64(w)
@@ -90,6 +93,10 @@ func (s PredSet) Len() int {
 	return n
 }
 
+// Universe returns the universe whose conjunct ordinals the set's members
+// are (nil for the zero value).
+func (s PredSet) Universe() *Universe { return s.u }
+
 // Empty reports whether the set has no predicates.
 func (s PredSet) Empty() bool { return s.lo == 0 && s.hi == nil }
 
@@ -108,7 +115,7 @@ func (s PredSet) Slice() []Expr {
 // inside the optimization (pricing, fingerprints), where Slice's memo would
 // be a lock shared by every enumeration worker.
 func (s PredSet) ForEach(f func(p Expr, key string)) {
-	for i := s.next(0); i >= 0; i = s.next(i + 1) {
+	for i := s.Next(0); i >= 0; i = s.Next(i + 1) {
 		f(s.u.preds[i], s.u.info[i].key)
 	}
 }
@@ -150,7 +157,7 @@ func (s PredSet) Equal(o PredSet) bool { return s.lo == o.lo && slices.Equal(s.h
 // so the classifiers avoid re-walking expression trees.
 func (s PredSet) filter(keep func(Expr, *predInfo) bool) PredSet {
 	out := s
-	for i := s.next(0); i >= 0; i = s.next(i + 1) {
+	for i := s.Next(0); i >= 0; i = s.Next(i + 1) {
 		if keep(s.u.preds[i], &s.u.info[i]) {
 			continue
 		}
@@ -173,7 +180,7 @@ func (s PredSet) Within(tables TableSet) PredSet {
 // order, '&'-separated.
 func (s PredSet) Key() string {
 	var b strings.Builder
-	for i := s.next(0); i >= 0; i = s.next(i + 1) {
+	for i := s.Next(0); i >= 0; i = s.Next(i + 1) {
 		if b.Len() > 0 {
 			b.WriteByte('&')
 		}
@@ -205,7 +212,7 @@ func (s PredSet) String() string {
 // Columns returns the distinct columns referenced anywhere in the set.
 func (s PredSet) Columns() []ColID {
 	seen := map[ColID]bool{}
-	for i := s.next(0); i >= 0; i = s.next(i + 1) {
+	for i := s.Next(0); i >= 0; i = s.Next(i + 1) {
 		for _, c := range s.u.info[i].cols {
 			seen[c] = true
 		}
@@ -395,7 +402,7 @@ func InnerPreds(p PredSet, t2 TableSet) PredSet {
 // bare-column operand of a comparison in ps that belongs to side t, and
 // whether the comparison is an equality.
 func sideCols(seen map[ColID]bool, ps PredSet, t TableSet, add func(id ColID, isEq bool)) {
-	for i := ps.next(0); i >= 0; i = ps.next(i + 1) {
+	for i := ps.Next(0); i >= 0; i = ps.Next(i + 1) {
 		c, ok := ps.u.preds[i].(*Cmp)
 		if !ok {
 			continue
@@ -446,7 +453,7 @@ func MatchIndexPrefix(preds PredSet, keyCols []ColID) PredSet {
 	used := PredSet{u: preds.u}
 	for _, kc := range keyCols {
 		eqPick, rangePick := -1, -1
-		for i := preds.next(0); i >= 0; i = preds.next(i + 1) {
+		for i := preds.Next(0); i >= 0; i = preds.Next(i + 1) {
 			if used.has(i) {
 				continue
 			}

@@ -166,6 +166,9 @@ func (u *Universe) Preds() PredSet {
 	return u.all
 }
 
+// Conjunct returns the conjunct with ordinal i.
+func (u *Universe) Conjunct(i int) Expr { return u.preds[i] }
+
 // PredSet returns the set of the given conjuncts, matched by key. They must
 // belong to the universe.
 func (u *Universe) PredSet(preds ...Expr) PredSet {

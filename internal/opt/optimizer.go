@@ -125,11 +125,14 @@ var builtinRules = sync.OnceValue(star.DefaultRules)
 
 // workspace is the storage one enumeration worker recycles across
 // optimizations: the arena its plans and Rels live in, a plan table (the root
-// table of an optimization's first workspace), the overlays its tasks write
-// (the first used of them, until the rank barrier) and partition scratch.
+// table of an optimization's first workspace), the arrays the pricing
+// environment binds the query into (the first workspace's), the overlays its
+// tasks write (the first used of them, until the rank barrier) and partition
+// scratch.
 type workspace struct {
 	arena                *plan.Arena
 	table                *glue.PlanTable
+	bound                cost.Binding
 	overlays             []*glue.PlanTable
 	used                 int
 	connected, cartesian []maskPair
@@ -169,6 +172,7 @@ func checkout() *workspace {
 func (w *workspace) checkin() {
 	w.arena.Reset()
 	w.table.Reset(nil)
+	w.bound.Reset()
 	for _, ov := range w.overlays {
 		ov.Reset(nil)
 	}
@@ -249,7 +253,7 @@ func (o *Optimizer) Optimize(g *query.Graph) (_ *Result, err error) {
 	env := cost.NewEnv(o.Cat, w)
 	env.Obs = sink
 	ws := checkout()
-	env.Arena = ws.arena
+	env.Arena, env.Bound = ws.arena, &ws.bound
 	res := &Result{Obs: sink, spaces: []*workspace{ws}}
 	defer func() {
 		if err != nil {

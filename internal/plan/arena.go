@@ -76,20 +76,28 @@ func (s *Slab[T]) Run(n int) []T {
 // Rewind frees every slot handed out, zeroing it or, when fill is non-nil,
 // overwriting it with *fill.
 func (s *Slab[T]) Rewind(fill *T) {
+	s.used(func(chunk []T) {
+		if fill == nil {
+			clear(chunk)
+			return
+		}
+		for i := range chunk {
+			chunk[i] = *fill
+		}
+	})
+	s.c, s.off = 0, 0
+}
+
+// used calls f with each chunk's run of slots handed out since Rewind
+// (including any tail Run skipped).
+func (s *Slab[T]) used(f func(chunk []T)) {
 	for c := 0; c <= s.c && c < len(s.chunks); c++ {
 		chunk := s.chunks[c]
 		if c == s.c {
 			chunk = chunk[:s.off]
 		}
-		if fill == nil {
-			clear(chunk)
-			continue
-		}
-		for i := range chunk {
-			chunk[i] = *fill
-		}
+		f(chunk)
 	}
-	s.c, s.off = 0, 0
 }
 
 // poisonOp marks recycled node slots when poisoning is on; any consumer that
@@ -156,6 +164,16 @@ func (a *Arena) NewRel(r Rel, next *Rel) *Rel {
 	q := a.rels.Next()
 	*q = r
 	return q
+}
+
+// EachRel calls f with every Rel NewRel placed in the arena since its last
+// Reset.
+func (a *Arena) EachRel(f func(*Rel)) {
+	a.rels.used(func(chunk []Rel) {
+		for i := range chunk {
+			f(&chunk[i])
+		}
+	})
 }
 
 // MergeCols unions two column lists, preserving first-seen order, into the
@@ -232,7 +250,7 @@ func detach(n *Node, seen map[*Node]*Node, rels map[*Rel]*Rel) *Node {
 		q := *n.Props
 		q.Paths = slices.Clone(q.Paths)
 		if r := q.Rel; r != nil && rels[r] == nil {
-			rels[r] = &Rel{Tables: r.Tables, Cols: slices.Clone(r.Cols), Preds: r.Preds}
+			rels[r] = &Rel{Tables: r.Tables, Cols: slices.Clone(r.Cols), Preds: r.Preds, Width: r.Width}
 		}
 		q.Rel = rels[q.Rel]
 		m.Props = &q

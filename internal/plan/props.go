@@ -59,6 +59,9 @@ type PathInfo struct {
 	Clustered bool
 	// Dynamic marks indexes built at run time on temps.
 	Dynamic bool
+	// KeyWidth is a dynamic index's key width in bytes, computed once when
+	// its BUILDINDEX is priced (cost).
+	KeyWidth float64
 }
 
 // String renders the path for EXPLAIN output.
@@ -84,6 +87,10 @@ type Rel struct {
 	Cols []expr.ColID
 	// Preds is the set of predicates applied so far.
 	Preds expr.PredSet
+	// Width is the estimated byte width of a row of Cols, a function of the
+	// WHAT alone, computed once when the Rel is interned (cost.Env) so that
+	// pricing a stream's pages or bytes is a multiply.
+	Width float64
 	// next is the Rel interned before this one in its intern bucket
 	// (Arena.NewRel).
 	next *Rel

@@ -570,8 +570,8 @@ func (en *Engine) queryBaseTables() []string {
 	if en.queryBase == nil {
 		en.queryBase = make([]string, 0, len(en.QueryTables))
 		for _, q := range en.QueryTables {
-			if t, ok := en.Cost.Quant[q]; ok {
-				q = t
+			if t := en.Cost.BaseTable(q); t != nil {
+				q = t.Name
 			}
 			en.queryBase = append(en.queryBase, q)
 		}
