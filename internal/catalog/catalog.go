@@ -259,10 +259,14 @@ func (c *Catalog) LocalQuery(tables []string) bool {
 	return true
 }
 
-// Validate checks internal consistency: column references in orders and
-// paths resolve, cardinalities are non-negative, path tables exist.
+// Validate checks internal consistency: no table, column or path is null,
+// column references in orders and paths resolve, cardinalities are
+// non-negative, path tables exist.
 func (c *Catalog) Validate() error {
 	for name, t := range c.Tables {
+		if t == nil {
+			return fmt.Errorf("catalog: table %q is null", name)
+		}
 		if t.Name != name {
 			return fmt.Errorf("catalog: table map key %q != table name %q", name, t.Name)
 		}
@@ -274,6 +278,9 @@ func (c *Catalog) Validate() error {
 		}
 		seen := map[string]bool{}
 		for _, col := range t.Cols {
+			if col == nil {
+				return fmt.Errorf("catalog: table %q has a null column", name)
+			}
 			if seen[col.Name] {
 				return fmt.Errorf("catalog: table %q duplicates column %q", name, col.Name)
 			}
@@ -286,6 +293,9 @@ func (c *Catalog) Validate() error {
 		}
 		pathNames := map[string]bool{}
 		for _, p := range t.Paths {
+			if p == nil {
+				return fmt.Errorf("catalog: table %q has a null path", name)
+			}
 			if p.Table != t.Name {
 				return fmt.Errorf("catalog: path %q on table %q claims table %q", p.Name, name, p.Table)
 			}

@@ -96,6 +96,24 @@ func TestParseRejectsInvalid(t *testing.T) {
 	}
 }
 
+// TestParseRejectsNulls: a null table, column or path in outside input is a
+// validation error, not a nil dereference.
+func TestParseRejectsNulls(t *testing.T) {
+	cases := []struct{ name, in, want string }{
+		{"null table", `{"tables":{"T":null}}`, "table \"T\" is null"},
+		{"null column", `{"tables":{"T":{"name":"T","cols":[{"name":"X"},null],"card":1}}}`, "null column"},
+		{"null path", `{"tables":{"T":{"name":"T","cols":[{"name":"X"}],"card":1,"paths":[null]}}}`, "null path"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			c, err := Parse([]byte(tc.in))
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("want error containing %q, got %v (catalog %+v)", tc.want, err, c)
+			}
+		})
+	}
+}
+
 func TestDerivedStats(t *testing.T) {
 	tb := demo().Table("T")
 	if got := tb.RowWidth(); got != 28 {

@@ -46,7 +46,6 @@ type Accumulator struct {
 	alts    map[altKey]*obs.AltCoverage
 	order   []altKey // first-seen order (repertoire order when fed by opt)
 	veneers map[string]*obs.VeneerCoverage
-	vorder  []string
 }
 
 // NewAccumulator returns an empty accumulator.
@@ -78,13 +77,12 @@ func (a *Accumulator) ensureVeneer(op string) *obs.VeneerCoverage {
 	if v == nil {
 		v = &obs.VeneerCoverage{Op: op}
 		a.veneers[op] = v
-		a.vorder = append(a.vorder, op)
 	}
 	return v
 }
 
 // addAlt folds one run's alternative summary into the aggregate.
-func (a *Accumulator) addAlt(c obs.AltCoverage) {
+func (a *Accumulator) addAlt(c *obs.AltCoverage) {
 	t := a.ensure(c.Rule, c.Alt)
 	t.Fired += c.Fired
 	t.Rejected += c.Rejected
@@ -109,12 +107,11 @@ func (a *Accumulator) AddEvents(events []obs.Event) int {
 	runs := 0
 	var first altKey
 	for _, e := range events {
-		switch e.Name {
-		case obs.EvAltCoverage:
-			c, ok := obs.ParseAltCoverage(e)
-			if !ok {
-				continue
-			}
+		t := e.Tally
+		if t == nil {
+			continue
+		}
+		if c := t.Alt; c != nil {
 			k := altKey{c.Rule, c.Alt}
 			if runs == 0 || k == first {
 				// Every run emits one event per alternative, in repertoire
@@ -125,16 +122,13 @@ func (a *Accumulator) AddEvents(events []obs.Event) int {
 				runs++
 			}
 			a.addAlt(c)
-		case obs.EvVeneerCoverage:
-			c, ok := obs.ParseVeneerCoverage(e)
-			if !ok {
-				continue
-			}
-			v := a.ensureVeneer(c.Op)
-			v.Injected += c.Injected
-			v.Retained += c.Retained
-			v.Winner += c.Winner
+			continue
 		}
+		c := t.Veneer
+		v := a.ensureVeneer(c.Op)
+		v.Injected += c.Injected
+		v.Retained += c.Retained
+		v.Winner += c.Winner
 	}
 	a.runs += int64(runs)
 	return runs

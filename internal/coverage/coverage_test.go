@@ -36,10 +36,10 @@ func TestAccumulatorMergesRuns(t *testing.T) {
 	acc := coverage.NewAccumulator()
 	run := func(fired, winner int64) []obs.Event {
 		return []obs.Event{
-			(&obs.AltCoverage{Rule: "A", Alt: 1, Fired: fired, Built: fired, Winner: winner,
-				PrunedBy: map[string]int64{"B#1": 1}}).Event(),
-			(&obs.AltCoverage{Rule: "A", Alt: 2}).Event(),
-			(&obs.VeneerCoverage{Op: "SHIP", Injected: 2, Retained: 1}).Event(),
+			(&obs.Tally{Alt: &obs.AltCoverage{Rule: "A", Alt: 1, Fired: fired, Built: fired, Winner: winner,
+				PrunedBy: map[string]int64{"B#1": 1}}}).Event(),
+			(&obs.Tally{Alt: &obs.AltCoverage{Rule: "A", Alt: 2}}).Event(),
+			(&obs.Tally{Veneer: &obs.VeneerCoverage{Op: "SHIP", Injected: 2, Retained: 1}}).Event(),
 		}
 	}
 	// Two separate batches plus one merged stream of two runs: four total.
@@ -77,7 +77,7 @@ func TestReportZeroFillsUniverse(t *testing.T) {
 		universe += len(rules.Get(name).Alts)
 	}
 	acc := coverage.NewAccumulator()
-	acc.AddEvents([]obs.Event{(&obs.AltCoverage{Rule: "JMeth", Alt: 1, Fired: 2, Built: 2}).Event()})
+	acc.AddEvents([]obs.Event{(&obs.Tally{Alt: &obs.AltCoverage{Rule: "JMeth", Alt: 1, Fired: 2, Built: 2}}).Event()})
 	rep := acc.Report(rules)
 	if rep.Summary.Alternatives != universe {
 		t.Fatalf("universe = %d alternatives, report has %d", universe, rep.Summary.Alternatives)
@@ -413,7 +413,7 @@ func TestLedger(t *testing.T) {
 		return obs.Event{Name: obs.EvExecFeedback, A1: op, P1: id, N1: rows, N2: 1, F1: est, F2: q}
 	}
 	events := []obs.Event{
-		(&obs.AltCoverage{Rule: "JMeth", Alt: 1, Fired: 1, Built: 1, Winner: 1}).Event(),
+		(&obs.Tally{Alt: &obs.AltCoverage{Rule: "JMeth", Alt: 1, Fired: 1, Built: 1, Winner: 1}}).Event(),
 		feedback("JOIN", 0xaaaa, 100, 50, 2),
 		feedback("ACCESS", 0xbbbb, 10, 10, 1),
 	}
@@ -477,5 +477,58 @@ func TestLedgerBoundsTemplates(t *testing.T) {
 	// Overflow templates still feed the aggregate digest.
 	if rep.QError == nil || rep.QError.Count != 4 {
 		t.Errorf("aggregate digest lost overflow observations: %+v", rep.QError)
+	}
+}
+
+// TestLedgerFoldAllocs pins what folding a request into the serve ledger
+// costs once the ledger is warm: the coverage summary events carry their
+// tallies as numbers, so Record and PublishMetrics read them without
+// rendering or parsing text.
+func TestLedgerFoldAllocs(t *testing.T) {
+	sink := obs.NewMetricsSink() // tier 0: the summary events alone
+	res, err := opt.New(workload.EmpDept(), opt.Options{Obs: sink}).Optimize(workload.Figure1Query())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer res.Release()
+	events := sink.Events()
+	rs, reg := star.DefaultRules(), obs.NewRegistry()
+	l := coverage.NewLedger(0)
+	tmpl := coverage.Template("SELECT DEPT.DNO FROM DEPT, EMP WHERE DEPT.DNO = EMP.DNO AND DEPT.MGR = 'Haas'")
+	fold := func() {
+		l.Record(tmpl, events)
+		l.PublishMetrics(reg, rs)
+	}
+	fold()
+	if n := testing.AllocsPerRun(50, fold); n > 2 {
+		t.Errorf("Record + PublishMetrics allocate %.0f times per request, want <= 2", n)
+	}
+	if v := reg.Gauge("coverage_alternatives_exercised").Value(); v == 0 {
+		t.Error("the fold counted no exercised alternative")
+	}
+}
+
+// TestPublishedCountsMatchReport: the coverage gauges PublishMetrics sets
+// count what the /coverage report summarizes — the universe, plus
+// accumulated alternatives outside it (an unknown rule, an ordinal past the
+// rule's last alternative) — with and without a universe.
+func TestPublishedCountsMatchReport(t *testing.T) {
+	l := coverage.NewLedger(0)
+	l.Record("t", []obs.Event{
+		(&obs.Tally{Alt: &obs.AltCoverage{Rule: "JMeth", Alt: 1, Fired: 1}}).Event(),
+		(&obs.Tally{Alt: &obs.AltCoverage{Rule: "JMeth", Alt: 99, Built: 1}}).Event(),
+		(&obs.Tally{Alt: &obs.AltCoverage{Rule: "Custom", Alt: 1}}).Event(),
+	})
+	for _, rs := range []*star.RuleSet{nil, star.DefaultRules()} {
+		reg := obs.NewRegistry()
+		l.PublishMetrics(reg, rs)
+		sum := l.Snapshot(rs).Coverage.Summary
+		total, exercised := reg.Gauge("coverage_alternatives").Value(), reg.Gauge("coverage_alternatives_exercised").Value()
+		if total != int64(sum.Alternatives) || exercised != int64(sum.Exercised) {
+			t.Errorf("universe %v: gauges %d/%d, report %d/%d", rs != nil, exercised, total, sum.Exercised, sum.Alternatives)
+		}
+		if exercised != 2 {
+			t.Errorf("universe %v: %d exercised, want 2 (JMeth#1, JMeth#99)", rs != nil, exercised)
+		}
 	}
 }

@@ -378,40 +378,27 @@ func (l *Ledger) PublishMetrics(reg *obs.Registry, rs *star.RuleSet) {
 }
 
 // counts sizes the alternative space (universe rs when non-nil, else the
-// accumulated set) and the exercised portion.
+// accumulated set) and the exercised portion. Accumulated alternatives
+// outside the universe count too; only accumulated ones can be exercised.
 func (a *Accumulator) counts(rs *star.RuleSet) (total, exercised int) {
-	exercisedKey := func(k altKey) bool {
-		c := a.alts[k]
-		return c != nil && (c.Fired > 0 || c.Built > 0)
-	}
-	if rs == nil {
-		for _, k := range a.order {
-			total++
-			if exercisedKey(k) {
-				exercised++
-			}
-		}
-		return total, exercised
-	}
-	covered := map[altKey]bool{}
-	for _, name := range rs.Names() {
-		r := rs.Get(name)
-		for i := range r.Alts {
-			k := altKey{name, i + 1}
-			covered[k] = true
-			total++
-			if exercisedKey(k) {
-				exercised++
-			}
+	if rs != nil {
+		for _, name := range rs.Names() {
+			total += len(rs.Get(name).Alts)
 		}
 	}
 	for _, k := range a.order {
-		if !covered[k] {
+		if rs == nil || !inUniverse(rs, k) {
 			total++
-			if exercisedKey(k) {
-				exercised++
-			}
+		}
+		if c := a.alts[k]; c.Fired > 0 || c.Built > 0 {
+			exercised++
 		}
 	}
 	return total, exercised
+}
+
+// inUniverse reports whether k is an alternative of rs.
+func inUniverse(rs *star.RuleSet, k altKey) bool {
+	r := rs.Get(k.rule)
+	return r != nil && k.alt >= 1 && k.alt <= len(r.Alts)
 }

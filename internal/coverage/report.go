@@ -114,11 +114,8 @@ func (a *Accumulator) Report(rs *star.RuleSet) *Report {
 	}
 
 	var zero obs.AltCoverage
-	covered := map[altKey]bool{}
 	addAlt := func(rule string, alt int, line int, cond string) {
-		k := altKey{rule, alt}
-		covered[k] = true
-		c := a.alts[k]
+		c := a.alts[altKey{rule, alt}]
 		if c == nil {
 			c = &zero
 		}
@@ -153,7 +150,7 @@ func (a *Accumulator) Report(rs *star.RuleSet) *Report {
 	// always when appended after a universe.
 	var extras []altKey
 	for _, k := range a.order {
-		if !covered[k] {
+		if rs == nil || !inUniverse(rs, k) {
 			extras = append(extras, k)
 		}
 	}
@@ -169,8 +166,7 @@ func (a *Accumulator) Report(rs *star.RuleSet) *Report {
 		addAlt(k.rule, k.alt, 0, "")
 	}
 
-	for _, op := range a.vorder {
-		v := a.veneers[op]
+	for _, v := range a.veneers {
 		rep.Veneers = append(rep.Veneers, VeneerReport{
 			Op: v.Op, Injected: v.Injected, Retained: v.Retained, Winner: v.Winner,
 		})

@@ -7,11 +7,11 @@ import (
 	"strings"
 )
 
-// AltCoverage is the payload of one EvAltCoverage event: the per-run fate of
-// one STAR alternative. The optimizer emits one per alternative of the
+// AltCoverage is the per-run fate of one STAR alternative, the typed payload
+// of one EvAltCoverage event. The optimizer emits one per alternative of the
 // active repertoire at the end of every observed run; coverage consumers
-// (starburst cover, the serve ledger, starbench -coverage) parse them back
-// out of the event stream instead of re-deriving the attribution.
+// (starburst cover, the serve ledger, starbench -coverage) read the tally the
+// event points at instead of re-deriving the attribution.
 type AltCoverage struct {
 	// Rule is the STAR's name; Alt the 1-based alternative ordinal.
 	Rule string
@@ -30,35 +30,9 @@ type AltCoverage struct {
 	PrunedBy map[string]int64
 }
 
-// Event packs the tallies into the flat Event shape.
-func (c AltCoverage) Event() Event {
-	return Event{
-		Name: EvAltCoverage,
-		A1:   c.Rule,
-		N1:   int64(c.Alt),
-		A2: fmt.Sprintf("fired=%d rejected=%d built=%d retained=%d pruned=%d winner=%d",
-			c.Fired, c.Rejected, c.Built, c.Retained, c.Pruned, c.Winner),
-		A3: packOrigins(c.PrunedBy),
-	}
-}
-
-// ParseAltCoverage unpacks an EvAltCoverage event; ok is false for events of
-// any other name or with a malformed payload.
-func ParseAltCoverage(e Event) (c AltCoverage, ok bool) {
-	if e.Name != EvAltCoverage {
-		return c, false
-	}
-	c.Rule, c.Alt = e.A1, int(e.N1)
-	if _, err := fmt.Sscanf(e.A2, "fired=%d rejected=%d built=%d retained=%d pruned=%d winner=%d",
-		&c.Fired, &c.Rejected, &c.Built, &c.Retained, &c.Pruned, &c.Winner); err != nil {
-		return c, false
-	}
-	c.PrunedBy = parseOrigins(e.A3)
-	return c, true
-}
-
-// VeneerCoverage is the payload of one EvVeneerCoverage event: the per-run
-// fate of one Glue veneer operator (SHIP, SORT, STORE, BUILDINDEX, ...).
+// VeneerCoverage is the per-run fate of one Glue veneer operator (SHIP,
+// SORT, STORE, BUILDINDEX, ...), the typed payload of one EvVeneerCoverage
+// event.
 type VeneerCoverage struct {
 	// Op is the LOLEPOP name.
 	Op string
@@ -67,31 +41,40 @@ type VeneerCoverage struct {
 	Injected, Retained, Winner int64
 }
 
-// Event packs the tallies into the flat Event shape.
-func (c VeneerCoverage) Event() Event {
-	return Event{
-		Name: EvVeneerCoverage,
-		A1:   c.Op,
-		A2:   fmt.Sprintf("injected=%d retained=%d winner=%d", c.Injected, c.Retained, c.Winner),
-	}
+// Tally is the payload a coverage summary event points at (Event.Tally):
+// one alternative's tallies, or — when Alt is nil — one veneer operator's.
+// The tallies are shared, not copied, so nothing may change them once their
+// event is emitted.
+type Tally struct {
+	Alt    *AltCoverage
+	Veneer *VeneerCoverage
 }
 
-// ParseVeneerCoverage unpacks an EvVeneerCoverage event.
-func ParseVeneerCoverage(e Event) (c VeneerCoverage, ok bool) {
-	if e.Name != EvVeneerCoverage {
-		return c, false
+// Event returns the coverage summary event carrying t.
+func (t *Tally) Event() Event {
+	if c := t.Alt; c != nil {
+		return Event{Name: EvAltCoverage, A1: c.Rule, N1: int64(c.Alt), Tally: t}
 	}
-	c.Op = e.A1
-	if _, err := fmt.Sscanf(e.A2, "injected=%d retained=%d winner=%d",
-		&c.Injected, &c.Retained, &c.Winner); err != nil {
-		return c, false
+	return Event{Name: EvVeneerCoverage, A1: t.Veneer.Op, Tally: t}
+}
+
+// text renders the tallies as the a2/a3 payload the exporters show:
+// "fired=... rejected=... built=... retained=... pruned=... winner=..." and
+// the packed dominator attribution for an alternative,
+// "injected=... retained=... winner=..." for a veneer operator.
+func (t *Tally) text() (a2, a3 string) {
+	if c := t.Alt; c != nil {
+		return fmt.Sprintf("fired=%d rejected=%d built=%d retained=%d pruned=%d winner=%d",
+			c.Fired, c.Rejected, c.Built, c.Retained, c.Pruned, c.Winner), packOrigins(c.PrunedBy)
 	}
-	return c, true
+	v := t.Veneer
+	return fmt.Sprintf("injected=%d retained=%d winner=%d", v.Injected, v.Retained, v.Winner), ""
 }
 
 // packOrigins renders an origin->count attribution map deterministically
-// (sorted by origin), so coverage events compare byte-equal across runs and
-// parallelism levels. Empty and nil maps render as "".
+// (sorted by origin, "origin:count ..."), so coverage events export
+// byte-equal across runs and parallelism levels. Empty and nil maps render
+// as "".
 func packOrigins(m map[string]int64) string {
 	if len(m) == 0 {
 		return ""
@@ -111,24 +94,4 @@ func packOrigins(m map[string]int64) string {
 		b.WriteString(strconv.FormatInt(m[k], 10))
 	}
 	return b.String()
-}
-
-// parseOrigins undoes packOrigins ("" -> nil).
-func parseOrigins(s string) map[string]int64 {
-	if s == "" {
-		return nil
-	}
-	out := map[string]int64{}
-	for _, part := range strings.Fields(s) {
-		i := strings.LastIndexByte(part, ':')
-		if i <= 0 {
-			continue
-		}
-		n, err := strconv.ParseInt(part[i+1:], 10, 64)
-		if err != nil {
-			continue
-		}
-		out[part[:i]] += n
-	}
-	return out
 }

@@ -1,73 +1,85 @@
 package obs
 
 import (
-	"reflect"
 	"strings"
 	"testing"
 )
 
-func TestAltCoverageRoundTrip(t *testing.T) {
-	in := AltCoverage{
+func TestAltCoverageWire(t *testing.T) {
+	in := &AltCoverage{
 		Rule: "JMeth", Alt: 3,
 		Fired: 12, Rejected: 4, Built: 36, Retained: 9, Pruned: 5, Winner: 2,
 		PrunedBy: map[string]int64{"JMeth#1": 3, "Glue": 2},
 	}
-	e := in.Event()
-	if e.Name != EvAltCoverage || e.A1 != "JMeth" || e.N1 != 3 {
+	e := (&Tally{Alt: in}).Event()
+	if e.Name != EvAltCoverage || e.A1 != "JMeth" || e.N1 != 3 || e.A2 != "" || e.A3 != "" {
 		t.Fatalf("event header: %+v", e)
 	}
-	out, ok := ParseAltCoverage(e)
-	if !ok {
-		t.Fatalf("ParseAltCoverage failed on %+v", e)
+	if e.Tally.Alt != in || e.Tally.Veneer != nil {
+		t.Fatalf("event does not carry the tally itself: %+v", e.Tally)
 	}
-	if !reflect.DeepEqual(in, out) {
-		t.Errorf("round trip:\nin:  %+v\nout: %+v", in, out)
+	w := Wire("r1", e)
+	if w.A2 != "fired=12 rejected=4 built=36 retained=9 pruned=5 winner=2" || w.A3 != "Glue:2 JMeth#1:3" {
+		t.Errorf("wire payload: a2=%q a3=%q", w.A2, w.A3)
+	}
+	if w.Name != EvAltCoverage || w.Req != "r1" || w.A1 != "JMeth" || w.N1 != 3 || w.N2 != 0 {
+		t.Errorf("wire header: %+v", w)
 	}
 }
 
-func TestAltCoverageZeroRoundTrip(t *testing.T) {
-	in := AltCoverage{Rule: "TableAccess", Alt: 2}
-	out, ok := ParseAltCoverage(in.Event())
-	if !ok || !reflect.DeepEqual(in, out) {
-		t.Errorf("zero round trip: ok=%v out=%+v", ok, out)
+func TestAltCoverageZeroWire(t *testing.T) {
+	w := Wire("", (&Tally{Alt: &AltCoverage{Rule: "TableAccess", Alt: 2}}).Event())
+	if w.A2 != "fired=0 rejected=0 built=0 retained=0 pruned=0 winner=0" {
+		t.Errorf("zero tallies: %q", w.A2)
 	}
-	if out.PrunedBy != nil {
-		t.Errorf("empty dominator map must stay nil, got %v", out.PrunedBy)
+	if w.A3 != "" {
+		t.Errorf("empty dominator map must render empty, got %q", w.A3)
 	}
 }
 
 func TestAltCoveragePackingIsDeterministic(t *testing.T) {
-	c := AltCoverage{Rule: "R", Alt: 1,
-		PrunedBy: map[string]int64{"b#2": 1, "a#1": 2, "c#3": 3}}
-	first := c.Event()
+	e := (&Tally{Alt: &AltCoverage{Rule: "R", Alt: 1,
+		PrunedBy: map[string]int64{"b#2": 1, "a#1": 2, "c#3": 3}}}).Event()
+	first := Wire("", e)
 	for i := 0; i < 20; i++ {
-		if e := c.Event(); e != first {
-			t.Fatalf("packing varies: %+v vs %+v", first, e)
+		if w := Wire("", e); w != first {
+			t.Fatalf("packing varies: %+v vs %+v", first, w)
 		}
 	}
-	if !strings.Contains(first.A3, "a#1:2 b#2:1 c#3:3") {
+	if first.A3 != "a#1:2 b#2:1 c#3:3" {
 		t.Errorf("dominators not sorted: %q", first.A3)
 	}
 }
 
-func TestVeneerCoverageRoundTrip(t *testing.T) {
-	in := VeneerCoverage{Op: "SHIP", Injected: 7, Retained: 3, Winner: 1}
-	e := in.Event()
-	if e.Name != EvVeneerCoverage {
-		t.Fatalf("event name %q", e.Name)
+func TestVeneerCoverageWire(t *testing.T) {
+	in := &VeneerCoverage{Op: "SHIP", Injected: 7, Retained: 3, Winner: 1}
+	e := (&Tally{Veneer: in}).Event()
+	if e.Name != EvVeneerCoverage || e.A1 != "SHIP" || e.Tally.Veneer != in {
+		t.Fatalf("event: %+v", e)
 	}
-	out, ok := ParseVeneerCoverage(e)
-	if !ok || in != out {
-		t.Errorf("round trip: ok=%v out=%+v", ok, out)
+	if w := Wire("", e); w.A2 != "injected=7 retained=3 winner=1" || w.A3 != "" {
+		t.Errorf("wire payload: a2=%q a3=%q", w.A2, w.A3)
 	}
 }
 
-func TestParseRejectsForeignEvents(t *testing.T) {
-	if _, ok := ParseAltCoverage(Event{Name: EvAltFired, A1: "R", N1: 1}); ok {
-		t.Error("ParseAltCoverage accepted a non-coverage event")
+// TestCoverageExports: every exporter shows a coverage summary's tallies as
+// the packed text, and an event without a tally keeps its own a2/a3.
+func TestCoverageExports(t *testing.T) {
+	s := NewMetricsSink()
+	s.Emit((&Tally{Veneer: &VeneerCoverage{Op: "SORT", Injected: 2}}).Event())
+	s.Emit(Event{Name: EvAltRejected, A1: "R", N1: 1, A2: "cond"})
+	var nd, ct strings.Builder
+	if err := s.WriteNDJSON(&nd); err != nil {
+		t.Fatal(err)
 	}
-	if _, ok := ParseVeneerCoverage(Event{Name: EvVeneer, A1: "SHIP"}); ok {
-		t.Error("ParseVeneerCoverage accepted a non-coverage event")
+	if err := s.WriteChromeTrace(&ct); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(nd.String(), `"a2":"injected=2 retained=0 winner=0"`) || !strings.Contains(nd.String(), `"a2":"cond"`) {
+		t.Errorf("NDJSON:\n%s", nd.String())
+	}
+	if !strings.Contains(ct.String(), `"detail":"injected=2 retained=0 winner=0"`) || !strings.Contains(ct.String(), `"detail":"cond"`) {
+		t.Errorf("Chrome trace:\n%s", ct.String())
 	}
 }
 

@@ -30,12 +30,16 @@ type WireEvent struct {
 
 // Wire converts an event of the sink tagged req (Sink.Tag) to its wire form.
 // Plan identities leave as the 16 hex digits plan.Node.Fingerprint shows: a
-// nonzero P1 is a2, a nonzero P2 is a3.
+// nonzero P1 is a2, a nonzero P2 is a3. A coverage summary's Tally leaves as
+// its packed a2/a3 text — the only place that text is made.
 func Wire(req string, e Event) WireEvent {
 	w := WireEvent{
 		Seq: e.Seq, TUs: float64(e.T.Microseconds()), Kind: e.Kind.String(),
 		Name: e.Name, Req: req, A1: e.A1, A2: e.A2, A3: e.A3,
-		Depth: e.Depth, Span: e.Span, N1: e.N1, N2: e.N2, F1: e.F1, F2: e.F2,
+		Depth: int(e.Depth), Span: e.Span, N1: e.N1, N2: e.N2, F1: e.F1, F2: e.F2,
+	}
+	if e.Tally != nil {
+		w.A2, w.A3 = e.Tally.text()
 	}
 	if e.P1 != 0 {
 		w.A2 = hex16(e.P1)
@@ -141,8 +145,8 @@ func chromeArgs(req string, e Event) map[string]any {
 	if w.A3 != "" {
 		args["detail2"] = w.A3
 	}
-	if e.Depth != 0 {
-		args["depth"] = e.Depth
+	if w.Depth != 0 {
+		args["depth"] = w.Depth
 	}
 	if e.N1 != 0 {
 		args["n1"] = e.N1

@@ -124,17 +124,16 @@ const (
 	EvExecOp = "exec.op"
 	// EvAltCoverage summarizes one STAR alternative's fate at the end of
 	// an optimization: A1 is the rule name, N1 the 1-based alternative
-	// ordinal, A2 the packed tallies ("fired=... rejected=... built=...
-	// retained=... pruned=... winner=..."), A3 the packed dominator
-	// attribution for pruned plans ("origin:count ..."). One event is
-	// emitted per alternative of the active repertoire — including
-	// never-exercised ones, so consumers see the whole alternative space.
-	// Pack and parse with AltCoverage.Event / ParseAltCoverage.
+	// ordinal, Tally.Alt the typed tallies. One event is emitted per
+	// alternative of the active repertoire — including never-exercised
+	// ones, so consumers see the whole alternative space. In process the
+	// tallies stay numbers; only the exporters (Wire) pack them, as a2
+	// "fired=... rejected=... built=... retained=... pruned=... winner=..."
+	// and a3 the dominator attribution for pruned plans ("origin:count ...").
 	EvAltCoverage = "opt.alt.coverage"
 	// EvVeneerCoverage summarizes one Glue veneer operator's fate at the
-	// end of an optimization: A1 is the LOLEPOP name, A2 the packed
-	// tallies ("injected=... retained=... winner=..."). Pack and parse
-	// with VeneerCoverage.Event / ParseVeneerCoverage.
+	// end of an optimization: A1 is the LOLEPOP name, Tally.Veneer the
+	// typed tallies, exported as a2 "injected=... retained=... winner=...".
 	EvVeneerCoverage = "opt.veneer.coverage"
 	// EvExecFeedback closes the estimate-vs-actual loop after an execution
 	// with per-operator attribution: A1 is the operator name, P1 the plan
@@ -156,6 +155,9 @@ type Event struct {
 	T time.Duration
 	// Kind is instant, span-begin, or span-end.
 	Kind Kind
+	// Depth is the caller's nesting depth, when meaningful (STAR
+	// recursion depth).
+	Depth int32
 	// Name is the taxonomy name (Ev* constants).
 	Name string
 	// A1, A2, and A3 are string payloads (rule name, table-set key,
@@ -165,9 +167,10 @@ type Event struct {
 	// emit path renders no hex; the exporters show a nonzero P1 as a2 and a
 	// nonzero P2 as a3. An event sets P1 or A2, never both (likewise P2/A3).
 	P1, P2 uint64
-	// Depth is the caller's nesting depth, when meaningful (STAR
-	// recursion depth).
-	Depth int
+	// Tally is the typed payload of the two coverage summary events
+	// (EvAltCoverage, EvVeneerCoverage), nil on every other event. The
+	// exporters render it as a2/a3 (Wire).
+	Tally *Tally
 	// Span links a begin to its end (sink-assigned id).
 	Span int64
 	// N1 and N2 are integer payloads (alternative index, plan counts,
@@ -403,7 +406,7 @@ func (s *Sink) StartSpan(name, a1, a2 string, depth int) Span {
 	t := time.Since(s.start)
 	if s.tracing {
 		id = s.spanSeq.Add(1)
-		s.append(Event{Kind: KindSpanBegin, Name: name, A1: a1, A2: a2, Depth: depth, Span: id, T: t})
+		s.append(Event{Kind: KindSpanBegin, Name: name, A1: a1, A2: a2, Depth: int32(depth), Span: id, T: t})
 	}
 	s.prof.spanBegin(name, a1, t)
 	return Span{s: s, id: id, name: name, a1: a1, t0: t}

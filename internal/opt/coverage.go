@@ -103,19 +103,28 @@ func emitCoverage(sink *obs.Sink, rules *star.RuleSet, res *Result) {
 	// Emit in repertoire definition order (then sorted veneer ops) and
 	// publish the per-alternative counters — zero-valued ones included, so
 	// aggregating registries expose the full series surface immediately.
+	// Each event points at its tally, which is final from here on; the
+	// exporters render it as text, nothing here does.
 	reg := sink.Registry()
 	reg.Counter("coverage_runs_total").Add(1)
-	tallies := res.Stats.Star.Alts
+	payloads := make([]obs.Tally, len(alts)+len(veneers))
+	next := 0
+	emit := func(t obs.Tally) {
+		payloads[next] = t
+		sink.Emit(payloads[next].Event()) //obsguard:ignore summary event every enabled sink keeps; once per alternative or veneer operator per run
+		next++
+	}
+	stats := res.Stats.Star.Alts
 	for _, name := range rules.Names() {
 		slot := rules.AltSlot(name)
 		for i, alt := range rules.Get(name).Alts {
 			c := &alts[slot+i]
 			c.Rule, c.Alt = name, i+1
-			if slot+i < len(tallies) {
-				t := tallies[slot+i]
+			if slot+i < len(stats) {
+				t := stats[slot+i]
 				c.Fired, c.Rejected, c.Built = t.Fired, t.Rejected, t.Built
 			}
-			sink.Emit(c.Event()) //obsguard:ignore summary event every enabled sink keeps; once per alternative per run
+			emit(obs.Tally{Alt: c})
 			counters := alt.CoverageCounters()
 			reg.Counter(counters[0]).Add(c.Fired)
 			reg.Counter(counters[1]).Add(c.Retained)
@@ -129,7 +138,7 @@ func emitCoverage(sink *obs.Sink, rules *star.RuleSet, res *Result) {
 	sort.Strings(ops)
 	for _, op := range ops {
 		v := veneers[op]
-		sink.Emit(v.Event()) //obsguard:ignore summary event every enabled sink keeps; once per veneer operator per run
+		emit(obs.Tally{Veneer: v})
 		reg.Counter(`coverage_veneer_injected_total{op="` + op + `"}`).Add(v.Injected)
 	}
 }

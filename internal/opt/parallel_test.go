@@ -44,8 +44,9 @@ func eventLog(sink *obs.Sink) []string {
 	events := sink.Events()
 	out := make([]string, len(events))
 	for i, e := range events {
+		w := obs.Wire("", e) // renders a coverage summary's typed tally as a2/a3
 		out[i] = fmt.Sprintf("%d %d %s %d|%s|%s|%s|%x|%x|%d|%d|%.4f|%.4f",
-			e.Seq, e.Span, e.Name, e.Kind, e.A1, e.A2, e.A3, e.P1, e.P2, e.N1, e.N2, e.F1, e.F2)
+			e.Seq, e.Span, e.Name, e.Kind, e.A1, w.A2, w.A3, e.P1, e.P2, e.N1, e.N2, e.F1, e.F2)
 	}
 	return out
 }
@@ -106,7 +107,7 @@ func assertEquivalentAt(t *testing.T, cat *catalog.Catalog, mkGraph func() *quer
 
 	// The coverage summary is part of the contract too: every observed run
 	// closes with one opt.alt.coverage event per alternative of the
-	// repertoire, and the parsed tallies — not just the raw event text —
+	// repertoire, and the typed tallies — not just their exported text —
 	// must agree across parallelism levels.
 	sc, pc := coverageTallies(t, serialSink), coverageTallies(t, parSink)
 	if len(sc) == 0 {
@@ -117,7 +118,8 @@ func assertEquivalentAt(t *testing.T, cat *catalog.Catalog, mkGraph func() *quer
 	}
 }
 
-// coverageTallies parses the run's opt.alt.coverage summary events.
+// coverageTallies reads the typed tallies of the run's opt.alt.coverage
+// summary events.
 func coverageTallies(t *testing.T, sink *obs.Sink) []obs.AltCoverage {
 	t.Helper()
 	var out []obs.AltCoverage
@@ -125,11 +127,10 @@ func coverageTallies(t *testing.T, sink *obs.Sink) []obs.AltCoverage {
 		if e.Name != obs.EvAltCoverage {
 			continue
 		}
-		c, ok := obs.ParseAltCoverage(e)
-		if !ok {
-			t.Fatalf("unparseable %s event: %+v", obs.EvAltCoverage, e)
+		if e.Tally == nil || e.Tally.Alt == nil {
+			t.Fatalf("%s event without an alternative tally: %+v", obs.EvAltCoverage, e)
 		}
-		out = append(out, c)
+		out = append(out, *e.Tally.Alt)
 	}
 	return out
 }

@@ -195,7 +195,7 @@ func Build(table *glue.PlanTable, best *plan.Node, events []obs.Event) (*DAG, er
 		case obs.EvAltRejected:
 			if e.Kind == obs.KindInstant {
 				b.d.Rejections = append(b.d.Rejections, Rejection{
-					Rule: e.A1, Alt: int(e.N1), Cond: e.A2, Depth: e.Depth,
+					Rule: e.A1, Alt: int(e.N1), Cond: e.A2, Depth: int(e.Depth),
 				})
 			}
 		}

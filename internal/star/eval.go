@@ -399,7 +399,7 @@ func (en *Engine) reference(rule *Rule, fp, nargs int) (out []*plan.Node, err er
 					cond = alt.Cond.String()
 				}
 				en.Obs.Emit(obs.Event{Name: obs.EvAltRejected, A1: name, A2: cond,
-					Depth: en.depth + 1, N1: int64(i + 1)})
+					Depth: int32(en.depth + 1), N1: int64(i + 1)})
 			}
 			continue
 		}
@@ -423,7 +423,7 @@ func (en *Engine) reference(rule *Rule, fp, nargs int) (out []*plan.Node, err er
 			tally[i].Built += int64(len(v.SAP))
 		}
 		if en.Obs.Tracing() {
-			en.Obs.Emit(obs.Event{Name: obs.EvAltFired, A1: name, Depth: en.depth + 1, N1: int64(i + 1), N2: int64(len(v.SAP))})
+			en.Obs.Emit(obs.Event{Name: obs.EvAltFired, A1: name, Depth: int32(en.depth + 1), N1: int64(i + 1), N2: int64(len(v.SAP))})
 		}
 		if rule.Exclusive {
 			break
@@ -709,16 +709,16 @@ func TraceFromEvents(events []obs.Event) []TraceEntry {
 		switch {
 		case e.Name == obs.EvRule && e.Kind == obs.KindSpanBegin:
 			open[e.Span] = len(out)
-			out = append(out, TraceEntry{Depth: e.Depth, Rule: e.A1, Args: e.A2})
+			out = append(out, TraceEntry{Depth: int(e.Depth), Rule: e.A1, Args: e.A2})
 		case e.Name == obs.EvRule && e.Kind == obs.KindSpanEnd:
 			if i, ok := open[e.Span]; ok {
 				out[i].Plans = int(e.N1)
 				delete(open, e.Span)
 			}
 		case e.Name == obs.EvAltFired && e.Kind == obs.KindInstant:
-			out = append(out, TraceEntry{Depth: e.Depth, Rule: e.A1, Alt: int(e.N1), Plans: int(e.N2)})
+			out = append(out, TraceEntry{Depth: int(e.Depth), Rule: e.A1, Alt: int(e.N1), Plans: int(e.N2)})
 		case e.Name == obs.EvAltRejected && e.Kind == obs.KindInstant:
-			out = append(out, TraceEntry{Depth: e.Depth, Rule: e.A1, Alt: int(e.N1), Rejected: true, Cond: e.A2})
+			out = append(out, TraceEntry{Depth: int(e.Depth), Rule: e.A1, Alt: int(e.N1), Rejected: true, Cond: e.A2})
 		}
 	}
 	return out
