@@ -65,6 +65,7 @@ fuzz-smoke:
 	go test ./internal/coverage -run FuzzTemplate -fuzz FuzzTemplate -fuzztime 20s
 	go test ./internal/sqlparse -run FuzzParse -fuzz FuzzParse -fuzztime 20s
 	go test ./internal/catalog -run FuzzCatalogParse -fuzz FuzzCatalogParse -fuzztime 20s
+	go test ./internal/opt -run FuzzOptimizeHandler -fuzz FuzzOptimizeHandler -fuzztime 20s
 
 # Dynamic coverage: which STAR alternatives the bundled workload corpus
 # actually exercises — lint's runtime complement (docs/COVERAGE.md). The

@@ -36,7 +36,7 @@ func coverMain(args []string) {
 		annotate  = fs.Bool("annotate", false, "render the per-rule-file annotated source view")
 		min       = fs.Float64("min", -1, "fail (exit 1) when alternative coverage is below this percentage")
 		shapes    = fs.Bool("shapes", false, "cross-check observed winning-plan shapes against the inferred grammar (exit 1 on violations)")
-		parallel  = fs.Int("parallelism", 1, "join-enumeration worker fan-out per optimization")
+		parallel  = fs.Int("parallelism", 1, "join-enumeration worker fan-out per optimization (a traced run, as cover's are, uses one worker)")
 	)
 	if err := fs.Parse(args); err != nil {
 		os.Exit(2)

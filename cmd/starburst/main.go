@@ -164,7 +164,7 @@ func main() {
 		timeout  = fs.Duration("timeout", 30*time.Second, "serve: per-request optimize+execute deadline (504 on expiry)")
 		drainT   = fs.Duration("drain-timeout", 10*time.Second, "serve: max wait for in-flight requests on shutdown")
 		eventBuf = fs.Int("event-buffer", 1024, "serve: per-subscriber /events buffer (full buffers drop, never block)")
-		parallel = fs.Int("parallelism", 1, "join-enumeration worker fan-out per optimization (0 = GOMAXPROCS; results are identical at every level)")
+		parallel = fs.Int("parallelism", 1, "join-enumeration worker fan-out per optimization (0 = GOMAXPROCS; results are identical at every level; a traced run uses one worker)")
 		incDir   = fs.String("incident-dir", "", "serve: directory the flight recorder writes incident bundles to (in-memory only when empty)")
 		noFlight = fs.Bool("no-flight", false, "serve: disable the flight recorder and plan-stability watchdog entirely")
 		flLatF   = fs.Float64("flight-latency-factor", 0, "serve: flag requests slower than this multiple of their template's rolling baseline (0 = default 4)")

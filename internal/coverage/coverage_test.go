@@ -417,9 +417,13 @@ func TestLedger(t *testing.T) {
 		feedback("JOIN", 0xaaaa, 100, 50, 2),
 		feedback("ACCESS", 0xbbbb, 10, 10, 1),
 	}
-	l.Record(coverage.Template("SELECT 1"), events)
+	if q := l.Record(coverage.Template("SELECT 1"), events); q != 2 {
+		t.Errorf("Record returned a worst Q-error of %v, want 2", q)
+	}
 	l.Record(coverage.Template("SELECT 2"), events) // same template: literals collapse
-	l.Record("other", nil)                          // optimize-only request
+	if q := l.Record("other", nil); q != 0 {        // optimize-only request
+		t.Errorf("an optimize-only Record returned a worst Q-error of %v, want 0", q)
+	}
 
 	rep := l.Snapshot(nil)
 	if rep.Schema != coverage.SchemaV1 || rep.Requests != 3 {

@@ -244,8 +244,9 @@ func NewLedger(maxTemplates int) *Ledger {
 // Record folds one request's event stream into the ledger under the given
 // template (normalize with Template). Coverage summary events update the
 // rolling accumulator; exec.feedback events update the template's and the
-// aggregate Q-error digests.
-func (l *Ledger) Record(template string, events []obs.Event) {
+// aggregate Q-error digests. It returns the request's worst exec.feedback
+// Q-error (0 when nothing was executed).
+func (l *Ledger) Record(template string, events []obs.Event) (maxQ float64) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.requests++
@@ -266,6 +267,7 @@ func (l *Ledger) Record(template string, events []obs.Event) {
 			continue
 		}
 		executed = true
+		maxQ = max(maxQ, e.F2)
 		l.all.Observe(e.F2)
 		if t == nil {
 			continue
@@ -294,6 +296,7 @@ func (l *Ledger) Record(template string, events []obs.Event) {
 	if t != nil && executed {
 		t.executions++
 	}
+	return maxQ
 }
 
 // LedgerReport is the ledger rendered for GET /coverage, JSON-ready.

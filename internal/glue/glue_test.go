@@ -417,7 +417,8 @@ func TestStatsAdd(t *testing.T) {
 
 // TestPruneTally: dominance decisions are tallied by the origins of victim
 // and dominator on any enabled sink — without an event on a non-tracing one —
-// survive Absorb, and are not kept at all without a sink.
+// survive Absorb, and are not kept at all without a sink. The overlay reports
+// into the base's sink, as a tracing run's worker does.
 func TestPruneTally(t *testing.T) {
 	ts := deptSet()
 	mk := func(origin string, total float64) *plan.Node {
@@ -434,7 +435,7 @@ func TestPruneTally(t *testing.T) {
 		base.Obs = sink
 		base.Insert(ts, predsK, []*plan.Node{mk("R#1", 50)})
 		ov := NewOverlay(base)
-		ov.Obs = sink.Child()
+		ov.Obs = sink
 		ov.Insert(ts, predsK, []*plan.Node{mk("R#2", 90), mk("R#3", 5)}) // R#2 rejected by the base's R#1
 		base.Absorb(ov)                                                  // R#3 evicts R#1 on replay
 		got := tally(base)
@@ -448,7 +449,6 @@ func TestPruneTally(t *testing.T) {
 		if !reflect.DeepEqual(got, want) || base.Pruned != 2 {
 			t.Errorf("tracing=%v: prune tally %v (Pruned %d), want %v", sink.Tracing(), got, base.Pruned, want)
 		}
-		sink.Absorb(ov.Obs)
 		events := 0
 		for _, e := range sink.Events() {
 			if e.Name == obs.EvPlanPrune {

@@ -180,8 +180,8 @@ func NewPlanTable() *PlanTable {
 }
 
 // NewOverlay returns an empty overlay table over base. The overlay inherits
-// base's pruning mode but reports into its own Obs sink (set by the caller)
-// and its own counters; Absorb folds both back.
+// base's pruning mode, reports into the Obs sink the caller sets and keeps
+// its own counters, which Absorb folds back.
 func NewOverlay(base *PlanTable) *PlanTable {
 	pt := NewPlanTable()
 	pt.Reset(base)

@@ -234,65 +234,30 @@ func (s *Sink) SetTracing(on bool) {
 	}
 }
 
-// Child returns a fresh sink at the same tier as s for one unit of isolated
-// work — e.g. one subset task of the parallel join enumeration. Workers
-// record into their child sink without contending on the parent, and the
-// parent later folds the child back in with Absorb, in a deterministic
-// order. The child keeps every event it materialises, so Absorb hands the
-// parent's log and tees exactly what reporting into the parent directly
-// would have. Nil for the nil sink.
+// Child returns a metrics-only sink for one worker of the parallel join
+// enumeration: never tracing, with its own registry and, when s has one, its
+// own profiler, which Absorb folds back into s. Events recorded in a child are
+// never absorbed. Nil for the nil sink.
 func (s *Sink) Child() *Sink {
 	if s == nil {
 		return nil
 	}
-	c := &Sink{start: time.Now(), reg: NewRegistry(), tracing: s.tracing}
+	c := &Sink{start: s.start, reg: NewRegistry()}
 	if s.prof != nil {
 		c.prof = newProf(ProfOptions{Labels: s.prof.labels})
 	}
 	return c
 }
 
-// Absorb replays every event a child sink recorded into s, in the child's
-// order, and merges the child's metrics registry. Sequence numbers are
-// re-stamped from s's counter, span ids are remapped through s's span
-// counter (so absorbed spans never collide with s's own) and timestamps are
-// re-based onto s's epoch preserving real durations — exactly what Emit would
-// have done had the work reported into s directly. Tees see the absorbed
-// events in order.
-// The child must have finished its work. No-op when either side is nil.
+// Absorb merges a child sink's metrics registry and profiler tallies into s.
+// Both are sums, so the order children are absorbed in does not matter. The
+// child must have finished its work. No-op when either side is nil.
 func (s *Sink) Absorb(child *Sink) {
 	if s == nil || child == nil {
 		return
 	}
-	offset := child.start.Sub(s.start)
-	events := child.Events()
-	s.mu.Lock()
-	var spanMap map[int64]int64
-	for _, e := range events {
-		s.seq++
-		e.Seq = s.seq
-		e.T += offset
-		if e.Span != 0 {
-			if spanMap == nil {
-				spanMap = make(map[int64]int64)
-			}
-			ns, ok := spanMap[e.Span]
-			if !ok {
-				ns = s.spanSeq.Add(1)
-				spanMap[e.Span] = ns
-			}
-			e.Span = ns
-		}
-		s.events = append(s.events, e)
-		for _, fn := range s.tees {
-			fn(e)
-		}
-	}
-	s.mu.Unlock()
 	s.reg.Merge(child.Registry())
-	if s.prof != nil {
-		s.prof.merge(child.prof)
-	}
+	s.prof.merge(child.prof)
 }
 
 // Tag returns the sink's request id ("" for untagged and nil sinks).
@@ -485,9 +450,9 @@ func (s *Sink) Events() []Event {
 	return s.events[:len(s.events):len(s.events)]
 }
 
-// Len returns the number of events the sink has materialised: its own plus
-// those absorbed from child sinks. On a non-tracing sink that is the few
-// summary events, not the search steps taken.
+// Len returns the number of events the sink has materialised. On a
+// non-tracing sink that is the few summary events, not the search steps
+// taken.
 func (s *Sink) Len() int64 {
 	if s == nil {
 		return 0

@@ -314,93 +314,46 @@ func TestEventSize(t *testing.T) {
 	}
 }
 
-// TestChildAbsorb pins the worker-sink fold the parallel enumeration uses:
-// sequence numbers are re-stamped into the parent's stream, span links are
-// remapped without collisions, durations survive the time re-base, tees see
-// absorbed events, and the child's metrics merge.
+// TestChildAbsorb pins the worker-sink fold the parallel enumeration uses: a
+// child of any sink is metrics-only — its spans leave no record — and Absorb
+// merges its registry and profiler into the parent without touching the
+// parent's log or tees.
 func TestChildAbsorb(t *testing.T) {
-	parent := NewSink()
-	var teed []string
-	parent.Tee(func(e Event) { teed = append(teed, e.Name) })
-	parentSp := parent.StartSpan(EvPhase, "join-2", "", 0)
-
-	c1, c2 := parent.Child(), parent.Child()
-	if !c1.Enabled() {
-		t.Fatal("child of an enabled sink must be enabled")
-	}
-	sp := c1.StartSpan(EvRule, "JoinRoot", "", 1)
-	time.Sleep(2 * time.Millisecond)
-	sp.End(3)
-	c1.Registry().Counter("worker_total").Add(2)
-	c2.Emit(Event{Name: EvPair, A1: "A", A2: "B"})
-	sp2 := c2.StartSpan(EvRule, "JoinRoot", "", 1)
-	sp2.End(1)
-
-	parent.Absorb(c1)
-	parent.Absorb(c2)
-	parentSp.End(0)
-
-	events := parent.Events()
-	// span-begin + (c1 begin/end) + (c2 pair, begin/end) + span-end.
-	if len(events) != 7 {
-		t.Fatalf("got %d events", len(events))
-	}
-	spans := map[int64][]Event{}
-	for i, e := range events {
-		if e.Seq != int64(i+1) {
-			t.Fatalf("event %d has seq %d — absorb must re-stamp", i, e.Seq)
+	for _, parent := range []*Sink{NewSink(), NewMetricsSink()} {
+		parent.EnableProf(ProfOptions{})
+		var teed int
+		parent.Tee(func(Event) { teed++ })
+		c := parent.Child()
+		if !c.Enabled() || c.Tracing() || c.Prof() == nil {
+			t.Fatalf("child: enabled %v, tracing %v, profiler %v; want a metrics-only sink with a profiler", c.Enabled(), c.Tracing(), c.Prof() != nil)
 		}
-		if e.Span != 0 {
-			spans[e.Span] = append(spans[e.Span], e)
+		sp := c.StartSpan(EvRule, "JoinRoot", "", 1)
+		c.ProfActivity(ActGuard, time.Microsecond, 2)
+		sp.End(3)
+		c.Registry().Counter("worker_total").Add(2)
+		if c.Len() != 0 {
+			t.Fatalf("child kept %d events", c.Len())
 		}
-	}
-	// Three distinct spans (parent's, c1's, c2's), each with begin+end.
-	if len(spans) != 3 {
-		t.Fatalf("got %d distinct span ids, want 3 (children must be remapped)", len(spans))
-	}
-	for id, evs := range spans {
-		if len(evs) != 2 {
-			t.Fatalf("span %d has %d events", id, len(evs))
+		before := parent.Len()
+		parent.Absorb(c)
+		if parent.Len() != before || teed != 0 {
+			t.Fatalf("tracing=%v: Absorb added %d events, tee saw %d; want none", parent.Tracing(), parent.Len()-before, teed)
 		}
-		if d := evs[1].T - evs[0].T; d < 0 {
-			t.Fatalf("span %d duration %v negative after re-base", id, d)
+		if got := parent.Registry().Counters()["worker_total"]; got != 2 {
+			t.Fatalf("tracing=%v: merged counter = %d", parent.Tracing(), got)
 		}
-	}
-	// c1's timed span kept its ~2ms duration.
-	for _, evs := range spans {
-		if evs[0].Name == EvRule && evs[1].N1 == 3 {
-			if d := evs[1].T - evs[0].T; d < time.Millisecond {
-				t.Fatalf("absorbed span duration %v, want >= 1ms", d)
-			}
+		var b strings.Builder
+		parent.Registry().WritePrometheus(&b)
+		if !strings.Contains(b.String(), `star_rule_seconds_count{name="JoinRoot"} 1`) {
+			t.Fatalf("tracing=%v: the child's span histogram did not merge:\n%s", parent.Tracing(), b.String())
 		}
-	}
-	if len(teed) != 7 {
-		t.Fatalf("tee saw %d events", len(teed))
-	}
-	if got := parent.Registry().Counters()["worker_total"]; got != 2 {
-		t.Fatalf("merged counter = %d", got)
-	}
-	// A non-tracing parent's children inherit its tier: their spans leave
-	// no record, what they do emit reaches the parent's log and tees, and
-	// metrics still merge.
-	mp := NewMetricsSink()
-	var mteed int
-	mp.Tee(func(Event) { mteed++ })
-	mc := mp.Child()
-	if mc.Tracing() {
-		t.Fatal("child of a non-tracing sink must not trace")
-	}
-	mc.StartSpan(EvRule, "JoinRoot", "", 1).End(0)
-	mc.Emit(Event{Name: EvAltCoverage})
-	mc.Registry().Counter("worker_total").Add(1)
-	mp.Absorb(mc)
-	if got := mp.Events(); len(got) != 1 || mp.Len() != 1 || mteed != 1 {
-		t.Fatalf("non-tracing parent: %d events, Len %d, tee saw %d; want 1 each", len(got), mp.Len(), mteed)
-	}
-	if got := mp.Registry().Counters()["worker_total"]; got != 1 {
-		t.Fatalf("metrics-only merged counter = %d", got)
+		snap := parent.Prof().Snapshot()
+		if snap.Rules["JoinRoot"].Count != 1 || snap.Activities[ActGuard].Count != 2 {
+			t.Fatalf("tracing=%v: merged profile %+v, guard %+v", parent.Tracing(), snap.Rules["JoinRoot"], snap.Activities[ActGuard])
+		}
 	}
 	// Nil child and nil parent are no-ops.
+	parent := NewSink()
 	parent.Absorb(nil)
 	var nilSink *Sink
 	if c := nilSink.Child(); c != nil {

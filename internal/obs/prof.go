@@ -11,8 +11,8 @@
 // rank-parallel enumeration reports per-rank worker telemetry through
 // ProfRank.
 //
-// The lifecycle mirrors the sink's: Child sinks get their own empty Prof,
-// and Absorb folds a child's tallies back into the parent, so the merged
+// The lifecycle mirrors the sink's: a worker's Child sink gets its own empty
+// Prof, and Absorb folds its tallies back into the parent, so the merged
 // counts are exact and deterministic at every parallelism level. The
 // disabled path stays free: a sink without a profiler pays one nil check
 // per span, and the nil sink pays nothing.
@@ -116,8 +116,7 @@ type RankSample struct {
 	CollectNS int64
 	// ExecNS is the wall time of the worker-execution window.
 	ExecNS int64
-	// AbsorbNS is the barrier's ordered merge time (sink absorb, stats
-	// folds, plan-table overlay replay).
+	// AbsorbNS is the barrier's ordered overlay-replay time.
 	AbsorbNS int64
 	// BusyNS is per-worker busy time over the execution window.
 	BusyNS []int64

@@ -68,7 +68,8 @@ type Options struct {
 	// single-threaded; 0 (or less) uses GOMAXPROCS. Whatever the value,
 	// results are deterministic: every parallelism level chooses plans
 	// with identical fingerprints, retains an identical plan table, and
-	// reports identical counters. See docs/PERFORMANCE.md.
+	// reports identical counters. A tracing Obs sink enumerates on one
+	// worker whatever the value. See docs/PERFORMANCE.md.
 	Parallelism int
 }
 

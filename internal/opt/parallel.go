@@ -13,20 +13,21 @@
 //
 //  1. Isolation: each task that has something to join writes to its own
 //     overlay plan table over the frozen base — one of its worker's, Reset
-//     for it (workspace.overlay) — and records into its own child obs sink,
-//     so its outcome depends only on the committed base — never on how
-//     sibling tasks were scheduled. Everything else it works with —
-//     plan.Arena, forked pricing environment, forked engine, Gluer — belongs
-//     to the worker goroutine for the whole optimization (newWorker): where a
-//     node lives, which copy of an interned Rel it shares, which overlay held
-//     its writes and which engine counted a reference decide no outcome.
+//     for it (workspace.overlay) — so its outcome depends only on the
+//     committed base — never on how sibling tasks were scheduled. Everything
+//     else it works with — plan.Arena, forked pricing environment, forked
+//     engine, Gluer, obs sink — belongs to the worker goroutine for the whole
+//     optimization (newWorker): where a node lives, which copy of an interned
+//     Rel it shares, which overlay held its writes and which engine counted a
+//     reference decide no outcome.
 //  2. Namespacing: a worker's engine restarts its temp/index names per task
 //     from the task's subset mask ("_t<mask>.<seq>"), so generated names are
 //     a function of the work item, not of the worker or the schedule.
 //  3. Ordered merge: at the rank barrier the driver absorbs every task's
-//     events (with their metrics) and overlay writes in ascending subset-mask
-//     order, the order a serial walk visits subsets in. Engine and Glue
-//     counters are sums, added once per worker after the last rank.
+//     overlay writes in ascending subset-mask order, the order a serial walk
+//     visits subsets in. Counters, metrics and profiles are sums, added once
+//     per worker after the last rank. Events are not, so a tracing sink
+//     enumerates on one worker, which records into it as it goes.
 //
 // Parallelism: 1 runs the very same task/overlay/merge pipeline through a
 // forked worker 0 on the calling goroutine — never through the root engine —
@@ -61,9 +62,8 @@ func resolveParallelism(n int) int {
 
 // subsetTask is one unit of rank-parallel work: all joinable partitions of
 // one quantifier subset. It owns what the barrier must replay in mask order:
-// ov, the overlay the subset's plans were written to, and ov.Obs, the child
-// sink its events were recorded in (nil when observability is off). A subset
-// with no joinable partition takes neither and leaves ov nil.
+// ov, the overlay the subset's plans were written to. A subset with no
+// joinable partition takes none and leaves ov nil.
 type subsetTask struct {
 	mask  uint32
 	pairs int64
@@ -75,8 +75,8 @@ type subsetTask struct {
 // joinable partition of each subset. Subsets are bitmasks over the
 // quantifier list; quantifier counts beyond 30 are rejected (well past what
 // dynamic-programming enumeration is for). Within each size rank the
-// subsets run on Options.Parallelism workers; results merge at the rank
-// barrier in ascending mask order.
+// subsets run on Options.Parallelism workers (one when the sink is tracing);
+// results merge at the rank barrier in ascending mask order.
 func (o *Optimizer) enumerate(g *query.Graph, en *star.Engine, gl *glue.Gluer, table *glue.PlanTable, res *Result) error {
 	n := len(g.Quants)
 	if n > 30 {
@@ -87,6 +87,9 @@ func (o *Optimizer) enumerate(g *query.Graph, en *star.Engine, gl *glue.Gluer, t
 	}
 	par := resolveParallelism(o.Opts.Parallelism)
 	sink := res.Obs
+	if sink.Tracing() {
+		par = 1 // events do not sum: one worker records them as it goes
+	}
 
 	profiled := sink.ProfEnabled()
 	labels := sink.ProfLabels()
@@ -137,9 +140,8 @@ func (o *Optimizer) enumerate(g *query.Graph, en *star.Engine, gl *glue.Gluer, t
 		}
 
 		// Barrier: fold tasks back in ascending mask order — the order a
-		// serial walk visits subsets in — so dominance tie-breaks, event
-		// sequence numbers, and generated names come out identical at
-		// every parallelism level.
+		// serial walk visits subsets in — so dominance tie-breaks and
+		// generated names come out identical at every parallelism level.
 		for i := range tasks {
 			t := &tasks[i]
 			if t.err != nil {
@@ -150,7 +152,6 @@ func (o *Optimizer) enumerate(g *query.Graph, en *star.Engine, gl *glue.Gluer, t
 				continue // nothing joinable: the task built nothing to fold
 			}
 			res.Stats.Pairs += t.pairs
-			sink.Absorb(t.ov.Obs)
 			table.Absorb(t.ov)
 		}
 		for _, w := range res.spaces {
@@ -170,10 +171,14 @@ func (o *Optimizer) enumerate(g *query.Graph, en *star.Engine, gl *glue.Gluer, t
 		}
 		sizeSp.End(res.Stats.Pairs - sizePairs)
 	}
-	// Sums keep no order: add each worker's counters once, not once per task.
-	for _, w := range workers {
+	// Sums keep no order: add each worker's counters and sink once, not once
+	// per task.
+	for i, w := range workers {
 		en.Stats.Add(w.Engine.Stats)
 		gl.Stats.Add(w.Stats)
+		if i > 0 {
+			sink.Absorb(w.Engine.Obs)
+		}
 	}
 	if len(table.Entry(g.TableSet())) == 0 {
 		return fmt.Errorf("opt: no complete plan produced (disconnected join graph? enable CartesianProducts)")
@@ -285,17 +290,21 @@ func (w *workspace) overlay(base *glue.PlanTable) *glue.PlanTable {
 }
 
 // newWorker builds worker i's state for the rest of the optimization: a
-// workspace (the root's, idle while a rank executes, for worker 0; one checked
-// out and released with the result for the others), forks of the root pricing
-// environment and engine, and a Gluer wiring them together. Its plan table
-// and sink are the running task's (runSubset).
+// workspace and a sink (for worker 0 the root's workspace, idle while a rank
+// executes, and the request's sink; for the others a checked-out workspace and
+// a child sink), forks of the root pricing environment and engine, and a Gluer
+// wiring them together. Its plan table is the running task's (runSubset).
 func newWorker(i int, root *glue.Gluer, res *Result) *glue.Gluer {
 	if i == len(res.spaces) {
 		res.spaces = append(res.spaces, checkout())
 	}
+	sink := res.Obs
+	if i > 0 {
+		sink = sink.Child()
+	}
 	env := root.Engine.Cost.Fork()
-	env.Arena = res.spaces[i].arena
-	w := &glue.Gluer{Engine: root.Engine.Fork(env, nil), Graph: root.Graph, KeepAll: root.KeepAll}
+	env.Arena, env.Obs = res.spaces[i].arena, sink
+	w := &glue.Gluer{Engine: root.Engine.Fork(env, sink), Graph: root.Graph, KeepAll: root.KeepAll}
 	w.Engine.Glue = w.Glue
 	w.Engine.PlanSites = w.PlanSites
 	return w
@@ -304,23 +313,21 @@ func newWorker(i int, root *glue.Gluer, res *Result) *glue.Gluer {
 // runSubset evaluates one subset task on worker w, whose storage is ws,
 // against the root Gluer's committed table. The partitions are listed first:
 // most subsets of a sparse join graph have none and cost nothing more. A task
-// with something to join takes the two things it owns — an overlay plan table
-// from ws and a child sink — points the worker's engine, environment and
-// Gluer at them, restarts the engine's name space at the subset mask, and
-// references JoinRoot for every pair, reading committed entries through the
-// overlay and writing results into it.
+// with something to join takes an overlay plan table from ws, points the
+// worker's Gluer at it, restarts the engine's name space at the subset mask,
+// and references JoinRoot for every pair, reading committed entries through
+// the overlay and writing results into it.
 func (o *Optimizer) runSubset(t *subsetTask, w *glue.Gluer, ws *workspace, root *glue.Gluer) {
 	g := root.Graph
 	pairs := o.partitions(t.mask, g, root.Table, ws)
 	if len(pairs) == 0 {
 		return
 	}
-	sink := root.Engine.Obs.Child() // nil when observability is off
+	en := w.Engine
+	sink := en.Obs
 	ov := ws.overlay(root.Table)
 	ov.Obs = sink
 	t.ov, w.Table = ov, ov
-	en := w.Engine
-	en.Obs, en.Cost.Obs = sink, sink
 	en.RestartNames(uint64(t.mask))
 	if sink.ProfLabels() {
 		// Label the worker goroutine with the rank it is executing; EvalRule

@@ -39,6 +39,20 @@ func TestServeNeverReadsReleasedPlans(t *testing.T) {
 	})
 }
 
+const (
+	poisonChain3 = "SELECT T1.ID, T3.ID FROM T1, T2, T3 WHERE T1.K = T2.J AND T2.K = T3.J"
+	poisonChain5 = "SELECT T1.ID, T5.ID FROM T1, T2, T3, T4, T5 WHERE T1.K = T2.J AND T2.K = T3.J AND T3.K = T4.J AND T4.K = T5.J ORDER BY T1.ID"
+)
+
+// poisonRequests is every request shape the poisoned daemon is driven with:
+// optimize-only, verbose in both formats, execute+analyze, and provenance.
+var poisonRequests = []serve.OptimizeRequest{
+	{SQL: poisonChain5},
+	{SQL: poisonChain3, Verbose: true, Format: "both"},
+	{SQL: poisonChain3, Execute: true, Analyze: true},
+	{SQL: poisonChain5, Provenance: true},
+}
+
 // serveUnderPoison is TestServeNeverReadsReleasedPlans for one repertoire;
 // every explain rendering must mention mustRender.
 func serveUnderPoison(t *testing.T, opts opt.Options, mustRender string) {
@@ -55,16 +69,7 @@ func serveUnderPoison(t *testing.T, opts opt.Options, mustRender string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const (
-		chain3 = "SELECT T1.ID, T3.ID FROM T1, T2, T3 WHERE T1.K = T2.J AND T2.K = T3.J"
-		chain5 = "SELECT T1.ID, T5.ID FROM T1, T2, T3, T4, T5 WHERE T1.K = T2.J AND T2.K = T3.J AND T3.K = T4.J AND T4.K = T5.J ORDER BY T1.ID"
-	)
-	requests := []serve.OptimizeRequest{
-		{SQL: chain5},
-		{SQL: chain3, Verbose: true, Format: "both"},
-		{SQL: chain3, Execute: true, Analyze: true},
-		{SQL: chain5, Provenance: true},
-	}
+	requests := poisonRequests
 
 	var wg sync.WaitGroup
 	for c := 0; c < 3; c++ {
@@ -130,4 +135,50 @@ func serveUnderPoison(t *testing.T, opts opt.Options, mustRender string) {
 			t.Fatalf("%s: replay diverged: fp=%s captured=%s identical=%v", inc.ID, rr.Fingerprint, rr.CapturedFP, rr.Identical)
 		}
 	}
+}
+
+// FuzzOptimizeHandler feeds arbitrary bodies to POST /optimize with arena
+// poisoning on. Whatever the body, the handler must not panic, must answer
+// with one of the statuses the daemon documents and a JSON body of its
+// schema, and must render no released plan.
+func FuzzOptimizeHandler(f *testing.F) {
+	opt.SetArenaPoison(true)
+	defer opt.SetArenaPoison(false)
+	s, err := serve.New(serve.Config{
+		Catalog:     workload.ChainCatalog(5, 40, 30, 20, 10, 25),
+		Parallelism: 2,
+		Timeout:     5 * time.Second,
+	})
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, req := range poisonRequests {
+		body, err := json.Marshal(req)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(body)
+	}
+	f.Add([]byte(`{"sql": "SELECT T1.ID FROM T1`))
+	f.Add([]byte(`{"sql": ""}`))
+	f.Add([]byte(`{"sql": "` + poisonChain3 + `", "format": "xml"}`))
+	f.Fuzz(func(t *testing.T, body []byte) {
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/optimize", bytes.NewReader(body)))
+		switch rec.Code {
+		case http.StatusOK, http.StatusBadRequest, http.StatusUnprocessableEntity,
+			http.StatusInternalServerError, http.StatusServiceUnavailable, http.StatusGatewayTimeout:
+		default:
+			t.Fatalf("status %d: %s", rec.Code, rec.Body)
+		}
+		var reply struct {
+			Schema string `json:"schema"`
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), &reply); err != nil || reply.Schema != serve.SchemaV1 {
+			t.Fatalf("status %d: body is not a %s reply (%v): %s", rec.Code, serve.SchemaV1, err, rec.Body)
+		}
+		if strings.Contains(rec.Body.String(), "__POISONED__") {
+			t.Fatalf("status %d: reply renders a released plan:\n%s", rec.Code, rec.Body)
+		}
+	})
 }

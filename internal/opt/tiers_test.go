@@ -109,9 +109,10 @@ func TestTiersAgree(t *testing.T) {
 	}
 }
 
-// TestTeeSeesEveryChildEvent: rank tasks report into child sinks, and a tee
-// on the parent still sees exactly the parent's log — every absorbed event,
-// in order — at either tier and any parallelism.
+// TestTeeSeesEveryChildEvent: rank tasks report into their worker's sink —
+// the request's own on a tracing run — and a tee on the request's sink sees
+// exactly its log, every task's events included, in order, at either tier
+// and any parallelism.
 func TestTeeSeesEveryChildEvent(t *testing.T) {
 	cat := workload.StarCatalog(5, 100000, 500)
 	var serial int64
@@ -141,7 +142,7 @@ func TestTeeSeesEveryChildEvent(t *testing.T) {
 				}
 			}
 			if pairs == 0 {
-				t.Errorf("par=%d: no child-task event reached the tracing parent", par)
+				t.Errorf("par=%d: no subset-task event reached the tracing sink", par)
 			}
 			if par == 1 {
 				serial = sink.Len()

@@ -27,10 +27,11 @@ func fnvHex(s string) string {
 
 // foldFlight folds one finished request into the flight recorder and, when
 // the watchdog fires, snapshots an incident bundle. planFP is res.Best's
-// fingerprint as the response already rendered it. Called from the
+// fingerprint as the response already rendered it, maxQ the request's worst
+// per-operator Q-error as the ledger folded it. Called from the
 // doLabeled defer after the request's event stream is final; no-op (and
 // allocation-free) when recording is disabled.
-func (s *Server) foldFlight(reqID, tmpl string, req OptimizeRequest, sink *obs.Sink, events []obs.Event,
+func (s *Server) foldFlight(reqID, tmpl string, req OptimizeRequest, sink *obs.Sink, maxQ float64,
 	res *opt.Result, planFP string, status int, wall time.Duration, executed bool) {
 	if s.flight == nil {
 		return
@@ -38,6 +39,7 @@ func (s *Server) foldFlight(reqID, tmpl string, req OptimizeRequest, sink *obs.S
 	rec := flight.Record{
 		Req: reqID, Template: tmpl, SQL: req.SQL, Status: status,
 		WallNS: wall.Nanoseconds(), Parallelism: s.cfg.Parallelism,
+		Executed: executed, MaxQError: maxQ,
 	}
 	if res != nil && res.Best != nil {
 		rec.PlanFP = planFP
@@ -45,23 +47,12 @@ func (s *Server) foldFlight(reqID, tmpl string, req OptimizeRequest, sink *obs.S
 		rec.EstCost = res.Best.Props.Cost.Total
 		rec.EstRows = res.Best.Props.Card
 	}
-	if executed {
-		rec.Executed = true
-		for _, e := range events {
-			if e.Name == obs.EvExecFeedback && e.F2 > rec.MaxQError {
-				rec.MaxQError = e.F2
-			}
-		}
-	}
 
 	o := s.flight.Observe(rec)
 	s.reg.Counter("flight_records_total").Add(1)
 	if len(o.Triggers) > 0 {
 		s.fileIncident(o, req, tmpl, sink, res)
 	}
-	st := s.flight.Stats()
-	s.reg.Gauge("flight_templates").Set(int64(st.Templates))
-	s.reg.Gauge("flight_incidents").Set(int64(st.Incidents))
 }
 
 // fileIncident counts a triggering observation's anomalies and files its

@@ -334,7 +334,7 @@ func TestFlightDisabledFoldZeroAlloc(t *testing.T) {
 	s := newTestServer(t, Config{DisableFlight: true})
 	req := OptimizeRequest{SQL: figure1SQL}
 	allocs := testing.AllocsPerRun(100, func() {
-		s.foldFlight("r1", "tmpl", req, nil, nil, nil, "", 200, time.Millisecond, false)
+		s.foldFlight("r1", "tmpl", req, nil, 0, nil, "", 200, time.Millisecond, false)
 	})
 	if allocs != 0 {
 		t.Fatalf("disabled flight fold allocates: %v allocs/op", allocs)

@@ -284,7 +284,6 @@ func New(cfg Config) (*Server, error) {
 	for _, op := range []plan.Op{plan.OpShip, plan.OpSort, plan.OpStore, plan.OpBuildIndex, plan.OpFilter} {
 		s.reg.Counter(`coverage_veneer_injected_total{op="` + string(op) + `"}`)
 	}
-	s.ledger.PublishMetrics(s.reg, rules) // gauges at their empty-state values
 	// And the self-profiler's phase/rank series, so the profiling surface is
 	// scrapeable at zero before any traffic.
 	if !cfg.DisableProfiling {
@@ -301,8 +300,6 @@ func New(cfg Config) (*Server, error) {
 		for _, kind := range flight.Kinds {
 			s.reg.Counter(`flight_anomaly_total{kind="` + kind + `"}`)
 		}
-		s.reg.Gauge("flight_templates")
-		s.reg.Gauge("flight_incidents")
 	}
 
 	// One table drives both the mux and the index page, so a newly mounted
@@ -445,7 +442,14 @@ func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 	s.writeJSON(w, status, readyzBody{Ready: ready, Draining: !ready, Inflight: len(s.inflight)})
 }
 
+// handleMetrics sets the derived gauges per scrape, then writes the registry.
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
+	s.ledger.PublishMetrics(s.reg, s.rules)
+	if s.flight != nil {
+		st := s.flight.Stats()
+		s.reg.Gauge("flight_templates").Set(int64(st.Templates))
+		s.reg.Gauge("flight_incidents").Set(int64(st.Incidents))
+	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	if err := s.reg.WritePrometheus(w); err != nil {
 		s.cfg.Log.Printf("metrics write: %v", err)
@@ -601,9 +605,9 @@ func (s *Server) doLabeled(reqID, tmpl string, req OptimizeRequest) outcome {
 	}()
 	// LIFO puts this after the EvRequestDone emit below, so the whole
 	// stream is final: fold it into the rolling coverage/Q-error ledger
-	// and refresh the derived gauges (counters reach the registry via the
-	// merge above), then into the flight recorder — whose watchdog wants
-	// the complete trace (exec.feedback included) in its captures.
+	// (counters reach the registry via the merge above), then into the
+	// flight recorder — whose watchdog wants the complete trace
+	// (exec.feedback included) in its captures.
 	status := http.StatusOK
 	var (
 		flightRes  *opt.Result
@@ -611,10 +615,8 @@ func (s *Server) doLabeled(reqID, tmpl string, req OptimizeRequest) outcome {
 		flightExec bool
 	)
 	defer func() {
-		events := sink.Events()
-		s.ledger.Record(tmpl, events)
-		s.ledger.PublishMetrics(s.reg, s.rules)
-		s.foldFlight(reqID, tmpl, req, sink, events, flightRes, flightFP, status, time.Since(start), flightExec)
+		maxQ := s.ledger.Record(tmpl, sink.Events())
+		s.foldFlight(reqID, tmpl, req, sink, maxQ, flightRes, flightFP, status, time.Since(start), flightExec)
 		// Every consumer of the result is done (the response is rendered,
 		// incident captures serialize plans to JSON): hand the plan arenas
 		// back, so the next request fills the same chunks instead of

@@ -217,11 +217,10 @@ func NewEngine(rules *RuleSet, costEnv *cost.Env) *Engine {
 // shared with en, not copied: Options.Prepare fills them before the first
 // reference is evaluated and nothing writes them afterwards (builders and
 // helpers are stateless functions receiving the engine per call), so
-// concurrent workers only ever read them. The pricing environment and the
-// counters (zero here; the caller adds them back with Stats.Add) are the
-// worker's own for its whole life, the sink and the name space its current
-// task's (RestartNames). The caller wires Glue and PlanSites to the worker's
-// Gluer.
+// concurrent workers only ever read them. The pricing environment, the sink
+// and the counters (zero here; the caller adds them back with Stats.Add) are
+// the worker's own for its whole life, the name space its current task's
+// (RestartNames). The caller wires Glue and PlanSites to the worker's Gluer.
 func (en *Engine) Fork(costEnv *cost.Env, sink *obs.Sink) *Engine {
 	return &Engine{
 		Rules:       en.Rules,
