@@ -124,7 +124,7 @@ func buildNode(en *star.Engine, args []star.Value) (star.Value, error) {
 			}
 		}
 		if sv.Req.Temp && !n.Props.Temp {
-			if n, ok = price(&plan.Node{Op: plan.OpStore, TableGen: en.NextTempName(), Inputs: []*plan.Node{n}}); !ok {
+			if n, ok = price(&plan.Node{Op: plan.OpStore, Inputs: []*plan.Node{n}}); !ok {
 				continue
 			}
 		}

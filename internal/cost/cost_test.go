@@ -2,6 +2,7 @@ package cost
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -207,9 +208,9 @@ func TestSortShipStoreFilterProps(t *testing.T) {
 		t.Error("SHIP charges messages and bytes")
 	}
 
-	stored := price(t, e, &plan.Node{Op: plan.OpStore, Table: "_t1", Inputs: []*plan.Node{shipped}})
-	if !stored.Props.Temp || stored.Props.TempName != "_t1" {
-		t.Error("STORE marks temp")
+	stored := price(t, e, &plan.Node{Op: plan.OpStore, Inputs: []*plan.Node{shipped}})
+	if !stored.Props.Temp || stored.TableName() != "_t"+shipped.Fingerprint() {
+		t.Errorf("STORE marks temp, named for the plan it stores (got %q)", stored.TableName())
 	}
 	if stored.Props.Rescan.Total >= stored.Props.Cost.Total {
 		t.Error("temp rescan must be cheaper than first production")
@@ -303,18 +304,16 @@ func TestBuildIndexRequiresTemp(t *testing.T) {
 	e := testEnv()
 	base := scanT(e)
 	price(t, e, base)
-	n := &plan.Node{Op: plan.OpBuildIndex, Path: "ix",
-		SortCols: []expr.ColID{{Table: "T", Col: "A"}}, Inputs: []*plan.Node{base}}
+	key := []expr.ColID{{Table: "T", Col: "A"}}
+	n := &plan.Node{Op: plan.OpBuildIndex, SortCols: key, Inputs: []*plan.Node{base}}
 	if err := e.Price(n); err == nil {
 		t.Fatal("BUILDINDEX over a non-temp must fail")
 	}
-	stored := price(t, e, &plan.Node{Op: plan.OpStore, Table: "_tx",
-		Inputs: []*plan.Node{scanT(e)}})
-	n2 := price(t, e, &plan.Node{Op: plan.OpBuildIndex, Path: "ix",
-		SortCols: []expr.ColID{{Table: "T", Col: "A"}}, Inputs: []*plan.Node{stored}})
+	stored := price(t, e, &plan.Node{Op: plan.OpStore, Inputs: []*plan.Node{scanT(e)}})
+	n2 := price(t, e, &plan.Node{Op: plan.OpBuildIndex, SortCols: key, Inputs: []*plan.Node{stored}})
 	found := false
 	for _, p := range n2.Props.Paths {
-		if p.Name == "ix" && p.Dynamic {
+		if p.Dynamic && slices.Equal(p.Cols, key) {
 			found = true
 		}
 	}

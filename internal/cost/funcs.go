@@ -3,6 +3,7 @@ package cost
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"stars/internal/catalog"
 	"stars/internal/expr"
@@ -115,13 +116,11 @@ func tempAccessProps(e *Env, n *plan.Node) (*plan.Props, error) {
 		rel = e.InternRel(in.Tables(), n.Cols, preds)
 	}
 	p := e.newProps(plan.Props{
-		Rel:      rel,
-		Site:     in.Site,
-		Temp:     true,
-		TempName: in.TempName,
-		TempGen:  in.TempGen,
-		Card:     card,
-		Paths:    in.Paths,
+		Rel:   rel,
+		Site:  in.Site,
+		Temp:  true,
+		Card:  card,
+		Paths: in.Paths,
 	})
 	pages := pagesOf(in.Card, rowWidth(in))
 	switch n.Flavor {
@@ -136,10 +135,11 @@ func tempAccessProps(e *Env, n *plan.Node) (*plan.Props, error) {
 			p.Rescan.IO = 0
 		}
 	case plan.FlavorIndex:
+		// The probed dynamic index is the one whose key is the node's.
 		var path *plan.PathInfo
 		for i := range in.Paths {
-			if in.Paths[i].Name == n.Path && in.Paths[i].Gen == n.PathGen {
-				path = &in.Paths[i]
+			if pi := &in.Paths[i]; pi.Dynamic && slices.Equal(pi.Cols, n.SortCols) {
+				path = pi
 				break
 			}
 		}
@@ -252,16 +252,14 @@ func getProps(e *Env, n *plan.Node) (*plan.Props, error) {
 		rescanDelta.IO = 0
 	}
 	p := e.newProps(plan.Props{
-		Rel:      e.InternMerged(in.Tables(), in.Rel, n.Cols, in.Preds().Union(n.Preds)),
-		Order:    in.Order,
-		Site:     in.Site,
-		Temp:     in.Temp,
-		TempName: in.TempName,
-		TempGen:  in.TempGen,
-		Paths:    in.Paths,
-		Card:     card,
-		Cost:     in.Cost.Add(delta),
-		Rescan:   in.Rescan.Add(rescanDelta),
+		Rel:    e.InternMerged(in.Tables(), in.Rel, n.Cols, in.Preds().Union(n.Preds)),
+		Order:  in.Order,
+		Site:   in.Site,
+		Temp:   in.Temp,
+		Paths:  in.Paths,
+		Card:   card,
+		Cost:   in.Cost.Add(delta),
+		Rescan: in.Rescan.Add(rescanDelta),
 	})
 	return p, nil
 }
@@ -298,7 +296,6 @@ func shipProps(e *Env, n *plan.Node) (*plan.Props, error) {
 	p := e.cloneProps(in)
 	p.Site = n.Site
 	p.Temp = false
-	p.TempName, p.TempGen = "", plan.GenName{}
 	// Access paths do not travel with the tuples.
 	p.Paths = nil
 	p.Cost = in.Cost.Add(delta)
@@ -314,7 +311,6 @@ func storeProps(e *Env, n *plan.Node) (*plan.Props, error) {
 	delta := plan.Cost{IO: pages, CPU: in.Card}
 	p := e.cloneProps(in)
 	p.Temp = true
-	p.TempName, p.TempGen = n.Table, n.TableGen
 	p.Paths = nil
 	p.Cost = in.Cost.Add(delta)
 	p.Rescan = plan.Cost{IO: rescanIO(pages), CPU: in.Card}
@@ -352,7 +348,7 @@ func buildIndexProps(e *Env, n *plan.Node) (*plan.Props, error) {
 	}
 	p := e.cloneProps(in)
 	// Copy-on-append: the input's PATHS slice is shared.
-	p.Paths = e.Arena.JoinPaths(in.Paths, []plan.PathInfo{{Name: n.Path, Gen: n.PathGen, Cols: n.SortCols, Dynamic: true, KeyWidth: keyWidth}})
+	p.Paths = e.Arena.JoinPaths(in.Paths, []plan.PathInfo{{Cols: n.SortCols, Dynamic: true, KeyWidth: keyWidth}})
 	p.Cost = in.Cost.Add(delta)
 	p.Rescan = in.Rescan
 	return p, nil

@@ -70,18 +70,17 @@ func TestGetPropsFetchModes(t *testing.T) {
 
 func TestTempAccessProps(t *testing.T) {
 	e := testEnv(cEQ("T", "A", 3))
-	stored := price(t, e, &plan.Node{Op: plan.OpStore, Table: "_tmp1",
-		Inputs: []*plan.Node{scanT(e)}})
+	stored := price(t, e, &plan.Node{Op: plan.OpStore, Inputs: []*plan.Node{scanT(e)}})
 
 	// Heap re-access of the temp: rescan pays only the re-read (zero IO
 	// here, the temp fits the buffer pool).
 	acc := price(t, e, &plan.Node{
-		Op: plan.OpAccess, Flavor: plan.FlavorHeap, Table: "_tmp1",
+		Op: plan.OpAccess, Flavor: plan.FlavorHeap,
 		Cols:   []expr.ColID{{Table: "T", Col: "A"}},
 		Inputs: []*plan.Node{stored},
 	})
-	if !acc.Props.Temp || acc.Props.TempName != "_tmp1" {
-		t.Fatal("temp access keeps temp identity")
+	if !acc.Props.Temp || acc.TableName() != stored.TableName() {
+		t.Fatalf("temp access keeps temp identity: reads %q, not %q", acc.TableName(), stored.TableName())
 	}
 	if acc.Props.Rescan.IO != 0 {
 		t.Errorf("buffered temp rescan IO = %v", acc.Props.Rescan.IO)
@@ -91,14 +90,18 @@ func TestTempAccessProps(t *testing.T) {
 	}
 
 	// Index flavor over a dynamic path.
-	ixd := price(t, e, &plan.Node{Op: plan.OpBuildIndex, Path: "_ix1",
+	ixd := price(t, e, &plan.Node{Op: plan.OpBuildIndex,
 		SortCols: []expr.ColID{{Table: "T", Col: "A"}}, Inputs: []*plan.Node{stored}})
 	probe := price(t, e, &plan.Node{
-		Op: plan.OpAccess, Flavor: plan.FlavorIndex, Table: "_tmp1", Path: "_ix1",
-		Cols:   []expr.ColID{{Table: "T", Col: "A"}},
-		Preds:  e.u.PredSet(cEQ("T", "A", 3)),
-		Inputs: []*plan.Node{ixd},
+		Op: plan.OpAccess, Flavor: plan.FlavorIndex,
+		Cols:     []expr.ColID{{Table: "T", Col: "A"}},
+		Preds:    e.u.PredSet(cEQ("T", "A", 3)),
+		SortCols: []expr.ColID{{Table: "T", Col: "A"}},
+		Inputs:   []*plan.Node{ixd},
 	})
+	if probe.PathName() != ixd.PathName() || probe.TableName() != stored.TableName() {
+		t.Errorf("probe reads %s on %s, the index built is %s on %s", probe.PathName(), probe.TableName(), ixd.PathName(), stored.TableName())
+	}
 	if probe.Props.Card >= stored.Props.Card {
 		t.Error("probe must be selective")
 	}
@@ -106,11 +109,16 @@ func TestTempAccessProps(t *testing.T) {
 		t.Error("dynamic-index probe yields key order")
 	}
 
-	// Unknown path errors; non-temp input errors.
-	badPath := &plan.Node{Op: plan.OpAccess, Flavor: plan.FlavorIndex, Table: "_tmp1",
-		Path: "missing", Inputs: []*plan.Node{ixd}}
+	// A key no dynamic path has errors, as does a probe with no key;
+	// non-temp input errors.
+	badPath := &plan.Node{Op: plan.OpAccess, Flavor: plan.FlavorIndex,
+		SortCols: []expr.ColID{{Table: "T", Col: "B"}}, Inputs: []*plan.Node{ixd}}
 	if err := e.Price(badPath); err == nil {
 		t.Error("unknown temp path must fail")
+	}
+	noKey := &plan.Node{Op: plan.OpAccess, Flavor: plan.FlavorIndex, Inputs: []*plan.Node{ixd}}
+	if err := e.Price(noKey); err == nil {
+		t.Error("index ACCESS over a temp without a key must fail")
 	}
 	nonTemp := &plan.Node{Op: plan.OpAccess, Flavor: plan.FlavorHeap, Table: "x",
 		Inputs: []*plan.Node{scanTPriced(t, e)}}
@@ -242,14 +250,14 @@ func TestIndexMatchPrefixSemantics(t *testing.T) {
 func TestVeneerOperatorsNeverLowerCost(t *testing.T) {
 	e := testEnv(cEQ("T", "A", 3))
 	a := []expr.ColID{{Table: "T", Col: "A"}}
-	stored := price(t, e, &plan.Node{Op: plan.OpStore, Table: "_t1", Inputs: []*plan.Node{scanT(e)}})
-	indexed := price(t, e, &plan.Node{Op: plan.OpBuildIndex, Path: "_ix1", SortCols: a, Inputs: []*plan.Node{stored}})
+	stored := price(t, e, &plan.Node{Op: plan.OpStore, Inputs: []*plan.Node{scanT(e)}})
+	indexed := price(t, e, &plan.Node{Op: plan.OpBuildIndex, SortCols: a, Inputs: []*plan.Node{stored}})
 	for _, n := range []*plan.Node{
 		{Op: plan.OpShip, Site: "X", Inputs: []*plan.Node{scanT(e)}},
 		{Op: plan.OpSort, SortCols: a, Inputs: []*plan.Node{scanT(e)}},
 		stored,
 		indexed,
-		{Op: plan.OpAccess, Flavor: plan.FlavorIndex, Table: "_t1", Path: "_ix1",
+		{Op: plan.OpAccess, Flavor: plan.FlavorIndex, SortCols: a,
 			Preds: e.u.PredSet(cEQ("T", "A", 3)), Inputs: []*plan.Node{indexed}},
 		{Op: plan.OpFilter, Preds: e.u.PredSet(cEQ("T", "A", 3)), Inputs: []*plan.Node{scanT(e)}},
 	} {

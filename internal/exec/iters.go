@@ -405,12 +405,8 @@ func (it *tempAccessIter) Open(outer expr.Binding) error {
 	if bt == nil {
 		return fmt.Errorf("exec: temp %s lacks index %s", h.td.Name, it.path)
 	}
-	// Key columns of the dynamic index, resolved through the temp schema.
-	var keyCols []expr.ColID
-	if bi := it.n.Inputs[0]; bi.Op == plan.OpBuildIndex {
-		keyCols = bi.SortCols
-	}
-	prefix, lo, hi, _ := probeBounds(it.n.Preds.Slice(), keyCols, outer)
+	// The node carries the key columns of the dynamic index it probes.
+	prefix, lo, hi, _ := probeBounds(it.n.Preds.Slice(), it.n.SortCols, outer)
 	it.entries = it.entries[:0]
 	it.pos = 0
 	collect := func(e storage.Entry) bool {

@@ -434,7 +434,7 @@ func TestPruneTally(t *testing.T) {
 		base := NewPlanTable()
 		base.Obs = sink
 		base.Insert(ts, predsK, []*plan.Node{mk("R#1", 50)})
-		ov := NewOverlay(base)
+		ov := newOverlay(base)
 		ov.Obs = sink
 		ov.Insert(ts, predsK, []*plan.Node{mk("R#2", 90), mk("R#3", 5)}) // R#2 rejected by the base's R#1
 		base.Absorb(ov)                                                  // R#3 evicts R#1 on replay
@@ -472,7 +472,7 @@ func TestOverlayIsolation(t *testing.T) {
 		Props: &plan.Props{Cost: plan.Cost{Total: 5}}}
 	base.Insert(ts, predsP, []*plan.Node{cheap})
 
-	ov := NewOverlay(base)
+	ov := newOverlay(base)
 	// Reads fall through.
 	if got := plansOf(ov.Lookup(ts, predsP)); len(got) != 1 || got[0] != cheap {
 		t.Fatalf("overlay lookup = %v", got)
@@ -523,7 +523,7 @@ func TestOverlayPruneDisabled(t *testing.T) {
 		Props: &plan.Props{Cost: plan.Cost{Total: 5}}}
 	base.Insert(ts, predsP, []*plan.Node{a})
 
-	ov := NewOverlay(base)
+	ov := newOverlay(base)
 	if !ov.PruneDisabled {
 		t.Fatal("overlay must inherit PruneDisabled")
 	}
@@ -559,3 +559,11 @@ func TestLookupAcrossEqualUniverses(t *testing.T) {
 
 // plansOf copies a cell's plans out, base half first.
 func plansOf(c Cell) []*plan.Node { return c[1].appendTo(c[0].appendTo(nil)) }
+
+// newOverlay returns an empty overlay table over base: it inherits base's
+// pruning mode and keeps its own counters, which Absorb folds back.
+func newOverlay(base *PlanTable) *PlanTable {
+	pt := NewPlanTable()
+	pt.Reset(base)
+	return pt
+}

@@ -266,7 +266,7 @@ func (g *Gluer) veneer(cur *plan.Node, req plan.Reqd, full expr.PredSet) (_ *pla
 	}
 	// 3. Materialize when required.
 	if (req.Temp || len(req.PathCols) > 0) && !cur.Props.Temp {
-		if cur, err = g.addVeneer(cur, plan.Node{Op: plan.OpStore, TableGen: g.Engine.NextTempName()}); err != nil {
+		if cur, err = g.addVeneer(cur, plan.Node{Op: plan.OpStore}); err != nil {
 			return nil, err
 		}
 	}
@@ -287,7 +287,7 @@ func (g *Gluer) veneer(cur *plan.Node, req plan.Reqd, full expr.PredSet) (_ *pla
 // predicates.
 func (g *Gluer) dynamicIndex(cur *plan.Node, ixCols []expr.ColID, full expr.PredSet) (_ *plan.Node, err error) {
 	if cur.Props.PathOn(ixCols) == nil {
-		ix := plan.Node{Op: plan.OpBuildIndex, PathGen: g.Engine.NextIndexName(), SortCols: ixCols}
+		ix := plan.Node{Op: plan.OpBuildIndex, SortCols: ixCols}
 		if cur, err = g.addVeneer(cur, ix); err != nil {
 			return nil, err
 		}
@@ -296,10 +296,9 @@ func (g *Gluer) dynamicIndex(cur *plan.Node, ixCols []expr.ColID, full expr.Pred
 	missing := full.Minus(cur.Props.Preds())
 	return g.addVeneer(cur, plan.Node{
 		Op: plan.OpAccess, Flavor: plan.FlavorIndex,
-		Table: cur.Props.TempName, TableGen: cur.Props.TempGen,
-		Path: path.Name, PathGen: path.Gen,
-		Cols:  cur.Props.Cols(), // interned and never mutated; sharing is safe
-		Preds: expr.MatchIndexPrefix(missing, path.Cols),
+		Cols:     cur.Props.Cols(), // interned and never mutated; sharing is safe
+		Preds:    expr.MatchIndexPrefix(missing, path.Cols),
+		SortCols: path.Cols,
 	})
 }
 

@@ -179,15 +179,6 @@ func NewPlanTable() *PlanTable {
 	}
 }
 
-// NewOverlay returns an empty overlay table over base. The overlay inherits
-// base's pruning mode, reports into the Obs sink the caller sets and keeps
-// its own counters, which Absorb folds back.
-func NewOverlay(base *PlanTable) *PlanTable {
-	pt := NewPlanTable()
-	pt.Reset(base)
-	return pt
-}
-
 // Reset empties the table for reuse, keeping its maps' and slabs' storage:
 // as an overlay over base, or as a root table when base is nil. No cell,
 // retained plan, mark, replay entry, prune tally, counter or sink of its

@@ -44,7 +44,7 @@ func TestProbePathsAllocationFree(t *testing.T) {
 
 	// The overlay read path is probed at every enumeration step; it must be
 	// as free as the base path when the overlay holds nothing local.
-	ov := NewOverlay(pt)
+	ov := newOverlay(pt)
 	if got := testing.AllocsPerRun(1000, func() {
 		if ov.Lookup(ts, predsK).Len() == 0 {
 			t.Fatal("overlay lookup lost the base entry")
@@ -116,7 +116,7 @@ func TestResetLeavesNothingBehind(t *testing.T) {
 	ts, plans := deptSet(), incomparable(3)
 	old, base := NewPlanTable(), NewPlanTable()
 	base.Insert(ts, predsOther, plans[:1])
-	ov := NewOverlay(old)
+	ov := newOverlay(old)
 	ov.Obs = obs.NewSink()
 	ov.Insert(ts, predsK, plans)
 	ov.Insert(ts, predsK, []*plan.Node{{Op: plan.OpSort, Props: &plan.Props{Order: plans[0].Props.Order, Cost: plan.Cost{Total: 9}}}}) // dominated

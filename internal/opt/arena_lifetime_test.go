@@ -80,8 +80,8 @@ func TestArenaLifetimeOptimizeReleaseLoop(t *testing.T) {
 
 // TestDetachedDynamicIndexPlanSurvivesArenaReuse: a plan's PATHS lists (like
 // its Inputs), its interned Rels and their COLS are arena storage, and its
-// generated temp and index names are values rendered on demand, so Detach has
-// to copy the first out and keep the second intact. A detached best plan —
+// temp and index names are rendered on demand from its structure, so Detach
+// has to copy the first out and keep the second intact. A detached best plan —
 // one that STOREs and BUILDINDEXes, and one the built-in repertoire chose —
 // renders the same verbose EXPLAIN — operators, names, the COLS and PATHS
 // lines of every property vector — the same functional form and the same

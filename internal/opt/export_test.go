@@ -10,8 +10,9 @@ func SetArenaPoison(on bool) { arenaPoison = on }
 // DynamicIndexRules is the built-in repertoire with JMeth cut down to the
 // nested-loop join and the dynamic-index alternative of Section 4.5.3, so the
 // plan chosen for a chain over tables without useful indexes STOREs its inners
-// and probes BUILDINDEXes on them: generated names and PATHS lists in the plan
-// that gets detached, rendered and executed, not only in pruned candidates.
+// and probes BUILDINDEXes on them: temp and index names and PATHS lists in the
+// plan that gets detached, rendered and executed, not only in pruned
+// candidates.
 func DynamicIndexRules() *star.RuleSet {
 	rules, err := star.ParseRules(star.DefaultRuleText + `
 star JMeth(T1, T2, P) = [

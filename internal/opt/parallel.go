@@ -9,7 +9,7 @@
 //
 // Determinism is the design constraint — a parallel run must choose plans
 // with identical fingerprints, retain an identical plan table, and report
-// identical counters to a serial run. Three mechanisms deliver it:
+// identical counters to a serial run. Two mechanisms deliver it:
 //
 //  1. Isolation: each task that has something to join writes to its own
 //     overlay plan table over the frozen base — one of its worker's, Reset
@@ -20,10 +20,7 @@
 //     optimization (newWorker): where a node lives, which copy of an interned
 //     Rel it shares, which overlay held its writes and which engine counted a
 //     reference decide no outcome.
-//  2. Namespacing: a worker's engine restarts its temp/index names per task
-//     from the task's subset mask ("_t<mask>.<seq>"), so generated names are
-//     a function of the work item, not of the worker or the schedule.
-//  3. Ordered merge: at the rank barrier the driver absorbs every task's
+//  2. Ordered merge: at the rank barrier the driver absorbs every task's
 //     overlay writes in ascending subset-mask order, the order a serial walk
 //     visits subsets in. Counters, metrics and profiles are sums, added once
 //     per worker after the last rank. Events are not, so a tracing sink
@@ -140,8 +137,8 @@ func (o *Optimizer) enumerate(g *query.Graph, en *star.Engine, gl *glue.Gluer, t
 		}
 
 		// Barrier: fold tasks back in ascending mask order — the order a
-		// serial walk visits subsets in — so dominance tie-breaks and
-		// generated names come out identical at every parallelism level.
+		// serial walk visits subsets in — so dominance tie-breaks come out
+		// identical at every parallelism level.
 		for i := range tasks {
 			t := &tasks[i]
 			if t.err != nil {
@@ -314,9 +311,8 @@ func newWorker(i int, root *glue.Gluer, res *Result) *glue.Gluer {
 // against the root Gluer's committed table. The partitions are listed first:
 // most subsets of a sparse join graph have none and cost nothing more. A task
 // with something to join takes an overlay plan table from ws, points the
-// worker's Gluer at it, restarts the engine's name space at the subset mask,
-// and references JoinRoot for every pair, reading committed entries through
-// the overlay and writing results into it.
+// worker's Gluer at it and references JoinRoot for every pair, reading
+// committed entries through the overlay and writing results into it.
 func (o *Optimizer) runSubset(t *subsetTask, w *glue.Gluer, ws *workspace, root *glue.Gluer) {
 	g := root.Graph
 	pairs := o.partitions(t.mask, g, root.Table, ws)
@@ -328,7 +324,6 @@ func (o *Optimizer) runSubset(t *subsetTask, w *glue.Gluer, ws *workspace, root 
 	ov := ws.overlay(root.Table)
 	ov.Obs = sink
 	t.ov, w.Table = ov, ov
-	en.RestartNames(uint64(t.mask))
 	if sink.ProfLabels() {
 		// Label the worker goroutine with the rank it is executing; EvalRule
 		// composes star= on top. Labels follow the task, so a worker pool

@@ -326,9 +326,9 @@ func TestWorkerStateOutlivesTasks(t *testing.T) {
 	}
 }
 
-// TestGeneratedNamesFollowTheTask: a worker engine restarts its temp/index
-// name space at every task from the task's subset mask, so the names in the
-// retained plans are the same whichever worker ran which task.
+// TestGeneratedNamesFollowTheTask: a temp is named by the plan it stores and
+// a dynamic index by that plan and its key, so the names in the retained
+// plans are the same whichever worker ran which task.
 func TestGeneratedNamesFollowTheTask(t *testing.T) {
 	cat := workload.ChainCatalog(6, 300, 100, 50, 200, 80, 120)
 	rootPlans := func(par int) string {
@@ -342,7 +342,7 @@ func TestGeneratedNamesFollowTheTask(t *testing.T) {
 	}
 	want := rootPlans(1)
 	if !strings.Contains(want, "STORE table=_t") || !strings.Contains(want, "BUILDINDEX path=_ix") {
-		t.Fatal("fixture retains no root plan with a generated temp and index name")
+		t.Fatal("fixture retains no root plan with a temp and index name")
 	}
 	for _, par := range []int{2, 8} {
 		if got := rootPlans(par); got != want {
@@ -468,7 +468,8 @@ func TestSetAlgebraAllocs(t *testing.T) {
 	a, b := g.EligibleWithin(s1.Union(s2)), g.EligibleWithin(u.Subset(0b11111100))
 	table := glue.NewPlanTable()
 	table.Insert(s1, a, []*plan.Node{{Op: plan.OpAccess, Props: &plan.Props{}}})
-	overlay := glue.NewOverlay(table)
+	overlay := glue.NewPlanTable()
+	overlay.Reset(table)
 	env := cost.NewEnv(cat, cost.DefaultWeights)
 	env.Bind(g)
 	cols := g.NeededCols(cat, "T1")

@@ -28,8 +28,8 @@ import (
 // worker arenas are recycled too, and each filed incident must replay to the
 // identical derivation. The second repertoire makes every served plan STORE
 // its inners and probe dynamic indexes on them, so what is rendered, executed
-// and captured after Release includes generated names and arena-backed PATHS;
-// every verbose rendering includes interned Rels' arena-backed COLS.
+// and captured after Release includes temp and index names and arena-backed
+// PATHS; every verbose rendering includes interned Rels' arena-backed COLS.
 func TestServeNeverReadsReleasedPlans(t *testing.T) {
 	opt.SetArenaPoison(true)
 	defer opt.SetArenaPoison(false)

@@ -40,7 +40,7 @@ func TestWideWhereClause(t *testing.T) {
 		{"one table", "SELECT T1.ID, T1.PAD FROM T1 WHERE " + strings.Join(filters(100, "T1"), " AND "),
 			2370, "cb1acaf99082e266"},
 		{"two tables", "SELECT T1.ID, T2.PAD FROM T1, T2 WHERE T1.K = T2.J AND " + strings.Join(filters(99, "T1", "T2"), " AND "),
-			2373.515, "93d0f316c252bb18"},
+			2373.515, "630f86df36e24af6"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			g, err := sqlparse.Parse(tc.sql, cat)

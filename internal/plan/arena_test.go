@@ -169,13 +169,13 @@ func TestArenaInputsFollowTheNode(t *testing.T) {
 func TestArenaPathsFollowTheProps(t *testing.T) {
 	a := NewArena()
 	x := []PathInfo{{Name: "T_A", Cols: []expr.ColID{col("T", "A")}}}
-	y := []PathInfo{{Gen: GenName{Task: 3, Seq: 1, Index: true}, Dynamic: true}}
+	y := []PathInfo{{Cols: []expr.ColID{col("T", "B")}, Dynamic: true, KeyWidth: 4}}
 	var lists [][]PathInfo
 	for i := 0; i < arenaChunk; i++ {
 		lists = append(lists, a.JoinPaths(x, y))
 	}
 	for i, l := range lists {
-		if len(l) != 2 || cap(l) != 2 || l[0].Name != "T_A" || l[1].Gen != y[0].Gen || &l[0] == &x[0] {
+		if len(l) != 2 || cap(l) != 2 || l[0].Name != "T_A" || l[1].KeyWidth != 4 || &l[0] == &x[0] {
 			t.Fatalf("list %d: %v (cap %d) is not a capped copy of x then y", i, l, cap(l))
 		}
 	}
@@ -186,7 +186,7 @@ func TestArenaPathsFollowTheProps(t *testing.T) {
 	if lists[0][0].Name != "" || lists[0][1].Dynamic {
 		t.Fatal("Reset left a PATHS slot describing a dead plan's index")
 	}
-	if got := d.Props.Paths; len(got) != 2 || got[0].String() != "T_A(T.A)" || got[1].String() != "_ix3.1*()" {
+	if got := d.Props.Paths; len(got) != 2 || got[0].String() != "T_A(T.A)" || got[1].String() != "_ix*(T.B)" {
 		t.Fatalf("detached PATHS read %v after Reset: Detach must copy them out of the arena", got)
 	}
 	if n := testing.AllocsPerRun(10, func() {
@@ -198,7 +198,7 @@ func TestArenaPathsFollowTheProps(t *testing.T) {
 		t.Errorf("JoinPaths allocates %.1f per 100 lists on a warm arena, want 0", n)
 	}
 	var none *Arena
-	if h := none.JoinPaths(x, y); len(h) != 2 || h[1].Gen != y[0].Gen || &h[0] == &x[0] {
+	if h := none.JoinPaths(x, y); len(h) != 2 || h[1].KeyWidth != 4 || &h[0] == &x[0] {
 		t.Fatalf("nil arena: %v must be a heap copy", h)
 	}
 }

@@ -90,19 +90,16 @@ type Node struct {
 	Op Op
 	// Flavor refines the Op: join method, or access flavor.
 	Flavor string
-	// Table is the stored object accessed (ACCESS: base or temp table
-	// name; GET: table fetched from; STORE: created temp name;
-	// BUILDINDEX: table indexed).
+	// Table is the stored object accessed (ACCESS: base table; GET: table
+	// fetched from). A temp has no stored name: TableName renders one from
+	// the plan it holds.
 	Table string
-	// TableGen stands in for Table on a temp the optimizer named itself.
-	TableGen GenName
 	// Quantifier is the range-variable name this access serves; produced
 	// columns are Quantifier-qualified. For multi-table temps it is empty.
 	Quantifier string
-	// Path is the access-path name (ACCESS index flavor, BUILDINDEX).
+	// Path is the catalog access-path name (ACCESS index flavor). A dynamic
+	// index has none: PathName renders one.
 	Path string
-	// PathGen stands in for Path on a dynamic index the optimizer named.
-	PathGen GenName
 	// Cols are the columns this operator retrieves or adds (ACCESS, GET).
 	Cols []expr.ColID
 	// Preds are the predicates this operator applies: ACCESS/GET
@@ -115,7 +112,8 @@ type Node struct {
 	// Residual are predicates applied after the join (parameter 5 of the
 	// JOIN reference).
 	Residual expr.PredSet
-	// SortCols is the SORT key or BUILDINDEX key column list.
+	// SortCols is the SORT key or BUILDINDEX key column list, or the key of
+	// the dynamic index an index ACCESS over a temp probes.
 	SortCols []expr.ColID
 	// Site is the SHIP destination site.
 	Site string
@@ -134,43 +132,44 @@ type Node struct {
 	id uint64
 }
 
-// GenName is a name the optimizer generated for a temp table or a dynamic
-// index, as a comparable value: the subset task that minted it (its mask; 0 on
-// the root engine), its sequence within the task (from 1; 0 is "no name") and
-// which of the two it names. Candidate plans carry the value; the text —
-// "_t<task>.<seq>", "_ix<task>.<seq>", "_t<seq>" on the root — exists only
-// while writeKey streams it into a plan key and where String renders it for
-// EXPLAIN, the executor's temp store, events and errors.
-type GenName struct {
-	Task  uint64
-	Seq   uint32
-	Index bool
+// TableName renders the stored object the node reads or writes: its catalog
+// table or, for a STORE and an ACCESS over a temp, the temp, named
+// "_t<ID of the plan it stores>". It is what EXPLAIN, events, errors and the
+// executor's temp store call the temp.
+func (n *Node) TableName() string {
+	if n.Table == "" && (n.Op == OpStore || n.Op == OpAccess && len(n.Inputs) == 1) {
+		if s := n.stored(); s != nil {
+			return "_t" + s.Fingerprint()
+		}
+	}
+	return n.Table
 }
 
-// appendTo appends the name's text to buf: the one place it is spelled.
-func (g GenName) appendTo(buf []byte) []byte {
-	if g.Seq == 0 {
-		return buf
+// PathName renders the access path the node probes or builds: its catalog
+// index or, for a BUILDINDEX and an index ACCESS over a temp, the dynamic
+// index, named "_ix<hash of the stored plan's ID and the index key>".
+func (n *Node) PathName() string {
+	if n.Path == "" && (n.Op == OpBuildIndex || n.Op == OpAccess && n.Flavor == FlavorIndex && len(n.Inputs) == 1) {
+		if s := n.stored(); s != nil {
+			w := keyWriter{h: offset64}
+			w.word(s.ID())
+			writeCols(&w, n.SortCols)
+			return "_ix" + FormatID(w.h)
+		}
 	}
-	prefix := "_t"
-	if g.Index {
-		prefix = "_ix"
-	}
-	buf = append(buf, prefix...)
-	if g.Task != 0 {
-		buf = append(strconv.AppendUint(buf, g.Task, 10), '.')
-	}
-	return strconv.AppendUint(buf, uint64(g.Seq), 10)
+	return n.Path
 }
 
-// String renders the name ("" for the zero value).
-func (g GenName) String() string { return string(g.appendTo(nil)) }
-
-// TableName renders the node's table, catalog-named or generated.
-func (n *Node) TableName() string { return n.Table + n.TableGen.String() }
-
-// PathName renders the node's access path, catalog-named or generated.
-func (n *Node) PathName() string { return n.Path + n.PathGen.String() }
+// stored returns the plan held by the temp n reads or writes: the input of
+// the nearest STORE down n's first inputs, or nil.
+func (n *Node) stored() *Node {
+	for m := n; m != nil; m = m.Outer() {
+		if m.Op == OpStore {
+			return m.Outer()
+		}
+	}
+	return nil
+}
 
 // Outer returns the first input (the outer stream of a join).
 func (n *Node) Outer() *Node {
@@ -203,17 +202,20 @@ func (n *Node) Validate() error {
 	}
 	switch n.Op {
 	case OpAccess:
-		// ACCESS of a base object has no inputs; ACCESS of a temp keeps
-		// the temp-producing subplan as its single input so the QEP
-		// remains a self-contained DAG.
-		if len(n.Inputs) > 1 {
+		// ACCESS of a base object has no inputs and names its table or
+		// path; ACCESS of a temp keeps the temp-producing subplan as its
+		// single input, which identifies the temp, so the QEP remains a
+		// self-contained DAG.
+		switch {
+		case len(n.Inputs) > 1:
 			return fmt.Errorf("plan: ACCESS expects at most 1 input, has %d", len(n.Inputs))
-		}
-		hasPath := n.Path != "" || n.PathGen.Seq != 0
-		if n.Table == "" && n.TableGen.Seq == 0 && !hasPath {
+		case len(n.Inputs) == 1:
+			if n.Flavor == FlavorIndex && len(n.SortCols) == 0 {
+				return fmt.Errorf("plan: index ACCESS over a temp needs the probed key")
+			}
+		case n.Table == "" && n.Path == "":
 			return fmt.Errorf("plan: ACCESS needs a table or path")
-		}
-		if n.Flavor == FlavorIndex && !hasPath {
+		case n.Flavor == FlavorIndex && n.Path == "":
 			return fmt.Errorf("plan: index ACCESS needs a path")
 		}
 	case OpGet:
@@ -264,20 +266,25 @@ func (n *Node) Count() int {
 	return len(seen)
 }
 
-// ID returns the plan's identity: the 64-bit FNV-1a hash of its canonical
-// key, so two plans with the same operators, parameters and inputs share it
-// across runs and processes. It is the one identity a node has — the rule
-// engine dedupes on it, events and provenance carry it as a word, and
-// Fingerprint renders it. Computed on first use by streaming the key through
-// the hash (no string is built) and published atomically, so any number of
-// goroutines may ask a shared node; 0 means "not yet computed" and is never
-// rendered.
+// ID returns the plan's identity: a 64-bit FNV-1a hash of the node's own
+// operator and parameters followed by each input's ID, so two plans with the
+// same operators, parameters and inputs share it across runs and processes,
+// and computing it is O(1) per node once the inputs have theirs. It is the one
+// identity a node has — the rule engine dedupes on it, events and provenance
+// carry it as a word, Fingerprint renders it and a temp's name is made from
+// it. Computed on first use (no string is built) and published atomically, so
+// any number of goroutines may ask a shared node; 0 means "not yet computed"
+// and is never rendered.
 func (n *Node) ID() uint64 {
 	if id := atomic.LoadUint64(&n.id); id != 0 {
 		return id
 	}
 	w := keyWriter{h: offset64}
-	n.writeKey(&w, false)
+	n.writeOwn(&w, false)
+	w.char(')')
+	for _, in := range n.Inputs {
+		w.word(in.ID())
+	}
 	atomic.StoreUint64(&n.id, w.h)
 	return w.h
 }
@@ -304,9 +311,9 @@ func (n *Node) ShapeFingerprint() string {
 	return FormatID(w.h)
 }
 
-// Key renders the canonical string ID hashes — operators, parameters, and
-// inputs, but not properties. The transformational baseline memoizes on it,
-// and tests use it for plan equality.
+// Key renders the plan's canonical string — operators, parameters, and
+// inputs, recursively, but not properties. The transformational baseline
+// memoizes on it, and tests use it for plan equality.
 func (n *Node) Key() string {
 	var b strings.Builder
 	n.writeKey(&keyWriter{b: &b}, false)
@@ -338,8 +345,12 @@ func (w *keyWriter) str(s string) {
 	w.h = h
 }
 
-// gen writes a generated name's text from a stack buffer.
-func (w *keyWriter) gen(g GenName) { w.str(string(g.appendTo(make([]byte, 0, 32)))) }
+// word hashes x's eight bytes, low first.
+func (w *keyWriter) word(x uint64) {
+	for i := 0; i < 8; i++ {
+		w.char(byte(x >> (8 * i)))
+	}
+}
 
 func (w *keyWriter) char(c byte) {
 	if w.b != nil {
@@ -352,6 +363,20 @@ func (w *keyWriter) char(c byte) {
 // writeKey renders the canonical key; with shape set, predicate literals
 // render as "?" (see ShapeFingerprint).
 func (n *Node) writeKey(b *keyWriter, shape bool) {
+	sep := n.writeOwn(b, shape)
+	for _, in := range n.Inputs {
+		if sep {
+			b.char(';')
+		}
+		sep = true
+		in.writeKey(b, shape)
+	}
+	b.char(')')
+}
+
+// writeOwn renders the node's operator and parameters up to its inputs and
+// reports whether it wrote any parameter.
+func (n *Node) writeOwn(b *keyWriter, shape bool) bool {
 	b.str(string(n.Op))
 	if n.Flavor != "" {
 		b.char('/')
@@ -366,19 +391,17 @@ func (n *Node) writeKey(b *keyWriter, shape bool) {
 		sep = true
 		b.str(t)
 	}
-	if n.Table != "" || n.TableGen.Seq != 0 {
+	if n.Table != "" {
 		tag("t=")
 		b.str(n.Table)
-		b.gen(n.TableGen)
 	}
 	if n.Quantifier != "" {
 		tag("q=")
 		b.str(n.Quantifier)
 	}
-	if n.Path != "" || n.PathGen.Seq != 0 {
+	if n.Path != "" {
 		tag("p=")
 		b.str(n.Path)
-		b.gen(n.PathGen)
 	}
 	if len(n.Cols) > 0 {
 		tag("c=")
@@ -400,14 +423,7 @@ func (n *Node) writeKey(b *keyWriter, shape bool) {
 		tag("@=")
 		b.str(n.Site)
 	}
-	for _, in := range n.Inputs {
-		if sep {
-			b.char(';')
-		}
-		sep = true
-		in.writeKey(b, shape)
-	}
-	b.char(')')
+	return sep
 }
 
 // writeCols renders cols exactly as colList but without allocating.

@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"encoding/binary"
 	"fmt"
 	"hash/fnv"
 	"slices"
@@ -60,7 +61,8 @@ func TestValidate(t *testing.T) {
 		{Op: OpShip, Site: "X", Inputs: []*Node{scan("T")}},
 		{Op: OpJoin, Flavor: MethodNL, Inputs: []*Node{scan("T"), scan("U")}},
 		{Op: OpGet, Table: "T", Inputs: []*Node{scan("T")}},
-		{Op: OpAccess, Flavor: FlavorHeap, Table: "tmp", Inputs: []*Node{scan("T")}}, // temp access
+		{Op: OpAccess, Flavor: FlavorHeap, Inputs: []*Node{scan("T")}},                                         // temp access
+		{Op: OpAccess, Flavor: FlavorIndex, SortCols: []expr.ColID{col("T", "A")}, Inputs: []*Node{scan("T")}}, // temp probe
 	}
 	for i, n := range ok {
 		if err := n.Validate(); err != nil {
@@ -76,6 +78,7 @@ func TestValidate(t *testing.T) {
 		{Op: OpGet, Inputs: []*Node{scan("T")}},                           // no table
 		{Op: OpBuildIndex, Inputs: []*Node{scan("T")}},                    // no key
 		{Op: OpAccess, Table: "T", Inputs: []*Node{scan("T"), scan("U")}}, // too many inputs
+		{Op: OpAccess, Flavor: FlavorIndex, Inputs: []*Node{scan("T")}},   // temp probe without key
 	}
 	for i, n := range bad {
 		if err := n.Validate(); err == nil {
@@ -159,12 +162,24 @@ func TestFingerprintIsStableAndDistinguishes(t *testing.T) {
 	if fp != a.Fingerprint() {
 		t.Error("Fingerprint must be stable")
 	}
-	// The displayed form is the hash of the key, zero-padded: what ID
-	// streams is byte for byte what Key renders.
+	// The displayed form is the hash of the node's own operator and
+	// parameters, then each input's ID as eight bytes, low first, zero-padded:
+	// a leaf's is the hash of its Key, and a parent never re-reads its inputs'
+	// parameters.
 	h := fnv.New64a()
 	h.Write([]byte(a.Key()))
 	if want := fmt.Sprintf("%016x", h.Sum64()); fp != want || a.ID() != h.Sum64() {
-		t.Errorf("fingerprint %s (ID %x), want FNV-1a of Key %s", fp, a.ID(), want)
+		t.Errorf("leaf fingerprint %s (ID %x), want FNV-1a of Key %s", fp, a.ID(), want)
+	}
+	sorted := &Node{Op: OpSort, SortCols: []expr.ColID{col("T", "A")}, Inputs: []*Node{a}}
+	h.Reset()
+	h.Write([]byte("SORT(s=T.A)"))
+	h.Write(binary.LittleEndian.AppendUint64(nil, a.ID()))
+	if sorted.ID() != h.Sum64() {
+		t.Errorf("SORT's ID %x, want FNV-1a of its own parameters and its input's ID %x", sorted.ID(), h.Sum64())
+	}
+	if sorted.Key() != "SORT(s=T.A;"+a.Key()+")" {
+		t.Errorf("Key %q must still render the inputs", sorted.Key())
 	}
 	if got := FormatID(0xabc); got != "0000000000000abc" {
 		t.Errorf("FormatID(0xabc) = %q", got)
@@ -172,8 +187,8 @@ func TestFingerprintIsStableAndDistinguishes(t *testing.T) {
 	if fp == scan("U").Fingerprint() {
 		t.Error("different plans must differ")
 	}
-	// The fingerprint is a pure function of Key, so it is stable across
-	// processes — the property Diff and -whynot addressing rely on. Pin
+	// The fingerprint is a pure function of the plan's structure, so it is
+	// stable across processes — the property Diff and -whynot addressing rely on. Pin
 	// the value so accidental hash changes are caught.
 	fresh := scan("T")
 	if got := fresh.Fingerprint(); got != fp {

@@ -49,10 +49,9 @@ func (c Cost) String() string {
 // marks indexes created during the query (Section 4.5.3) as opposed to
 // catalog indexes.
 type PathInfo struct {
-	// Name is the access-path name of a catalog index; a dynamic index
-	// carries the name it was generated under in Gen instead.
+	// Name is the access-path name of a catalog index; a dynamic index has
+	// none (the BUILDINDEX and index ACCESS nodes render it, PathName).
 	Name string
-	Gen  GenName
 	// Cols is the ordered key-column list, quantifier-qualified.
 	Cols []expr.ColID
 	// Clustered marks clustering indexes.
@@ -64,13 +63,14 @@ type PathInfo struct {
 	KeyWidth float64
 }
 
-// String renders the path for EXPLAIN output.
+// String renders the path for EXPLAIN output; a dynamic index, which has no
+// name of its own, renders as "_ix*".
 func (p PathInfo) String() string {
-	tag := ""
+	name := p.Name
 	if p.Dynamic {
-		tag = "*"
+		name = "_ix*"
 	}
-	return p.Name + p.Gen.String() + tag + "(" + colList(p.Cols) + ")"
+	return name + "(" + colList(p.Cols) + ")"
 }
 
 // Rel is the relational part of the property vector — WHAT the stream
@@ -118,9 +118,6 @@ type Props struct {
 	// Temp reports whether the stream is materialized in a temporary
 	// table.
 	Temp bool
-	// TempName (TempGen, generated) names the materialization when Temp holds.
-	TempName string
-	TempGen  GenName
 	// Paths is the set of available access paths on the stream's tables.
 	Paths []PathInfo
 	// Card is the estimated output cardinality.

@@ -109,25 +109,6 @@ func TestProfileEndpoint(t *testing.T) {
 	}
 }
 
-// TestProfileDisabled: DisableProfiling serves identically but collects and
-// publishes nothing.
-func TestProfileDisabled(t *testing.T) {
-	s := newTestServer(t, Config{DisableProfiling: true})
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-
-	if status, _, _ := postOptimize(t, ts.URL, OptimizeRequest{SQL: figure1SQL}); status != http.StatusOK {
-		t.Fatalf("optimize status = %d", status)
-	}
-	rep := getProfile(t, ts.URL)
-	if rep.Requests != 0 || len(rep.Totals.Phases) != 0 {
-		t.Errorf("disabled profiling still aggregated: %+v", rep)
-	}
-	if got := s.Registry().Counters()[`opt_phase_spans_total{phase="join"}`]; got != 0 {
-		t.Errorf("disabled profiling published phase spans: %d", got)
-	}
-}
-
 // TestRequestPprofLabels: while a request is held inside the worker, the
 // goroutine dump shows the req= and template= labels rpprof.Do applied.
 func TestRequestPprofLabels(t *testing.T) {

@@ -105,11 +105,6 @@ type Config struct {
 	// busy, so intra-query fan-out only helps latency on idle servers;
 	// results are identical either way). Zero or less selects the default.
 	Parallelism int
-	// DisableProfiling turns the per-request self-profiler off. By default
-	// every request's optimization is profiled (cheap accumulators on the
-	// request's sink): phase/rank tallies feed the opt_phase_* / opt_rank_*
-	// metrics and the rolling GET /profile aggregate.
-	DisableProfiling bool
 	// Flight tunes the flight recorder and plan-stability watchdog (ring
 	// sizes, anomaly thresholds, incident directory); its CatalogEpoch,
 	// RulesHash, and zero fields are filled by the daemon at boot. See
@@ -192,7 +187,7 @@ type Server struct {
 	execMu  sync.Mutex
 	cluster *storage.Cluster
 
-	// The rolling self-profile behind GET /profile: every profiled request
+	// The rolling self-profile behind GET /profile: every request
 	// folds its per-phase/rule/rank attribution in after answering.
 	profMu       sync.Mutex
 	profAgg      *prof.Profile
@@ -286,10 +281,8 @@ func New(cfg Config) (*Server, error) {
 	}
 	// And the self-profiler's phase/rank series, so the profiling surface is
 	// scrapeable at zero before any traffic.
-	if !cfg.DisableProfiling {
-		for _, name := range obs.ProfMetricNames() {
-			s.reg.Counter(name)
-		}
+	for _, name := range obs.ProfMetricNames() {
+		s.reg.Counter(name)
 	}
 	// And the flight recorder's surface.
 	if s.flight != nil {
@@ -465,7 +458,7 @@ func (s *Server) handleCoverage(w http.ResponseWriter, _ *http.Request) {
 }
 
 // handleProfile renders the rolling self-profile aggregate (schema
-// stars/profile/v1): every profiled request's phase/rule/activity/rank
+// stars/profile/v1): every request's phase/rule/activity/rank
 // attribution folded together since boot.
 func (s *Server) handleProfile(w http.ResponseWriter, _ *http.Request) {
 	rep := prof.NewReport(runtime.GOMAXPROCS(0), s.cfg.Parallelism)
@@ -579,9 +572,7 @@ func (s *Server) doLabeled(reqID, tmpl string, req OptimizeRequest) outcome {
 	sink := obs.NewRequestSink(reqID)
 	sink.SetTracing(req.Provenance || s.bcast.subscribers.Value() > 0)
 	sink.Tee(func(e obs.Event) { s.bcast.publish(reqID, e) })
-	if !s.cfg.DisableProfiling {
-		sink.EnableProf(obs.ProfOptions{})
-	}
+	sink.EnableProf(obs.ProfOptions{})
 	defer s.reg.Merge(sink.Registry())
 	// LIFO puts this before the merge above: flush any phase/rank tallies
 	// the optimizer didn't publish itself (the parse phase, failed runs —
@@ -590,11 +581,7 @@ func (s *Server) doLabeled(reqID, tmpl string, req OptimizeRequest) outcome {
 	// The allocation bracket reads a process-global counter, so under
 	// concurrent requests it is an upper bound, not an exact figure.
 	defer func() {
-		p := sink.Prof()
-		if p == nil {
-			return
-		}
-		p.PublishMetrics(sink.Registry())
+		sink.Prof().PublishMetrics(sink.Registry())
 		pr := prof.FromSink(sink)
 		pr.ElapsedNS = time.Since(start).Nanoseconds()
 		pr.Allocs = obs.HeapAllocs() - allocs0

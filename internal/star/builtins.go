@@ -142,7 +142,6 @@ func biAccess(en *Engine, args []Value) (Value, error) {
 				}
 				en.build(en.Cost.Arena.NewNode(plan.Node{
 					Op: plan.OpAccess, Flavor: plan.FlavorHeap,
-					Table: p.Props.TempName, TableGen: p.Props.TempGen,
 					Cols:  append([]expr.ColID(nil), cols...),
 					Preds: preds,
 				}, p))
@@ -276,7 +275,7 @@ func biStore(en *Engine, args []Value) (Value, error) {
 		if p.Props.Temp {
 			return p
 		}
-		return en.Cost.Arena.NewNode(plan.Node{Op: plan.OpStore, TableGen: en.NextTempName()}, p)
+		return en.Cost.Arena.NewNode(plan.Node{Op: plan.OpStore}, p)
 	})
 }
 
@@ -307,7 +306,7 @@ func biBuildIndex(en *Engine, args []Value) (Value, error) {
 		if p.Props.PathOn(key) != nil {
 			return p
 		}
-		return en.Cost.Arena.NewNode(plan.Node{Op: plan.OpBuildIndex, PathGen: en.NextIndexName(), SortCols: key}, p)
+		return en.Cost.Arena.NewNode(plan.Node{Op: plan.OpBuildIndex, SortCols: key}, p)
 	})
 }
 

@@ -351,13 +351,3 @@ func TestOrderedStreamSection2(t *testing.T) {
 		t.Fatalf("want only the SORT definition, got %d plans", len(sap))
 	}
 }
-
-func TestTempNamesUnique(t *testing.T) {
-	en := builderEngine(t)
-	if en.NextTempName() == en.NextTempName() {
-		t.Error("temp names")
-	}
-	if en.NextIndexName() == en.NextIndexName() {
-		t.Error("index names")
-	}
-}

@@ -170,12 +170,6 @@ type Engine struct {
 	// upgrade static checks from existence-only to arity/kind checking.
 	declared SigTable
 	depth    int
-	// nameTask namespaces NextTempName/NextIndexName (0 on the root engine;
-	// the running subset task's mask on a worker's) so names generated by
-	// concurrent workers are unique and — because it derives from the work
-	// item, not the worker — identical across schedules.
-	nameTask       uint64
-	tempSeq, ixSeq uint32
 
 	// stack holds the frame of every reference and call in progress, innermost
 	// last (push, pop).
@@ -219,8 +213,8 @@ func NewEngine(rules *RuleSet, costEnv *cost.Env) *Engine {
 // helpers are stateless functions receiving the engine per call), so
 // concurrent workers only ever read them. The pricing environment, the sink
 // and the counters (zero here; the caller adds them back with Stats.Add) are
-// the worker's own for its whole life, the name space its current task's
-// (RestartNames). The caller wires Glue and PlanSites to the worker's Gluer.
+// the worker's own for its whole life. The caller wires Glue and PlanSites to
+// the worker's Gluer.
 func (en *Engine) Fork(costEnv *cost.Env, sink *obs.Sink) *Engine {
 	return &Engine{
 		Rules:       en.Rules,
@@ -236,13 +230,6 @@ func (en *Engine) Fork(costEnv *cost.Env, sink *obs.Sink) *Engine {
 	}
 }
 
-// RestartNames begins a new temp/index name space: the next names are
-// "_t<task>.1" and "_ix<task>.1", whatever the engine generated before. A
-// worker's engine restarts at every task, with the task's subset mask.
-func (en *Engine) RestartNames(task uint64) {
-	en.nameTask, en.tempSeq, en.ixSeq = task, 0, 0
-}
-
 // RegisterBuilder installs a LOLEPOP builder under its reference name
 // (conventionally ALL CAPS, as in the paper's notation).
 func (en *Engine) RegisterBuilder(name string, b LolepopBuilder) { en.builders[name] = b }
@@ -256,19 +243,6 @@ func (en *Engine) RegisterHelper(name string, h HelperFunc) { en.helpers[name] =
 // builtins have — call arity.
 func (en *Engine) Validate() error {
 	return refDiagsToError(CheckRefsSigs(en.Rules, en.Signatures()))
-}
-
-// NextTempName returns a fresh temp-table name (rendered "_t1" on the root
-// engine, "_t<task>.1" on a worker's).
-func (en *Engine) NextTempName() plan.GenName {
-	en.tempSeq++
-	return plan.GenName{Task: en.nameTask, Seq: en.tempSeq}
-}
-
-// NextIndexName returns a fresh dynamic-index name.
-func (en *Engine) NextIndexName() plan.GenName {
-	en.ixSeq++
-	return plan.GenName{Task: en.nameTask, Seq: en.ixSeq, Index: true}
 }
 
 // EvalRule evaluates a reference of the named STAR with the given arguments

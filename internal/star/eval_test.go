@@ -459,30 +459,3 @@ star R() = [
 		}
 	}
 }
-
-// TestRestartNamesBeginsAtOne: a worker engine serves many tasks, and a
-// generated name must be a function of the task alone — after task A's names,
-// task B's first temp is {B, 1}, rendered _t<B>.1, and its first index
-// _ix<B>.1. The values are what plans carry; the strings what they render.
-func TestRestartNamesBeginsAtOne(t *testing.T) {
-	is := func(what string, got, want plan.GenName, text string) {
-		t.Helper()
-		if got != want || got.String() != text {
-			t.Errorf("%s = %+v rendered %q, want %+v rendered %q", what, got, got, want, text)
-		}
-	}
-	root := NewEngine(NewRuleSet(), nil)
-	is("root engine's first temp", root.NextTempName(), plan.GenName{Seq: 1}, "_t1")
-	w := root.Fork(nil, nil)
-	w.RestartNames(5)
-	is("task 5 first temp", w.NextTempName(), plan.GenName{Task: 5, Seq: 1}, "_t5.1")
-	is("task 5 second temp", w.NextTempName(), plan.GenName{Task: 5, Seq: 2}, "_t5.2")
-	is("task 5 first index", w.NextIndexName(), plan.GenName{Task: 5, Seq: 1, Index: true}, "_ix5.1")
-	w.RestartNames(6)
-	is("task 6 temp after task 5", w.NextTempName(), plan.GenName{Task: 6, Seq: 1}, "_t6.1")
-	is("task 6 index after task 5", w.NextIndexName(), plan.GenName{Task: 6, Seq: 1, Index: true}, "_ix6.1")
-	is("root's second temp (a fork's names must not move its sequence)", root.NextTempName(), plan.GenName{Seq: 2}, "_t2")
-	if zero := (plan.GenName{}).String(); zero != "" {
-		t.Errorf("the zero name renders %q, want nothing", zero)
-	}
-}

@@ -317,7 +317,6 @@ type Store struct {
 	Counters Counters
 
 	tables map[string]*TableData
-	temps  int
 }
 
 // NewStore creates an empty store for the named site.
@@ -350,12 +349,6 @@ func (s *Store) TableNames() []string {
 
 // DropTable removes the named table if present.
 func (s *Store) DropTable(name string) { delete(s.tables, name) }
-
-// NextTempName returns a fresh name for a temporary table.
-func (s *Store) NextTempName() string {
-	s.temps++
-	return fmt.Sprintf("_temp%d@%s", s.temps, s.Site)
-}
 
 // BuildIndex creates (or replaces) a B-tree index named idxName on the given
 // key columns of the table, charging index page writes for the build.

@@ -253,10 +253,6 @@ func TestStoreAndIndexBuild(t *testing.T) {
 
 func TestStoreTempNamesAndDrop(t *testing.T) {
 	s := NewStore("")
-	n1, n2 := s.NextTempName(), s.NextTempName()
-	if n1 == n2 {
-		t.Error("temp names must be unique")
-	}
 	s.CreateTable("T", []string{"a"}, 8)
 	if len(s.TableNames()) != 1 {
 		t.Error("table registered")
