@@ -1,11 +1,17 @@
 package opt
 
 import (
+	"fmt"
 	"math/rand"
+	"regexp"
+	"slices"
+	"sort"
+	"strings"
 	"testing"
 
 	"stars/internal/catalog"
 	"stars/internal/expr"
+	"stars/internal/plan"
 	"stars/internal/query"
 	"stars/internal/workload"
 )
@@ -162,5 +168,196 @@ func TestMetamorphicReorder(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// renaming is a bijective rename of a query's quantifiers and its catalog's
+// columns that reverses the name order of each: the i-th quantifier name in
+// sorted order becomes the i-th from last of zq00, zq01, ..., and likewise
+// every (table, column) pair of the catalog becomes one of zc000, zc001, ....
+// The TID pseudo-column is not a catalog column and keeps its name.
+type renaming struct {
+	quant map[string]string         // old quantifier name -> new
+	col   map[[2]string]string      // (base table, old column) -> new
+	back  map[string]string         // new name -> old, for both kinds
+	table func(quant string) string // old quantifier -> its base table
+}
+
+func newRenaming(cat *catalog.Catalog, g *query.Graph) *renaming {
+	r := &renaming{quant: map[string]string{}, col: map[[2]string]string{}, back: map[string]string{}}
+	names := g.QuantNames()
+	sort.Strings(names)
+	for i, q := range names {
+		n := fmt.Sprintf("zq%02d", len(names)-1-i)
+		r.quant[q], r.back[n] = n, q
+	}
+	var pairs [][2]string
+	for _, t := range cat.Tables {
+		for _, c := range t.Cols {
+			pairs = append(pairs, [2]string{t.Name, c.Name})
+		}
+	}
+	slices.SortFunc(pairs, func(a, b [2]string) int { return strings.Compare(a[0]+"."+a[1], b[0]+"."+b[1]) })
+	for i, p := range pairs {
+		n := fmt.Sprintf("zc%03d", len(pairs)-1-i)
+		r.col[p], r.back[n] = n, p[1]
+	}
+	r.table = func(q string) string { return g.Quant(q).Table }
+	return r
+}
+
+// apply renames cat's columns in place and returns g with its quantifiers
+// and column references renamed.
+func (r *renaming) apply(cat *catalog.Catalog, g *query.Graph) *query.Graph {
+	for _, t := range cat.Tables {
+		for _, c := range t.Cols {
+			c.Name = r.col[[2]string{t.Name, c.Name}]
+		}
+		for i, c := range t.Order {
+			t.Order[i] = r.col[[2]string{t.Name, c}]
+		}
+		for _, p := range t.Paths {
+			for i, c := range p.Cols {
+				p.Cols[i] = r.col[[2]string{t.Name, c}]
+			}
+		}
+	}
+	id := func(c expr.ColID) expr.ColID {
+		return expr.ColID{Table: r.quant[c.Table], Col: r.col[[2]string{r.table(c.Table), c.Col}]}
+	}
+	var rename func(e expr.Expr) expr.Expr
+	rename = func(e expr.Expr) expr.Expr {
+		kids := func(ks []expr.Expr) []expr.Expr {
+			out := make([]expr.Expr, len(ks))
+			for i, k := range ks {
+				out[i] = rename(k)
+			}
+			return out
+		}
+		switch n := e.(type) {
+		case *expr.Col:
+			return &expr.Col{ID: id(n.ID)}
+		case *expr.Arith:
+			return &expr.Arith{Op: n.Op, L: rename(n.L), R: rename(n.R)}
+		case *expr.Cmp:
+			return &expr.Cmp{Op: n.Op, L: rename(n.L), R: rename(n.R)}
+		case *expr.And:
+			return &expr.And{Kids: kids(n.Kids)}
+		case *expr.Or:
+			return &expr.Or{Kids: kids(n.Kids)}
+		case *expr.Not:
+			return &expr.Not{Kid: rename(n.Kid)}
+		default:
+			return e
+		}
+	}
+	var from []query.Quantifier
+	for _, q := range g.Quants {
+		from = append(from, query.Quantifier{Name: r.quant[q.Name], Table: q.Table})
+	}
+	var where []expr.Expr
+	for _, p := range g.Preds.Slice() {
+		where = append(where, rename(p))
+	}
+	out := query.MustNew(from, where...)
+	for _, c := range g.Select {
+		out.Select = append(out.Select, id(c))
+	}
+	for _, c := range g.OrderBy {
+		out.OrderBy = append(out.OrderBy, id(c))
+	}
+	return out
+}
+
+var (
+	renameToken = regexp.MustCompile(`[A-Za-z_][A-Za-z0-9_]*`)
+	renameTemp  = regexp.MustCompile(`\b(_t|_ix)[0-9a-f]{16}\b`)
+	renameSet   = regexp.MustCompile(`\{[^{}]*\}`)
+)
+
+// canonical renders a best plan's Functional form for comparison across a
+// rename: names mapped back through back (nil maps nothing), the hashed
+// names of temps and dynamic indexes (which hash the renamed names) replaced
+// by their prefix, and each {column set} and each run of AND-ed conjuncts
+// sorted, since sets render in name order and the rename reverses it.
+func canonical(n *plan.Node, back map[string]string) string {
+	s := renameToken.ReplaceAllStringFunc(plan.Functional(n), func(tok string) string {
+		if old, ok := back[tok]; ok {
+			return old
+		}
+		return tok
+	})
+	s = renameTemp.ReplaceAllString(s, "$1*")
+	s = renameSet.ReplaceAllStringFunc(s, func(set string) string {
+		items := strings.Split(set[1:len(set)-1], ",")
+		sort.Strings(items)
+		return "{" + strings.Join(items, ",") + "}"
+	})
+	args := strings.Split(s, ", ")
+	for i, a := range args {
+		ops := strings.LastIndex(a, "(") + 1
+		if strings.HasSuffix(a[:ops], "(") && strings.ContainsAny(a[ops:], "=<>") {
+			conj := strings.Split(a[ops:], " AND ")
+			sort.Strings(conj)
+			args[i] = a[:ops] + strings.Join(conj, " AND ")
+		}
+	}
+	return strings.Join(args, ", ")
+}
+
+// TestMetamorphicRename checks that names carry no meaning: renaming every
+// quantifier and every catalog column bijectively — in an order that reverses
+// how the names sort, so every name-ordered set and list is renumbered —
+// changes neither the best cost nor the best plan, whose Functional rendering
+// mapped back through the inverse rename must be what the original query
+// gets. It covers the workload corpus and chain and star queries of 3 to 6
+// tables, serially and rank-parallel.
+func TestMetamorphicRename(t *testing.T) {
+	type point struct {
+		name string
+		mk   func() (*catalog.Catalog, *query.Graph)
+	}
+	var points []point
+	for i, e := range workload.Corpus() {
+		points = append(points, point{e.Name, func() (*catalog.Catalog, *query.Graph) {
+			e := workload.Corpus()[i] // a catalog of its own to rename
+			return e.Cat, e.Query
+		}})
+	}
+	for n := 3; n <= 6; n++ {
+		points = append(points,
+			point{fmt.Sprintf("chain%d", n), func() (*catalog.Catalog, *query.Graph) {
+				return workload.ChainCatalog(n), workload.ChainQuery(n)
+			}},
+			point{fmt.Sprintf("star%d", n), func() (*catalog.Catalog, *query.Graph) {
+				return workload.StarCatalog(n, 100000, 1000), workload.StarQuery(n)
+			}})
+	}
+	for _, pt := range points {
+		for _, par := range []int{1, 2} {
+			optimize := func(cat *catalog.Catalog, g *query.Graph) (float64, string) {
+				res, err := New(cat, Options{Parallelism: par}).Optimize(g)
+				if err != nil {
+					t.Fatalf("%s/par%d: %v", pt.name, par, err)
+				}
+				defer res.Release()
+				return res.Best.Props.Cost.Total, canonical(res.Best, nil)
+			}
+			cost, shape := optimize(pt.mk())
+			cat, g := pt.mk()
+			r := newRenaming(cat, g)
+			rg := r.apply(cat, g)
+			res, err := New(cat, Options{Parallelism: par}).Optimize(rg)
+			if err != nil {
+				t.Fatalf("%s/par%d renamed: %v", pt.name, par, err)
+			}
+			if got := res.Best.Props.Cost.Total; got != cost {
+				t.Errorf("%s/par%d: renamed best cost %v, want %v", pt.name, par, got, cost)
+			}
+			if got := canonical(res.Best, r.back); got != shape {
+				t.Errorf("%s/par%d: renamed best plan, mapped back:\n  %s\nwant\n  %s", pt.name, par, got, shape)
+			}
+			res.Release()
+		}
 	}
 }
