@@ -142,7 +142,7 @@ func propertyFunc(e *cost.Env, n *plan.Node) (*plan.Props, error) {
 	p := e.Arena.NewProps(plan.Props{
 		Rel: e.InternRel(
 			outer.Tables().Union(inner.Tables()),
-			plan.MergeCols(outer.Cols(), inner.Cols()),
+			outer.Cols().Union(inner.Cols()),
 			outer.Preds().Union(inner.Preds()).Union(n.Preds).Union(n.Residual),
 		),
 		Site:  outer.Site,

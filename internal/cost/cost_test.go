@@ -2,7 +2,6 @@ package cost
 
 import (
 	"math"
-	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -130,7 +129,7 @@ func price(t *testing.T, e *Env, n *plan.Node) *plan.Node {
 func scanT(e *Env, preds ...expr.Expr) *plan.Node {
 	return &plan.Node{
 		Op: plan.OpAccess, Flavor: plan.FlavorHeap, Table: "T", Quantifier: "T",
-		Cols:  []expr.ColID{{Table: "T", Col: "A"}, {Table: "T", Col: "S"}},
+		Cols:  e.Vocab().List(col("T", "A"), col("T", "S")),
 		Preds: e.u.PredSet(preds...),
 	}
 }
@@ -138,7 +137,7 @@ func scanT(e *Env, preds ...expr.Expr) *plan.Node {
 func scanU(e *Env) *plan.Node {
 	return &plan.Node{
 		Op: plan.OpAccess, Flavor: plan.FlavorHeap, Table: "U", Quantifier: "U",
-		Cols: []expr.ColID{{Table: "U", Col: "A"}, {Table: "U", Col: "V"}},
+		Cols: e.Vocab().List(col("U", "A"), col("U", "V")),
 	}
 }
 
@@ -152,7 +151,7 @@ func TestAccessProps(t *testing.T) {
 	if p.Cost.IO != float64(e.Cat.Table("T").PageCount()) {
 		t.Errorf("scan IO = %v", p.Cost.IO)
 	}
-	if p.Site != "" || p.Temp || len(p.Order) != 0 {
+	if p.Site != "" || p.Temp || p.Order.Len() != 0 {
 		t.Error("fresh heap scan properties")
 	}
 	if len(p.Paths) != 1 || p.Paths[0].Name != "T_A" {
@@ -167,17 +166,17 @@ func TestIndexAccessProps(t *testing.T) {
 	e := testEnv(cEQ("T", "A", 3))
 	probe := price(t, e, &plan.Node{
 		Op: plan.OpAccess, Flavor: plan.FlavorIndex, Table: "T", Quantifier: "T", Path: "T_A",
-		Cols:  []expr.ColID{{Table: "T", Col: plan.TIDCol}, {Table: "T", Col: "A"}},
+		Cols:  e.Vocab().List(col("T", plan.TIDCol), col("T", "A")),
 		Preds: e.u.PredSet(cEQ("T", "A", 3)),
 	})
 	full := price(t, e, &plan.Node{
 		Op: plan.OpAccess, Flavor: plan.FlavorIndex, Table: "T", Quantifier: "T", Path: "T_A",
-		Cols: []expr.ColID{{Table: "T", Col: plan.TIDCol}, {Table: "T", Col: "A"}},
+		Cols: e.Vocab().List(col("T", plan.TIDCol), col("T", "A")),
 	})
 	if probe.Props.Cost.IO >= full.Props.Cost.IO {
 		t.Errorf("probe (%v) must beat full scan (%v)", probe.Props.Cost.IO, full.Props.Cost.IO)
 	}
-	if len(probe.Props.Order) == 0 || probe.Props.Order[0] != (expr.ColID{Table: "T", Col: "A"}) {
+	if probe.Props.Order.Len() == 0 || probe.Props.Order.ID(0) != (expr.ColID{Table: "T", Col: "A"}) {
 		t.Error("index access yields key order")
 	}
 }
@@ -186,8 +185,8 @@ func TestSortShipStoreFilterProps(t *testing.T) {
 	e := testEnv(cEQ("T", "A", 1))
 	base := scanT(e)
 	sorted := price(t, e, &plan.Node{Op: plan.OpSort,
-		SortCols: []expr.ColID{{Table: "T", Col: "A"}}, Inputs: []*plan.Node{base}})
-	if len(sorted.Props.Order) != 1 {
+		SortCols: e.Vocab().List(col("T", "A")), Inputs: []*plan.Node{base}})
+	if sorted.Props.Order.Len() != 1 {
 		t.Error("SORT sets order")
 	}
 	if sorted.Props.Cost.Total <= base.Props.Cost.Total {
@@ -198,7 +197,7 @@ func TestSortShipStoreFilterProps(t *testing.T) {
 	if shipped.Props.Site != "X" {
 		t.Error("SHIP sets site")
 	}
-	if len(shipped.Props.Order) != 1 {
+	if shipped.Props.Order.Len() != 1 {
 		t.Error("SHIP preserves order")
 	}
 	if shipped.Props.Paths != nil {
@@ -256,7 +255,7 @@ func TestJoinProps(t *testing.T) {
 		if !j.Props.Tables().Equal(e.u.All()) {
 			t.Errorf("%s tables", method)
 		}
-		if method == plan.MethodHA && len(j.Props.Order) != 0 {
+		if method == plan.MethodHA && j.Props.Order.Len() != 0 {
 			t.Error("hash join destroys order")
 		}
 	}
@@ -304,7 +303,7 @@ func TestBuildIndexRequiresTemp(t *testing.T) {
 	e := testEnv()
 	base := scanT(e)
 	price(t, e, base)
-	key := []expr.ColID{{Table: "T", Col: "A"}}
+	key := e.Vocab().List(col("T", "A"))
 	n := &plan.Node{Op: plan.OpBuildIndex, SortCols: key, Inputs: []*plan.Node{base}}
 	if err := e.Price(n); err == nil {
 		t.Fatal("BUILDINDEX over a non-temp must fail")
@@ -313,7 +312,7 @@ func TestBuildIndexRequiresTemp(t *testing.T) {
 	n2 := price(t, e, &plan.Node{Op: plan.OpBuildIndex, SortCols: key, Inputs: []*plan.Node{stored}})
 	found := false
 	for _, p := range n2.Props.Paths {
-		if p.Dynamic && slices.Equal(p.Cols, key) {
+		if p.Dynamic && p.Cols.Equal(key) {
 			found = true
 		}
 	}
@@ -332,18 +331,18 @@ func TestWeightsTotal(t *testing.T) {
 
 func TestPagesForAndRowWidth(t *testing.T) {
 	e := testEnv()
-	cols := []expr.ColID{{Table: "T", Col: "A"}, {Table: "T", Col: "S"}}
-	if w := e.RowWidth(cols); w != 28 {
+	cols := []expr.ColID{col("T", "A"), col("T", "S")}
+	if w := e.RowWidth(cols); w != 28 || e.Width(e.Vocab().List(cols...)) != 28 || e.setWidth(e.Vocab().Set(cols...)) != 28 {
 		t.Errorf("width = %v", w)
 	}
-	if p := e.PagesFor(1000, cols); p != math.Ceil(1000*28.0/catalog.PageSize) {
+	if p := pagesOf(1000, e.RowWidth(cols)); p != math.Ceil(1000*28.0/catalog.PageSize) {
 		t.Errorf("pages = %v", p)
 	}
-	if p := e.PagesFor(1, cols); p != 1 {
+	if p := pagesOf(1, e.RowWidth(cols)); p != 1 {
 		t.Error("page floor")
 	}
 	// TID pseudo-column has a width.
-	if w := e.RowWidth([]expr.ColID{{Table: "T", Col: plan.TIDCol}}); w != 8 {
+	if w := e.RowWidth([]expr.ColID{col("T", plan.TIDCol)}); w != 8 {
 		t.Errorf("tid width = %v", w)
 	}
 }
@@ -384,3 +383,5 @@ func TestCardinalityMonotone(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+func col(t, c string) expr.ColID { return expr.ColID{Table: t, Col: c} }

@@ -12,7 +12,6 @@ package cost
 import (
 	"fmt"
 	"math"
-	"slices"
 	"time"
 
 	"stars/internal/catalog"
@@ -74,8 +73,8 @@ type Env struct {
 	// timings; nil (the default) costs one check per Price call.
 	Obs *obs.Sink
 	// Arena, when non-nil, slab-allocates the Props this environment
-	// prices, the Rels it interns and their COLS (and the nodes builders and
-	// Glue construct through it); nil prices onto the heap (tests, tools).
+	// prices and the Rels it interns (and the nodes builders and Glue
+	// construct through it); nil prices onto the heap (tests, tools).
 	// The optimizer gives the root environment and each enumeration worker's
 	// fork an arena of its own (see internal/opt). An environment that has
 	// interned into an arena must not outlive the arena's next Reset.
@@ -85,19 +84,32 @@ type Env struct {
 	// one per workspace); Bind allocates one when it is nil.
 	Bound *Binding
 
-	funcs map[plan.Op]PropertyFunc
-	rels  map[relKey]*plan.Rel // interned relational property vectors: bucket heads, chained by Rel.Next
-	base  *Env                 // frozen parent of a forked environment
-	u     *expr.Universe       // of the bound query: ACCESS resolves its quantifier's table set
+	funcs  map[plan.Op]PropertyFunc
+	rels   map[relKey]*plan.Rel // interned relational property vectors: bucket heads, chained by Rel.Next
+	base   *Env                 // frozen parent of a forked environment
+	u      *expr.Universe       // of the bound query: ACCESS resolves its quantifier's table set
+	cols   *expr.Vocab          // of the bound query
+	quants []quantCols          // of the bound query, by quantifier ordinal
 }
 
 // Binding is one query's names resolved to numbers (Bind): the catalog table
-// of each quantifier ordinal and the selectivity of each conjunct ordinal.
-// Pricing reads these instead of looking names up per operator. Rebinding
-// reuses the arrays.
+// of each quantifier ordinal, the selectivity of each conjunct ordinal and
+// the byte width of each column ordinal. Pricing reads these instead of
+// looking names up per operator. Rebinding reuses the arrays.
 type Binding struct {
 	tables []*catalog.Table
 	sels   []float64
+	widths []int
+}
+
+// quantCols is what Bind resolves per quantifier over the column vocabulary
+// for plans to carry: the columns the query needs from it, its TID
+// pseudo-column, its table's stored order and its catalog PATHS (in catalog
+// order). Like the vocabulary it is allocated per query and never recycled,
+// since detached plans keep pointing at it.
+type quantCols struct {
+	needed, tid, order expr.ColList
+	paths              []plan.PathInfo
 }
 
 // Reset lets go of the bound catalog tables and keeps the arrays.
@@ -105,8 +117,7 @@ func (b *Binding) Reset() { clear(b.tables) }
 
 // relKey buckets interned Rels by the words of their sets: the table set's
 // mask and the predicate set's Hash64, so probing the intern table renders
-// nothing. Within a bucket the predicate set is verified and Cols
-// (projection variants) compared linearly.
+// nothing. Within a bucket the predicate and column sets are compared.
 type relKey struct {
 	tables, ph uint64
 }
@@ -144,7 +155,7 @@ func (e *Env) Fork() *Env {
 	// Obs and Arena are deliberately not inherited: the caller wires the
 	// worker's own.
 	return &Env{
-		Cat: e.Cat, W: e.W, Bound: e.Bound, u: e.u, funcs: e.funcs,
+		Cat: e.Cat, W: e.W, Bound: e.Bound, u: e.u, cols: e.cols, quants: e.quants, funcs: e.funcs,
 		rels: map[relKey]*plan.Rel{},
 		base: e,
 	}
@@ -154,65 +165,19 @@ func (e *Env) Fork() *Env {
 // triple, deduplicated per optimization: plans that compute the same WHAT
 // share one Rel no matter how their HOW differs. Lookups allocate nothing on
 // a hit. Forked environments intern locally over the frozen parent chain. A
-// Rel interned on a miss carries its row width (RowWidth of cols).
-func (e *Env) InternRel(tables expr.TableSet, cols []expr.ColID, preds expr.PredSet) *plan.Rel {
-	return e.intern(tables, cols, nil, preds, -1)
-}
-
-// InternMerged is InternRel of plan.MergeCols(a.Cols, b) — the COLS of a JOIN
-// or a GET, or a's own COLS when b is empty (FILTER) — finding the Rel before
-// merging: a stored column list is compared with the would-be merge in place,
-// and the list is built only on a miss — in the environment's arena, like the
-// Rel. The width extends a's, so a miss resolves only b's new columns.
-func (e *Env) InternMerged(tables expr.TableSet, a *plan.Rel, b []expr.ColID, preds expr.PredSet) *plan.Rel {
-	return e.intern(tables, a.Cols, b, preds, a.Width)
-}
-
-// intern is InternRel of plan.MergeCols(a, b), where aw is a's width when it
-// is known and negative when it is not.
-func (e *Env) intern(tables expr.TableSet, a, b []expr.ColID, preds expr.PredSet, aw float64) *plan.Rel {
+// Rel interned on a miss carries its row width.
+func (e *Env) InternRel(tables expr.TableSet, cols expr.ColSet, preds expr.PredSet) *plan.Rel {
 	k := relKey{tables: tables.Mask(), ph: preds.Hash64()}
 	for env := e; env != nil; env = env.base {
 		for r := env.rels[k]; r != nil; r = r.Next() {
-			if r.Preds.Equal(preds) && mergesTo(r.Cols, a, b) {
+			if r.Preds.Equal(preds) && r.Cols.Equal(cols) {
 				return r
 			}
 		}
 	}
-	cols := a
-	if len(b) > 0 {
-		cols = e.Arena.MergeCols(a, b)
-	}
-	// A non-empty list's width is its unclamped sum, so the sum over cols
-	// can start from a's.
-	var w float64
-	if aw < 0 || len(a) == 0 {
-		w = e.RowWidth(cols)
-	} else {
-		w = e.addWidth(aw, cols[len(a):])
-	}
-	r := e.Arena.NewRel(plan.Rel{Tables: tables, Cols: cols, Preds: preds, Width: w}, e.rels[k])
+	r := e.Arena.NewRel(plan.Rel{Tables: tables, Cols: cols, Preds: preds, Width: e.setWidth(cols)}, e.rels[k])
 	e.rels[k] = r
 	return r
-}
-
-// mergesTo reports whether cols is what plan.MergeCols(a, b) would build: a,
-// then the columns of b not seen before, in order.
-func mergesTo(cols, a, b []expr.ColID) bool {
-	n := len(a)
-	if len(cols) < n || !slices.Equal(cols[:n], a) {
-		return false
-	}
-	for _, c := range b {
-		if plan.HasCol(cols[:n], c) {
-			continue
-		}
-		if n == len(cols) || cols[n] != c {
-			return false
-		}
-		n++
-	}
-	return n == len(cols)
 }
 
 // Register installs (or replaces) the property function for an Op. This is
@@ -224,9 +189,10 @@ func (e *Env) Registered(op plan.Op) bool { _, ok := e.funcs[op]; return ok }
 
 // Bind points the environment at the query it prices plans of and resolves
 // the query's names once: the universe its sets are subsets of, the catalog
-// table of each quantifier ordinal (FROM position), and the selectivity of
-// each conjunct ordinal. Binding again re-reads the catalog, so statistics
-// changed between two queries are seen by the second.
+// table of each quantifier ordinal (FROM position), the selectivity of each
+// conjunct ordinal, and the column vocabulary (bindCols). Binding again
+// re-reads the catalog, so statistics changed between two queries are seen
+// by the second.
 func (e *Env) Bind(g *query.Graph) {
 	if e.Bound == nil {
 		e.Bound = &Binding{}
@@ -242,6 +208,87 @@ func (e *Env) Bind(g *query.Graph) {
 	for i := 0; i < all.Len(); i++ {
 		b.sels = append(b.sels, e.Selectivity(e.u.Conjunct(i)))
 	}
+	e.bindCols(g)
+}
+
+// bindCols fixes the query's column vocabulary — every column a plan can
+// carry: each quantifier's needed columns, its TID pseudo-column, and the
+// columns of its table's stored order and catalog paths' keys — and
+// resolves each column's width and each quantifier's quantCols over it.
+func (e *Env) bindCols(g *query.Graph) {
+	b := e.Bound
+	needed := make([][]expr.ColID, len(g.Quants))
+	var ids []expr.ColID
+	qualify := func(q string, names []string) []expr.ColID {
+		for _, c := range names {
+			ids = append(ids, expr.ColID{Table: q, Col: c})
+		}
+		return ids[len(ids)-len(names):]
+	}
+	for i, q := range g.Quants {
+		needed[i] = g.NeededCols(e.Cat, q.Name)
+		ids = append(append(ids, needed[i]...), expr.ColID{Table: q.Name, Col: plan.TIDCol})
+		if t := b.tables[i]; t != nil {
+			qualify(q.Name, t.Order)
+			for _, p := range t.Paths {
+				qualify(q.Name, p.Cols)
+			}
+		}
+	}
+	v := expr.NewVocab(e.u, ids)
+	b.widths = b.widths[:0]
+	for i := 0; i < v.Len(); i++ {
+		w, id := 8, v.ID(i)
+		if t := b.tables[e.u.Ordinal(id.Table)]; t != nil && id.Col != plan.TIDCol {
+			if c := t.Column(id.Col); c != nil {
+				w = c.AvgWidth()
+			}
+		}
+		b.widths = append(b.widths, w)
+	}
+	e.cols, e.quants, ids = v, make([]quantCols, len(g.Quants)), nil // v owns ids
+	for i, q := range g.Quants {
+		qc := &e.quants[i]
+		qc.needed, qc.tid = v.List(needed[i]...), v.List(expr.ColID{Table: q.Name, Col: plan.TIDCol})
+		if t := b.tables[i]; t != nil {
+			qc.order = v.List(qualify(q.Name, t.Order)...)
+			qc.paths = make([]plan.PathInfo, len(t.Paths))
+			for k, p := range t.Paths {
+				qc.paths[k] = plan.PathInfo{Name: p.Name, Cols: v.List(qualify(q.Name, p.Cols)...), Clustered: p.Clustered}
+			}
+		}
+	}
+}
+
+// Vocab returns the bound query's column vocabulary.
+func (e *Env) Vocab() *expr.Vocab { return e.cols }
+
+// quant returns what Bind resolved for quantifier q (empty for a name the
+// bound query does not have).
+func (e *Env) quant(q string) quantCols {
+	if i := e.u.Ordinal(q); i >= 0 {
+		return e.quants[i]
+	}
+	return quantCols{}
+}
+
+// Needed returns the columns the query needs from quantifier q: its columns
+// in the select list, every predicate, and ORDER BY, in name order.
+func (e *Env) Needed(q string) expr.ColList { return e.quant(q).needed }
+
+// TID returns quantifier q's TID pseudo-column as a one-column list.
+func (e *Env) TID(q string) expr.ColList { return e.quant(q).tid }
+
+// Path returns the access path of quantifier q's table with the given name,
+// resolved over the vocabulary, or nil.
+func (e *Env) Path(q, name string) *plan.PathInfo {
+	paths := e.quant(q).paths
+	for i := range paths {
+		if paths[i].Name == name {
+			return &paths[i]
+		}
+	}
+	return nil
 }
 
 // BaseTable resolves a quantifier of the bound query to its catalog table;
@@ -317,42 +364,31 @@ func (e *Env) PriceTree(n *plan.Node) error {
 	return e.Price(n)
 }
 
-// RowWidth estimates the byte width of a row of the given columns. A priced
-// stream's width is its Rel's, computed once when the Rel is interned;
-// pricing calls this only for ad hoc column lists (index keys).
-func (e *Env) RowWidth(cols []expr.ColID) float64 { return e.addWidth(0, cols) }
-
-// addWidth is RowWidth of a row of width w followed by cols, summed in order
-// so that extending a Rel's width gives the bits RowWidth of the whole list
-// does.
-func (e *Env) addWidth(w float64, cols []expr.ColID) float64 {
-	var q string // a stream's columns come in runs per quantifier: resolve q once a run
-	var t *catalog.Table
-	for _, c := range cols {
-		if c.Col == plan.TIDCol {
-			w += 8
-			continue
-		}
-		if c.Table != q || t == nil {
-			q, t = c.Table, e.BaseTable(c.Table)
-		}
-		if t != nil {
-			if col := t.Column(c.Col); col != nil {
-				w += float64(col.AvgWidth())
-				continue
-			}
-		}
-		w += 8
+// setWidth is the byte width of a row of the given columns: the sum of
+// their bound widths, at least 1. Widths are integers, so the sum is exact
+// whatever order the columns are added in.
+func (e *Env) setWidth(cols expr.ColSet) float64 {
+	w := 0
+	for i := cols.Next(0); i >= 0; i = cols.Next(i + 1) {
+		w += e.Bound.widths[i]
 	}
-	if w < 1 {
-		w = 1
+	return float64(max(w, 1))
+}
+
+// Width is the byte width of the listed columns: the sum of their bound
+// widths.
+func (e *Env) Width(cols expr.ColList) int {
+	w := 0
+	for k := 0; k < cols.Len(); k++ {
+		w += e.Bound.widths[cols.At(k)]
 	}
 	return w
 }
 
-// PagesFor estimates the page count of card rows of the given columns.
-func (e *Env) PagesFor(card float64, cols []expr.ColID) float64 {
-	return pagesOf(card, e.RowWidth(cols))
+// RowWidth is the byte width of a row of the named columns of the bound
+// query, at least 1.
+func (e *Env) RowWidth(cols []expr.ColID) float64 {
+	return float64(max(e.Width(e.cols.List(cols...)), 1))
 }
 
 // pagesOf estimates the page count of card rows of the given byte width.

@@ -52,17 +52,21 @@ func accessProps(e *Env, n *plan.Node) (*plan.Props, error) {
 	if qi < 0 {
 		return nil, fmt.Errorf("cost: ACCESS of %q by unknown quantifier %q", n.Table, q)
 	}
+	if t != e.Bound.tables[qi] {
+		return nil, fmt.Errorf("cost: ACCESS of %q by quantifier %q over another table", n.Table, q)
+	}
+	qc := e.quants[qi]
 	sel := e.SetSelectivity(n.Preds)
 	card := float64(t.Card) * sel
 	p := e.newProps(plan.Props{
-		Rel:   e.InternRel(e.u.Subset(1<<uint(qi)), n.Cols, n.Preds),
+		Rel:   e.InternRel(e.u.Subset(1<<uint(qi)), n.Cols.Set(), n.Preds),
 		Site:  e.Cat.SiteOf(n.Table),
 		Card:  card,
-		Paths: catalogPaths(t, q),
+		Paths: qc.paths,
 	})
 	switch n.Flavor {
 	case plan.FlavorHeap, plan.FlavorBTreeStore:
-		p.Order = qualify(t.Order, q)
+		p.Order = qc.order
 		pages := float64(t.PageCount())
 		p.Cost = plan.Cost{IO: pages, CPU: float64(t.Card) + card}
 		p.Rescan = p.Cost
@@ -70,13 +74,13 @@ func accessProps(e *Env, n *plan.Node) (*plan.Props, error) {
 			p.Rescan.IO = 0
 		}
 	case plan.FlavorIndex:
-		path, pt := e.Cat.Path(n.Path)
-		if path == nil || pt.Name != t.Name {
+		k := slices.IndexFunc(t.Paths, func(ap *catalog.AccessPath) bool { return ap.Name == n.Path })
+		if k < 0 {
 			return nil, fmt.Errorf("cost: ACCESS path %q not on table %q", n.Path, n.Table)
 		}
-		keyCols := qualify(path.Cols, q)
+		keyCols := qc.paths[k].Cols
 		p.Order = keyCols
-		leafPages := indexLeafPages(e, t, path)
+		leafPages := e.indexLeafPages(t, t.Paths[k], keyCols)
 		matchSel, matched := e.indexMatch(keyCols, n.Preds)
 		var io float64
 		if matched > 0 {
@@ -105,18 +109,13 @@ func tempAccessProps(e *Env, n *plan.Node) (*plan.Props, error) {
 	}
 	sel := e.SetSelectivity(n.Preds)
 	card := in.Card * sel
-	// An ACCESS that lists no columns carries its input's COLS, as does a
-	// dynamic index probe, which lists its input's very slice: its Rel then
-	// takes the input's width.
-	var rel *plan.Rel
-	preds := in.Preds().Union(n.Preds)
-	if cols := in.Cols(); len(n.Cols) == 0 || len(n.Cols) == len(cols) && &n.Cols[0] == &cols[0] {
-		rel = e.InternMerged(in.Tables(), in.Rel, nil, preds)
-	} else {
-		rel = e.InternRel(in.Tables(), n.Cols, preds)
+	// An ACCESS that lists no columns carries its input's COLS.
+	cols := in.Cols()
+	if n.Cols.Len() > 0 {
+		cols = n.Cols.Set()
 	}
 	p := e.newProps(plan.Props{
-		Rel:   rel,
+		Rel:   e.InternRel(in.Tables(), cols, in.Preds().Union(n.Preds)),
 		Site:  in.Site,
 		Temp:  true,
 		Card:  card,
@@ -138,7 +137,7 @@ func tempAccessProps(e *Env, n *plan.Node) (*plan.Props, error) {
 		// The probed dynamic index is the one whose key is the node's.
 		var path *plan.PathInfo
 		for i := range in.Paths {
-			if pi := &in.Paths[i]; pi.Dynamic && slices.Equal(pi.Cols, n.SortCols) {
+			if pi := &in.Paths[i]; pi.Dynamic && pi.Cols.Equal(n.SortCols) {
 				path = pi
 				break
 			}
@@ -168,8 +167,8 @@ func tempAccessProps(e *Env, n *plan.Node) (*plan.Props, error) {
 	return p, nil
 }
 
-// rowWidth is a priced stream's row width: its Rel's, which InternMerged
-// computed once, or RowWidth's floor for a hand-built stream with no Rel.
+// rowWidth is a priced stream's row width: its Rel's, which InternRel
+// computed once, or the floor of 1 for a hand-built stream with no Rel.
 func rowWidth(p *plan.Props) float64 {
 	if p.Rel == nil {
 		return 1
@@ -186,35 +185,13 @@ func rescanIO(pages float64) float64 {
 	return pages
 }
 
-// catalogPaths converts a table's access paths into PATHS entries qualified
-// by the quantifier.
-func catalogPaths(t *catalog.Table, q string) []plan.PathInfo {
-	out := make([]plan.PathInfo, 0, len(t.Paths))
-	for _, ap := range t.Paths {
-		out = append(out, plan.PathInfo{Name: ap.Name, Cols: qualify(ap.Cols, q), Clustered: ap.Clustered})
-	}
-	return out
-}
-
-func qualify(cols []string, q string) []expr.ColID {
-	out := make([]expr.ColID, len(cols))
-	for i, c := range cols {
-		out[i] = expr.ColID{Table: q, Col: c}
-	}
-	return out
-}
-
-// indexLeafPages estimates an index's leaf page count.
-func indexLeafPages(e *Env, t *catalog.Table, path *catalog.AccessPath) float64 {
+// indexLeafPages estimates the leaf page count of a catalog index with the
+// given key.
+func (e *Env) indexLeafPages(t *catalog.Table, path *catalog.AccessPath, key expr.ColList) float64 {
 	if path.Pages > 0 {
 		return float64(path.Pages)
 	}
-	keyWidth := 8.0 // TID
-	for _, c := range path.Cols {
-		if col := t.Column(c); col != nil {
-			keyWidth += float64(col.AvgWidth())
-		}
-	}
+	keyWidth := float64(8 + e.Width(key)) // TID and key
 	lp := math.Ceil(float64(t.Card) * keyWidth / catalog.PageSize)
 	if lp < 1 {
 		lp = 1
@@ -236,7 +213,8 @@ func getProps(e *Env, n *plan.Node) (*plan.Props, error) {
 	// the TIDs arrive in physical order: either the probe came through a
 	// clustering index, or the TIDs were explicitly SORTed (the Section 4
 	// TID-sort STAR). Otherwise each fetch is one random page read.
-	sequential := plan.OrderSatisfies(in.Order, []expr.ColID{{Table: n.Quantifier, Col: plan.TIDCol}})
+	tid := e.TID(n.Quantifier)
+	sequential := tid.Len() > 0 && plan.OrderSatisfies(in.Order, tid)
 	if src := n.Inputs[0]; src.Op == plan.OpAccess && src.Flavor == plan.FlavorIndex {
 		if ap, _ := e.Cat.Path(src.Path); ap != nil && ap.Clustered {
 			sequential = true
@@ -252,7 +230,7 @@ func getProps(e *Env, n *plan.Node) (*plan.Props, error) {
 		rescanDelta.IO = 0
 	}
 	p := e.newProps(plan.Props{
-		Rel:    e.InternMerged(in.Tables(), in.Rel, n.Cols, in.Preds().Union(n.Preds)),
+		Rel:    e.InternRel(in.Tables(), in.Cols().Union(n.Cols.Set()), in.Preds().Union(n.Preds)),
 		Order:  in.Order,
 		Site:   in.Site,
 		Temp:   in.Temp,
@@ -324,7 +302,7 @@ func filterProps(e *Env, n *plan.Node) (*plan.Props, error) {
 	sel := e.SetSelectivity(n.Preds)
 	delta := plan.Cost{CPU: in.Card}
 	p := e.cloneProps(in)
-	p.Rel = e.InternMerged(in.Tables(), in.Rel, nil, in.Preds().Union(n.Preds))
+	p.Rel = e.InternRel(in.Tables(), in.Cols(), in.Preds().Union(n.Preds))
 	p.Card = in.Card * sel
 	p.Cost = in.Cost.Add(delta)
 	p.Rescan = in.Rescan.Add(delta)
@@ -340,7 +318,7 @@ func buildIndexProps(e *Env, n *plan.Node) (*plan.Props, error) {
 		return nil, fmt.Errorf("cost: BUILDINDEX requires a materialized (temp) input")
 	}
 	tempPages := pagesOf(in.Card, rowWidth(in))
-	keyWidth := e.RowWidth(n.SortCols)
+	keyWidth := float64(max(e.Width(n.SortCols), 1))
 	ixPages := pagesOf(in.Card, keyWidth)
 	delta := plan.Cost{
 		IO:  tempPages + ixPages,
@@ -363,9 +341,9 @@ func joinProps(e *Env, n *plan.Node) (*plan.Props, error) {
 		return nil, fmt.Errorf("cost: JOIN inputs at different sites (%q vs %q)", outer.Site, inner.Site)
 	}
 	p := e.newProps(plan.Props{
-		Rel: e.InternMerged(
+		Rel: e.InternRel(
 			outer.Tables().Union(inner.Tables()),
-			outer.Rel, inner.Cols(),
+			outer.Cols().Union(inner.Cols()),
 			outer.Preds().Union(inner.Preds()).Union(n.Preds).Union(n.Residual),
 		),
 		Site:  outer.Site,
@@ -407,7 +385,7 @@ func joinProps(e *Env, n *plan.Node) (*plan.Props, error) {
 		p.Cost = outer.Cost.Add(inner.Cost).Add(delta)
 		p.Rescan = outer.Rescan.Add(inner.Rescan).Add(delta)
 		// Bucketizing destroys any input order.
-		p.Order = nil
+		p.Order = expr.ColList{}
 	default:
 		return nil, fmt.Errorf("cost: unknown JOIN flavor %q", n.Flavor)
 	}
@@ -440,7 +418,7 @@ func unionProps(e *Env, n *plan.Node) (*plan.Props, error) {
 	}
 	delta := plan.Cost{CPU: a.Card + b.Card}
 	p := e.newProps(plan.Props{
-		Rel:    e.InternMerged(a.Tables().Union(b.Tables()), a.Rel, nil, a.Preds().Intersect(b.Preds())),
+		Rel:    e.InternRel(a.Tables().Union(b.Tables()), a.Cols(), a.Preds().Intersect(b.Preds())),
 		Site:   a.Site,
 		Card:   a.Card + b.Card,
 		Cost:   a.Cost.Add(b.Cost).Add(delta),
@@ -474,7 +452,7 @@ func indexAndProps(e *Env, n *plan.Node) (*plan.Props, error) {
 	p := e.newProps(plan.Props{
 		// Positionally, the intersection streams the second input's rows;
 		// the first input contributes only its TID filter.
-		Rel: e.InternMerged(a.Tables(), b.Rel, nil, a.Preds().Union(b.Preds())),
+		Rel: e.InternRel(a.Tables(), b.Cols(), a.Preds().Union(b.Preds())),
 		// The intersection preserves the second input's delivery order.
 		Order:  b.Order,
 		Site:   a.Site,

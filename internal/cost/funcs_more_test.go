@@ -1,7 +1,6 @@
 package cost
 
 import (
-	"fmt"
 	"math"
 	"testing"
 
@@ -17,7 +16,7 @@ func probeT(t *testing.T, e *Env, preds ...expr.Expr) *plan.Node {
 	t.Helper()
 	return price(t, e, &plan.Node{
 		Op: plan.OpAccess, Flavor: plan.FlavorIndex, Table: "T", Quantifier: "T", Path: "T_A",
-		Cols:  []expr.ColID{{Table: "T", Col: plan.TIDCol}, {Table: "T", Col: "A"}},
+		Cols:  e.Vocab().List(col("T", plan.TIDCol), col("T", "A")),
 		Preds: e.u.PredSet(preds...),
 	})
 }
@@ -28,7 +27,7 @@ func TestGetPropsFetchModes(t *testing.T) {
 	probe := probeT(t, e) // full index scan: card = 10000
 	get := price(t, e, &plan.Node{
 		Op: plan.OpGet, Table: "T", Quantifier: "T",
-		Cols: []expr.ColID{{Table: "T", Col: "S"}}, Inputs: []*plan.Node{probe},
+		Cols: e.Vocab().List(col("T", "S")), Inputs: []*plan.Node{probe},
 	})
 	randomIO := get.Props.Cost.IO - probe.Props.Cost.IO
 	if randomIO != probe.Props.Card {
@@ -37,12 +36,12 @@ func TestGetPropsFetchModes(t *testing.T) {
 
 	// TID-sorted input: sequential fetches, at most the table's pages.
 	sorted := price(t, e, &plan.Node{
-		Op: plan.OpSort, SortCols: []expr.ColID{{Table: "T", Col: plan.TIDCol}},
+		Op: plan.OpSort, SortCols: e.Vocab().List(col("T", plan.TIDCol)),
 		Inputs: []*plan.Node{probeT(t, e)},
 	})
 	get2 := price(t, e, &plan.Node{
 		Op: plan.OpGet, Table: "T", Quantifier: "T",
-		Cols: []expr.ColID{{Table: "T", Col: "S"}}, Inputs: []*plan.Node{sorted},
+		Cols: e.Vocab().List(col("T", "S")), Inputs: []*plan.Node{sorted},
 	})
 	seqIO := get2.Props.Cost.IO - sorted.Props.Cost.IO
 	if seqIO != float64(e.Cat.Table("T").PageCount()) {
@@ -53,7 +52,7 @@ func TestGetPropsFetchModes(t *testing.T) {
 	e.Cat.Table("T").Paths[0].Clustered = true
 	get3 := price(t, e, &plan.Node{
 		Op: plan.OpGet, Table: "T", Quantifier: "T",
-		Cols: []expr.ColID{{Table: "T", Col: "S"}}, Inputs: []*plan.Node{probeT(t, e)},
+		Cols: e.Vocab().List(col("T", "S")), Inputs: []*plan.Node{probeT(t, e)},
 	})
 	probeCost := get3.Inputs[0].Props.Cost.IO
 	if got := get3.Props.Cost.IO - probeCost; got != float64(e.Cat.Table("T").PageCount()) {
@@ -76,7 +75,7 @@ func TestTempAccessProps(t *testing.T) {
 	// here, the temp fits the buffer pool).
 	acc := price(t, e, &plan.Node{
 		Op: plan.OpAccess, Flavor: plan.FlavorHeap,
-		Cols:   []expr.ColID{{Table: "T", Col: "A"}},
+		Cols:   e.Vocab().List(col("T", "A")),
 		Inputs: []*plan.Node{stored},
 	})
 	if !acc.Props.Temp || acc.TableName() != stored.TableName() {
@@ -91,12 +90,12 @@ func TestTempAccessProps(t *testing.T) {
 
 	// Index flavor over a dynamic path.
 	ixd := price(t, e, &plan.Node{Op: plan.OpBuildIndex,
-		SortCols: []expr.ColID{{Table: "T", Col: "A"}}, Inputs: []*plan.Node{stored}})
+		SortCols: e.Vocab().List(col("T", "A")), Inputs: []*plan.Node{stored}})
 	probe := price(t, e, &plan.Node{
 		Op: plan.OpAccess, Flavor: plan.FlavorIndex,
-		Cols:     []expr.ColID{{Table: "T", Col: "A"}},
+		Cols:     e.Vocab().List(col("T", "A")),
 		Preds:    e.u.PredSet(cEQ("T", "A", 3)),
-		SortCols: []expr.ColID{{Table: "T", Col: "A"}},
+		SortCols: e.Vocab().List(col("T", "A")),
 		Inputs:   []*plan.Node{ixd},
 	})
 	if probe.PathName() != ixd.PathName() || probe.TableName() != stored.TableName() {
@@ -105,14 +104,14 @@ func TestTempAccessProps(t *testing.T) {
 	if probe.Props.Card >= stored.Props.Card {
 		t.Error("probe must be selective")
 	}
-	if len(probe.Props.Order) == 0 {
+	if probe.Props.Order.Len() == 0 {
 		t.Error("dynamic-index probe yields key order")
 	}
 
 	// A key no dynamic path has errors, as does a probe with no key;
 	// non-temp input errors.
 	badPath := &plan.Node{Op: plan.OpAccess, Flavor: plan.FlavorIndex,
-		SortCols: []expr.ColID{{Table: "T", Col: "B"}}, Inputs: []*plan.Node{ixd}}
+		SortCols: e.Vocab().List(col("T", "B")), Inputs: []*plan.Node{ixd}}
 	if err := e.Price(badPath); err == nil {
 		t.Error("unknown temp path must fail")
 	}
@@ -162,7 +161,7 @@ func TestIndexAndProps(t *testing.T) {
 	// Mixed-table inputs are rejected.
 	u := price(t, e, &plan.Node{
 		Op: plan.OpAccess, Flavor: plan.FlavorHeap, Table: "U", Quantifier: "U",
-		Cols: []expr.ColID{{Table: "U", Col: "A"}},
+		Cols: e.Vocab().List(col("U", "A")),
 	})
 	bad := &plan.Node{Op: plan.OpIndexAnd, Inputs: []*plan.Node{a, u}}
 	if err := e.Price(bad); err == nil {
@@ -226,7 +225,7 @@ func TestIndexMatchPrefixSemantics(t *testing.T) {
 		cEQ("M", "C", 3),
 	}
 	e.Bind(query.MustNew([]query.Quantifier{{Name: "M", Table: "M"}}, conjuncts...))
-	key := []expr.ColID{{Table: "M", Col: "A"}, {Table: "M", Col: "B"}, {Table: "M", Col: "C"}}
+	key := e.Vocab().List(col("M", "A"), col("M", "B"), col("M", "C"))
 
 	// EQ on A then range on B: both match, C's pred does not (range ends
 	// the prefix).
@@ -249,7 +248,7 @@ func TestIndexMatchPrefixSemantics(t *testing.T) {
 // injects, each component checked as well as the weighted total.
 func TestVeneerOperatorsNeverLowerCost(t *testing.T) {
 	e := testEnv(cEQ("T", "A", 3))
-	a := []expr.ColID{{Table: "T", Col: "A"}}
+	a := e.Vocab().List(col("T", "A"))
 	stored := price(t, e, &plan.Node{Op: plan.OpStore, Inputs: []*plan.Node{scanT(e)}})
 	indexed := price(t, e, &plan.Node{Op: plan.OpBuildIndex, SortCols: a, Inputs: []*plan.Node{stored}})
 	for _, n := range []*plan.Node{
@@ -268,99 +267,89 @@ func TestVeneerOperatorsNeverLowerCost(t *testing.T) {
 	}
 }
 
-// TestInternMergedFindsBeforeItMerges: InternMerged(a, b) is InternRel of
-// MergeCols(a.Cols, b) — same Rel, of the same width, whichever of the two interned it first — for
-// overlapping, disjoint, duplicated and empty lists, tells apart every column
-// list that is not that merge (a permutation, a prefix, an extension, a
-// substitution), and on a hit allocates nothing: the merge is never built.
-func TestInternMergedFindsBeforeItMerges(t *testing.T) {
-	c := func(tab, col string) expr.ColID { return expr.ColID{Table: tab, Col: col} }
-	ta, tb, ts, ua, uv := c("T", "A"), c("T", "B"), c("T", "S"), c("U", "A"), c("U", "V")
+// TestInternRelFindsEqualSets: InternRel dedupes on the column set, however
+// it was built — a union of two lists in either order, duplicates included, or
+// the whole list at once — in one environment and, with the same width, in
+// another bound alike; it tells apart every other set, sums the width the
+// name-resolved RowWidth does, and on a hit allocates nothing.
+func TestInternRelFindsEqualSets(t *testing.T) {
+	ta, tb, ts, ua, uv := col("T", "A"), col("T", "B"), col("T", "S"), col("U", "A"), col("U", "V")
 	e := testEnv()
+	v := e.Vocab()
 	both := e.u.Tables("T", "U")
+	seen := map[*plan.Rel]int{}
 	for i, tc := range []struct{ a, b []expr.ColID }{
 		{[]expr.ColID{ta, tb}, []expr.ColID{ua, uv}},
 		{[]expr.ColID{ta, tb}, []expr.ColID{tb, ua, ta}},
-		{[]expr.ColID{ta, tb}, []expr.ColID{ua, ua, uv, ua}},
+		{[]expr.ColID{ta}, []expr.ColID{ua, ua, ta, ua}},
 		{[]expr.ColID{ta, ta}, []expr.ColID{ta, ts}},
-		{[]expr.ColID{ta}, nil},
-		{nil, []expr.ColID{ua}},
+		{[]expr.ColID{ts}, nil},
+		{nil, []expr.ColID{uv}},
 		{nil, nil},
 	} {
-		merged := plan.MergeCols(tc.a, tc.b)
-		if !mergesTo(merged, tc.a, tc.b) {
-			t.Errorf("case %d: %v is not recognised as the merge of %v and %v", i, merged, tc.a, tc.b)
-		}
-		wrong := [][]expr.ColID{append(append([]expr.ColID{}, merged...), ts)}
-		if n := len(merged); n > 0 {
-			wrong = append(wrong, merged[:n-1], append(append([]expr.ColID{}, merged[:n-1]...), c("U", "X")))
-			if n > 1 && merged[0] != merged[1] {
-				swapped := append([]expr.ColID{}, merged...)
-				swapped[0], swapped[1] = swapped[1], swapped[0]
-				wrong = append(wrong, swapped)
-			}
-		}
-		for _, w := range wrong {
-			if mergesTo(w, tc.a, tc.b) {
-				t.Errorf("case %d: %v taken for the merge of %v and %v (%v)", i, w, tc.a, tc.b, merged)
-			}
-		}
-		// Interned from either side, found from the other.
+		whole := append(append([]expr.ColID{}, tc.a...), tc.b...)
 		first, second := e, testEnv()
-		a := &plan.Rel{Cols: tc.a, Width: e.RowWidth(tc.a)}
-		r1, r2 := first.InternMerged(both, a, tc.b, expr.PredSet{}), second.InternRel(both, merged, expr.PredSet{})
-		if first.InternRel(both, merged, expr.PredSet{}) != r1 || second.InternMerged(both, a, tc.b, expr.PredSet{}) != r2 {
-			t.Errorf("case %d: InternMerged and InternRel of the merged list intern different Rels", i)
+		r1 := first.InternRel(both, v.Set(tc.a...).Union(v.Set(tc.b...)), expr.PredSet{})
+		r2 := second.InternRel(both, second.Vocab().Set(whole...), expr.PredSet{})
+		if first.InternRel(both, v.Set(tc.b...).Union(v.Set(tc.a...)), expr.PredSet{}) != r1 ||
+			second.InternRel(both, second.Vocab().Set(tc.a...).Union(second.Vocab().Set(tc.b...)), expr.PredSet{}) != r2 {
+			t.Errorf("case %d: equal column sets intern different Rels", i)
 		}
-		if len(r1.Cols) != len(merged) || !mergesTo(r1.Cols, merged, nil) {
-			t.Errorf("case %d: interned COLS %v, want %v", i, r1.Cols, merged)
+		if j, dup := seen[r1]; dup {
+			t.Errorf("case %d: {%s} found case %d's Rel {%s}", i, v.Set(whole...), j, r1.Cols)
 		}
-		if r1.Width != r2.Width || r1.Width != e.RowWidth(merged) {
-			t.Errorf("case %d: widths %v (merged) and %v (whole list), want RowWidth %v", i, r1.Width, r2.Width, e.RowWidth(merged))
+		seen[r1] = i
+		if r1.Width != r2.Width || r1.Width != e.RowWidth(r1.Cols.List().IDs()) {
+			t.Errorf("case %d: widths %v and %v, want RowWidth %v", i, r1.Width, r2.Width, e.RowWidth(r1.Cols.List().IDs()))
 		}
-		if n := testing.AllocsPerRun(100, func() { first.InternMerged(both, a, tc.b, expr.PredSet{}) }); n != 0 {
+		cols := r1.Cols
+		if n := testing.AllocsPerRun(100, func() { first.InternRel(both, cols, expr.PredSet{}) }); n != 0 {
 			t.Errorf("case %d: a hit allocates %.1f, want 0", i, n)
 		}
 	}
 }
 
-// TestInternMergedMissAllocatesNothingOnAWarmArena: a miss takes the Rel and
-// its merged COLS from the environment's arena and chains the Rel into its
-// bucket, so once the arena's chunks have grown — by an earlier environment,
-// before the Reset that ended its life — and the bucket exists, interning a
-// new column list allocates nothing. Every Rel interned stays findable.
-func TestInternMergedMissAllocatesNothingOnAWarmArena(t *testing.T) {
-	const misses = 200
-	ta := &plan.Rel{Cols: []expr.ColID{{Table: "T", Col: "A"}}, Width: 8}
-	lists := make([][]expr.ColID, misses+1)
-	for i := range lists {
-		lists[i] = []expr.ColID{{Table: "U", Col: fmt.Sprint("C", i)}}
+// TestInternRelMissAllocatesNothingOnAWarmArena: a miss takes the Rel from
+// the environment's arena and chains it into its bucket, so once the arena's
+// chunks have grown — by an earlier environment, before the Reset that ended
+// its life — and the bucket exists, interning a new column set allocates
+// nothing. Every Rel interned stays findable.
+func TestInternRelMissAllocatesNothingOnAWarmArena(t *testing.T) {
+	warm := testEnv()
+	v := warm.Vocab()
+	sets := make([]expr.ColSet, 1<<v.Len())
+	for m := range sets {
+		var ids []expr.ColID
+		for i := 0; i < v.Len(); i++ {
+			if m>>i&1 != 0 {
+				ids = append(ids, v.ID(i))
+			}
+		}
+		sets[m] = v.Set(ids...)
 	}
 	arena := plan.NewArena()
-	warm := testEnv()
 	warm.Arena = arena
 	both := warm.u.Tables("T", "U")
-	for _, l := range lists {
-		warm.InternMerged(both, ta, l, expr.PredSet{})
+	for _, s := range sets {
+		warm.InternRel(both, s, expr.PredSet{})
 	}
 	arena.Reset()
 
 	e := testEnv()
 	e.Arena = arena
-	e.InternMerged(both, ta, lists[0], expr.PredSet{}) // the bucket
+	e.InternRel(both, sets[0], expr.PredSet{}) // the bucket
 	i := 0
-	if n := testing.AllocsPerRun(misses-1, func() {
+	if n := testing.AllocsPerRun(len(sets)-2, func() {
 		i++
-		if r := e.InternMerged(both, ta, lists[i], expr.PredSet{}); len(r.Cols) != 2 {
-			t.Fatalf("miss %d interned COLS %v", i, r.Cols)
+		if r := e.InternRel(both, sets[i], expr.PredSet{}); !r.Cols.Equal(sets[i]) {
+			t.Fatalf("miss %d interned COLS {%s}", i, r.Cols)
 		}
 	}); n != 0 {
-		t.Errorf("an InternMerged miss on a warm arena allocates %.1f, want 0", n)
+		t.Errorf("an InternRel miss on a warm arena allocates %.1f, want 0", n)
 	}
 	for j := 0; j <= i; j++ {
-		r := e.InternMerged(both, ta, lists[j], expr.PredSet{})
-		if want := plan.MergeCols(ta.Cols, lists[j]); !mergesTo(r.Cols, want, nil) || len(r.Cols) != len(want) {
-			t.Fatalf("list %d: found COLS %v, want %v", j, r.Cols, want)
+		if r := e.InternRel(both, sets[j], expr.PredSet{}); !r.Cols.Equal(sets[j]) {
+			t.Fatalf("set %d: found COLS {%s}, want {%s}", j, r.Cols, sets[j])
 		}
 	}
 }

@@ -179,33 +179,21 @@ func clampSel(s float64) float64 {
 // predicates were matched. A predicate matches a key column when it compares
 // that column (by EQ, or by a range as the last matched column) against
 // something not on the indexed table — constants or outer-side expressions
-// (sideways information passing makes those constants per probe).
-func (e *Env) indexMatch(keyCols []expr.ColID, ps expr.PredSet) (sel float64, matched int) {
+// (sideways information passing makes those constants per probe; see
+// expr.Vocab.Probes).
+func (e *Env) indexMatch(keyCols expr.ColList, ps expr.PredSet) (sel float64, matched int) {
 	sel = 1.0
 	ords := make([]int, 0, 8) // conjunct ordinals, -1 once matched
 	for i := ps.Next(0); i >= 0; i = ps.Next(i + 1) {
 		ords = append(ords, i)
 	}
-	for _, kc := range keyCols {
+	for k := 0; k < keyCols.Len(); k++ {
 		foundEq := false
 		for j, i := range ords {
-			if i < 0 {
+			if i < 0 || !e.cols.Probes(i, keyCols.At(k)) {
 				continue
 			}
-			c, ok := ps.Universe().Conjunct(i).(*expr.Cmp)
-			if !ok {
-				continue
-			}
-			col, other := matchColSide(c, kc)
-			if col == nil {
-				continue
-			}
-			// The other side must not reference the indexed quantifier:
-			// it is a constant, or an outer expression bound per probe.
-			if referencesTable(other, kc.Table) {
-				continue
-			}
-			if c.Op == expr.EQ {
+			if ps.Universe().Conjunct(i).(*expr.Cmp).Op == expr.EQ {
 				ords[j] = -1
 				matched++
 				sel *= e.conjunctSel(ps, i)
@@ -223,17 +211,3 @@ func (e *Env) indexMatch(keyCols []expr.ColID, ps expr.PredSet) (sel float64, ma
 	}
 	return sel, matched
 }
-
-// matchColSide returns (the Col node matching id, the other side) when the
-// comparison has id on one side.
-func matchColSide(c *expr.Cmp, id expr.ColID) (*expr.Col, expr.Expr) {
-	if lc, ok := c.L.(*expr.Col); ok && lc.ID == id {
-		return lc, c.R
-	}
-	if rc, ok := c.R.(*expr.Col); ok && rc.ID == id {
-		return rc, c.L
-	}
-	return nil, nil
-}
-
-func referencesTable(e expr.Expr, table string) bool { return expr.References(e, table) }

@@ -17,9 +17,12 @@ import (
 func nodeSchema(n *plan.Node) []expr.ColID {
 	switch n.Op {
 	case plan.OpAccess:
-		return n.Cols
+		if n.Cols.Len() == 0 && len(n.Inputs) == 1 {
+			return nodeSchema(n.Inputs[0]) // a temp's whole COLS
+		}
+		return n.Cols.IDs()
 	case plan.OpGet:
-		return append(append([]expr.ColID(nil), nodeSchema(n.Inputs[0])...), n.Cols...)
+		return append(append([]expr.ColID(nil), nodeSchema(n.Inputs[0])...), n.Cols.IDs()...)
 	case plan.OpJoin:
 		return append(append([]expr.ColID(nil), nodeSchema(n.Inputs[0])...), nodeSchema(n.Inputs[1])...)
 	case plan.OpUnion:
@@ -80,8 +83,8 @@ func (ec *Ctx) ensureTemp(n *plan.Node) (*tempHandle, error) {
 			return nil, err
 		}
 		st := ec.rt.Cluster.Store(h.site)
-		keys := make([]string, len(n.SortCols))
-		for i, c := range n.SortCols {
+		keys := make([]string, n.SortCols.Len())
+		for i, c := range n.SortCols.IDs() {
 			keys[i] = c.String()
 		}
 		if _, err := st.BuildIndex(h.td.Name, n.PathName(), keys); err != nil {
@@ -122,12 +125,12 @@ func buildAccess(ec *Ctx, n *plan.Node) (Iterator, error) {
 	if n.Flavor == plan.FlavorIndex {
 		return newIndexScan(ec, n, st, td)
 	}
-	it := &baseScanIter{ec: ec, n: n, td: td, st: st, schema: n.Cols}
+	it := &baseScanIter{ec: ec, n: n, td: td, st: st, schema: n.Cols.IDs()}
 	for _, c := range td.Heap.Schema() {
 		it.full = append(it.full, expr.ColID{Table: n.Quantifier, Col: c})
 	}
-	it.proj = make([]int, len(n.Cols))
-	for i, c := range n.Cols {
+	it.proj = make([]int, n.Cols.Len())
+	for i, c := range n.Cols.IDs() {
 		p := td.ColIndex(c.Col)
 		if p < 0 {
 			return nil, fmt.Errorf("exec: column %s not stored in %s", c, n.Table)
@@ -211,8 +214,8 @@ func newIndexScan(ec *Ctx, n *plan.Node, st *storage.Store, td *storage.TableDat
 			keyCols = append(keyCols, expr.ColID{Table: n.Quantifier, Col: c})
 		}
 	}
-	it := &indexScanIter{ec: ec, n: n, st: st, bt: bt, keyCols: keyCols, schema: n.Cols}
-	for _, c := range n.Cols {
+	it := &indexScanIter{ec: ec, n: n, st: st, bt: bt, keyCols: keyCols, schema: n.Cols.IDs()}
+	for _, c := range n.Cols.IDs() {
 		if c.Col == plan.TIDCol {
 			it.outPos = append(it.outPos, -1)
 			continue
@@ -372,7 +375,7 @@ type tempAccessIter struct {
 }
 
 func buildTempAccess(ec *Ctx, n *plan.Node) (Iterator, error) {
-	it := &tempAccessIter{ec: ec, n: n, schema: n.Cols, probe: n.Flavor == plan.FlavorIndex, path: n.PathName()}
+	it := &tempAccessIter{ec: ec, n: n, schema: nodeSchema(n), probe: n.Flavor == plan.FlavorIndex, path: n.PathName()}
 	return it, nil
 }
 
@@ -406,7 +409,7 @@ func (it *tempAccessIter) Open(outer expr.Binding) error {
 		return fmt.Errorf("exec: temp %s lacks index %s", h.td.Name, it.path)
 	}
 	// The node carries the key columns of the dynamic index it probes.
-	prefix, lo, hi, _ := probeBounds(it.n.Preds.Slice(), it.n.SortCols, outer)
+	prefix, lo, hi, _ := probeBounds(it.n.Preds.Slice(), it.n.SortCols.IDs(), outer)
 	it.entries = it.entries[:0]
 	it.pos = 0
 	collect := func(e storage.Entry) bool {
@@ -493,9 +496,9 @@ func buildGet(ec *Ctx, n *plan.Node) (Iterator, error) {
 	if it.tidPos < 0 {
 		return nil, fmt.Errorf("exec: GET input lacks %s.%s", n.Quantifier, plan.TIDCol)
 	}
-	it.schema = append(append([]expr.ColID(nil), in.Schema()...), n.Cols...)
-	it.fetch = make([]int, len(n.Cols))
-	for i, c := range n.Cols {
+	it.schema = append(append([]expr.ColID(nil), in.Schema()...), n.Cols.IDs()...)
+	it.fetch = make([]int, n.Cols.Len())
+	for i, c := range n.Cols.IDs() {
 		p := td.ColIndex(c.Col)
 		if p < 0 {
 			return nil, fmt.Errorf("exec: column %s not stored in %s", c, n.Table)
@@ -558,8 +561,8 @@ func buildSort(ec *Ctx, n *plan.Node) (Iterator, error) {
 		return nil, err
 	}
 	idx := schemaIndex(in.Schema())
-	keys := make([]int, len(n.SortCols))
-	for i, c := range n.SortCols {
+	keys := make([]int, n.SortCols.Len())
+	for i, c := range n.SortCols.IDs() {
 		p, ok := idx[c]
 		if !ok {
 			return nil, fmt.Errorf("exec: SORT key %s not in input", c)

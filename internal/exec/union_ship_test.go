@@ -41,7 +41,7 @@ func miniSetup(t *testing.T) (*catalog.Catalog, *storage.Cluster, *cost.Env, fun
 	mk := func(preds ...expr.Expr) *plan.Node {
 		n := &plan.Node{
 			Op: plan.OpAccess, Flavor: plan.FlavorHeap, Table: "T", Quantifier: "T",
-			Cols:  []expr.ColID{{Table: "T", Col: "X"}},
+			Cols:  env.Vocab().List(expr.ColID{Table: "T", Col: "X"}),
 			Preds: u.PredSet(preds...),
 		}
 		if err := env.PriceTree(n); err != nil {

@@ -3,7 +3,6 @@ package experiments
 import (
 	"stars/internal/catalog"
 	"stars/internal/cost"
-	"stars/internal/expr"
 	"stars/internal/glue"
 	"stars/internal/query"
 	"stars/internal/star"
@@ -21,7 +20,6 @@ func newGluerWithRules(cat *catalog.Catalog, g *query.Graph, rules *star.RuleSet
 	env.Bind(g)
 	en := star.NewEngine(rules, env)
 	en.QueryTables = g.QuantNames()
-	en.NeededCols = func(q string) []expr.ColID { return g.NeededCols(cat, q) }
 	table := glue.NewPlanTable()
 	gl := &glue.Gluer{Engine: en, Graph: g, Table: table}
 	en.Glue = gl.Glue

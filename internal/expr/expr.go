@@ -10,7 +10,6 @@
 package expr
 
 import (
-	"fmt"
 	"slices"
 	"sort"
 	"strings"
@@ -28,12 +27,13 @@ type ColID struct {
 // String renders the column as TABLE.COL.
 func (c ColID) String() string { return c.Table + "." + c.Col }
 
-// Less orders ColIDs lexicographically; used to canonicalize column sets.
-func (c ColID) Less(o ColID) bool {
+// Compare orders ColIDs by table, then column: the order column sets and
+// vocabularies are canonical in.
+func (c ColID) Compare(o ColID) int {
 	if c.Table != o.Table {
-		return c.Table < o.Table
+		return strings.Compare(c.Table, o.Table)
 	}
-	return c.Col < o.Col
+	return strings.Compare(c.Col, o.Col)
 }
 
 // Binding resolves column references to values during evaluation.
@@ -443,49 +443,14 @@ func EvalBool(e Expr, b Binding) bool {
 
 // Columns returns the distinct columns referenced by e, sorted.
 func Columns(e Expr) []ColID {
-	// Predicates reference a handful of columns: collect with linear dedupe
-	// and insertion sort rather than a map plus reflective sort.Slice.
 	var out []ColID
 	e.walk(func(n Expr) {
-		c, ok := n.(*Col)
-		if !ok {
-			return
+		if c, ok := n.(*Col); ok {
+			out = append(out, c.ID)
 		}
-		for _, have := range out {
-			if have == c.ID {
-				return
-			}
-		}
-		out = append(out, c.ID)
 	})
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j].Less(out[j-1]); j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	return out
-}
-
-// References reports whether e references any column of the given
-// quantifier. A direct recursion rather than a walk: it captures nothing, so
-// it allocates nothing, and it stops at the first hit.
-func References(e Expr, table string) bool {
-	var kids []Expr
-	switch n := e.(type) {
-	case *Col:
-		return n.ID.Table == table
-	case *Arith:
-		return References(n.L, table) || References(n.R, table)
-	case *Cmp:
-		return References(n.L, table) || References(n.R, table)
-	case *Not:
-		return References(n.Kid, table)
-	case *And:
-		kids = n.Kids
-	case *Or:
-		kids = n.Kids
-	}
-	return slices.ContainsFunc(kids, func(k Expr) bool { return References(k, table) })
+	slices.SortFunc(out, ColID.Compare)
+	return slices.Compact(out)
 }
 
 // Tables returns the distinct quantifier names referenced by e, sorted.
@@ -527,38 +492,4 @@ func Conjuncts(e Expr) []Expr {
 		return out
 	}
 	return []Expr{e}
-}
-
-// Rebind rewrites all column references in e whose quantifier name appears in
-// the renames map; used when queries alias tables.
-func Rebind(e Expr, renames map[string]string) Expr {
-	switch n := e.(type) {
-	case *Const:
-		return n
-	case *Col:
-		if nt, ok := renames[n.ID.Table]; ok {
-			return &Col{ID: ColID{Table: nt, Col: n.ID.Col}}
-		}
-		return n
-	case *Arith:
-		return &Arith{Op: n.Op, L: Rebind(n.L, renames), R: Rebind(n.R, renames)}
-	case *Cmp:
-		return &Cmp{Op: n.Op, L: Rebind(n.L, renames), R: Rebind(n.R, renames)}
-	case *And:
-		kids := make([]Expr, len(n.Kids))
-		for i, k := range n.Kids {
-			kids[i] = Rebind(k, renames)
-		}
-		return &And{Kids: kids}
-	case *Or:
-		kids := make([]Expr, len(n.Kids))
-		for i, k := range n.Kids {
-			kids[i] = Rebind(k, renames)
-		}
-		return &Or{Kids: kids}
-	case *Not:
-		return &Not{Kid: Rebind(n.Kid, renames)}
-	default:
-		panic(fmt.Sprintf("expr: Rebind: unknown node %T", e))
-	}
 }

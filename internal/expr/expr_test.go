@@ -188,20 +188,6 @@ func TestKeyIsDeterministicAndEvalStable(t *testing.T) {
 
 // TestRebindPreservesSemantics property-checks that renaming quantifiers
 // and renaming the binding agree.
-func TestRebindPreservesSemantics(t *testing.T) {
-	r := rand.New(rand.NewSource(7))
-	renames := map[string]string{"T": "X"}
-	for i := 0; i < 300; i++ {
-		e := genExpr(r, 4)
-		re := Rebind(e, renames)
-		b1 := bEnv(map[string]int64{"T.A": 4, "T.B": 5, "U.C": 6})
-		b2 := bEnv(map[string]int64{"X.A": 4, "X.B": 5, "U.C": 6})
-		if e.Eval(b1).String() != re.Eval(b2).String() {
-			t.Fatalf("Rebind changed semantics of %s -> %s", e, re)
-		}
-	}
-}
-
 func TestColumnsAndTables(t *testing.T) {
 	e := &And{Kids: []Expr{
 		&Cmp{Op: EQ, L: C("T", "A"), R: C("U", "C")},

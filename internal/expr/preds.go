@@ -1,11 +1,118 @@
 package expr
 
 import (
+	"cmp"
 	"math/bits"
 	"slices"
-	"sort"
 	"strings"
 )
+
+// words is the storage PredSet and ColSet share: a bitset over ordinals whose
+// first 64 live in an inline word, so the algebra allocates nothing for up to
+// 64 ordinals; the rest spill into hi.
+type words struct {
+	lo uint64
+	// hi holds ordinals 64 and up, one word per 64. It is nil when none of
+	// them is a member, has the vocabulary's full spill length otherwise, and
+	// is never written once a set holds it.
+	hi []uint64
+}
+
+// add makes ordinal i, of a vocabulary of n, a member; only for words no set
+// holds yet. Only ordinals past the first word allocate.
+func (w *words) add(i, n int) {
+	if i < 64 {
+		w.lo |= 1 << uint(i)
+		return
+	}
+	if w.hi == nil {
+		w.hi = make([]uint64, (n-1)/64)
+	}
+	w.hi[i/64-1] |= 1 << uint(i%64)
+}
+
+// zip combines two sets of one vocabulary word by word.
+func (w words) zip(o words, op func(x, y uint64) uint64) words {
+	out := words{lo: op(w.lo, o.lo)}
+	if w.hi == nil && o.hi == nil {
+		return out
+	}
+	out.hi = make([]uint64, max(len(w.hi), len(o.hi)))
+	var any uint64
+	for k := range out.hi {
+		var x, y uint64
+		if w.hi != nil {
+			x = w.hi[k]
+		}
+		if o.hi != nil {
+			y = o.hi[k]
+		}
+		out.hi[k] = op(x, y)
+		any |= out.hi[k]
+	}
+	if any == 0 {
+		out.hi = nil
+	}
+	return out
+}
+
+func or(x, y uint64) uint64     { return x | y }
+func andNot(x, y uint64) uint64 { return x &^ y }
+func and(x, y uint64) uint64    { return x & y }
+
+// Next returns the smallest member ordinal >= i, or -1: the loop
+// `for i := s.Next(0); i >= 0; i = s.Next(i + 1)` visits members in ordinal
+// order with no callback. A PredSet's ordinals are conjuncts
+// (Universe().Conjunct(i)), a ColSet's are columns (Vocab().ID(i)); an
+// ordinal also indexes per-ordinal arrays a caller binds once per query
+// (cost.Env's selectivities and widths).
+func (w words) Next(i int) int {
+	if i < 64 {
+		if x := w.lo >> uint(i); x != 0 {
+			return i + bits.TrailingZeros64(x)
+		}
+		i = 64
+	}
+	for k := i/64 - 1; k < len(w.hi); k, i = k+1, 0 {
+		if x := w.hi[k] >> uint(i%64); x != 0 {
+			return 64*(k+1) + i%64 + bits.TrailingZeros64(x)
+		}
+	}
+	return -1
+}
+
+// has reports whether ordinal i is a member.
+func (w words) has(i int) bool {
+	if i < 64 {
+		return w.lo>>uint(i)&1 != 0
+	}
+	return w.hi != nil && w.hi[i/64-1]>>uint(i%64)&1 != 0
+}
+
+// Len returns the number of members.
+func (w words) Len() int {
+	n := bits.OnesCount64(w.lo)
+	for _, x := range w.hi {
+		n += bits.OnesCount64(x)
+	}
+	return n
+}
+
+// Empty reports whether the set has no members.
+func (w words) Empty() bool { return w.lo == 0 && w.hi == nil }
+
+func (w words) equal(o words) bool { return w.lo == o.lo && slices.Equal(w.hi, o.hi) }
+
+// Hash64 folds the set's words into one; for up to 64 ordinals it is the set
+// itself. The plan table and the Rel intern table probe on it; collisions are
+// resolved by Equal.
+func (w words) Hash64() uint64 {
+	h := w.lo
+	for _, x := range w.hi {
+		h = h*1099511628211 ^ x
+	}
+	return h
+}
 
 // PredSet is a set of a query's WHERE conjuncts: a bitset over the conjunct
 // ordinals of its Universe. The STAR rule language manipulates these sets
@@ -14,91 +121,16 @@ import (
 // which is canonical-key order.
 //
 // PredSet is an immutable value and the zero value is the empty set in any
-// universe. Operands of one operation must come from one universe. The first
-// 64 conjuncts live in an inline word, so the algebra allocates nothing for
-// a WHERE clause of up to 64 conjuncts; longer ones spill into hi.
+// universe. Operands of one operation must come from one universe; a result
+// takes whichever operand's is set (either may be the zero value).
 type PredSet struct {
-	u  *Universe
-	lo uint64
-	// hi holds conjuncts 64 and up, one word per 64. It is nil when none of
-	// them is a member, has the universe's full spill length otherwise, and
-	// is never written once a set holds it.
-	hi []uint64
-}
-
-// spillOp combines the spill words of two sets of one universe.
-func spillOp(a, b []uint64, op func(x, y uint64) uint64) []uint64 {
-	out := make([]uint64, max(len(a), len(b)))
-	var any uint64
-	for k := range out {
-		var x, y uint64
-		if a != nil {
-			x = a[k]
-		}
-		if b != nil {
-			y = b[k]
-		}
-		out[k] = op(x, y)
-		any |= out[k]
-	}
-	if any == 0 {
-		return nil
-	}
-	return out
-}
-
-// universe returns whichever operand's universe is set (either may be the
-// zero value).
-func universe(a, b *Universe) *Universe {
-	if a != nil {
-		return a
-	}
-	return b
-}
-
-// Next returns the smallest member conjunct ordinal >= i, or -1: the loop
-// `for i := s.Next(0); i >= 0; i = s.Next(i + 1)` visits members in key
-// order, the order ForEach does, with no callback. Universe().Conjunct(i) is
-// the member; an ordinal also indexes per-conjunct arrays a caller binds once
-// per query (cost.Env's selectivities).
-func (s PredSet) Next(i int) int {
-	if i < 64 {
-		if w := s.lo >> uint(i); w != 0 {
-			return i + bits.TrailingZeros64(w)
-		}
-		i = 64
-	}
-	for k := i/64 - 1; k < len(s.hi); k, i = k+1, 0 {
-		if w := s.hi[k] >> uint(i%64); w != 0 {
-			return 64*(k+1) + i%64 + bits.TrailingZeros64(w)
-		}
-	}
-	return -1
-}
-
-// has reports whether conjunct i is a member.
-func (s PredSet) has(i int) bool {
-	if i < 64 {
-		return s.lo>>uint(i)&1 != 0
-	}
-	return s.hi != nil && s.hi[i/64-1]>>uint(i%64)&1 != 0
-}
-
-// Len returns the number of predicates in the set.
-func (s PredSet) Len() int {
-	n := bits.OnesCount64(s.lo)
-	for _, w := range s.hi {
-		n += bits.OnesCount64(w)
-	}
-	return n
+	u *Universe
+	words
 }
 
 // Universe returns the universe whose conjunct ordinals the set's members
 // are (nil for the zero value).
 func (s PredSet) Universe() *Universe { return s.u }
-
-// Empty reports whether the set has no predicates.
-func (s PredSet) Empty() bool { return s.lo == 0 && s.hi == nil }
 
 // Slice returns the predicates in canonical (key) order. The slice is
 // memoized in the universe and shared with every equal set: callers must not
@@ -126,32 +158,17 @@ func (s PredSet) Contains(p Expr) bool {
 	return i >= 0 && s.has(i)
 }
 
-// zip combines two sets word by word.
-func (s PredSet) zip(o PredSet, op func(x, y uint64) uint64) PredSet {
-	out := PredSet{u: universe(s.u, o.u), lo: op(s.lo, o.lo)}
-	if s.hi != nil || o.hi != nil {
-		out.hi = spillOp(s.hi, o.hi, op)
-	}
-	return out
-}
-
 // Union returns s ∪ o.
-func (s PredSet) Union(o PredSet) PredSet {
-	return s.zip(o, func(x, y uint64) uint64 { return x | y })
-}
+func (s PredSet) Union(o PredSet) PredSet { return PredSet{cmp.Or(s.u, o.u), s.zip(o.words, or)} }
 
 // Minus returns s − o.
-func (s PredSet) Minus(o PredSet) PredSet {
-	return s.zip(o, func(x, y uint64) uint64 { return x &^ y })
-}
+func (s PredSet) Minus(o PredSet) PredSet { return PredSet{cmp.Or(s.u, o.u), s.zip(o.words, andNot)} }
 
 // Intersect returns s ∩ o.
-func (s PredSet) Intersect(o PredSet) PredSet {
-	return s.zip(o, func(x, y uint64) uint64 { return x & y })
-}
+func (s PredSet) Intersect(o PredSet) PredSet { return PredSet{cmp.Or(s.u, o.u), s.zip(o.words, and)} }
 
 // Equal reports set equality.
-func (s PredSet) Equal(o PredSet) bool { return s.lo == o.lo && slices.Equal(s.hi, o.hi) }
+func (s PredSet) Equal(o PredSet) bool { return s.equal(o.words) }
 
 // filter returns the members satisfying keep, which sees the cached analysis
 // so the classifiers avoid re-walking expression trees.
@@ -189,17 +206,6 @@ func (s PredSet) Key() string {
 	return b.String()
 }
 
-// Hash64 folds the set's words into one; for a universe of up to 64
-// conjuncts it is the set itself. The plan table and the Rel intern table
-// probe on it; collisions are resolved by Equal.
-func (s PredSet) Hash64() uint64 {
-	h := s.lo
-	for _, w := range s.hi {
-		h = h*1099511628211 ^ w
-	}
-	return h
-}
-
 // String renders the set for EXPLAIN output.
 func (s PredSet) String() string {
 	parts := make([]string, 0, s.Len())
@@ -209,20 +215,15 @@ func (s PredSet) String() string {
 	return "{" + strings.Join(parts, ", ") + "}"
 }
 
-// Columns returns the distinct columns referenced anywhere in the set.
+// Columns returns the distinct columns referenced anywhere in the set,
+// sorted.
 func (s PredSet) Columns() []ColID {
-	seen := map[ColID]bool{}
+	var out []ColID
 	for i := s.Next(0); i >= 0; i = s.Next(i + 1) {
-		for _, c := range s.u.info[i].cols {
-			seen[c] = true
-		}
+		out = append(out, s.u.info[i].cols...)
 	}
-	out := make([]ColID, 0, len(seen))
-	for c := range seen {
-		out = append(out, c)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })
-	return out
+	slices.SortFunc(out, ColID.Compare)
+	return slices.Compact(out)
 }
 
 // TableSet is a set of a query's quantifiers — χ(T) in the paper's notation
@@ -302,7 +303,7 @@ func (t TableSet) ContainsAll(o TableSet) bool { return o.mask&^t.mask == 0 }
 
 // Union returns t ∪ o.
 func (t TableSet) Union(o TableSet) TableSet {
-	return TableSet{u: universe(t.u, o.u), mask: t.mask | o.mask}
+	return TableSet{u: cmp.Or(t.u, o.u), mask: t.mask | o.mask}
 }
 
 // Equal reports set equality.
@@ -322,15 +323,6 @@ func JoinPreds(p PredSet, t1, t2 TableSet) PredSet {
 	return p.filter(func(_ Expr, in *predInfo) bool {
 		return !in.hasOr && spansBoth(in.tables, t1, t2)
 	})
-}
-
-// colOnly returns the single column if e is a bare column reference.
-func colOnly(e Expr) (ColID, bool) {
-	c, ok := e.(*Col)
-	if !ok {
-		return ColID{}, false
-	}
-	return c.ID, true
 }
 
 // joinCmps returns the comparisons in JP that shape accepts: SP, HP and XP
@@ -396,148 +388,4 @@ func InnerPreds(p PredSet, t2 TableSet) PredSet {
 	return p.filter(func(_ Expr, in *predInfo) bool {
 		return in.tables != 0 && in.tables&^t2.mask == 0
 	})
-}
-
-// sideCols calls add — in set order, once per column not yet seen — with each
-// bare-column operand of a comparison in ps that belongs to side t, and
-// whether the comparison is an equality.
-func sideCols(seen map[ColID]bool, ps PredSet, t TableSet, add func(id ColID, isEq bool)) {
-	for i := ps.Next(0); i >= 0; i = ps.Next(i + 1) {
-		c, ok := ps.u.preds[i].(*Cmp)
-		if !ok {
-			continue
-		}
-		for _, side := range [2]Expr{c.L, c.R} {
-			if id, ok := colOnly(side); ok && t.Contains(id.Table) && !seen[id] {
-				seen[id] = true
-				add(id, c.Op == EQ)
-			}
-		}
-	}
-}
-
-// SortColsFor returns the columns of the sortable predicates that belong to
-// side t, in canonical order: χ(SP) ∩ χ(T) in the paper's JMeth STAR. The
-// outer and inner orders pair up because SortablePreds only admits
-// column = column predicates and canonical predicate order fixes the pairing.
-func SortColsFor(sp PredSet, t TableSet) []ColID {
-	var out []ColID
-	sideCols(map[ColID]bool{}, sp, t, func(id ColID, _ bool) { out = append(out, id) })
-	return out
-}
-
-// IndexColsFor returns IX: the inner-side columns of indexable (XP) and
-// inner-only (IP) predicates, equality predicates first (Section 4.5.3), so
-// that a dynamically created index applies the most selective prefix first.
-func IndexColsFor(xp, ip PredSet, t2 TableSet) []ColID {
-	var eqCols, otherCols []ColID
-	seen := map[ColID]bool{}
-	add := func(id ColID, isEq bool) {
-		if isEq {
-			eqCols = append(eqCols, id)
-		} else {
-			otherCols = append(otherCols, id)
-		}
-	}
-	sideCols(seen, xp, t2, add)
-	sideCols(seen, ip, t2, add)
-	return append(eqCols, otherCols...)
-}
-
-// MatchIndexPrefix returns the subset of preds an index with the given key
-// columns can apply: a chain of equality predicates on a key-column prefix,
-// optionally terminated by one range predicate, where the non-key side does
-// not reference the indexed quantifier (constants, or outer expressions
-// bound per probe — "sideways information passing").
-func MatchIndexPrefix(preds PredSet, keyCols []ColID) PredSet {
-	used := PredSet{u: preds.u}
-	for _, kc := range keyCols {
-		eqPick, rangePick := -1, -1
-		for i := preds.Next(0); i >= 0; i = preds.Next(i + 1) {
-			if used.has(i) {
-				continue
-			}
-			c, ok := preds.u.preds[i].(*Cmp)
-			if !ok {
-				continue
-			}
-			col, other := cmpColSide(c, kc)
-			if col == nil || References(other, kc.Table) {
-				continue
-			}
-			if c.Op == EQ {
-				eqPick = i
-				break
-			}
-			if rangePick < 0 && c.Op != NE {
-				rangePick = i
-			}
-		}
-		if eqPick >= 0 {
-			used = used.Union(preds.u.pred(eqPick))
-			continue
-		}
-		if rangePick >= 0 {
-			used = used.Union(preds.u.pred(rangePick))
-		}
-		break
-	}
-	return used
-}
-
-func cmpColSide(c *Cmp, id ColID) (*Col, Expr) {
-	if lc, ok := c.L.(*Col); ok && lc.ID == id {
-		return lc, c.R
-	}
-	if rc, ok := c.R.(*Col); ok && rc.ID == id {
-		return rc, c.L
-	}
-	return nil, nil
-}
-
-// BindOuter converts the join predicates in jp into single-table predicates
-// on the inner by instantiating the outer side's columns from b — the
-// paper's (and Ullman's) "sideways information passing" used by the
-// nested-loop executor. Predicates that cannot be instantiated are returned
-// unchanged.
-func BindOuter(jp []Expr, outer TableSet, b Binding) []Expr {
-	out := make([]Expr, len(jp))
-	for i, p := range jp {
-		out[i] = bindExpr(p, outer, b)
-	}
-	return out
-}
-
-func bindExpr(e Expr, outer TableSet, b Binding) Expr {
-	switch n := e.(type) {
-	case *Const:
-		return n
-	case *Col:
-		if outer.Contains(n.ID.Table) {
-			if v, ok := b.ColValue(n.ID); ok {
-				return &Const{Val: v}
-			}
-		}
-		return n
-	case *Arith:
-		return &Arith{Op: n.Op, L: bindExpr(n.L, outer, b), R: bindExpr(n.R, outer, b)}
-	case *Cmp:
-		return &Cmp{Op: n.Op, L: bindExpr(n.L, outer, b), R: bindExpr(n.R, outer, b)}
-	case *And:
-		kids := make([]Expr, len(n.Kids))
-		for i, k := range n.Kids {
-			kids[i] = bindExpr(k, outer, b)
-		}
-		return &And{Kids: kids}
-	case *Or:
-		kids := make([]Expr, len(n.Kids))
-		for i, k := range n.Kids {
-			kids[i] = bindExpr(k, outer, b)
-		}
-		return &Or{Kids: kids}
-	case *Not:
-		return &Not{Kid: bindExpr(n.Kid, outer, b)}
-	default:
-		return e
-	}
 }

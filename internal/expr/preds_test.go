@@ -14,6 +14,12 @@ func lt(l, r Expr) Expr  { return &Cmp{Op: LT, L: l, R: r} }
 func ci(v int64) Expr    { return &Const{Val: datum.NewInt(v)} }
 func add(l, r Expr) Expr { return &Arith{Op: Add, L: l, R: r} }
 
+// mustVocab builds the vocabulary of u's predicate columns and extra.
+func mustVocab(t testing.TB, u *Universe, extra ...ColID) *Vocab {
+	t.Helper()
+	return NewVocab(u, append(u.Preds().Columns(), extra...))
+}
+
 // mustUniverse builds the universe of the given quantifiers and conjuncts.
 func mustUniverse(t testing.TB, quants []string, conjuncts ...Expr) *Universe {
 	t.Helper()
@@ -218,20 +224,21 @@ func TestSortColsForPairsUp(t *testing.T) {
 	p2 := eq(C("D", "A2"), C("E", "B2"))
 	u, t1, t2 := deUniverse(t, p2)
 	sp := u.PredSet(pJoin, p2)
-	outer := SortColsFor(sp, t1)
-	inner := SortColsFor(sp, t2)
-	if len(outer) != 2 || len(inner) != 2 {
+	v := mustVocab(t, u)
+	outer := v.SortColsFor(sp, t1)
+	inner := v.SortColsFor(sp, t2)
+	if outer.Len() != 2 || inner.Len() != 2 {
 		t.Fatalf("outer=%v inner=%v", outer, inner)
 	}
 	// Canonical order pairs the columns: position i of each side belongs
 	// to the same predicate.
-	for i := range outer {
+	for i := 0; i < outer.Len(); i++ {
 		found := false
 		for _, pr := range sp.Slice() {
 			c := pr.(*Cmp)
 			lc, _ := c.L.(*Col)
 			rc, _ := c.R.(*Col)
-			if (lc.ID == outer[i] && rc.ID == inner[i]) || (rc.ID == outer[i] && lc.ID == inner[i]) {
+			if (lc.ID == outer.ID(i) && rc.ID == inner.ID(i)) || (rc.ID == outer.ID(i) && lc.ID == inner.ID(i)) {
 				found = true
 			}
 		}
@@ -246,19 +253,18 @@ func TestIndexColsForEqFirst(t *testing.T) {
 	xpRange := lt(C("D", "X"), C("E", "A"))
 	ipEq := eq(C("E", "C"), ci(1))
 	u, _, t2 := deUniverse(t, xpEq, xpRange, ipEq)
-	ix := IndexColsFor(u.PredSet(xpRange, xpEq), u.PredSet(ipEq), t2)
-	if len(ix) != 3 {
+	ix := mustVocab(t, u).IndexColsFor(u.PredSet(xpRange, xpEq), u.PredSet(ipEq), t2)
+	if ix.Len() != 3 {
 		t.Fatalf("IX = %v", ix)
 	}
 	// Equality columns (B from XP, C from IP) come before the range column A.
-	last := ix[len(ix)-1]
+	last := ix.ID(ix.Len() - 1)
 	if last != (ColID{"E", "A"}) {
 		t.Errorf("range column must come last: %v", ix)
 	}
 }
 
 func TestMatchIndexPrefix(t *testing.T) {
-	key := []ColID{{"E", "A"}, {"E", "B"}, {"E", "C"}}
 	pa := eq(C("E", "A"), ci(1))
 	pb := eq(C("E", "B"), C("D", "X")) // bound join pred counts
 	pcRange := lt(C("E", "C"), ci(9))
@@ -266,6 +272,7 @@ func TestMatchIndexPrefix(t *testing.T) {
 	pbRange := lt(C("E", "B"), ci(5))
 	self := eq(C("E", "A"), C("E", "B"))
 	u, _, _ := deUniverse(t, pa, pb, pcRange, pd, pbRange, self)
+	key := mustVocab(t, u).List(ColID{"E", "A"}, ColID{"E", "B"}, ColID{"E", "C"})
 
 	m := MatchIndexPrefix(u.PredSet(pa, pb, pcRange, pd), key)
 	if m.Len() != 3 {
@@ -286,31 +293,6 @@ func TestMatchIndexPrefix(t *testing.T) {
 	// be applied by a probe.
 	if MatchIndexPrefix(u.PredSet(self), key).Len() != 0 {
 		t.Error("self-referencing predicate must not match")
-	}
-}
-
-func TestBindOuter(t *testing.T) {
-	_, outer, _ := deUniverse(t)
-	b := MapBinding{ColID{"D", "DNO"}: datum.NewInt(42)}
-	bound := BindOuter([]Expr{pJoin}, outer, b)
-	if len(bound) != 1 {
-		t.Fatal("arity")
-	}
-	// The bound predicate must now be single-table on E and evaluate
-	// against an E row alone.
-	cols := Columns(bound[0])
-	for _, c := range cols {
-		if c.Table == "D" {
-			t.Fatalf("outer column survived binding: %s", bound[0])
-		}
-	}
-	eRow := MapBinding{ColID{"E", "DNO"}: datum.NewInt(42)}
-	if !EvalBool(bound[0], eRow) {
-		t.Error("bound predicate must hold for matching inner row")
-	}
-	eRow[ColID{"E", "DNO"}] = datum.NewInt(7)
-	if EvalBool(bound[0], eRow) {
-		t.Error("bound predicate must fail for non-matching inner row")
 	}
 }
 

@@ -198,12 +198,9 @@ func (u *Universe) predOrdinal(key string) int {
 // pred returns the one-member set of conjunct i. Only ordinals past the first
 // word allocate.
 func (u *Universe) pred(i int) PredSet {
-	if i < 64 {
-		return PredSet{u: u, lo: 1 << uint(i)}
-	}
-	hi := make([]uint64, (len(u.preds)-1)/64)
-	hi[i/64-1] = 1 << uint(i%64)
-	return PredSet{u: u, hi: hi}
+	s := PredSet{u: u}
+	s.add(i, len(u.preds))
+	return s
 }
 
 // slice materializes s in key order, once per distinct set.

@@ -71,13 +71,16 @@ func TestNewUniverseErrors(t *testing.T) {
 
 // TestPredSetSpill checks the algebra against a map-based model on a WHERE
 // clause of 150 conjuncts, where members live in the inline word and in both
-// spill words.
+// spill words. The column sets of the same 150 columns, one per conjunct, run
+// the same algebra on the same storage and must agree with it.
 func TestPredSetSpill(t *testing.T) {
 	pool := make([]Expr, 150)
 	for i := range pool {
 		pool[i] = eq(C("T", fmt.Sprintf("C%03d", i)), ci(int64(i)))
 	}
 	u := mustUniverse(t, []string{"T"}, pool...)
+	v := mustVocab(t, u)
+	colsOf := func(p PredSet) ColSet { return v.Set(p.Columns()...) }
 	r := rand.New(rand.NewSource(7))
 	type model map[string]bool
 	pick := func() (PredSet, model) {
@@ -146,6 +149,24 @@ func TestPredSetSpill(t *testing.T) {
 		}
 		if ab, ba := a.Union(b), b.Union(a); ab.Hash64() != ba.Hash64() {
 			t.Fatal("equal sets must hash alike")
+		}
+		ca, cb := colsOf(a), colsOf(b)
+		for _, c := range []struct {
+			what string
+			got  ColSet
+			want PredSet
+		}{
+			{"cols(a)", ca, a},
+			{"cols(a) ∪ cols(b)", ca.Union(cb), a.Union(b)},
+			{"cols(a) − cols(b)", ca.Minus(cb), a.Minus(b)},
+			{"cols(a) − cols(a)", ca.Minus(ca), PredSet{}},
+			{"{} ∪ cols(a)", ColSet{}.Union(ca), a},
+		} {
+			want := colsOf(c.want)
+			if !c.got.Equal(want) || c.got.String() != want.String() || c.got.Len() != c.want.Len() ||
+				c.got.Empty() != c.want.Empty() || c.got.Hash64() != want.Hash64() || !slices.Equal(c.got.List().IDs(), c.want.Columns()) {
+				t.Fatalf("%s = {%s}, want {%s}", c.what, c.got, want)
+			}
 		}
 	}
 	if u.Preds().Len() != 150 || !u.Preds().Contains(pool[149]) || u.PredSet(pool[3]).Contains(pool[149]) {

@@ -1,6 +1,7 @@
 package glue
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -55,7 +56,6 @@ func fixture(t *testing.T) (*Gluer, *star.Engine, *query.Graph) {
 	env.Bind(g)
 	en := star.NewEngine(star.DefaultRules(), env)
 	en.QueryTables = g.QuantNames()
-	en.NeededCols = func(q string) []expr.ColID { return g.NeededCols(cat, q) }
 	table := NewPlanTable()
 	gl := &Gluer{Engine: en, Graph: g, Table: table}
 	en.Glue = gl.Glue
@@ -88,6 +88,31 @@ var keyU = func() *expr.Universe {
 
 func deptSet() expr.TableSet { return keyU.All() }
 
+// keyV is the column vocabulary of hand-built plans over keyU: DNO, MGR, the
+// names TestBoundSkipsOnlyStrictlyDearerCandidates orders by, and C0 to C15.
+var keyV = func() *expr.Vocab {
+	var ids []expr.ColID
+	for _, c := range []string{"DNO", "MGR", "tie", "temp", "dear"} {
+		ids = append(ids, expr.ColID{Table: "DEPT", Col: c})
+	}
+	for i := 0; i < 16; i++ {
+		ids = append(ids, expr.ColID{Table: "DEPT", Col: fmt.Sprint("C", i)})
+	}
+	return expr.NewVocab(keyU, ids)
+}()
+
+// keyCols lists the named DEPT columns of keyV.
+func keyCols(names ...string) expr.ColList {
+	ids := make([]expr.ColID, len(names))
+	for i, n := range names {
+		ids[i] = expr.ColID{Table: "DEPT", Col: n}
+	}
+	return keyV.List(ids...)
+}
+
+// queryCols lists columns of the query gl optimizes.
+func queryCols(gl *Gluer, ids ...expr.ColID) expr.ColList { return gl.Engine.Cost.Vocab().List(ids...) }
+
 var (
 	predsK     = keyU.PredSet(keyU.Preds().Slice()[0])
 	predsOther = keyU.PredSet(keyU.Preds().Slice()[1])
@@ -101,10 +126,10 @@ func TestPlanTableInsertLookupAndPruning(t *testing.T) {
 		Props: &plan.Props{Cost: plan.Cost{Total: 5}}}
 	pricey := &plan.Node{Op: plan.OpAccess, Flavor: plan.FlavorBTreeStore, Table: "DEPT",
 		Props: &plan.Props{Cost: plan.Cost{Total: 50}}}
-	ordered := &plan.Node{Op: plan.OpSort, SortCols: []expr.ColID{{Table: "DEPT", Col: "DNO"}},
+	ordered := &plan.Node{Op: plan.OpSort, SortCols: keyCols("DNO"),
 		Inputs: []*plan.Node{cheap},
 		Props: &plan.Props{Cost: plan.Cost{Total: 80},
-			Order: []expr.ColID{{Table: "DEPT", Col: "DNO"}}}}
+			Order: keyCols("DNO")}}
 
 	pt.Insert(ts, predsK, []*plan.Node{pricey, cheap, ordered})
 	if got := plansOf(pt.Lookup(ts, predsK)); len(got) != 2 {
@@ -243,7 +268,7 @@ func TestGlueSatisfiesOrderAndSite(t *testing.T) {
 	la := "LA"
 	req := plan.Reqd{
 		Site:  &la,
-		Order: []expr.ColID{{Table: "DEPT", Col: "DNO"}},
+		Order: queryCols(gl, expr.ColID{Table: "DEPT", Col: "DNO"}),
 	}
 	plans, err := gl.Glue(&star.GlueRequest{Tables: tables(g, "DEPT"), Req: req})
 	if err != nil {
@@ -305,7 +330,7 @@ func TestGlueDynamicIndexVeneer(t *testing.T) {
 	plans, err := gl.Glue(&star.GlueRequest{
 		Tables: tables(g, "EMP"),
 		Push:   g.Universe().PredSet(jp),
-		Req:    plan.Reqd{PathCols: []expr.ColID{{Table: "EMP", Col: "DNO"}}},
+		Req:    plan.Reqd{PathCols: queryCols(gl, expr.ColID{Table: "EMP", Col: "DNO"})},
 	})
 	if err != nil {
 		t.Fatal(err)

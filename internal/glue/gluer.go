@@ -92,7 +92,7 @@ func (g *Gluer) Glue(req *star.GlueRequest) (result []*plan.Node, err error) {
 	// contents cannot depend on the current outer tuple.
 	static := req.Push.Within(req.Tables)
 	bound := req.Push.Minus(static)
-	materialize := req.Req.Temp || len(req.Req.PathCols) > 0
+	materialize := req.Req.Temp || req.Req.PathCols.Len() > 0
 
 	lookup := base.Union(static)
 	if !materialize {
@@ -209,10 +209,9 @@ func (g *Gluer) ensurePlans(tables expr.TableSet, preds expr.PredSet) (Cell, err
 		g.Engine.Obs.Emit(obs.Event{Name: obs.EvGlueMiss, A1: tables.Key()})
 	}
 	if q, ok := tables.Only(); ok {
-		cols := g.Engine.NeededCols(q)
 		sap, err := g.Engine.EvalRule(AccessRootRule, []star.Value{
 			star.StreamValue(tables),
-			star.ColsValue(cols),
+			star.ColsValue(g.Engine.Cost.Needed(q)),
 			star.PredsValue(preds),
 		})
 		if err != nil {
@@ -259,20 +258,20 @@ func (g *Gluer) veneer(cur *plan.Node, req plan.Reqd, full expr.PredSet) (_ *pla
 	}
 	// 2. Achieve the required order (before STORE, so the temp inherits
 	// it).
-	if len(req.Order) > 0 && !plan.OrderSatisfies(cur.Props.Order, req.Order) {
+	if !plan.OrderSatisfies(cur.Props.Order, req.Order) {
 		if cur, err = g.addVeneer(cur, plan.Node{Op: plan.OpSort, SortCols: req.Order}); err != nil {
 			return nil, err
 		}
 	}
 	// 3. Materialize when required.
-	if (req.Temp || len(req.PathCols) > 0) && !cur.Props.Temp {
+	if (req.Temp || req.PathCols.Len() > 0) && !cur.Props.Temp {
 		if cur, err = g.addVeneer(cur, plan.Node{Op: plan.OpStore}); err != nil {
 			return nil, err
 		}
 	}
 	// 4. Create the required index and probe it with the per-probe
 	// predicates (Section 4.5.3).
-	if len(req.PathCols) > 0 {
+	if req.PathCols.Len() > 0 {
 		if cur, err = g.dynamicIndex(cur, req.PathCols, full); err != nil {
 			return nil, err
 		}
@@ -285,7 +284,7 @@ func (g *Gluer) veneer(cur *plan.Node, req plan.Reqd, full expr.PredSet) (_ *pla
 // dynamicIndex ensures an index on ixCols exists on the materialized stream
 // and replaces the stream with an index probe applying the matching pushed
 // predicates.
-func (g *Gluer) dynamicIndex(cur *plan.Node, ixCols []expr.ColID, full expr.PredSet) (_ *plan.Node, err error) {
+func (g *Gluer) dynamicIndex(cur *plan.Node, ixCols expr.ColList, full expr.PredSet) (_ *plan.Node, err error) {
 	if cur.Props.PathOn(ixCols) == nil {
 		ix := plan.Node{Op: plan.OpBuildIndex, SortCols: ixCols}
 		if cur, err = g.addVeneer(cur, ix); err != nil {
@@ -294,9 +293,9 @@ func (g *Gluer) dynamicIndex(cur *plan.Node, ixCols []expr.ColID, full expr.Pred
 	}
 	path := cur.Props.PathOn(ixCols)
 	missing := full.Minus(cur.Props.Preds())
+	// The probe lists no columns: it carries the temp's COLS.
 	return g.addVeneer(cur, plan.Node{
 		Op: plan.OpAccess, Flavor: plan.FlavorIndex,
-		Cols:     cur.Props.Cols(), // interned and never mutated; sharing is safe
 		Preds:    expr.MatchIndexPrefix(missing, path.Cols),
 		SortCols: path.Cols,
 	})

@@ -24,9 +24,9 @@ func ledgerOf(gl *Gluer, sink *obs.Sink) ledger {
 
 // laOrderedTemp is a requirement no DEPT access plan meets: every candidate
 // needs SHIP, SORT and STORE.
-func laOrderedTemp() plan.Reqd {
+func laOrderedTemp(gl *Gluer) plan.Reqd {
 	la := "LA"
-	return plan.Reqd{Site: &la, Order: []expr.ColID{{Table: "DEPT", Col: "DNO"}}, Temp: true}
+	return plan.Reqd{Site: &la, Order: queryCols(gl, expr.ColID{Table: "DEPT", Col: "DNO"}), Temp: true}
 }
 
 // TestRepeatedReferenceBuildsNothing: an exact repeat of a reference on an
@@ -46,9 +46,9 @@ func TestRepeatedReferenceBuildsNothing(t *testing.T) {
 		root := gl.Table
 		dept := tables(g, "DEPT")
 		reqs := []*star.GlueRequest{
-			{Tables: dept, Req: laOrderedTemp()},
-			{Tables: dept, Push: g.Universe().PredSet(deptEmpJoin), Req: plan.Reqd{PathCols: []expr.ColID{{Table: "DEPT", Col: "DNO"}}}},
-			{Tables: dept, Req: laOrderedTemp(), All: true},
+			{Tables: dept, Req: laOrderedTemp(gl)},
+			{Tables: dept, Push: g.Universe().PredSet(deptEmpJoin), Req: plan.Reqd{PathCols: queryCols(gl, expr.ColID{Table: "DEPT", Col: "DNO"})}},
+			{Tables: dept, Req: laOrderedTemp(gl), All: true},
 		}
 		check := func(where string) {
 			t.Helper()
@@ -131,9 +131,9 @@ func TestMarkMergeIsOrderFree(t *testing.T) {
 		ovs := [2]*PlanTable{newOverlay(root), newOverlay(root)}
 		for i, ov := range ovs {
 			gl.Table = ov
-			req := &star.GlueRequest{Tables: dept, Req: laOrderedTemp()}
+			req := &star.GlueRequest{Tables: dept, Req: laOrderedTemp(gl)}
 			if i == 1 {
-				req.Req.Order = nil
+				req.Req.Order = expr.ColList{}
 			}
 			if _, err := gl.Glue(req); err != nil {
 				t.Fatal(err)
@@ -167,7 +167,7 @@ func TestDisabledPruningKeepsNoRebuiltTwins(t *testing.T) {
 	gl.Table.PruneDisabled = true
 	emp := tables(g, "EMP")
 	req := &star.GlueRequest{Tables: emp, Push: g.Universe().PredSet(deptEmpJoin),
-		Req: plan.Reqd{PathCols: []expr.ColID{{Table: "EMP", Col: "DNO"}}}}
+		Req: plan.Reqd{PathCols: queryCols(gl, expr.ColID{Table: "EMP", Col: "DNO"})}}
 	if _, err := gl.Glue(req); err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +193,7 @@ func TestBoundSkipsOnlyStrictlyDearerCandidates(t *testing.T) {
 	mk := func(name string, total float64, temp bool) *plan.Node {
 		return &plan.Node{Op: plan.OpAccess, Flavor: plan.FlavorHeap, Table: "DEPT", Path: name,
 			Props: &plan.Props{Site: "NY", Temp: temp, Card: 10, Cost: plan.Cost{IO: total, Total: total},
-				Order: []expr.ColID{{Table: "DEPT", Col: name}}}}
+				Order: keyCols(name)}}
 	}
 	seed := func(t *testing.T) (*Gluer, *star.GlueRequest) {
 		gl, _, g := fixture(t)
@@ -266,7 +266,7 @@ func TestGlueSkipEvent(t *testing.T) {
 	en.Obs, en.Cost.Obs, gl.Table.Obs = sink, sink, sink
 	dept := tables(g, "DEPT")
 	la := "LA"
-	req := &star.GlueRequest{Tables: dept, Req: plan.Reqd{Site: &la, Order: []expr.ColID{{Table: "DEPT", Col: "DNO"}}}}
+	req := &star.GlueRequest{Tables: dept, Req: plan.Reqd{Site: &la, Order: queryCols(gl, expr.ColID{Table: "DEPT", Col: "DNO"})}}
 	var out []*plan.Node
 	for i := 0; i < 2; i++ {
 		var err error
@@ -329,7 +329,7 @@ func TestDominatedVeneersAllocateNothing(t *testing.T) {
 	for _, tc := range []struct{ table, col string }{{"EMP", "DNO"}, {"DEPT", "MGR"}} {
 		args := []star.Value{
 			star.StreamValue(tables(g, tc.table)),
-			star.ColsValue([]expr.ColID{{Table: tc.table, Col: tc.col}}),
+			star.ColsValue(en.Cost.Vocab().List(expr.ColID{Table: tc.table, Col: tc.col})),
 			star.PredsValue(g.Universe().PredSet(deptEmpJoin)),
 		}
 		reference := func() {

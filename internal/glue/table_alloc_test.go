@@ -67,7 +67,7 @@ func incomparable(n int) []*plan.Node {
 	plans := make([]*plan.Node, n)
 	for i := range plans {
 		plans[i] = &plan.Node{Op: plan.OpSort, Props: &plan.Props{
-			Order: []expr.ColID{{Table: "DEPT", Col: fmt.Sprint("C", i)}},
+			Order: keyCols(fmt.Sprint("C", i)),
 			Cost:  plan.Cost{Total: float64(i + 1)},
 		}}
 	}

@@ -17,7 +17,6 @@ import (
 
 	"stars/internal/catalog"
 	"stars/internal/cost"
-	"stars/internal/expr"
 	"stars/internal/glue"
 	"stars/internal/obs"
 	"stars/internal/plan"
@@ -263,6 +262,9 @@ func (o *Optimizer) Optimize(g *query.Graph) (_ *Result, err error) {
 			res.Release()
 		}
 	}()
+	// Binding fixes the query's column vocabulary before any worker starts;
+	// it is the optimization's own, never pooled, so the plans it hands out
+	// keep rendering names after Release.
 	env.Bind(g)
 
 	rules := o.Opts.Rules
@@ -270,18 +272,8 @@ func (o *Optimizer) Optimize(g *query.Graph) (_ *Result, err error) {
 		rules = builtinRules()
 	}
 
-	// Memoize the needed-columns resolution once per query: the engine,
-	// Glue, and every enumeration worker consult it repeatedly, and the
-	// underlying graph walk allocates. The map is read-only once built, so
-	// forked worker engines share it freely.
-	needed := make(map[string][]expr.ColID, len(g.Quants))
-	for _, q := range g.Quants {
-		needed[q.Name] = g.NeededCols(o.Cat, q.Name)
-	}
-
 	en := star.NewEngine(rules, env)
 	en.QueryTables = g.QuantNames()
-	en.NeededCols = func(q string) []expr.ColID { return needed[q] }
 	en.Obs = sink
 	if o.Opts.Prepare != nil {
 		o.Opts.Prepare(en)
@@ -312,7 +304,7 @@ func (o *Optimizer) Optimize(g *query.Graph) (_ *Result, err error) {
 		preds := g.EligibleWithin(ts)
 		sap, err := en.EvalRule(glue.AccessRootRule, []star.Value{
 			star.StreamValue(ts),
-			star.ColsValue(needed[q.Name]),
+			star.ColsValue(env.Needed(q.Name)),
 			star.PredsValue(preds),
 		})
 		if err != nil {
@@ -338,7 +330,7 @@ func (o *Optimizer) Optimize(g *query.Graph) (_ *Result, err error) {
 		rootSp = sink.StartSpan(obs.EvPhase, "root", "", 0)
 	}
 	phaseLabels(en, labels, "root")
-	rootReq := plan.Reqd{Order: g.OrderBy}
+	rootReq := plan.Reqd{Order: env.Vocab().List(g.OrderBy...)}
 	site := o.Cat.QuerySite
 	rootReq.Site = &site
 	best, err := gl.Glue(&star.GlueRequest{Tables: g.TableSet(), Req: rootReq})

@@ -36,7 +36,7 @@ func TestOrderByAddsRootRequirement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !plan.OrderSatisfies(res.Best.Props.Order, g.OrderBy) {
+	if !plan.OrderSatisfies(res.Best.Props.Order, res.Engine.Cost.Vocab().List(g.OrderBy...)) {
 		t.Fatalf("ORDER BY unmet:\n%s", plan.Explain(res.Best))
 	}
 	// An order the data naturally has does not force a SORT; this one must.

@@ -472,9 +472,9 @@ func TestSetAlgebraAllocs(t *testing.T) {
 	overlay.Reset(table)
 	env := cost.NewEnv(cat, cost.DefaultWeights)
 	env.Bind(g)
-	cols := g.NeededCols(cat, "T1")
+	cols := env.Needed("T1").Set()
 	rel := env.InternRel(s1, cols, a)
-	join := &expr.Cmp{Op: expr.EQ, L: expr.C("T2", "K"), R: expr.C("T3", "J")}
+	key := env.Vocab().List(expr.ColID{Table: "T3", Col: "J"})
 	for _, tc := range []struct {
 		name string
 		f    func()
@@ -491,8 +491,7 @@ func TestSetAlgebraAllocs(t *testing.T) {
 		{"PlanTable.HasEntry", func() { allocSink.b = overlay.HasEntry(s1) && !overlay.HasEntry(s2) }},
 		{"InternRel hit", func() { allocSink.r = env.Fork().InternRel(s1, cols, a) }},
 		{"SetSelectivity (pricing walks a set with ForEach, not Slice's memo)", func() { allocSink.f = env.SetSelectivity(a) }},
-		{"References", func() { allocSink.b = expr.References(join, "T3") && !expr.References(join, "T1") }},
-		{"MatchIndexPrefix", func() { allocSink.p = expr.MatchIndexPrefix(a, []expr.ColID{{Table: "T3", Col: "J"}}) }},
+		{"MatchIndexPrefix", func() { allocSink.p = expr.MatchIndexPrefix(a, key) }},
 	} {
 		if n := testing.AllocsPerRun(1000, tc.f); n != 0 {
 			t.Errorf("%s allocates %.1f/op, want 0", tc.name, n)

@@ -9,6 +9,8 @@ import (
 
 	"stars/internal/catalog"
 	"stars/internal/cost"
+	"stars/internal/datum"
+	"stars/internal/expr"
 	"stars/internal/plan"
 	"stars/internal/query"
 	"stars/internal/star"
@@ -22,10 +24,11 @@ import (
 // environment bound to the query, and compared node by node with what the
 // optimizer built: identity, rendered names, the relational part (tables,
 // columns, predicates, width) and every physical and estimated property. The
-// points cover the workload corpus and chain and star queries, under the
-// built-in repertoire and the dynamic-index one (so temps and dynamic indexes
-// are retained), serially and rank-parallel, on new workspaces and on
-// workspaces another query has just filled.
+// points cover the workload corpus, chain and star queries, and a SELECT *
+// over a table of 70 columns (so the column vocabulary spills past one word),
+// under the built-in repertoire and the dynamic-index one (so temps and
+// dynamic indexes are retained), serially and rank-parallel, on new
+// workspaces and on workspaces another query has just filled.
 func TestRetainedPlansRederive(t *testing.T) {
 	type point struct {
 		name string
@@ -41,6 +44,7 @@ func TestRetainedPlansRederive(t *testing.T) {
 			point{fmt.Sprintf("chain%d", n), workload.ChainCatalog(n), workload.ChainQuery(n)},
 			point{fmt.Sprintf("star%d", n), workload.StarCatalog(n, 100000, 1000), workload.StarQuery(n)})
 	}
+	points = append(points, point{"wide3", wideCatalog(), wideQuery()})
 	dirtyCat := workload.StarCatalog(4, 100000, 1000)
 	checked := 0
 	for _, rep := range []struct {
@@ -173,4 +177,43 @@ func renderPaths(paths []plan.PathInfo) string {
 		fmt.Fprintf(&b, "%s/%v/%v ", p.String(), p.Clustered, p.KeyWidth)
 	}
 	return b.String()
+}
+
+// wideCatalog holds W, a table of 70 columns with indexes on two column lists,
+// and the dimensions D1 and D2 it references.
+func wideCatalog() *catalog.Catalog {
+	cat := catalog.New()
+	w := &catalog.Table{Name: "W", Card: 20000, Paths: []*catalog.AccessPath{
+		{Name: "W_A01", Table: "W", Cols: []string{"A01"}},
+		{Name: "W_A03_A04", Table: "W", Cols: []string{"A03", "A04"}},
+	}}
+	for i := 0; i < 70; i++ {
+		c := &catalog.Column{Name: fmt.Sprintf("A%02d", i), Type: datum.KindInt, NDV: int64(10 + 50*i)}
+		if i%7 == 6 {
+			c.Type, c.Width = datum.KindString, 24
+		}
+		w.Cols = append(w.Cols, c)
+	}
+	cat.AddTable(w)
+	for _, d := range []string{"D1", "D2"} {
+		cat.AddTable(&catalog.Table{Name: d, Card: 300, Cols: []*catalog.Column{
+			{Name: "ID", Type: datum.KindInt, NDV: 300},
+			{Name: "NAME", Type: datum.KindString, NDV: 300, Width: 20},
+		}})
+	}
+	if err := cat.Validate(); err != nil {
+		panic(err)
+	}
+	return cat
+}
+
+// wideQuery is SELECT * FROM W, D1, D2 WHERE W.A01 = D1.ID AND
+// W.A02 = D2.ID AND W.A03 = 5.
+func wideQuery() *query.Graph {
+	return query.MustNew(
+		[]query.Quantifier{{Name: "W", Table: "W"}, {Name: "D1", Table: "D1"}, {Name: "D2", Table: "D2"}},
+		&expr.Cmp{Op: expr.EQ, L: expr.C("W", "A01"), R: expr.C("D1", "ID")},
+		&expr.Cmp{Op: expr.EQ, L: expr.C("W", "A02"), R: expr.C("D2", "ID")},
+		&expr.Cmp{Op: expr.EQ, L: expr.C("W", "A03"), R: &expr.Const{Val: datum.NewInt(5)}},
+	)
 }

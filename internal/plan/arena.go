@@ -29,10 +29,9 @@ type Arena struct {
 	props Slab[Props]
 	// inputs backs the Inputs of nodes built with NewNode(n, inputs...).
 	inputs Slab[*Node]
-	// paths, rels and cols back JoinPaths, NewRel and MergeCols.
+	// paths and rels back JoinPaths and NewRel.
 	paths  Slab[PathInfo]
 	rels   Slab[Rel]
-	cols   Slab[expr.ColID]
 	poison bool
 }
 
@@ -176,50 +175,36 @@ func (a *Arena) EachRel(f func(*Rel)) {
 	})
 }
 
-// MergeCols unions two column lists, preserving first-seen order, into the
-// arena (on the heap for a nil arena); neither argument is retained or
-// written.
-func (a *Arena) MergeCols(x, y []expr.ColID) []expr.ColID {
-	var out []expr.ColID
-	if a != nil {
-		out = a.cols.Run(len(x) + len(y))[:0]
-	}
-	out = append(out, x...)
-	for _, c := range y {
-		if !HasCol(out, c) {
-			out = append(out, c)
-		}
-	}
-	return out[:len(out):len(out)]
-}
-
 // Reset recycles the arena for the next optimization: every slot the arena
 // handed out becomes invalid and free, and the chunks are kept. Used slots
 // are zeroed, so a pooled arena pins nothing the dead plans pointed at; with
-// poisoning on, node, Rel and column slots are instead overwritten with a
-// marker so escaped pointers read recognizably dead plans and COLS.
+// poisoning on, node and Rel slots are instead overwritten with a marker so
+// escaped pointers read recognizably dead plans and Rels.
 func (a *Arena) Reset() {
 	if a == nil {
 		return
 	}
 	var node *Node
 	var rel *Rel
-	var col *expr.ColID
 	if a.poison {
 		node = &Node{Op: poisonOp, Origin: "poisoned: plan used after arena Reset"}
-		rel, col = &poisonRel, &poisonRel.Cols[0]
+		rel = &poisonRel
 	}
 	a.nodes.Rewind(node)
 	a.props.Rewind(nil)
 	a.inputs.Rewind(nil)
 	a.paths.Rewind(nil)
 	a.rels.Rewind(rel)
-	a.cols.Rewind(col)
 }
 
-// poisonRel and its one column are what Reset writes into recycled Rel and
-// COLS slots when poisoning is on.
-var poisonRel = Rel{Cols: []expr.ColID{{Table: string(poisonOp), Col: string(poisonOp)}}}
+// poisonRel is what Reset writes into recycled Rel slots when poisoning is
+// on: its one column renders as the poison marker.
+var poisonRel = func() Rel {
+	q := string(poisonOp)
+	u, _ := expr.NewUniverse([]string{q}, nil)
+	v := expr.NewVocab(u, []expr.ColID{{Table: q, Col: q}})
+	return Rel{Cols: v.Set(v.ID(0))}
+}()
 
 // Poisoned reports whether n is a recycled arena slot (only meaningful when
 // the arena had poisoning on).
@@ -229,10 +214,10 @@ func (n *Node) Poisoned() bool { return n.Op == poisonOp }
 // heap, preserving structure sharing — of nodes and of Rels — and published
 // identities. Consumers that hold a plan beyond Result.Release — serve
 // responses, incident captures, provenance DAGs — detach it first. Inputs,
-// PATHS lists, interned Rels and their COLS are arena storage (NewNode,
-// JoinPaths, NewRel, MergeCols) and are copied with the node, as is a node's
-// own column list, which may be its input's COLS (a dynamic index probe's);
-// the Order and SortCols backings are heap storage and are shared.
+// PATHS lists and interned Rels are arena storage (NewNode, JoinPaths,
+// NewRel) and are copied with the node; column sets and lists are heap
+// storage over the optimization's vocabulary, which is never recycled, and
+// are shared.
 func Detach(n *Node) *Node {
 	if n == nil {
 		return nil
@@ -245,12 +230,11 @@ func detach(n *Node, seen map[*Node]*Node, rels map[*Rel]*Rel) *Node {
 		return d
 	}
 	m := *n
-	m.Cols = slices.Clone(n.Cols)
 	if n.Props != nil {
 		q := *n.Props
 		q.Paths = slices.Clone(q.Paths)
 		if r := q.Rel; r != nil && rels[r] == nil {
-			rels[r] = &Rel{Tables: r.Tables, Cols: slices.Clone(r.Cols), Preds: r.Preds, Width: r.Width}
+			rels[r] = &Rel{Tables: r.Tables, Cols: r.Cols, Preds: r.Preds, Width: r.Width}
 		}
 		q.Rel = rels[q.Rel]
 		m.Props = &q

@@ -3,8 +3,6 @@ package plan
 import (
 	"reflect"
 	"testing"
-
-	"stars/internal/expr"
 )
 
 // fillArena allocates n priced two-node plans and returns every slot handed
@@ -168,8 +166,8 @@ func TestArenaInputsFollowTheNode(t *testing.T) {
 // Detach copies it out with the property vector; a nil arena joins on the heap.
 func TestArenaPathsFollowTheProps(t *testing.T) {
 	a := NewArena()
-	x := []PathInfo{{Name: "T_A", Cols: []expr.ColID{col("T", "A")}}}
-	y := []PathInfo{{Cols: []expr.ColID{col("T", "B")}, Dynamic: true, KeyWidth: 4}}
+	x := []PathInfo{{Name: "T_A", Cols: colList(col("T", "A"))}}
+	y := []PathInfo{{Cols: colList(col("T", "B")), Dynamic: true, KeyWidth: 4}}
 	var lists [][]PathInfo
 	for i := 0; i < arenaChunk; i++ {
 		lists = append(lists, a.JoinPaths(x, y))
@@ -203,50 +201,46 @@ func TestArenaPathsFollowTheProps(t *testing.T) {
 	}
 }
 
-// TestArenaRelsFollowThePlans: interned Rels and the COLS lists merged for
-// them are arena storage — chained by NewRel, capped, no heap object on a warm
-// arena, zeroed by Reset or, under poison, rendering as dead COLS — so Detach
-// copies each Rel (once, however many nodes share it) with its COLS, and a
-// node's own column list that aliases them. A nil arena uses the heap.
+// TestArenaRelsFollowThePlans: interned Rels are arena storage — chained by
+// NewRel, no heap object on a warm arena, zeroed by Reset or, under poison,
+// rendering a dead COLS — so Detach copies each Rel (once, however many nodes
+// share it). COLS is a set over the optimization's vocabulary, which is
+// never recycled, so the copy shares it. A nil arena uses the heap.
 func TestArenaRelsFollowThePlans(t *testing.T) {
 	a := NewArena()
-	x, y := []expr.ColID{col("T", "A")}, []expr.ColID{col("U", "B"), col("T", "A")}
+	x := colList(col("T", "A"), col("U", "B")).Set()
 	var head *Rel
 	for i := 0; i < arenaChunk; i++ {
-		cols := a.MergeCols(x, y)
-		if len(cols) != 2 || cap(cols) != 2 || cols[1] != y[0] || &cols[0] == &x[0] {
-			t.Fatalf("merge %d: %v (cap %d) is not a capped copy of x then y's new columns", i, cols, cap(cols))
-		}
-		if head = a.NewRel(Rel{Tables: tableSet("T"), Cols: cols}, head); head.Next() == nil && i > 0 {
+		if head = a.NewRel(Rel{Tables: tableSet("T"), Cols: x}, head); head.Next() == nil && i > 0 {
 			t.Fatalf("Rel %d lost its bucket chain", i)
 		}
 	}
-	leaf := a.NewNode(Node{Op: OpAccess, Table: "T", Cols: head.Cols})
+	leaf := a.NewNode(Node{Op: OpAccess, Table: "T", Cols: head.Cols.List()})
 	leaf.Props = a.NewProps(Props{Rel: head})
 	top := a.NewNode(Node{Op: OpSort}, leaf)
 	top.Props = a.NewProps(Props{Rel: head})
-	d, cols := Detach(top), head.Cols
+	d := Detach(top)
 	a.SetPoison(true)
 	a.Reset()
-	if head.Next() != nil || head.Cols[0].Table != string(poisonOp) || cols[0].Col != string(poisonOp) {
-		t.Fatalf("Reset under poison left a live Rel (%v) or COLS slot (%v)", *head, cols)
+	if head.Next() != nil || head.Cols.String() != string(poisonOp)+"."+string(poisonOp) {
+		t.Fatalf("Reset under poison left a live Rel (%v)", *head)
 	}
-	if r := d.Props.Rel; r != d.Inputs[0].Props.Rel || r.Next() != nil || len(r.Cols) != 2 || r.Cols[0] != x[0] ||
-		d.Inputs[0].Cols[1] != y[0] || d.Props.Describe() != (&Props{Rel: &Rel{Tables: tableSet("T"), Cols: []expr.ColID{x[0], y[0]}}}).Describe() {
+	if r := d.Props.Rel; r != d.Inputs[0].Props.Rel || r.Next() != nil || !r.Cols.Equal(x) ||
+		d.Inputs[0].Cols.String() != "T.A,U.B" || d.Props.Describe() != (&Props{Rel: &Rel{Tables: tableSet("T"), Cols: x}}).Describe() {
 		t.Fatalf("detached Rel %+v (input's %p, node COLS %v) is not a shared copy of the arena's", *r, d.Inputs[0].Props.Rel, d.Inputs[0].Cols)
 	}
 	a.SetPoison(false)
 	if n := testing.AllocsPerRun(10, func() {
 		for i := 0; i < 100; i++ {
-			head = a.NewRel(Rel{Cols: a.MergeCols(x, y)}, head)
+			head = a.NewRel(Rel{Cols: x.Union(x)}, head)
 		}
 		head = nil
 		a.Reset()
 	}); n != 0 {
-		t.Errorf("NewRel and MergeCols allocate %.1f per 100 Rels on a warm arena, want 0", n)
+		t.Errorf("NewRel and a COLS union allocate %.1f per 100 Rels on a warm arena, want 0", n)
 	}
 	var none *Arena
-	if r := none.NewRel(Rel{Cols: none.MergeCols(x, y)}, head); len(r.Cols) != 2 || &r.Cols[0] == &x[0] {
-		t.Fatalf("nil arena: %v must be a heap merge", r.Cols)
+	if r := none.NewRel(Rel{Cols: x}, head); r.Cols.Len() != 2 {
+		t.Fatalf("nil arena: %v must be a heap Rel", r.Cols)
 	}
 }

@@ -61,11 +61,11 @@ func describeNode(n *Node) string {
 		}
 		parts = append(parts, "table="+t)
 	}
-	if len(n.Cols) > 0 {
-		parts = append(parts, "cols=["+colList(n.Cols)+"]")
+	if n.Cols.Len() > 0 {
+		parts = append(parts, "cols=["+n.Cols.String()+"]")
 	}
-	if len(n.SortCols) > 0 {
-		parts = append(parts, "key=["+colList(n.SortCols)+"]")
+	if n.SortCols.Len() > 0 {
+		parts = append(parts, "key=["+n.SortCols.String()+"]")
 	}
 	if n.Op == OpShip {
 		dest := n.Site
@@ -181,13 +181,17 @@ func writeFunctional(b *strings.Builder, n *Node) {
 		} else {
 			args = append(args, n.TableName())
 		}
-		args = append(args, "{"+colList(n.Cols)+"}")
+		if n.Cols.Len() == 0 {
+			args = append(args, "*") // a temp's whole COLS, as the rule language writes it
+		} else {
+			args = append(args, "{"+n.Cols.String()+"}")
+		}
 	}
 	if n.Op == OpGet {
 		// Inputs render first for GET to match Figure 1's notation.
 	}
-	if len(n.SortCols) > 0 {
-		args = append(args, colList(n.SortCols))
+	if n.SortCols.Len() > 0 {
+		args = append(args, n.SortCols.String())
 	}
 	if n.Op == OpShip {
 		args = append(args, "site="+n.Site)
@@ -200,7 +204,7 @@ func writeFunctional(b *strings.Builder, n *Node) {
 		writeFunctional(b, in)
 	}
 	if n.Op == OpGet {
-		fmt.Fprintf(b, ", %s, {%s}", n.Table, colList(n.Cols))
+		fmt.Fprintf(b, ", %s, {%s}", n.Table, n.Cols)
 	}
 	b.WriteByte(')')
 }

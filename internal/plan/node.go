@@ -101,7 +101,7 @@ type Node struct {
 	// index has none: PathName renders one.
 	Path string
 	// Cols are the columns this operator retrieves or adds (ACCESS, GET).
-	Cols []expr.ColID
+	Cols expr.ColList
 	// Preds are the predicates this operator applies: ACCESS/GET
 	// pushdowns, FILTER predicates, or — for JOIN — the join predicates
 	// the method itself applies (parameter 4 of the JOIN reference in
@@ -114,7 +114,7 @@ type Node struct {
 	Residual expr.PredSet
 	// SortCols is the SORT key or BUILDINDEX key column list, or the key of
 	// the dynamic index an index ACCESS over a temp probes.
-	SortCols []expr.ColID
+	SortCols expr.ColList
 	// Site is the SHIP destination site.
 	Site string
 	// Inputs are the consumed streams: 1 for unary ops, 2 for JOIN/UNION
@@ -210,7 +210,7 @@ func (n *Node) Validate() error {
 		case len(n.Inputs) > 1:
 			return fmt.Errorf("plan: ACCESS expects at most 1 input, has %d", len(n.Inputs))
 		case len(n.Inputs) == 1:
-			if n.Flavor == FlavorIndex && len(n.SortCols) == 0 {
+			if n.Flavor == FlavorIndex && n.SortCols.Len() == 0 {
 				return fmt.Errorf("plan: index ACCESS over a temp needs the probed key")
 			}
 		case n.Table == "" && n.Path == "":
@@ -223,7 +223,7 @@ func (n *Node) Validate() error {
 			return fmt.Errorf("plan: GET needs a table")
 		}
 	case OpSort:
-		if len(n.SortCols) == 0 {
+		if n.SortCols.Len() == 0 {
 			return fmt.Errorf("plan: SORT needs sort columns")
 		}
 	case OpShip:
@@ -233,7 +233,7 @@ func (n *Node) Validate() error {
 			return fmt.Errorf("plan: JOIN needs a method flavor")
 		}
 	case OpBuildIndex:
-		if len(n.SortCols) == 0 {
+		if n.SortCols.Len() == 0 {
 			return fmt.Errorf("plan: BUILDINDEX needs key columns")
 		}
 	}
@@ -403,7 +403,7 @@ func (n *Node) writeOwn(b *keyWriter, shape bool) bool {
 		tag("p=")
 		b.str(n.Path)
 	}
-	if len(n.Cols) > 0 {
+	if n.Cols.Len() > 0 {
 		tag("c=")
 		writeCols(b, n.Cols)
 	}
@@ -415,7 +415,7 @@ func (n *Node) writeOwn(b *keyWriter, shape bool) bool {
 		tag("r=")
 		writePredKeys(b, n.Residual, shape)
 	}
-	if len(n.SortCols) > 0 {
+	if n.SortCols.Len() > 0 {
 		tag("s=")
 		writeCols(b, n.SortCols)
 	}
@@ -426,12 +426,13 @@ func (n *Node) writeOwn(b *keyWriter, shape bool) bool {
 	return sep
 }
 
-// writeCols renders cols exactly as colList but without allocating.
-func writeCols(b *keyWriter, cols []expr.ColID) {
-	for i, c := range cols {
-		if i > 0 {
+// writeCols renders cols exactly as ColList.String but without allocating.
+func writeCols(b *keyWriter, cols expr.ColList) {
+	for k := 0; k < cols.Len(); k++ {
+		if k > 0 {
 			b.char(',')
 		}
+		c := cols.ID(k)
 		b.str(c.Table)
 		b.char('.')
 		b.str(c.Col)
@@ -459,31 +460,3 @@ func writePredKeys(b *keyWriter, ps expr.PredSet, shape bool) {
 		b.str(key)
 	})
 }
-
-func colList(cols []expr.ColID) string {
-	parts := make([]string, len(cols))
-	for i, c := range cols {
-		parts[i] = c.String()
-	}
-	return strings.Join(parts, ",")
-}
-
-// SortedCols returns a sorted copy of cols, for canonical column sets.
-func SortedCols(cols []expr.ColID) []expr.ColID {
-	out := append([]expr.ColID(nil), cols...)
-	sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })
-	return out
-}
-
-// HasCol reports whether cols contains c.
-func HasCol(cols []expr.ColID, c expr.ColID) bool {
-	for _, x := range cols {
-		if x == c {
-			return true
-		}
-	}
-	return false
-}
-
-// MergeCols is Arena.MergeCols on the heap.
-func MergeCols(a, b []expr.ColID) []expr.ColID { return (*Arena)(nil).MergeCols(a, b) }

@@ -17,6 +17,26 @@ import (
 
 func col(t, c string) expr.ColID { return expr.ColID{Table: t, Col: c} }
 
+// testVocab is the column vocabulary of hand-built plans: columns A to D and
+// the TID of quantifiers S, T, U, EMP and DEPT.
+var testVocab = func() *expr.Vocab {
+	quants := []string{"S", "T", "U", "EMP", "DEPT"}
+	u, err := expr.NewUniverse(quants, nil)
+	if err != nil {
+		panic(err)
+	}
+	var ids []expr.ColID
+	for _, q := range quants {
+		for _, c := range []string{"A", "B", "C", "D", TIDCol} {
+			ids = append(ids, col(q, c))
+		}
+	}
+	return expr.NewVocab(u, ids)
+}()
+
+// colList returns the list of the given columns of testVocab.
+func colList(ids ...expr.ColID) expr.ColList { return testVocab.List(ids...) }
+
 func pred(t, c string, v int64) expr.Expr {
 	return &expr.Cmp{Op: expr.EQ, L: expr.C(t, c), R: &expr.Const{Val: datum.NewInt(v)}}
 }
@@ -51,18 +71,18 @@ func tableSet(names ...string) expr.TableSet {
 
 func scan(table string) *Node {
 	return &Node{Op: OpAccess, Flavor: FlavorHeap, Table: table, Quantifier: table,
-		Cols: []expr.ColID{col(table, "A")}}
+		Cols: colList(col(table, "A"))}
 }
 
 func TestValidate(t *testing.T) {
 	ok := []*Node{
 		scan("T"),
-		{Op: OpSort, SortCols: []expr.ColID{col("T", "A")}, Inputs: []*Node{scan("T")}},
+		{Op: OpSort, SortCols: colList(col("T", "A")), Inputs: []*Node{scan("T")}},
 		{Op: OpShip, Site: "X", Inputs: []*Node{scan("T")}},
 		{Op: OpJoin, Flavor: MethodNL, Inputs: []*Node{scan("T"), scan("U")}},
 		{Op: OpGet, Table: "T", Inputs: []*Node{scan("T")}},
-		{Op: OpAccess, Flavor: FlavorHeap, Inputs: []*Node{scan("T")}},                                         // temp access
-		{Op: OpAccess, Flavor: FlavorIndex, SortCols: []expr.ColID{col("T", "A")}, Inputs: []*Node{scan("T")}}, // temp probe
+		{Op: OpAccess, Flavor: FlavorHeap, Inputs: []*Node{scan("T")}},                                    // temp access
+		{Op: OpAccess, Flavor: FlavorIndex, SortCols: colList(col("T", "A")), Inputs: []*Node{scan("T")}}, // temp probe
 	}
 	for i, n := range ok {
 		if err := n.Validate(); err != nil {
@@ -171,7 +191,7 @@ func TestFingerprintIsStableAndDistinguishes(t *testing.T) {
 	if want := fmt.Sprintf("%016x", h.Sum64()); fp != want || a.ID() != h.Sum64() {
 		t.Errorf("leaf fingerprint %s (ID %x), want FNV-1a of Key %s", fp, a.ID(), want)
 	}
-	sorted := &Node{Op: OpSort, SortCols: []expr.ColID{col("T", "A")}, Inputs: []*Node{a}}
+	sorted := &Node{Op: OpSort, SortCols: colList(col("T", "A")), Inputs: []*Node{a}}
 	h.Reset()
 	h.Write([]byte("SORT(s=T.A)"))
 	h.Write(binary.LittleEndian.AppendUint64(nil, a.ID()))
@@ -201,7 +221,7 @@ func TestFingerprintIsStableAndDistinguishes(t *testing.T) {
 func deepPlan(n int) *Node {
 	shared := scan("S")
 	shared.Preds = predSet(pred("S", "A", 1))
-	cur := &Node{Op: OpSort, SortCols: []expr.ColID{{Table: "S", Col: "A"}}, Inputs: []*Node{shared}}
+	cur := &Node{Op: OpSort, SortCols: colList(col("S", "A")), Inputs: []*Node{shared}}
 	for i := 0; i < n; i++ {
 		cur = &Node{Op: OpJoin, Flavor: MethodNL, Inputs: []*Node{cur, shared},
 			Residual: predSet(pred("S", "A", int64(i)))}
@@ -278,18 +298,18 @@ func TestWalkAndCount(t *testing.T) {
 }
 
 func TestOrderSatisfies(t *testing.T) {
-	ab := []expr.ColID{col("T", "A"), col("T", "B")}
-	a := []expr.ColID{col("T", "A")}
+	ab := colList(col("T", "A"), col("T", "B"))
+	a := colList(col("T", "A"))
 	if !OrderSatisfies(ab, a) {
 		t.Error("prefix satisfies")
 	}
 	if OrderSatisfies(a, ab) {
 		t.Error("longer requirement not satisfied by shorter order")
 	}
-	if !OrderSatisfies(ab, nil) {
+	if !OrderSatisfies(ab, expr.ColList{}) {
 		t.Error("empty requirement always satisfied")
 	}
-	if OrderSatisfies(nil, a) {
+	if OrderSatisfies(expr.ColList{}, a) {
 		t.Error("unknown order satisfies nothing")
 	}
 }
@@ -297,10 +317,10 @@ func TestOrderSatisfies(t *testing.T) {
 func TestReqdMergeAndSatisfied(t *testing.T) {
 	la := "LA"
 	ny := "NY"
-	r1 := Reqd{Order: []expr.ColID{col("T", "A")}}
+	r1 := Reqd{Order: colList(col("T", "A"))}
 	r2 := Reqd{Site: &la, Temp: true}
 	m := r1.Merge(r2)
-	if len(m.Order) != 1 || m.Site == nil || *m.Site != "LA" || !m.Temp {
+	if m.Order.Len() != 1 || m.Site == nil || *m.Site != "LA" || !m.Temp {
 		t.Fatalf("merge = %+v", m)
 	}
 	// Later site requirements win.
@@ -308,7 +328,7 @@ func TestReqdMergeAndSatisfied(t *testing.T) {
 	if *m2.Site != "NY" {
 		t.Error("later site must win")
 	}
-	p := &Props{Order: []expr.ColID{col("T", "A"), col("T", "B")}, Site: "LA", Temp: true}
+	p := &Props{Order: colList(col("T", "A"), col("T", "B")), Site: "LA", Temp: true}
 	if !m.SatisfiedBy(p) {
 		t.Error("props satisfy merged requirements")
 	}
@@ -325,16 +345,16 @@ func TestReqdMergeAndSatisfied(t *testing.T) {
 }
 
 func TestReqdPathCols(t *testing.T) {
-	r := Reqd{PathCols: []expr.ColID{col("T", "A")}}
-	p := &Props{Paths: []PathInfo{{Name: "ix", Cols: []expr.ColID{col("T", "A"), col("T", "B")}}}}
+	r := Reqd{PathCols: colList(col("T", "A"))}
+	p := &Props{Paths: []PathInfo{{Name: "ix", Cols: colList(col("T", "A"), col("T", "B"))}}}
 	if !r.SatisfiedBy(p) {
 		t.Error("prefix-matching path satisfies")
 	}
-	p2 := &Props{Paths: []PathInfo{{Name: "ix", Cols: []expr.ColID{col("T", "B")}}}}
+	p2 := &Props{Paths: []PathInfo{{Name: "ix", Cols: colList(col("T", "B"))}}}
 	if r.SatisfiedBy(p2) {
 		t.Error("non-prefix path must not satisfy")
 	}
-	if p.PathOn([]expr.ColID{col("T", "A")}) == nil {
+	if p.PathOn(colList(col("T", "A"))) == nil {
 		t.Error("PathOn")
 	}
 }
@@ -343,7 +363,7 @@ func TestDominates(t *testing.T) {
 	base := &Props{Cost: Cost{Total: 10}, Rescan: Cost{Total: 10}, Site: ""}
 	cheaper := &Props{Cost: Cost{Total: 5}, Rescan: Cost{Total: 5}, Site: ""}
 	ordered := &Props{Cost: Cost{Total: 12}, Rescan: Cost{Total: 12}, Site: "",
-		Order: []expr.ColID{col("T", "A")}}
+		Order: colList(col("T", "A"))}
 	if !Dominates(cheaper, base) {
 		t.Error("cheaper same-properties plan dominates")
 	}
@@ -378,7 +398,7 @@ func TestDominatesIsAntisymmetricUnderStrictCost(t *testing.T) {
 		mk := func(c uint16, ordered, temp bool) *Props {
 			p := &Props{Cost: Cost{Total: float64(c)}, Rescan: Cost{Total: float64(c)}, Temp: temp}
 			if ordered {
-				p.Order = []expr.ColID{col("T", "A")}
+				p.Order = colList(col("T", "A"))
 			}
 			return p
 		}
@@ -413,8 +433,8 @@ func TestCostArithmetic(t *testing.T) {
 
 func TestPropsCloneIsolation(t *testing.T) {
 	p := &Props{
-		Rel:   &Rel{Tables: tableSet("T"), Cols: []expr.ColID{col("T", "A")}},
-		Order: []expr.ColID{col("T", "A")},
+		Rel:   &Rel{Tables: tableSet("T"), Cols: colList(col("T", "A")).Set()},
+		Order: colList(col("T", "A")),
 		Paths: []PathInfo{{Name: "ix"}},
 		Extra: map[string]string{"k": "v"},
 	}
@@ -460,13 +480,13 @@ func TestDescribeListsFigure2Fields(t *testing.T) {
 	p := &Props{
 		Rel: &Rel{
 			Tables: tableSet("T"),
-			Cols:   []expr.ColID{col("T", "A")},
+			Cols:   colList(col("T", "A")).Set(),
 			Preds:  predSet(pred("T", "A", 1)),
 		},
-		Order: []expr.ColID{col("T", "A")},
+		Order: colList(col("T", "A")),
 		Site:  "NY",
 		Temp:  true,
-		Paths: []PathInfo{{Name: "ix", Cols: []expr.ColID{col("T", "A")}, Dynamic: true}},
+		Paths: []PathInfo{{Name: "ix", Cols: colList(col("T", "A")), Dynamic: true}},
 		Card:  7,
 		Extra: map[string]string{"bucketized": "true"},
 	}
@@ -478,21 +498,17 @@ func TestDescribeListsFigure2Fields(t *testing.T) {
 	}
 }
 
+// TestColHelpers: a column set lists its members in name order whatever
+// order they were given in, and a node's key renders its column lists exactly
+// as ColList.String does.
 func TestColHelpers(t *testing.T) {
-	a := []expr.ColID{col("T", "B"), col("T", "A")}
-	s := SortedCols(a)
-	if s[0] != col("T", "A") {
-		t.Error("SortedCols")
+	a := colList(col("T", "B"), col("T", "A"))
+	if got := a.Set().List().String(); got != "T.A,T.B" || a.String() != "T.B,T.A" {
+		t.Errorf("set lists %q, list renders %q", got, a)
 	}
-	if a[0] != col("T", "B") {
-		t.Error("SortedCols must copy")
-	}
-	if !HasCol(a, col("T", "A")) || HasCol(a, col("T", "C")) {
-		t.Error("HasCol")
-	}
-	m := MergeCols(a, []expr.ColID{col("T", "A"), col("T", "C")})
-	if len(m) != 3 {
-		t.Errorf("MergeCols = %v", m)
+	n := &Node{Op: OpSort, SortCols: a}
+	if !strings.Contains(n.Key(), "s="+a.String()) {
+		t.Errorf("key %q does not render the sort key as %q", n.Key(), a)
 	}
 }
 
@@ -510,12 +526,12 @@ func TestReqdHash64(t *testing.T) {
 		{Site: &la},
 		{Site: &ny},
 		{Site: &la, Temp: true},
-		{Order: []expr.ColID{a}},
-		{PathCols: []expr.ColID{a}},
-		{Order: []expr.ColID{a, b}},
-		{Order: []expr.ColID{a}, PathCols: []expr.ColID{b}},
-		{Order: []expr.ColID{b, a}},
-		{Order: []expr.ColID{{Table: "T.A", Col: ""}}},
+		{Order: colList(a)},
+		{PathCols: colList(a)},
+		{Order: colList(a, b)},
+		{Order: colList(a), PathCols: colList(b)},
+		{Order: colList(b, a)},
+		{PathCols: colList(a, b)},
 	}
 	seen := map[uint64]int{}
 	for i, r := range reqs {
@@ -525,10 +541,10 @@ func TestReqdHash64(t *testing.T) {
 		seen[r.Hash64()] = i
 	}
 	la2 := "LA"
-	if (Reqd{Site: &la, Order: []expr.ColID{a}}).Hash64() != (Reqd{Site: &la2, Order: []expr.ColID{{Table: "T", Col: "A"}}}).Hash64() {
+	if (Reqd{Site: &la, Order: colList(a)}).Hash64() != (Reqd{Site: &la2, Order: colList(col("T", "A"))}).Hash64() {
 		t.Error("equal requirements hash differently")
 	}
-	r := Reqd{Site: &la, Order: []expr.ColID{a, b}, Temp: true, PathCols: []expr.ColID{a}}
+	r := Reqd{Site: &la, Order: colList(a, b), Temp: true, PathCols: colList(a)}
 	var sink uint64
 	if n := testing.AllocsPerRun(1000, func() { sink += r.Hash64() }); n != 0 {
 		t.Errorf("Hash64 allocates %.1f/op", n)

@@ -52,8 +52,8 @@ type PathInfo struct {
 	// Name is the access-path name of a catalog index; a dynamic index has
 	// none (the BUILDINDEX and index ACCESS nodes render it, PathName).
 	Name string
-	// Cols is the ordered key-column list, quantifier-qualified.
-	Cols []expr.ColID
+	// Cols is the ordered key-column list.
+	Cols expr.ColList
 	// Clustered marks clustering indexes.
 	Clustered bool
 	// Dynamic marks indexes built at run time on temps.
@@ -70,7 +70,7 @@ func (p PathInfo) String() string {
 	if p.Dynamic {
 		name = "_ix*"
 	}
-	return name + "(" + colList(p.Cols) + ")"
+	return name + "(" + p.Cols.String() + ")"
 }
 
 // Rel is the relational part of the property vector — WHAT the stream
@@ -84,12 +84,13 @@ type Rel struct {
 	// Tables is the set of quantifiers joined into this stream.
 	Tables expr.TableSet
 	// Cols is the set of columns the stream carries.
-	Cols []expr.ColID
+	Cols expr.ColSet
 	// Preds is the set of predicates applied so far.
 	Preds expr.PredSet
 	// Width is the estimated byte width of a row of Cols, a function of the
-	// WHAT alone, computed once when the Rel is interned (cost.Env) so that
-	// pricing a stream's pages or bytes is a multiply.
+	// WHAT alone, summed from the bound per-column widths when the Rel is
+	// interned (cost.Env) so that pricing a stream's pages or bytes is a
+	// multiply.
 	Width float64
 	// next is the Rel interned before this one in its intern bucket
 	// (Arena.NewRel).
@@ -112,7 +113,7 @@ type Props struct {
 	Rel *Rel
 	// Order is the tuple ordering as an ordered column list; empty means
 	// unknown.
-	Order []expr.ColID
+	Order expr.ColList
 	// Site is where the stream is delivered ("" = query site).
 	Site string
 	// Temp reports whether the stream is materialized in a temporary
@@ -141,10 +142,10 @@ func (p *Props) Tables() expr.TableSet {
 	return p.Rel.Tables
 }
 
-// Cols returns the relational COLS property (nil when Rel is unset).
-func (p *Props) Cols() []expr.ColID {
+// Cols returns the relational COLS property (empty when Rel is unset).
+func (p *Props) Cols() expr.ColSet {
 	if p.Rel == nil {
-		return nil
+		return expr.ColSet{}
 	}
 	return p.Rel.Cols
 }
@@ -175,21 +176,11 @@ func (p *Props) Clone() *Props {
 // OrderSatisfies reports whether an available order satisfies a required one
 // — the paper's "order ⊑ a": the required columns must be a prefix of the
 // available ones.
-func OrderSatisfies(have, want []expr.ColID) bool {
-	if len(want) > len(have) {
-		return false
-	}
-	for i, w := range want {
-		if have[i] != w {
-			return false
-		}
-	}
-	return true
-}
+func OrderSatisfies(have, want expr.ColList) bool { return have.HasPrefix(want) }
 
 // PathOn returns the first available path whose key columns have want as a
 // prefix, or nil — the OrderedStream2 condition "order ⊑ a".
-func (p *Props) PathOn(want []expr.ColID) *PathInfo {
+func (p *Props) PathOn(want expr.ColList) *PathInfo {
 	for i := range p.Paths {
 		if OrderSatisfies(p.Paths[i].Cols, want) {
 			return &p.Paths[i]
@@ -205,7 +196,7 @@ func (p *Props) PathOn(want []expr.ColID) *PathInfo {
 type Reqd struct {
 	// Order, when non-empty, requires tuples ordered by this column list
 	// (prefix semantics).
-	Order []expr.ColID
+	Order expr.ColList
 	// Site, when non-nil, requires delivery at the named site.
 	Site *string
 	// Temp requires the stream to be materialized as a temporary.
@@ -213,12 +204,12 @@ type Reqd struct {
 	// PathCols, when non-empty, requires the PATHS property to contain an
 	// index whose key has these columns as a prefix (paths ≥ IX in
 	// Section 4.5.3).
-	PathCols []expr.ColID
+	PathCols expr.ColList
 }
 
 // Empty reports whether no requirement is present.
 func (r Reqd) Empty() bool {
-	return len(r.Order) == 0 && r.Site == nil && !r.Temp && len(r.PathCols) == 0
+	return r.Order.Len() == 0 && r.Site == nil && !r.Temp && r.PathCols.Len() == 0
 }
 
 // Merge accumulates other's requirements over r, with other (the later,
@@ -226,7 +217,7 @@ func (r Reqd) Empty() bool {
 // from successive STAR references until Glue is called.
 func (r Reqd) Merge(other Reqd) Reqd {
 	out := r
-	if len(other.Order) > 0 {
+	if other.Order.Len() > 0 {
 		out.Order = other.Order
 	}
 	if other.Site != nil {
@@ -235,7 +226,7 @@ func (r Reqd) Merge(other Reqd) Reqd {
 	if other.Temp {
 		out.Temp = true
 	}
-	if len(other.PathCols) > 0 {
+	if other.PathCols.Len() > 0 {
 		out.PathCols = other.PathCols
 	}
 	return out
@@ -244,7 +235,7 @@ func (r Reqd) Merge(other Reqd) Reqd {
 // SatisfiedBy reports whether a plan with properties p meets every
 // requirement.
 func (r Reqd) SatisfiedBy(p *Props) bool {
-	if len(r.Order) > 0 && !OrderSatisfies(p.Order, r.Order) {
+	if !OrderSatisfies(p.Order, r.Order) {
 		return false
 	}
 	if r.Site != nil && p.Site != *r.Site {
@@ -253,7 +244,7 @@ func (r Reqd) SatisfiedBy(p *Props) bool {
 	if r.Temp && !p.Temp {
 		return false
 	}
-	if len(r.PathCols) > 0 && p.PathOn(r.PathCols) == nil {
+	if r.PathCols.Len() > 0 && p.PathOn(r.PathCols) == nil {
 		return false
 	}
 	return true
@@ -261,16 +252,14 @@ func (r Reqd) SatisfiedBy(p *Props) bool {
 
 // Hash64 folds the requirements into one word without allocating — what
 // Glue's memo keys a requirement on (FNV-1a over the fields, each list
-// delimited, so [order=A] and [paths⊇ix(A)] differ).
+// delimited, so [order=A] and [paths⊇ix(A)] differ). Columns hash as their
+// ordinals: the memo lives within one optimization's vocabulary.
 func (r Reqd) Hash64() uint64 {
 	w := keyWriter{h: offset64}
-	cols := func(tag byte, cs []expr.ColID) {
+	cols := func(tag byte, cs expr.ColList) {
 		w.char(tag)
-		for _, c := range cs {
-			w.str(c.Table)
-			w.char('.')
-			w.str(c.Col)
-			w.char(',')
+		for k := 0; k < cs.Len(); k++ {
+			w.word(uint64(cs.At(k)))
 		}
 	}
 	cols('o', r.Order)
@@ -288,8 +277,8 @@ func (r Reqd) Hash64() uint64 {
 // String renders the requirements in the paper's [bracket] notation.
 func (r Reqd) String() string {
 	var parts []string
-	if len(r.Order) > 0 {
-		parts = append(parts, "order="+colList(r.Order))
+	if r.Order.Len() > 0 {
+		parts = append(parts, "order="+r.Order.String())
 	}
 	if r.Site != nil {
 		parts = append(parts, "site="+*r.Site)
@@ -297,8 +286,8 @@ func (r Reqd) String() string {
 	if r.Temp {
 		parts = append(parts, "temp")
 	}
-	if len(r.PathCols) > 0 {
-		parts = append(parts, "paths⊇ix("+colList(r.PathCols)+")")
+	if r.PathCols.Len() > 0 {
+		parts = append(parts, "paths⊇ix("+r.PathCols.String()+")")
 	}
 	return "[" + strings.Join(parts, ", ") + "]"
 }
@@ -347,8 +336,8 @@ func Dominates(a, b *Props) bool {
 func (p *Props) Summary() string {
 	var parts []string
 	parts = append(parts, "card="+fmt.Sprintf("%.0f", p.Card))
-	if len(p.Order) > 0 {
-		parts = append(parts, "order="+colList(p.Order))
+	if p.Order.Len() > 0 {
+		parts = append(parts, "order="+p.Order.String())
 	}
 	if p.Site != "" {
 		parts = append(parts, "site="+p.Site)
@@ -365,10 +354,10 @@ func (p *Props) Summary() string {
 func (p *Props) Describe() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "  TABLES %s\n", strings.Join(p.Tables().Slice(), ", "))
-	fmt.Fprintf(&b, "  COLS   %s\n", colList(SortedCols(p.Cols())))
+	fmt.Fprintf(&b, "  COLS   %s\n", p.Cols())
 	fmt.Fprintf(&b, "  PREDS  %s\n", p.Preds().String())
-	if len(p.Order) > 0 {
-		fmt.Fprintf(&b, "  ORDER  %s\n", colList(p.Order))
+	if p.Order.Len() > 0 {
+		fmt.Fprintf(&b, "  ORDER  %s\n", p.Order)
 	} else {
 		fmt.Fprintf(&b, "  ORDER  (unknown)\n")
 	}

@@ -8,7 +8,7 @@ package query
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"stars/internal/catalog"
 	"stars/internal/expr"
@@ -151,28 +151,17 @@ func (g *Graph) SelectCols(cat *catalog.Catalog) []expr.ColID {
 	return out
 }
 
-// NeededCols returns the columns quantifier q must supply: its columns in
-// the select list, every predicate, and ORDER BY.
+// NeededCols returns the columns quantifier q must supply, sorted: its
+// columns in the select list, every predicate, and ORDER BY.
 func (g *Graph) NeededCols(cat *catalog.Catalog, q string) []expr.ColID {
-	seen := map[expr.ColID]bool{}
 	var out []expr.ColID
-	add := func(c expr.ColID) {
-		if c.Table == q && !seen[c] {
-			seen[c] = true
+	for _, c := range slices.Concat(g.SelectCols(cat), g.Preds.Columns(), g.OrderBy) {
+		if c.Table == q {
 			out = append(out, c)
 		}
 	}
-	for _, c := range g.SelectCols(cat) {
-		add(c)
-	}
-	for _, c := range g.Preds.Columns() {
-		add(c)
-	}
-	for _, c := range g.OrderBy {
-		add(c)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })
-	return out
+	slices.SortFunc(out, expr.ColID.Compare)
+	return slices.Compact(out)
 }
 
 // EligibleWithin returns the predicates whose every column lies within the

@@ -67,17 +67,14 @@ func onlyQuantifier(sv StreamVal, op string) (string, error) {
 
 // resolveCols materializes a column-list argument for quantifier q: `*`
 // resolves to every column the query needs from q.
-func (en *Engine) resolveCols(v Value, q string) ([]expr.ColID, error) {
+func (en *Engine) resolveCols(v Value, q string) (expr.ColList, error) {
 	switch v.Kind {
 	case VCols:
 		return v.Cols, nil
 	case VAllCols:
-		if en.NeededCols == nil {
-			return nil, fmt.Errorf("no needed-columns resolver wired for '*'")
-		}
-		return en.NeededCols(q), nil
+		return en.Cost.Needed(q), nil
 	default:
-		return nil, fmt.Errorf("want columns or '*', got %s", v.Kind)
+		return expr.ColList{}, fmt.Errorf("want columns or '*', got %s", v.Kind)
 	}
 }
 
@@ -136,14 +133,10 @@ func biAccess(en *Engine, args []Value) (Value, error) {
 				if p.Props == nil || !p.Props.Temp {
 					return Null, fmt.Errorf("ACCESS over plans requires materialized (temp) inputs")
 				}
-				cols := p.Props.Cols()
-				if args[2].Kind == VCols {
-					cols = args[2].Cols
-				}
+				// Listing no columns (for '*') carries the temp's COLS.
 				en.build(en.Cost.Arena.NewNode(plan.Node{
 					Op: plan.OpAccess, Flavor: plan.FlavorHeap,
-					Cols:  append([]expr.ColID(nil), cols...),
-					Preds: preds,
+					Cols: args[2].Cols, Preds: preds,
 				}, p))
 			}
 		default:
@@ -157,13 +150,13 @@ func biAccess(en *Engine, args []Value) (Value, error) {
 		if path == nil {
 			return Null, fmt.Errorf("index ACCESS of unknown path %q", args[1].Str)
 		}
-		if args[2].Kind != VCols || len(args[2].Cols) == 0 {
+		if args[2].Kind != VCols || args[2].Cols.Len() == 0 {
 			return Null, fmt.Errorf("index ACCESS wants explicit qualified columns")
 		}
 		cols := args[2].Cols
 		en.build(en.Cost.Arena.NewNode(plan.Node{
 			Op: plan.OpAccess, Flavor: plan.FlavorIndex,
-			Table: pt.Name, Quantifier: cols[0].Table, Path: path.Name,
+			Table: pt.Name, Quantifier: cols.ID(0).Table, Path: path.Name,
 			Cols: cols, Preds: preds,
 		}))
 	default:
@@ -203,19 +196,14 @@ func biGet(en *Engine, args []Value) (Value, error) {
 	}
 	mark := len(en.saps)
 	for _, p := range args[0].SAP {
-		var fetch []expr.ColID
-		for _, c := range want {
-			if !plan.HasCol(p.Props.Cols(), c) {
-				fetch = append(fetch, c)
-			}
-		}
-		if len(fetch) == 0 && preds.Empty() {
+		fetch := want.Set().Minus(p.Props.Cols())
+		if fetch.Empty() && preds.Empty() {
 			en.saps = append(en.saps, p)
 			continue
 		}
 		en.build(en.Cost.Arena.NewNode(plan.Node{
 			Op: plan.OpGet, Table: t.Name, Quantifier: q,
-			Cols: fetch, Preds: preds,
+			Cols: fetch.List(), Preds: preds,
 		}, p))
 	}
 	return SAPValue(en.since(mark)), nil
@@ -387,14 +375,14 @@ func registerBuiltinHelpers(en *Engine) {
 		if len(args) != 2 || args[0].Kind != VPreds || args[1].Kind != VStream {
 			return Null, fmt.Errorf("sortCols wants (preds, stream)")
 		}
-		return ColsValue(expr.SortColsFor(args[0].Preds, args[1].Stream.Tables)), nil
+		return ColsValue(en.Cost.Vocab().SortColsFor(args[0].Preds, args[1].Stream.Tables)), nil
 	})
 
 	en.RegisterHelper("indexCols", func(en *Engine, args []Value) (Value, error) {
 		if len(args) != 3 || args[0].Kind != VPreds || args[1].Kind != VPreds || args[2].Kind != VStream {
 			return Null, fmt.Errorf("indexCols wants (xp, ip, stream)")
 		}
-		return ColsValue(expr.IndexColsFor(args[0].Preds, args[1].Preds, args[2].Stream.Tables)), nil
+		return ColsValue(en.Cost.Vocab().IndexColsFor(args[0].Preds, args[1].Preds, args[2].Stream.Tables)), nil
 	})
 
 	en.RegisterHelper("nonempty", func(en *Engine, args []Value) (Value, error) {
@@ -502,11 +490,8 @@ func registerBuiltinHelpers(en *Engine) {
 		if err != nil {
 			return Null, err
 		}
-		path, _ := en.Cost.Cat.Path(args[1].Str)
-		if path == nil {
-			return BoolValue(false), nil
-		}
-		return BoolValue(plan.OrderSatisfies(en.keyCols(q, path.Cols), args[2].Cols)), nil
+		path := en.Cost.Path(q, args[1].Str)
+		return BoolValue(path != nil && plan.OrderSatisfies(path.Cols, args[2].Cols)), nil
 	})
 
 	en.RegisterHelper("tidcol", func(en *Engine, args []Value) (Value, error) {
@@ -517,7 +502,7 @@ func registerBuiltinHelpers(en *Engine) {
 		if err != nil {
 			return Null, err
 		}
-		return ColsValue([]expr.ColID{{Table: q, Col: plan.TIDCol}}), nil
+		return ColsValue(en.Cost.TID(q)), nil
 	})
 
 	en.RegisterHelper("indexProbeCols", func(en *Engine, args []Value) (Value, error) {
@@ -528,15 +513,11 @@ func registerBuiltinHelpers(en *Engine) {
 		if err != nil {
 			return Null, err
 		}
-		path, _ := en.Cost.Cat.Path(args[1].Str)
+		path := en.Cost.Path(q, args[1].Str)
 		if path == nil {
 			return Null, fmt.Errorf("unknown index %q", args[1].Str)
 		}
-		cols := []expr.ColID{{Table: q, Col: plan.TIDCol}}
-		for _, c := range path.Cols {
-			cols = append(cols, expr.ColID{Table: q, Col: c})
-		}
-		return ColsValue(cols), nil
+		return ColsValue(en.Cost.TID(q).Concat(path.Cols)), nil
 	})
 
 	en.RegisterHelper("matchedPreds", func(en *Engine, args []Value) (Value, error) {
@@ -547,11 +528,11 @@ func registerBuiltinHelpers(en *Engine) {
 		if err != nil {
 			return Null, err
 		}
-		path, _ := en.Cost.Cat.Path(args[2].Str)
+		path := en.Cost.Path(q, args[2].Str)
 		if path == nil {
 			return Null, fmt.Errorf("unknown index %q", args[2].Str)
 		}
-		return PredsValue(expr.MatchIndexPrefix(args[0].Preds, en.keyCols(q, path.Cols))), nil
+		return PredsValue(expr.MatchIndexPrefix(args[0].Preds, path.Cols)), nil
 	})
 
 	en.RegisterHelper("projectionPays", func(en *Engine, args []Value) (Value, error) {
@@ -578,16 +559,6 @@ func (en *Engine) queryBaseTables() []string {
 	return en.queryBase
 }
 
-// keyCols lists an index's key columns on quantifier q in the engine's
-// scratch, for callers that only read it: valid until the next call.
-func (en *Engine) keyCols(q string, cols []string) []expr.ColID {
-	en.keys = en.keys[:0]
-	for _, c := range cols {
-		en.keys = append(en.keys, expr.ColID{Table: q, Col: c})
-	}
-	return en.keys
-}
-
 // projectionPays is the Section 4.5.2 heuristic: materializing the selected
 // and projected inner of a nested-loop join pays when the inner predicates
 // are selective and/or only a few columns are referenced, so that the temp
@@ -602,14 +573,7 @@ func (en *Engine) projectionPays(sv StreamVal, ip expr.PredSet) bool {
 		return false
 	}
 	sel := en.Cost.SetSelectivity(ip)
-	colWidth := 0
-	if en.NeededCols != nil {
-		for _, c := range en.NeededCols(q) {
-			if col := t.Column(c.Col); col != nil {
-				colWidth += col.AvgWidth()
-			}
-		}
-	}
+	colWidth := en.Cost.Width(en.Cost.Needed(q))
 	frac := 1.0
 	if rw := t.RowWidth(); rw > 0 && colWidth > 0 {
 		frac = float64(colWidth) / float64(rw)

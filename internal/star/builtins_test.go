@@ -43,12 +43,6 @@ func builderEngine(t *testing.T) *Engine {
 	env.Bind(deptEmpG)
 	en := NewEngine(NewRuleSet(), env)
 	en.QueryTables = []string{"DEPT", "EMP"}
-	en.NeededCols = func(q string) []expr.ColID {
-		if q == "DEPT" {
-			return []expr.ColID{{Table: "DEPT", Col: "DNO"}, {Table: "DEPT", Col: "MGR"}}
-		}
-		return []expr.ColID{{Table: "EMP", Col: "DNO"}, {Table: "EMP", Col: "NAME"}}
-	}
 	return en
 }
 
@@ -97,7 +91,7 @@ func TestAccessBuilderHeapAndBTree(t *testing.T) {
 	if len(heap) != 1 || heap[0].Flavor != plan.FlavorHeap || heap[0].Table != "DEPT" {
 		t.Fatalf("heap = %+v", heap)
 	}
-	if len(heap[0].Cols) != 2 {
+	if heap[0].Cols.Len() != 2 {
 		t.Errorf("'*' must resolve to the needed columns: %v", heap[0].Cols)
 	}
 	bt := mustSAP(t)(biAccess(en, []Value{
@@ -106,14 +100,14 @@ func TestAccessBuilderHeapAndBTree(t *testing.T) {
 	if bt[0].Flavor != plan.FlavorBTreeStore {
 		t.Fatal("btree flavor")
 	}
-	if len(bt[0].Props.Order) == 0 {
+	if bt[0].Props.Order.Len() == 0 {
 		t.Error("a btree-organized table yields its stored order")
 	}
 }
 
 func TestAccessBuilderIndex(t *testing.T) {
 	en := builderEngine(t)
-	cols := ColsValue([]expr.ColID{{Table: "EMP", Col: plan.TIDCol}, {Table: "EMP", Col: "DNO"}})
+	cols := ColsValue(en.Cost.Vocab().List(col("EMP", plan.TIDCol), col("EMP", "DNO")))
 	sap := mustSAP(t)(biAccess(en, []Value{StrValue("index"), StrValue("EMPDNO"), cols, noPreds()}))
 	n := sap[0]
 	if n.Flavor != plan.FlavorIndex || n.Path != "EMPDNO" || n.Quantifier != "EMP" {
@@ -129,20 +123,20 @@ func TestAccessBuilderIndex(t *testing.T) {
 
 func TestGetBuilderFetchesMissingColsOnly(t *testing.T) {
 	en := builderEngine(t)
-	cols := ColsValue([]expr.ColID{{Table: "EMP", Col: plan.TIDCol}, {Table: "EMP", Col: "DNO"}})
+	cols := ColsValue(en.Cost.Vocab().List(col("EMP", plan.TIDCol), col("EMP", "DNO")))
 	probe := mustSAP(t)(biAccess(en, []Value{StrValue("index"), StrValue("EMPDNO"), cols, noPreds()}))
 	got := mustSAP(t)(biGet(en, []Value{SAPValue(probe), empStream(), AllColsValue, noPreds()}))
 	if got[0].Op != plan.OpGet {
 		t.Fatal("GET node expected")
 	}
-	if len(got[0].Cols) != 1 || got[0].Cols[0].Col != "NAME" {
+	if got[0].Cols.Len() != 1 || got[0].Cols.ID(0).Col != "NAME" {
 		t.Fatalf("GET must fetch only NAME: %v", got[0].Cols)
 	}
 	// Index-only: if everything is already present and no predicates, the
 	// input passes through.
 	through := mustSAP(t)(biGet(en, []Value{
 		SAPValue(probe), empStream(),
-		ColsValue([]expr.ColID{{Table: "EMP", Col: "DNO"}}), noPreds(),
+		ColsValue(en.Cost.Vocab().List(col("EMP", "DNO"))), noPreds(),
 	}))
 	if through[0] != probe[0] {
 		t.Error("index-only access must pass through unchanged")
@@ -153,7 +147,7 @@ func TestSortShipStoreBuildersPassThrough(t *testing.T) {
 	en := builderEngine(t)
 	base := mustSAP(t)(biAccess(en, []Value{StrValue("heap"), deptStream(), AllColsValue, noPreds()}))
 
-	key := ColsValue([]expr.ColID{{Table: "DEPT", Col: "DNO"}})
+	key := ColsValue(en.Cost.Vocab().List(col("DEPT", "DNO")))
 	sorted := mustSAP(t)(biSort(en, []Value{SAPValue(base), key}))
 	if sorted[0].Op != plan.OpSort {
 		t.Fatal("SORT added")
@@ -242,11 +236,11 @@ func TestHelperClassifiersThroughEngine(t *testing.T) {
 		t.Errorf("innerPreds = %v", v)
 	}
 	sc, err := en.helpers["sortCols"](en, []Value{p, deptStream()})
-	if err != nil || len(sc.Cols) != 1 || sc.Cols[0].Col != "DNO" {
+	if err != nil || sc.Cols.Len() != 1 || sc.Cols.ID(0).Col != "DNO" {
 		t.Errorf("sortCols = %v", sc)
 	}
 	ic, err := en.helpers["indexCols"](en, []Value{p, noPreds(), empStream()})
-	if err != nil || len(ic.Cols) != 1 {
+	if err != nil || ic.Cols.Len() != 1 {
 		t.Errorf("indexCols = %v", ic)
 	}
 }
@@ -278,7 +272,7 @@ func TestCatalogProbingHelpers(t *testing.T) {
 		t.Error("two-table stream is composite")
 	}
 	v, err = en.helpers["indexProbeCols"](en, []Value{empStream(), StrValue("EMPDNO")})
-	if err != nil || len(v.Cols) != 2 || v.Cols[0].Col != plan.TIDCol {
+	if err != nil || v.Cols.Len() != 2 || v.Cols.ID(0).Col != plan.TIDCol {
 		t.Errorf("indexProbeCols = %v", v)
 	}
 }
@@ -307,13 +301,13 @@ func TestSiteDiffersHelper(t *testing.T) {
 func TestOrderedStreamSection2(t *testing.T) {
 	en := builderEngine(t)
 	en.Rules = DefaultRules()
-	cols := ColsValue([]expr.ColID{{Table: "EMP", Col: "DNO"}, {Table: "EMP", Col: "NAME"}})
+	cols := ColsValue(en.Cost.Vocab().List(col("EMP", "DNO"), col("EMP", "NAME")))
 
 	// Required order EMP.DNO: the EMPDNO index qualifies, so both the
 	// SORT-based and the index-based definitions produce plans.
 	sap, err := en.EvalRule("OrderedStream", []Value{
 		empStream(), cols, noPreds(),
-		ColsValue([]expr.ColID{{Table: "EMP", Col: "DNO"}}),
+		ColsValue(en.Cost.Vocab().List(col("EMP", "DNO"))),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -323,7 +317,7 @@ func TestOrderedStreamSection2(t *testing.T) {
 	}
 	var sawSequential, sawIndex bool
 	for _, p := range sap {
-		if !plan.OrderSatisfies(p.Props.Order, []expr.ColID{{Table: "EMP", Col: "DNO"}}) {
+		if !plan.OrderSatisfies(p.Props.Order, en.Cost.Vocab().List(col("EMP", "DNO"))) {
 			t.Fatalf("plan not in required order:\n%s", plan.Explain(p))
 		}
 		switch p.Op {
@@ -342,7 +336,7 @@ func TestOrderedStreamSection2(t *testing.T) {
 	// Required order EMP.NAME: no index qualifies; only the SORT fires.
 	sap, err = en.EvalRule("OrderedStream", []Value{
 		empStream(), cols, noPreds(),
-		ColsValue([]expr.ColID{{Table: "EMP", Col: "NAME"}}),
+		ColsValue(en.Cost.Vocab().List(col("EMP", "NAME"))),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -351,3 +345,5 @@ func TestOrderedStreamSection2(t *testing.T) {
 		t.Fatalf("want only the SORT definition, got %d plans", len(sap))
 	}
 }
+
+func col(t, c string) expr.ColID { return expr.ColID{Table: t, Col: c} }

@@ -145,9 +145,6 @@ type Engine struct {
 	// QueryTables lists the query's quantifiers (for localQuery and
 	// allSites).
 	QueryTables []string
-	// NeededCols resolves a quantifier to the columns the query needs
-	// from it (select list plus every predicate reference).
-	NeededCols func(q string) []expr.ColID
 	// PlanSites reports the sites at which plans for a table set already
 	// exist (falling back to catalog placement) — the C1 condition's
 	// "T2[site] ≠ T2![site]" test needs it.
@@ -181,9 +178,8 @@ type Engine struct {
 	seen map[uint64]bool
 	// glueReq is evalGlue's request, nil while a Glue reference is using it.
 	glueReq *GlueRequest
-	// queryBase and keys are queryBaseTables' answer and keyCols' scratch.
+	// queryBase is queryBaseTables' answer.
 	queryBase []string
-	keys      []expr.ColID
 }
 
 // maxDepth bounds rule recursion; the paper assumes the DBC writes STARs
@@ -221,7 +217,6 @@ func (en *Engine) Fork(costEnv *cost.Env, sink *obs.Sink) *Engine {
 		Cost:        costEnv,
 		QueryTables: en.QueryTables,
 		queryBase:   en.queryBase,
-		NeededCols:  en.NeededCols,
 		Obs:         sink,
 		builders:    en.builders,
 		helpers:     en.helpers,

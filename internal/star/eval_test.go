@@ -52,9 +52,6 @@ func stubEngine(t *testing.T, ruleText string) *Engine {
 	env.Bind(leafG)
 	en := NewEngine(rs, env)
 	en.QueryTables = []string{"T"}
-	en.NeededCols = func(q string) []expr.ColID {
-		return []expr.ColID{{Table: q, Col: "A"}}
-	}
 	// LEAF(name) manufactures a priced scan whose Origin records the name.
 	en.RegisterBuilder("LEAF", func(en *Engine, args []Value) (Value, error) {
 		name := "leaf"
@@ -63,7 +60,7 @@ func stubEngine(t *testing.T, ruleText string) *Engine {
 		}
 		n := &plan.Node{
 			Op: plan.OpAccess, Flavor: plan.FlavorHeap, Table: "T", Quantifier: "T",
-			Cols:   []expr.ColID{{Table: "T", Col: "A"}},
+			Cols:   en.Cost.Vocab().List(col("T", "A")),
 			Origin: "LEAF:" + name,
 			Preds:  leafU.PredSet(leafPred(name)),
 		}
@@ -267,7 +264,7 @@ star Wrapped() = LEAF('x')`)
 	en.RegisterBuilder("LEAF", func(en *Engine, args []Value) (Value, error) {
 		n := &plan.Node{
 			Op: plan.OpAccess, Flavor: plan.FlavorHeap, Table: "T", Quantifier: "T",
-			Cols: []expr.ColID{{Table: "T", Col: "A"}},
+			Cols: en.Cost.Vocab().List(col("T", "A")),
 		}
 		if err := en.Cost.Price(n); err != nil {
 			return Null, err
@@ -384,6 +381,7 @@ func TestGlueBridging(t *testing.T) {
 }
 
 func TestValueTruthinessAndString(t *testing.T) {
+	en := stubEngine(t, `star R() = LEAF()`)
 	cases := []struct {
 		v    Value
 		want bool
@@ -394,8 +392,8 @@ func TestValueTruthinessAndString(t *testing.T) {
 		{NumValue(0), false},
 		{NumValue(2), true},
 		{PredsValue(expr.PredSet{}), false},
-		{ColsValue(nil), false},
-		{ColsValue([]expr.ColID{{Table: "T", Col: "A"}}), true},
+		{ColsValue(expr.ColList{}), false},
+		{ColsValue(en.Cost.Vocab().List(col("T", "A"))), true},
 		{ListValue(nil), false},
 		{SAPValue(nil), false},
 		{StrValue(""), true},

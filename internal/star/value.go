@@ -108,7 +108,7 @@ type Value struct {
 	Stream StreamVal
 	SAP    []*plan.Node
 	Preds  expr.PredSet
-	Cols   []expr.ColID
+	Cols   expr.ColList
 	Str    string
 	Num    float64
 	Bool   bool
@@ -130,7 +130,7 @@ func SAPValue(plans []*plan.Node) Value { return Value{Kind: VSAP, SAP: plans} }
 func PredsValue(p expr.PredSet) Value { return Value{Kind: VPreds, Preds: p} }
 
 // ColsValue wraps a column list.
-func ColsValue(c []expr.ColID) Value { return Value{Kind: VCols, Cols: c} }
+func ColsValue(c expr.ColList) Value { return Value{Kind: VCols, Cols: c} }
 
 // StrValue wraps a string.
 func StrValue(s string) Value { return Value{Kind: VStr, Str: s} }
@@ -159,7 +159,7 @@ func (v Value) Truthy() bool {
 	case VPreds:
 		return !v.Preds.Empty()
 	case VCols:
-		return len(v.Cols) > 0
+		return v.Cols.Len() > 0
 	case VList:
 		return len(v.List) > 0
 	case VSAP:
@@ -196,11 +196,7 @@ func (v Value) String() string {
 	case VPreds:
 		return v.Preds.String()
 	case VCols:
-		parts := make([]string, len(v.Cols))
-		for i, c := range v.Cols {
-			parts[i] = c.String()
-		}
-		return "[" + strings.Join(parts, ",") + "]"
+		return "[" + v.Cols.String() + "]"
 	case VStr:
 		return "'" + v.Str + "'"
 	case VNum:

@@ -54,11 +54,11 @@ func (o *Optimizer) lower(n *LNode, push expr.PredSet) (*plan.Node, error) {
 		if sp.Empty() {
 			return nil, nil
 		}
-		outer, err := o.lowerOrdered(n.L, expr.PredSet{}, expr.SortColsFor(sp, t1))
+		outer, err := o.lowerOrdered(n.L, expr.PredSet{}, o.Env.Vocab().SortColsFor(sp, t1))
 		if err != nil || outer == nil {
 			return nil, err
 		}
-		inner, err := o.lowerOrdered(n.R, ip, expr.SortColsFor(sp, t2))
+		inner, err := o.lowerOrdered(n.R, ip, o.Env.Vocab().SortColsFor(sp, t2))
 		if err != nil || inner == nil {
 			return nil, err
 		}
@@ -110,7 +110,7 @@ func (o *Optimizer) lowerInner(n *LNode, push expr.PredSet) (*plan.Node, error) 
 
 // lowerOrdered lowers a merge-join input and sorts it when its natural
 // order does not satisfy the requirement.
-func (o *Optimizer) lowerOrdered(n *LNode, push expr.PredSet, order []expr.ColID) (*plan.Node, error) {
+func (o *Optimizer) lowerOrdered(n *LNode, push expr.PredSet, order expr.ColList) (*plan.Node, error) {
 	var sub *plan.Node
 	var err error
 	if n.Kind == LScan {
@@ -121,7 +121,7 @@ func (o *Optimizer) lowerOrdered(n *LNode, push expr.PredSet, order []expr.ColID
 	if err != nil || sub == nil {
 		return nil, err
 	}
-	if len(order) == 0 || plan.OrderSatisfies(sub.Props.Order, order) {
+	if order.Len() == 0 || plan.OrderSatisfies(sub.Props.Order, order) {
 		return sub, nil
 	}
 	return o.price(&plan.Node{Op: plan.OpSort, SortCols: order, Inputs: []*plan.Node{sub}})
@@ -136,7 +136,7 @@ func (o *Optimizer) lowerScan(n *LNode, push expr.PredSet) (*plan.Node, error) {
 	}
 	t := o.Cat.Table(q.Table)
 	preds := o.Graph.BasePreds(n.Quant).Union(push)
-	cols := o.Graph.NeededCols(o.Cat, n.Quant)
+	cols := o.Env.Needed(n.Quant)
 
 	if n.Access == "seq" {
 		flavor := plan.FlavorHeap
@@ -153,12 +153,9 @@ func (o *Optimizer) lowerScan(n *LNode, push expr.PredSet) (*plan.Node, error) {
 	if path == nil || pt.Name != t.Name {
 		return nil, fmt.Errorf("xform: access path %q not on table %q", n.Access, t.Name)
 	}
-	keyCols := make([]expr.ColID, len(path.Cols))
-	for i, c := range path.Cols {
-		keyCols[i] = expr.ColID{Table: n.Quant, Col: c}
-	}
+	keyCols := o.Env.Path(n.Quant, path.Name).Cols
 	matched := expr.MatchIndexPrefix(preds, keyCols)
-	probeCols := append([]expr.ColID{{Table: n.Quant, Col: plan.TIDCol}}, keyCols...)
+	probeCols := o.Env.TID(n.Quant).Concat(keyCols)
 	probe, err := o.price(&plan.Node{
 		Op: plan.OpAccess, Flavor: plan.FlavorIndex,
 		Table: t.Name, Quantifier: n.Quant, Path: path.Name,
@@ -167,19 +164,14 @@ func (o *Optimizer) lowerScan(n *LNode, push expr.PredSet) (*plan.Node, error) {
 	if err != nil || probe == nil {
 		return nil, err
 	}
-	var fetch []expr.ColID
-	for _, c := range cols {
-		if !plan.HasCol(probe.Props.Cols(), c) {
-			fetch = append(fetch, c)
-		}
-	}
+	fetch := cols.Set().Minus(probe.Props.Cols())
 	rest := preds.Minus(matched)
-	if len(fetch) == 0 && rest.Empty() {
+	if fetch.Empty() && rest.Empty() {
 		return probe, nil
 	}
 	return o.price(&plan.Node{
 		Op: plan.OpGet, Table: t.Name, Quantifier: n.Quant,
-		Cols: fetch, Preds: rest, Inputs: []*plan.Node{probe},
+		Cols: fetch.List(), Preds: rest, Inputs: []*plan.Node{probe},
 	})
 }
 
