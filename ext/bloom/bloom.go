@@ -86,8 +86,7 @@ func Install(o *opt.Options) error {
 		if prev != nil {
 			prev(en)
 		}
-		en.RegisterBuilder("BLOOM", buildNode)
-		en.DeclareSignature(star.Signature{
+		en.Register(star.Signature{
 			Name:   "BLOOM",
 			Args:   []star.ArgKind{star.KindStream, star.KindPreds, star.KindSAP, star.KindPreds},
 			Result: star.KindSAP,
@@ -96,7 +95,7 @@ func Install(o *opt.Options) error {
 			// re-achieved above the filter comes from the SHIP veneer Glue
 			// injects, not from BLOOM itself.
 			Produces: nil,
-		})
+		}, buildNode)
 		en.Cost.Register(OpBloom, propertyFunc)
 	}
 	return nil

@@ -66,15 +66,14 @@ func Install(o *opt.Options) error {
 		if prev != nil {
 			prev(en)
 		}
-		en.RegisterBuilder("OUTERJOIN", buildNode)
-		en.DeclareSignature(star.Signature{
+		en.Register(star.Signature{
 			Name:   "OUTERJOIN",
 			Args:   []star.ArgKind{star.KindSAP, star.KindSAP, star.KindPreds, star.KindPreds},
 			Result: star.KindSAP,
 			// Property effect: none — the join preserves the outer's site
 			// and order (propertyFunc) and establishes nothing new.
 			Produces: nil,
-		})
+		}, buildNode)
 		en.Cost.Register(OpOuter, propertyFunc)
 	}
 	return nil

@@ -63,15 +63,14 @@ func Install(o *opt.Options) error {
 		if prev != nil {
 			prev(en)
 		}
-		en.RegisterBuilder("SEMIJOIN", buildNode)
-		en.DeclareSignature(star.Signature{
+		en.Register(star.Signature{
 			Name:   "SEMIJOIN",
 			Args:   []star.ArgKind{star.KindStream, star.KindPreds, star.KindSAP, star.KindPreds},
 			Result: star.KindSAP,
 			// Property effect: none — the reduced inner keeps its own
 			// properties; any site movement is the SHIP veneer's doing.
 			Produces: nil,
-		})
+		}, buildNode)
 		en.Cost.Register(OpSemi, propertyFunc)
 	}
 	return nil

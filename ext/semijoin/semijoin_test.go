@@ -161,7 +161,7 @@ func TestForkedEnginesShareRegistries(t *testing.T) {
 		install := opts.Prepare
 		opts.Prepare = func(en *star.Engine) {
 			install(en)
-			en.RegisterHelper("always", func(*star.Engine, []star.Value) (star.Value, error) {
+			en.Register(star.Signature{Name: "always", ArityUnknown: true}, func(*star.Engine, []star.Value) (star.Value, error) {
 				return star.BoolValue(true), nil
 			})
 		}

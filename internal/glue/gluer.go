@@ -195,9 +195,11 @@ func (g *Gluer) Glue(req *star.GlueRequest) (result []*plan.Node, err error) {
 // single tables re-reference the top-most access STAR with the full
 // predicate set (so index plans can exploit pushed join predicates rather
 // than retrofitting a FILTER — Section 4.4); composites retrofit the
-// missing predicates onto the enumerated entry.
+// missing predicates onto the enumerated entry. A single-table cell is found
+// only once seeded: veneers a materializing reference put there do not count.
 func (g *Gluer) ensurePlans(tables expr.TableSet, preds expr.PredSet) (Cell, error) {
-	if c := g.Table.Lookup(tables, preds); c.Len() > 0 {
+	q, single := tables.Only()
+	if c := g.Table.Lookup(tables, preds); single && (c[0].seeded || c[1].seeded) || !single && c.Len() > 0 {
 		g.Stats.Hits++
 		if g.Engine.Obs.Tracing() {
 			g.Engine.Obs.Emit(obs.Event{Name: obs.EvGlueHit, A1: tables.Key(), N1: int64(c.Len())})
@@ -208,7 +210,7 @@ func (g *Gluer) ensurePlans(tables expr.TableSet, preds expr.PredSet) (Cell, err
 	if g.Engine.Obs.Tracing() {
 		g.Engine.Obs.Emit(obs.Event{Name: obs.EvGlueMiss, A1: tables.Key()})
 	}
-	if q, ok := tables.Only(); ok {
+	if single {
 		sap, err := g.Engine.EvalRule(AccessRootRule, []star.Value{
 			star.StreamValue(tables),
 			star.ColsValue(g.Engine.Cost.Needed(q)),
@@ -220,7 +222,7 @@ func (g *Gluer) ensurePlans(tables expr.TableSet, preds expr.PredSet) (Cell, err
 		if len(sap) == 0 {
 			return Cell{}, fmt.Errorf("glue: no access plans for %s", q)
 		}
-		g.Table.Insert(tables, preds, sap)
+		g.Table.Seed(tables, preds, sap)
 		return g.Table.Lookup(tables, preds), nil
 	}
 	// Composite: the enumeration inserted plans under the eligible

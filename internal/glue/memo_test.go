@@ -198,7 +198,7 @@ func TestBoundSkipsOnlyStrictlyDearerCandidates(t *testing.T) {
 	seed := func(t *testing.T) (*Gluer, *star.GlueRequest) {
 		gl, _, g := fixture(t)
 		dept := tables(g, "DEPT")
-		gl.Table.Insert(dept, g.EligibleWithin(dept), []*plan.Node{
+		gl.Table.Seed(dept, g.EligibleWithin(dept), []*plan.Node{
 			mk("tie", 5, false), mk("temp", 5, true), mk("dear", 50, false)})
 		return gl, &star.GlueRequest{Tables: dept, Req: plan.Reqd{Temp: true}}
 	}
@@ -315,7 +315,7 @@ func TestDominatedVeneersAllocateNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	en.Rules = rules
-	en.RegisterBuilder("DROP", func(*star.Engine, []star.Value) (star.Value, error) { return star.SAPValue(nil), nil })
+	en.Register(star.Signature{Name: "DROP", Result: star.KindSAP, ArityUnknown: true}, func(*star.Engine, []star.Value) (star.Value, error) { return star.SAPValue(nil), nil })
 
 	// A warm arena: two chunks of every slab, grown by an earlier query.
 	arena := plan.NewArena()

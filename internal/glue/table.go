@@ -50,11 +50,13 @@ type entryKey struct {
 // retained plan sits beside the insertion sequence it was born under (one run
 // of the table's slab for both), seq being the last one handed out; eviction
 // keeps order, so born ascends and the plans a mark has not passed are a suffix.
+// seeded marks a single-table cell the access STARs have filled (Seed).
 type entry struct {
 	tables        expr.TableSet
 	preds         expr.PredSet
 	plans         []retained
 	seq           uint32
+	seeded        bool
 	next, sibling *entry
 }
 
@@ -284,6 +286,14 @@ func (pt *PlanTable) Insert(tables expr.TableSet, preds expr.PredSet, plans []*p
 	}
 }
 
+// Seed is Insert for the plans the access STARs built for a single-table
+// cell, and marks the cell seeded: only then has Glue found its access plans
+// (a materializing reference may have put veneers there first).
+func (pt *PlanTable) Seed(tables expr.TableSet, preds expr.PredSet, plans []*plan.Node) {
+	pt.Insert(tables, preds, plans)
+	pt.find(tables, preds).seeded = true
+}
+
 // addPruned offers p to the cell's own entry. Base plans are scanned first
 // (they were retained first, exactly as in a serial run) and may reject p, but
 // are never evicted here: an overlay must not mutate its shared, frozen base.
@@ -342,6 +352,9 @@ func (pt *PlanTable) Absorb(o *PlanTable) {
 		if len(oe.plans) > 0 {
 			pt.replay = oe.appendTo(pt.replay[:0])
 			pt.Insert(oe.tables, oe.preds, pt.replay)
+			if oe.seeded {
+				pt.find(oe.tables, oe.preds).seeded = true
+			}
 		}
 	}
 	// The base half of an overlay's mark counts in pt's numbering, and max

@@ -13,6 +13,8 @@ import (
 	"stars/internal/expr"
 	"stars/internal/plan"
 	"stars/internal/query"
+	"stars/internal/sqlparse"
+	"stars/internal/star"
 	"stars/internal/workload"
 )
 
@@ -358,6 +360,68 @@ func TestMetamorphicRename(t *testing.T) {
 				t.Errorf("%s/par%d: renamed best plan, mapped back:\n  %s\nwant\n  %s", pt.name, par, got, shape)
 			}
 			res.Release()
+		}
+	}
+}
+
+// TestMetamorphicAlternativeOrder checks that an inclusive STAR is a set of
+// alternatives: reversing the alternatives of any one of the built-in
+// repertoire's changes no best cost. Glue must not find a single-table cell
+// that only a materializing reference's veneers have filled, or the order in
+// which PermutedJoin, SitedJoin and JMeth reach it decides whether the access
+// STARs ever see the pushed predicates. It covers the workload corpus (chain
+// joins of 2 to 5 tables and star joins of 3 and 4 among them) and a grid of
+// Figure 1 variants on the distributed EMP/DEPT catalog — two projections,
+// each with one selection on EMP.NAME, ENO or ADDRESS or on DEPT.DNO or MGR —
+// serially and rank-parallel.
+func TestMetamorphicAlternativeOrder(t *testing.T) {
+	type point struct {
+		name string
+		cat  *catalog.Catalog
+		g    *query.Graph
+	}
+	var points []point
+	for _, e := range workload.Corpus() {
+		points = append(points, point{e.Name, e.Cat, e.Query})
+	}
+	dist := workload.DistributedEmpDept()
+	for _, proj := range []string{"EMP.NAME, EMP.SAL", "DEPT.DNO, DEPT.MGR, EMP.NAME, EMP.ADDRESS"} {
+		for _, sel := range []string{"EMP.NAME = 'name8907'", "EMP.ENO = 17", "EMP.ADDRESS = 'addr5'", "DEPT.DNO = 42", "DEPT.MGR = 'Haas'"} {
+			sql := "SELECT " + proj + " FROM EMP, DEPT WHERE DEPT.DNO = EMP.DNO AND " + sel
+			g, err := sqlparse.Parse(sql, dist)
+			if err != nil {
+				t.Fatal(err)
+			}
+			points = append(points, point{sql, dist, g})
+		}
+	}
+	var inclusive []string
+	for _, name := range star.DefaultRules().Names() {
+		if r := star.DefaultRules().Get(name); !r.Exclusive && len(r.Alts) > 1 {
+			inclusive = append(inclusive, name)
+		}
+	}
+	for _, par := range []int{1, 2} {
+		optimize := func(pt point, rules *star.RuleSet) float64 {
+			res, err := New(pt.cat, Options{Parallelism: par, Rules: rules}).Optimize(pt.g)
+			if err != nil {
+				t.Fatalf("%s/par%d: %v", pt.name, par, err)
+			}
+			defer res.Release()
+			return res.Best.Props.Cost.Total
+		}
+		for _, pt := range points {
+			cost := optimize(pt, nil)
+			for _, name := range inclusive {
+				rules := star.DefaultRules()
+				r := *rules.Get(name)
+				r.Alts = slices.Clone(r.Alts)
+				slices.Reverse(r.Alts)
+				rules.Add(&r)
+				if got := optimize(pt, rules); got != cost {
+					t.Errorf("%s/par%d: best cost %v with %s's alternatives reversed, want %v", pt.name, par, got, name, cost)
+				}
+			}
 		}
 	}
 }

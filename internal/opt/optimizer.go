@@ -313,7 +313,7 @@ func (o *Optimizer) Optimize(g *query.Graph) (_ *Result, err error) {
 		if len(sap) == 0 {
 			return nil, fmt.Errorf("opt: no access plans for %s", q.Name)
 		}
-		table.Insert(ts, preds, sap)
+		table.Seed(ts, preds, sap)
 	}
 	accessSp.End(int64(table.Size()))
 

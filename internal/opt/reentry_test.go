@@ -42,16 +42,16 @@ star Descend(T1, T2, P, n) = {
 	rules.Merge(over)
 	var reentries, checked atomic.Int64 // helpers run on the enumeration workers
 	prepare := func(en *star.Engine) {
-		en.RegisterHelper("mark", func(_ *star.Engine, args []star.Value) (star.Value, error) {
+		en.Register(star.Signature{Name: "mark", ArityUnknown: true}, func(_ *star.Engine, args []star.Value) (star.Value, error) {
 			return star.StrValue("mark:" + args[0].String()), nil
 		})
-		en.RegisterHelper("bottom", func(_ *star.Engine, args []star.Value) (star.Value, error) {
+		en.Register(star.Signature{Name: "bottom", ArityUnknown: true}, func(_ *star.Engine, args []star.Value) (star.Value, error) {
 			return star.BoolValue(args[0].Num <= 0), nil
 		})
-		en.RegisterHelper("dec", func(_ *star.Engine, args []star.Value) (star.Value, error) {
+		en.Register(star.Signature{Name: "dec", ArityUnknown: true}, func(_ *star.Engine, args []star.Value) (star.Value, error) {
 			return star.NumValue(args[0].Num - 1), nil
 		})
-		en.RegisterHelper("again", func(en *star.Engine, args []star.Value) (star.Value, error) {
+		en.Register(star.Signature{Name: "again", ArityUnknown: true}, func(en *star.Engine, args []star.Value) (star.Value, error) {
 			reentries.Add(1)
 			want := args[0].String()
 			sap, err := en.EvalRule("Descend", []star.Value{args[0], args[1], args[2], star.NumValue(depth)})
@@ -60,7 +60,7 @@ star Descend(T1, T2, P, n) = {
 			}
 			return star.SAPValue(sap), err
 		})
-		en.RegisterBuilder("both", func(_ *star.Engine, args []star.Value) (star.Value, error) {
+		en.Register(star.Signature{Name: "both", Result: star.KindSAP, ArityUnknown: true}, func(_ *star.Engine, args []star.Value) (star.Value, error) {
 			checked.Add(1)
 			if want := "mark:" + args[3].String(); args[0].Str != want {
 				return star.Null, fmt.Errorf("first argument reads %q after the nested reference, want %q", args[0].Str, want)

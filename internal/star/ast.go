@@ -10,13 +10,17 @@ import (
 // data. Rule names are unique; later definitions replace earlier ones, which
 // is how a Database Customizer overrides a built-in strategy.
 type RuleSet struct {
-	rules map[string]*Rule
-	order []string
-	// altBase numbers the set's alternatives densely: rule name -> slot of
-	// its first alternative, nAlts slots in all. Per-alternative tallies
+	// rules holds the STARs in definition order and index maps each name to
+	// its position; a replacing definition takes the replaced one's position.
+	rules []*Rule
+	index map[string]int
+	// altBase numbers the set's alternatives densely: the slot of rules[i]'s
+	// first alternative, nAlts slots in all. Per-alternative tallies
 	// (Stats.Alts) are indexed by it. A replaced rule takes fresh slots.
-	altBase map[string]int
+	altBase []int
 	nAlts   int
+	// adds counts Add calls, so an engine sees its bindings go stale.
+	adds int
 	// originSlot maps a plan's Origin tag ("Rule#2") to its alternative's
 	// slot; a replaced rule's surplus tags keep pointing at its dead slots.
 	originSlot map[string]int
@@ -44,14 +48,17 @@ type Redefinition struct {
 
 // NewRuleSet returns an empty rule set.
 func NewRuleSet() *RuleSet {
-	return &RuleSet{rules: map[string]*Rule{}, altBase: map[string]int{}, originSlot: map[string]int{}}
+	return &RuleSet{index: map[string]int{}, originSlot: map[string]int{}}
 }
 
 // Add registers a rule, replacing any rule of the same name, and resolves its
 // names to frame slots (resolve.go).
 func (rs *RuleSet) Add(r *Rule) {
-	if _, exists := rs.rules[r.Name]; !exists {
-		rs.order = append(rs.order, r.Name)
+	at, exists := rs.index[r.Name]
+	if !exists {
+		at = len(rs.rules)
+		rs.index[r.Name] = at
+		rs.rules, rs.altBase = append(rs.rules, nil), append(rs.altBase, 0)
 	}
 	for i, alt := range r.Alts {
 		if alt.origin == "" {
@@ -64,14 +71,19 @@ func (rs *RuleSet) Add(r *Rule) {
 		rs.originSlot[alt.origin] = rs.nAlts + i
 	}
 	r.resolve()
-	rs.rules[r.Name] = r
-	rs.altBase[r.Name] = rs.nAlts
+	rs.rules[at], rs.altBase[at] = r, rs.nAlts
 	rs.nAlts += len(r.Alts)
+	rs.adds++
 }
 
 // AltSlot returns the Stats.Alts index of the named rule's first
 // alternative; its i-th alternative (0-based) tallies at AltSlot(name)+i.
-func (rs *RuleSet) AltSlot(name string) int { return rs.altBase[name] }
+func (rs *RuleSet) AltSlot(name string) int {
+	if i, ok := rs.index[name]; ok {
+		return rs.altBase[i]
+	}
+	return 0
+}
 
 // NumAlts returns the number of slots AltSlot and OriginSlot index into.
 func (rs *RuleSet) NumAlts() int { return rs.nAlts }
@@ -86,7 +98,7 @@ func (rs *RuleSet) OriginSlot(origin string) (slot int, ok bool) {
 // addRecordingRedefinition is Add for the parser: a replacement within one
 // source file is recorded for the linter's hygiene pass.
 func (rs *RuleSet) addRecordingRedefinition(r *Rule) {
-	if prev, exists := rs.rules[r.Name]; exists {
+	if prev := rs.Get(r.Name); prev != nil {
 		rs.redefined = append(rs.redefined, Redefinition{
 			Name: r.Name, Pos: r.Pos, PrevPos: prev.Pos,
 			PrevAlts: len(prev.Alts), NewAlts: len(r.Alts),
@@ -101,39 +113,27 @@ func (rs *RuleSet) Redefined() []Redefinition {
 }
 
 // Get returns the named rule, or nil.
-func (rs *RuleSet) Get(name string) *Rule { return rs.rules[name] }
+func (rs *RuleSet) Get(name string) *Rule {
+	if i, ok := rs.index[name]; ok {
+		return rs.rules[i]
+	}
+	return nil
+}
 
 // Names returns the rule names in definition order.
-func (rs *RuleSet) Names() []string { return append([]string(nil), rs.order...) }
+func (rs *RuleSet) Names() []string {
+	out := make([]string, len(rs.rules))
+	for i, r := range rs.rules {
+		out[i] = r.Name
+	}
+	return out
+}
 
 // Merge copies every rule of o into rs (o's rules win name clashes).
 func (rs *RuleSet) Merge(o *RuleSet) {
-	for _, name := range o.order {
-		rs.Add(o.rules[name])
+	for _, r := range o.rules {
+		rs.Add(r)
 	}
-}
-
-// Validate checks that every STAR referenced by a rule body resolves to a
-// rule, a LOLEPOP builder, or a helper function — the paper leaves "how to
-// verify that any given set of STARs is correct" open; undefined references
-// and ill-formed arities are the checkable part.
-//
-// Validate is a thin rendering of the reference pass shared with the
-// starcheck linter (CheckRefs), so the two cannot drift; the linter adds
-// reachability, termination, coverage, and hygiene passes on top. Builders
-// and helpers known only by predicate have unknown arity here; use
-// Engine.Validate to arity-check against the engine's signature table.
-func (rs *RuleSet) Validate(isBuilder, isHelper func(string) bool) error {
-	lookup := func(name string) (Signature, bool) {
-		if isBuilder != nil && isBuilder(name) {
-			return Signature{Name: name, ArityUnknown: true}, true
-		}
-		if isHelper != nil && isHelper(name) {
-			return Signature{Name: name, ArityUnknown: true}, true
-		}
-		return Signature{}, false
-	}
-	return refDiagsToError(CheckRefs(rs, lookup))
 }
 
 // refDiagsToError renders reference diagnostics as a single error, nil when
@@ -173,8 +173,10 @@ type Rule struct {
 	Pos Pos
 	// Frame is the number of slots a reference occupies — parameters,
 	// where-bindings, forall variables. The first RuleSet.Add sets it, with
-	// every Slot.
-	Frame    int
+	// every Slot and Call.Idx.
+	Frame int
+	// calls lists the rule's calls by Idx.
+	calls    []*Call
 	resolved bool
 }
 
@@ -318,6 +320,9 @@ type Call struct {
 	Args []RExpr
 	// Pos locates the called name.
 	Pos Pos
+	// Idx numbers the call within its rule, in WalkCalls order: an engine
+	// keeps what each call is bound to by it (Engine.Validate).
+	Idx int
 }
 
 // String implements RExpr.

@@ -8,20 +8,209 @@ import (
 	"stars/internal/plan"
 )
 
-// registerBuiltinBuilders installs the built-in LOLEPOP constructors. Each
-// implements the map-over-SAP semantics of Section 2.2: a reference whose
-// stream arguments are multi-valued produces one node per combination.
-func registerBuiltinBuilders(en *Engine) {
-	en.RegisterBuilder("ACCESS", biAccess)
-	en.RegisterBuilder("GET", biGet)
-	en.RegisterBuilder("SORT", biSort)
-	en.RegisterBuilder("SHIP", biShip)
-	en.RegisterBuilder("STORE", biStore)
-	en.RegisterBuilder("FILTER", biFilter)
-	en.RegisterBuilder("BUILDINDEX", biBuildIndex)
-	en.RegisterBuilder("JOIN", biJoin)
-	en.RegisterBuilder("IXAND", biIndexAnd)
-}
+// builtins is the callee table every engine starts from, filled at package
+// init and never written after: Glue, the LOLEPOP builders, and the helper
+// functions the built-in rule file references — the Section 4 classifiers and
+// the catalog-probing guards — each declared once, beside its signature. A
+// signature mirrors its function's run-time argument checks (the arity test
+// pins that they agree). A builder implements the map-over-SAP semantics
+// of Section 2.2: a reference whose stream arguments are multi-valued
+// produces one node per combination. Produces declares a builder's property
+// effect: an index-flavor ACCESS delivers key order and is itself an access
+// path; the four veneer operators establish exactly the property Glue
+// injects them for.
+var builtins = newTable([]Callee{
+	{GlueSignature, (*Engine).evalGlue},
+
+	// LOLEPOP builders.
+	{Signature{Name: "ACCESS", Args: []ArgKind{KindStr, KindStream | KindSAP | KindStr, KindCols | KindAllCols, KindPreds}, Result: KindSAP, Produces: []string{"order", "paths"}}, biAccess},
+	{Signature{Name: "GET", Args: []ArgKind{KindSAP, KindStream, KindCols | KindAllCols, KindPreds}, Result: KindSAP}, biGet},
+	{Signature{Name: "SORT", Args: []ArgKind{KindSAP, KindCols}, Result: KindSAP, Produces: []string{"order"}}, biSort},
+	{Signature{Name: "SHIP", Args: []ArgKind{KindSAP, KindStr}, Result: KindSAP, Produces: []string{"site"}}, biShip},
+	{Signature{Name: "STORE", Args: []ArgKind{KindSAP}, Result: KindSAP, Produces: []string{"temp"}}, biStore},
+	{Signature{Name: "FILTER", Args: []ArgKind{KindSAP, KindPreds}, Result: KindSAP}, biFilter},
+	{Signature{Name: "BUILDINDEX", Args: []ArgKind{KindSAP, KindCols}, Result: KindSAP, Produces: []string{"paths"}}, biBuildIndex},
+	{Signature{Name: "JOIN", Args: []ArgKind{KindStr, KindSAP, KindSAP, KindPreds, KindPreds}, Result: KindSAP}, biJoin},
+	{Signature{Name: "IXAND", Args: []ArgKind{KindSAP, KindSAP}, Result: KindSAP}, biIndexAnd},
+
+	// Predicate classifiers and set algebra.
+	classifier("joinPreds", expr.JoinPreds),
+	classifier("sortablePreds", expr.SortablePreds),
+	classifier("hashablePreds", expr.HashablePreds),
+	classifier("indexablePreds", expr.IndexablePreds),
+	{Signature{Name: "innerPreds", Args: []ArgKind{KindPreds, KindStream}, Result: KindPreds}, func(en *Engine, args []Value) (Value, error) {
+		if len(args) != 2 || args[0].Kind != VPreds || args[1].Kind != VStream {
+			return Null, fmt.Errorf("innerPreds wants (preds, stream)")
+		}
+		return PredsValue(expr.InnerPreds(args[0].Preds, args[1].Stream.Tables)), nil
+	}},
+	setop("union", expr.PredSet.Union),
+	setop("minus", expr.PredSet.Minus),
+	setop("intersect", expr.PredSet.Intersect),
+	{Signature{Name: "matchedPreds", Args: []ArgKind{KindPreds, KindStream, KindStr}, Result: KindPreds}, func(en *Engine, args []Value) (Value, error) {
+		if len(args) != 3 || args[0].Kind != VPreds || args[1].Kind != VStream || args[2].Kind != VStr {
+			return Null, fmt.Errorf("matchedPreds wants (preds, stream, index)")
+		}
+		q, err := onlyQuantifier(args[1].Stream, "matchedPreds")
+		if err != nil {
+			return Null, err
+		}
+		path := en.Cost.Path(q, args[2].Str)
+		if path == nil {
+			return Null, fmt.Errorf("unknown index %q", args[2].Str)
+		}
+		return PredsValue(expr.MatchIndexPrefix(args[0].Preds, path.Cols)), nil
+	}},
+
+	// Column derivations.
+	{Signature{Name: "sortCols", Args: []ArgKind{KindPreds, KindStream}, Result: KindCols}, func(en *Engine, args []Value) (Value, error) {
+		if len(args) != 2 || args[0].Kind != VPreds || args[1].Kind != VStream {
+			return Null, fmt.Errorf("sortCols wants (preds, stream)")
+		}
+		return ColsValue(en.Cost.Vocab().SortColsFor(args[0].Preds, args[1].Stream.Tables)), nil
+	}},
+	{Signature{Name: "indexCols", Args: []ArgKind{KindPreds, KindPreds, KindStream}, Result: KindCols}, func(en *Engine, args []Value) (Value, error) {
+		if len(args) != 3 || args[0].Kind != VPreds || args[1].Kind != VPreds || args[2].Kind != VStream {
+			return Null, fmt.Errorf("indexCols wants (xp, ip, stream)")
+		}
+		return ColsValue(en.Cost.Vocab().IndexColsFor(args[0].Preds, args[1].Preds, args[2].Stream.Tables)), nil
+	}},
+	{Signature{Name: "tidcol", Args: []ArgKind{KindStream}, Result: KindCols}, func(en *Engine, args []Value) (Value, error) {
+		if len(args) != 1 || args[0].Kind != VStream {
+			return Null, fmt.Errorf("tidcol wants a stream")
+		}
+		q, err := onlyQuantifier(args[0].Stream, "tidcol")
+		if err != nil {
+			return Null, err
+		}
+		return ColsValue(en.Cost.TID(q)), nil
+	}},
+	{Signature{Name: "indexProbeCols", Args: []ArgKind{KindStream, KindStr}, Result: KindCols}, func(en *Engine, args []Value) (Value, error) {
+		if len(args) != 2 || args[0].Kind != VStream || args[1].Kind != VStr {
+			return Null, fmt.Errorf("indexProbeCols wants (stream, index)")
+		}
+		q, err := onlyQuantifier(args[0].Stream, "indexProbeCols")
+		if err != nil {
+			return Null, err
+		}
+		path := en.Cost.Path(q, args[1].Str)
+		if path == nil {
+			return Null, fmt.Errorf("unknown index %q", args[1].Str)
+		}
+		return ColsValue(en.Cost.TID(q).Concat(path.Cols)), nil
+	}},
+
+	// Conditions of applicability.
+	{Signature{Name: "nonempty", Args: []ArgKind{KindAny}, Result: KindBool}, func(en *Engine, args []Value) (Value, error) {
+		if len(args) != 1 {
+			return Null, fmt.Errorf("nonempty wants one argument")
+		}
+		return BoolValue(args[0].Truthy()), nil
+	}},
+	{Signature{Name: "empty", Args: []ArgKind{KindAny}, Result: KindBool}, func(en *Engine, args []Value) (Value, error) {
+		if len(args) != 1 {
+			return Null, fmt.Errorf("empty wants one argument")
+		}
+		return BoolValue(!args[0].Truthy()), nil
+	}},
+	{Signature{Name: "localQuery", Args: []ArgKind{}, Result: KindBool}, func(en *Engine, args []Value) (Value, error) {
+		return BoolValue(en.Cost.Cat.LocalQuery(en.queryBaseTables())), nil
+	}},
+	{Signature{Name: "isComposite", Args: []ArgKind{KindStream}, Result: KindBool}, func(en *Engine, args []Value) (Value, error) {
+		if len(args) != 1 || args[0].Kind != VStream {
+			return Null, fmt.Errorf("isComposite wants a stream")
+		}
+		return BoolValue(args[0].Stream.Tables.Len() > 1), nil
+	}},
+	{Signature{Name: "siteDiffers", Args: []ArgKind{KindStream}, Result: KindBool}, func(en *Engine, args []Value) (Value, error) {
+		if len(args) != 1 || args[0].Kind != VStream {
+			return Null, fmt.Errorf("siteDiffers wants a stream")
+		}
+		sv := args[0].Stream
+		if sv.Req.Site == nil {
+			return BoolValue(false), nil
+		}
+		var sites []string
+		if en.PlanSites != nil {
+			sites = en.PlanSites(sv.Tables)
+		}
+		for _, s := range sites {
+			if s == *sv.Req.Site {
+				return BoolValue(false), nil
+			}
+		}
+		return BoolValue(true), nil
+	}},
+	{Signature{Name: "stmgr", Args: []ArgKind{KindStream | KindSAP, KindStr}, Result: KindBool}, func(en *Engine, args []Value) (Value, error) {
+		if len(args) != 2 || args[1].Kind != VStr {
+			return Null, fmt.Errorf("stmgr wants (stream-or-plans, kind)")
+		}
+		switch args[0].Kind {
+		case VSAP:
+			// Temps are stored as heaps.
+			return BoolValue(args[1].Str == string(catalog.Heap)), nil
+		case VStream:
+			q, err := onlyQuantifier(args[0].Stream, "stmgr")
+			if err != nil {
+				return Null, err
+			}
+			t := en.Cost.BaseTable(q)
+			if t == nil {
+				return BoolValue(args[1].Str == string(catalog.Heap)), nil
+			}
+			return BoolValue(string(t.StorageKindOrDefault()) == args[1].Str), nil
+		default:
+			return Null, fmt.Errorf("stmgr wants a stream or plans, got %s", args[0].Kind)
+		}
+	}},
+	{Signature{Name: "pathPrefix", Args: []ArgKind{KindStream, KindStr, KindCols}, Result: KindBool}, func(en *Engine, args []Value) (Value, error) {
+		// pathPrefix(T, i, o): the paper's "order ⊑ a" — the required
+		// order's columns are a prefix of access path i's key columns.
+		if len(args) != 3 || args[0].Kind != VStream || args[1].Kind != VStr || args[2].Kind != VCols {
+			return Null, fmt.Errorf("pathPrefix wants (stream, index, cols)")
+		}
+		q, err := onlyQuantifier(args[0].Stream, "pathPrefix")
+		if err != nil {
+			return Null, err
+		}
+		path := en.Cost.Path(q, args[1].Str)
+		return BoolValue(path != nil && plan.OrderSatisfies(path.Cols, args[2].Cols)), nil
+	}},
+	{Signature{Name: "projectionPays", Args: []ArgKind{KindStream, KindPreds}, Result: KindBool}, func(en *Engine, args []Value) (Value, error) {
+		if len(args) != 2 || args[0].Kind != VStream || args[1].Kind != VPreds {
+			return Null, fmt.Errorf("projectionPays wants (stream, preds)")
+		}
+		return BoolValue(en.projectionPays(args[0].Stream, args[1].Preds)), nil
+	}},
+
+	// Catalog probes producing forall domains.
+	{Signature{Name: "indexes", Args: []ArgKind{KindStream}, Result: KindList, Elem: KindStr}, func(en *Engine, args []Value) (Value, error) {
+		if len(args) != 1 || args[0].Kind != VStream {
+			return Null, fmt.Errorf("indexes wants a stream")
+		}
+		q, err := onlyQuantifier(args[0].Stream, "indexes")
+		if err != nil {
+			return Null, err
+		}
+		t := en.Cost.BaseTable(q)
+		if t == nil {
+			return ListValue(nil), nil
+		}
+		out := make([]Value, 0, len(t.Paths))
+		for _, p := range t.Paths {
+			out = append(out, StrValue(p.Name))
+		}
+		return ListValue(out), nil
+	}},
+	{Signature{Name: "allSites", Args: []ArgKind{}, Result: KindList, Elem: KindStr}, func(en *Engine, args []Value) (Value, error) {
+		sites := en.Cost.Cat.AllSites(en.queryBaseTables())
+		out := make([]Value, len(sites))
+		for i, s := range sites {
+			out[i] = StrValue(s)
+		}
+		return ListValue(out), nil
+	}},
+})
 
 // biIndexAnd builds IXAND nodes: the TID intersection of two index-probe
 // streams of the same quantifier (index ANDing).
@@ -335,212 +524,27 @@ func biJoin(en *Engine, args []Value) (Value, error) {
 	return SAPValue(en.since(mark)), nil
 }
 
-// registerBuiltinHelpers installs the condition and helper functions the
-// built-in rule file references — the Section 4 classifiers and the
-// catalog-probing guards.
-func registerBuiltinHelpers(en *Engine) {
-	two := func(name string, f func(p expr.PredSet, t1, t2 expr.TableSet) expr.PredSet) {
-		en.RegisterHelper(name, func(en *Engine, args []Value) (Value, error) {
+// classifier is a Section 4 predicate classifier as a helper of
+// (preds, stream, stream).
+func classifier(name string, f func(p expr.PredSet, t1, t2 expr.TableSet) expr.PredSet) Callee {
+	return Callee{Signature{Name: name, Args: []ArgKind{KindPreds, KindStream, KindStream}, Result: KindPreds},
+		func(en *Engine, args []Value) (Value, error) {
 			if len(args) != 3 || args[0].Kind != VPreds || args[1].Kind != VStream || args[2].Kind != VStream {
 				return Null, fmt.Errorf("%s wants (preds, stream, stream)", name)
 			}
 			return PredsValue(f(args[0].Preds, args[1].Stream.Tables, args[2].Stream.Tables)), nil
-		})
-	}
-	two("joinPreds", expr.JoinPreds)
-	two("sortablePreds", expr.SortablePreds)
-	two("hashablePreds", expr.HashablePreds)
-	two("indexablePreds", expr.IndexablePreds)
+		}}
+}
 
-	en.RegisterHelper("innerPreds", func(en *Engine, args []Value) (Value, error) {
-		if len(args) != 2 || args[0].Kind != VPreds || args[1].Kind != VStream {
-			return Null, fmt.Errorf("innerPreds wants (preds, stream)")
-		}
-		return PredsValue(expr.InnerPreds(args[0].Preds, args[1].Stream.Tables)), nil
-	})
-
-	setop := func(name string, f func(a, b expr.PredSet) expr.PredSet) {
-		en.RegisterHelper(name, func(en *Engine, args []Value) (Value, error) {
+// setop is a predicate-set operation as a helper of (preds, preds).
+func setop(name string, f func(a, b expr.PredSet) expr.PredSet) Callee {
+	return Callee{Signature{Name: name, Args: []ArgKind{KindPreds, KindPreds}, Result: KindPreds},
+		func(en *Engine, args []Value) (Value, error) {
 			if len(args) != 2 || args[0].Kind != VPreds || args[1].Kind != VPreds {
 				return Null, fmt.Errorf("%s wants (preds, preds)", name)
 			}
 			return PredsValue(f(args[0].Preds, args[1].Preds)), nil
-		})
-	}
-	setop("union", func(a, b expr.PredSet) expr.PredSet { return a.Union(b) })
-	setop("minus", func(a, b expr.PredSet) expr.PredSet { return a.Minus(b) })
-	setop("intersect", func(a, b expr.PredSet) expr.PredSet { return a.Intersect(b) })
-
-	en.RegisterHelper("sortCols", func(en *Engine, args []Value) (Value, error) {
-		if len(args) != 2 || args[0].Kind != VPreds || args[1].Kind != VStream {
-			return Null, fmt.Errorf("sortCols wants (preds, stream)")
-		}
-		return ColsValue(en.Cost.Vocab().SortColsFor(args[0].Preds, args[1].Stream.Tables)), nil
-	})
-
-	en.RegisterHelper("indexCols", func(en *Engine, args []Value) (Value, error) {
-		if len(args) != 3 || args[0].Kind != VPreds || args[1].Kind != VPreds || args[2].Kind != VStream {
-			return Null, fmt.Errorf("indexCols wants (xp, ip, stream)")
-		}
-		return ColsValue(en.Cost.Vocab().IndexColsFor(args[0].Preds, args[1].Preds, args[2].Stream.Tables)), nil
-	})
-
-	en.RegisterHelper("nonempty", func(en *Engine, args []Value) (Value, error) {
-		if len(args) != 1 {
-			return Null, fmt.Errorf("nonempty wants one argument")
-		}
-		return BoolValue(args[0].Truthy()), nil
-	})
-	en.RegisterHelper("empty", func(en *Engine, args []Value) (Value, error) {
-		if len(args) != 1 {
-			return Null, fmt.Errorf("empty wants one argument")
-		}
-		return BoolValue(!args[0].Truthy()), nil
-	})
-
-	en.RegisterHelper("localQuery", func(en *Engine, args []Value) (Value, error) {
-		return BoolValue(en.Cost.Cat.LocalQuery(en.queryBaseTables())), nil
-	})
-
-	en.RegisterHelper("allSites", func(en *Engine, args []Value) (Value, error) {
-		sites := en.Cost.Cat.AllSites(en.queryBaseTables())
-		out := make([]Value, len(sites))
-		for i, s := range sites {
-			out[i] = StrValue(s)
-		}
-		return ListValue(out), nil
-	})
-
-	en.RegisterHelper("isComposite", func(en *Engine, args []Value) (Value, error) {
-		if len(args) != 1 || args[0].Kind != VStream {
-			return Null, fmt.Errorf("isComposite wants a stream")
-		}
-		return BoolValue(args[0].Stream.Tables.Len() > 1), nil
-	})
-
-	en.RegisterHelper("siteDiffers", func(en *Engine, args []Value) (Value, error) {
-		if len(args) != 1 || args[0].Kind != VStream {
-			return Null, fmt.Errorf("siteDiffers wants a stream")
-		}
-		sv := args[0].Stream
-		if sv.Req.Site == nil {
-			return BoolValue(false), nil
-		}
-		var sites []string
-		if en.PlanSites != nil {
-			sites = en.PlanSites(sv.Tables)
-		}
-		for _, s := range sites {
-			if s == *sv.Req.Site {
-				return BoolValue(false), nil
-			}
-		}
-		return BoolValue(true), nil
-	})
-
-	en.RegisterHelper("stmgr", func(en *Engine, args []Value) (Value, error) {
-		if len(args) != 2 || args[1].Kind != VStr {
-			return Null, fmt.Errorf("stmgr wants (stream-or-plans, kind)")
-		}
-		switch args[0].Kind {
-		case VSAP:
-			// Temps are stored as heaps.
-			return BoolValue(args[1].Str == string(catalog.Heap)), nil
-		case VStream:
-			q, err := onlyQuantifier(args[0].Stream, "stmgr")
-			if err != nil {
-				return Null, err
-			}
-			t := en.Cost.BaseTable(q)
-			if t == nil {
-				return BoolValue(args[1].Str == string(catalog.Heap)), nil
-			}
-			return BoolValue(string(t.StorageKindOrDefault()) == args[1].Str), nil
-		default:
-			return Null, fmt.Errorf("stmgr wants a stream or plans, got %s", args[0].Kind)
-		}
-	})
-
-	en.RegisterHelper("indexes", func(en *Engine, args []Value) (Value, error) {
-		if len(args) != 1 || args[0].Kind != VStream {
-			return Null, fmt.Errorf("indexes wants a stream")
-		}
-		q, err := onlyQuantifier(args[0].Stream, "indexes")
-		if err != nil {
-			return Null, err
-		}
-		t := en.Cost.BaseTable(q)
-		if t == nil {
-			return ListValue(nil), nil
-		}
-		out := make([]Value, 0, len(t.Paths))
-		for _, p := range t.Paths {
-			out = append(out, StrValue(p.Name))
-		}
-		return ListValue(out), nil
-	})
-
-	en.RegisterHelper("pathPrefix", func(en *Engine, args []Value) (Value, error) {
-		// pathPrefix(T, i, o): the paper's "order ⊑ a" — the required
-		// order's columns are a prefix of access path i's key columns.
-		if len(args) != 3 || args[0].Kind != VStream || args[1].Kind != VStr || args[2].Kind != VCols {
-			return Null, fmt.Errorf("pathPrefix wants (stream, index, cols)")
-		}
-		q, err := onlyQuantifier(args[0].Stream, "pathPrefix")
-		if err != nil {
-			return Null, err
-		}
-		path := en.Cost.Path(q, args[1].Str)
-		return BoolValue(path != nil && plan.OrderSatisfies(path.Cols, args[2].Cols)), nil
-	})
-
-	en.RegisterHelper("tidcol", func(en *Engine, args []Value) (Value, error) {
-		if len(args) != 1 || args[0].Kind != VStream {
-			return Null, fmt.Errorf("tidcol wants a stream")
-		}
-		q, err := onlyQuantifier(args[0].Stream, "tidcol")
-		if err != nil {
-			return Null, err
-		}
-		return ColsValue(en.Cost.TID(q)), nil
-	})
-
-	en.RegisterHelper("indexProbeCols", func(en *Engine, args []Value) (Value, error) {
-		if len(args) != 2 || args[0].Kind != VStream || args[1].Kind != VStr {
-			return Null, fmt.Errorf("indexProbeCols wants (stream, index)")
-		}
-		q, err := onlyQuantifier(args[0].Stream, "indexProbeCols")
-		if err != nil {
-			return Null, err
-		}
-		path := en.Cost.Path(q, args[1].Str)
-		if path == nil {
-			return Null, fmt.Errorf("unknown index %q", args[1].Str)
-		}
-		return ColsValue(en.Cost.TID(q).Concat(path.Cols)), nil
-	})
-
-	en.RegisterHelper("matchedPreds", func(en *Engine, args []Value) (Value, error) {
-		if len(args) != 3 || args[0].Kind != VPreds || args[1].Kind != VStream || args[2].Kind != VStr {
-			return Null, fmt.Errorf("matchedPreds wants (preds, stream, index)")
-		}
-		q, err := onlyQuantifier(args[1].Stream, "matchedPreds")
-		if err != nil {
-			return Null, err
-		}
-		path := en.Cost.Path(q, args[2].Str)
-		if path == nil {
-			return Null, fmt.Errorf("unknown index %q", args[2].Str)
-		}
-		return PredsValue(expr.MatchIndexPrefix(args[0].Preds, path.Cols)), nil
-	})
-
-	en.RegisterHelper("projectionPays", func(en *Engine, args []Value) (Value, error) {
-		if len(args) != 2 || args[0].Kind != VStream || args[1].Kind != VPreds {
-			return Null, fmt.Errorf("projectionPays wants (stream, preds)")
-		}
-		return BoolValue(en.projectionPays(args[0].Stream, args[1].Preds)), nil
-	})
+		}}
 }
 
 // queryBaseTables maps QueryTables to base-table names for catalog queries,

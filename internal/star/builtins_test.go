@@ -226,20 +226,20 @@ func TestHelperClassifiersThroughEngine(t *testing.T) {
 	p := PredsValue(deptEmpU.PredSet(deptEmpJoin))
 	args := []Value{p, deptStream(), empStream()}
 	for _, h := range []string{"joinPreds", "sortablePreds", "hashablePreds", "indexablePreds"} {
-		v, err := en.helpers[h](en, args)
+		v, err := en.callees[h].Func(en, args)
 		if err != nil || v.Preds.Len() != 1 {
 			t.Errorf("%s = %v, %v", h, v, err)
 		}
 	}
-	v, err := en.helpers["innerPreds"](en, []Value{p, empStream()})
+	v, err := en.callees["innerPreds"].Func(en, []Value{p, empStream()})
 	if err != nil || v.Preds.Len() != 0 {
 		t.Errorf("innerPreds = %v", v)
 	}
-	sc, err := en.helpers["sortCols"](en, []Value{p, deptStream()})
+	sc, err := en.callees["sortCols"].Func(en, []Value{p, deptStream()})
 	if err != nil || sc.Cols.Len() != 1 || sc.Cols.ID(0).Col != "DNO" {
 		t.Errorf("sortCols = %v", sc)
 	}
-	ic, err := en.helpers["indexCols"](en, []Value{p, noPreds(), empStream()})
+	ic, err := en.callees["indexCols"].Func(en, []Value{p, noPreds(), empStream()})
 	if err != nil || ic.Cols.Len() != 1 {
 		t.Errorf("indexCols = %v", ic)
 	}
@@ -247,31 +247,31 @@ func TestHelperClassifiersThroughEngine(t *testing.T) {
 
 func TestCatalogProbingHelpers(t *testing.T) {
 	en := builderEngine(t)
-	v, err := en.helpers["indexes"](en, []Value{empStream()})
+	v, err := en.callees["indexes"].Func(en, []Value{empStream()})
 	if err != nil || len(v.List) != 1 || v.List[0].Str != "EMPDNO" {
 		t.Fatalf("indexes = %v", v)
 	}
-	v, err = en.helpers["stmgr"](en, []Value{deptStream(), StrValue("heap")})
+	v, err = en.callees["stmgr"].Func(en, []Value{deptStream(), StrValue("heap")})
 	if err != nil || !v.Bool {
 		t.Error("DEPT is a heap")
 	}
-	v, err = en.helpers["stmgr"](en, []Value{empStream(), StrValue("btree")})
+	v, err = en.callees["stmgr"].Func(en, []Value{empStream(), StrValue("btree")})
 	if err != nil || !v.Bool {
 		t.Error("EMP is btree-organized")
 	}
-	v, err = en.helpers["localQuery"](en, nil)
+	v, err = en.callees["localQuery"].Func(en, nil)
 	if err != nil || !v.Bool {
 		t.Error("single-site catalog is local")
 	}
-	v, err = en.helpers["allSites"](en, nil)
+	v, err = en.callees["allSites"].Func(en, nil)
 	if err != nil || len(v.List) != 1 {
 		t.Errorf("allSites = %v", v)
 	}
-	v, err = en.helpers["isComposite"](en, []Value{StreamValue(deptEmpU.All())})
+	v, err = en.callees["isComposite"].Func(en, []Value{StreamValue(deptEmpU.All())})
 	if err != nil || !v.Bool {
 		t.Error("two-table stream is composite")
 	}
-	v, err = en.helpers["indexProbeCols"](en, []Value{empStream(), StrValue("EMPDNO")})
+	v, err = en.callees["indexProbeCols"].Func(en, []Value{empStream(), StrValue("EMPDNO")})
 	if err != nil || v.Cols.Len() != 2 || v.Cols.ID(0).Col != plan.TIDCol {
 		t.Errorf("indexProbeCols = %v", v)
 	}
@@ -284,12 +284,12 @@ func TestSiteDiffersHelper(t *testing.T) {
 	annotated := Value{Kind: VStream, Stream: StreamVal{
 		Tables: deptEmpU.Tables("EMP"), Req: plan.Reqd{Site: &la},
 	}}
-	v, err := en.helpers["siteDiffers"](en, []Value{annotated})
+	v, err := en.callees["siteDiffers"].Func(en, []Value{annotated})
 	if err != nil || !v.Bool {
 		t.Error("NY plans vs LA requirement must differ")
 	}
 	plain := empStream()
-	v, err = en.helpers["siteDiffers"](en, []Value{plain})
+	v, err = en.callees["siteDiffers"].Func(en, []Value{plain})
 	if err != nil || v.Bool {
 		t.Error("no site requirement: no difference")
 	}
@@ -347,3 +347,18 @@ func TestOrderedStreamSection2(t *testing.T) {
 }
 
 func col(t, c string) expr.ColID { return expr.ColID{Table: t, Col: c} }
+
+// TestBuiltinCalleesCheckTheirArity: every built-in callee that declares
+// arguments rejects a call with one more at run time, so an engine that never
+// validated cannot read past what the signature promises.
+func TestBuiltinCalleesCheckTheirArity(t *testing.T) {
+	en := builderEngine(t)
+	for name, c := range builtins {
+		if len(c.Args) == 0 {
+			continue // localQuery and allSites read no arguments
+		}
+		if _, err := c.Func(en, make([]Value, len(c.Args)+1)); err == nil {
+			t.Errorf("%s accepts %d arguments, its signature declares %d", name, len(c.Args)+1, len(c.Args))
+		}
+	}
+}

@@ -5,7 +5,7 @@ import (
 )
 
 // Stable diagnostic codes of the reference pass. The starcheck linter builds
-// its SC001-series diagnostics directly from these, and RuleSet.Validate
+// its SC001-series diagnostics directly from these, and Engine.Validate
 // renders the same pass as an error — one implementation, two surfaces.
 const (
 	// CodeUndefined: a call resolves to no STAR, builder, helper, or Glue.
@@ -37,60 +37,89 @@ type RefDiag struct {
 
 // CheckRefs runs the reference & arity pass over a rule set: every call must
 // resolve to a STAR (with matching arity), to Glue (with its two-argument
-// shape), or to a builder/helper known to lookup (with matching arity when
-// the signature declares one). Diagnostics come back in rule-definition
-// order, then call order within a rule — deterministic for goldens.
+// shape), or to a builder/helper of sigs (with matching arity when the
+// signature declares one). Diagnostics come back in rule-definition order,
+// then call order within a rule — deterministic for goldens.
 //
 // This pass is the single source of truth for reference validity:
-// RuleSet.Validate and Engine.Validate render its findings as errors, and
-// the starcheck linter re-emits them as SC001..SC004 diagnostics.
-func CheckRefs(rs *RuleSet, lookup func(string) (Signature, bool)) []RefDiag {
-	var diags []RefDiag
-	for _, name := range rs.order {
-		r := rs.rules[name]
-		r.WalkCalls(func(c *Call) {
-			if c.Name == GlueName {
-				if len(c.Args) != len(GlueSignature.Args) {
-					diags = append(diags, RefDiag{
-						Code: CodeGlueShape, Rule: name, Call: c.Name, Pos: c.Pos,
-						Msg: fmt.Sprintf("%s references Glue with %d args, wants Glue(stream, preds)", name, len(c.Args)),
-					})
-				}
-				return
-			}
-			if t := rs.rules[c.Name]; t != nil {
-				if len(c.Args) != len(t.Params) {
-					diags = append(diags, RefDiag{
-						Code: CodeStarArity, Rule: name, Call: c.Name, Pos: c.Pos,
-						Msg: fmt.Sprintf("%s references %s with %d args, wants %d", name, c.Name, len(c.Args), len(t.Params)),
-					})
-				}
-				return
-			}
-			if lookup != nil {
-				if sig, ok := lookup(c.Name); ok {
-					if !sig.ArityUnknown && len(c.Args) != len(sig.Args) {
-						diags = append(diags, RefDiag{
-							Code: CodeCallArity, Rule: name, Call: c.Name, Pos: c.Pos,
-							Msg: fmt.Sprintf("%s references %s with %d args, wants %d", name, c.Name, len(c.Args), len(sig.Args)),
-						})
-					}
-					return
-				}
-			}
-			diags = append(diags, RefDiag{
-				Code: CodeUndefined, Rule: name, Call: c.Name, Pos: c.Pos,
-				Msg: fmt.Sprintf("%s references undefined %s", name, c.Name),
-			})
-		})
+// Engine.Validate runs it over the engine's callee table, binding each call
+// as it goes, and renders its findings as an error; the starcheck linter
+// re-emits them as SC001..SC004 diagnostics.
+func CheckRefs(rs *RuleSet, sigs SigTable) []RefDiag {
+	t := make(table, len(sigs))
+	for name, s := range sigs {
+		t[name] = &Callee{Signature: s}
 	}
-	return diags
+	return refPass(rs, t, nil)
 }
 
-// CheckRefsSigs is CheckRefs against a concrete signature table.
-func CheckRefsSigs(rs *RuleSet, sigs SigTable) []RefDiag {
-	return CheckRefs(rs, func(name string) (Signature, bool) {
-		s, ok := sigs[name]
-		return s, ok
-	})
+// boundRule is one STAR of an engine's repertoire with its calls bound.
+type boundRule struct {
+	*Rule
+	// alt is the Stats.Alts slot of the rule's first alternative.
+	alt int
+	// calls holds what each call of the rule is bound to, by Call.Idx.
+	calls []binding
+}
+
+// binding is what one call is bound to: a STAR of the repertoire or an entry
+// of the callee table (Glue's included), neither for an undefined name.
+type binding struct {
+	star   *boundRule
+	callee *Callee
+}
+
+// refPass resolves every call of rs against the callee table t and reports
+// what does not resolve or mismatches its arity. With bound non-nil (one
+// boundRule per rule of rs, by position) it also binds each call.
+func refPass(rs *RuleSet, t table, bound []boundRule) []RefDiag {
+	var diags []RefDiag
+	var calls []binding
+	if bound != nil {
+		n := 0
+		for _, r := range rs.rules {
+			n += len(r.calls)
+		}
+		calls = make([]binding, n)
+	}
+	for i, r := range rs.rules {
+		if bound != nil {
+			bound[i] = boundRule{Rule: r, alt: rs.altBase[i], calls: calls[:len(r.calls):len(r.calls)]}
+			calls = calls[len(r.calls):]
+		}
+		for _, c := range r.calls {
+			var to binding
+			code, msg := "", ""
+			j, isStar := rs.index[c.Name]
+			switch {
+			case c.Name == GlueName:
+				to.callee = t[GlueName]
+				if len(c.Args) != len(GlueSignature.Args) {
+					code, msg = CodeGlueShape, fmt.Sprintf("Glue with %d args, wants Glue(stream, preds)", len(c.Args))
+				}
+			case isStar:
+				if bound != nil {
+					to.star = &bound[j]
+				}
+				if want := len(rs.rules[j].Params); len(c.Args) != want {
+					code, msg = CodeStarArity, fmt.Sprintf("%s with %d args, wants %d", c.Name, len(c.Args), want)
+				}
+			case t[c.Name] != nil:
+				to.callee = t[c.Name]
+				if want := len(to.callee.Args); !to.callee.ArityUnknown && len(c.Args) != want {
+					code, msg = CodeCallArity, fmt.Sprintf("%s with %d args, wants %d", c.Name, len(c.Args), want)
+				}
+			default:
+				code, msg = CodeUndefined, "undefined "+c.Name
+			}
+			if bound != nil {
+				bound[i].calls[c.Idx] = to
+			}
+			if code != "" {
+				diags = append(diags, RefDiag{Code: code, Rule: r.Name, Call: c.Name, Pos: c.Pos,
+					Msg: r.Name + " references " + msg})
+			}
+		}
+	}
+	return diags
 }

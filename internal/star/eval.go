@@ -38,23 +38,6 @@ type GlueRequest struct {
 // valid for as long as Engine.SAP says.
 type GlueFn func(req *GlueRequest) ([]*plan.Node, error)
 
-// LolepopBuilder constructs plan nodes for a LOLEPOP reference. Builders
-// receive the reference's argument values (with SAPs for stream arguments)
-// and implement the map-over-SAP semantics: one node per combination of
-// input alternatives. They price nodes through the engine's cost
-// environment.
-//
-// args is a view of the engine's value stack, valid until the builder returns:
-// values (and the slices inside them) may be copied out and returned, args
-// itself may not be kept or written. Re-entering the engine (Glue, EvalRule)
-// is allowed: the stack is LIFO and a nested reference never changes args.
-type LolepopBuilder func(en *Engine, args []Value) (Value, error)
-
-// HelperFunc is a condition or helper function referenced from rule text —
-// the Go analogue of the paper's compiled C condition functions. args is lent
-// on LolepopBuilder's terms.
-type HelperFunc func(en *Engine, args []Value) (Value, error)
-
 // Stats counts the work the engine performs; experiment E5 compares these
 // against the transformational baseline's counters.
 type Stats struct {
@@ -161,12 +144,16 @@ type Engine struct {
 	// being evaluated. Nil when labels are off.
 	LabelCtx context.Context
 
-	builders map[string]LolepopBuilder
-	helpers  map[string]HelperFunc
-	// declared holds extension-declared signatures (DeclareSignature) that
-	// upgrade static checks from existence-only to arity/kind checking.
-	declared SigTable
-	depth    int
+	// callees is the engine's callee table: the shared built-in one until
+	// Register makes the engine its own copy (ownCallees).
+	callees    table
+	ownCallees bool
+	// bound holds each rule of boundTo with its calls bound, by position,
+	// as of its boundAt-th Add; a nil boundTo binds at the next reference.
+	bound   []boundRule
+	boundTo *RuleSet
+	boundAt int
+	depth   int
 
 	// stack holds the frame of every reference and call in progress, innermost
 	// last (push, pop).
@@ -187,27 +174,17 @@ type Engine struct {
 // of a hang.
 const maxDepth = 200
 
-// NewEngine builds an engine with the built-in LOLEPOP builders and helper
-// functions registered.
+// NewEngine builds an engine over the built-in callee table.
 func NewEngine(rules *RuleSet, costEnv *cost.Env) *Engine {
-	en := &Engine{
-		Rules:    rules,
-		Cost:     costEnv,
-		builders: map[string]LolepopBuilder{},
-		helpers:  map[string]HelperFunc{},
-		seen:     map[uint64]bool{},
-	}
-	registerBuiltinBuilders(en)
-	registerBuiltinHelpers(en)
-	return en
+	return &Engine{Rules: rules, Cost: costEnv, callees: builtins, seen: map[uint64]bool{}}
 }
 
 // Fork returns an engine for one worker of a parallel enumeration. The
-// repertoire and the builder, helper and declared-signature registries are
-// shared with en, not copied: Options.Prepare fills them before the first
-// reference is evaluated and nothing writes them afterwards (builders and
-// helpers are stateless functions receiving the engine per call), so
-// concurrent workers only ever read them. The pricing environment, the sink
+// repertoire, the callee table and the bindings are shared with en, not
+// copied: Options.Prepare registers before the first reference is evaluated,
+// Validate binds, and nothing writes them afterwards (builders and helpers
+// are stateless functions receiving the engine per call), so concurrent
+// workers only ever read them. The pricing environment, the sink
 // and the counters (zero here; the caller adds them back with Stats.Add) are
 // the worker's own for its whole life. The caller wires Glue and PlanSites to
 // the worker's Gluer.
@@ -218,26 +195,25 @@ func (en *Engine) Fork(costEnv *cost.Env, sink *obs.Sink) *Engine {
 		QueryTables: en.QueryTables,
 		queryBase:   en.queryBase,
 		Obs:         sink,
-		builders:    en.builders,
-		helpers:     en.helpers,
-		declared:    en.declared,
+		callees:     en.callees,
+		bound:       en.bound,
+		boundTo:     en.boundTo,
+		boundAt:     en.boundAt,
 		seen:        map[uint64]bool{},
 	}
 }
 
-// RegisterBuilder installs a LOLEPOP builder under its reference name
-// (conventionally ALL CAPS, as in the paper's notation).
-func (en *Engine) RegisterBuilder(name string, b LolepopBuilder) { en.builders[name] = b }
-
-// RegisterHelper installs a helper/condition function.
-func (en *Engine) RegisterHelper(name string, h HelperFunc) { en.helpers[name] = h }
-
-// Validate checks the rule set against this engine's registries via the
-// shared reference pass (CheckRefs): undefined references, STAR and Glue
-// call shapes, and — for builders/helpers with known signatures, which all
-// builtins have — call arity.
+// Validate binds every call of the repertoire, once for the engine, to its
+// STAR, to Glue, or to a builder or helper of the callee table, and reports
+// what the reference pass (CheckRefs) finds: undefined references, STAR and
+// Glue call shapes, and call arity against declared signatures. Bindings
+// live in the engine, not in the rules: a rule set is shared by concurrent
+// optimizations, Merge shares rules between sets that resolve a name
+// differently, and Register is per engine.
 func (en *Engine) Validate() error {
-	return refDiagsToError(CheckRefsSigs(en.Rules, en.Signatures()))
+	rs := en.Rules
+	en.bound, en.boundTo, en.boundAt = make([]boundRule, len(rs.rules)), rs, rs.adds
+	return refDiagsToError(refPass(rs, en.callees, en.bound))
 }
 
 // EvalRule evaluates a reference of the named STAR with the given arguments
@@ -247,11 +223,18 @@ func (en *Engine) Validate() error {
 // result's lifetime is Engine.SAP's: the outermost reference copies it off the
 // scratch for the caller to keep, one made while another is in progress
 // (Glue's access STARs, a helper's) returns a piece of the scratch.
+//
+// An engine that never validated binds its calls here first, as Validate does,
+// leaving what does not resolve to fail when evaluated.
 func (en *Engine) EvalRule(name string, args []Value) ([]*plan.Node, error) {
-	rule := en.Rules.Get(name)
-	if rule == nil {
+	if en.boundTo != en.Rules || en.boundAt != en.Rules.adds {
+		_ = en.Validate()
+	}
+	i, ok := en.Rules.index[name]
+	if !ok {
 		return nil, fmt.Errorf("star: reference of undefined STAR %q", name)
 	}
+	rule := &en.bound[i]
 	outermost, mark := en.depth == 0, len(en.saps)
 	fp := en.push(max(rule.Frame, len(args)))
 	copy(en.stack[fp:], args)
@@ -280,9 +263,16 @@ func (en *Engine) pop(fp int) {
 	en.stack = en.stack[:fp]
 }
 
+// frame addresses a reference in progress: its rule and the stack offset of
+// its frame.
+type frame struct {
+	rule *boundRule
+	fp   int
+}
+
 // reference evaluates a reference of rule whose frame is at fp with its nargs
 // arguments already in the first slots.
-func (en *Engine) reference(rule *Rule, fp, nargs int) (out []*plan.Node, err error) {
+func (en *Engine) reference(rule *boundRule, fp, nargs int) (out []*plan.Node, err error) {
 	name := rule.Name
 	if nargs != len(rule.Params) {
 		return nil, fmt.Errorf("star: %s expects %d arguments, got %d", name, len(rule.Params), nargs)
@@ -325,8 +315,9 @@ func (en *Engine) reference(rule *Rule, fp, nargs int) (out []*plan.Node, err er
 		}()
 	}
 
+	f := frame{rule, fp}
 	for _, let := range rule.Where {
-		v, err := en.evalExpr(let.Expr, fp)
+		v, err := en.evalExpr(let.Expr, f)
 		if err != nil {
 			return nil, fmt.Errorf("star: %s where %s: %w", name, let.Name, err)
 		}
@@ -345,7 +336,7 @@ func (en *Engine) reference(rule *Rule, fp, nargs int) (out []*plan.Node, err er
 			if profiled {
 				g0 = time.Now()
 			}
-			cv, err := en.evalExpr(alt.Cond, fp)
+			cv, err := en.evalExpr(alt.Cond, f)
 			if profiled {
 				en.Obs.ProfActivity(obs.ActGuard, time.Since(g0), 1)
 			}
@@ -373,7 +364,7 @@ func (en *Engine) reference(rule *Rule, fp, nargs int) (out []*plan.Node, err er
 		}
 		fired = true
 		en.Stats.AltsFired++
-		v, err := en.evalExpr(alt.Body, fp)
+		v, err := en.evalExpr(alt.Body, f)
 		if err != nil {
 			return nil, fmt.Errorf("star: %s alternative %d: %w", name, i+1, err)
 		}
@@ -451,10 +442,10 @@ func (en *Engine) merge(base, k int, sap []*plan.Node) []*plan.Node {
 
 // altTallies returns rule's window of Stats.Alts, sizing the slice to the
 // repertoire on first use.
-func (en *Engine) altTallies(rule *Rule) []AltTally {
-	base := en.Rules.altBase[rule.Name]
+func (en *Engine) altTallies(rule *boundRule) []AltTally {
+	base := rule.alt
 	if end := base + len(rule.Alts); end > len(en.Stats.Alts) {
-		grown := make([]AltTally, max(end, en.Rules.nAlts))
+		grown := make([]AltTally, max(end, en.boundTo.nAlts))
 		copy(grown, en.Stats.Alts)
 		en.Stats.Alts = grown
 	}
@@ -469,14 +460,14 @@ func renderArgs(args []Value) string {
 	return strings.Join(parts, ", ")
 }
 
-// evalExpr evaluates one rule-language expression against the frame at fp.
-func (en *Engine) evalExpr(e RExpr, fp int) (Value, error) {
+// evalExpr evaluates one rule-language expression against frame f.
+func (en *Engine) evalExpr(e RExpr, f frame) (Value, error) {
 	switch n := e.(type) {
 	case *Ident:
 		if n.Slot < 0 {
 			return Null, fmt.Errorf("unbound name %q", n.Name)
 		}
-		return en.stack[fp+n.Slot], nil
+		return en.stack[f.fp+n.Slot], nil
 	case *StrLit:
 		return StrValue(n.Val), nil
 	case *NumLit:
@@ -486,12 +477,12 @@ func (en *Engine) evalExpr(e RExpr, fp int) (Value, error) {
 	case *AllCols:
 		return AllColsValue, nil
 	case *Annot:
-		return en.evalAnnot(n, fp)
+		return en.evalAnnot(n, f)
 	case *Forall:
-		return en.evalForall(n, fp)
+		return en.evalForall(n, f)
 	case *Logic:
 		for _, k := range n.Kids {
-			v, err := en.evalExpr(k, fp)
+			v, err := en.evalExpr(k, f)
 			if err != nil {
 				return Null, err
 			}
@@ -504,20 +495,20 @@ func (en *Engine) evalExpr(e RExpr, fp int) (Value, error) {
 		}
 		return BoolValue(n.OpAnd), nil
 	case *NotExpr:
-		v, err := en.evalExpr(n.Kid, fp)
+		v, err := en.evalExpr(n.Kid, f)
 		if err != nil {
 			return Null, err
 		}
 		return BoolValue(!v.Truthy()), nil
 	case *Call:
-		return en.evalCall(n, fp)
+		return en.evalCall(n, f)
 	default:
 		return Null, fmt.Errorf("unknown expression node %T", e)
 	}
 }
 
-func (en *Engine) evalAnnot(n *Annot, fp int) (Value, error) {
-	kid, err := en.evalExpr(n.Kid, fp)
+func (en *Engine) evalAnnot(n *Annot, f frame) (Value, error) {
+	kid, err := en.evalExpr(n.Kid, f)
 	if err != nil {
 		return Null, err
 	}
@@ -528,7 +519,7 @@ func (en *Engine) evalAnnot(n *Annot, fp int) (Value, error) {
 	for _, item := range n.Reqs {
 		var v Value
 		if item.Val != nil {
-			v, err = en.evalExpr(item.Val, fp)
+			v, err = en.evalExpr(item.Val, f)
 			if err != nil {
 				return Null, err
 			}
@@ -563,8 +554,8 @@ func (en *Engine) evalAnnot(n *Annot, fp int) (Value, error) {
 }
 
 // evalForall binds the loop variable's own slot to each element in turn.
-func (en *Engine) evalForall(n *Forall, fp int) (Value, error) {
-	set, err := en.evalExpr(n.Set, fp)
+func (en *Engine) evalForall(n *Forall, f frame) (Value, error) {
+	set, err := en.evalExpr(n.Set, f)
 	if err != nil {
 		return Null, err
 	}
@@ -574,10 +565,10 @@ func (en *Engine) evalForall(n *Forall, fp int) (Value, error) {
 	var out []*plan.Node
 	base := len(en.saps)
 	for _, elem := range set.List {
-		en.stack[fp+n.Slot] = elem
+		en.stack[f.fp+n.Slot] = elem
 		if n.Cond != nil {
 			en.Stats.AltsConsidered++
-			cv, err := en.evalExpr(n.Cond, fp)
+			cv, err := en.evalExpr(n.Cond, f)
 			if err != nil {
 				return Null, err
 			}
@@ -586,7 +577,7 @@ func (en *Engine) evalForall(n *Forall, fp int) (Value, error) {
 			}
 			en.Stats.AltsFired++
 		}
-		v, err := en.evalExpr(n.Body, fp)
+		v, err := en.evalExpr(n.Body, f)
 		if err != nil {
 			return Null, err
 		}
@@ -599,17 +590,18 @@ func (en *Engine) evalForall(n *Forall, fp int) (Value, error) {
 }
 
 // evalCall evaluates a call's arguments straight into a frame on top of the
-// stack and dispatches on the name. For a STAR that frame is the callee's (its
-// arguments are its first slots); Glue, builders and helpers get a view of it.
-func (en *Engine) evalCall(n *Call, fp int) (Value, error) {
-	rule, size := en.Rules.Get(n.Name), len(n.Args)
-	if rule != nil {
-		size = max(size, rule.Frame)
+// stack and dispatches on the call's binding. For a STAR that frame is the
+// callee's (its arguments are its first slots); Glue, builders and helpers get
+// a view of it.
+func (en *Engine) evalCall(n *Call, f frame) (Value, error) {
+	b, size := f.rule.calls[n.Idx], len(n.Args)
+	if b.star != nil {
+		size = max(size, b.star.Frame)
 	}
 	callee := en.push(size)
 	defer en.pop(callee)
 	for i, a := range n.Args {
-		v, err := en.evalExpr(a, fp)
+		v, err := en.evalExpr(a, f)
 		if err != nil {
 			return Null, err
 		}
@@ -617,22 +609,16 @@ func (en *Engine) evalCall(n *Call, fp int) (Value, error) {
 	}
 	args := en.stack[callee : callee+len(n.Args) : callee+len(n.Args)]
 	switch {
-	case n.Name == GlueName:
-		// Glue is special: it bridges to the plan table.
-		return en.evalGlue(args)
-	case rule != nil:
+	case b.star != nil:
 		// A rule reference: the dictionary-lookup substitution step.
-		sap, err := en.reference(rule, callee, len(n.Args))
+		sap, err := en.reference(b.star, callee, len(n.Args))
 		return SAPValue(sap), err
-	}
-	if b, ok := en.builders[n.Name]; ok {
-		return b(en, args)
-	}
-	if h, ok := en.helpers[n.Name]; ok {
+	case b.callee == nil:
+		return Null, fmt.Errorf("reference of undefined name %q", n.Name)
+	case b.callee.Result != KindSAP:
 		en.Stats.HelperCalls++
-		return h(en, args)
 	}
-	return Null, fmt.Errorf("reference of undefined name %q", n.Name)
+	return b.callee.Func(en, args)
 }
 
 // evalGlue handles Glue(stream, pushPreds): it hands the stream's table set,

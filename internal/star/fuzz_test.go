@@ -10,7 +10,9 @@ import (
 // and error text included — which is what lets lint goldens and the shapes
 // grammar be byte-reproducible). Whatever parses has also been through the
 // name resolver (RuleSet.Add): every slot it wrote lies inside the rule's
-// frame, so no rule text can make the evaluator index past it.
+// frame, so no rule text can make the evaluator index past it. And a fresh
+// engine binds it: the reference pass may report findings, but it never
+// panics, and every call is bound to the STAR or callee its name resolves to.
 func FuzzParseFile(f *testing.F) {
 	f.Add(DefaultRuleText)
 	f.Add("star R(T, P) = Glue(T, P)")
@@ -18,6 +20,7 @@ func FuzzParseFile(f *testing.F) {
 	f.Add("star J(Q) = [ | forall q in Q: Access(q) if nonempty(q) ]")
 	f.Add("star S(T, P) = SORT(Glue(T[temp], P), sortCols(P, T)) where SP = joinPreds(P, T)")
 	f.Add("# lint: root\nstar Root(T) = T[site = 'hq', order = tidcol(T)]")
+	f.Add("star R(T) = Nope(T, S(T), Glue(T))\nstar S() = SORT(T)")
 	f.Add("star Broken(")
 	f.Add("star X() = [ | ] {} 'unterminated")
 	f.Add("\x00\xff星")
@@ -71,6 +74,21 @@ func FuzzParseFile(f *testing.F) {
 				Walk(a.Body, slots)
 				if a.Cond != nil {
 					Walk(a.Cond, slots)
+				}
+			}
+		}
+		en := NewEngine(rs1, nil)
+		_ = en.Validate() // findings are allowed; a panic is not
+		for i, r := range rs1.rules {
+			for k, c := range r.calls {
+				b := en.bound[i].calls[k]
+				switch {
+				case c.Idx != k:
+					t.Fatalf("%s: call %d of %s numbered %d", r.Name, k, c.Name, c.Idx)
+				case b.star != nil && b.star.Rule != rs1.Get(c.Name):
+					t.Fatalf("%s: call of %s bound to STAR %s", r.Name, c.Name, b.star.Name)
+				case b.callee != nil && b.callee != builtins[c.Name]:
+					t.Fatalf("%s: call of %s bound to callee %s", r.Name, c.Name, b.callee.Name)
 				}
 			}
 		}

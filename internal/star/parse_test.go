@@ -232,9 +232,7 @@ func TestValidateCatchesErrors(t *testing.T) {
 star R(T) = Undefined(T)
 star S(T) = R(T, T)
 `)
-	isBuilder := func(string) bool { return false }
-	isHelper := func(string) bool { return false }
-	err := rs.Validate(isBuilder, isHelper)
+	err := NewEngine(rs, nil).Validate()
 	if err == nil {
 		t.Fatal("undefined reference and arity error must be caught")
 	}
@@ -244,7 +242,7 @@ star S(T) = R(T, T)
 	}
 	// Glue is always known.
 	rs2, _ := ParseRules(`star R(T) = Glue(T, {})`)
-	if err := rs2.Validate(isBuilder, isHelper); err != nil {
+	if err := NewEngine(rs2, nil).Validate(); err != nil {
 		t.Errorf("Glue must validate: %v", err)
 	}
 }

@@ -25,9 +25,10 @@ func (sc scope) lookup(name string) int {
 	return -1
 }
 
-// resolve writes the Slot of every Ident, Let and Forall of r, and r.Frame,
-// the first time r is added: it is a function of the rule alone, and a rule
-// shared through Merge may be under evaluation by the time it is added again.
+// resolve writes the Slot of every Ident, Let and Forall of r, r.Frame, and
+// the Idx of every Call, the first time r is added: it is a function of the
+// rule alone, and a rule shared through Merge may be under evaluation by the
+// time it is added again.
 func (r *Rule) resolve() {
 	if r.resolved {
 		return
@@ -46,6 +47,7 @@ func (r *Rule) resolve() {
 		sc.expr(a.Cond)
 	}
 	r.Frame = len(sc)
+	r.WalkCalls(func(c *Call) { c.Idx, r.calls = len(r.calls), append(r.calls, c) })
 }
 
 // expr resolves the names in e (nil: an absent condition).

@@ -16,15 +16,15 @@ func seeEngine(t *testing.T, ruleText string) (*Engine, *[]string) {
 	t.Helper()
 	en := stubEngine(t, ruleText)
 	var seen []string
-	en.RegisterHelper("see", func(_ *Engine, args []Value) (Value, error) {
+	en.Register(Signature{Name: "see", ArityUnknown: true}, func(_ *Engine, args []Value) (Value, error) {
 		seen = append(seen, renderArgs(args))
 		return SAPValue(nil), nil
 	})
-	en.RegisterHelper("note", func(_ *Engine, args []Value) (Value, error) {
+	en.Register(Signature{Name: "note", ArityUnknown: true}, func(_ *Engine, args []Value) (Value, error) {
 		seen = append(seen, renderArgs(args))
 		return BoolValue(true), nil
 	})
-	en.RegisterHelper("cat", func(_ *Engine, args []Value) (Value, error) {
+	en.Register(Signature{Name: "cat", ArityUnknown: true}, func(_ *Engine, args []Value) (Value, error) {
 		return StrValue(args[0].Str + args[1].Str), nil
 	})
 	return en, &seen

@@ -1,7 +1,7 @@
 package star
 
 import (
-	"sort"
+	"maps"
 	"strings"
 )
 
@@ -78,9 +78,8 @@ type Signature struct {
 	// Elem is the element kind of a KindList result — what a forall
 	// variable ranging over the result holds (KindAny when undeclared).
 	Elem ArgKind
-	// ArityUnknown marks a name registered without a declared signature
-	// (an extension builder/helper): the reference pass verifies only that
-	// the name resolves.
+	// ArityUnknown marks a callee registered without declared arguments:
+	// the reference pass verifies only that the name resolves.
 	ArityUnknown bool
 	// Produces lists the required-property keys (of "order", "site",
 	// "temp", "paths") the callable can establish on its output stream —
@@ -93,18 +92,8 @@ type Signature struct {
 // SigTable maps callable names to signatures.
 type SigTable map[string]Signature
 
-// Names returns the table's names, sorted.
-func (t SigTable) Names() []string {
-	out := make([]string, 0, len(t))
-	for k := range t {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// GlueName is the distinguished bridge to the plan table; it is always
-// callable, whatever the engine's registries hold.
+// GlueName is the distinguished bridge to the plan table; every callee
+// table holds it.
 const GlueName = "Glue"
 
 // GlueSignature is Glue's declared shape: Glue(stream, preds) -> plans.
@@ -114,98 +103,69 @@ var GlueSignature = Signature{
 	Result: KindSAP,
 }
 
-// builtinSigs declares the shapes of the built-in LOLEPOP builders and
-// helper functions registered by NewEngine. Each entry mirrors the runtime
-// argument validation in builtins.go — the static analyzer and the evaluator
-// must agree, which the signature tests pin.
-var builtinSigs = []Signature{
-	GlueSignature,
+// Func is what a call of a builder or helper runs — the Go analogue of the
+// paper's compiled C routines. A LOLEPOP builder receives the reference's
+// argument values (with SAPs for stream arguments) and implements the
+// map-over-SAP semantics: one node per combination of input alternatives,
+// priced through the engine's cost environment. A helper computes a condition
+// of applicability or a derived argument.
+//
+// args is a view of the engine's value stack, valid until the function
+// returns: values (and the slices inside them) may be copied out and
+// returned, args itself may not be kept or written. Re-entering the engine
+// (Glue, EvalRule) is allowed: the stack is LIFO and a nested reference never
+// changes args.
+type Func func(en *Engine, args []Value) (Value, error)
 
-	// LOLEPOP builders (all produce a SAP). Produces declares each
-	// operator's property effect: an index-flavor ACCESS delivers key
-	// order and is itself an access path; the four veneer operators
-	// establish exactly the property Glue injects them for.
-	{Name: "ACCESS", Args: []ArgKind{KindStr, KindStream | KindSAP | KindStr, KindCols | KindAllCols, KindPreds}, Result: KindSAP, Produces: []string{"order", "paths"}},
-	{Name: "GET", Args: []ArgKind{KindSAP, KindStream, KindCols | KindAllCols, KindPreds}, Result: KindSAP},
-	{Name: "SORT", Args: []ArgKind{KindSAP, KindCols}, Result: KindSAP, Produces: []string{"order"}},
-	{Name: "SHIP", Args: []ArgKind{KindSAP, KindStr}, Result: KindSAP, Produces: []string{"site"}},
-	{Name: "STORE", Args: []ArgKind{KindSAP}, Result: KindSAP, Produces: []string{"temp"}},
-	{Name: "FILTER", Args: []ArgKind{KindSAP, KindPreds}, Result: KindSAP},
-	{Name: "BUILDINDEX", Args: []ArgKind{KindSAP, KindCols}, Result: KindSAP, Produces: []string{"paths"}},
-	{Name: "JOIN", Args: []ArgKind{KindStr, KindSAP, KindSAP, KindPreds, KindPreds}, Result: KindSAP},
-	{Name: "IXAND", Args: []ArgKind{KindSAP, KindSAP}, Result: KindSAP},
-
-	// Predicate classifiers and set algebra.
-	{Name: "joinPreds", Args: []ArgKind{KindPreds, KindStream, KindStream}, Result: KindPreds},
-	{Name: "sortablePreds", Args: []ArgKind{KindPreds, KindStream, KindStream}, Result: KindPreds},
-	{Name: "hashablePreds", Args: []ArgKind{KindPreds, KindStream, KindStream}, Result: KindPreds},
-	{Name: "indexablePreds", Args: []ArgKind{KindPreds, KindStream, KindStream}, Result: KindPreds},
-	{Name: "innerPreds", Args: []ArgKind{KindPreds, KindStream}, Result: KindPreds},
-	{Name: "union", Args: []ArgKind{KindPreds, KindPreds}, Result: KindPreds},
-	{Name: "minus", Args: []ArgKind{KindPreds, KindPreds}, Result: KindPreds},
-	{Name: "intersect", Args: []ArgKind{KindPreds, KindPreds}, Result: KindPreds},
-	{Name: "matchedPreds", Args: []ArgKind{KindPreds, KindStream, KindStr}, Result: KindPreds},
-
-	// Column derivations.
-	{Name: "sortCols", Args: []ArgKind{KindPreds, KindStream}, Result: KindCols},
-	{Name: "indexCols", Args: []ArgKind{KindPreds, KindPreds, KindStream}, Result: KindCols},
-	{Name: "tidcol", Args: []ArgKind{KindStream}, Result: KindCols},
-	{Name: "indexProbeCols", Args: []ArgKind{KindStream, KindStr}, Result: KindCols},
-
-	// Conditions of applicability.
-	{Name: "nonempty", Args: []ArgKind{KindAny}, Result: KindBool},
-	{Name: "empty", Args: []ArgKind{KindAny}, Result: KindBool},
-	{Name: "localQuery", Args: []ArgKind{}, Result: KindBool},
-	{Name: "isComposite", Args: []ArgKind{KindStream}, Result: KindBool},
-	{Name: "siteDiffers", Args: []ArgKind{KindStream}, Result: KindBool},
-	{Name: "stmgr", Args: []ArgKind{KindStream | KindSAP, KindStr}, Result: KindBool},
-	{Name: "pathPrefix", Args: []ArgKind{KindStream, KindStr, KindCols}, Result: KindBool},
-	{Name: "projectionPays", Args: []ArgKind{KindStream, KindPreds}, Result: KindBool},
-
-	// Catalog probes producing forall domains.
-	{Name: "indexes", Args: []ArgKind{KindStream}, Result: KindList, Elem: KindStr},
-	{Name: "allSites", Args: []ArgKind{}, Result: KindList, Elem: KindStr},
+// Callee is one entry of a callee table: a builder's or helper's static shape
+// and the function its calls run. A callee whose Result is KindSAP is a
+// LOLEPOP builder; any other is a helper, and Stats.HelperCalls counts its
+// calls.
+type Callee struct {
+	Signature
+	Func Func
 }
 
-// BuiltinSignatures returns the signature table of everything NewEngine
-// registers (builders, helpers, Glue). The copy is the caller's to extend.
-func BuiltinSignatures() SigTable {
-	out := make(SigTable, len(builtinSigs))
-	for _, s := range builtinSigs {
-		out[s.Name] = s
+// table maps reference names to callees.
+type table map[string]*Callee
+
+// newTable makes a callee table of cs.
+func newTable(cs []Callee) table {
+	t := make(table, len(cs))
+	for i := range cs {
+		t[cs[i].Name] = &cs[i]
+	}
+	return t
+}
+
+// sigs returns the table's signatures, a copy for the caller to extend.
+func (t table) sigs() SigTable {
+	out := make(SigTable, len(t))
+	for name, c := range t {
+		out[name] = c.Signature
 	}
 	return out
 }
 
-// DeclareSignature records a static signature for an extension-registered
-// builder or helper, upgrading the linter from existence-only checking to
-// full arity and kind checking for that name. Extensions call it alongside
-// RegisterBuilder/RegisterHelper.
-func (en *Engine) DeclareSignature(s Signature) {
-	if en.declared == nil {
-		en.declared = SigTable{}
-	}
-	en.declared[s.Name] = s
-}
+// BuiltinSignatures returns the signature table of every built-in callee
+// (builders, helpers, Glue).
+func BuiltinSignatures() SigTable { return builtins.sigs() }
 
-// Signatures returns the engine's effective signature table: the built-in
-// shapes, any extension-declared signatures, and arity-unknown entries for
-// builders/helpers registered without a declaration — so static checks see
-// exactly what the evaluator can resolve.
-func (en *Engine) Signatures() SigTable {
-	out := BuiltinSignatures()
-	for name := range en.builders {
-		if _, known := out[name]; !known {
-			out[name] = Signature{Name: name, Result: KindSAP, ArityUnknown: true}
-		}
+// Signatures returns the signature table of the engine's callees — the
+// built-ins and whatever Register added — so static checks see exactly what
+// the evaluator can resolve.
+func (en *Engine) Signatures() SigTable { return en.callees.sigs() }
+
+// Register adds a builder or helper to the engine's callee table under
+// sig.Name (conventionally ALL CAPS for a LOLEPOP, as in the paper's
+// notation), replacing any callee of that name; a signature with ArityUnknown
+// set has its calls checked only for resolving. The first Register copies the
+// shared built-in table, and the engine binds its calls again before the next
+// reference.
+func (en *Engine) Register(sig Signature, f Func) {
+	if !en.ownCallees {
+		en.callees, en.ownCallees = maps.Clone(en.callees), true
 	}
-	for name := range en.helpers {
-		if _, known := out[name]; !known {
-			out[name] = Signature{Name: name, ArityUnknown: true}
-		}
-	}
-	for name, s := range en.declared {
-		out[name] = s
-	}
-	return out
+	en.callees[sig.Name] = &Callee{sig, f}
+	en.boundTo = nil
 }

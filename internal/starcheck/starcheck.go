@@ -4,7 +4,7 @@
 // star.RuleSet and emits structured diagnostics with stable codes:
 //
 //	SC00x reference & arity   undefined names, STAR/builder/helper arity,
-//	                          Glue call shape (shared with RuleSet.Validate)
+//	                          Glue call shape (shared with Engine.Validate)
 //	SC01x reachability        STARs unreachable from the entry points, dead
 //	                          alternatives (shadowed, contradictory,
 //	                          OTHERWISE that can never fire)
@@ -75,7 +75,7 @@ func (s Severity) String() string {
 // at least one positive and one negative case in testdata/lint.
 const (
 	// CodeUndefined .. CodeCallArity re-export the reference pass's codes
-	// (the pass itself lives in package star so RuleSet.Validate shares
+	// (the pass itself lives in package star so Engine.Validate shares
 	// it — the two cannot drift).
 	CodeUndefined = star.CodeUndefined // SC001
 	CodeStarArity = star.CodeStarArity // SC002
@@ -279,8 +279,8 @@ func CheckAndInfer(rs *star.RuleSet, cfg Config) ([]Diag, *Grammar) {
 	sigs := cfg.sigs()
 	var diags []Diag
 
-	// Pass 1: references & arity — the pass RuleSet.Validate shares.
-	for _, rd := range star.CheckRefsSigs(rs, sigs) {
+	// Pass 1: references & arity — the pass Engine.Validate shares.
+	for _, rd := range star.CheckRefs(rs, sigs) {
 		diags = append(diags, Diag{
 			Code: rd.Code, Severity: severityOf[rd.Code],
 			Rule: rd.Rule, Pos: rd.Pos, Msg: rd.Msg,

@@ -471,9 +471,9 @@ type (
 	// Value is a rule-language value.
 	Value = star.Value
 	// LolepopBuilder constructs plan nodes for a LOLEPOP reference.
-	LolepopBuilder = star.LolepopBuilder
+	LolepopBuilder = star.Func
 	// HelperFunc is a rule-language condition or helper.
-	HelperFunc = star.HelperFunc
+	HelperFunc = star.Func
 	// PlanTable is the Glue plan table.
 	PlanTable = glue.PlanTable
 )
