@@ -110,9 +110,9 @@ func TestPinnedEnumerationFixtures(t *testing.T) {
 		slow        bool
 	}{
 		{name: "chain8", cat: workload.ChainCatalog(8, chainCards...), g: workload.ChainQuery(8),
-			fingerprint: "ddebc1f51ee39cf2", subsets: 247, pairs: 84, glueCalls: 2241, veneers: 9759, retained: 1140},
+			fingerprint: "ddebc1f51ee39cf2", subsets: 247, pairs: 84, glueCalls: 1345, veneers: 1999, retained: 993},
 		{name: "star8", cat: workload.StarCatalog(8, 100000, 500), g: workload.StarQuery(8),
-			fingerprint: "9a3a5181ad4c8c69", subsets: 502, pairs: 1024, glueCalls: 24513, veneers: 138776, retained: 13629, slow: true},
+			fingerprint: "9a3a5181ad4c8c69", subsets: 502, pairs: 1024, glueCalls: 16385, veneers: 31424, retained: 25433, slow: true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			if tc.slow && testing.Short() {

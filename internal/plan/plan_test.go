@@ -388,6 +388,13 @@ func TestDominates(t *testing.T) {
 	if Dominates(base, cheapRescan) {
 		t.Error("a cheap-rescan plan is shielded")
 	}
+	narrow := &Props{Cost: Cost{Total: 11}, Rescan: Cost{Total: 11}, Rel: &Rel{Width: 16}}
+	if Dominates(&Props{Cost: Cost{Total: 5}, Rescan: Cost{Total: 5}, Rel: &Rel{Width: 24}}, narrow) {
+		t.Error("a narrower plan is shielded: every SORT or STORE above it is cheaper")
+	}
+	if !Dominates(&Props{Cost: Cost{Total: 5}, Rescan: Cost{Total: 5}, Rel: &Rel{Width: 16}}, narrow) {
+		t.Error("a cheaper plan of the same width dominates")
+	}
 }
 
 // TestDominatesIsAntisymmetricUnderStrictCost property-checks that two
