@@ -198,19 +198,25 @@ func (r *Registry) Counter(name string) *Counter {
 	if r == nil {
 		return nil
 	}
+	return getOrCreate(r, r.counters, name)
+}
+
+// getOrCreate returns the series m holds under name, creating it under r's
+// write lock on first use.
+func getOrCreate[T any](r *Registry, m map[string]*T, name string) *T {
 	r.mu.RLock()
-	c := r.counters[name]
+	v := m[name]
 	r.mu.RUnlock()
-	if c != nil {
-		return c
+	if v != nil {
+		return v
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if c = r.counters[name]; c == nil {
-		c = &Counter{}
-		r.counters[name] = c
+	if v = m[name]; v == nil {
+		v = new(T)
+		m[name] = v
 	}
-	return c
+	return v
 }
 
 // Counters snapshots every counter's current value by name. Nil registry
@@ -266,19 +272,7 @@ func (r *Registry) FloatGauge(name string) *FloatGauge {
 	if r == nil {
 		return nil
 	}
-	r.mu.RLock()
-	g := r.fgauges[name]
-	r.mu.RUnlock()
-	if g != nil {
-		return g
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if g = r.fgauges[name]; g == nil {
-		g = &FloatGauge{}
-		r.fgauges[name] = g
-	}
-	return g
+	return getOrCreate(r, r.fgauges, name)
 }
 
 // Gauge returns (creating on first use) the named gauge.
@@ -286,19 +280,7 @@ func (r *Registry) Gauge(name string) *Gauge {
 	if r == nil {
 		return nil
 	}
-	r.mu.RLock()
-	g := r.gauges[name]
-	r.mu.RUnlock()
-	if g != nil {
-		return g
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if g = r.gauges[name]; g == nil {
-		g = &Gauge{}
-		r.gauges[name] = g
-	}
-	return g
+	return getOrCreate(r, r.gauges, name)
 }
 
 // Histogram returns (creating on first use) the named histogram.
@@ -306,19 +288,7 @@ func (r *Registry) Histogram(name string) *Histogram {
 	if r == nil {
 		return nil
 	}
-	r.mu.RLock()
-	h := r.histos[name]
-	r.mu.RUnlock()
-	if h != nil {
-		return h
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if h = r.histos[name]; h == nil {
-		h = &Histogram{}
-		r.histos[name] = h
-	}
-	return h
+	return getOrCreate(r, r.histos, name)
 }
 
 // splitName separates a metric name from its literal label block:
@@ -352,10 +322,10 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		return nil
 	}
 	r.mu.RLock()
-	counterNames := sortedKeysC(r.counters)
-	gaugeNames := sortedKeysG(r.gauges)
-	fgaugeNames := sortedKeysF(r.fgauges)
-	histoNames := sortedKeysH(r.histos)
+	counterNames := sortedKeys(r.counters)
+	gaugeNames := sortedKeys(r.gauges)
+	fgaugeNames := sortedKeys(r.fgauges)
+	histoNames := sortedKeys(r.histos)
 	r.mu.RUnlock()
 
 	typed := map[string]bool{}
@@ -437,34 +407,8 @@ func formatSeconds(s float64) string {
 	return fmt.Sprintf("%g", s)
 }
 
-func sortedKeysC(m map[string]*Counter) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
-func sortedKeysF(m map[string]*FloatGauge) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
-func sortedKeysG(m map[string]*Gauge) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
-func sortedKeysH(m map[string]*Histogram) []string {
+// sortedKeys lists a series map's names in order.
+func sortedKeys[V any](m map[string]V) []string {
 	out := make([]string, 0, len(m))
 	for k := range m {
 		out = append(out, k)
