@@ -52,19 +52,20 @@ const (
 	KindLatency = "latency"
 )
 
+// The recorder's memory bounds: the global recent-request ring, each
+// template's rolling history, the distinct templates tracked (excess
+// templates are recorded in the ring only), and the in-memory incident store
+// (the oldest incident is dropped when full).
+const (
+	ringSize     = 128
+	historySize  = 32
+	maxTemplates = 256
+	maxIncidents = 32
+)
+
 // Config tunes the recorder and watchdog. The zero value is a sensible
 // always-on default; fields are only consulted at construction.
 type Config struct {
-	// RingSize bounds the global recent-request ring (default 128).
-	RingSize int
-	// HistorySize bounds each template's rolling history (default 32).
-	HistorySize int
-	// MaxTemplates bounds the number of distinct templates tracked
-	// (default 256); excess templates are recorded in the ring only.
-	MaxTemplates int
-	// MaxIncidents bounds the in-memory incident store (default 32);
-	// the oldest incident is dropped when full.
-	MaxIncidents int
 	// IncidentDir, when non-empty, also writes every incident bundle to
 	// <dir>/<id>.json.
 	IncidentDir string
@@ -92,18 +93,6 @@ type Config struct {
 
 // withDefaults fills zero fields.
 func (c Config) withDefaults() Config {
-	if c.RingSize <= 0 {
-		c.RingSize = 128
-	}
-	if c.HistorySize <= 0 {
-		c.HistorySize = 32
-	}
-	if c.MaxTemplates <= 0 {
-		c.MaxTemplates = 256
-	}
-	if c.MaxIncidents <= 0 {
-		c.MaxIncidents = 32
-	}
 	if c.LatencyFactor <= 0 {
 		c.LatencyFactor = 4
 	}
@@ -219,7 +208,7 @@ func (o *Observation) Kind() string {
 
 // history is one template's rolling record of successful optimizations.
 type history struct {
-	recs []Record // latest last, bounded by HistorySize
+	recs []Record // latest last, bounded by historySize
 }
 
 // baseline returns the mean wall latency over the history.
@@ -259,12 +248,12 @@ type Recorder struct {
 
 	mu        sync.Mutex
 	seq       int64
-	ring      []Record // rolling, capacity cfg.RingSize, oldest first
+	ring      []Record // rolling, capacity ringSize, oldest first
 	templates map[string]*history
 	order     []string // template first-seen order, for deterministic debug output
 
 	incSeq    int64
-	incidents []*Incident // bounded by cfg.MaxIncidents, oldest first
+	incidents []*Incident // bounded by maxIncidents, oldest first
 	byKind    map[string]int64
 	dropped   int64
 	writeErrs int64
@@ -310,7 +299,7 @@ func (r *Recorder) Observe(rec Record) Observation {
 		rec.RulesHash = r.cfg.RulesHash
 	}
 
-	if len(r.ring) == r.cfg.RingSize {
+	if len(r.ring) == ringSize {
 		copy(r.ring, r.ring[1:])
 		r.ring = r.ring[:len(r.ring)-1]
 	}
@@ -323,7 +312,7 @@ func (r *Recorder) Observe(rec Record) Observation {
 
 	h := r.templates[rec.Template]
 	if h == nil {
-		if len(r.templates) >= r.cfg.MaxTemplates {
+		if len(r.templates) >= maxTemplates {
 			return out
 		}
 		h = &history{}
@@ -374,7 +363,7 @@ func (r *Recorder) Observe(rec Record) Observation {
 		r.byKind[t.Kind]++
 	}
 
-	if len(h.recs) == r.cfg.HistorySize {
+	if len(h.recs) == historySize {
 		copy(h.recs, h.recs[1:])
 		h.recs = h.recs[:len(h.recs)-1]
 	}

@@ -197,8 +197,12 @@ func TestTriggerPriority(t *testing.T) {
 	}
 }
 
+// The recorder's fixed bounds (ring, per-template history, templates,
+// incidents) that the tests below drive.
+const ringSize, historySize, maxTemplates, maxIncidents = 128, 32, 256, 32
+
 func TestFailuresRingOnlyAndBounds(t *testing.T) {
-	r := newRecorder(t, flight.Config{RingSize: 4, HistorySize: 2, MaxTemplates: 2})
+	r := newRecorder(t, flight.Config{})
 	// Failures enter the ring but never the history.
 	bad := flight.Record{Template: "Q", SQL: "Q", Status: 400}
 	if o := r.Observe(bad); o.Prev != nil || len(o.Triggers) != 0 {
@@ -208,37 +212,38 @@ func TestFailuresRingOnlyAndBounds(t *testing.T) {
 		t.Fatalf("failure created a template history (%d)", got)
 	}
 	// Ring is bounded and ordered oldest-first.
-	for i := 0; i < 6; i++ {
+	for i := 0; i < ringSize+2; i++ {
 		r.Observe(rec("Q", "fp1", time.Millisecond))
 	}
 	ring := r.Recent()
-	if len(ring) != 4 {
-		t.Fatalf("ring len = %d, want 4", len(ring))
+	if len(ring) != ringSize {
+		t.Fatalf("ring len = %d, want %d", len(ring), ringSize)
 	}
 	for i := 1; i < len(ring); i++ {
 		if ring[i].Seq != ring[i-1].Seq+1 {
 			t.Fatalf("ring not sequential: %+v", ring)
 		}
 	}
-	// History bounded: baseline reflects only the last HistorySize records.
-	r.Observe(rec("Q", "fp1", 5*time.Millisecond))
-	r.Observe(rec("Q", "fp1", 5*time.Millisecond))
-	o := r.Observe(rec("Q", "fp1", 5*time.Millisecond))
-	if o.Samples != 2 || o.BaselineNS != float64(5*time.Millisecond) {
+	// History bounded: baseline reflects only the last historySize records.
+	var o flight.Observation
+	for i := 0; i <= historySize; i++ {
+		o = r.Observe(rec("Q", "fp1", 5*time.Millisecond))
+	}
+	if o.Samples != historySize || o.BaselineNS != float64(5*time.Millisecond) {
 		t.Fatalf("history not bounded: samples=%d baseline=%v", o.Samples, o.BaselineNS)
 	}
-	// Template census bounded: a third template is ring-only.
-	r.Observe(rec("Q2", "fp1", time.Millisecond))
-	r.Observe(rec("Q3", "fp1", time.Millisecond))
-	r.Observe(rec("Q4", "fp1", time.Millisecond))
-	if got := r.Stats().Templates; got != 2 {
-		t.Fatalf("templates = %d, want 2 (bounded)", got)
+	// Template census bounded: templates past the cap are ring-only.
+	for i := 2; i <= maxTemplates+2; i++ {
+		r.Observe(rec(fmt.Sprintf("Q%d", i), "fp1", time.Millisecond))
+	}
+	if got := r.Stats().Templates; got != maxTemplates {
+		t.Fatalf("templates = %d, want %d (bounded)", got, maxTemplates)
 	}
 }
 
 func TestIncidentStoreBounds(t *testing.T) {
-	r := newRecorder(t, flight.Config{MaxIncidents: 2, QErrorThreshold: 1})
-	for i := 0; i < 3; i++ {
+	r := newRecorder(t, flight.Config{QErrorThreshold: 1})
+	for i := 0; i <= maxIncidents; i++ {
 		n := rec("Q", "fp1", time.Millisecond)
 		n.Executed, n.MaxQError = true, 10
 		o := r.Observe(n)
@@ -247,17 +252,18 @@ func TestIncidentStoreBounds(t *testing.T) {
 		}
 	}
 	incs := r.Incidents()
-	if len(incs) != 2 {
-		t.Fatalf("store len = %d, want 2", len(incs))
+	if len(incs) != maxIncidents {
+		t.Fatalf("store len = %d, want %d", len(incs), maxIncidents)
 	}
-	if incs[0].ID != "inc-000002-qerror" || incs[1].ID != "inc-000003-qerror" {
-		t.Fatalf("wrong survivors: %s, %s", incs[0].ID, incs[1].ID)
+	last := fmt.Sprintf("inc-%06d-qerror", maxIncidents+1)
+	if incs[0].ID != "inc-000002-qerror" || incs[len(incs)-1].ID != last {
+		t.Fatalf("wrong survivors: %s, %s", incs[0].ID, incs[len(incs)-1].ID)
 	}
 	st := r.Stats()
-	if st.IncidentsTotal != 3 || st.Dropped != 1 || st.Incidents != 2 {
+	if st.IncidentsTotal != maxIncidents+1 || st.Dropped != 1 || st.Incidents != maxIncidents {
 		t.Fatalf("stats = %+v", st)
 	}
-	if r.Incident("inc-000003-qerror") == nil || r.Incident("inc-000001-qerror") != nil {
+	if r.Incident(last) == nil || r.Incident("inc-000001-qerror") != nil {
 		t.Fatal("Incident lookup wrong")
 	}
 }
@@ -467,7 +473,7 @@ func TestReplayErrors(t *testing.T) {
 func TestObserveConcurrent(t *testing.T) {
 	// Hammer one recorder from many goroutines; bounds hold and the
 	// census adds up. Run with -race for the memory-model half.
-	r := newRecorder(t, flight.Config{RingSize: 8, HistorySize: 4})
+	r := newRecorder(t, flight.Config{})
 	done := make(chan struct{})
 	for w := 0; w < 8; w++ {
 		go func(w int) {
@@ -485,7 +491,7 @@ func TestObserveConcurrent(t *testing.T) {
 	if st.Records != 400 || st.Templates != 8 {
 		t.Fatalf("stats = %+v", st)
 	}
-	if len(r.Recent()) != 8 {
+	if len(r.Recent()) != ringSize {
 		t.Fatalf("ring overflowed: %d", len(r.Recent()))
 	}
 }

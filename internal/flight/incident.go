@@ -128,7 +128,7 @@ func (r *Recorder) File(o Observation, cap Capture) (*Incident, error) {
 		Capture:    cap,
 		Ring:       append([]Record(nil), r.ring...),
 	}
-	if len(r.incidents) == r.cfg.MaxIncidents {
+	if len(r.incidents) == maxIncidents {
 		copy(r.incidents, r.incidents[1:])
 		r.incidents = r.incidents[:len(r.incidents)-1]
 		r.dropped++
