@@ -61,7 +61,7 @@ func main() {
 
 		fmt.Printf("═══ star%d, %s — best plan %s, cost %.0f ═══\n\n",
 			*k, run.name, res.Best.Fingerprint(), res.Best.Props.Cost.Total)
-		fmt.Print(p.Format(*top))
+		fmt.Print(stars.FormatProfile(p, *top))
 		fmt.Println()
 	}
 	fmt.Println("Both runs produced identical phase/rule tallies — the determinism")

@@ -19,7 +19,11 @@ func ledgerOf(gl *Gluer, sink *obs.Sink) ledger {
 	if gl.Table.base != nil {
 		offered += gl.Table.base.Inserted
 	}
-	return ledger{gl.Stats.Veneers, sink.Prof().Snapshot().Activities[obs.ActCost].Count, offered}
+	var priced int64
+	if p := sink.Prof().Profile(); p != nil {
+		priced = p.Activities[obs.ActCost].Count
+	}
+	return ledger{gl.Stats.Veneers, priced, offered}
 }
 
 // laOrderedTemp is a requirement no DEPT access plan meets: every candidate

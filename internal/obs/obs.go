@@ -257,7 +257,7 @@ func (s *Sink) Absorb(child *Sink) {
 		return
 	}
 	s.reg.Merge(child.Registry())
-	s.prof.merge(child.prof)
+	s.prof.absorb(child.prof)
 }
 
 // Tag returns the sink's request id ("" for untagged and nil sinks).

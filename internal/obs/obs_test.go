@@ -347,7 +347,7 @@ func TestChildAbsorb(t *testing.T) {
 		if !strings.Contains(b.String(), `star_rule_seconds_count{name="JoinRoot"} 1`) {
 			t.Fatalf("tracing=%v: the child's span histogram did not merge:\n%s", parent.Tracing(), b.String())
 		}
-		snap := parent.Prof().Snapshot()
+		snap := talliesOf(parent.Prof())
 		if snap.Rules["JoinRoot"].Count != 1 || snap.Activities[ActGuard].Count != 2 {
 			t.Fatalf("tracing=%v: merged profile %+v, guard %+v", parent.Tracing(), snap.Rules["JoinRoot"], snap.Activities[ActGuard])
 		}

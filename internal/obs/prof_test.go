@@ -2,6 +2,7 @@ package obs
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -13,6 +14,30 @@ func fakeAllocs(p *Prof) *int64 {
 	v := new(int64)
 	p.allocFn = func() int64 { return *v }
 	return v
+}
+
+// tallies is a profile's rows keyed by name, the shape these tests read.
+type tallies struct {
+	Phases, Rules, Spans map[string]Figures
+	Activities           []ActivityRow
+	Ranks                []Rank
+}
+
+// talliesOf keys p's rows.
+func talliesOf(p *Prof) tallies {
+	t := tallies{Phases: map[string]Figures{}, Rules: map[string]Figures{}, Spans: map[string]Figures{}}
+	rows := p.Profile()
+	for _, r := range rows.Phases {
+		t.Phases[r.Phase] = r.Figures
+	}
+	for _, r := range rows.Rules {
+		t.Rules[r.Name] = r.Figures
+	}
+	for _, r := range rows.Spans {
+		t.Spans[r.Name] = r.Figures
+	}
+	t.Activities, t.Ranks = rows.Activities, rows.Ranks
+	return t
 }
 
 // TestProfSelfTime drives the span stack with synthetic timestamps and
@@ -35,7 +60,7 @@ func TestProfSelfTime(t *testing.T) {
 	*alloc = 11 // 1 more alloc in R1's tail
 	p.spanEnd(EvRule, 100)
 
-	snap := p.Snapshot()
+	snap := talliesOf(p)
 	r1 := snap.Rules["R1"]
 	if r1.Count != 1 || r1.SelfNS != 60 || r1.TotalNS != 100 || r1.Allocs != 3 {
 		t.Fatalf("R1 = %+v, want count=1 self=60 total=100 allocs=3", r1)
@@ -62,7 +87,7 @@ func TestProfPhaseDimension(t *testing.T) {
 	p.spanBegin(EvPhase, "join-2", 50)
 	p.spanEnd(EvPhase, 90)
 
-	snap := p.Snapshot()
+	snap := talliesOf(p)
 	// Phases do not nest: rule spans must not subtract from phase self.
 	if ph := snap.Phases["access"]; ph.SelfNS != 50 || ph.TotalNS != 50 || ph.Count != 1 {
 		t.Fatalf("access = %+v, want self=50 total=50 count=1", ph)
@@ -102,7 +127,7 @@ func TestProfChildAbsorbConcurrent(t *testing.T) {
 				sp.End(1)
 				c.Registry().Counter("work_total").Add(1)
 			}
-			c.ProfRank(RankSample{Rank: id, Tasks: M, Workers: 1, BusyNS: []int64{int64(id)}})
+			c.ProfRank(Rank{Rank: id, Tasks: M, Workers: 1, BusyNS: []int64{int64(id)}})
 		}(c, i)
 	}
 	wg.Wait()
@@ -110,7 +135,7 @@ func TestProfChildAbsorbConcurrent(t *testing.T) {
 		parent.Absorb(c)
 	}
 
-	snap := parent.Prof().Snapshot()
+	snap := talliesOf(parent.Prof())
 	if got := snap.Rules["JoinRoot"].Count; got != K*M {
 		t.Fatalf("merged rule count = %d, want %d", got, K*M)
 	}
@@ -138,7 +163,7 @@ func TestProfPublishMetricsDeltas(t *testing.T) {
 	p.spanEnd(EvPhase, 40)
 	p.spanBegin(EvPhase, "join-3", 40)
 	p.spanEnd(EvPhase, 100)
-	p.addRank(RankSample{Rank: 2, Tasks: 3, Workers: 2, ExecNS: 50, BusyNS: []int64{30, 40}})
+	p.addRank(Rank{Rank: 2, Tasks: 3, Workers: 2, ExecNS: 50, BusyNS: []int64{30, 40}})
 
 	reg := NewRegistry()
 	p.PublishMetrics(reg)
@@ -194,7 +219,7 @@ func TestProfDisabledZeroAlloc(t *testing.T) {
 	var nilSink *Sink
 	if n := testing.AllocsPerRun(100, func() {
 		nilSink.ProfActivity(ActCost, time.Microsecond, 1)
-		nilSink.ProfRank(RankSample{})
+		nilSink.ProfRank(Rank{})
 	}); n != 0 {
 		t.Fatalf("nil-sink prof path allocates %v/op, want 0", n)
 	}
@@ -212,7 +237,7 @@ func TestProfMetricNamesCoverPublished(t *testing.T) {
 	for _, ph := range []string{"parse", "prepare", "access", "join-7", "root", "finalize"} {
 		p.addPhase(ph, 1, 1)
 	}
-	p.addRank(RankSample{Rank: 2, Tasks: 1, Workers: 1, BusyNS: []int64{1}})
+	p.addRank(Rank{Rank: 2, Tasks: 1, Workers: 1, BusyNS: []int64{1}})
 	reg := NewRegistry()
 	p.PublishMetrics(reg)
 	for series := range reg.Counters() {
@@ -237,5 +262,119 @@ func TestHeapAllocsMonotonic(t *testing.T) {
 	_ = fmt.Sprint(len(sink[0]))
 	if b := HeapAllocs(); b < a+100 {
 		t.Fatalf("HeapAllocs did not advance: before %d after %d", a, b)
+	}
+}
+
+// sampleProfile records, through the accumulator, six phases out of display
+// order, two rules (AccessRoot with more self-time, JoinRoot wrapping a Glue
+// call), a guard meter and two samples of rank 2, and returns its rows.
+func sampleProfile() *Profile {
+	p := newProf(ProfOptions{})
+	fakeAllocs(p)
+	for _, ph := range []struct {
+		name       string
+		ns, allocs int64
+	}{{"finalize", 5, 1}, {"access", 30, 10}, {"join-2", 50, 20}, {"join-10", 40, 15}, {"prepare", 10, 2}, {"root", 15, 3}} {
+		p.addPhase(ph.name, time.Duration(ph.ns), ph.allocs)
+	}
+	p.spanBegin(EvRule, "AccessRoot", 0)
+	p.spanEnd(EvRule, 90)
+	p.spanBegin(EvRule, "JoinRoot", 100)
+	p.spanBegin(EvGlue, "", 150)
+	p.spanEnd(EvGlue, 190)
+	p.spanEnd(EvRule, 220)
+	p.activity(ActGuard, 1000, 100)
+	p.addRank(Rank{Rank: 2, Tasks: 4, Workers: 2, WallNS: 100, CollectNS: 5, ExecNS: 80, AbsorbNS: 15, BusyNS: []int64{60, 20}})
+	p.addRank(Rank{Rank: 2, Tasks: 2, Workers: 2, WallNS: 50, CollectNS: 2, ExecNS: 40, AbsorbNS: 8, BusyNS: []int64{30, 30}})
+	return p.Profile()
+}
+
+func phaseSums(p *Profile) (self, allocs int64) {
+	for _, ph := range p.Phases {
+		self += ph.SelfNS
+		allocs += ph.Allocs
+	}
+	return self, allocs
+}
+
+// TestProfileDerivations checks what a profile reads after recording: phases
+// in pipeline order with join ranks numeric, rules by self-time, the samples
+// of one rank folded into one row with its derived idle and imbalance
+// figures, and the activity meters in enum order.
+func TestProfileDerivations(t *testing.T) {
+	p := sampleProfile()
+
+	var order []string
+	for _, ph := range p.Phases {
+		order = append(order, ph.Phase)
+	}
+	want := []string{"prepare", "access", "join-2", "join-10", "root", "finalize"}
+	if strings.Join(order, ",") != strings.Join(want, ",") {
+		t.Fatalf("phase order = %v, want %v", order, want)
+	}
+
+	if p.Rules[0].Name != "AccessRoot" || p.Rules[1].Name != "JoinRoot" {
+		t.Fatalf("rule order = %+v, want AccessRoot first", p.Rules)
+	}
+	if r := p.Rules[1]; r.SelfNS != 80 || r.TotalNS != 120 {
+		t.Fatalf("JoinRoot = %+v, want self=80 total=120", r)
+	}
+
+	if self, allocs := phaseSums(p); self != 150 || allocs != 51 {
+		t.Fatalf("phase sums = %d ns, %d allocs; want 150, 51", self, allocs)
+	}
+
+	// Two samples of rank 2 aggregate: busy 60+20+30+30=140, max 60+30=90,
+	// idle = 2*120-140 = 100, imbalance = 90/(140/2) ≈ 1.286.
+	if len(p.Ranks) != 1 {
+		t.Fatalf("ranks = %+v, want one aggregated row", p.Ranks)
+	}
+	r := p.Ranks[0]
+	if r.Tasks != 6 || r.BusyTotalNS != 140 || r.BusyMaxNS != 90 || r.IdleNS != 100 || len(r.BusyNS) != 4 {
+		t.Fatalf("rank agg = %+v, want tasks=6 busyTotal=140 busyMax=90 idle=100 and 4 busy entries", r)
+	}
+	if r.Imbalance < 1.28 || r.Imbalance > 1.29 {
+		t.Fatalf("imbalance = %f, want ~1.286", r.Imbalance)
+	}
+
+	if p.Activities[0].Name != ActGuard.String() || p.Activities[0].Count != 100 || len(p.Activities) != int(NumActivities) {
+		t.Fatalf("activities = %+v", p.Activities)
+	}
+}
+
+// TestProfileMergeAndClone checks Merge adds every figure by key, drops the
+// per-worker busy vector of a rank row two runs fold into, and leaves the
+// source of a Clone untouched; and that a warm aggregate folds a profile of
+// rows it has seen without allocating.
+func TestProfileMergeAndClone(t *testing.T) {
+	a := sampleProfile()
+	a.ElapsedNS, a.Allocs = 1000, 500
+	b := sampleProfile()
+	b.ElapsedNS, b.Allocs = 200, 100
+
+	c := a.Clone()
+	c.Merge(b)
+	if c.ElapsedNS != 1200 || c.Allocs != 600 {
+		t.Fatalf("merged totals = %d/%d, want 1200/600", c.ElapsedNS, c.Allocs)
+	}
+	if self, _ := phaseSums(c); self != 300 {
+		t.Fatalf("merged phase self sum = %d, want 300", self)
+	}
+	for _, r := range c.Rules {
+		if r.Name == "JoinRoot" && r.Count != 2 {
+			t.Fatalf("merged JoinRoot count = %d, want 2", r.Count)
+		}
+	}
+	if r := c.Ranks[0]; r.Tasks != 12 || r.BusyTotalNS != 280 || r.BusyNS != nil {
+		t.Fatalf("merged rank = %+v, want tasks=12 busyTotal=280 and no busy vector", r)
+	}
+	if self, _ := phaseSums(a); self != 150 || a.Ranks[0].Tasks != 6 || len(a.Ranks[0].BusyNS) != 4 {
+		t.Fatal("Merge mutated the Clone source")
+	}
+
+	agg := &Profile{}
+	agg.Merge(a)
+	if n := testing.AllocsPerRun(100, func() { agg.Merge(b) }); n != 0 {
+		t.Fatalf("warm Merge allocates %v/op, want 0", n)
 	}
 }

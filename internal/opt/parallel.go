@@ -155,7 +155,7 @@ func (o *Optimizer) enumerate(g *query.Graph, en *star.Engine, gl *glue.Gluer, t
 			w.used = 0 // the next rank's tasks reuse the overlays
 		}
 		if profiled {
-			sink.ProfRank(obs.RankSample{
+			sink.ProfRank(obs.Rank{
 				Rank:      size,
 				Tasks:     len(tasks),
 				Workers:   len(busy),

@@ -105,7 +105,7 @@ func assertEquivalentAt(t *testing.T, cat *catalog.Catalog, mkGraph func() *quer
 	for _, d := range diffCounts(mergedCounts(t, serialSink), mergedCounts(t, parSink)) {
 		t.Errorf("merged count %s", d)
 	}
-	for _, r := range parSink.Prof().Snapshot().Ranks {
+	for _, r := range talliesOf(parSink).Ranks {
 		if r.Workers != min(workers, r.Tasks) {
 			t.Errorf("rank %d ran %d tasks on %d workers, want %d", r.Rank, r.Tasks, r.Workers, min(workers, r.Tasks))
 		}
@@ -146,8 +146,8 @@ func mergedCounts(t *testing.T, sink *obs.Sink) map[string]int64 {
 			out[name] = n
 		}
 	}
-	snap := sink.Prof().Snapshot()
-	for dim, m := range map[string]map[string]obs.ProfEntry{"phase ": snap.Phases, "rule ": snap.Rules, "span ": snap.Spans} {
+	snap := talliesOf(sink)
+	for dim, m := range map[string]map[string]obs.Figures{"phase ": snap.Phases, "rule ": snap.Rules, "span ": snap.Spans} {
 		for k, e := range m {
 			out[dim+k] = e.Count
 		}
@@ -199,7 +199,7 @@ func TestTracingEnumeratesOnOneWorker(t *testing.T) {
 			t.Fatalf("event %d diverges\nserial:   %s\nparallel: %s", i, sl[i], pl[i])
 		}
 	}
-	ranks := par.Prof().Snapshot().Ranks
+	ranks := talliesOf(par).Ranks
 	if len(ranks) == 0 {
 		t.Fatal("no rank telemetry")
 	}

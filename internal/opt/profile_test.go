@@ -8,9 +8,37 @@ import (
 	"stars/internal/workload"
 )
 
+// tallies is a profile's rows keyed by name, the shape these tests read.
+type tallies struct {
+	Phases, Rules, Spans map[string]obs.Figures
+	Activities           []obs.ActivityRow
+	Ranks                []obs.Rank
+}
+
+// talliesOf keys the profile accumulated on sink; empty when no profiler is
+// attached.
+func talliesOf(sink *obs.Sink) tallies {
+	t := tallies{Phases: map[string]obs.Figures{}, Rules: map[string]obs.Figures{}, Spans: map[string]obs.Figures{}}
+	p := sink.Prof().Profile()
+	if p == nil {
+		return t
+	}
+	for _, r := range p.Phases {
+		t.Phases[r.Phase] = r.Figures
+	}
+	for _, r := range p.Rules {
+		t.Rules[r.Name] = r.Figures
+	}
+	for _, r := range p.Spans {
+		t.Spans[r.Name] = r.Figures
+	}
+	t.Activities, t.Ranks = p.Activities, p.Ranks
+	return t
+}
+
 // profiledRun optimizes the star-k workload with a profiler attached at the
-// given parallelism and returns the accumulator snapshot.
-func profiledRun(t *testing.T, k, parallelism int) obs.ProfSnapshot {
+// given parallelism and returns its profile's tallies.
+func profiledRun(t *testing.T, k, parallelism int) tallies {
 	t.Helper()
 	sink := obs.NewMetricsSink()
 	sink.EnableProf(obs.ProfOptions{})
@@ -18,13 +46,13 @@ func profiledRun(t *testing.T, k, parallelism int) obs.ProfSnapshot {
 	if _, err := o.Optimize(workload.StarQuery(k)); err != nil {
 		t.Fatalf("optimize (parallelism=%d): %v", parallelism, err)
 	}
-	return sink.Prof().Snapshot()
+	return talliesOf(sink)
 }
 
-// counts projects a snapshot down to its deterministic fields: span counts
-// per key and activity operation counts. Durations and allocation figures
-// are wall-clock-dependent and excluded by design.
-func counts(s obs.ProfSnapshot) map[string]int64 {
+// counts projects the tallies down to their deterministic fields: span
+// counts per key and activity operation counts. Durations and allocation
+// figures are wall-clock-dependent and excluded by design.
+func counts(s tallies) map[string]int64 {
 	out := map[string]int64{}
 	for k, e := range s.Phases {
 		out["phase/"+k] = e.Count
@@ -82,7 +110,7 @@ func TestProfilePhasesCoverElapsed(t *testing.T) {
 		t.Fatal(err)
 	}
 	elapsed := time.Since(start).Nanoseconds()
-	snap := sink.Prof().Snapshot()
+	snap := talliesOf(sink)
 	var sum int64
 	for _, e := range snap.Phases {
 		sum += e.SelfNS
@@ -145,7 +173,7 @@ func TestProfileAllocAttributionSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 	total := obs.HeapAllocs() - a0
-	snap := sink.Prof().Snapshot()
+	snap := talliesOf(sink)
 	var sum int64
 	for _, e := range snap.Phases {
 		sum += e.Allocs
@@ -176,7 +204,7 @@ func TestProfileDisabledKeepsHotPathAllocFree(t *testing.T) {
 	if res.Obs.Prof() != nil {
 		t.Fatal("result sink grew a profiler")
 	}
-	if len(sink.Prof().Snapshot().Phases) != 0 {
+	if len(talliesOf(sink).Phases) != 0 {
 		t.Fatal("nil profiler snapshot not empty")
 	}
 }

@@ -63,7 +63,7 @@ func TestTiersAgree(t *testing.T) {
 					t.Fatalf("%s par=%d: %v", w.name, par, err)
 				}
 				var phases []string
-				for ph := range sink.Prof().Snapshot().Phases {
+				for ph := range talliesOf(sink).Phases {
 					phases = append(phases, ph)
 				}
 				sort.Strings(phases)

@@ -1,9 +1,8 @@
-// Package prof is the analysis half of the optimizer's self-profiler: it
-// turns the raw accumulators internal/obs collects (phase/rule/span
-// tallies, activity meters, per-rank parallel telemetry) into sorted,
-// derived, renderable reports — the `stars/profile/v1` JSON document and
-// the text tables `starburst profile`, `starbench -profile`, and the serve
-// daemon's GET /profile share.
+// Package prof renders the optimizer's self-profile: the rows internal/obs
+// records and folds (obs.Profile — phase/rule/span tallies, activity
+// meters, per-rank parallel telemetry) as the `stars/profile/v1` JSON
+// document and the text tables `starburst profile`, `starbench -profile`,
+// and the serve daemon's GET /profile share.
 //
 // Reading the numbers: self_ns is wall time inside a key excluding nested
 // profiled work of the same dimension, so phase self-times partition the
@@ -20,7 +19,6 @@ package prof
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -30,316 +28,26 @@ import (
 // SchemaV1 identifies the profile report JSON shape.
 const SchemaV1 = "stars/profile/v1"
 
-// Phase is one optimizer phase's tallies. Phases do not nest, so self and
-// total coincide; both are kept for shape-uniformity with Rule.
-type Phase struct {
-	Phase   string `json:"phase"`
-	Count   int64  `json:"count"`
-	SelfNS  int64  `json:"self_ns"`
-	TotalNS int64  `json:"total_ns"`
-	Allocs  int64  `json:"allocs"`
-}
+// Profile is one optimization run's (or an aggregate's) full attribution:
+// the rows internal/obs accumulates and folds with Merge.
+type Profile = obs.Profile
 
-// Rule is one STAR's (or other span key's) tallies with self-time
-// semantics.
-type Rule struct {
-	Name    string `json:"name"`
-	Count   int64  `json:"count"`
-	SelfNS  int64  `json:"self_ns"`
-	TotalNS int64  `json:"total_ns"`
-	Allocs  int64  `json:"allocs"`
-}
+// FromSink returns the profile accumulated by the profiler attached to s,
+// sorted for display; nil when no profiler is attached. The rows are the
+// profiler's own, so read them once the run is done. ElapsedNS and Allocs
+// are left for the caller, which owns the run brackets.
+func FromSink(s *obs.Sink) *Profile { return s.Prof().Profile() }
 
-// ActivityRow is one fine-grained operation meter.
-type ActivityRow struct {
-	Name  string `json:"name"`
-	Count int64  `json:"count"`
-	NS    int64  `json:"ns"`
-}
-
-// Rank is one parallel-enumeration rank's telemetry with derived
-// imbalance figures.
-type Rank struct {
-	Rank      int     `json:"rank"`
-	Tasks     int     `json:"tasks"`
-	Workers   int     `json:"workers"`
-	WallNS    int64   `json:"wall_ns"`
-	CollectNS int64   `json:"collect_ns"`
-	ExecNS    int64   `json:"exec_ns"`
-	AbsorbNS  int64   `json:"absorb_ns"`
-	BusyNS    []int64 `json:"busy_ns,omitempty"`
-	// BusyTotalNS sums worker busy time; BusyMaxNS is the slowest worker.
-	BusyTotalNS int64 `json:"busy_total_ns"`
-	BusyMaxNS   int64 `json:"busy_max_ns"`
-	// IdleNS is worker-seconds spent waiting inside the execution window:
-	// workers*exec_ns - busy_total_ns (clamped at zero).
-	IdleNS int64 `json:"idle_ns"`
-	// Imbalance is busy_max / (busy_total/workers); 1.0 is perfectly level.
-	Imbalance float64 `json:"imbalance"`
-}
-
-// Profile is one optimization run's (or an aggregate's) full attribution.
-type Profile struct {
-	// ElapsedNS and Allocs are the caller-measured run totals the phase
-	// figures are compared against.
-	ElapsedNS  int64         `json:"elapsed_ns"`
-	Allocs     int64         `json:"allocs"`
-	Phases     []Phase       `json:"phases"`
-	Rules      []Rule        `json:"rules"`
-	Spans      []Rule        `json:"spans,omitempty"`
-	Activities []ActivityRow `json:"activities"`
-	Ranks      []Rank        `json:"ranks,omitempty"`
-}
-
-// FromSink snapshots the profiler attached to s and derives a Profile.
-// Returns nil when no profiler is attached. ElapsedNS and Allocs are left
-// for the caller, which owns the run brackets.
-func FromSink(s *obs.Sink) *Profile {
-	p := s.Prof()
-	if p == nil {
-		return nil
-	}
-	return FromSnapshot(p.Snapshot())
-}
-
-// FromSnapshot derives a Profile from a raw accumulator snapshot.
-func FromSnapshot(snap obs.ProfSnapshot) *Profile {
-	p := &Profile{}
-	for name, e := range snap.Phases {
-		p.Phases = append(p.Phases, Phase{Phase: name, Count: e.Count, SelfNS: e.SelfNS, TotalNS: e.TotalNS, Allocs: e.Allocs})
-	}
-	for name, e := range snap.Rules {
-		p.Rules = append(p.Rules, Rule{Name: name, Count: e.Count, SelfNS: e.SelfNS, TotalNS: e.TotalNS, Allocs: e.Allocs})
-	}
-	for name, e := range snap.Spans {
-		p.Spans = append(p.Spans, Rule{Name: name, Count: e.Count, SelfNS: e.SelfNS, TotalNS: e.TotalNS, Allocs: e.Allocs})
-	}
-	for a := obs.Activity(0); a < obs.NumActivities; a++ {
-		t := snap.Activities[a]
-		p.Activities = append(p.Activities, ActivityRow{Name: a.String(), Count: t.Count, NS: t.NS})
-	}
-	ranks := map[int]*Rank{}
-	for _, r := range snap.Ranks {
-		agg := ranks[r.Rank]
-		if agg == nil {
-			agg = &Rank{Rank: r.Rank}
-			ranks[r.Rank] = agg
-		}
-		agg.Tasks += r.Tasks
-		if r.Workers > agg.Workers {
-			agg.Workers = r.Workers
-		}
-		agg.WallNS += r.WallNS
-		agg.CollectNS += r.CollectNS
-		agg.ExecNS += r.ExecNS
-		agg.AbsorbNS += r.AbsorbNS
-		var max int64
-		for _, b := range r.BusyNS {
-			agg.BusyTotalNS += b
-			if b > max {
-				max = b
-			}
-		}
-		agg.BusyMaxNS += max
-		agg.BusyNS = append(agg.BusyNS, r.BusyNS...)
-	}
-	for _, r := range ranks {
-		p.Ranks = append(p.Ranks, *r)
-	}
-	p.refresh()
-	return p
-}
-
-// Merge folds another profile into p (aggregation across workloads or
-// requests). Per-worker busy vectors are dropped on merge — worker
-// identities do not line up across runs — while the derived aggregates keep
-// summing.
-func (p *Profile) Merge(o *Profile) {
-	if o == nil {
-		return
-	}
-	p.ElapsedNS += o.ElapsedNS
-	p.Allocs += o.Allocs
-	p.Phases = mergePhases(p.Phases, o.Phases)
-	p.Rules = mergeRules(p.Rules, o.Rules)
-	p.Spans = mergeRules(p.Spans, o.Spans)
-	acts := map[string]*ActivityRow{}
-	for i := range p.Activities {
-		acts[p.Activities[i].Name] = &p.Activities[i]
-	}
-	for _, a := range o.Activities {
-		if e := acts[a.Name]; e != nil {
-			e.Count += a.Count
-			e.NS += a.NS
-		} else {
-			p.Activities = append(p.Activities, a)
-		}
-	}
-	ranks := map[int]*Rank{}
-	for i := range p.Ranks {
-		p.Ranks[i].BusyNS = nil
-		ranks[p.Ranks[i].Rank] = &p.Ranks[i]
-	}
-	for _, r := range o.Ranks {
-		e := ranks[r.Rank]
-		if e == nil {
-			r.BusyNS = nil
-			p.Ranks = append(p.Ranks, r)
-			continue
-		}
-		e.Tasks += r.Tasks
-		if r.Workers > e.Workers {
-			e.Workers = r.Workers
-		}
-		e.WallNS += r.WallNS
-		e.CollectNS += r.CollectNS
-		e.ExecNS += r.ExecNS
-		e.AbsorbNS += r.AbsorbNS
-		e.BusyTotalNS += r.BusyTotalNS
-		e.BusyMaxNS += r.BusyMaxNS
-	}
-	p.refresh()
-}
-
-// Clone deep-copies the profile (the serve daemon snapshots its rolling
-// aggregate under a lock and renders outside it).
-func (p *Profile) Clone() *Profile {
-	if p == nil {
-		return nil
-	}
-	c := *p
-	c.Phases = append([]Phase(nil), p.Phases...)
-	c.Rules = append([]Rule(nil), p.Rules...)
-	c.Spans = append([]Rule(nil), p.Spans...)
-	c.Activities = append([]ActivityRow(nil), p.Activities...)
-	c.Ranks = append([]Rank(nil), p.Ranks...)
-	for i := range c.Ranks {
-		c.Ranks[i].BusyNS = append([]int64(nil), c.Ranks[i].BusyNS...)
-	}
-	return &c
-}
-
-// refresh re-sorts the rows and recomputes derived rank figures.
-func (p *Profile) refresh() {
-	sort.Slice(p.Phases, func(i, j int) bool {
-		oi, oj := phaseOrder(p.Phases[i].Phase), phaseOrder(p.Phases[j].Phase)
-		if oi != oj {
-			return oi < oj
-		}
-		return p.Phases[i].Phase < p.Phases[j].Phase
-	})
-	sortRules(p.Rules)
-	sortRules(p.Spans)
-	sort.Slice(p.Ranks, func(i, j int) bool { return p.Ranks[i].Rank < p.Ranks[j].Rank })
-	for i := range p.Ranks {
-		r := &p.Ranks[i]
-		r.IdleNS = int64(r.Workers)*r.ExecNS - r.BusyTotalNS
-		if r.IdleNS < 0 {
-			r.IdleNS = 0
-		}
-		if r.Workers > 0 && r.BusyTotalNS > 0 {
-			r.Imbalance = float64(r.BusyMaxNS) / (float64(r.BusyTotalNS) / float64(r.Workers))
-		} else {
-			r.Imbalance = 0
-		}
-	}
-}
-
-func sortRules(rows []Rule) {
-	sort.Slice(rows, func(i, j int) bool {
-		if rows[i].SelfNS != rows[j].SelfNS {
-			return rows[i].SelfNS > rows[j].SelfNS
-		}
-		return rows[i].Name < rows[j].Name
-	})
-}
-
-func mergePhases(dst, src []Phase) []Phase {
-	idx := map[string]int{}
-	for i := range dst {
-		idx[dst[i].Phase] = i
-	}
-	for _, ph := range src {
-		if i, ok := idx[ph.Phase]; ok {
-			dst[i].Count += ph.Count
-			dst[i].SelfNS += ph.SelfNS
-			dst[i].TotalNS += ph.TotalNS
-			dst[i].Allocs += ph.Allocs
-		} else {
-			idx[ph.Phase] = len(dst)
-			dst = append(dst, ph)
-		}
-	}
-	return dst
-}
-
-func mergeRules(dst, src []Rule) []Rule {
-	idx := map[string]int{}
-	for i := range dst {
-		idx[dst[i].Name] = i
-	}
-	for _, r := range src {
-		if i, ok := idx[r.Name]; ok {
-			dst[i].Count += r.Count
-			dst[i].SelfNS += r.SelfNS
-			dst[i].TotalNS += r.TotalNS
-			dst[i].Allocs += r.Allocs
-		} else {
-			idx[r.Name] = len(dst)
-			dst = append(dst, r)
-		}
-	}
-	return dst
-}
-
-// phaseOrder pins the canonical phase display order: the pipeline order a
-// request actually flows through, with join ranks numeric.
-func phaseOrder(name string) int {
-	switch name {
-	case "parse":
-		return 0
-	case "prepare":
-		return 1
-	case "access":
-		return 2
-	case "root":
-		return 1 << 20
-	case "finalize":
-		return 1<<20 + 1
-	}
-	if k, ok := strings.CutPrefix(name, "join-"); ok {
-		if n, err := strconv.Atoi(k); err == nil {
-			return 100 + n
-		}
-	}
-	return 1<<20 + 2 // tool-defined phases trail
-}
-
-// PhaseSelfSum sums phase self-times — the figure compared against
-// ElapsedNS by the coverage assertion.
-func (p *Profile) PhaseSelfSum() int64 {
-	var sum int64
-	for _, ph := range p.Phases {
-		sum += ph.SelfNS
-	}
-	return sum
-}
-
-// PhaseAllocSum sums phase allocation attributions.
-func (p *Profile) PhaseAllocSum() int64 {
-	var sum int64
-	for _, ph := range p.Phases {
-		sum += ph.Allocs
-	}
-	return sum
-}
-
-// Format renders the profile as aligned text tables, listing at most topN
+// Format renders a profile as aligned text tables, listing at most topN
 // rules and spans (<=0 means all).
-func (p *Profile) Format(topN int) string {
+func Format(p *Profile, topN int) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "elapsed %s, %s allocs", fmtNS(p.ElapsedNS), fmtCount(p.Allocs))
-	if sum := p.PhaseSelfSum(); p.ElapsedNS > 0 {
+	if p.ElapsedNS > 0 {
+		var sum int64
+		for _, ph := range p.Phases {
+			sum += ph.SelfNS
+		}
 		fmt.Fprintf(&b, " (phases cover %.1f%%)", 100*float64(sum)/float64(p.ElapsedNS))
 	}
 	b.WriteString("\n\nPHASE         COUNT       SELF      %ELAPSED      ALLOCS\n")
@@ -377,7 +85,7 @@ func (p *Profile) Format(topN int) string {
 	return b.String()
 }
 
-func writeRuleTable(b *strings.Builder, title string, rows []Rule, topN int) {
+func writeRuleTable(b *strings.Builder, title string, rows []obs.Rule, topN int) {
 	if len(rows) == 0 {
 		return
 	}
@@ -423,7 +131,7 @@ func fmtCount(n int64) string {
 // WorkloadProfile names one workload's profile inside a report.
 type WorkloadProfile struct {
 	Name string `json:"name"`
-	Profile
+	*Profile
 }
 
 // Report is the stars/profile/v1 document: per-workload profiles plus the
@@ -445,9 +153,10 @@ func NewReport(gomaxprocs, parallelism int) *Report {
 	return &Report{Schema: SchemaV1, GOMAXPROCS: gomaxprocs, Parallelism: parallelism, Totals: &Profile{}}
 }
 
-// Add appends one workload's profile and folds it into the totals.
+// Add appends one workload's profile, kept by reference, and folds it into
+// the totals.
 func (r *Report) Add(name string, p *Profile) {
-	r.Workloads = append(r.Workloads, WorkloadProfile{Name: name, Profile: *p})
+	r.Workloads = append(r.Workloads, WorkloadProfile{Name: name, Profile: p})
 	r.Totals.Merge(p)
 }
 
@@ -470,6 +179,6 @@ func (r *Report) Format(topN int) string {
 		}
 	}
 	b.WriteString("\n═══ totals ═══\n")
-	b.WriteString(r.Totals.Format(topN))
+	b.WriteString(Format(r.Totals, topN))
 	return b.String()
 }

@@ -8,106 +8,22 @@ import (
 	"stars/internal/obs"
 )
 
-func sampleSnapshot() obs.ProfSnapshot {
-	s := obs.ProfSnapshot{
-		Phases: map[string]obs.ProfEntry{
-			"finalize": {Count: 1, SelfNS: 5, TotalNS: 5, Allocs: 1},
-			"access":   {Count: 1, SelfNS: 30, TotalNS: 30, Allocs: 10},
-			"join-2":   {Count: 1, SelfNS: 50, TotalNS: 50, Allocs: 20},
-			"join-10":  {Count: 1, SelfNS: 40, TotalNS: 40, Allocs: 15},
-			"prepare":  {Count: 1, SelfNS: 10, TotalNS: 10, Allocs: 2},
-			"root":     {Count: 1, SelfNS: 15, TotalNS: 15, Allocs: 3},
-		},
-		Rules: map[string]obs.ProfEntry{
-			"JoinRoot":   {Count: 10, SelfNS: 80, TotalNS: 120, Allocs: 40},
-			"AccessRoot": {Count: 3, SelfNS: 90, TotalNS: 95, Allocs: 12},
-		},
-		Spans: map[string]obs.ProfEntry{
-			"glue.call": {Count: 7, SelfNS: 33, TotalNS: 60, Allocs: 9},
-		},
-		Ranks: []obs.RankSample{
-			{Rank: 2, Tasks: 4, Workers: 2, WallNS: 100, CollectNS: 5, ExecNS: 80, AbsorbNS: 15, BusyNS: []int64{60, 20}},
-			{Rank: 2, Tasks: 2, Workers: 2, WallNS: 50, CollectNS: 2, ExecNS: 40, AbsorbNS: 8, BusyNS: []int64{30, 30}},
-		},
+// sampleProfile records a fixture through a profiled sink's public entry
+// points: phases, a guard meter and one parallel rank.
+func sampleProfile() *Profile {
+	s := obs.NewMetricsSink()
+	s.EnableProf(obs.ProfOptions{})
+	for _, ph := range []string{"prepare", "access", "join-2", "root", "finalize"} {
+		s.ProfPhase(ph, 30, 4)
 	}
-	s.Activities[obs.ActGuard] = obs.ProfActivity{Count: 100, NS: 1000}
-	return s
-}
-
-func TestFromSnapshotDerivations(t *testing.T) {
-	p := FromSnapshot(sampleSnapshot())
-
-	// Phases sort in pipeline order with join ranks numeric.
-	var order []string
-	for _, ph := range p.Phases {
-		order = append(order, ph.Phase)
-	}
-	want := []string{"prepare", "access", "join-2", "join-10", "root", "finalize"}
-	if strings.Join(order, ",") != strings.Join(want, ",") {
-		t.Fatalf("phase order = %v, want %v", order, want)
-	}
-
-	// Rules sort by self-time descending.
-	if p.Rules[0].Name != "AccessRoot" || p.Rules[1].Name != "JoinRoot" {
-		t.Fatalf("rule order = %+v, want AccessRoot first", p.Rules)
-	}
-
-	if got := p.PhaseSelfSum(); got != 150 {
-		t.Fatalf("PhaseSelfSum = %d, want 150", got)
-	}
-	if got := p.PhaseAllocSum(); got != 51 {
-		t.Fatalf("PhaseAllocSum = %d, want 51", got)
-	}
-
-	// Two samples of rank 2 aggregate: busy 60+20+30+30=140, max 60+30=90,
-	// idle = 2*120-140 = 100, imbalance = 90/(140/2) ≈ 1.286.
-	if len(p.Ranks) != 1 {
-		t.Fatalf("ranks = %+v, want one aggregated row", p.Ranks)
-	}
-	r := p.Ranks[0]
-	if r.Tasks != 6 || r.BusyTotalNS != 140 || r.BusyMaxNS != 90 || r.IdleNS != 100 {
-		t.Fatalf("rank agg = %+v, want tasks=6 busyTotal=140 busyMax=90 idle=100", r)
-	}
-	if r.Imbalance < 1.28 || r.Imbalance > 1.29 {
-		t.Fatalf("imbalance = %f, want ~1.286", r.Imbalance)
-	}
-
-	if p.Activities[0].Name != obs.ActGuard.String() || p.Activities[0].Count != 100 {
-		t.Fatalf("activities = %+v", p.Activities)
-	}
-}
-
-func TestMergeAndClone(t *testing.T) {
-	a := FromSnapshot(sampleSnapshot())
-	a.ElapsedNS, a.Allocs = 1000, 500
-	b := FromSnapshot(sampleSnapshot())
-	b.ElapsedNS, b.Allocs = 200, 100
-
-	c := a.Clone()
-	c.Merge(b)
-	if c.ElapsedNS != 1200 || c.Allocs != 600 {
-		t.Fatalf("merged totals = %d/%d, want 1200/600", c.ElapsedNS, c.Allocs)
-	}
-	if got := c.PhaseSelfSum(); got != 300 {
-		t.Fatalf("merged PhaseSelfSum = %d, want 300", got)
-	}
-	for _, r := range c.Rules {
-		if r.Name == "JoinRoot" && r.Count != 20 {
-			t.Fatalf("merged JoinRoot count = %d, want 20", r.Count)
-		}
-	}
-	if c.Ranks[0].Tasks != 12 {
-		t.Fatalf("merged rank tasks = %d, want 12", c.Ranks[0].Tasks)
-	}
-	// The clone's source must be untouched.
-	if a.PhaseSelfSum() != 150 || a.Ranks[0].Tasks != 6 {
-		t.Fatal("Merge mutated the Clone source")
-	}
+	s.ProfActivity(obs.ActGuard, 1000, 100)
+	s.ProfRank(obs.Rank{Rank: 2, Tasks: 4, Workers: 2, WallNS: 100, CollectNS: 5, ExecNS: 80, AbsorbNS: 15, BusyNS: []int64{60, 20}})
+	return FromSink(s)
 }
 
 func TestReportShape(t *testing.T) {
 	r := NewReport(2, 4)
-	p := FromSnapshot(sampleSnapshot())
+	p := sampleProfile()
 	p.ElapsedNS, p.Allocs = 150, 60
 	r.Add("star8", p)
 

@@ -83,7 +83,8 @@ func (s *Server) fileIncident(o flight.Observation, req OptimizeRequest, tmpl st
 // steady-state path — including, for a request that ran without the
 // search-step stream, optimizing the query a second time into a tracing
 // sink: optimization is deterministic, so the second run's trace and DAG
-// are the first's. The profile stays the original request's.
+// are the first's. The profile stays the original request's, copied: the
+// request's fold stamps its run totals on the sink's own rows afterwards.
 func (s *Server) captureRequest(req OptimizeRequest, tmpl string, sink *obs.Sink, res *opt.Result) flight.Capture {
 	w := s.cfg.Options.Weights
 	cap := flight.Capture{
@@ -101,7 +102,7 @@ func (s *Server) captureRequest(req OptimizeRequest, tmpl string, sink *obs.Sink
 			DisablePruning:    s.cfg.Options.DisablePruning,
 			WeightIO:          w.IO, WeightCPU: w.CPU, WeightMsg: w.Msg, WeightByte: w.Byte,
 		},
-		Profile: prof.FromSink(sink),
+		Profile: prof.FromSink(sink).Clone(),
 	}
 	if b, err := s.cfg.Catalog.MarshalJSONIndent(); err == nil {
 		cap.Catalog = b
