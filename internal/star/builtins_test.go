@@ -13,7 +13,7 @@ import (
 
 // builderEngine wires an engine over EMP/DEPT-like tables for exercising
 // the real LOLEPOP builders directly.
-func builderEngine(t *testing.T) *Engine {
+func builderEngine(t testing.TB) *Engine {
 	t.Helper()
 	cat := catalog.New()
 	cat.AddTable(&catalog.Table{
