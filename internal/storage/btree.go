@@ -51,29 +51,18 @@ func (b *BTree) Pages() int64 { return b.nodes }
 // Height returns the tree height (1 for a lone leaf).
 func (b *BTree) Height() int { return b.height }
 
+// keyCmp compares two keys column by column over their common length, so
+// a full key compares equal to each of its prefixes.
 func keyCmp(a, b datum.Row) int {
 	n := len(a)
 	if len(b) < n {
 		n = len(b)
 	}
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	return datum.CompareRows(a, b, idx)
-}
-
-// prefixCmp compares a full key against a (possibly shorter) prefix.
-func prefixCmp(key, prefix datum.Row) int {
-	n := len(prefix)
-	if len(key) < n {
-		n = len(key)
-	}
 	for i := 0; i < n; i++ {
-		if key[i].Less(prefix[i]) {
+		if a[i].Less(b[i]) {
 			return -1
 		}
-		if prefix[i].Less(key[i]) {
+		if b[i].Less(a[i]) {
 			return 1
 		}
 	}
@@ -180,7 +169,7 @@ func (n *btreeNode) routePrefixLow(prefix datum.Row) int {
 	lo, hi := 0, len(n.keys)
 	for lo < hi {
 		mid := (lo + hi) / 2
-		if prefixCmp(n.keys[mid], prefix) < 0 {
+		if keyCmp(n.keys[mid], prefix) < 0 {
 			lo = mid + 1
 		} else {
 			hi = mid
@@ -205,7 +194,7 @@ func (b *BTree) ScanPrefix(prefix datum.Row, ctr *Counters, fn func(Entry) bool)
 	for n != nil {
 		ctr.readIndexPage(n)
 		for _, e := range n.entries {
-			c := prefixCmp(e.Key, prefix)
+			c := keyCmp(e.Key, prefix)
 			if c < 0 {
 				continue
 			}
@@ -236,10 +225,10 @@ func (b *BTree) ScanRange(lo, hi datum.Row, ctr *Counters, fn func(Entry) bool) 
 	for n != nil {
 		ctr.readIndexPage(n)
 		for _, e := range n.entries {
-			if lo != nil && prefixCmp(e.Key, lo) < 0 {
+			if lo != nil && keyCmp(e.Key, lo) < 0 {
 				continue
 			}
-			if hi != nil && prefixCmp(e.Key, hi) > 0 {
+			if hi != nil && keyCmp(e.Key, hi) > 0 {
 				return
 			}
 			if !fn(e) {

@@ -310,3 +310,40 @@ func TestInsertArityPanics(t *testing.T) {
 	}()
 	NewHeapFile([]string{"a", "b"}, 16).Insert(datum.Row{datum.NewInt(1)}, nil)
 }
+
+// TestKeyCmpAgreesWithCompareRows checks keyCmp against CompareRows over
+// the keys' common length, on keys with NULLs, mixed kinds and unequal
+// lengths.
+func TestKeyCmpAgreesWithCompareRows(t *testing.T) {
+	vals := []datum.Datum{
+		datum.Null, datum.NewInt(-1), datum.NewInt(3), datum.NewFloat(2.5), datum.NewFloat(3),
+		datum.NewString(""), datum.NewString("a"), datum.NewBool(false), datum.NewBool(true),
+	}
+	keys := []datum.Row{{}}
+	for _, a := range vals {
+		keys = append(keys, datum.Row{a})
+		for _, b := range vals {
+			keys = append(keys, datum.Row{a, b})
+		}
+	}
+	for _, a := range keys {
+		for _, b := range keys {
+			idx := []int{}
+			for i := 0; i < len(a) && i < len(b); i++ {
+				idx = append(idx, i)
+			}
+			if got, want := keyCmp(a, b), datum.CompareRows(a, b, idx); got != want {
+				t.Fatalf("keyCmp(%v, %v) = %d, CompareRows = %d", a, b, got, want)
+			}
+		}
+	}
+}
+
+func TestKeyCmpAllocatesNothing(t *testing.T) {
+	a := datum.Row{datum.NewInt(7), datum.NewString("x")}
+	b := datum.Row{datum.NewInt(7), datum.NewString("y")}
+	var c int
+	if n := testing.AllocsPerRun(100, func() { c += keyCmp(a, b) }); n != 0 {
+		t.Fatalf("keyCmp allocates %v per call", n)
+	}
+}
