@@ -17,8 +17,9 @@
 // DAG for replay (AddDAG). The accumulator merges any number of runs;
 // Report renders text, JSON (schema stars/coverage/v1), and an annotated
 // per-rule-file source view. Ledger adds the serving-time view: rolling
-// coverage plus a per-query-template Q-error digest fed by exec.feedback
-// events.
+// coverage and an aggregate Q-error digest fed by exec.feedback events.
+// TemplateLedger is one query template's entry, kept per record of the
+// serving daemon's 256-template LRU table (internal/serve).
 package coverage
 
 import (
@@ -40,7 +41,7 @@ func (k altKey) String() string { return k.rule + "#" + strconv.Itoa(k.alt) }
 
 // Accumulator aggregates per-alternative and per-veneer tallies across runs.
 // The zero value is not usable; call NewAccumulator. Not safe for concurrent
-// use (Ledger adds the locking a server needs).
+// use.
 type Accumulator struct {
 	runs    int64
 	alts    map[altKey]*obs.AltCoverage

@@ -408,7 +408,14 @@ func TestSketchQuantiles(t *testing.T) {
 }
 
 func TestLedger(t *testing.T) {
-	l := coverage.NewLedger(2)
+	// The ledger folds every request process-wide; each template's entry
+	// is a TemplateLedger its caller keys by Template.
+	l := coverage.NewLedger(0)
+	var sel, other coverage.TemplateLedger
+	record := func(tl *coverage.TemplateLedger, events []obs.Event) float64 {
+		tl.Fold(events)
+		return l.Record("", events)
+	}
 	feedback := func(op string, id uint64, rows int64, est, q float64) obs.Event {
 		return obs.Event{Name: obs.EvExecFeedback, A1: op, P1: id, N1: rows, N2: 1, F1: est, F2: q}
 	}
@@ -417,11 +424,14 @@ func TestLedger(t *testing.T) {
 		feedback("JOIN", 0xaaaa, 100, 50, 2),
 		feedback("ACCESS", 0xbbbb, 10, 10, 1),
 	}
-	if q := l.Record(coverage.Template("SELECT 1"), events); q != 2 {
+	if coverage.Template("SELECT 1") != coverage.Template("SELECT 2") {
+		t.Fatal("literals must collapse into one template")
+	}
+	if q := record(&sel, events); q != 2 {
 		t.Errorf("Record returned a worst Q-error of %v, want 2", q)
 	}
-	l.Record(coverage.Template("SELECT 2"), events) // same template: literals collapse
-	if q := l.Record("other", nil); q != 0 {        // optimize-only request
+	record(&sel, events)
+	if q := record(&other, nil); q != 0 { // optimize-only request
 		t.Errorf("an optimize-only Record returned a worst Q-error of %v, want 0", q)
 	}
 
@@ -429,10 +439,10 @@ func TestLedger(t *testing.T) {
 	if rep.Schema != coverage.SchemaV1 || rep.Requests != 3 {
 		t.Fatalf("header: %+v", rep)
 	}
-	if len(rep.Templates) != 2 {
-		t.Fatalf("templates = %d, want 2 (literals must collapse)", len(rep.Templates))
+	if len(rep.Templates) != 0 {
+		t.Fatalf("the ledger rendered %d templates of its own, want 0", len(rep.Templates))
 	}
-	tr := rep.Templates[0]
+	tr := sel.Report(coverage.Template("SELECT 1"))
 	if tr.Template != "SELECT ?" || tr.Requests != 2 || tr.Executions != 2 {
 		t.Errorf("template 0: %+v", tr)
 	}
@@ -443,14 +453,20 @@ func TestLedger(t *testing.T) {
 		tr.Ops[0].Fingerprint != "000000000000aaaa" || tr.Ops[1].Fingerprint != "000000000000bbbb" {
 		t.Errorf("ops: %+v", tr.Ops)
 	}
-	if rep.Templates[1].Executions != 0 {
-		t.Errorf("optimize-only template executed: %+v", rep.Templates[1])
+	if tr := other.Report("other"); tr.Requests != 1 || tr.Executions != 0 {
+		t.Errorf("optimize-only template: %+v", tr)
 	}
 	if rep.QError == nil || rep.QError.Count != 4 {
 		t.Errorf("aggregate qerror: %+v", rep.QError)
 	}
 	if rep.Coverage == nil || rep.Coverage.Runs != 2 {
 		t.Errorf("rolling coverage: %+v", rep.Coverage)
+	}
+
+	// Reset empties an entry for reuse by another template.
+	sel.Reset()
+	if tr := sel.Report("next"); tr.Requests != 0 || tr.Executions != 0 || tr.QError != nil || len(tr.Ops) != 0 {
+		t.Errorf("reset entry: %+v", tr)
 	}
 
 	// Gauges derive from ledger state.
@@ -461,26 +477,6 @@ func TestLedger(t *testing.T) {
 	}
 	if v := reg.FloatGauge("coverage_ratio").Value(); v != 1 {
 		t.Errorf("coverage_ratio = %v, want 1 (only JMeth#1 is in the nil-universe)", v)
-	}
-}
-
-func TestLedgerBoundsTemplates(t *testing.T) {
-	l := coverage.NewLedger(2)
-	for _, tmpl := range []string{"a", "b", "c", "d"} {
-		l.Record(tmpl, []obs.Event{
-			{Name: obs.EvExecFeedback, A1: "JOIN", P1: 0xffff, N1: 1, N2: 1, F1: 1, F2: 5},
-		})
-	}
-	rep := l.Snapshot(nil)
-	if len(rep.Templates) != 2 {
-		t.Fatalf("templates = %d, want the bound 2", len(rep.Templates))
-	}
-	if rep.Requests != 4 {
-		t.Errorf("requests = %d", rep.Requests)
-	}
-	// Overflow templates still feed the aggregate digest.
-	if rep.QError == nil || rep.QError.Count != 4 {
-		t.Errorf("aggregate digest lost overflow observations: %+v", rep.QError)
 	}
 }
 

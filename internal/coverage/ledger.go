@@ -2,9 +2,9 @@ package coverage
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"strings"
-	"sync"
 
 	"stars/internal/obs"
 	"stars/internal/plan"
@@ -110,13 +110,13 @@ func collapseParamList(t string) string {
 // qerrBounds are the Sketch's fixed bucket upper bounds. Q-errors are >= 1
 // by construction; the resolution is finest near 1 (good estimates) and
 // coarsens toward the tail, which is what estimation-quality triage needs.
-var qerrBounds = []float64{1, 1.1, 1.2, 1.35, 1.5, 1.75, 2, 2.5, 3, 4, 5, 7.5, 10, 15, 25, 50, 100, 1000}
+var qerrBounds = [...]float64{1, 1.1, 1.2, 1.35, 1.5, 1.75, 2, 2.5, 3, 4, 5, 7.5, 10, 15, 25, 50, 100, 1000}
 
 // Sketch is a fixed-bucket digest of Q-error observations supporting
 // approximate quantiles. The zero value is ready to use. Not safe for
-// concurrent use (the Ledger serializes access).
+// concurrent use.
 type Sketch struct {
-	counts []int64 // len(qerrBounds)+1, last bucket is the overflow
+	counts [len(qerrBounds) + 1]int64 // the last bucket is the overflow
 	n      int64
 	max    float64
 }
@@ -126,18 +126,10 @@ func (s *Sketch) Observe(q float64) {
 	if math.IsNaN(q) {
 		return
 	}
-	if s.counts == nil {
-		s.counts = make([]int64, len(qerrBounds)+1)
-	}
-	if q < 1 {
-		q = 1
-	}
-	i := sort.SearchFloat64s(qerrBounds, q) // first bound >= q
-	s.counts[i]++
+	q = max(q, 1)
+	s.counts[sort.SearchFloat64s(qerrBounds[:], q)]++ // first bound >= q
 	s.n++
-	if q > s.max {
-		s.max = q
-	}
+	s.max = max(s.max, q)
 }
 
 // N returns the observation count.
@@ -152,10 +144,7 @@ func (s *Sketch) Quantile(p float64) float64 {
 	if s.n == 0 {
 		return 0
 	}
-	rank := int64(math.Ceil(p * float64(s.n)))
-	if rank < 1 {
-		rank = 1
-	}
+	rank := max(int64(math.Ceil(p*float64(s.n))), 1)
 	var cum int64
 	for i, c := range s.counts {
 		cum += c
@@ -193,6 +182,7 @@ func (s *Sketch) Digest() *QErrorDigest {
 // opFeedback aggregates exec.feedback events for one plan operator within a
 // template.
 type opFeedback struct {
+	id   uint64 // plan-node identity (plan.Node.ID)
 	op   string
 	n    int64
 	est  float64
@@ -200,101 +190,103 @@ type opFeedback struct {
 	maxQ float64
 }
 
-// templateStats is one query template's ledger entry.
-type templateStats struct {
+// maxLedgerOps bounds a template's operator list: plans are small, so the
+// bound only guards against fingerprint churn.
+const maxLedgerOps = 64
+
+// TemplateLedger is one query template's ledger entry: request and
+// execution counts, the template's Q-error digest, and per-operator
+// estimate-vs-actual feedback — one half of the serving daemon's
+// per-template record. The zero value is ready to use; Reset empties it for
+// reuse. Not safe for concurrent use.
+type TemplateLedger struct {
 	requests   int64
 	executions int64
 	qerr       Sketch
-	ops        map[uint64]*opFeedback // by plan-node identity (plan.Node.ID)
-	opOrder    []uint64
+	ops        []opFeedback // first-seen order, bounded by maxLedgerOps
 }
 
-// maxLedgerOps bounds the per-template operator map: plans are small, so
-// the bound only guards against fingerprint churn.
-const maxLedgerOps = 64
-
-// Ledger is the serving-time rolling view: coverage accumulated over every
-// optimized request plus a per-query-template Q-error digest fed by the
-// exec.feedback events an execute+analyze request emits. Safe for
-// concurrent use. Templates are bounded; once full, new templates fold into
-// the aggregate only.
-type Ledger struct {
-	mu           sync.Mutex
-	acc          *Accumulator
-	requests     int64
-	all          Sketch
-	maxTemplates int
-	templates    map[string]*templateStats
-	order        []string
-}
-
-// NewLedger returns a ledger tracking at most maxTemplates distinct query
-// templates (<= 0 means 128).
-func NewLedger(maxTemplates int) *Ledger {
-	if maxTemplates <= 0 {
-		maxTemplates = 128
-	}
-	return &Ledger{
-		acc:          NewAccumulator(),
-		maxTemplates: maxTemplates,
-		templates:    map[string]*templateStats{},
-	}
-}
-
-// Record folds one request's event stream into the ledger under the given
-// template (normalize with Template). Coverage summary events update the
-// rolling accumulator; exec.feedback events update the template's and the
-// aggregate Q-error digests. It returns the request's worst exec.feedback
-// Q-error (0 when nothing was executed).
-func (l *Ledger) Record(template string, events []obs.Event) (maxQ float64) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.requests++
-	l.acc.AddEvents(events)
-
-	t := l.templates[template]
-	if t == nil && len(l.templates) < l.maxTemplates {
-		t = &templateStats{ops: map[uint64]*opFeedback{}}
-		l.templates[template] = t
-		l.order = append(l.order, template)
-	}
-	if t != nil {
-		t.requests++
-	}
+// Fold counts one request of the template and folds its exec.feedback
+// events — every request, failed ones included.
+func (t *TemplateLedger) Fold(events []obs.Event) {
+	t.requests++
 	executed := false
 	for _, e := range events {
 		if e.Name != obs.EvExecFeedback {
 			continue
 		}
 		executed = true
-		maxQ = max(maxQ, e.F2)
-		l.all.Observe(e.F2)
-		if t == nil {
-			continue
-		}
 		t.qerr.Observe(e.F2)
-		of := t.ops[e.P1]
-		if of == nil {
-			if len(t.ops) >= maxLedgerOps {
-				continue
-			}
-			of = &opFeedback{op: e.A1}
-			t.ops[e.P1] = of
-			t.opOrder = append(t.opOrder, e.P1)
+		i := slices.IndexFunc(t.ops, func(of opFeedback) bool { return of.id == e.P1 })
+		if i < 0 && len(t.ops) < maxLedgerOps {
+			i = len(t.ops)
+			t.ops = append(t.ops, opFeedback{id: e.P1, op: e.A1})
 		}
-		of.n++
-		of.est = e.F1
-		opens := e.N2
-		if opens < 1 {
-			opens = 1
-		}
-		of.act = float64(e.N1) / float64(opens)
-		if e.F2 > of.maxQ {
-			of.maxQ = e.F2
+		if i >= 0 {
+			of := &t.ops[i]
+			of.n++
+			of.est, of.act = e.F1, float64(e.N1)/float64(max(e.N2, 1))
+			of.maxQ = max(of.maxQ, e.F2)
 		}
 	}
-	if t != nil && executed {
+	if executed {
 		t.executions++
+	}
+}
+
+// Reset empties the entry for reuse by another template, keeping its
+// operator list's storage.
+func (t *TemplateLedger) Reset() {
+	*t = TemplateLedger{ops: t.ops[:0]}
+}
+
+// Report renders the entry under its template's name.
+func (t *TemplateLedger) Report(template string) TemplateReport {
+	tr := TemplateReport{
+		Template: template, Requests: t.requests, Executions: t.executions,
+		QError: t.qerr.Digest(),
+	}
+	for _, of := range t.ops {
+		tr.Ops = append(tr.Ops, OpReport{
+			Op: of.op, Fingerprint: plan.FormatID(of.id), Count: of.n,
+			EstimatedRows: of.est, ActualRows: of.act, MaxQError: of.maxQ,
+		})
+	}
+	return tr
+}
+
+// Ledger is the serving-time rolling view over every optimized request:
+// accumulated coverage, the aggregate Q-error digest fed by the
+// exec.feedback events an execute+analyze request emits, and the request
+// count. Per-template entries (TemplateLedger) live with the caller. Not
+// safe for concurrent use; the serving daemon guards it with its template
+// table's lock.
+type Ledger struct {
+	acc      *Accumulator
+	requests int64
+	all      Sketch
+}
+
+// NewLedger returns an empty ledger. The argument is unused — it bounded
+// the per-template entries the ledger no longer keeps — and stays only
+// because the benchmark (bench/layers.go) passes it.
+func NewLedger(int) *Ledger {
+	return &Ledger{acc: NewAccumulator()}
+}
+
+// Record folds one request's event stream into the ledger: coverage summary
+// events update the rolling accumulator, exec.feedback events the aggregate
+// Q-error digest. The template argument is unused (TemplateLedger.Fold
+// keeps the per-template entry). It returns the request's worst
+// exec.feedback Q-error (0 when nothing was executed).
+func (l *Ledger) Record(_ string, events []obs.Event) (maxQ float64) {
+	l.requests++
+	l.acc.AddEvents(events)
+	for _, e := range events {
+		if e.Name == obs.EvExecFeedback {
+			maxQ = max(maxQ, e.F2)
+			l.all.Observe(e.F2)
+		}
 	}
 	return maxQ
 }
@@ -327,35 +319,17 @@ type OpReport struct {
 	MaxQError     float64 `json:"max_qerror"`
 }
 
-// Snapshot renders the ledger. rs, when non-nil, defines the coverage
-// universe (the server passes its effective rule set so never-exercised
-// alternatives show up).
+// Snapshot renders the ledger with an empty template list for the caller
+// to fill. rs, when non-nil, defines the coverage universe (the server
+// passes its effective rule set so never-exercised alternatives show up).
 func (l *Ledger) Snapshot(rs *star.RuleSet) *LedgerReport {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	rep := &LedgerReport{
+	return &LedgerReport{
 		Schema:    SchemaV1,
 		Requests:  l.requests,
 		QError:    l.all.Digest(),
 		Coverage:  l.acc.Report(rs),
 		Templates: []TemplateReport{},
 	}
-	for _, tmpl := range l.order {
-		t := l.templates[tmpl]
-		tr := TemplateReport{
-			Template: tmpl, Requests: t.requests, Executions: t.executions,
-			QError: t.qerr.Digest(),
-		}
-		for _, id := range t.opOrder {
-			of := t.ops[id]
-			tr.Ops = append(tr.Ops, OpReport{
-				Op: of.op, Fingerprint: plan.FormatID(id), Count: of.n,
-				EstimatedRows: of.est, ActualRows: of.act, MaxQError: of.maxQ,
-			})
-		}
-		rep.Templates = append(rep.Templates, tr)
-	}
-	return rep
 }
 
 // PublishMetrics refreshes the registry's coverage and Q-error gauges from
@@ -364,8 +338,6 @@ func (l *Ledger) Snapshot(rs *star.RuleSet) *LedgerReport {
 // float gauges. Counters (coverage_*_total, qerror_observations_total) are
 // cumulative and flow through the per-request registry merge instead.
 func (l *Ledger) PublishMetrics(reg *obs.Registry, rs *star.RuleSet) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	total, exercised := l.acc.counts(rs)
 	reg.Gauge("coverage_alternatives").Set(int64(total))
 	reg.Gauge("coverage_alternatives_exercised").Set(int64(exercised))

@@ -6,9 +6,9 @@
 // The paper's rules-as-data thesis makes every plan change explainable — the
 // derivation DAG names the alternative that fired — but an explanation is
 // only useful if the moment is captured. The Recorder folds one compact
-// Record per /optimize request into a global recent-request ring and a
-// per-template rolling history; the watchdog compares each new record
-// against its template's history and flags
+// Record per /optimize request into a global recent-request ring; the
+// watchdog (Judge) compares each new record against its template's History
+// and flags
 //
 //   - plan flips: the plan's shape (its fingerprint with literals masked, so
 //     a template's different constants don't count) changed although the
@@ -18,6 +18,12 @@
 //     rolling baseline (and above LatencyFloor, the noise gate), and
 //   - Q-error blowups: an executed request whose worst per-operator
 //     estimate-vs-actual Q-error reached QErrorThreshold.
+//
+// The package keeps no per-template state of its own: a History is one
+// half of the serving daemon's per-template record (internal/serve), whose
+// table holds at most 256 templates and evicts the least recently used,
+// counting templates_evicted_total. An evicted template comes back with an
+// empty History, so an eviction never reads as a plan flip.
 //
 // On a trigger the caller snapshots an Incident (schema stars/incident/v1):
 // the offending request's SQL, catalog and rule text, event trace,
@@ -33,12 +39,14 @@ package flight
 
 import (
 	"fmt"
+	"maps"
 	"sync"
 	"time"
 )
 
-// Kinds enumerates the watchdog's trigger kinds, in priority order: an
-// incident caused by several triggers at once is filed under the first.
+// Kinds enumerates the watchdog's trigger kinds in priority order, the order
+// Judge appends them in: an incident caused by several triggers at once is
+// filed under the first.
 var Kinds = []string{KindPlanFlip, KindQError, KindLatency}
 
 const (
@@ -53,13 +61,11 @@ const (
 )
 
 // The recorder's memory bounds: the global recent-request ring, each
-// template's rolling history, the distinct templates tracked (excess
-// templates are recorded in the ring only), and the in-memory incident store
-// (the oldest incident is dropped when full).
+// template's rolling wall-time window, and the in-memory incident store (the
+// oldest incident is dropped when full).
 const (
 	ringSize     = 128
 	historySize  = 32
-	maxTemplates = 256
 	maxIncidents = 32
 )
 
@@ -82,10 +88,6 @@ type Config struct {
 	// QErrorThreshold flags an executed request whose worst per-operator
 	// Q-error reaches it (default 100).
 	QErrorThreshold float64
-	// CatalogEpoch and RulesHash stamp records that don't carry their
-	// own — the serving daemon computes both once at boot.
-	CatalogEpoch string
-	RulesHash    string
 	// Now is the clock (default time.Now); tests inject a fixed one to
 	// make incident bundles bit-stable.
 	Now func() time.Time
@@ -178,58 +180,76 @@ type Trigger struct {
 	PrevFP string `json:"prev_fp,omitempty"`
 }
 
-// Observation is Observe's result: the stamped record, the triggers that
-// fired (nil when the record is unremarkable), and the history context an
-// incident snapshot wants.
+// Observation is Observe's result as Judge completes it: the stamped
+// record, the triggers that fired in priority order (nil when the record is
+// unremarkable), and the history context an incident snapshot wants.
 type Observation struct {
-	Record   Record
-	Triggers []Trigger
+	Record   Record    `json:"record"`
+	Triggers []Trigger `json:"triggers"`
 	// Prev is the template's previous successful record (nil on first
 	// sight) — the "before" of a plan flip.
-	Prev *Record
+	Prev *Record `json:"prev,omitempty"`
 	// BaselineNS and Samples are the template's rolling latency baseline
 	// before this record was folded in.
-	BaselineNS float64
-	Samples    int
+	BaselineNS float64 `json:"baseline_ns,omitempty"`
+	Samples    int     `json:"samples,omitempty"`
 }
 
 // Kind returns the observation's primary incident kind — the
-// highest-priority trigger — or "" when nothing fired.
+// highest-priority trigger, which Judge appends first — or "" when nothing
+// fired.
 func (o *Observation) Kind() string {
-	for _, k := range Kinds {
-		for _, t := range o.Triggers {
-			if t.Kind == k {
-				return k
-			}
-		}
+	if len(o.Triggers) == 0 {
+		return ""
 	}
-	return ""
+	return o.Triggers[0].Kind
 }
 
-// history is one template's rolling record of successful optimizations.
-type history struct {
-	recs []Record // latest last, bounded by historySize
+// History is one template's watchdog memory: the last successful record —
+// the "before" of a plan flip — and a rolling window of the last
+// historySize wall times with their running sum, the latency baseline. The
+// zero value is an empty history. Not safe for concurrent use; the serving
+// daemon's template table serializes access.
+type History struct {
+	last Record
+	wall [historySize]int64 // ring: sample i sits at i % historySize
+	n    int                // samples ever folded
+	sum  int64              // sum of the window's wall times
 }
 
-// baseline returns the mean wall latency over the history.
-func (h *history) baseline() (ns float64, samples int) {
-	if len(h.recs) == 0 {
+// Baseline returns the mean wall latency over the window and its depth.
+func (h *History) Baseline() (ns float64, samples int) {
+	samples = min(h.n, historySize)
+	if samples == 0 {
 		return 0, 0
 	}
-	var sum int64
-	for _, r := range h.recs {
-		sum += r.WallNS
+	return float64(h.sum) / float64(samples), samples
+}
+
+// Reset empties the history for reuse by another template.
+func (h *History) Reset() { *h = History{} }
+
+// State renders the history for GET /debug/flight; ok is false while it
+// holds no sample (the template has only failed so far).
+func (h *History) State(template string) (st TemplateState, ok bool) {
+	ns, n := h.Baseline()
+	if n == 0 {
+		return TemplateState{}, false
 	}
-	return float64(sum) / float64(len(h.recs)), len(h.recs)
+	return TemplateState{
+		Template: template, Requests: n, PlanFP: h.last.PlanFP,
+		BaselineNS: ns, EstCost: h.last.EstCost,
+	}, true
 }
 
 // Stats is a point-in-time census of the recorder for metrics and debug
 // surfaces.
 type Stats struct {
-	Records   int64 `json:"records"`
-	Templates int   `json:"templates"`
-	Incidents int   `json:"incidents"`
-	// ByKind counts anomaly triggers seen, per kind.
+	Records int64 `json:"records"`
+	// Templates is the History owner's to fill.
+	Templates int `json:"templates"`
+	Incidents int `json:"incidents"`
+	// ByKind counts the triggers of filed incidents, per kind.
 	ByKind map[string]int64 `json:"by_kind"`
 	// IncidentsTotal counts incidents ever filed (the in-memory store is
 	// bounded; this is not).
@@ -240,17 +260,16 @@ type Stats struct {
 	WriteErrors int64 `json:"write_errors"`
 }
 
-// Recorder is the flight recorder: a bounded ring of recent requests, a
-// per-template rolling history, the watchdog, and the bounded incident
-// store. Safe for concurrent use; all methods are no-ops on nil.
+// Recorder is the flight recorder: a bounded ring of recent requests, the
+// watchdog's configuration, and the bounded incident store. Safe for
+// concurrent use; all methods are no-ops on nil.
 type Recorder struct {
 	cfg Config
 
-	mu        sync.Mutex
-	seq       int64
-	ring      []Record // rolling, capacity ringSize, oldest first
-	templates map[string]*history
-	order     []string // template first-seen order, for deterministic debug output
+	mu   sync.Mutex
+	seq  int64
+	ring []Record // up to ringSize; once full, the oldest sits at head
+	head int
 
 	incSeq    int64
 	incidents []*Incident // bounded by maxIncidents, oldest first
@@ -262,27 +281,12 @@ type Recorder struct {
 // New builds a recorder.
 func New(cfg Config) *Recorder {
 	cfg = cfg.withDefaults()
-	return &Recorder{
-		cfg:       cfg,
-		templates: map[string]*history{},
-		byKind:    map[string]int64{},
-	}
+	return &Recorder{cfg: cfg, byKind: map[string]int64{}}
 }
 
-// Config returns the recorder's effective (default-filled) configuration.
-func (r *Recorder) Config() Config {
-	if r == nil {
-		return Config{}
-	}
-	return r.cfg
-}
-
-// Observe folds one request's record into the ring and its template's
-// history, stamps Seq/Time (and CatalogEpoch/RulesHash when the caller left
-// them empty), and runs the watchdog. Only successful optimizations
-// (Status 200 with a plan fingerprint) enter the per-template history and
-// are judged; failures still enter the ring for context. Nil-safe: a nil
-// recorder returns a zero Observation and allocates nothing.
+// Observe stamps one request's record with Seq/Time and folds it into the
+// ring; judging it is Judge's, against the template's History. Nil-safe: a
+// nil recorder returns a zero Observation and allocates nothing.
 func (r *Recorder) Observe(rec Record) Observation {
 	if r == nil {
 		return Observation{}
@@ -292,44 +296,34 @@ func (r *Recorder) Observe(rec Record) Observation {
 	r.seq++
 	rec.Seq = r.seq
 	rec.Time = r.cfg.Now()
-	if rec.CatalogEpoch == "" {
-		rec.CatalogEpoch = r.cfg.CatalogEpoch
+	if len(r.ring) < ringSize {
+		r.ring = append(r.ring, rec)
+	} else {
+		r.ring[r.head] = rec
+		r.head = (r.head + 1) % ringSize
 	}
-	if rec.RulesHash == "" {
-		rec.RulesHash = r.cfg.RulesHash
-	}
+	return Observation{Record: rec}
+}
 
-	if len(r.ring) == ringSize {
-		copy(r.ring, r.ring[1:])
-		r.ring = r.ring[:len(r.ring)-1]
+// Judge runs the watchdog on an observed record against its template's
+// history h, then folds the record into h. Only successful optimizations
+// (Status 200 with a plan fingerprint) are judged and folded; failures stay
+// in the ring only. The record is judged against h as it stood before it,
+// so an anomaly can't raise its own bar. Nil-safe on the recorder.
+func (r *Recorder) Judge(h *History, o *Observation) {
+	rec := &o.Record
+	if r == nil || rec.Status != 200 || rec.PlanFP == "" {
+		return
 	}
-	r.ring = append(r.ring, rec)
+	if h.n > 0 {
+		prev := h.last
+		o.Prev = &prev
+	}
+	o.BaselineNS, o.Samples = h.Baseline()
 
-	out := Observation{Record: rec}
-	if rec.Status != 200 || rec.PlanFP == "" {
-		return out
-	}
-
-	h := r.templates[rec.Template]
-	if h == nil {
-		if len(r.templates) >= maxTemplates {
-			return out
-		}
-		h = &history{}
-		r.templates[rec.Template] = h
-		r.order = append(r.order, rec.Template)
-	}
-	if n := len(h.recs); n > 0 {
-		prev := h.recs[n-1]
-		out.Prev = &prev
-	}
-	out.BaselineNS, out.Samples = h.baseline()
-
-	// Watchdog. Judged against the history as it stood before this
-	// record, so an anomaly can't raise its own bar.
-	if p := out.Prev; p != nil && p.shape() != rec.shape() &&
+	if p := o.Prev; p != nil && p.shape() != rec.shape() &&
 		p.CatalogEpoch == rec.CatalogEpoch && p.RulesHash == rec.RulesHash {
-		out.Triggers = append(out.Triggers, Trigger{
+		o.Triggers = append(o.Triggers, Trigger{
 			Kind:   KindPlanFlip,
 			PrevFP: p.PlanFP,
 			Detail: fmt.Sprintf("plan fingerprint flipped %s -> %s with catalog epoch %s and rules hash %s unchanged",
@@ -337,7 +331,7 @@ func (r *Recorder) Observe(rec Record) Observation {
 		})
 	}
 	if rec.Executed && rec.MaxQError >= r.cfg.QErrorThreshold {
-		out.Triggers = append(out.Triggers, Trigger{
+		o.Triggers = append(o.Triggers, Trigger{
 			Kind:      KindQError,
 			Observed:  rec.MaxQError,
 			Threshold: r.cfg.QErrorThreshold,
@@ -345,30 +339,25 @@ func (r *Recorder) Observe(rec Record) Observation {
 				rec.MaxQError, r.cfg.QErrorThreshold),
 		})
 	}
-	if out.Samples >= r.cfg.MinSamples &&
+	if o.Samples >= r.cfg.MinSamples &&
 		rec.WallNS > int64(r.cfg.LatencyFloor) &&
-		float64(rec.WallNS) > r.cfg.LatencyFactor*out.BaselineNS {
-		out.Triggers = append(out.Triggers, Trigger{
+		float64(rec.WallNS) > r.cfg.LatencyFactor*o.BaselineNS {
+		o.Triggers = append(o.Triggers, Trigger{
 			Kind:       KindLatency,
 			Observed:   float64(rec.WallNS),
-			Threshold:  r.cfg.LatencyFactor * out.BaselineNS,
-			BaselineNS: out.BaselineNS,
-			Samples:    out.Samples,
+			Threshold:  r.cfg.LatencyFactor * o.BaselineNS,
+			BaselineNS: o.BaselineNS,
+			Samples:    o.Samples,
 			Detail: fmt.Sprintf("wall time %s exceeds %.1fx the rolling baseline %s (%d samples)",
 				time.Duration(rec.WallNS), r.cfg.LatencyFactor,
-				time.Duration(int64(out.BaselineNS)), out.Samples),
+				time.Duration(int64(o.BaselineNS)), o.Samples),
 		})
 	}
-	for _, t := range out.Triggers {
-		r.byKind[t.Kind]++
-	}
-
-	if len(h.recs) == historySize {
-		copy(h.recs, h.recs[1:])
-		h.recs = h.recs[:len(h.recs)-1]
-	}
-	h.recs = append(h.recs, rec)
-	return out
+	i := h.n % historySize
+	h.sum += rec.WallNS - h.wall[i] // the slot is zero until the window fills
+	h.wall[i] = rec.WallNS
+	h.n++
+	h.last = *rec
 }
 
 // Recent returns a copy of the recent-request ring, oldest first.
@@ -378,7 +367,12 @@ func (r *Recorder) Recent() []Record {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return append([]Record(nil), r.ring...)
+	return r.recent()
+}
+
+// recent copies the ring oldest first; r.mu must be held.
+func (r *Recorder) recent() []Record {
+	return append(append(make([]Record, 0, len(r.ring)), r.ring[r.head:]...), r.ring[:r.head]...)
 }
 
 // Stats returns a census snapshot.
@@ -388,19 +382,14 @@ func (r *Recorder) Stats() Stats {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	s := Stats{
+	return Stats{
 		Records:        r.seq,
-		Templates:      len(r.templates),
 		Incidents:      len(r.incidents),
 		IncidentsTotal: r.incSeq,
 		Dropped:        r.dropped,
 		WriteErrors:    r.writeErrs,
-		ByKind:         map[string]int64{},
+		ByKind:         maps.Clone(r.byKind),
 	}
-	for k, v := range r.byKind {
-		s.ByKind[k] = v
-	}
-	return s
 }
 
 // TemplateState is one template's rolling view for GET /debug/flight.
@@ -410,27 +399,4 @@ type TemplateState struct {
 	PlanFP     string  `json:"plan_fp"`  // latest fingerprint
 	BaselineNS float64 `json:"baseline_ns"`
 	EstCost    float64 `json:"est_cost"`
-}
-
-// Templates renders the per-template histories in first-seen order.
-func (r *Recorder) Templates() []TemplateState {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]TemplateState, 0, len(r.order))
-	for _, tmpl := range r.order {
-		h := r.templates[tmpl]
-		if len(h.recs) == 0 {
-			continue
-		}
-		last := h.recs[len(h.recs)-1]
-		ns, n := h.baseline()
-		out = append(out, TemplateState{
-			Template: tmpl, Requests: n, PlanFP: last.PlanFP,
-			BaselineNS: ns, EstCost: last.EstCost,
-		})
-	}
-	return out
 }

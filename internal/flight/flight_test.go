@@ -34,7 +34,16 @@ func rec(tmpl, fp string, wall time.Duration) flight.Record {
 	return flight.Record{
 		Template: tmpl, SQL: tmpl, Status: 200, PlanFP: fp,
 		WallNS: int64(wall), EstCost: 10,
+		CatalogEpoch: "epoch-a", RulesHash: "rules-a",
 	}
+}
+
+// watch observes rec and judges it against its template's history h, as the
+// serving daemon's fold does.
+func watch(r *flight.Recorder, h *flight.History, rec flight.Record) flight.Observation {
+	o := r.Observe(rec)
+	r.Judge(h, &o)
+	return o
 }
 
 func newRecorder(t *testing.T, cfg flight.Config) *flight.Recorder {
@@ -42,24 +51,19 @@ func newRecorder(t *testing.T, cfg flight.Config) *flight.Recorder {
 	if cfg.Now == nil {
 		cfg.Now = fixedClock()
 	}
-	if cfg.CatalogEpoch == "" {
-		cfg.CatalogEpoch = "epoch-a"
-	}
-	if cfg.RulesHash == "" {
-		cfg.RulesHash = "rules-a"
-	}
 	return flight.New(cfg)
 }
 
 func TestWatchdogPlanFlip(t *testing.T) {
+	var h flight.History
 	r := newRecorder(t, flight.Config{})
-	if o := r.Observe(rec("Q", "fp1", time.Millisecond)); len(o.Triggers) != 0 {
+	if o := watch(r, &h, rec("Q", "fp1", time.Millisecond)); len(o.Triggers) != 0 {
 		t.Fatalf("first sight triggered: %+v", o.Triggers)
 	}
-	if o := r.Observe(rec("Q", "fp1", time.Millisecond)); len(o.Triggers) != 0 {
+	if o := watch(r, &h, rec("Q", "fp1", time.Millisecond)); len(o.Triggers) != 0 {
 		t.Fatalf("steady state triggered: %+v", o.Triggers)
 	}
-	o := r.Observe(rec("Q", "fp2", time.Millisecond))
+	o := watch(r, &h, rec("Q", "fp2", time.Millisecond))
 	if o.Kind() != flight.KindPlanFlip {
 		t.Fatalf("kind = %q, want plan_flip (triggers %+v)", o.Kind(), o.Triggers)
 	}
@@ -73,14 +77,14 @@ func TestWatchdogPlanFlip(t *testing.T) {
 	// flip — the inputs changed.
 	n := rec("Q", "fp3", time.Millisecond)
 	n.CatalogEpoch = "epoch-b"
-	if o := r.Observe(n); o.Kind() == flight.KindPlanFlip {
+	if o := watch(r, &h, n); o.Kind() == flight.KindPlanFlip {
 		t.Fatalf("epoch change still flagged as flip: %+v", o.Triggers)
 	}
 	// Same for a rules-hash change.
 	n = rec("Q", "fp4", time.Millisecond)
 	n.CatalogEpoch = "epoch-b"
 	n.RulesHash = "rules-b"
-	if o := r.Observe(n); o.Kind() == flight.KindPlanFlip {
+	if o := watch(r, &h, n); o.Kind() == flight.KindPlanFlip {
 		t.Fatalf("rules change still flagged as flip: %+v", o.Triggers)
 	}
 }
@@ -88,17 +92,18 @@ func TestWatchdogPlanFlip(t *testing.T) {
 // TestWatchdogComparesShape: records carrying a shape fingerprint flip on it
 // alone — a template's different literals change PlanFP but not the plan.
 func TestWatchdogComparesShape(t *testing.T) {
+	var h flight.History
 	r := newRecorder(t, flight.Config{})
 	shaped := func(fp, shape string) flight.Record {
 		n := rec("Q", fp, time.Millisecond)
 		n.ShapeFP = shape
 		return n
 	}
-	r.Observe(shaped("fp-lit1", "shape-a"))
-	if o := r.Observe(shaped("fp-lit2", "shape-a")); len(o.Triggers) != 0 {
+	watch(r, &h, shaped("fp-lit1", "shape-a"))
+	if o := watch(r, &h, shaped("fp-lit2", "shape-a")); len(o.Triggers) != 0 {
 		t.Fatalf("a literal change triggered: %+v", o.Triggers)
 	}
-	o := r.Observe(shaped("fp-lit3", "shape-b"))
+	o := watch(r, &h, shaped("fp-lit3", "shape-b"))
 	if o.Kind() != flight.KindPlanFlip {
 		t.Fatalf("a shape change did not flip: %+v", o.Triggers)
 	}
@@ -108,16 +113,17 @@ func TestWatchdogComparesShape(t *testing.T) {
 }
 
 func TestWatchdogLatency(t *testing.T) {
+	var h, h2, h3 flight.History
 	r := newRecorder(t, flight.Config{
 		MinSamples: 3, LatencyFactor: 2, LatencyFloor: time.Microsecond,
 	})
 	for i := 0; i < 3; i++ {
-		if o := r.Observe(rec("Q", "fp1", time.Millisecond)); len(o.Triggers) != 0 {
+		if o := watch(r, &h, rec("Q", "fp1", time.Millisecond)); len(o.Triggers) != 0 {
 			t.Fatalf("warmup %d triggered: %+v", i, o.Triggers)
 		}
 	}
 	// 3 samples at 1ms; 2x baseline = 2ms. 3ms must trigger.
-	o := r.Observe(rec("Q", "fp1", 3*time.Millisecond))
+	o := watch(r, &h, rec("Q", "fp1", 3*time.Millisecond))
 	if o.Kind() != flight.KindLatency {
 		t.Fatalf("kind = %q, want latency (%+v)", o.Kind(), o.Triggers)
 	}
@@ -129,37 +135,38 @@ func TestWatchdogLatency(t *testing.T) {
 	r2 := newRecorder(t, flight.Config{
 		MinSamples: 1, LatencyFactor: 2, LatencyFloor: time.Second,
 	})
-	r2.Observe(rec("Q", "fp1", time.Microsecond))
-	if o := r2.Observe(rec("Q", "fp1", 100*time.Microsecond)); len(o.Triggers) != 0 {
+	watch(r2, &h2, rec("Q", "fp1", time.Microsecond))
+	if o := watch(r2, &h2, rec("Q", "fp1", 100*time.Microsecond)); len(o.Triggers) != 0 {
 		t.Fatalf("sub-floor latency triggered: %+v", o.Triggers)
 	}
 	// Below MinSamples nothing fires.
 	r3 := newRecorder(t, flight.Config{
 		MinSamples: 5, LatencyFactor: 2, LatencyFloor: time.Microsecond,
 	})
-	r3.Observe(rec("Q", "fp1", time.Millisecond))
-	if o := r3.Observe(rec("Q", "fp1", time.Second)); len(o.Triggers) != 0 {
+	watch(r3, &h3, rec("Q", "fp1", time.Millisecond))
+	if o := watch(r3, &h3, rec("Q", "fp1", time.Second)); len(o.Triggers) != 0 {
 		t.Fatalf("under-sampled latency triggered: %+v", o.Triggers)
 	}
 }
 
 func TestWatchdogQError(t *testing.T) {
+	var h flight.History
 	r := newRecorder(t, flight.Config{QErrorThreshold: 50})
 	n := rec("Q", "fp1", time.Millisecond)
 	n.Executed, n.MaxQError = true, 49
-	if o := r.Observe(n); len(o.Triggers) != 0 {
+	if o := watch(r, &h, n); len(o.Triggers) != 0 {
 		t.Fatalf("below-threshold Q-error triggered: %+v", o.Triggers)
 	}
 	n = rec("Q", "fp1", time.Millisecond)
 	n.Executed, n.MaxQError = true, 50
-	o := r.Observe(n)
+	o := watch(r, &h, n)
 	if o.Kind() != flight.KindQError {
 		t.Fatalf("kind = %q, want qerror (%+v)", o.Kind(), o.Triggers)
 	}
 	// Unexecuted requests are never judged on Q-error.
 	n = rec("Q", "fp1", time.Millisecond)
 	n.MaxQError = 1e9
-	if o := r.Observe(n); len(o.Triggers) != 0 {
+	if o := watch(r, &h, n); len(o.Triggers) != 0 {
 		t.Fatalf("unexecuted request triggered qerror: %+v", o.Triggers)
 	}
 }
@@ -167,14 +174,15 @@ func TestWatchdogQError(t *testing.T) {
 func TestTriggerPriority(t *testing.T) {
 	// A record that flips, blows the Q-error budget, and is slow at once
 	// files under plan_flip, with triggers sorted by priority.
+	var h flight.History
 	r := newRecorder(t, flight.Config{
 		MinSamples: 1, LatencyFactor: 2, LatencyFloor: time.Microsecond,
 		QErrorThreshold: 10,
 	})
-	r.Observe(rec("Q", "fp1", time.Millisecond))
+	watch(r, &h, rec("Q", "fp1", time.Millisecond))
 	n := rec("Q", "fp2", 10*time.Millisecond)
 	n.Executed, n.MaxQError = true, 100
-	o := r.Observe(n)
+	o := watch(r, &h, n)
 	if len(o.Triggers) != 3 {
 		t.Fatalf("triggers = %+v, want 3", o.Triggers)
 	}
@@ -197,23 +205,28 @@ func TestTriggerPriority(t *testing.T) {
 	}
 }
 
-// The recorder's fixed bounds (ring, per-template history, templates,
-// incidents) that the tests below drive.
-const ringSize, historySize, maxTemplates, maxIncidents = 128, 32, 256, 32
+// The recorder's fixed bounds (ring, per-template history, incidents) that
+// the tests below drive. The template bound and its eviction belong to the
+// serving daemon's template table (internal/serve).
+const ringSize, historySize, maxIncidents = 128, 32, 32
 
 func TestFailuresRingOnlyAndBounds(t *testing.T) {
 	r := newRecorder(t, flight.Config{})
+	var h flight.History
 	// Failures enter the ring but never the history.
 	bad := flight.Record{Template: "Q", SQL: "Q", Status: 400}
-	if o := r.Observe(bad); o.Prev != nil || len(o.Triggers) != 0 {
+	if o := watch(r, &h, bad); o.Prev != nil || len(o.Triggers) != 0 {
 		t.Fatalf("failure judged: %+v", o)
 	}
-	if got := len(r.Templates()); got != 0 {
-		t.Fatalf("failure created a template history (%d)", got)
+	if _, n := h.Baseline(); n != 0 {
+		t.Fatalf("failure entered the template history (%d samples)", n)
+	}
+	if _, ok := h.State("Q"); ok {
+		t.Fatal("a failure-only history renders a template state")
 	}
 	// Ring is bounded and ordered oldest-first.
 	for i := 0; i < ringSize+2; i++ {
-		r.Observe(rec("Q", "fp1", time.Millisecond))
+		watch(r, &h, rec("Q", "fp1", time.Millisecond))
 	}
 	ring := r.Recent()
 	if len(ring) != ringSize {
@@ -227,26 +240,25 @@ func TestFailuresRingOnlyAndBounds(t *testing.T) {
 	// History bounded: baseline reflects only the last historySize records.
 	var o flight.Observation
 	for i := 0; i <= historySize; i++ {
-		o = r.Observe(rec("Q", "fp1", 5*time.Millisecond))
+		o = watch(r, &h, rec("Q", "fp1", 5*time.Millisecond))
 	}
 	if o.Samples != historySize || o.BaselineNS != float64(5*time.Millisecond) {
 		t.Fatalf("history not bounded: samples=%d baseline=%v", o.Samples, o.BaselineNS)
 	}
-	// Template census bounded: templates past the cap are ring-only.
-	for i := 2; i <= maxTemplates+2; i++ {
-		r.Observe(rec(fmt.Sprintf("Q%d", i), "fp1", time.Millisecond))
-	}
-	if got := r.Stats().Templates; got != maxTemplates {
-		t.Fatalf("templates = %d, want %d (bounded)", got, maxTemplates)
+	// A reset history is a first sight again.
+	h.Reset()
+	if o := watch(r, &h, rec("Q", "fp2", time.Millisecond)); o.Prev != nil || o.Samples != 0 || len(o.Triggers) != 0 {
+		t.Fatalf("reset history still judged against the old one: %+v", o)
 	}
 }
 
 func TestIncidentStoreBounds(t *testing.T) {
+	var h flight.History
 	r := newRecorder(t, flight.Config{QErrorThreshold: 1})
 	for i := 0; i <= maxIncidents; i++ {
 		n := rec("Q", "fp1", time.Millisecond)
 		n.Executed, n.MaxQError = true, 10
-		o := r.Observe(n)
+		o := watch(r, &h, n)
 		if _, err := r.File(o, flight.Capture{SQL: n.SQL}); err != nil {
 			t.Fatalf("File: %v", err)
 		}
@@ -260,7 +272,8 @@ func TestIncidentStoreBounds(t *testing.T) {
 		t.Fatalf("wrong survivors: %s, %s", incs[0].ID, incs[len(incs)-1].ID)
 	}
 	st := r.Stats()
-	if st.IncidentsTotal != maxIncidents+1 || st.Dropped != 1 || st.Incidents != maxIncidents {
+	if st.IncidentsTotal != maxIncidents+1 || st.Dropped != 1 || st.Incidents != maxIncidents ||
+		st.ByKind[flight.KindQError] != maxIncidents+1 {
 		t.Fatalf("stats = %+v", st)
 	}
 	if r.Incident(last) == nil || r.Incident("inc-000001-qerror") != nil {
@@ -272,12 +285,12 @@ func TestIncidentBundleBitStable(t *testing.T) {
 	dir := t.TempDir()
 	bundle := func(sub string) []byte {
 		r := flight.New(flight.Config{
-			IncidentDir:  filepath.Join(dir, sub),
-			Now:          fixedClock(),
-			CatalogEpoch: "epoch-a", RulesHash: "rules-a",
+			IncidentDir: filepath.Join(dir, sub),
+			Now:         fixedClock(),
 		})
-		r.Observe(rec("SELECT * FROM EMP WHERE SAL > ?", "fp1", time.Millisecond))
-		o := r.Observe(rec("SELECT * FROM EMP WHERE SAL > ?", "fp2", 2*time.Millisecond))
+		var h flight.History
+		watch(r, &h, rec("SELECT * FROM EMP WHERE SAL > ?", "fp1", time.Millisecond))
+		o := watch(r, &h, rec("SELECT * FROM EMP WHERE SAL > ?", "fp2", 2*time.Millisecond))
 		inc, err := r.File(o, flight.Capture{
 			SQL:      "SELECT * FROM EMP WHERE SAL > 100",
 			Template: "SELECT * FROM EMP WHERE SAL > ?",
@@ -326,15 +339,15 @@ func TestIncidentBundleBitStable(t *testing.T) {
 
 func TestNilRecorderZeroAlloc(t *testing.T) {
 	var r *flight.Recorder
+	var h flight.History
 	n := rec("Q", "fp", time.Millisecond)
 	allocs := testing.AllocsPerRun(100, func() {
-		o := r.Observe(n)
+		o := watch(r, &h, n)
 		if len(o.Triggers) != 0 {
 			t.Fatal("nil recorder triggered")
 		}
 		r.Recent()
 		r.Stats()
-		r.Templates()
 		r.Incidents()
 		if _, err := r.File(o, flight.Capture{}); err != nil {
 			t.Fatal(err)
@@ -389,9 +402,9 @@ func TestReplayIdentical(t *testing.T) {
 	cap, fp := captureFor(t, 1)
 	inc := &flight.Incident{
 		Schema: flight.IncidentSchema, ID: "inc-000001-plan_flip",
-		Kind:    flight.KindPlanFlip,
-		Record:  flight.Record{SQL: cap.SQL, Template: cap.Template, Status: 200, PlanFP: fp},
-		Capture: cap,
+		Kind:        flight.KindPlanFlip,
+		Observation: flight.Observation{Record: flight.Record{SQL: cap.SQL, Template: cap.Template, Status: 200, PlanFP: fp}},
+		Capture:     cap,
 	}
 	rr, err := flight.Replay(inc)
 	if err != nil {
@@ -420,9 +433,9 @@ func TestReplayDivergent(t *testing.T) {
 	cap.Catalog = tampered
 	inc := &flight.Incident{
 		Schema: flight.IncidentSchema, ID: "inc-000001-plan_flip",
-		Kind:    flight.KindPlanFlip,
-		Record:  flight.Record{SQL: cap.SQL, Template: cap.Template, Status: 200, PlanFP: fp},
-		Capture: cap,
+		Kind:        flight.KindPlanFlip,
+		Observation: flight.Observation{Record: flight.Record{SQL: cap.SQL, Template: cap.Template, Status: 200, PlanFP: fp}},
+		Capture:     cap,
 	}
 	rr, err := flight.Replay(inc)
 	if err != nil {
@@ -442,9 +455,9 @@ func TestReplayParallelismDeterminism(t *testing.T) {
 	cap, fp := captureFor(t, 4)
 	inc := &flight.Incident{
 		Schema: flight.IncidentSchema, ID: "inc-000001-latency",
-		Kind:    flight.KindLatency,
-		Record:  flight.Record{SQL: cap.SQL, Status: 200, PlanFP: fp},
-		Capture: cap,
+		Kind:        flight.KindLatency,
+		Observation: flight.Observation{Record: flight.Record{SQL: cap.SQL, Status: 200, PlanFP: fp}},
+		Capture:     cap,
 	}
 	rr, err := flight.Replay(inc)
 	if err != nil {
@@ -471,25 +484,31 @@ func TestReplayErrors(t *testing.T) {
 }
 
 func TestObserveConcurrent(t *testing.T) {
-	// Hammer one recorder from many goroutines; bounds hold and the
-	// census adds up. Run with -race for the memory-model half.
+	// Hammer one recorder from many goroutines, one template (and so one
+	// history) each; bounds hold and the census adds up. Run with -race
+	// for the memory-model half.
 	r := newRecorder(t, flight.Config{})
+	hs := make([]flight.History, 8)
 	done := make(chan struct{})
-	for w := 0; w < 8; w++ {
+	for w := range hs {
 		go func(w int) {
 			defer func() { done <- struct{}{} }()
 			for i := 0; i < 50; i++ {
-				o := r.Observe(rec(fmt.Sprintf("Q%d", w), "fp1", time.Millisecond))
+				o := watch(r, &hs[w], rec(fmt.Sprintf("Q%d", w), "fp1", time.Millisecond))
 				r.File(o, flight.Capture{})
 			}
 		}(w)
 	}
-	for w := 0; w < 8; w++ {
+	for range hs {
 		<-done
 	}
-	st := r.Stats()
-	if st.Records != 400 || st.Templates != 8 {
+	if st := r.Stats(); st.Records != 400 {
 		t.Fatalf("stats = %+v", st)
+	}
+	for w := range hs {
+		if _, n := hs[w].Baseline(); n != historySize {
+			t.Fatalf("history %d holds %d samples, want %d", w, n, historySize)
+		}
 	}
 	if len(r.Recent()) != ringSize {
 		t.Fatalf("ring overflowed: %d", len(r.Recent()))

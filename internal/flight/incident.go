@@ -63,8 +63,8 @@ type Capture struct {
 }
 
 // Incident is one watchdog firing, bundled for later debugging: the
-// anomalous record, why it fired, the template's history context, the full
-// capture, and the recent-request ring.
+// anomalous observation — record, triggers, and the template's history
+// context — the full capture, and the recent-request ring.
 type Incident struct {
 	Schema string `json:"schema"`
 	// ID is "inc-<seq>-<kind>", unique within one daemon run.
@@ -72,34 +72,11 @@ type Incident struct {
 	// Kind is the primary (highest-priority) trigger kind.
 	Kind string    `json:"kind"`
 	Time time.Time `json:"time"`
-	// Record is the anomalous request's flight record.
-	Record Record `json:"record"`
-	// Triggers lists every watchdog rule that fired, priority order.
-	Triggers []Trigger `json:"triggers"`
-	// Prev is the template's previous record — the "before" of a plan
-	// flip.
-	Prev *Record `json:"prev,omitempty"`
-	// BaselineNS and Samples are the rolling latency baseline the record
-	// was judged against.
-	BaselineNS float64 `json:"baseline_ns,omitempty"`
-	Samples    int     `json:"samples,omitempty"`
+	Observation
 	// Capture is the self-contained replay bundle.
 	Capture Capture `json:"capture"`
 	// Ring is the recent-request ring at snapshot time, oldest first.
 	Ring []Record `json:"ring,omitempty"`
-}
-
-// sortTriggers orders triggers by kind priority, stably.
-func sortTriggers(ts []Trigger) []Trigger {
-	out := make([]Trigger, 0, len(ts))
-	for _, k := range Kinds {
-		for _, t := range ts {
-			if t.Kind == k {
-				out = append(out, t)
-			}
-		}
-	}
-	return out
 }
 
 // File snapshots an incident from a triggering observation and its capture,
@@ -116,17 +93,16 @@ func (r *Recorder) File(o Observation, cap Capture) (*Incident, error) {
 	r.incSeq++
 	kind := o.Kind()
 	inc := &Incident{
-		Schema:     IncidentSchema,
-		ID:         fmt.Sprintf("inc-%06d-%s", r.incSeq, kind),
-		Kind:       kind,
-		Time:       o.Record.Time,
-		Record:     o.Record,
-		Triggers:   sortTriggers(o.Triggers),
-		Prev:       o.Prev,
-		BaselineNS: o.BaselineNS,
-		Samples:    o.Samples,
-		Capture:    cap,
-		Ring:       append([]Record(nil), r.ring...),
+		Schema:      IncidentSchema,
+		ID:          fmt.Sprintf("inc-%06d-%s", r.incSeq, kind),
+		Kind:        kind,
+		Time:        o.Record.Time,
+		Observation: o,
+		Capture:     cap,
+		Ring:        r.recent(),
+	}
+	for _, t := range o.Triggers {
+		r.byKind[t.Kind]++
 	}
 	if len(r.incidents) == maxIncidents {
 		copy(r.incidents, r.incidents[1:])

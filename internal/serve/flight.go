@@ -25,20 +25,21 @@ func fnvHex(s string) string {
 	return fmt.Sprintf("%016x", h.Sum64())
 }
 
-// foldFlight folds one finished request into the flight recorder and, when
-// the watchdog fires, snapshots an incident bundle. planFP is res.Best's
+// foldFlight folds one finished request into the flight recorder and runs
+// the watchdog against its template's history h. planFP is res.Best's
 // fingerprint as the response already rendered it, maxQ the request's worst
-// per-operator Q-error as the ledger folded it. Called from the
-// doLabeled defer after the request's event stream is final; no-op (and
-// allocation-free) when recording is disabled.
-func (s *Server) foldFlight(reqID, tmpl string, req OptimizeRequest, sink *obs.Sink, maxQ float64,
-	res *opt.Result, planFP string, status int, wall time.Duration, executed bool) {
+// per-operator Q-error as the ledger folded it. Called by fold with the
+// template table locked; no-op (and allocation-free) when recording is
+// disabled.
+func (s *Server) foldFlight(reqID, tmpl string, req OptimizeRequest, h *flight.History, maxQ float64,
+	res *opt.Result, planFP string, status int, wall time.Duration, executed bool) flight.Observation {
 	if s.flight == nil {
-		return
+		return flight.Observation{}
 	}
 	rec := flight.Record{
 		Req: reqID, Template: tmpl, SQL: req.SQL, Status: status,
 		WallNS: wall.Nanoseconds(), Parallelism: s.cfg.Parallelism,
+		CatalogEpoch: s.catalogEpoch, RulesHash: s.rulesHash,
 		Executed: executed, MaxQError: maxQ,
 	}
 	if res != nil && res.Best != nil {
@@ -49,10 +50,9 @@ func (s *Server) foldFlight(reqID, tmpl string, req OptimizeRequest, sink *obs.S
 	}
 
 	o := s.flight.Observe(rec)
+	s.flight.Judge(h, &o)
 	s.reg.Counter("flight_records_total").Add(1)
-	if len(o.Triggers) > 0 {
-		s.fileIncident(o, req, tmpl, sink, res)
-	}
+	return o
 }
 
 // fileIncident counts a triggering observation's anomalies and files its
@@ -174,14 +174,11 @@ func (s *Server) handleIncidents(w http.ResponseWriter, _ *http.Request) {
 		Incidents []incidentSummary `json:"incidents"`
 	}{Schema: flight.IncidentSchema, Enabled: s.flight != nil, Incidents: []incidentSummary{}}
 	for _, inc := range incs {
-		row := incidentSummary{
+		out.Incidents = append(out.Incidents, incidentSummary{
 			ID: inc.ID, Kind: inc.Kind, Time: inc.Time, Req: inc.Record.Req,
 			Template: inc.Record.Template, SQL: inc.Record.SQL, PlanFP: inc.Record.PlanFP,
-		}
-		if len(inc.Triggers) > 0 {
-			row.Detail = inc.Triggers[0].Detail
-		}
-		out.Incidents = append(out.Incidents, row)
+			Detail: inc.Triggers[0].Detail, // File files no trigger-free observation
+		})
 	}
 	out.Count = len(out.Incidents)
 	s.writeJSON(w, http.StatusOK, out)
@@ -217,26 +214,18 @@ func (s *Server) handleDebugFlight(w http.ResponseWriter, _ *http.Request) {
 		Templates    []flight.TemplateState `json:"templates"`
 		Recent       []flight.Record        `json:"recent"`
 	}{
-		Schema:  "stars/flight/v1",
-		Enabled: s.flight != nil,
+		Schema:    "stars/flight/v1",
+		Enabled:   s.flight != nil,
+		Stats:     flight.Stats{ByKind: map[string]int64{}},
+		Templates: []flight.TemplateState{},
+		Recent:    []flight.Record{},
 	}
 	if s.flight != nil {
-		cfg := s.flight.Config()
-		out.CatalogEpoch = cfg.CatalogEpoch
-		out.RulesHash = cfg.RulesHash
-		out.IncidentDir = cfg.IncidentDir
+		out.CatalogEpoch, out.RulesHash, out.IncidentDir = s.catalogEpoch, s.rulesHash, s.cfg.Flight.IncidentDir
 		out.Stats = s.flight.Stats()
-		out.Templates = s.flight.Templates()
+		out.Templates = s.flightTemplates()
+		out.Stats.Templates = len(out.Templates)
 		out.Recent = s.flight.Recent()
-	}
-	if out.Templates == nil {
-		out.Templates = []flight.TemplateState{}
-	}
-	if out.Recent == nil {
-		out.Recent = []flight.Record{}
-	}
-	if out.Stats.ByKind == nil {
-		out.Stats.ByKind = map[string]int64{}
 	}
 	s.writeJSON(w, http.StatusOK, out)
 }

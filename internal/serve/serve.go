@@ -31,6 +31,7 @@ import (
 	"net/http/pprof"
 	"runtime"
 	rpprof "runtime/pprof"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -105,10 +106,9 @@ type Config struct {
 	// busy, so intra-query fan-out only helps latency on idle servers;
 	// results are identical either way). Zero or less selects the default.
 	Parallelism int
-	// Flight tunes the flight recorder and plan-stability watchdog (ring
-	// sizes, anomaly thresholds, incident directory); its CatalogEpoch,
-	// RulesHash, and zero fields are filled by the daemon at boot. See
-	// internal/flight.
+	// Flight tunes the flight recorder and plan-stability watchdog
+	// (anomaly thresholds, incident directory); zero fields take their
+	// defaults. See internal/flight.
 	Flight flight.Config
 	// DisableFlight turns the flight recorder off entirely: no records,
 	// no watchdog, no incidents, and the /optimize hot path stays
@@ -167,8 +167,10 @@ type Server struct {
 	// built-ins) — the coverage universe behind /coverage.
 	rules *star.RuleSet
 	// ledger is the rolling coverage + Q-error view every request feeds
-	// (see internal/coverage).
-	ledger *coverage.Ledger
+	// (see internal/coverage); templates is the per-template memory beside
+	// it, and its lock guards both.
+	ledger    *coverage.Ledger
+	templates templateTable
 	// flight is the flight recorder + watchdog (nil when disabled);
 	// rulesText/rulesHash/catalogEpoch are the boot-time identity stamps
 	// its records and captures carry.
@@ -196,6 +198,88 @@ type Server struct {
 	// testHold, when non-nil, blocks each request's worker until the
 	// channel yields — test hook for admission/timeout behavior.
 	testHold chan struct{}
+}
+
+// maxTemplates bounds the daemon's per-template memory.
+const maxTemplates = 256
+
+// templateRecord is what the daemon remembers of one query template
+// (coverage.Template): its ledger entry and its watchdog history.
+type templateRecord struct {
+	template string
+	used     int64 // last-use stamp
+	ledger   coverage.TemplateLedger
+	flight   flight.History
+}
+
+// templateTable holds at most maxTemplates records in admission order. Past
+// the bound a newcomer evicts the least recently used record, which is
+// reset, reused, and counted in templates_evicted_total. Its lock also
+// guards the process-wide ledger.
+type templateTable struct {
+	mu      sync.Mutex
+	m       map[string]*templateRecord
+	recs    []*templateRecord // admission order
+	clock   int64
+	evicted *obs.Counter
+}
+
+// admit returns tmpl's record, admitting it on first sight; t.mu is held.
+func (t *templateTable) admit(tmpl string) *templateRecord {
+	t.clock++
+	r := t.m[tmpl]
+	if r == nil {
+		if len(t.recs) < maxTemplates {
+			r = &templateRecord{}
+		} else {
+			i := 0
+			for j, c := range t.recs {
+				if c.used < t.recs[i].used {
+					i = j
+				}
+			}
+			r = t.recs[i]
+			t.recs = slices.Delete(t.recs, i, i+1)
+			delete(t.m, r.template)
+			r.ledger.Reset()
+			r.flight.Reset()
+			t.evicted.Add(1)
+		}
+		r.template = tmpl
+		t.m[tmpl] = r
+		t.recs = append(t.recs, r)
+	}
+	r.used = t.clock
+	return r
+}
+
+// fold folds one finished request under the template table's lock: the
+// process-wide ledger, the template's ledger entry and, when recording, the
+// flight recorder (whose lock nests inside: two per fold) and the template's
+// watchdog history. The caller files any incident the result raises once
+// the lock is dropped, since a capture may re-optimize the query.
+func (s *Server) fold(reqID, tmpl string, req OptimizeRequest, events []obs.Event,
+	res *opt.Result, planFP string, status int, wall time.Duration, executed bool) flight.Observation {
+	s.templates.mu.Lock()
+	defer s.templates.mu.Unlock()
+	t := s.templates.admit(tmpl)
+	maxQ := s.ledger.Record(tmpl, events)
+	t.ledger.Fold(events)
+	return s.foldFlight(reqID, tmpl, req, &t.flight, maxQ, res, planFP, status, wall, executed)
+}
+
+// flightTemplates renders the watchdog histories in admission order,
+// leaving out templates that have only failed (nothing judged yet).
+func (s *Server) flightTemplates() []flight.TemplateState {
+	s.templates.mu.Lock()
+	defer s.templates.mu.Unlock()
+	out := []flight.TemplateState{}
+	for _, t := range s.templates.recs {
+		if st, ok := t.flight.State(t.template); ok {
+			out = append(out, st)
+		}
+	}
+	return out
 }
 
 // New builds a daemon. The execution cluster is populated once, up front,
@@ -233,6 +317,8 @@ func New(cfg Config) (*Server, error) {
 		ledger:   coverage.NewLedger(0),
 		profAgg:  &prof.Profile{},
 	}
+	s.templates.m = map[string]*templateRecord{}
+	s.templates.evicted = s.reg.Counter("templates_evicted_total")
 	if cfg.Demo {
 		workload.PopulateEmpDept(s.cluster, cfg.Catalog, cfg.Seed)
 	} else {
@@ -251,10 +337,7 @@ func New(cfg Config) (*Server, error) {
 		s.catalogEpoch = fnvHex(string(b))
 	}
 	if !cfg.DisableFlight {
-		fc := cfg.Flight
-		fc.CatalogEpoch = s.catalogEpoch
-		fc.RulesHash = s.rulesHash
-		s.flight = flight.New(fc)
+		s.flight = flight.New(cfg.Flight)
 	}
 
 	// Touch the service metrics so /metrics exposes them at zero before
@@ -437,11 +520,12 @@ func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 
 // handleMetrics sets the derived gauges per scrape, then writes the registry.
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
+	s.templates.mu.Lock()
 	s.ledger.PublishMetrics(s.reg, s.rules)
+	s.templates.mu.Unlock()
 	if s.flight != nil {
-		st := s.flight.Stats()
-		s.reg.Gauge("flight_templates").Set(int64(st.Templates))
-		s.reg.Gauge("flight_incidents").Set(int64(st.Incidents))
+		s.reg.Gauge("flight_templates").Set(int64(len(s.flightTemplates())))
+		s.reg.Gauge("flight_incidents").Set(int64(s.flight.Stats().Incidents))
 	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	if err := s.reg.WritePrometheus(w); err != nil {
@@ -454,7 +538,13 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 // and per-query-template estimate-vs-actual quality after execute+analyze
 // requests.
 func (s *Server) handleCoverage(w http.ResponseWriter, _ *http.Request) {
-	s.writeJSON(w, http.StatusOK, s.ledger.Snapshot(s.rules))
+	s.templates.mu.Lock()
+	rep := s.ledger.Snapshot(s.rules)
+	for _, t := range s.templates.recs {
+		rep.Templates = append(rep.Templates, t.ledger.Report(t.template))
+	}
+	s.templates.mu.Unlock()
+	s.writeJSON(w, http.StatusOK, rep)
 }
 
 // handleProfile renders the rolling self-profile aggregate (schema
@@ -591,10 +681,10 @@ func (s *Server) doLabeled(reqID, tmpl string, req OptimizeRequest) outcome {
 		s.profMu.Unlock()
 	}()
 	// LIFO puts this after the EvRequestDone emit below, so the whole
-	// stream is final: fold it into the rolling coverage/Q-error ledger
-	// (counters reach the registry via the merge above), then into the
-	// flight recorder — whose watchdog wants the complete trace
-	// (exec.feedback included) in its captures.
+	// stream is final: fold it into the ledger and the template's record
+	// (counters reach the registry via the merge above), then file any
+	// incident the watchdog raised — its capture wants the complete trace
+	// (exec.feedback included).
 	status := http.StatusOK
 	var (
 		flightRes  *opt.Result
@@ -602,8 +692,10 @@ func (s *Server) doLabeled(reqID, tmpl string, req OptimizeRequest) outcome {
 		flightExec bool
 	)
 	defer func() {
-		maxQ := s.ledger.Record(tmpl, sink.Events())
-		s.foldFlight(reqID, tmpl, req, sink, maxQ, flightRes, flightFP, status, time.Since(start), flightExec)
+		o := s.fold(reqID, tmpl, req, sink.Events(), flightRes, flightFP, status, time.Since(start), flightExec)
+		if len(o.Triggers) > 0 {
+			s.fileIncident(o, req, tmpl, sink, flightRes)
+		}
 		// Every consumer of the result is done (the response is rendered,
 		// incident captures serialize plans to JSON): hand the plan arenas
 		// back, so the next request fills the same chunks instead of

@@ -366,8 +366,11 @@ func (s *Store) BuildIndex(table, idxName string, keyCols []string) (*BTree, err
 		pos[i] = p
 	}
 	bt := NewBTree(len(keyCols))
+	// One array backs every key; 3-index slices keep each from its neighbour.
+	keys := make([]datum.Datum, int(td.Heap.NumRows())*len(pos))
 	td.Heap.Scan(&s.Counters, func(tid TID, row datum.Row) bool {
-		key := make(datum.Row, len(pos))
+		key := datum.Row(keys[:len(pos):len(pos)])
+		keys = keys[len(pos):]
 		for i, p := range pos {
 			key[i] = row[p]
 		}

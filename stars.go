@@ -444,9 +444,9 @@ type CoverageAccumulator = coverage.Accumulator
 // plans, survived in the plan table, was pruned, and won.
 type CoverageReport = coverage.Report
 
-// CoverageLedger is the serving-time rolling view: coverage plus a
-// per-query-template Q-error digest (what `starburst serve` exposes at
-// GET /coverage).
+// CoverageLedger is the serving-time rolling view: coverage plus the
+// aggregate Q-error digest; `starburst serve` adds its 256-template LRU
+// table of per-template entries at GET /coverage. Not concurrency-safe.
 type CoverageLedger = coverage.Ledger
 
 // CoverageSchemaV1 identifies the coverage JSON layouts.
