@@ -237,8 +237,7 @@ func reportCoverage() {
 
 // reportProfile runs the coverage corpus with the self-profiler attached
 // and prints each workload's phase breakdown plus the merged totals (the
-// deep report is `starburst profile`). Like that command it runs serially,
-// where the per-rule allocation attribution is exact.
+// deep report is `starburst profile`). Like that command it runs serially.
 func reportProfile() {
 	report := stars.NewProfileReport(runtime.GOMAXPROCS(0), 1)
 	for _, entry := range stars.WorkloadCorpus() {

@@ -16,8 +16,8 @@ import (
 // profileMain is the `starburst profile` subcommand: run the optimizer
 // against the workload corpus (plus the enumeration-benchmark fixtures
 // chain8 and star8) with the self-profiler attached and report where the
-// time and the allocations go — per phase, per STAR, per activity, and per
-// parallel rank.
+// time goes — per phase, per STAR, per activity, and per parallel rank — and
+// the allocations per phase.
 //
 //	starburst profile                      # corpus + bench fixtures, text report
 //	starburst profile -json                # stars/profile/v1 JSON report
@@ -27,10 +27,7 @@ import (
 //	starburst profile -pprof-labels        # also tag goroutines with phase=/rank=/star=
 //	starburst profile -top 5               # shorten the rule/span tables
 //
-// Parallelism defaults to 1: in the serial path the per-rule allocation
-// attribution is exact, whereas parallel workers share one process-wide
-// allocation counter and add cross-worker noise to per-rule figures (phase
-// and rank figures stay exact). Exit status: 0 ok, 1 run errors, 2 usage.
+// Parallelism defaults to 1. Exit status: 0 ok, 1 run errors, 2 usage.
 func profileMain(args []string) {
 	fs := flag.NewFlagSet("profile", flag.ExitOnError)
 	var (

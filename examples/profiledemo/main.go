@@ -4,9 +4,10 @@
 //
 //	go run ./examples/profiledemo [-k 6] [-parallelism 4] [-top 8]
 //
-// The serial run shows where one optimization's time and allocations go:
-// per phase (prepare, access, the join ranks, root, finalize — their
-// self-times partition the wall clock), per STAR by self-time (JMeth is
+// The serial run shows where one optimization's time goes: per phase
+// (prepare, access, the join ranks, root, finalize — their self-times
+// partition the wall clock; phases also count allocations), per STAR by
+// self-time (JMeth is
 // where join work concentrates; its TOTAL includes the Glue subtree, its
 // SELF does not), and per activity (guard evaluation vs cost pricing vs
 // plan-table offers — overlapping meters, not a partition).

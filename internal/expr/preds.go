@@ -152,6 +152,26 @@ func (s PredSet) ForEach(f func(p Expr, key string)) {
 	}
 }
 
+// ForEachShape calls f with each member and its ShapeKey, in ShapeKey order,
+// which is not key order: literals sort keys, shapes have none. The universe
+// renders each conjunct's shape key once, so the walk allocates nothing after
+// the first for sets of up to 64 members.
+func (s PredSet) ForEachShape(f func(p Expr, shape string)) {
+	if s.Empty() {
+		return
+	}
+	shapes := s.u.shapeKeys()
+	var buf [64]int
+	ords := buf[:0]
+	for i := s.Next(0); i >= 0; i = s.Next(i + 1) {
+		ords = append(ords, i)
+	}
+	slices.SortFunc(ords, func(a, b int) int { return strings.Compare(shapes[a], shapes[b]) })
+	for _, i := range ords {
+		f(s.u.preds[i], shapes[i])
+	}
+}
+
 // Contains reports whether the set holds a predicate structurally equal to p.
 func (s PredSet) Contains(p Expr) bool {
 	i := s.u.predOrdinal(p.Key())

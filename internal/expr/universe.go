@@ -34,9 +34,10 @@ type predInfo struct {
 // Quantifier ordinals follow FROM order, so the enumeration driver's subset
 // mask is the TableSet. Conjunct ordinals follow canonical-key order, so
 // ascending-bit iteration is key order — the deterministic order plans,
-// fingerprints and events are reproducible in. Apart from the Slice memo a
-// Universe is immutable once built, and it is shared freely between
-// goroutines. A nil *Universe is the empty universe.
+// fingerprints and events are reproducible in. Apart from the Slice memo and
+// the shape keys rendered on first use a Universe is immutable once built,
+// and it is shared freely between goroutines. A nil *Universe is the empty
+// universe.
 type Universe struct {
 	quants []string // FROM order; bit i of a TableSet
 	byName []int    // quantifier ordinals in name order, the order Slice and Key render
@@ -46,10 +47,15 @@ type Universe struct {
 
 	// slices memoizes PredSet.Slice by Hash64 for the callers that ask per
 	// row: the executor and ext/* read a plan node's predicates that way.
-	// It is the universe's only mutable state, and optimization stays off
-	// it — pricing and fingerprints iterate with ForEach.
+	// Optimization stays off it — pricing and fingerprints iterate with
+	// ForEach.
 	mu     sync.Mutex
 	slices map[uint64][]memoSlice
+
+	// shapes holds each conjunct's ShapeKey by ordinal, rendered once, the
+	// first time a shape fingerprint asks (ForEachShape).
+	shapeOnce sync.Once
+	shapes    []string
 }
 
 type memoSlice struct {
@@ -201,6 +207,17 @@ func (u *Universe) pred(i int) PredSet {
 	s := PredSet{u: u}
 	s.add(i, len(u.preds))
 	return s
+}
+
+// shapeKeys returns every conjunct's ShapeKey by ordinal.
+func (u *Universe) shapeKeys() []string {
+	u.shapeOnce.Do(func() {
+		u.shapes = make([]string, len(u.preds))
+		for i, p := range u.preds {
+			u.shapes[i] = ShapeKey(p)
+		}
+	})
+	return u.shapes
 }
 
 // slice materializes s in key order, once per distinct set.

@@ -187,12 +187,27 @@ type Observation struct {
 	Record   Record    `json:"record"`
 	Triggers []Trigger `json:"triggers"`
 	// Prev is the template's previous successful record (nil on first
-	// sight) — the "before" of a plan flip.
+	// sight) — the "before" of a plan flip. Judge keeps that record in the
+	// observation (Previous reads it) and File sets Prev on the incident it
+	// files, so judging a repeat that files nothing copies no record to the
+	// heap.
 	Prev *Record `json:"prev,omitempty"`
 	// BaselineNS and Samples are the template's rolling latency baseline
 	// before this record was folded in.
 	BaselineNS float64 `json:"baseline_ns,omitempty"`
 	Samples    int     `json:"samples,omitempty"`
+
+	prev    Record // valid when hasPrev
+	hasPrev bool
+}
+
+// Previous returns the template's previous successful record as Judge
+// found it, nil on first sight.
+func (o *Observation) Previous() *Record {
+	if !o.hasPrev {
+		return nil
+	}
+	return &o.prev
 }
 
 // Kind returns the observation's primary incident kind — the
@@ -315,13 +330,10 @@ func (r *Recorder) Judge(h *History, o *Observation) {
 	if r == nil || rec.Status != 200 || rec.PlanFP == "" {
 		return
 	}
-	if h.n > 0 {
-		prev := h.last
-		o.Prev = &prev
-	}
+	o.prev, o.hasPrev = h.last, h.n > 0
 	o.BaselineNS, o.Samples = h.Baseline()
 
-	if p := o.Prev; p != nil && p.shape() != rec.shape() &&
+	if p := &o.prev; o.hasPrev && p.shape() != rec.shape() &&
 		p.CatalogEpoch == rec.CatalogEpoch && p.RulesHash == rec.RulesHash {
 		o.Triggers = append(o.Triggers, Trigger{
 			Kind:   KindPlanFlip,

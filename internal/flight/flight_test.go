@@ -67,8 +67,8 @@ func TestWatchdogPlanFlip(t *testing.T) {
 	if o.Kind() != flight.KindPlanFlip {
 		t.Fatalf("kind = %q, want plan_flip (triggers %+v)", o.Kind(), o.Triggers)
 	}
-	if o.Prev == nil || o.Prev.PlanFP != "fp1" {
-		t.Fatalf("prev = %+v, want fp1", o.Prev)
+	if p := o.Previous(); p == nil || p.PlanFP != "fp1" {
+		t.Fatalf("prev = %+v, want fp1", o.Previous())
 	}
 	if o.Triggers[0].PrevFP != "fp1" {
 		t.Fatalf("trigger prev fp = %q", o.Triggers[0].PrevFP)
@@ -215,7 +215,7 @@ func TestFailuresRingOnlyAndBounds(t *testing.T) {
 	var h flight.History
 	// Failures enter the ring but never the history.
 	bad := flight.Record{Template: "Q", SQL: "Q", Status: 400}
-	if o := watch(r, &h, bad); o.Prev != nil || len(o.Triggers) != 0 {
+	if o := watch(r, &h, bad); o.Previous() != nil || len(o.Triggers) != 0 {
 		t.Fatalf("failure judged: %+v", o)
 	}
 	if _, n := h.Baseline(); n != 0 {
@@ -247,7 +247,7 @@ func TestFailuresRingOnlyAndBounds(t *testing.T) {
 	}
 	// A reset history is a first sight again.
 	h.Reset()
-	if o := watch(r, &h, rec("Q", "fp2", time.Millisecond)); o.Prev != nil || o.Samples != 0 || len(o.Triggers) != 0 {
+	if o := watch(r, &h, rec("Q", "fp2", time.Millisecond)); o.Previous() != nil || o.Samples != 0 || len(o.Triggers) != 0 {
 		t.Fatalf("reset history still judged against the old one: %+v", o)
 	}
 }

@@ -101,6 +101,9 @@ func (r *Recorder) File(o Observation, cap Capture) (*Incident, error) {
 		Capture:     cap,
 		Ring:        r.recent(),
 	}
+	if o.hasPrev {
+		inc.Prev = &inc.prev
+	}
 	for _, t := range o.Triggers {
 		r.byKind[t.Kind]++
 	}

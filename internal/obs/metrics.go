@@ -34,7 +34,12 @@ func NewRegistry() *Registry {
 }
 
 // Counter is a monotonically increasing int64. The nil counter discards.
-type Counter struct{ v atomic.Int64 }
+type Counter struct {
+	v atomic.Int64
+	// named reports a Registry.Counter lookup since the counter was made
+	// or its registry last Reset: what Counters lists.
+	named atomic.Bool
+}
 
 // Add increments the counter by n.
 func (c *Counter) Add(n int64) {
@@ -173,6 +178,13 @@ func (h *Histogram) Sum() time.Duration {
 	return h.sum
 }
 
+// reset empties the histogram.
+func (h *Histogram) reset() {
+	h.mu.Lock()
+	h.counts, h.sum, h.n = [histBuckets + 1]int64{}, 0, 0
+	h.mu.Unlock()
+}
+
 // snapshot copies the bucket state under the lock.
 func (h *Histogram) snapshot() (counts [histBuckets + 1]int64, sum time.Duration, n int64) {
 	h.mu.Lock()
@@ -198,7 +210,11 @@ func (r *Registry) Counter(name string) *Counter {
 	if r == nil {
 		return nil
 	}
-	return getOrCreate(r, r.counters, name)
+	c := getOrCreate(r, r.counters, name)
+	if !c.named.Load() {
+		c.named.Store(true)
+	}
+	return c
 }
 
 // getOrCreate returns the series m holds under name, creating it under r's
@@ -221,7 +237,9 @@ func getOrCreate[T any](r *Registry, m map[string]*T, name string) *T {
 
 // Counters snapshots every counter's current value by name. Nil registry
 // returns an empty map. Two snapshots bracket a unit of work; their
-// per-name deltas attribute the registry's monotonic totals to it.
+// per-name deltas attribute the registry's monotonic totals to it. After a
+// Reset it lists only the counters looked up or moved since, as a new
+// registry would.
 func (r *Registry) Counters() map[string]int64 {
 	out := map[string]int64{}
 	if r == nil {
@@ -230,9 +248,36 @@ func (r *Registry) Counters() map[string]int64 {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	for name, c := range r.counters {
-		out[name] = c.Value()
+		if v := c.Value(); v != 0 || c.named.Load() {
+			out[name] = v
+		}
 	}
 	return out
+}
+
+// Reset zeroes every series and keeps it, so a registry reused for the next
+// unit of work looks its series up again without allocating. A Merge of the
+// reset registry into one that already holds its series adds no series
+// there; Counters lists a counter again once it is looked up or moved.
+func (r *Registry) Reset() {
+	if r == nil {
+		return
+	}
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	for _, c := range r.counters {
+		c.v.Store(0)
+		c.named.Store(false)
+	}
+	for _, g := range r.gauges {
+		g.Set(0)
+	}
+	for _, g := range r.fgauges {
+		g.Set(0)
+	}
+	for _, h := range r.histos {
+		h.reset()
+	}
 }
 
 // Merge folds another registry's counters and histograms into r, by name —

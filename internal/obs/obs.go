@@ -226,6 +226,30 @@ func NewRequestSink(req string) *Sink {
 	return s
 }
 
+// Reset readies the sink for the next unit of work, tagged tag, as NewSink
+// would make it except that it is not tracing: the event log empties but
+// keeps its capacity, the registry and the profiler zero their values but
+// keep their series and rows, the span histograms stay resolved, and the
+// tees, sequence numbers and clock start over. A slice Events returned
+// before is overwritten by the next events, so nothing may still read it.
+// Must be called before the sink is shared across goroutines. No-op on nil.
+func (s *Sink) Reset(tag string) {
+	if s == nil {
+		return
+	}
+	clear(s.events)
+	s.events = s.events[:0]
+	clear(s.tees)
+	s.tees = s.tees[:0]
+	s.seq = 0
+	s.spanSeq.Store(0)
+	s.tracing = false
+	s.tag = tag
+	s.start = time.Now()
+	s.reg.Reset()
+	s.prof.reset()
+}
+
 // SetTracing moves the sink between the two tiers (see Tracing). Must be
 // called before the sink is shared across goroutines. No-op on nil.
 func (s *Sink) SetTracing(on bool) {

@@ -37,6 +37,7 @@ func TestNilSinkIsSafeAndFree(t *testing.T) {
 	s.Registry().Counter("x").Add(1)
 	s.Registry().Histogram("y").Observe(time.Millisecond)
 	s.Registry().Gauge("z").Set(9)
+	s.Reset("r1")
 
 	// The disabled fast path must not allocate — including the enriched
 	// provenance payloads (victim/dominator fingerprints and costs ride in

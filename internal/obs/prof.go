@@ -4,12 +4,14 @@
 // A Prof rides on a Sink (EnableProf) and turns the span stream the
 // instrumented code already emits — phase spans, per-STAR rule spans, Glue
 // calls — into per-key tallies: invocation counts, self-time (span time
-// minus time spent in nested spans), total time, and allocation counts read
-// from the runtime's heap-allocation counter at span boundaries. Hot
-// micro-operations that are too frequent to be spans (guard evaluations,
-// cost pricing, plan-table offers) report through ProfActivity, and the
-// rank-parallel enumeration reports per-rank worker telemetry through
-// ProfRank.
+// minus time spent in nested spans) and total time. Phases also carry
+// allocation counts, read from the runtime's heap-allocation counter at
+// their begin and end only: that read takes a process-wide lock and costs
+// about as much as a small rule reference, so rule and span rows do not
+// attribute allocations and their Allocs read 0. Hot micro-operations that
+// are too frequent to be spans (guard evaluations, cost pricing, plan-table
+// offers) report through ProfActivity, and the rank-parallel enumeration
+// reports per-rank worker telemetry through ProfRank.
 //
 // The tallies live in a Profile, the one representation of a profile: a
 // worker's Child sink gets its own empty Prof, Absorb folds its Profile into
@@ -22,9 +24,10 @@
 // Determinism contract: the Count fields (spans per phase, references per
 // rule, activity operation counts) are a pure function of the optimization
 // and are bit-identical across Parallelism levels. Durations are wall-clock
-// and vary run to run; allocation attribution is exact for serial runs and
-// phase-accurate (but cross-worker-noisy at rule granularity) for parallel
-// runs, because the runtime exposes only a process-wide allocation counter.
+// and vary run to run. A phase's allocation count is the runtime counter's
+// advance over the phase's whole window, which is exact for a serial run and
+// for a parallel one alike (the workers of a join rank run inside its
+// window), as long as nothing else in the process allocates meanwhile.
 package obs
 
 import (
@@ -83,7 +86,8 @@ type Figures struct {
 	SelfNS int64 `json:"self_ns"`
 	// TotalNS is wall time including nested spans.
 	TotalNS int64 `json:"total_ns"`
-	// Allocs is the heap allocations attributed to the span's self window.
+	// Allocs is the heap allocations made in a phase's window. Rule and
+	// span rows do not attribute allocations: theirs read 0.
 	Allocs int64 `json:"allocs"`
 }
 
@@ -232,7 +236,9 @@ func (p *Profile) rank(r Rank) *Rank {
 		i++
 	}
 	if i == len(p.Ranks) {
-		p.Ranks = append(p.Ranks, Rank{Rank: r.Rank})
+		// A reset profile's rows keep their busy vectors' storage.
+		p.Ranks = slices.Grow(p.Ranks, 1)[:i+1]
+		p.Ranks[i] = Rank{Rank: r.Rank, BusyNS: p.Ranks[i].BusyNS[:0]}
 	}
 	e := &p.Ranks[i]
 	e.Tasks += r.Tasks
@@ -355,15 +361,15 @@ type ProfOptions struct {
 	Labels bool
 }
 
-// profFrame is one open span on a profiler stack.
+// profFrame is one open span on a profiler stack. allocMark, the allocation
+// counter at the span's begin, is read for phase frames only.
 type profFrame struct {
-	dim        uint8
-	key        string
-	beginT     time.Duration
-	selfMark   time.Duration
-	allocMark  int64
-	selfAccNS  int64
-	allocAccum int64
+	dim       uint8
+	key       string
+	beginT    time.Duration
+	selfMark  time.Duration
+	selfAccNS int64
+	allocMark int64
 }
 
 // rankSeries are the opt_rank_* counters, in the order Prof.pubRanks holds
@@ -382,8 +388,7 @@ type Prof struct {
 	rows       Profile
 	phaseStack []profFrame
 	spanStack  []profFrame
-	sample     []metrics.Sample
-	allocFn    func() int64 // test hook; defaults to the runtime counter
+	allocFn    func() int64 // test hook; defaults to HeapAllocs
 
 	// pubPhases holds each phase's tallies as PublishMetrics last exported
 	// them and pubRanks the rank figures recorded since, so repeated
@@ -392,39 +397,59 @@ type Prof struct {
 	pubRanks  [len(rankSeries)]int64
 }
 
-// heapAllocsMetric is the runtime/metrics cumulative heap-allocation count.
-const heapAllocsMetric = "/gc/heap/allocs:objects"
-
 func newProf(o ProfOptions) *Prof {
 	p := &Prof{
 		labels:    o.Labels,
 		pubPhases: map[string]Figures{},
-		sample:    []metrics.Sample{{Name: heapAllocsMetric}},
+		allocFn:   HeapAllocs,
 	}
 	p.rows.Activities = make([]ActivityRow, NumActivities)
 	for a := range p.rows.Activities {
 		p.rows.Activities[a].Name = Activity(a).String()
 	}
-	p.allocFn = p.readAllocs
 	return p
 }
 
-func (p *Prof) readAllocs() int64 {
-	metrics.Read(p.sample)
-	if p.sample[0].Value.Kind() == metrics.KindUint64 {
-		return int64(p.sample[0].Value.Uint64())
+// reset empties the profiler for the next run on its sink (Sink.Reset). The
+// rows go but their storage and index maps stay, so the next run tallies the
+// same keys without allocating.
+func (p *Prof) reset() {
+	if p == nil {
+		return
 	}
-	return 0
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	r := &p.rows
+	r.ElapsedNS, r.Allocs = 0, 0
+	r.Phases, r.Rules, r.Spans, r.Ranks = r.Phases[:0], r.Rules[:0], r.Spans[:0], r.Ranks[:0]
+	for d := range r.idx {
+		clear(r.idx[d])
+	}
+	for a := range r.Activities {
+		r.Activities[a].Count, r.Activities[a].NS = 0, 0
+	}
+	p.phaseStack, p.spanStack = p.phaseStack[:0], p.spanStack[:0]
+	clear(p.pubPhases)
+	p.pubRanks = [len(rankSeries)]int64{}
 }
 
+// heapAllocsMetric is the runtime/metrics cumulative heap-allocation count.
+const heapAllocsMetric = "/gc/heap/allocs:objects"
+
+// heapSamples holds metrics.Read's argument between HeapAllocs calls: Read
+// takes a slice, which would otherwise move to the heap on every call.
+var heapSamples = sync.Pool{New: func() any { return &[1]metrics.Sample{{Name: heapAllocsMetric}} }}
+
 // HeapAllocs returns the runtime's cumulative heap-allocation count — the
-// same counter the profiler attributes to spans, exposed so tools can
-// bracket whole runs consistently with per-phase figures.
+// counter the profiler reads at phase boundaries, exposed so tools can
+// bracket whole runs consistently with per-phase figures. It allocates
+// nothing, but each call takes the runtime's process-wide metrics lock.
 func HeapAllocs() int64 {
-	sample := []metrics.Sample{{Name: heapAllocsMetric}}
-	metrics.Read(sample)
-	if sample[0].Value.Kind() == metrics.KindUint64 {
-		return int64(sample[0].Value.Uint64())
+	s := heapSamples.Get().(*[1]metrics.Sample)
+	defer heapSamples.Put(s)
+	metrics.Read(s[:])
+	if s[0].Value.Kind() == metrics.KindUint64 {
+		return int64(s[0].Value.Uint64())
 	}
 	return 0
 }
@@ -435,22 +460,21 @@ func (p *Prof) spanBegin(name, a1 string, t time.Duration) {
 	if p == nil {
 		return
 	}
-	p.mu.Lock()
-	alloc := p.allocFn()
+	f := profFrame{dim: dimSpan, key: name, beginT: t, selfMark: t}
 	stack := &p.spanStack
-	dim, key := uint8(dimSpan), name
+	p.mu.Lock()
 	switch name {
 	case EvPhase:
-		stack, dim, key = &p.phaseStack, dimPhase, a1
+		stack, f.dim, f.key = &p.phaseStack, dimPhase, a1
+		f.allocMark = p.allocFn()
 	case EvRule:
-		dim, key = dimRule, a1
+		f.dim, f.key = dimRule, a1
 	}
 	if n := len(*stack); n > 0 {
 		top := &(*stack)[n-1]
 		top.selfAccNS += int64(t - top.selfMark)
-		top.allocAccum += alloc - top.allocMark
 	}
-	*stack = append(*stack, profFrame{dim: dim, key: key, beginT: t, selfMark: t, allocMark: alloc})
+	*stack = append(*stack, f)
 	p.mu.Unlock()
 }
 
@@ -460,7 +484,6 @@ func (p *Prof) spanEnd(name string, t time.Duration) {
 		return
 	}
 	p.mu.Lock()
-	alloc := p.allocFn()
 	stack := &p.spanStack
 	if name == EvPhase {
 		stack = &p.phaseStack
@@ -472,13 +495,13 @@ func (p *Prof) spanEnd(name string, t time.Duration) {
 	}
 	f := (*stack)[n-1]
 	*stack = (*stack)[:n-1]
-	f.selfAccNS += int64(t - f.selfMark)
-	f.allocAccum += alloc - f.allocMark
-	p.rows.tally(f.dim, f.key).add(Figures{Count: 1, SelfNS: f.selfAccNS, TotalNS: int64(t - f.beginT), Allocs: f.allocAccum})
+	fig := Figures{Count: 1, SelfNS: f.selfAccNS + int64(t-f.selfMark), TotalNS: int64(t - f.beginT)}
+	if f.dim == dimPhase {
+		fig.Allocs = p.allocFn() - f.allocMark
+	}
+	p.rows.tally(f.dim, f.key).add(fig)
 	if n > 1 {
-		top := &(*stack)[n-2]
-		top.selfMark = t
-		top.allocMark = alloc
+		(*stack)[n-2].selfMark = t
 	}
 	p.mu.Unlock()
 }

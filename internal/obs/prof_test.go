@@ -41,37 +41,52 @@ func talliesOf(p *Prof) tallies {
 }
 
 // TestProfSelfTime drives the span stack with synthetic timestamps and
-// checks the self/total/alloc math: self excludes nested spans of the same
-// dimension, totals include them, and pausing/resuming attributes the
-// allocation windows to the frame that was actually running.
+// checks the self/total math: self excludes nested spans of the same
+// dimension and totals include them. Only a phase reads the allocation
+// counter, at its begin and end, and its allocs are the counter's advance
+// over its whole window; rule and span rows attribute none.
 func TestProfSelfTime(t *testing.T) {
 	p := newProf(ProfOptions{})
-	alloc := fakeAllocs(p)
+	var alloc int64
+	reads := 0
+	p.allocFn = func() int64 { reads++; return alloc }
 
-	// R1 [0..100] contains R2 [10..30] and a glue call [40..60].
+	// The phase [0..100] holds R1 [0..100], which contains R2 [10..30] and
+	// a glue call [40..60].
+	p.spanBegin(EvPhase, "join-2", 0)
 	p.spanBegin(EvRule, "R1", 0)
-	*alloc = 2 // 2 allocs in R1 before R2 opens
+	alloc = 2 // 2 allocs in R1 before R2 opens
 	p.spanBegin(EvRule, "R2", 10)
-	*alloc = 7 // 5 allocs inside R2
+	alloc = 7 // 5 allocs inside R2
 	p.spanEnd(EvRule, 30)
 	p.spanBegin(EvGlue, "", 40)
-	*alloc = 10 // 3 allocs inside the glue call
+	alloc = 10 // 3 allocs inside the glue call
 	p.spanEnd(EvGlue, 60)
-	*alloc = 11 // 1 more alloc in R1's tail
+	alloc = 11 // 1 more alloc in R1's tail
 	p.spanEnd(EvRule, 100)
+	if reads != 1 {
+		t.Fatalf("rule and glue spans read the allocation counter: %d reads, want the phase's 1", reads)
+	}
+	p.spanEnd(EvPhase, 100)
+	if reads != 2 {
+		t.Fatalf("%d counter reads, want 2 (phase begin and end)", reads)
+	}
 
 	snap := talliesOf(p)
+	if ph := snap.Phases["join-2"]; ph.Count != 1 || ph.SelfNS != 100 || ph.Allocs != 11 {
+		t.Fatalf("join-2 = %+v, want count=1 self=100 allocs=11", ph)
+	}
 	r1 := snap.Rules["R1"]
-	if r1.Count != 1 || r1.SelfNS != 60 || r1.TotalNS != 100 || r1.Allocs != 3 {
-		t.Fatalf("R1 = %+v, want count=1 self=60 total=100 allocs=3", r1)
+	if r1.Count != 1 || r1.SelfNS != 60 || r1.TotalNS != 100 || r1.Allocs != 0 {
+		t.Fatalf("R1 = %+v, want count=1 self=60 total=100 allocs=0", r1)
 	}
 	r2 := snap.Rules["R2"]
-	if r2.Count != 1 || r2.SelfNS != 20 || r2.TotalNS != 20 || r2.Allocs != 5 {
-		t.Fatalf("R2 = %+v, want count=1 self=20 total=20 allocs=5", r2)
+	if r2.Count != 1 || r2.SelfNS != 20 || r2.TotalNS != 20 || r2.Allocs != 0 {
+		t.Fatalf("R2 = %+v, want count=1 self=20 total=20 allocs=0", r2)
 	}
 	gc := snap.Spans[EvGlue]
-	if gc.Count != 1 || gc.SelfNS != 20 || gc.TotalNS != 20 || gc.Allocs != 3 {
-		t.Fatalf("glue.call = %+v, want count=1 self=20 total=20 allocs=3", gc)
+	if gc.Count != 1 || gc.SelfNS != 20 || gc.TotalNS != 20 || gc.Allocs != 0 {
+		t.Fatalf("glue.call = %+v, want count=1 self=20 total=20 allocs=0", gc)
 	}
 }
 
@@ -247,7 +262,8 @@ func TestProfMetricNamesCoverPublished(t *testing.T) {
 	}
 }
 
-// TestHeapAllocsMonotonic sanity-checks the runtime counter plumbing.
+// TestHeapAllocsMonotonic sanity-checks the runtime counter plumbing, and
+// that reading it allocates nothing.
 // Small-object counts reach the counter in span-sized batches, so the probe
 // uses large allocations, which are counted immediately.
 func TestHeapAllocsMonotonic(t *testing.T) {
@@ -262,6 +278,9 @@ func TestHeapAllocsMonotonic(t *testing.T) {
 	_ = fmt.Sprint(len(sink[0]))
 	if b := HeapAllocs(); b < a+100 {
 		t.Fatalf("HeapAllocs did not advance: before %d after %d", a, b)
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = HeapAllocs() }); n != 0 {
+		t.Fatalf("HeapAllocs allocates %.0f times per call, want 0", n)
 	}
 }
 
@@ -377,4 +396,31 @@ func TestProfileMergeAndClone(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() { agg.Merge(b) }); n != 0 {
 		t.Fatalf("warm Merge allocates %v/op, want 0", n)
 	}
+}
+
+// BenchmarkProfSpan times one rule span opened and closed on a profiler,
+// serially and with every goroutine on a profiler of its own (the serve
+// daemon's concurrent requests): what a STAR reference pays the profiler.
+func BenchmarkProfSpan(b *testing.B) {
+	span := func(p *Prof, i int) {
+		t := time.Duration(i)
+		p.spanBegin(EvRule, "JoinRoot", t)
+		p.spanEnd(EvRule, t+1)
+	}
+	b.Run("serial", func(b *testing.B) {
+		p := newProf(ProfOptions{})
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			span(p, i)
+		}
+	})
+	b.Run("parallel", func(b *testing.B) {
+		b.ReportAllocs()
+		b.RunParallel(func(pb *testing.PB) {
+			p := newProf(ProfOptions{})
+			for i := 0; pb.Next(); i++ {
+				span(p, i)
+			}
+		})
+	})
 }

@@ -241,3 +241,113 @@ func TestAbsorbFoldsChildIntoParent(t *testing.T) {
 		t.Errorf("child's counters after Absorb = %v, want only child_total 2", got)
 	}
 }
+
+// recordRun drives one request's worth of telemetry into s: a phase with a
+// rule and a Glue span inside, a summary event, counters, a parse phase and
+// a rank, then publishes the profiler's series into s's registry.
+func recordRun(s *Sink, rule string, refs int) {
+	s.ProfPhase("parse", time.Microsecond, 3)
+	ph := s.StartSpan(EvPhase, "join-2", "", 0)
+	for range refs {
+		sp := s.StartSpan(EvRule, rule, "", 1)
+		s.StartSpan(EvGlue, "{A,B}", "", 2).End(1)
+		sp.End(1)
+		s.Registry().Counter("star_rule_refs_total").Add(1)
+	}
+	ph.End(0)
+	s.Emit(Event{Name: EvAltCoverage, A1: rule, N1: 1})
+	s.ProfRank(Rank{Rank: 2, Tasks: refs, Workers: 1, BusyNS: []int64{5}})
+	s.Prof().PublishMetrics(s.Registry())
+}
+
+// TestSinkResetForgetsTheLastRun: a reset sink shows nothing of its previous
+// run (events, tag, tees, tracing, counter values, histogram counts, profile
+// rows), and a run recorded on it reads as the same run on a new sink does.
+// A warm reset and rerun allocates nothing.
+func TestSinkResetForgetsTheLastRun(t *testing.T) {
+	old := NewRequestSink("r1")
+	old.EnableProf(ProfOptions{})
+	teed := 0
+	old.Tee(func(Event) { teed++ })
+	recordRun(old, "OldRule", 5)
+	old.Registry().Counter("only_in_r1_total").Add(7)
+
+	old.Reset("r2")
+	if old.Tag() != "r2" || old.Tracing() || old.Len() != 0 || len(old.Events()) != 0 {
+		t.Fatalf("reset sink: tag %q tracing %v len %d events %d", old.Tag(), old.Tracing(), old.Len(), len(old.Events()))
+	}
+	if c := old.Registry().Counters(); len(c) != 0 {
+		t.Fatalf("reset registry still lists counters: %v", c)
+	}
+	if h := old.Registry().Histogram(`star_rule_seconds{name="OldRule"}`); h.Count() != 0 || h.Sum() != 0 {
+		t.Fatalf("reset histogram holds %d observations", h.Count())
+	}
+	if p := old.Prof().Profile(); len(p.Phases)+len(p.Rules)+len(p.Spans)+len(p.Ranks) != 0 || p.Activities[ActGuard].Count != 0 {
+		t.Fatalf("reset profile keeps rows: %+v", p)
+	}
+	teedBefore := teed
+	old.SetTracing(true)
+	fresh := NewRequestSink("r2")
+	fresh.EnableProf(ProfOptions{})
+	for _, s := range []*Sink{old, fresh} {
+		recordRun(s, "NewRule", 3)
+	}
+	if teed != teedBefore {
+		t.Fatalf("a tee of the previous run saw %d events of the next", teed-teedBefore)
+	}
+
+	if a, b := old.Registry().Counters(), fresh.Registry().Counters(); !sameDeterministic(a, b) {
+		t.Fatalf("recycled counters %v, new sink's %v", a, b)
+	}
+	ev := func(s *Sink) (out []string) {
+		for _, e := range s.Events() {
+			out = append(out, fmt.Sprintf("%d %s %s %s %d", e.Seq, e.Kind, e.Name, e.A1, e.Span))
+		}
+		return out
+	}
+	if a, b := ev(old), ev(fresh); strings.Join(a, "\n") != strings.Join(b, "\n") {
+		t.Fatalf("recycled events:\n%s\nnew sink's:\n%s", strings.Join(a, "\n"), strings.Join(b, "\n"))
+	}
+	rows := func(s *Sink) string {
+		p := s.Prof().Profile()
+		var b strings.Builder
+		for _, r := range p.Phases {
+			fmt.Fprintf(&b, "phase %s %d;", r.Phase, r.Count)
+		}
+		for _, r := range append(p.Rules, p.Spans...) {
+			fmt.Fprintf(&b, "%s %d %d;", r.Name, r.Count, r.Allocs)
+		}
+		for _, r := range p.Ranks {
+			fmt.Fprintf(&b, "rank %d %d;", r.Rank, r.Tasks)
+		}
+		return b.String()
+	}
+	if a, b := rows(old), rows(fresh); a != b {
+		t.Fatalf("recycled profile %s, new sink's %s", a, b)
+	}
+
+	if n := testing.AllocsPerRun(20, func() {
+		old.Reset("r3")
+		recordRun(old, "NewRule", 3)
+	}); n != 0 {
+		t.Fatalf("a warm reset and rerun allocates %.0f times, want 0", n)
+	}
+}
+
+// sameDeterministic compares two counter snapshots by name, and by value
+// except for the series that read a clock or the allocation counter.
+func sameDeterministic(a, b map[string]int64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for name, v := range a {
+		w, ok := b[name]
+		if !ok {
+			return false
+		}
+		if !strings.Contains(name, "_ns_") && !strings.Contains(name, "allocs") && v != w {
+			return false
+		}
+	}
+	return true
+}

@@ -13,6 +13,7 @@ import (
 	"stars/internal/expr"
 	"stars/internal/plan"
 	"stars/internal/query"
+	"stars/internal/sqlparse"
 	"stars/internal/workload"
 )
 
@@ -193,5 +194,59 @@ func TestVeneersNeverLowerCost(t *testing.T) {
 	}
 	if veneers == 0 {
 		t.Fatal("no retained plan holds a Glue veneer")
+	}
+}
+
+// TestShapeFingerprintsPinned holds the shape fingerprint of the best plan of
+// every corpus entry, and of SQL queries whose predicates carry literals, to
+// the values recorded when a shape key was still rendered by sorting and
+// joining ShapeKey strings; a warm ShapeFingerprint allocates only its
+// result string.
+func TestShapeFingerprintsPinned(t *testing.T) {
+	want := map[string]string{
+		"figure1":      "ec0308a479713fa6",
+		"figure1-dist": "727cc972fe6ffcf8",
+		"chain2":       "f8e646ec8e062589",
+		"chain3":       "e9ffba55a2b6a8b5",
+		"chain4":       "3804a90bf66f9704",
+		"chain5":       "912ed0e61ac0a706",
+		"star3":        "6eded9b1f6d85552",
+		"star4":        "ba84d314453b1279",
+		"SELECT NAME FROM EMP WHERE SAL + 100 * 2 >= 500 AND ENO <> 3 AND DNO <= 50":                                                                           "18d50ed4a909ce73",
+		"SELECT NAME FROM EMP WHERE SAL > 1.5 AND ENO = 3 AND NAME = 'bob'":                                                                                    "308d875e80a6b755",
+		"SELECT DEPT.DNO, DEPT.MGR, EMP.NAME FROM DEPT, EMP WHERE DEPT.DNO = EMP.DNO AND EMP.SAL > 7 AND DEPT.BUDGET < 9 ORDER BY EMP.NAME":                    "963ca0f49ac29a2c",
+		"SELECT E1.NAME, E2.NAME FROM EMP AS E1, EMP E2, DEPT WHERE E1.DNO = DEPT.DNO AND E2.DNO = DEPT.DNO AND E1.SAL > 3 AND E2.SAL < 40 AND DEPT.MGR = 'x'": "ecd2313b6da07f0f",
+		"SELECT EMP.NAME FROM EMP WHERE EMP.DNO = 42":                                                                                                          "fd984fff7510f64f",
+	}
+	check := func(name string, cat *catalog.Catalog, g *query.Graph) {
+		res, err := New(cat, Options{Parallelism: 1}).Optimize(g)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		defer res.Release()
+		if got := res.Best.ShapeFingerprint(); got != want[name] {
+			t.Errorf("%s: shape fingerprint %s, want %s", name, got, want[name])
+		}
+		if n := testing.AllocsPerRun(20, func() { _ = res.Best.ShapeFingerprint() }); n > 1 {
+			t.Errorf("%s: ShapeFingerprint allocates %.0f times, want <= 1", name, n)
+		}
+		delete(want, name)
+	}
+	for _, e := range workload.Corpus() {
+		check(e.Name, e.Cat, e.Query)
+	}
+	cat := workload.EmpDept()
+	for name := range want {
+		if !strings.HasPrefix(name, "SELECT") {
+			continue
+		}
+		g, err := sqlparse.Parse(name, cat)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		check(name, cat, g)
+	}
+	if len(want) != 0 {
+		t.Errorf("not checked: %v", want)
 	}
 }

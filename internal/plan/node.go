@@ -7,7 +7,6 @@ package plan
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -441,22 +440,20 @@ func writeCols(b *keyWriter, cols expr.ColList) {
 
 // writePredKeys renders the set's canonical key exactly as PredSet.Key but
 // without allocating, using the per-predicate cached keys. With shape set it
-// renders the literal-free keys instead, re-sorted: the set's own order
+// renders the literal-free keys instead, in their own order: the set's order
 // follows the literals.
 func writePredKeys(b *keyWriter, ps expr.PredSet, shape bool) {
-	if shape {
-		keys := make([]string, 0, ps.Len())
-		ps.ForEach(func(p expr.Expr, _ string) { keys = append(keys, expr.ShapeKey(p)) })
-		sort.Strings(keys)
-		b.str(strings.Join(keys, "&"))
-		return
-	}
 	sep := false
-	ps.ForEach(func(_ expr.Expr, key string) {
+	write := func(_ expr.Expr, key string) {
 		if sep {
 			b.char('&')
 		}
 		sep = true
 		b.str(key)
-	})
+	}
+	if shape {
+		ps.ForEachShape(write)
+	} else {
+		ps.ForEach(write)
+	}
 }

@@ -93,9 +93,9 @@ func writeRuleTable(b *strings.Builder, title string, rows []obs.Rule, topN int)
 	if topN > 0 && topN < n {
 		n = topN
 	}
-	fmt.Fprintf(b, "\n%-22s %8s %10s %10s %11s\n", title, "COUNT", "SELF", "TOTAL", "ALLOCS")
+	fmt.Fprintf(b, "\n%-22s %8s %10s %10s\n", title, "COUNT", "SELF", "TOTAL")
 	for _, r := range rows[:n] {
-		fmt.Fprintf(b, "%-22s %8d %10s %10s %11s\n", r.Name, r.Count, fmtNS(r.SelfNS), fmtNS(r.TotalNS), fmtCount(r.Allocs))
+		fmt.Fprintf(b, "%-22s %8d %10s %10s\n", r.Name, r.Count, fmtNS(r.SelfNS), fmtNS(r.TotalNS))
 	}
 	if n < len(rows) {
 		fmt.Fprintf(b, "... %d more\n", len(rows)-n)

@@ -195,6 +195,11 @@ type Server struct {
 	profAgg      *prof.Profile
 	profRequests int64
 
+	// sinks recycles request sinks (obs.Sink.Reset): a reused sink names
+	// its metric series, span histograms and profile rows without
+	// allocating them again.
+	sinks sync.Pool
+
 	// testHold, when non-nil, blocks each request's worker until the
 	// channel yields — test hook for admission/timeout behavior.
 	testHold chan struct{}
@@ -318,6 +323,7 @@ func New(cfg Config) (*Server, error) {
 		profAgg:  &prof.Profile{},
 	}
 	s.templates.m = map[string]*templateRecord{}
+	s.sinks.New = func() any { return obs.NewSink() }
 	s.templates.evicted = s.reg.Counter("templates_evicted_total")
 	if cfg.Demo {
 		workload.PopulateEmpDept(s.cluster, cfg.Catalog, cfg.Seed)
@@ -385,7 +391,7 @@ func New(cfg Config) (*Server, error) {
 		{"POST /optimize", "optimize (and optionally execute) a query; JSON in/out", s.handleOptimize},
 		{"GET /metrics", "Prometheus metrics, aggregated across all requests", s.handleMetrics},
 		{"GET /coverage", "rolling rule/alternative coverage and per-template Q-error ledger", s.handleCoverage},
-		{"GET /profile", "rolling self-profile: phase/rule time and allocation attribution (stars/profile/v1)", s.handleProfile},
+		{"GET /profile", "rolling self-profile: phase/rule time and phase allocations (stars/profile/v1)", s.handleProfile},
 		{"GET /events", "live observability events (NDJSON; SSE with Accept: text/event-stream)", s.handleEvents},
 		{"GET /incidents", "flight-recorder incidents, list form (stars/incident/v1)", s.handleIncidents},
 		{"GET /incidents/{id}", "one full incident bundle, canonical JSON (feed to `starburst replay`)", s.handleIncident},
@@ -659,10 +665,16 @@ func (s *Server) doLabeled(reqID, tmpl string, req OptimizeRequest) outcome {
 	// this request's provenance, or a live /events tail. Everything else —
 	// metrics, profile, coverage and Q-error folds, the flight record —
 	// needs no more than the always-on tier.
-	sink := obs.NewRequestSink(reqID)
+	sink := s.sinks.Get().(*obs.Sink)
+	sink.Reset(reqID)
 	sink.SetTracing(req.Provenance || s.bcast.subscribers.Value() > 0)
 	sink.Tee(func(e obs.Event) { s.bcast.publish(reqID, e) })
 	sink.EnableProf(obs.ProfOptions{})
+	// The merge is the sink's last consumer, so the sink goes back to the
+	// pool right after it; nothing may keep sink.Events() past the folds
+	// below. Every series the sink holds is already in s.reg (the request
+	// that made it merged it), so a recycled sink's merge adds none.
+	defer s.sinks.Put(sink)
 	defer s.reg.Merge(sink.Registry())
 	// LIFO puts this before the merge above: flush any phase/rank tallies
 	// the optimizer didn't publish itself (the parse phase, failed runs —

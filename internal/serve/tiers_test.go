@@ -264,3 +264,80 @@ func TestMetricsSeriesStayFlatAcrossAliases(t *testing.T) {
 		t.Error("glue_call_seconds must be one label-free histogram")
 	}
 }
+
+// TestRecycledSinkStartsClean: requests served after a traced, executed one
+// (whose sink the pool may hand them) report what the same request reports
+// on a new daemon — event count, rule references, its counters — and
+// /metrics holds the union of the series each request makes on its own
+// daemon, with the counts of every request.
+func TestRecycledSinkStartsClean(t *testing.T) {
+	x := OptimizeRequest{SQL: figure1SQL, Provenance: true, Execute: true, Analyze: true}
+	y := OptimizeRequest{SQL: "SELECT EMP.NAME FROM EMP WHERE EMP.DNO = 42"}
+	serve := func(reqs ...OptimizeRequest) (*Server, []OptimizeResponse) {
+		s := newTestServer(t, Config{})
+		ts := httptest.NewServer(s.Handler())
+		defer ts.Close()
+		var out []OptimizeResponse
+		for _, req := range reqs {
+			status, resp, bad := postOptimize(t, ts.URL, req)
+			if status != http.StatusOK {
+				t.Fatalf("%s: status %d: %+v", req.SQL, status, bad)
+			}
+			out = append(out, resp)
+		}
+		return s, out
+	}
+	mixed, got := serve(x, y, x, y)
+	onlyY, want := serve(y)
+	onlyX, _ := serve(x)
+
+	var refs int64
+	for i, resp := range got {
+		refs += resp.Stats.RuleRefs
+		if i%2 == 0 {
+			continue
+		}
+		if g, w := resp.Stats, want[0].Stats; g.Events != w.Events || g.RuleRefs != w.RuleRefs {
+			t.Errorf("request %d: %d events, %d rule refs; on a new daemon %d, %d", i, g.Events, g.RuleRefs, w.Events, w.RuleRefs)
+		}
+		if len(resp.Metrics) != len(want[0].Metrics) {
+			t.Errorf("request %d lists %d counters, on a new daemon %d", i, len(resp.Metrics), len(want[0].Metrics))
+		}
+		for name, w := range want[0].Metrics {
+			g, ok := resp.Metrics[name]
+			if !ok || (g != w && !strings.Contains(name, "_ns_") && !strings.Contains(name, "allocs")) {
+				t.Errorf("request %d: counter %s = %d (listed %v), on a new daemon %d", i, name, g, ok, w)
+			}
+		}
+	}
+	if n := mixed.reg.Counter("star_rule_refs_total").Value(); n != refs {
+		t.Errorf("/metrics star_rule_refs_total = %d, want the requests' %d", n, refs)
+	}
+
+	series := func(s *Server) map[string]bool {
+		var buf bytes.Buffer
+		_ = s.reg.WritePrometheus(&buf) // a bytes.Buffer write cannot fail
+		out := map[string]bool{}
+		for _, line := range strings.Split(buf.String(), "\n") {
+			if i := strings.LastIndexByte(line, ' '); i > 0 {
+				out[line[:i]] = true
+			}
+		}
+		return out
+	}
+	union := series(onlyY)
+	for n := range series(onlyX) {
+		union[n] = true
+	}
+	have := series(mixed)
+	for n := range union {
+		if !have[n] {
+			t.Errorf("/metrics lacks %s", n)
+		}
+	}
+	for n := range have {
+		if !union[n] {
+			t.Errorf("/metrics has %s, which neither request makes on its own", n)
+		}
+	}
+}
