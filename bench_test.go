@@ -271,7 +271,10 @@ func BenchmarkEnumerate(b *testing.B) {
 // the event log. "emit-disabled" isolates the nil-sink emit itself with the
 // enriched provenance payload (fingerprints, costs): it must report
 // 0 B/op, 0 allocs/op — the payload rides in the Event's flat value fields
-// and every string render sits behind an Enabled() guard.
+// and every string render sits behind an Enabled() guard. The star6 and
+// chain7 points of "disabled" and "metrics" run the daemon's hot path: each
+// result is Released, so the next optimization plans on the workspace it
+// returned, and B/op is what a warm workspace still allocates.
 func BenchmarkObsOverhead(b *testing.B) {
 	cat := workload.EmpDept()
 	g := workload.Figure1Query()
@@ -309,6 +312,26 @@ func BenchmarkObsOverhead(b *testing.B) {
 			optimize(b, cat, g, stars.Options{Obs: sink})
 		}
 	})
+	for _, w := range []struct {
+		name string
+		cat  *stars.Catalog
+		g    *stars.Graph
+	}{
+		{"star6", workload.StarCatalog(6, 100000, 1000), workload.StarQuery(6)},
+		{"chain7", workload.ChainCatalog(7, 400, 150, 60, 200, 90, 500, 120), workload.ChainQuery(7)},
+	} {
+		for _, leg := range []struct {
+			name string
+			sink *stars.Sink
+		}{{"disabled", nil}, {"metrics", stars.NewMetricsSink()}} {
+			b.Run(leg.name+"-"+w.name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					optimize(b, w.cat, w.g, stars.Options{Obs: leg.sink, Parallelism: 1}).Release()
+				}
+			})
+		}
+	}
 }
 
 // BenchmarkExecuteFigure1 measures pure execution of a prepared plan.

@@ -3,12 +3,14 @@ package opt
 import (
 	"fmt"
 	"maps"
+	"reflect"
 	"runtime"
 	"slices"
 	"strings"
 	"sync"
 	"testing"
 
+	"stars/internal/obs"
 	"stars/internal/plan"
 	"stars/internal/query"
 	"stars/internal/star"
@@ -240,10 +242,136 @@ func TestIdleWorkspacesBounded(t *testing.T) {
 		if w.used != 0 || w.table.Size() != 0 {
 			t.Errorf("idle workspace %d holds %d overlays in use and %d plans", i, w.used, w.table.Size())
 		}
+		if held := scratchHeld(w); held != "" {
+			t.Errorf("idle workspace %d: %s", i, held)
+		}
 	}
 	if w := checkout(); w != idle[len(idle)-1] {
 		t.Error("checkout did not take the workspace returned last")
 	} else {
 		w.checkin()
+	}
+}
+
+// scratchHeld describes what w's engine scratch or coverage dedupe set still
+// holds — a slot up to its capacity that is not zero, a set entry — or returns
+// "" when they hold nothing.
+func scratchHeld(w *workspace) string {
+	if len(w.covered) != 0 {
+		return fmt.Sprintf("coverage dedupe set holds %d IDs", len(w.covered))
+	}
+	s := reflect.ValueOf(&w.scratch).Elem()
+	for i := 0; i < s.NumField(); i++ {
+		f, name := s.Field(i), s.Type().Field(i).Name
+		switch f.Kind() {
+		case reflect.Slice:
+			for j := 0; j < f.Cap(); j++ {
+				if !f.Slice(0, f.Cap()).Index(j).IsZero() {
+					return fmt.Sprintf("scratch %s slot %d of %d is not zero", name, j, f.Cap())
+				}
+			}
+		case reflect.Map:
+			if f.Len() != 0 {
+				return fmt.Sprintf("scratch %s holds %d entries", name, f.Len())
+			}
+		case reflect.Pointer:
+			if !f.IsNil() && !f.Elem().IsZero() {
+				return fmt.Sprintf("scratch %s is not zero", name)
+			}
+		default:
+			if !f.IsZero() {
+				return fmt.Sprintf("scratch %s is not zero", name)
+			}
+		}
+	}
+	return ""
+}
+
+// TestIdleScratchHoldsNoPlan: Release empties what the engines evaluated on —
+// value stack, SAP scratch, merge's dedupe set, loop stack, Glue request,
+// catalog lists — and the coverage summary's dedupe set, zeroing every slot
+// they grew, so an idle workspace pins no plan of the optimization that used
+// it, at Parallelism 1 and 4, with arena poisoning on.
+func TestIdleScratchHoldsNoPlan(t *testing.T) {
+	arenaPoison = true
+	defer func() { arenaPoison = false }()
+
+	cat := workload.StarCatalog(4, 100000, 500)
+	for _, par := range []int{1, 4} {
+		sink := obs.NewMetricsSink()
+		sink.EnableProf(obs.ProfOptions{})
+		res, err := New(cat, Options{Parallelism: par, Obs: sink}).Optimize(workload.StarQuery(4))
+		if err != nil {
+			t.Fatal(err)
+		}
+		spaces := slices.Clone(res.spaces)
+		if reflect.ValueOf(&spaces[0].scratch).Elem().FieldByName("stack").Cap() == 0 || len(spaces[0].covered) == 0 {
+			t.Fatalf("Parallelism %d: the root workspace's scratch was never used", par)
+		}
+		res.Release()
+		for i, w := range spaces {
+			if held := scratchHeld(w); held != "" {
+				t.Errorf("Parallelism %d, released workspace %d: %s", par, i, held)
+			}
+		}
+	}
+}
+
+// TestWarmScratchDoesNotGrow: a tier-0 star6 optimization on the workspace an
+// earlier one released evaluates on the value stack that one grew, and so
+// allocates less than the same optimization on a workspace whose scratch is
+// new. It starts from no idle workspace: AllocsPerRun runs at GOMAXPROCS 1,
+// where checkin keeps one.
+func TestWarmScratchDoesNotGrow(t *testing.T) {
+	spares.Lock()
+	spares.list = nil
+	spares.Unlock()
+	cat := workload.StarCatalog(6, 100000, 1000)
+	tier0 := func() {
+		sink := obs.NewMetricsSink()
+		sink.EnableProf(obs.ProfOptions{})
+		res, err := New(cat, Options{Parallelism: 1, Obs: sink}).Optimize(workload.StarQuery(6))
+		if err != nil {
+			t.Fatal(err)
+		}
+		res.Release()
+	}
+	tier0()
+	w := checkout() // the workspace tier0 released, checked in again at once
+	w.checkin()
+	stack := func() (uintptr, int) {
+		f := reflect.ValueOf(&w.scratch).Elem().FieldByName("stack")
+		return f.Pointer(), f.Cap()
+	}
+	data, size := stack()
+	warm := testing.AllocsPerRun(3, tier0)
+	if p, c := stack(); p != data || c != size {
+		t.Errorf("a warm star6 optimization grew the value stack from %d slots to %d", size, c)
+	}
+	cold := testing.AllocsPerRun(3, func() {
+		w.scratch = star.Scratch{}
+		tier0()
+	})
+	if warm >= cold {
+		t.Errorf("star6 on a warm workspace allocates %.0f objects, on a new scratch %.0f: want fewer", warm, cold)
+	}
+	t.Logf("star6 tier 0: %.0f allocations on a warm workspace, %.0f on a new scratch; value stack %d slots", warm, cold, size)
+}
+
+// TestCoverageWalkAllocatesNothing: the coverage summary's dedupe walk over
+// the retained plans and the chosen plan reuses the workspace's set, so on a
+// warm workspace it allocates nothing.
+func TestCoverageWalkAllocatesNothing(t *testing.T) {
+	res, _ := optimizeAt(t, workload.StarCatalog(4, 100000, 500), func() *query.Graph { return workload.StarQuery(4) }, Options{}, 2)
+	defer res.Release()
+	seen, nodes := res.spaces[0].covered, 0
+	visit := func(*plan.Node) { nodes++ }
+	retainedNodes(res, seen, visit)
+	want := nodes
+	if n := testing.AllocsPerRun(100, func() { retainedNodes(res, seen, visit) }); n != 0 {
+		t.Errorf("the coverage dedupe walk allocates %.0f objects on a warm workspace, want 0", n)
+	}
+	if want == 0 || nodes != 102*want || len(seen) != want {
+		t.Errorf("walks visited %d nodes, %d the first time, %d in the set: want each distinct node once per walk", nodes, want, len(seen))
 	}
 }

@@ -48,37 +48,26 @@ func emitCoverage(sink *obs.Sink, rules *star.RuleSet, res *Result) {
 	// Structure pass: every distinct plan node surviving in the final
 	// table (or on the chosen plan) counts once toward its origin's
 	// Retained; the chosen plan's derivation chain counts toward Winner.
-	count := func(root *plan.Node, seen map[uint64]bool, alt func(*obs.AltCoverage), ven func(*obs.VeneerCoverage)) {
-		var walk func(n *plan.Node)
-		walk = func(n *plan.Node) {
-			fp := n.ID()
-			if seen[fp] {
-				return
+	credit := func(n *plan.Node, winner bool) {
+		if n.Origin == "Glue" {
+			v := veneer(string(n.Op))
+			if winner {
+				v.Winner++
+			} else {
+				v.Retained++
 			}
-			seen[fp] = true
-			if n.Origin == "Glue" {
-				ven(veneer(string(n.Op)))
-			} else if c := altOf(n.Origin); c != nil {
-				alt(c)
-			}
-			for _, in := range n.Inputs {
-				walk(in)
+		} else if c := altOf(n.Origin); c != nil {
+			if winner {
+				c.Winner++
+			} else {
+				c.Retained++
 			}
 		}
-		walk(root)
 	}
-	retained := map[uint64]bool{}
-	markRetained := func(c *obs.AltCoverage) { c.Retained++ }
-	markRetainedV := func(v *obs.VeneerCoverage) { v.Retained++ }
-	if res.Table != nil {
-		res.Table.ForEachPlan(func(p *plan.Node) { count(p, retained, markRetained, markRetainedV) })
-	}
-	if res.Best != nil {
-		count(res.Best, retained, markRetained, markRetainedV)
-		count(res.Best, map[uint64]bool{},
-			func(c *obs.AltCoverage) { c.Winner++ },
-			func(v *obs.VeneerCoverage) { v.Winner++ })
-	}
+	seen := res.spaces[0].covered
+	retainedNodes(res, seen, func(n *plan.Node) { credit(n, false) })
+	clear(seen)
+	newNodes(res.Best, seen, func(n *plan.Node) { credit(n, true) })
 
 	// Prune attribution: the victim's origin takes the hit, the
 	// dominator's origin is named (Q: which alternative keeps beating
@@ -140,5 +129,26 @@ func emitCoverage(sink *obs.Sink, rules *star.RuleSet, res *Result) {
 		v := veneers[op]
 		emit(obs.Tally{Veneer: v})
 		reg.Counter(`coverage_veneer_injected_total{op="` + op + `"}`).Add(v.Injected)
+	}
+}
+
+// retainedNodes hands visit every distinct node of the plans res's final table
+// retains and of its chosen plan, once each, deduping on seen (cleared first).
+func retainedNodes(res *Result, seen map[uint64]bool, visit func(*plan.Node)) {
+	clear(seen)
+	res.Table.ForEachPlan(func(p *plan.Node) { newNodes(p, seen, visit) })
+	newNodes(res.Best, seen, visit)
+}
+
+// newNodes hands visit every node of n's DAG (none when n is nil) whose ID
+// seen lacks, adding it.
+func newNodes(n *plan.Node, seen map[uint64]bool, visit func(*plan.Node)) {
+	if n == nil || seen[n.ID()] {
+		return
+	}
+	seen[n.ID()] = true
+	visit(n)
+	for _, in := range n.Inputs {
+		newNodes(in, seen, visit)
 	}
 }

@@ -127,8 +127,10 @@ var builtinRules = sync.OnceValue(star.DefaultRules)
 // optimizations: the arena its plans and Rels live in, a plan table (the root
 // table of an optimization's first workspace), the arrays the pricing
 // environment binds the query into (the first workspace's), the overlays its
-// tasks write (the first used of them, until the rank barrier) and partition
-// scratch.
+// tasks write (the first used of them, until the rank barrier), partition
+// scratch, what its engine evaluates on (the first workspace's serves the root
+// engine and worker 0's, which never evaluate at once), and the rank's task
+// list and the coverage summary's dedupe set (the first workspace's).
 type workspace struct {
 	arena                *plan.Arena
 	table                *glue.PlanTable
@@ -136,6 +138,9 @@ type workspace struct {
 	overlays             []*glue.PlanTable
 	used                 int
 	connected, cartesian []maskPair
+	tasks                []subsetTask
+	scratch              star.Scratch
+	covered              map[uint64]bool
 }
 
 // spares is a LIFO list of at most GOMAXPROCS idle workspaces. Unlike a
@@ -161,7 +166,7 @@ func checkout() *workspace {
 	}
 	spares.Unlock()
 	if w == nil {
-		w = &workspace{arena: plan.NewArena(), table: glue.NewPlanTable()}
+		w = &workspace{arena: plan.NewArena(), table: glue.NewPlanTable(), covered: map[uint64]bool{}}
 	}
 	w.arena.SetPoison(arenaPoison)
 	return w
@@ -177,6 +182,8 @@ func (w *workspace) checkin() {
 		ov.Reset(nil)
 	}
 	w.used = 0
+	w.scratch.Reset()
+	clear(w.covered)
 	spares.Lock()
 	if len(spares.list) < runtime.GOMAXPROCS(0) {
 		spares.list = append(spares.list, w)
@@ -273,6 +280,7 @@ func (o *Optimizer) Optimize(g *query.Graph) (_ *Result, err error) {
 	}
 
 	en := star.NewEngine(rules, env)
+	en.Scratch = &ws.scratch
 	en.QueryTables = g.QuantNames()
 	en.Obs = sink
 	if o.Opts.Prepare != nil {

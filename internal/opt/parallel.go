@@ -91,8 +91,8 @@ func (o *Optimizer) enumerate(g *query.Graph, en *star.Engine, gl *glue.Gluer, t
 	profiled := sink.ProfEnabled()
 	labels := sink.ProfLabels()
 	full := uint32(1)<<uint(n) - 1
-	var workers []*glue.Gluer // one per worker goroutine, built the first time a rank has work for it
-	var tasks []subsetTask    // the rank's tasks in ascending mask order, reused from rank to rank
+	var workers []*glue.Gluer    // one per worker goroutine, built the first time a rank has work for it
+	tasks := res.spaces[0].tasks // the rank's tasks in ascending mask order, reused rank to rank and query to query
 	for size := 2; size <= n; size++ {
 		var sizeSp obs.Span
 		if sink.Enabled() {
@@ -117,6 +117,7 @@ func (o *Optimizer) enumerate(g *query.Graph, en *star.Engine, gl *glue.Gluer, t
 			}
 			mask = r | ((mask^r)>>2)/c
 		}
+		res.spaces[0].tasks = tasks
 		var collectNS int64
 		var execStart time.Time
 		if profiled {
@@ -289,8 +290,9 @@ func (w *workspace) overlay(base *glue.PlanTable) *glue.PlanTable {
 // newWorker builds worker i's state for the rest of the optimization: a
 // workspace and a sink (for worker 0 the root's workspace, idle while a rank
 // executes, and the request's sink; for the others a checked-out workspace and
-// a child sink), forks of the root pricing environment and engine, and a Gluer
-// wiring them together. Its plan table is the running task's (runSubset).
+// a child sink), forks of the root pricing environment and engine (evaluating
+// on the workspace's scratch), and a Gluer wiring them together. Its plan
+// table is the running task's (runSubset).
 func newWorker(i int, root *glue.Gluer, res *Result) *glue.Gluer {
 	if i == len(res.spaces) {
 		res.spaces = append(res.spaces, checkout())
@@ -301,7 +303,7 @@ func newWorker(i int, root *glue.Gluer, res *Result) *glue.Gluer {
 	}
 	env := root.Engine.Cost.Fork()
 	env.Arena, env.Obs = res.spaces[i].arena, sink
-	w := &glue.Gluer{Engine: root.Engine.Fork(env, sink), Graph: root.Graph, KeepAll: root.KeepAll}
+	w := &glue.Gluer{Engine: root.Engine.Fork(env, sink, &res.spaces[i].scratch), Graph: root.Graph, KeepAll: root.KeepAll}
 	w.Engine.Glue = w.Glue
 	w.Engine.PlanSites = w.PlanSites
 	return w

@@ -2,6 +2,7 @@ package star
 
 import (
 	"fmt"
+	"math/bits"
 
 	"stars/internal/catalog"
 	"stars/internal/expr"
@@ -192,23 +193,14 @@ var builtins = newTable([]Callee{
 		if err != nil {
 			return Null, err
 		}
-		t := en.Cost.BaseTable(q)
-		if t == nil {
-			return ListValue(nil), nil
+		if i := bits.TrailingZeros64(args[0].Stream.Tables.Mask()); i < len(en.QueryTables) && en.QueryTables[i] == q {
+			return ListValue(en.catalogLists()[i]), nil
 		}
-		out := make([]Value, 0, len(t.Paths))
-		for _, p := range t.Paths {
-			out = append(out, StrValue(p.Name))
-		}
-		return ListValue(out), nil
+		return ListValue(pathNames(nil, en.Cost.BaseTable(q))), nil
 	}},
 	{Signature{Name: "allSites", Args: []ArgKind{}, Result: KindList, Elem: KindStr}, func(en *Engine, args []Value) (Value, error) {
-		sites := en.Cost.Cat.AllSites(en.queryBaseTables())
-		out := make([]Value, len(sites))
-		for i, s := range sites {
-			out[i] = StrValue(s)
-		}
-		return ListValue(out), nil
+		lists := en.catalogLists()
+		return ListValue(lists[len(lists)-1]), nil
 	}},
 })
 
@@ -561,6 +553,40 @@ func (en *Engine) queryBaseTables() []string {
 		}
 	}
 	return en.queryBase
+}
+
+// catalogLists returns the lists indexes hands out for each quantifier of
+// QueryTables, then allSites' list, building them on the engine's Scratch on
+// first use. Like queryBase they are fixed for the engine's query; a list is
+// read-only once built (a forall only reslices it), and forks share them. One
+// cut before names grew keeps reading the old array, whose slots never change.
+func (en *Engine) catalogLists() [][]Value {
+	if en.lists == nil {
+		s := en.Scratch
+		s.names, s.lists = s.names[:0], s.lists[:0]
+		for _, q := range en.QueryTables {
+			at := len(s.names)
+			s.names = pathNames(s.names, en.Cost.BaseTable(q))
+			s.lists = append(s.lists, s.names[at:len(s.names):len(s.names)])
+		}
+		at := len(s.names)
+		for _, site := range en.Cost.Cat.AllSites(en.queryBaseTables()) {
+			s.names = append(s.names, StrValue(site))
+		}
+		en.lists = append(s.lists, s.names[at:len(s.names):len(s.names)])
+		s.lists = en.lists
+	}
+	return en.lists
+}
+
+// pathNames appends the names of t's access paths to dst.
+func pathNames(dst []Value, t *catalog.Table) []Value {
+	if t != nil {
+		for _, p := range t.Paths {
+			dst = append(dst, StrValue(p.Name))
+		}
+	}
+	return dst
 }
 
 // projectionPays is the Section 4.5.2 heuristic: materializing the selected

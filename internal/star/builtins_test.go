@@ -277,6 +277,40 @@ func TestCatalogProbingHelpers(t *testing.T) {
 	}
 }
 
+// TestCatalogListsBuiltOnce: indexes and allSites answer from lists built
+// once per engine on its Scratch, so a second indexes over the same quantifier
+// allocates nothing, and a fork reads the engine's lists without building its
+// own. A quantifier outside QueryTables still gets its paths.
+func TestCatalogListsBuiltOnce(t *testing.T) {
+	en := builderEngine(t)
+	indexes, allSites := en.callees["indexes"].Func, en.callees["allSites"].Func
+	emp := []Value{empStream()}
+	first, err := indexes(en, emp)
+	if err != nil || len(first.List) != 1 || first.List[0].Str != "EMPDNO" {
+		t.Fatalf("indexes = %v, %v", first, err)
+	}
+	if n := testing.AllocsPerRun(100, func() { _, err = indexes(en, emp) }); n != 0 || err != nil {
+		t.Errorf("a second indexes over EMP allocates %.0f objects (err %v), want 0", n, err)
+	}
+	sites, _ := allSites(en, nil)
+	scratch := new(Scratch)
+	fork := en.Fork(en.Cost, nil, scratch)
+	if fork.Scratch != scratch {
+		t.Error("the fork does not evaluate on the scratch it was handed")
+	}
+	again, _ := indexes(fork, emp)
+	forkSites, _ := allSites(fork, nil)
+	if &again.List[0] != &first.List[0] || &forkSites.List[0] != &sites.List[0] || len(fork.names) != 0 {
+		t.Error("the fork built lists of its own instead of reading the engine's")
+	}
+
+	en.QueryTables = []string{"DEPT"} // EMP is no quantifier of this one
+	en.lists = nil
+	if v, _ := indexes(en, emp); len(v.List) != 1 || v.List[0].Str != "EMPDNO" {
+		t.Errorf("indexes outside QueryTables = %v", v)
+	}
+}
+
 func TestSiteDiffersHelper(t *testing.T) {
 	en := builderEngine(t)
 	en.PlanSites = func(t expr.TableSet) []string { return []string{"NY"} }

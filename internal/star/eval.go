@@ -156,6 +156,22 @@ type Engine struct {
 	boundAt int
 	depth   int
 
+	// Scratch is what references evaluate on: NewEngine's own, or the one a
+	// pooled opt workspace hands from optimization to optimization.
+	*Scratch
+	// lists is catalogLists' answer, shared read-only with forks.
+	lists [][]Value
+	// queryBase is queryBaseTables' answer.
+	queryBase []string
+}
+
+// Scratch is an engine's working storage: everything a reference builds and
+// drops again, and the catalog lists of an engine and its forks. Its stacks
+// are empty whenever no reference is in progress, so engines that never
+// evaluate at once — an optimization's root engine and its first worker's
+// fork — may share one. Its owner Resets it for the next optimization, which
+// keeps its capacity.
+type Scratch struct {
 	// stack holds the frame of every reference in progress, innermost last.
 	// Growing may move it: frames are addressed by offset, and a view handed
 	// to a builder or helper goes on reading the old, intact copy. A frame is
@@ -169,14 +185,29 @@ type Engine struct {
 	saps []*plan.Node
 	// seen is merge's dedupe set, cleared per use.
 	seen map[uint64]bool
+	// loops holds the state of every forall in progress, innermost last.
+	loops []loop
 	// glueReq is evalGlue's request, nil while a Glue reference is using it.
 	glueReq *GlueRequest
-	// queryBase is queryBaseTables' answer.
-	queryBase []string
-	// loops holds the state of every forall in progress, innermost last,
-	// the first few in loopBuf.
-	loops   []loop
-	loopBuf [4]loop
+	// names backs the lists catalogLists builds; lists holds their headers.
+	names []Value
+	lists [][]Value
+}
+
+// Reset empties s, zeroing every slot it has grown, so that it pins nothing
+// of the optimization that used it.
+func (s *Scratch) Reset() {
+	s.stack, s.saps, s.loops, s.names, s.lists = emptied(s.stack), emptied(s.saps), emptied(s.loops), emptied(s.names), emptied(s.lists)
+	clear(s.seen)
+	if s.glueReq != nil {
+		*s.glueReq = GlueRequest{}
+	}
+}
+
+// emptied zeroes s up to its capacity and returns it with length 0.
+func emptied[T any](s []T) []T {
+	clear(s[:cap(s)])
+	return s[:0]
 }
 
 // loop is a forall in progress: the elements it has yet to bind and the
@@ -194,30 +225,32 @@ const maxDepth = 200
 
 // NewEngine builds an engine over the built-in callee table.
 func NewEngine(rules *RuleSet, costEnv *cost.Env) *Engine {
-	return &Engine{Rules: rules, Cost: costEnv, callees: builtins, seen: map[uint64]bool{}}
+	return &Engine{Rules: rules, Cost: costEnv, callees: builtins, Scratch: new(Scratch)}
 }
 
-// Fork returns an engine for one worker of a parallel enumeration. The
-// repertoire, the callee table and the bindings are shared with en, not
-// copied: Options.Prepare registers before the first reference is evaluated,
-// Validate binds, and nothing writes them afterwards (builders and helpers
-// are stateless functions receiving the engine per call), so concurrent
-// workers only ever read them. The pricing environment, the sink
-// and the counters (zero here; the caller adds them back with Stats.Add) are
-// the worker's own for its whole life. The caller wires Glue and PlanSites to
-// the worker's Gluer.
-func (en *Engine) Fork(costEnv *cost.Env, sink *obs.Sink) *Engine {
+// Fork returns an engine for one worker of a parallel enumeration, evaluating
+// on s. The repertoire, the callee table, the bindings and the catalog lists
+// are shared with en, not copied: Options.Prepare registers before the first
+// reference is evaluated, Validate binds, Fork builds the lists at the latest,
+// and nothing writes them afterwards (builders and helpers are stateless
+// functions receiving the engine per call), so concurrent workers only ever
+// read them. The pricing environment, the sink and the counters (zero here;
+// the caller adds them back with Stats.Add) are the worker's own for its whole
+// life. The caller wires Glue and PlanSites to the worker's Gluer.
+func (en *Engine) Fork(costEnv *cost.Env, sink *obs.Sink, s *Scratch) *Engine {
+	lists := en.catalogLists()
 	return &Engine{
 		Rules:       en.Rules,
 		Cost:        costEnv,
 		QueryTables: en.QueryTables,
 		queryBase:   en.queryBase,
+		lists:       lists,
 		Obs:         sink,
 		callees:     en.callees,
 		bound:       en.bound,
 		boundTo:     en.boundTo,
 		boundAt:     en.boundAt,
-		seen:        map[uint64]bool{},
+		Scratch:     s,
 	}
 }
 
@@ -426,9 +459,6 @@ func (en *Engine) run(rule *boundRule, fp int, s span) (err error) {
 			if v := &en.stack[fp+int(o.src)]; v.Kind != VList {
 				err = fmt.Errorf("forall wants a list, got %s", v.Kind)
 			} else {
-				if en.loops == nil {
-					en.loops = en.loopBuf[:0]
-				}
 				en.loops = append(en.loops, loop{list: v.List, mark: len(en.saps)})
 			}
 		case opNext:
@@ -556,6 +586,9 @@ func (en *Engine) release(mark int) {
 func (en *Engine) merge(base, k int, sap []*plan.Node) []*plan.Node {
 	top := len(en.saps)
 	out := en.saps[:base+k]
+	if en.seen == nil {
+		en.seen = map[uint64]bool{}
+	}
 	clear(en.seen)
 	for _, p := range out[base:] {
 		en.seen[p.ID()] = true
