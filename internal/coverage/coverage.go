@@ -17,9 +17,9 @@
 // DAG for replay (AddDAG). The accumulator merges any number of runs;
 // Report renders text, JSON (schema stars/coverage/v1), and an annotated
 // per-rule-file source view. Ledger adds the serving-time view: rolling
-// coverage and an aggregate Q-error digest fed by exec.feedback events.
-// TemplateLedger is one query template's entry, kept per record of the
-// serving daemon's 256-template LRU table (internal/serve).
+// coverage and an aggregate Q-error digest fed by exec.feedback events, and
+// folds one query template's entry (TemplateLedger, kept per record of the
+// serving daemon's 256-template LRU table in internal/serve) in the same pass.
 package coverage
 
 import (
@@ -105,34 +105,33 @@ func (a *Accumulator) addAlt(c *obs.AltCoverage) {
 // event log of a run — or a merged stream of many runs — can be passed
 // verbatim.
 func (a *Accumulator) AddEvents(events []obs.Event) int {
-	runs := 0
-	var first altKey
+	runs, first := a.runs, altKey{}
 	for _, e := range events {
-		t := e.Tally
-		if t == nil {
-			continue
+		if e.Tally != nil {
+			a.addTally(e.Tally, &first)
 		}
-		if c := t.Alt; c != nil {
-			k := altKey{c.Rule, c.Alt}
-			if runs == 0 || k == first {
-				// Every run emits one event per alternative, in repertoire
-				// order: recurrences of the first key delimit runs.
-				if runs == 0 {
-					first = k
-				}
-				runs++
-			}
-			a.addAlt(c)
-			continue
-		}
-		c := t.Veneer
-		v := a.ensureVeneer(c.Op)
-		v.Injected += c.Injected
-		v.Retained += c.Retained
-		v.Winner += c.Winner
 	}
-	a.runs += int64(runs)
-	return runs
+	return int(a.runs - runs)
+}
+
+// addTally folds one coverage summary event's tally into the aggregate.
+// Every run emits one opt.alt.coverage event per alternative, in repertoire
+// order, so recurrences of the stream's first key (*first, zero until seen)
+// count a run each.
+func (a *Accumulator) addTally(t *obs.Tally, first *altKey) {
+	c := t.Alt
+	if c == nil {
+		v := a.ensureVeneer(t.Veneer.Op)
+		v.Injected += t.Veneer.Injected
+		v.Retained += t.Veneer.Retained
+		v.Winner += t.Veneer.Winner
+		return
+	}
+	if k := (altKey{c.Rule, c.Alt}); *first == (altKey{}) || k == *first {
+		*first = k
+		a.runs++
+	}
+	a.addAlt(c)
 }
 
 // AddDAG replays a saved provenance DAG (starburst -dag-out=....json) into

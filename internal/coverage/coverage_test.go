@@ -413,8 +413,7 @@ func TestLedger(t *testing.T) {
 	l := coverage.NewLedger(0)
 	var sel, other coverage.TemplateLedger
 	record := func(tl *coverage.TemplateLedger, events []obs.Event) float64 {
-		tl.Fold(events)
-		return l.Record("", events)
+		return l.Fold(tl, events)
 	}
 	feedback := func(op string, id uint64, rows int64, est, q float64) obs.Event {
 		return obs.Event{Name: obs.EvExecFeedback, A1: op, P1: id, N1: rows, N2: 1, F1: est, F2: q}

@@ -197,8 +197,8 @@ const maxLedgerOps = 64
 // TemplateLedger is one query template's ledger entry: request and
 // execution counts, the template's Q-error digest, and per-operator
 // estimate-vs-actual feedback — one half of the serving daemon's
-// per-template record. The zero value is ready to use; Reset empties it for
-// reuse. Not safe for concurrent use.
+// per-template record, filled by Ledger.Fold. The zero value is ready to
+// use; Reset empties it for reuse. Not safe for concurrent use.
 type TemplateLedger struct {
 	requests   int64
 	executions int64
@@ -206,31 +206,19 @@ type TemplateLedger struct {
 	ops        []opFeedback // first-seen order, bounded by maxLedgerOps
 }
 
-// Fold counts one request of the template and folds its exec.feedback
-// events — every request, failed ones included.
-func (t *TemplateLedger) Fold(events []obs.Event) {
-	t.requests++
-	executed := false
-	for _, e := range events {
-		if e.Name != obs.EvExecFeedback {
-			continue
-		}
-		executed = true
-		t.qerr.Observe(e.F2)
-		i := slices.IndexFunc(t.ops, func(of opFeedback) bool { return of.id == e.P1 })
-		if i < 0 && len(t.ops) < maxLedgerOps {
-			i = len(t.ops)
-			t.ops = append(t.ops, opFeedback{id: e.P1, op: e.A1})
-		}
-		if i >= 0 {
-			of := &t.ops[i]
-			of.n++
-			of.est, of.act = e.F1, float64(e.N1)/float64(max(e.N2, 1))
-			of.maxQ = max(of.maxQ, e.F2)
-		}
+// observe folds one exec.feedback event into the entry.
+func (t *TemplateLedger) observe(e *obs.Event) {
+	t.qerr.Observe(e.F2)
+	i := slices.IndexFunc(t.ops, func(of opFeedback) bool { return of.id == e.P1 })
+	if i < 0 && len(t.ops) < maxLedgerOps {
+		i = len(t.ops)
+		t.ops = append(t.ops, opFeedback{id: e.P1, op: e.A1})
 	}
-	if executed {
-		t.executions++
+	if i >= 0 {
+		of := &t.ops[i]
+		of.n++
+		of.est, of.act = e.F1, float64(e.N1)/float64(max(e.N2, 1))
+		of.maxQ = max(of.maxQ, e.F2)
 	}
 }
 
@@ -259,37 +247,57 @@ func (t *TemplateLedger) Report(template string) TemplateReport {
 // accumulated coverage, the aggregate Q-error digest fed by the
 // exec.feedback events an execute+analyze request emits, and the request
 // count. Per-template entries (TemplateLedger) live with the caller. Not
-// safe for concurrent use; the serving daemon guards it with its template
-// table's lock.
+// safe for concurrent use; the serving daemon guards it with the lock of its
+// rolling state.
 type Ledger struct {
 	acc      *Accumulator
 	requests int64
 	all      Sketch
 }
 
-// NewLedger returns an empty ledger. The argument is unused — it bounded
-// the per-template entries the ledger no longer keeps — and stays only
+// NewLedger returns an empty ledger. The argument is unused; it stays
 // because the benchmark (bench/layers.go) passes it.
 func NewLedger(int) *Ledger {
 	return &Ledger{acc: NewAccumulator()}
 }
 
-// Record folds one request's event stream into the ledger: coverage summary
-// events update the rolling accumulator, exec.feedback events the aggregate
-// Q-error digest. The template argument is unused (TemplateLedger.Fold
-// keeps the per-template entry). It returns the request's worst
-// exec.feedback Q-error (0 when nothing was executed).
-func (l *Ledger) Record(_ string, events []obs.Event) (maxQ float64) {
+// Fold counts one request, failed ones included, in the ledger and in t when
+// non-nil, and folds its events in one pass: coverage summary events into the
+// accumulator, exec.feedback events into the aggregate Q-error digest and t.
+// It returns the worst exec.feedback Q-error (0 when nothing was executed).
+func (l *Ledger) Fold(t *TemplateLedger, events []obs.Event) (maxQ float64) {
 	l.requests++
-	l.acc.AddEvents(events)
-	for _, e := range events {
-		if e.Name == obs.EvExecFeedback {
+	first, executed := altKey{}, false
+	for i := range events {
+		switch e := &events[i]; {
+		case e.Tally != nil:
+			l.acc.addTally(e.Tally, &first)
+		case e.Name == obs.EvExecFeedback:
+			executed = true
 			maxQ = max(maxQ, e.F2)
 			l.all.Observe(e.F2)
+			if t != nil {
+				t.observe(e)
+			}
+		}
+	}
+	if t != nil {
+		t.requests++
+		if executed {
+			t.executions++
 		}
 	}
 	return maxQ
 }
+
+// Record is Fold without a template entry. The template argument is unused;
+// it stays because the benchmark (bench/layers.go) passes it.
+func (l *Ledger) Record(_ string, events []obs.Event) (maxQ float64) {
+	return l.Fold(nil, events)
+}
+
+// Requests returns the number of requests folded.
+func (l *Ledger) Requests() int64 { return l.requests }
 
 // LedgerReport is the ledger rendered for GET /coverage, JSON-ready.
 type LedgerReport struct {

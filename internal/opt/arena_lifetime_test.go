@@ -253,6 +253,37 @@ func TestIdleWorkspacesBounded(t *testing.T) {
 	}
 }
 
+// TestReleaseHandsBackRootWorkspaceFirst: after a Parallelism 2
+// optimization, the next one plans on the former root workspace — the one
+// holding root-only storage — including at GOMAXPROCS 1, where the idle list
+// holds a single workspace.
+func TestReleaseHandsBackRootWorkspaceFirst(t *testing.T) {
+	cat := workload.StarCatalog(6, 100000, 500)
+	optimize := func() *Result {
+		t.Helper()
+		res, err := New(cat, Options{Parallelism: 2}).Optimize(workload.StarQuery(6))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2} {
+		runtime.GOMAXPROCS(procs)
+		res := optimize()
+		if len(res.spaces) != 2 {
+			t.Fatalf("GOMAXPROCS %d: %d workspaces at Parallelism 2, want 2", procs, len(res.spaces))
+		}
+		root := res.spaces[0]
+		res.Release()
+		next := optimize()
+		if next.spaces[0] != root {
+			t.Errorf("GOMAXPROCS %d: the next optimization's first workspace is not the former root's", procs)
+		}
+		next.Release()
+	}
+}
+
 // scratchHeld describes what w's engine scratch or coverage dedupe set still
 // holds — a slot up to its capacity that is not zero, a set entry — or returns
 // "" when they hold nothing.

@@ -173,7 +173,7 @@ func checkout() *workspace {
 }
 
 // checkin empties w, so nothing of its optimization stays reachable, and
-// keeps it unless GOMAXPROCS workspaces are idle already.
+// keeps it, dropping the longest idle one if GOMAXPROCS are idle already.
 func (w *workspace) checkin() {
 	w.arena.Reset()
 	w.table.Reset(nil)
@@ -185,8 +185,11 @@ func (w *workspace) checkin() {
 	w.scratch.Reset()
 	clear(w.covered)
 	spares.Lock()
-	if len(spares.list) < runtime.GOMAXPROCS(0) {
+	if n := len(spares.list); n < runtime.GOMAXPROCS(0) {
 		spares.list = append(spares.list, w)
+	} else {
+		copy(spares.list, spares.list[1:])
+		spares.list[n-1] = w
 	}
 	spares.Unlock()
 }
@@ -205,8 +208,10 @@ func (r *Result) Release() {
 	r.Best = plan.Detach(r.Best)
 	r.Table = nil
 	r.Engine = nil
-	for _, w := range r.spaces {
-		w.checkin()
+	// The root's workspace goes back last, so the next optimization takes it
+	// first: its root-only storage (rank task list, root plan table) is warm.
+	for i := len(r.spaces) - 1; i >= 0; i-- {
+		r.spaces[i].checkin()
 	}
 	r.spaces = nil
 }

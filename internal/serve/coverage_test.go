@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"stars/internal/coverage"
+	"stars/internal/glue"
 )
 
 // getCoverage fetches and decodes GET /coverage.
@@ -128,6 +129,11 @@ func TestCoverageMetricsSurface(t *testing.T) {
 		"coverage_alternatives ",
 	} {
 		if !strings.Contains(fresh, want) {
+			t.Errorf("fresh /metrics missing %q", want)
+		}
+	}
+	for _, op := range glue.VeneerOps {
+		if want := `coverage_veneer_injected_total{op="` + string(op) + `"} 0`; !strings.Contains(fresh, want) {
 			t.Errorf("fresh /metrics missing %q", want)
 		}
 	}

@@ -28,9 +28,8 @@ func fnvHex(s string) string {
 // foldFlight folds one finished request into the flight recorder and runs
 // the watchdog against its template's history h. planFP is res.Best's
 // fingerprint as the response already rendered it, maxQ the request's worst
-// per-operator Q-error as the ledger folded it. Called by fold with the
-// template table locked; no-op (and allocation-free) when recording is
-// disabled.
+// per-operator Q-error as the ledger folded it. Called by fold with s.mu
+// held; no-op (and allocation-free) when recording is disabled.
 func (s *Server) foldFlight(reqID, tmpl string, req OptimizeRequest, h *flight.History, maxQ float64,
 	res *opt.Result, planFP string, status int, wall time.Duration, executed bool) flight.Observation {
 	if s.flight == nil {
@@ -84,7 +83,7 @@ func (s *Server) fileIncident(o flight.Observation, req OptimizeRequest, tmpl st
 // search-step stream, optimizing the query a second time into a tracing
 // sink: optimization is deterministic, so the second run's trace and DAG
 // are the first's. The profile stays the original request's, copied: the
-// request's fold stamps its run totals on the sink's own rows afterwards.
+// sink's rows go back to the pool with it.
 func (s *Server) captureRequest(req OptimizeRequest, tmpl string, sink *obs.Sink, res *opt.Result) flight.Capture {
 	w := s.cfg.Options.Weights
 	cap := flight.Capture{

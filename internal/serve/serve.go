@@ -43,6 +43,7 @@ import (
 	"stars/internal/coverage"
 	"stars/internal/exec"
 	"stars/internal/flight"
+	"stars/internal/glue"
 	"stars/internal/obs"
 	"stars/internal/opt"
 	"stars/internal/plan"
@@ -166,11 +167,13 @@ type Server struct {
 	// rules is the effective repertoire (Config.Options.Rules or the
 	// built-ins) — the coverage universe behind /coverage.
 	rules *star.RuleSet
-	// ledger is the rolling coverage + Q-error view every request feeds
-	// (see internal/coverage); templates is the per-template memory beside
-	// it, and its lock guards both.
-	ledger    *coverage.Ledger
+	// mu guards the rolling state every request folds into as it finishes:
+	// the per-template memory, the process-wide coverage + Q-error ledger
+	// (internal/coverage) and the self-profile aggregate behind /profile.
+	mu        sync.Mutex
 	templates templateTable
+	ledger    *coverage.Ledger
+	profAgg   *prof.Profile
 	// flight is the flight recorder + watchdog (nil when disabled);
 	// rulesText/rulesHash/catalogEpoch are the boot-time identity stamps
 	// its records and captures carry.
@@ -188,12 +191,6 @@ type Server struct {
 	// are per-run state, so runs are serialized; optimization is not.
 	execMu  sync.Mutex
 	cluster *storage.Cluster
-
-	// The rolling self-profile behind GET /profile: every request
-	// folds its per-phase/rule/rank attribution in after answering.
-	profMu       sync.Mutex
-	profAgg      *prof.Profile
-	profRequests int64
 
 	// sinks recycles request sinks (obs.Sink.Reset): a reused sink names
 	// its metric series, span histograms and profile rows without
@@ -219,17 +216,15 @@ type templateRecord struct {
 
 // templateTable holds at most maxTemplates records in admission order. Past
 // the bound a newcomer evicts the least recently used record, which is
-// reset, reused, and counted in templates_evicted_total. Its lock also
-// guards the process-wide ledger.
+// reset, reused, and counted in templates_evicted_total. Server.mu guards it.
 type templateTable struct {
-	mu      sync.Mutex
 	m       map[string]*templateRecord
 	recs    []*templateRecord // admission order
 	clock   int64
 	evicted *obs.Counter
 }
 
-// admit returns tmpl's record, admitting it on first sight; t.mu is held.
+// admit returns tmpl's record, admitting it on first sight.
 func (t *templateTable) admit(tmpl string) *templateRecord {
 	t.clock++
 	r := t.m[tmpl]
@@ -258,33 +253,41 @@ func (t *templateTable) admit(tmpl string) *templateRecord {
 	return r
 }
 
-// fold folds one finished request under the template table's lock: the
-// process-wide ledger, the template's ledger entry and, when recording, the
-// flight recorder (whose lock nests inside: two per fold) and the template's
-// watchdog history. The caller files any incident the result raises once
-// the lock is dropped, since a capture may re-optimize the query.
-func (s *Server) fold(reqID, tmpl string, req OptimizeRequest, events []obs.Event,
-	res *opt.Result, planFP string, status int, wall time.Duration, executed bool) flight.Observation {
-	s.templates.mu.Lock()
-	defer s.templates.mu.Unlock()
-	t := s.templates.admit(tmpl)
-	maxQ := s.ledger.Record(tmpl, events)
-	t.ledger.Fold(events)
-	return s.foldFlight(reqID, tmpl, req, &t.flight, maxQ, res, planFP, status, wall, executed)
-}
-
-// flightTemplates renders the watchdog histories in admission order,
-// leaving out templates that have only failed (nothing judged yet).
-func (s *Server) flightTemplates() []flight.TemplateState {
-	s.templates.mu.Lock()
-	defer s.templates.mu.Unlock()
+// judged renders the watchdog histories in admission order, leaving out
+// templates that have only failed (nothing judged yet).
+func (t *templateTable) judged() []flight.TemplateState {
 	out := []flight.TemplateState{}
-	for _, t := range s.templates.recs {
-		if st, ok := t.flight.State(t.template); ok {
+	for _, r := range t.recs {
+		if st, ok := r.flight.State(r.template); ok {
 			out = append(out, st)
 		}
 	}
 	return out
+}
+
+// flightTemplates is judged, under s.mu.
+func (s *Server) flightTemplates() []flight.TemplateState {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.templates.judged()
+}
+
+// fold folds one finished request into the rolling state under s.mu: it
+// admits the template, folds the event log into the ledger and the
+// template's entry in one pass, observes and judges the flight record (the
+// recorder's lock nests inside), and merges the request's profile pr. The
+// run totals go to the aggregate, not onto pr's rows, which an incident
+// capture still reads.
+func (s *Server) fold(r *request, events []obs.Event, pr *prof.Profile, wall time.Duration, allocs int64) flight.Observation {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	t := s.templates.admit(r.tmpl)
+	maxQ := s.ledger.Fold(&t.ledger, events)
+	o := s.foldFlight(r.id, r.tmpl, r.req, &t.flight, maxQ, r.res, r.planFP, r.status, wall, r.executed)
+	s.profAgg.Merge(pr)
+	s.profAgg.ElapsedNS += wall.Nanoseconds()
+	s.profAgg.Allocs += allocs
+	return o
 }
 
 // New builds a daemon. The execution cluster is populated once, up front,
@@ -365,7 +368,7 @@ func New(cfg Config) (*Server, error) {
 			}
 		}
 	}
-	for _, op := range []plan.Op{plan.OpShip, plan.OpSort, plan.OpStore, plan.OpBuildIndex, plan.OpFilter} {
+	for _, op := range glue.VeneerOps {
 		s.reg.Counter(`coverage_veneer_injected_total{op="` + string(op) + `"}`)
 	}
 	// And the self-profiler's phase/rank series, so the profiling surface is
@@ -526,13 +529,13 @@ func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 
 // handleMetrics sets the derived gauges per scrape, then writes the registry.
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	s.templates.mu.Lock()
+	s.mu.Lock()
 	s.ledger.PublishMetrics(s.reg, s.rules)
-	s.templates.mu.Unlock()
 	if s.flight != nil {
-		s.reg.Gauge("flight_templates").Set(int64(len(s.flightTemplates())))
+		s.reg.Gauge("flight_templates").Set(int64(len(s.templates.judged())))
 		s.reg.Gauge("flight_incidents").Set(int64(s.flight.Stats().Incidents))
 	}
+	s.mu.Unlock()
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	if err := s.reg.WritePrometheus(w); err != nil {
 		s.cfg.Log.Printf("metrics write: %v", err)
@@ -544,24 +547,24 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 // and per-query-template estimate-vs-actual quality after execute+analyze
 // requests.
 func (s *Server) handleCoverage(w http.ResponseWriter, _ *http.Request) {
-	s.templates.mu.Lock()
+	s.mu.Lock()
 	rep := s.ledger.Snapshot(s.rules)
 	for _, t := range s.templates.recs {
 		rep.Templates = append(rep.Templates, t.ledger.Report(t.template))
 	}
-	s.templates.mu.Unlock()
+	s.mu.Unlock()
 	s.writeJSON(w, http.StatusOK, rep)
 }
 
 // handleProfile renders the rolling self-profile aggregate (schema
 // stars/profile/v1): every request's phase/rule/activity/rank
-// attribution folded together since boot.
+// attribution folded together since boot, over the ledger's request count.
 func (s *Server) handleProfile(w http.ResponseWriter, _ *http.Request) {
 	rep := prof.NewReport(runtime.GOMAXPROCS(0), s.cfg.Parallelism)
-	s.profMu.Lock()
-	rep.Requests = s.profRequests
+	s.mu.Lock()
+	rep.Requests = s.ledger.Requests()
 	rep.Totals = s.profAgg.Clone()
-	s.profMu.Unlock()
+	s.mu.Unlock()
 	s.writeJSON(w, http.StatusOK, rep)
 }
 
@@ -652,15 +655,27 @@ func (s *Server) do(reqID string, req OptimizeRequest) (out outcome) {
 	return out
 }
 
+// request is one /optimize request's state from the worker's start to its
+// finish step.
+type request struct {
+	id, tmpl string
+	req      OptimizeRequest
+	sink     *obs.Sink
+	start    time.Time
+	allocs0  int64 // the heap-allocation counter at start
+	status   int
+	res      *opt.Result // nil until optimization succeeds
+	planFP   string      // res.Best's fingerprint, rendered once
+	executed bool
+}
+
 // doLabeled performs one request's work: parse, optimize, optionally
-// execute, render. It owns the request's private sink and merges its
-// metrics into the shared registry on the way out.
+// execute, render. It owns the request's private sink; finish ends it.
 func (s *Server) doLabeled(reqID, tmpl string, req OptimizeRequest) outcome {
 	if s.testHold != nil {
 		<-s.testHold
 	}
-	start := time.Now()
-	allocs0 := obs.HeapAllocs()
+	r := request{id: reqID, tmpl: tmpl, req: req, start: time.Now(), allocs0: obs.HeapAllocs(), status: http.StatusOK}
 	// The search-step stream is recorded only when someone will read it:
 	// this request's provenance, or a live /events tail. Everything else —
 	// metrics, profile, coverage and Q-error folds, the flight record —
@@ -670,63 +685,12 @@ func (s *Server) doLabeled(reqID, tmpl string, req OptimizeRequest) outcome {
 	sink.SetTracing(req.Provenance || s.bcast.subscribers.Value() > 0)
 	sink.Tee(func(e obs.Event) { s.bcast.publish(reqID, e) })
 	sink.EnableProf(obs.ProfOptions{})
-	// The merge is the sink's last consumer, so the sink goes back to the
-	// pool right after it; nothing may keep sink.Events() past the folds
-	// below. Every series the sink holds is already in s.reg (the request
-	// that made it merged it), so a recycled sink's merge adds none.
-	defer s.sinks.Put(sink)
-	defer s.reg.Merge(sink.Registry())
-	// LIFO puts this before the merge above: flush any phase/rank tallies
-	// the optimizer didn't publish itself (the parse phase, failed runs —
-	// publishing is delta-aware, so double publishing is safe), then fold
-	// this request's attribution into the rolling GET /profile aggregate.
-	// The allocation bracket reads a process-global counter, so under
-	// concurrent requests it is an upper bound, not an exact figure.
-	defer func() {
-		sink.Prof().PublishMetrics(sink.Registry())
-		pr := prof.FromSink(sink)
-		pr.ElapsedNS = time.Since(start).Nanoseconds()
-		pr.Allocs = obs.HeapAllocs() - allocs0
-		s.profMu.Lock()
-		s.profAgg.Merge(pr)
-		s.profRequests++
-		s.profMu.Unlock()
-	}()
-	// LIFO puts this after the EvRequestDone emit below, so the whole
-	// stream is final: fold it into the ledger and the template's record
-	// (counters reach the registry via the merge above), then file any
-	// incident the watchdog raised — its capture wants the complete trace
-	// (exec.feedback included).
-	status := http.StatusOK
-	var (
-		flightRes  *opt.Result
-		flightFP   string // the chosen plan's fingerprint, rendered once
-		flightExec bool
-	)
-	defer func() {
-		o := s.fold(reqID, tmpl, req, sink.Events(), flightRes, flightFP, status, time.Since(start), flightExec)
-		if len(o.Triggers) > 0 {
-			s.fileIncident(o, req, tmpl, sink, flightRes)
-		}
-		// Every consumer of the result is done (the response is rendered,
-		// incident captures serialize plans to JSON): hand the plan arenas
-		// back, so the next request fills the same chunks instead of
-		// allocating its own. From here on every plan pointer into them is
-		// dead; nothing above may have kept one.
-		if flightRes != nil {
-			flightRes.Release()
-		}
-	}()
-
-	defer func() {
-		//obsguard:ignore once per request; the serving sink is never nil
-		sink.Emit(obs.Event{Name: EvRequestDone, A1: "/optimize",
-			N1: int64(status), F1: time.Since(start).Seconds()})
-	}()
+	r.sink = sink
+	defer s.finish(&r)
 	sink.Emit(obs.Event{Name: EvRequest, A1: "/optimize", A2: req.SQL}) //obsguard:ignore once per request; the serving sink is never nil
 
 	fail := func(st int, err error) outcome {
-		status = st
+		r.status = st
 		return outcome{status: st, err: err}
 	}
 	if req.SQL == "" {
@@ -744,14 +708,14 @@ func (s *Server) doLabeled(reqID, tmpl string, req OptimizeRequest) outcome {
 	if err != nil {
 		return fail(http.StatusUnprocessableEntity, err)
 	}
-	flightRes, flightFP = res, res.Best.Fingerprint()
+	r.res, r.planFP = res, res.Best.Fingerprint()
 
 	resp := &OptimizeResponse{
 		Schema:    SchemaV1,
 		RequestID: reqID,
 		SQL:       req.SQL,
 		Plan: PlanJSON{
-			Fingerprint:   flightFP,
+			Fingerprint:   r.planFP,
 			EstimatedRows: res.Best.Props.Card,
 			Cost:          costJSON(res.Best.Props.Cost),
 		},
@@ -787,12 +751,36 @@ func (s *Server) doLabeled(reqID, tmpl string, req OptimizeRequest) outcome {
 			return fail(http.StatusInternalServerError, fmt.Errorf("execute: %w", err))
 		}
 		resp.Execution = ex
-		flightExec = true
+		r.executed = true
 	}
 
 	resp.Stats = statsJSON(res.Stats, sink.Len())
 	resp.Metrics = sink.Registry().Counters()
-	return outcome{status: status, resp: resp}
+	return outcome{status: r.status, resp: resp}
+}
+
+// finish ends a request in one fixed order (docs/SERVING.md § How a request
+// ends). The allocation bracket reads a process-global counter, so under
+// concurrent requests it is an upper bound, not an exact figure.
+func (s *Server) finish(r *request) {
+	wall := time.Since(r.start)
+	//obsguard:ignore once per request; the serving sink is never nil
+	r.sink.Emit(obs.Event{Name: EvRequestDone, A1: "/optimize", N1: int64(r.status), F1: wall.Seconds()})
+	o := s.fold(r, r.sink.Events(), prof.FromSink(r.sink), wall, obs.HeapAllocs()-r.allocs0)
+	// Outside the lock: a capture may re-optimize the query.
+	if len(o.Triggers) > 0 {
+		s.fileIncident(o, r.req, r.tmpl, r.sink, r.res)
+	}
+	// Every consumer of the result is done: from here on every plan pointer
+	// into its arenas is dead, and nothing above may have kept one.
+	if r.res != nil {
+		r.res.Release()
+	}
+	// Publishing is delta-aware: this flushes what the optimizer did not
+	// (the parse phase, failed runs). The merge is the sink's last consumer.
+	r.sink.Prof().PublishMetrics(r.sink.Registry())
+	s.reg.Merge(r.sink.Registry())
+	s.sinks.Put(r.sink)
 }
 
 // optimizerOptions are the daemon's optimizer options for one run reporting
