@@ -256,8 +256,9 @@ func (p *Profile) rank(r Rank) *Rank {
 // Merge folds o into p: a worker's profile into its parent sink's, a
 // request's into a server's rolling aggregate, a workload's into a report's
 // totals. Tallies, meters and rank figures add by key; a rank row that
-// two runs fold into keeps no per-worker busy vector. p is left sorted for
-// display.
+// two runs fold into keeps no per-worker busy vector. New rows are appended
+// unsorted and the derived rank figures left stale: a reader sorts once,
+// with Sort or Clone, not every fold.
 func (p *Profile) Merge(o *Profile) {
 	if o == nil {
 		return
@@ -284,11 +285,11 @@ func (p *Profile) Merge(o *Profile) {
 		r.BusyNS = nil
 		p.rank(r).BusyNS = nil
 	}
-	p.refresh()
 }
 
-// Clone deep-copies the profile, for a reader that must not see later
-// merges (the serve daemon renders its rolling aggregate outside the lock).
+// Clone deep-copies the profile and sorts the copy for display, for a
+// reader that must not see later merges (the serve daemon renders its
+// rolling aggregate outside the lock).
 func (p *Profile) Clone() *Profile {
 	if p == nil {
 		return nil
@@ -303,12 +304,13 @@ func (p *Profile) Clone() *Profile {
 	for i := range c.Ranks {
 		c.Ranks[i].BusyNS = slices.Clone(c.Ranks[i].BusyNS)
 	}
+	c.Sort()
 	return &c
 }
 
-// refresh sorts the rows for display — phases in pipeline order, rules and
+// Sort orders the rows for display — phases in pipeline order, rules and
 // spans by self-time — and derives the rank figures.
-func (p *Profile) refresh() {
+func (p *Profile) Sort() {
 	slices.SortFunc(p.Phases, func(a, b Phase) int {
 		return cmp.Or(cmp.Compare(phaseOrder(a.Phase), phaseOrder(b.Phase)), strings.Compare(a.Phase, b.Phase))
 	})
@@ -573,7 +575,7 @@ func (p *Prof) Profile() *Profile {
 		return nil
 	}
 	p.mu.Lock()
-	p.rows.refresh()
+	p.rows.Sort()
 	p.mu.Unlock()
 	return &p.rows
 }

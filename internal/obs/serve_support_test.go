@@ -8,6 +8,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"stars/internal/jsonw"
 )
 
 // TestRequestSinkTagsEvents: every event recorded by a request sink — emit
@@ -350,4 +352,42 @@ func sameDeterministic(a, b map[string]int64) bool {
 		}
 	}
 	return true
+}
+
+// TestAppendCountersMatchesCounters checks the appended object against
+// encoding/json's encoding of Counters' map — as a registry is filled, reset
+// and reused, and grows a series after its name list was cached — and that a
+// warm append allocates nothing.
+func TestAppendCountersMatchesCounters(t *testing.T) {
+	r := NewRegistry()
+	check := func(stage string) {
+		t.Helper()
+		var w jsonw.Writer
+		n := r.AppendCounters(&w)
+		want, _ := json.Marshal(r.Counters())
+		if string(w.B) != string(want) || n != len(r.Counters()) {
+			t.Errorf("%s: appended %s (%d), want %s", stage, w.B, n, want)
+		}
+	}
+	check("empty")
+	kept := r.Counter(`b_total{op="<ACCESS>"}`)
+	kept.Add(2)
+	r.Counter("a_total")
+	r.Counter("c_total").Add(5)
+	check("filled")
+	r.Reset()
+	kept.Add(1) // moved without a lookup: listed
+	check("reset")
+	r.Counter("a_total")
+	r.Counter("aa_total").Add(1) // a series added after the list was cached
+	check("grown")
+	var w jsonw.Writer
+	r.AppendCounters(&w)
+	if n := testing.AllocsPerRun(100, func() { w.B = w.B[:0]; r.AppendCounters(&w) }); n != 0 {
+		t.Errorf("a warm AppendCounters allocates %v times, want 0", n)
+	}
+	var nilW jsonw.Writer
+	if n := (*Registry)(nil).AppendCounters(&nilW); n != 0 || string(nilW.B) != "{}" {
+		t.Errorf("nil registry appended %s (%d), want {} (0)", nilW.B, n)
+	}
 }

@@ -140,7 +140,8 @@ func serveUnderPoison(t *testing.T, opts opt.Options, mustRender string) {
 // FuzzOptimizeHandler feeds arbitrary bodies to POST /optimize with arena
 // poisoning on. Whatever the body, the handler must not panic, must answer
 // with one of the statuses the daemon documents and a JSON body of its
-// schema, and must render no released plan.
+// schema, must render no released plan, and must write a success reply byte
+// for byte as encoding/json writes the response it decodes to.
 func FuzzOptimizeHandler(f *testing.F) {
 	opt.SetArenaPoison(true)
 	defer opt.SetArenaPoison(false)
@@ -179,6 +180,18 @@ func FuzzOptimizeHandler(f *testing.F) {
 		}
 		if strings.Contains(rec.Body.String(), "__POISONED__") {
 			t.Fatalf("status %d: reply renders a released plan:\n%s", rec.Code, rec.Body)
+		}
+		// The written reply is what encoding/json writes for the response it
+		// decodes to.
+		if rec.Code == http.StatusOK {
+			var resp serve.OptimizeResponse
+			var again bytes.Buffer
+			if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+				t.Fatal(err)
+			}
+			if err := json.NewEncoder(&again).Encode(resp); err != nil || !bytes.Equal(again.Bytes(), rec.Body.Bytes()) {
+				t.Fatalf("reply differs from encoding/json's (%v):\n got %s\nwant %s", err, rec.Body, again.Bytes())
+			}
 		}
 	})
 }

@@ -154,10 +154,11 @@ func NewReport(gomaxprocs, parallelism int) *Report {
 }
 
 // Add appends one workload's profile, kept by reference, and folds it into
-// the totals.
+// the totals, sorted for display.
 func (r *Report) Add(name string, p *Profile) {
 	r.Workloads = append(r.Workloads, WorkloadProfile{Name: name, Profile: p})
 	r.Totals.Merge(p)
+	r.Totals.Sort()
 }
 
 // Format renders the whole report: a compact phase line per workload, then

@@ -1,18 +1,21 @@
 package provenance
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
 	"io"
 	"strings"
+
+	"stars/internal/jsonw"
 )
 
 // SchemaVersion tags the JSON export; bump on incompatible changes.
 const SchemaVersion = "stars/provenance/v1"
 
-// jsonDAG is the stable wire form: fields are sorted and deterministic so
-// exports diff cleanly and round-trip losslessly.
+// jsonDAG is the stable wire form ReadJSON decodes: fields are sorted and
+// deterministic so exports diff cleanly and round-trip losslessly.
 type jsonDAG struct {
 	Schema     string      `json:"schema"`
 	Best       string      `json:"best,omitempty"`
@@ -21,12 +24,67 @@ type jsonDAG struct {
 }
 
 // WriteJSON writes the DAG in the stable JSON schema (plans sorted by
-// fingerprint).
+// fingerprint): AppendJSON's bytes indented by two spaces, newline-ended.
 func (d *DAG) WriteJSON(w io.Writer) error {
-	out := jsonDAG{Schema: SchemaVersion, Best: d.BestFP, Plans: d.sorted(), Rejections: d.Rejections}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(out)
+	var jw jsonw.Writer
+	d.AppendJSON(&jw)
+	if err := jw.Err(); err != nil {
+		return err
+	}
+	var buf bytes.Buffer
+	if err := json.Indent(&buf, append(jw.B, '\n'), "", "  "); err != nil {
+		return err
+	}
+	_, err := w.Write(buf.Bytes())
+	return err
+}
+
+// AppendJSON writes the DAG's stable JSON export to w compactly, as
+// encoding/json writes jsonDAG: the form a serve reply embeds.
+func (d *DAG) AppendJSON(w *jsonw.Writer) {
+	w.Open('{')
+	w.Key("schema").String(SchemaVersion)
+	if d.BestFP != "" {
+		w.Key("best").String(d.BestFP)
+	}
+	w.Key("plans").Open('[')
+	for _, p := range d.sorted() {
+		w.Open('{')
+		w.Key("fp").String(p.FP)
+		w.Key("desc").String(p.Desc)
+		w.OmitEmpty("origin", p.Origin)
+		w.OmitEmpty("tables", p.Tables)
+		w.Key("cost").Float(p.Cost)
+		w.OmitZero("card", p.Card)
+		if len(p.Inputs) > 0 {
+			w.Key("inputs").Strings(p.Inputs)
+		}
+		w.OmitFalse("retained", p.Retained)
+		w.OmitFalse("best", p.Best)
+		w.OmitFalse("veneer", p.Veneer)
+		w.OmitEmpty("pruned_by", p.PrunedBy)
+		w.OmitZero("pruned_by_cost", p.PrunedByCost)
+		w.OmitFalse("evicted", p.Evicted)
+		w.OmitEmpty("bounded_by", p.BoundedBy)
+		w.OmitZero("bounded_by_cost", p.BoundedByCost)
+		w.Close('}')
+	}
+	w.Close(']')
+	if len(d.Rejections) > 0 {
+		w.Key("rejections").Open('[')
+		for _, r := range d.Rejections {
+			w.Open('{')
+			w.Key("rule").String(r.Rule)
+			w.Key("alt").Int(int64(r.Alt))
+			w.OmitEmpty("cond", r.Cond)
+			if r.Depth != 0 {
+				w.Key("depth").Int(int64(r.Depth))
+			}
+			w.Close('}')
+		}
+		w.Close(']')
+	}
+	w.Close('}')
 }
 
 // Checksum digests the DAG's canonical JSON export into a 16-hex-digit

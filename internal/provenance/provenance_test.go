@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -242,6 +243,38 @@ func TestJSONRoundTrip(t *testing.T) {
 	// Queries keep working on the reconstructed DAG.
 	if _, err := back.Why("best"); err != nil {
 		t.Errorf("Why on reconstructed DAG: %v", err)
+	}
+}
+
+// TestWriteJSONMatchesEncodingJSON checks the export against encoding/json's
+// indented encoding of jsonDAG, on DAGs with veneers, prunes, bounds and
+// rejections, and that a NaN cost fails the export as it failed there.
+func TestWriteJSONMatchesEncodingJSON(t *testing.T) {
+	cat3, g3 := figure3Catalog(t)
+	var dags []*DAG
+	for _, r := range []*opt.Result{
+		runOpt(t, workload.EmpDept(), workload.Figure1Query(), opt.Options{}),
+		runOpt(t, cat3, g3, opt.Options{}),
+		runOpt(t, workload.ChainCatalog(4, 400, 150, 60, 200), workload.ChainQuery(4), opt.Options{}),
+		runOpt(t, workload.StarCatalog(3, 100000, 1000), workload.StarQuery(3), opt.Options{}),
+	} {
+		d, err := FromResult(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dags = append(dags, d)
+	}
+	dags = append(dags, &DAG{Plans: map[string]*Plan{}}, &DAG{Plans: map[string]*Plan{"x": {FP: "x", Cost: math.NaN()}}})
+	for i, d := range dags {
+		var want bytes.Buffer
+		enc := json.NewEncoder(&want)
+		enc.SetIndent("", "  ")
+		wantErr := enc.Encode(jsonDAG{Schema: SchemaVersion, Best: d.BestFP, Plans: d.sorted(), Rejections: d.Rejections})
+		var got bytes.Buffer
+		err := d.WriteJSON(&got)
+		if (err == nil) != (wantErr == nil) || err == nil && !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Errorf("DAG %d (%v, want %v):\n got %s\nwant %s", i, err, wantErr, got.Bytes(), want.Bytes())
+		}
 	}
 }
 

@@ -22,13 +22,15 @@ import (
 
 const figure1SQL = "SELECT DEPT.DNO, EMP.NAME FROM DEPT, EMP WHERE DEPT.DNO = EMP.DNO AND DEPT.MGR = 'Haas'"
 
-// newTestServer builds a demo-catalog server with test-friendly knobs.
+// newTestServer builds a demo-catalog server with test-friendly knobs. Each
+// success reply it writes is checked against encoding/json's (checkReplies).
 func newTestServer(t *testing.T, cfg Config) *Server {
 	t.Helper()
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkReplies(t, s)
 	return s
 }
 
