@@ -25,7 +25,7 @@ package provenance
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"stars/internal/glue"
@@ -456,7 +456,7 @@ func (d *DAG) sorted() []*Plan {
 	for _, n := range d.Plans {
 		out = append(out, n)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].FP < out[j].FP })
+	slices.SortFunc(out, func(a, b *Plan) int { return strings.Compare(a.FP, b.FP) })
 	return out
 }
 
