@@ -83,13 +83,16 @@ type Env struct {
 	// names into, recycled from one query to the next (the optimizer keeps
 	// one per workspace); Bind allocates one when it is nil.
 	Bound *Binding
+	// Rels is the table InternRel interns into, recycled from one query to
+	// the next (the optimizer keeps one per environment a workspace serves
+	// and clears it); InternRel makes one when it is nil.
+	Rels Rels
 
 	funcs  map[plan.Op]PropertyFunc
-	rels   map[relKey]*plan.Rel // interned relational property vectors: bucket heads, chained by Rel.Next
-	base   *Env                 // frozen parent of a forked environment
-	u      *expr.Universe       // of the bound query: ACCESS resolves its quantifier's table set
-	cols   *expr.Vocab          // of the bound query
-	quants []quantCols          // of the bound query, by quantifier ordinal
+	base   *Env           // frozen parent of a forked environment
+	u      *expr.Universe // of the bound query: ACCESS resolves its quantifier's table set
+	cols   *expr.Vocab    // of the bound query
+	quants []quantCols    // of the bound query, by quantifier ordinal
 }
 
 // Binding is one query's names resolved to numbers (Bind): the catalog table
@@ -115,6 +118,10 @@ type quantCols struct {
 // Reset lets go of the bound catalog tables and keeps the arrays.
 func (b *Binding) Reset() { clear(b.tables) }
 
+// Rels holds an environment's interned relational property vectors: the
+// head of each bucket, chained by Rel.Next. Create one with Rels{}.
+type Rels map[relKey]*plan.Rel
+
 // relKey buckets interned Rels by the words of their sets: the table set's
 // mask and the predicate set's Hash64, so probing the intern table renders
 // nothing. Within a bucket the predicate and column sets are compared.
@@ -129,7 +136,6 @@ func NewEnv(cat *catalog.Catalog, w Weights) *Env {
 		Cat:   cat,
 		W:     w,
 		funcs: map[plan.Op]PropertyFunc{},
-		rels:  map[relKey]*plan.Rel{},
 	}
 	e.Register(plan.OpAccess, accessProps)
 	e.Register(plan.OpGet, getProps)
@@ -152,11 +158,10 @@ func NewEnv(cat *catalog.Catalog, w Weights) *Env {
 // merged back: interned Rels are compared by content, never by pointer, so a
 // Rel two workers each interned is merely stored twice.
 func (e *Env) Fork() *Env {
-	// Obs and Arena are deliberately not inherited: the caller wires the
-	// worker's own.
+	// Obs, Arena and Rels are deliberately not inherited: the caller wires
+	// the worker's own.
 	return &Env{
 		Cat: e.Cat, W: e.W, Bound: e.Bound, u: e.u, cols: e.cols, quants: e.quants, funcs: e.funcs,
-		rels: map[relKey]*plan.Rel{},
 		base: e,
 	}
 }
@@ -169,14 +174,17 @@ func (e *Env) Fork() *Env {
 func (e *Env) InternRel(tables expr.TableSet, cols expr.ColSet, preds expr.PredSet) *plan.Rel {
 	k := relKey{tables: tables.Mask(), ph: preds.Hash64()}
 	for env := e; env != nil; env = env.base {
-		for r := env.rels[k]; r != nil; r = r.Next() {
+		for r := env.Rels[k]; r != nil; r = r.Next() {
 			if r.Preds.Equal(preds) && r.Cols.Equal(cols) {
 				return r
 			}
 		}
 	}
-	r := e.Arena.NewRel(plan.Rel{Tables: tables, Cols: cols, Preds: preds, Width: e.setWidth(cols)}, e.rels[k])
-	e.rels[k] = r
+	if e.Rels == nil {
+		e.Rels = Rels{}
+	}
+	r := e.Arena.NewRel(plan.Rel{Tables: tables, Cols: cols, Preds: preds, Width: e.setWidth(cols)}, e.Rels[k])
+	e.Rels[k] = r
 	return r
 }
 

@@ -299,8 +299,8 @@ func TestInternRelFindsEqualSets(t *testing.T) {
 			t.Errorf("case %d: {%s} found case %d's Rel {%s}", i, v.Set(whole...), j, r1.Cols)
 		}
 		seen[r1] = i
-		if r1.Width != r2.Width || r1.Width != e.RowWidth(r1.Cols.List().IDs()) {
-			t.Errorf("case %d: widths %v and %v, want RowWidth %v", i, r1.Width, r2.Width, e.RowWidth(r1.Cols.List().IDs()))
+		if r1.Width != r2.Width || r1.Width != e.RowWidth(r1.Cols.List(nil).IDs()) {
+			t.Errorf("case %d: widths %v and %v, want RowWidth %v", i, r1.Width, r2.Width, e.RowWidth(r1.Cols.List(nil).IDs()))
 		}
 		cols := r1.Cols
 		if n := testing.AllocsPerRun(100, func() { first.InternRel(both, cols, expr.PredSet{}) }); n != 0 {

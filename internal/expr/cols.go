@@ -80,13 +80,35 @@ func (v *Vocab) List(ids ...ColID) ColList {
 // vocabulary.
 func (v *Vocab) Set(ids ...ColID) ColSet { return v.List(ids...).Set() }
 
-// list returns a copy of ords as a list; a one-column list aliases self, so
-// the commonest key allocates nothing.
-func (v *Vocab) list(ords []int) ColList {
-	if len(ords) == 1 {
-		return ColList{v: v, ords: v.self[ords[0] : ords[0]+1 : ords[0]+1]}
+// Alloc is where the column lists a search builds take their ordinals from:
+// the optimization's plan arena (plan.Arena.Ints), whose lists are valid
+// until its Reset. Every constructor that takes one uses the heap for nil.
+type Alloc interface {
+	// Ints returns n slots, capped so an append cannot reach past them.
+	Ints(n int) []int
+}
+
+// list returns x followed by y as one list on a; a one-column list aliases
+// self, so the commonest key takes no storage at all.
+func (v *Vocab) list(a Alloc, x, y []int) ColList {
+	if len(x) == 0 {
+		x, y = y, nil
 	}
-	return ColList{v: v, ords: slices.Clone(ords)}
+	n := len(x) + len(y)
+	switch {
+	case n == 0:
+		return ColList{v: v}
+	case n == 1:
+		return ColList{v: v, ords: v.self[x[0] : x[0]+1 : x[0]+1]}
+	}
+	var ords []int
+	if a == nil {
+		ords = make([]int, n)
+	} else {
+		ords = a.Ints(n)
+	}
+	copy(ords[copy(ords, x):], y)
+	return ColList{v: v, ords: ords}
 }
 
 // sideCols appends to out, in set order, each bare-column operand of a
@@ -105,20 +127,20 @@ func (v *Vocab) sideCols(out []int, ps PredSet, t TableSet, seen func(eq bool)) 
 	return out
 }
 
-// SortColsFor returns the columns of the sortable predicates that belong to
-// side t, in canonical order: χ(SP) ∩ χ(T) in the paper's JMeth STAR. The
-// outer and inner orders pair up because SortablePreds only admits
+// SortColsFor returns, on a, the columns of the sortable predicates that
+// belong to side t, in canonical order: χ(SP) ∩ χ(T) in the paper's JMeth
+// STAR. The outer and inner orders pair up because SortablePreds only admits
 // column = column predicates and canonical predicate order fixes the pairing.
-func (v *Vocab) SortColsFor(sp PredSet, t TableSet) ColList {
+func (v *Vocab) SortColsFor(sp PredSet, t TableSet, a Alloc) ColList {
 	var buf [16]int
-	return v.list(v.sideCols(buf[:0], sp, t, nil))
+	return v.list(a, v.sideCols(buf[:0], sp, t, nil), nil)
 }
 
-// IndexColsFor returns IX: the inner-side columns of indexable (XP) and
+// IndexColsFor returns IX, on a: the inner-side columns of indexable (XP) and
 // inner-only (IP) predicates, equality predicates first (Section 4.5.3), so
 // that a dynamically created index applies the most selective prefix first.
 // A column is classed by the predicate it is first seen in, XP before IP.
-func (v *Vocab) IndexColsFor(xp, ip PredSet, t2 TableSet) ColList {
+func (v *Vocab) IndexColsFor(xp, ip PredSet, t2 TableSet, a Alloc) ColList {
 	var buf [16]int
 	var eqBuf [16]bool
 	eq := eqBuf[:0]
@@ -133,7 +155,7 @@ func (v *Vocab) IndexColsFor(xp, ip PredSet, t2 TableSet) ColList {
 			}
 		}
 	}
-	return v.list(out)
+	return v.list(a, out, nil)
 }
 
 // Probes reports whether conjunct i compares column col, as a bare operand,
@@ -196,18 +218,18 @@ func (s ColSet) Minus(o ColSet) ColSet { return ColSet{cmp.Or(s.v, o.v), s.zip(o
 // Equal reports set equality.
 func (s ColSet) Equal(o ColSet) bool { return s.equal(o.words) }
 
-// List returns the members in ordinal (name) order.
-func (s ColSet) List() ColList {
+// List returns the members in ordinal (name) order, on a.
+func (s ColSet) List(a Alloc) ColList {
 	var buf [16]int
 	ords := buf[:0]
 	for i := s.Next(0); i >= 0; i = s.Next(i + 1) {
 		ords = append(ords, i)
 	}
-	return s.v.list(ords)
+	return s.v.list(a, ords, nil)
 }
 
 // String renders the members in name order, comma-separated.
-func (s ColSet) String() string { return s.List().String() }
+func (s ColSet) String() string { return s.List(nil).String() }
 
 // ColList is an ordered list of a query's columns — an ORDER, an index key, a
 // node's own columns — as ordinals of its Vocab. It is an immutable value;
@@ -243,9 +265,9 @@ func (l ColList) HasPrefix(p ColList) bool {
 // Equal reports whether the lists name the same columns in the same order.
 func (l ColList) Equal(o ColList) bool { return slices.Equal(l.ords, o.ords) }
 
-// Concat returns l followed by o.
-func (l ColList) Concat(o ColList) ColList {
-	return ColList{v: cmp.Or(l.v, o.v), ords: slices.Concat(l.ords, o.ords)}
+// Concat returns l followed by o, on a.
+func (l ColList) Concat(o ColList, a Alloc) ColList {
+	return cmp.Or(l.v, o.v).list(a, l.ords, o.ords)
 }
 
 // Set returns the set of the listed columns.

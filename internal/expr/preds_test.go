@@ -225,8 +225,8 @@ func TestSortColsForPairsUp(t *testing.T) {
 	u, t1, t2 := deUniverse(t, p2)
 	sp := u.PredSet(pJoin, p2)
 	v := mustVocab(t, u)
-	outer := v.SortColsFor(sp, t1)
-	inner := v.SortColsFor(sp, t2)
+	outer := v.SortColsFor(sp, t1, nil)
+	inner := v.SortColsFor(sp, t2, nil)
 	if outer.Len() != 2 || inner.Len() != 2 {
 		t.Fatalf("outer=%v inner=%v", outer, inner)
 	}
@@ -253,7 +253,7 @@ func TestIndexColsForEqFirst(t *testing.T) {
 	xpRange := lt(C("D", "X"), C("E", "A"))
 	ipEq := eq(C("E", "C"), ci(1))
 	u, _, t2 := deUniverse(t, xpEq, xpRange, ipEq)
-	ix := mustVocab(t, u).IndexColsFor(u.PredSet(xpRange, xpEq), u.PredSet(ipEq), t2)
+	ix := mustVocab(t, u).IndexColsFor(u.PredSet(xpRange, xpEq), u.PredSet(ipEq), t2, nil)
 	if ix.Len() != 3 {
 		t.Fatalf("IX = %v", ix)
 	}

@@ -164,7 +164,7 @@ func TestPredSetSpill(t *testing.T) {
 		} {
 			want := colsOf(c.want)
 			if !c.got.Equal(want) || c.got.String() != want.String() || c.got.Len() != c.want.Len() ||
-				c.got.Empty() != c.want.Empty() || c.got.Hash64() != want.Hash64() || !slices.Equal(c.got.List().IDs(), c.want.Columns()) {
+				c.got.Empty() != c.want.Empty() || c.got.Hash64() != want.Hash64() || !slices.Equal(c.got.List(nil).IDs(), c.want.Columns()) {
 				t.Fatalf("%s = {%s}, want {%s}", c.what, c.got, want)
 			}
 		}

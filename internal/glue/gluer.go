@@ -211,18 +211,22 @@ func (g *Gluer) ensurePlans(tables expr.TableSet, preds expr.PredSet) (Cell, err
 		g.Engine.Obs.Emit(obs.Event{Name: obs.EvGlueMiss, A1: tables.Key()})
 	}
 	if single {
-		sap, err := g.Engine.EvalRule(AccessRootRule, []star.Value{
+		seeded := false
+		err := g.Engine.Eval(AccessRootRule, []star.Value{
 			star.StreamValue(tables),
 			star.ColsValue(g.Engine.Cost.Needed(q)),
 			star.PredsValue(preds),
+		}, func(sap []*plan.Node) {
+			if seeded = len(sap) > 0; seeded {
+				g.Table.Seed(tables, preds, sap)
+			}
 		})
 		if err != nil {
 			return Cell{}, fmt.Errorf("glue: access plans for %s: %w", q, err)
 		}
-		if len(sap) == 0 {
+		if !seeded {
 			return Cell{}, fmt.Errorf("glue: no access plans for %s", q)
 		}
-		g.Table.Seed(tables, preds, sap)
 		return g.Table.Lookup(tables, preds), nil
 	}
 	// Composite: the enumeration inserted plans under the eligible

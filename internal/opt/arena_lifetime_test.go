@@ -10,9 +10,12 @@ import (
 	"sync"
 	"testing"
 
+	"stars/internal/catalog"
+	"stars/internal/datum"
 	"stars/internal/obs"
 	"stars/internal/plan"
 	"stars/internal/query"
+	"stars/internal/sqlparse"
 	"stars/internal/star"
 	"stars/internal/workload"
 )
@@ -131,6 +134,61 @@ func TestDetachedDynamicIndexPlanSurvivesArenaReuse(t *testing.T) {
 			assertAlive(t, par, res.Best)
 			other.Release()
 		}
+	}
+}
+
+// TestDetachedColumnListsSurviveArenaReuse: the column lists a search builds —
+// a BUILDINDEX key, the ORDER of the index ACCESS that probes it, the PATHS key
+// both carry — live in the arena's int slab, so Detach has to copy them. A
+// detached best plan whose every such list has two columns (one-column lists
+// alias the vocabulary and are no arena storage) renders them intact after
+// Release poisoned its arenas and another query refilled them.
+func TestDetachedColumnListsSurviveArenaReuse(t *testing.T) {
+	arenaPoison = true
+	defer func() { arenaPoison = false }()
+
+	cat := catalog.New()
+	for _, name := range []string{"R", "S"} {
+		cat.AddTable(&catalog.Table{Name: name, Card: 50000, Cols: []*catalog.Column{
+			{Name: "A", Type: datum.KindInt, NDV: 5000},
+			{Name: "B", Type: datum.KindInt, NDV: 5000},
+			{Name: "C", Type: datum.KindString, NDV: 9000, Width: 16},
+		}})
+	}
+	render := func(n *plan.Node) string {
+		var b strings.Builder
+		n.Walk(func(n *plan.Node) {
+			fmt.Fprintf(&b, "%s sort=[%s] order=[%s] paths=%v\n", n.Op, n.SortCols, n.Props.Order, n.Props.Paths)
+		})
+		return b.String() + plan.ExplainVerbose(n)
+	}
+	for _, par := range []int{1, 2} {
+		g, err := sqlparse.Parse("SELECT R.C, S.C FROM R, S WHERE R.A = S.A AND R.B = S.B", cat)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := New(cat, Options{Parallelism: par, Rules: DynamicIndexRules()}).Optimize(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := render(res.Best)
+		for _, s := range []string{"BUILDINDEX sort=[S.A,S.B]", "ACCESS sort=[S.A,S.B] order=[S.A,S.B] paths=[_ix*(S.A,S.B)]"} {
+			if !strings.Contains(want, s) {
+				t.Fatalf("Parallelism %d: fixture's best plan has no %q:\n%s", par, s, want)
+			}
+		}
+		res.Release()
+		if got := render(res.Best); got != want {
+			t.Errorf("Parallelism %d: detached plan renders differently after Release:\n%s\nwant:\n%s", par, got, want)
+		}
+		other, err := New(workload.StarCatalog(4, 100000, 500), Options{Parallelism: par, Rules: DynamicIndexRules()}).Optimize(workload.StarQuery(4))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := render(res.Best); got != want {
+			t.Errorf("Parallelism %d: detached plan renders differently once another query refilled its arenas:\n%s\nwant:\n%s", par, got, want)
+		}
+		other.Release()
 	}
 }
 
@@ -284,12 +342,15 @@ func TestReleaseHandsBackRootWorkspaceFirst(t *testing.T) {
 	}
 }
 
-// scratchHeld describes what w's engine scratch or coverage dedupe set still
-// holds — a slot up to its capacity that is not zero, a set entry — or returns
-// "" when they hold nothing.
+// scratchHeld describes what w's engine scratch, Rel-intern tables or
+// coverage dedupe set still hold — a slot up to its capacity that is not zero,
+// a map entry — or returns "" when they hold nothing.
 func scratchHeld(w *workspace) string {
 	if len(w.covered) != 0 {
 		return fmt.Sprintf("coverage dedupe set holds %d IDs", len(w.covered))
+	}
+	if n := len(w.rootRels) + len(w.forkRels); n != 0 {
+		return fmt.Sprintf("Rel-intern tables hold %d buckets", n)
 	}
 	s := reflect.ValueOf(&w.scratch).Elem()
 	for i := 0; i < s.NumField(); i++ {
@@ -320,9 +381,10 @@ func scratchHeld(w *workspace) string {
 
 // TestIdleScratchHoldsNoPlan: Release empties what the engines evaluated on —
 // value stack, SAP scratch, merge's dedupe set, loop stack, Glue request,
-// catalog lists — and the coverage summary's dedupe set, zeroing every slot
-// they grew, so an idle workspace pins no plan of the optimization that used
-// it, at Parallelism 1 and 4, with arena poisoning on.
+// catalog lists — the root and forked environments' Rel-intern tables and the
+// coverage summary's dedupe set, zeroing every slot they grew, so an idle
+// workspace pins no plan or Rel of the optimization that used it, at
+// Parallelism 1 and 4, with arena poisoning on.
 func TestIdleScratchHoldsNoPlan(t *testing.T) {
 	arenaPoison = true
 	defer func() { arenaPoison = false }()
@@ -336,8 +398,9 @@ func TestIdleScratchHoldsNoPlan(t *testing.T) {
 			t.Fatal(err)
 		}
 		spaces := slices.Clone(res.spaces)
-		if reflect.ValueOf(&spaces[0].scratch).Elem().FieldByName("stack").Cap() == 0 || len(spaces[0].covered) == 0 {
-			t.Fatalf("Parallelism %d: the root workspace's scratch was never used", par)
+		if reflect.ValueOf(&spaces[0].scratch).Elem().FieldByName("stack").Cap() == 0 || len(spaces[0].covered) == 0 ||
+			len(spaces[0].rootRels) == 0 || len(spaces[0].forkRels) == 0 {
+			t.Fatalf("Parallelism %d: the root workspace's scratch or Rel-intern tables were never used", par)
 		}
 		res.Release()
 		for i, w := range spaces {

@@ -54,7 +54,7 @@ func checkBoundNumbers(t *testing.T, label string, cat *catalog.Catalog, g *quer
 	for _, ws := range res.spaces {
 		ws.arena.EachRel(func(r *plan.Rel) {
 			rels++
-			if want := nameResolvedWidth(cat, g, r.Cols.List().IDs()); !same(r.Width, want) {
+			if want := nameResolvedWidth(cat, g, r.Cols.List(nil).IDs()); !same(r.Width, want) {
 				t.Errorf("%s: Rel %v has width %v, the name-resolved sum is %v", label, r.Cols, r.Width, want)
 			}
 		})

@@ -126,15 +126,17 @@ var builtinRules = sync.OnceValue(star.DefaultRules)
 // workspace is the storage one enumeration worker recycles across
 // optimizations: the arena its plans and Rels live in, a plan table (the root
 // table of an optimization's first workspace), the arrays the pricing
-// environment binds the query into (the first workspace's), the overlays its
-// tasks write (the first used of them, until the rank barrier), partition
-// scratch, what its engine evaluates on (the first workspace's serves the root
-// engine and worker 0's, which never evaluate at once), and the rank's task
-// list and the coverage summary's dedupe set (the first workspace's).
+// environment binds the query into, the Rel-intern tables of the root (both
+// the first workspace's) and of a forked environment, the overlays its tasks
+// write (the first used of them, until the rank barrier), partition scratch,
+// what its engine evaluates on (the first workspace's serves the root engine
+// and worker 0's, which never evaluate at once), and the rank's task list and
+// the coverage summary's dedupe set (the first workspace's).
 type workspace struct {
 	arena                *plan.Arena
 	table                *glue.PlanTable
 	bound                cost.Binding
+	rootRels, forkRels   cost.Rels
 	overlays             []*glue.PlanTable
 	used                 int
 	connected, cartesian []maskPair
@@ -166,7 +168,7 @@ func checkout() *workspace {
 	}
 	spares.Unlock()
 	if w == nil {
-		w = &workspace{arena: plan.NewArena(), table: glue.NewPlanTable(), covered: map[uint64]bool{}}
+		w = &workspace{arena: plan.NewArena(), table: glue.NewPlanTable(), rootRels: cost.Rels{}, forkRels: cost.Rels{}, covered: map[uint64]bool{}}
 	}
 	w.arena.SetPoison(arenaPoison)
 	return w
@@ -178,6 +180,8 @@ func (w *workspace) checkin() {
 	w.arena.Reset()
 	w.table.Reset(nil)
 	w.bound.Reset()
+	clear(w.rootRels)
+	clear(w.forkRels)
 	for _, ov := range w.overlays {
 		ov.Reset(nil)
 	}
@@ -265,7 +269,7 @@ func (o *Optimizer) Optimize(g *query.Graph) (_ *Result, err error) {
 	env := cost.NewEnv(o.Cat, w)
 	env.Obs = sink
 	ws := checkout()
-	env.Arena, env.Bound = ws.arena, &ws.bound
+	env.Arena, env.Bound, env.Rels = ws.arena, &ws.bound, ws.rootRels
 	res := &Result{Obs: sink, spaces: []*workspace{ws}}
 	defer func() {
 		if err != nil {
@@ -315,18 +319,22 @@ func (o *Optimizer) Optimize(g *query.Graph) (_ *Result, err error) {
 	for i, q := range g.Quants {
 		ts := g.Universe().Subset(1 << uint(i))
 		preds := g.EligibleWithin(ts)
-		sap, err := en.EvalRule(glue.AccessRootRule, []star.Value{
+		seeded := false
+		err := en.Eval(glue.AccessRootRule, []star.Value{
 			star.StreamValue(ts),
 			star.ColsValue(env.Needed(q.Name)),
 			star.PredsValue(preds),
+		}, func(sap []*plan.Node) {
+			if seeded = len(sap) > 0; seeded {
+				table.Seed(ts, preds, sap)
+			}
 		})
 		if err != nil {
 			return nil, fmt.Errorf("opt: access plans for %s: %w", q.Name, err)
 		}
-		if len(sap) == 0 {
+		if !seeded {
 			return nil, fmt.Errorf("opt: no access plans for %s", q.Name)
 		}
-		table.Seed(ts, preds, sap)
 	}
 	accessSp.End(int64(table.Size()))
 
@@ -378,7 +386,7 @@ func (o *Optimizer) Optimize(g *query.Graph) (_ *Result, err error) {
 }
 
 // phaseLabels pins the driver goroutine's pprof label to the current
-// optimizer phase and hands the labeled context to the engine so EvalRule
+// optimizer phase and hands the labeled context to the engine so a reference
 // can compose star= onto it. No-op unless the attached profiler asked for
 // labels.
 func phaseLabels(en *star.Engine, on bool, phase string) {

@@ -44,6 +44,7 @@ import (
 
 	"stars/internal/glue"
 	"stars/internal/obs"
+	"stars/internal/plan"
 	"stars/internal/query"
 	"stars/internal/star"
 )
@@ -302,7 +303,7 @@ func newWorker(i int, root *glue.Gluer, res *Result) *glue.Gluer {
 		sink = sink.Child()
 	}
 	env := root.Engine.Cost.Fork()
-	env.Arena, env.Obs = res.spaces[i].arena, sink
+	env.Arena, env.Obs, env.Rels = res.spaces[i].arena, sink, res.spaces[i].forkRels
 	w := &glue.Gluer{Engine: root.Engine.Fork(env, sink, &res.spaces[i].scratch), Graph: root.Graph, KeepAll: root.KeepAll}
 	w.Engine.Glue = w.Glue
 	w.Engine.PlanSites = w.PlanSites
@@ -327,7 +328,7 @@ func (o *Optimizer) runSubset(t *subsetTask, w *glue.Gluer, ws *workspace, root 
 	ov.Obs = sink
 	t.ov, w.Table = ov, ov
 	if sink.ProfLabels() {
-		// Label the worker goroutine with the rank it is executing; EvalRule
+		// Label the worker goroutine with the rank it is executing; a reference
 		// composes star= on top. Labels follow the task, so a worker pool
 		// goroutine re-labels per task.
 		rank := strconv.Itoa(bits.OnesCount32(t.mask))
@@ -345,15 +346,14 @@ func (o *Optimizer) runSubset(t *subsetTask, w *glue.Gluer, ws *workspace, root 
 		if sink.Tracing() {
 			sink.Emit(obs.Event{Name: obs.EvPair, A1: s1.Key(), A2: s2.Key()})
 		}
-		sap, err := en.EvalRule(o.joinRootName(), []star.Value{
+		err := en.Eval(o.joinRootName(), []star.Value{
 			star.StreamValue(s1),
 			star.StreamValue(s2),
 			star.PredsValue(g.NewlyEligible(s1, s2)),
-		})
+		}, func(sap []*plan.Node) { ov.Insert(S, eligible, sap) })
 		if err != nil {
 			t.err = fmt.Errorf("opt: joining {%s} with {%s}: %w", s1.Key(), s2.Key(), err) //obsguard:ignore error path
 			return
 		}
-		ov.Insert(S, eligible, sap)
 	}
 }

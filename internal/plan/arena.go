@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"math"
 	"slices"
 
 	"stars/internal/expr"
@@ -30,8 +31,10 @@ type Arena struct {
 	// inputs backs the Inputs of nodes built with NewNode(n, inputs...).
 	inputs Slab[*Node]
 	// paths and rels back JoinPaths and NewRel.
-	paths  Slab[PathInfo]
-	rels   Slab[Rel]
+	paths Slab[PathInfo]
+	rels  Slab[Rel]
+	// ints backs the column lists a reference builds (Ints).
+	ints   Slab[int]
 	poison bool
 }
 
@@ -151,6 +154,15 @@ func (a *Arena) JoinPaths(x, y []PathInfo) []PathInfo {
 	return append(append(a.paths.Run(len(x) + len(y))[:0], x...), y...)
 }
 
+// Ints makes the arena an expr.Alloc: n int slots, capped so an append cannot
+// reach the neighbours; a nil arena, or more than a chunk's worth, use the heap.
+func (a *Arena) Ints(n int) []int {
+	if a == nil {
+		return make([]int, n)
+	}
+	return a.ints.Run(n)
+}
+
 // NewRel copies r into the next Rel slot, chained ahead of next — the head
 // of the intern bucket it joins (cost.Env) — and returns its stable address;
 // nil-arena falls back to the heap like NewNode.
@@ -178,24 +190,32 @@ func (a *Arena) EachRel(f func(*Rel)) {
 // Reset recycles the arena for the next optimization: every slot the arena
 // handed out becomes invalid and free, and the chunks are kept. Used slots
 // are zeroed, so a pooled arena pins nothing the dead plans pointed at; with
-// poisoning on, node and Rel slots are instead overwritten with a marker so
-// escaped pointers read recognizably dead plans and Rels.
+// poisoning on, node, Rel and int slots are instead overwritten with a marker
+// so escaped pointers read recognizably dead plans and Rels, and a column
+// list read after Reset names no column (rendering it panics).
 func (a *Arena) Reset() {
 	if a == nil {
 		return
 	}
 	var node *Node
 	var rel *Rel
+	var ord *int
 	if a.poison {
 		node = &Node{Op: poisonOp, Origin: "poisoned: plan used after arena Reset"}
 		rel = &poisonRel
+		ord = &poisonOrd
 	}
 	a.nodes.Rewind(node)
 	a.props.Rewind(nil)
 	a.inputs.Rewind(nil)
 	a.paths.Rewind(nil)
 	a.rels.Rewind(rel)
+	a.ints.Rewind(ord)
 }
+
+// poisonOrd is what Reset writes into recycled int slots when poisoning is
+// on: an ordinal no vocabulary has.
+var poisonOrd = math.MinInt
 
 // poisonRel is what Reset writes into recycled Rel slots when poisoning is
 // on: its one column renders as the poison marker.
@@ -214,10 +234,9 @@ func (n *Node) Poisoned() bool { return n.Op == poisonOp }
 // heap, preserving structure sharing — of nodes and of Rels — and published
 // identities. Consumers that hold a plan beyond Result.Release — serve
 // responses, incident captures, provenance DAGs — detach it first. Inputs,
-// PATHS lists and interned Rels are arena storage (NewNode, JoinPaths,
-// NewRel) and are copied with the node; column sets and lists are heap
-// storage over the optimization's vocabulary, which is never recycled, and
-// are shared.
+// PATHS lists, interned Rels and column lists (Cols, SortCols, ORDER, PATHS
+// keys) may be arena storage (NewNode, JoinPaths, NewRel, Ints) and are copied
+// with the node; column sets and the vocabulary are never recycled, and shared.
 func Detach(n *Node) *Node {
 	if n == nil {
 		return nil
@@ -230,9 +249,14 @@ func detach(n *Node, seen map[*Node]*Node, rels map[*Rel]*Rel) *Node {
 		return d
 	}
 	m := *n
+	m.Cols, m.SortCols = heapCols(n.Cols), heapCols(n.SortCols)
 	if n.Props != nil {
 		q := *n.Props
+		q.Order = heapCols(q.Order)
 		q.Paths = slices.Clone(q.Paths)
+		for i := range q.Paths {
+			q.Paths[i].Cols = heapCols(q.Paths[i].Cols)
+		}
 		if r := q.Rel; r != nil && rels[r] == nil {
 			rels[r] = &Rel{Tables: r.Tables, Cols: r.Cols, Preds: r.Preds, Width: r.Width}
 		}
@@ -248,3 +272,6 @@ func detach(n *Node, seen map[*Node]*Node, rels map[*Rel]*Rel) *Node {
 	}
 	return &m
 }
+
+// heapCols copies a column list out of any arena.
+func heapCols(l expr.ColList) expr.ColList { return l.Concat(expr.ColList{}, nil) }

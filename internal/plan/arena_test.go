@@ -1,8 +1,11 @@
 package plan
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
+
+	"stars/internal/expr"
 )
 
 // fillArena allocates n priced two-node plans and returns every slot handed
@@ -215,7 +218,7 @@ func TestArenaRelsFollowThePlans(t *testing.T) {
 			t.Fatalf("Rel %d lost its bucket chain", i)
 		}
 	}
-	leaf := a.NewNode(Node{Op: OpAccess, Table: "T", Cols: head.Cols.List()})
+	leaf := a.NewNode(Node{Op: OpAccess, Table: "T", Cols: head.Cols.List(nil)})
 	leaf.Props = a.NewProps(Props{Rel: head})
 	top := a.NewNode(Node{Op: OpSort}, leaf)
 	top.Props = a.NewProps(Props{Rel: head})
@@ -242,5 +245,76 @@ func TestArenaRelsFollowThePlans(t *testing.T) {
 	var none *Arena
 	if r := none.NewRel(Rel{Cols: x}, head); r.Cols.Len() != 2 {
 		t.Fatalf("nil arena: %v must be a heap Rel", r.Cols)
+	}
+}
+
+// TestArenaColListsFollowThePlans: a column list built on the arena takes its
+// ordinals from the int slab — capped, so an append cannot reach a neighbour,
+// stable while the slab grows, no heap object on a warm arena — and a run
+// longer than a chunk comes from the heap. Detach copies a node's Cols and
+// SortCols, its ORDER and its PATHS keys out of the slab; a list kept past
+// Reset under poison fails loudly when read.
+func TestArenaColListsFollowThePlans(t *testing.T) {
+	a := NewArena()
+	var runs [][]int
+	for i := 0; i < arenaChunk; i++ { // 1- to 3-int runs straddling chunk ends
+		r := a.Ints(1 + i%3)
+		for k := range r {
+			r[k] = i
+		}
+		runs = append(runs, r)
+	}
+	for i, r := range runs {
+		if len(r) != 1+i%3 || cap(r) != len(r) || r[0] != i || r[len(r)-1] != i {
+			t.Fatalf("run %d: %v (cap %d) moved, was overwritten or can be appended into a neighbour", i, r, cap(r))
+		}
+	}
+	x, y := colList(col("T", "A"), col("T", "B")), colList(col("U", "C"))
+	var lists []expr.ColList
+	for i := 0; i < arenaChunk; i++ {
+		lists = append(lists, x.Concat(y, a))
+	}
+	for i, l := range lists {
+		if l.String() != "T.A,T.B,U.C" {
+			t.Fatalf("list %d reads %s as the slab grew", i, l)
+		}
+	}
+	c, off := a.ints.c, a.ints.off
+	if big := a.Ints(arenaChunk + 1); len(big) != arenaChunk+1 || a.ints.c != c || a.ints.off != off {
+		t.Fatalf("a run of %d ints took slab slots (chunk %d, offset %d → %d, %d)", len(big), c, off, a.ints.c, a.ints.off)
+	}
+
+	leaf := a.NewNode(Node{Op: OpAccess, Table: "T", Cols: lists[0]})
+	leaf.Props = a.NewProps(Props{Order: lists[1], Paths: a.JoinPaths(nil, []PathInfo{{Cols: lists[2], Dynamic: true}})})
+	top := a.NewNode(Node{Op: OpSort, SortCols: lists[3]}, leaf)
+	top.Props = a.NewProps(Props{Order: lists[3]})
+	d := Detach(top)
+	a.SetPoison(true)
+	a.Reset()
+	in := d.Inputs[0]
+	if got := fmt.Sprint(d.SortCols, d.Props.Order, in.Cols, in.Props.Order, in.Props.Paths); got != "T.A,T.B,U.C T.A,T.B,U.C T.A,T.B,U.C T.A,T.B,U.C [_ix*(T.A,T.B,U.C)]" {
+		t.Fatalf("detached column lists read %s after Reset: Detach must copy them out of the arena", got)
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("a list kept past Reset under poison rendered without failing")
+			}
+		}()
+		t.Errorf("a list kept past Reset under poison renders %q", lists[0].String())
+	}()
+	a.SetPoison(false)
+
+	if n := testing.AllocsPerRun(10, func() {
+		for i := 0; i < 100; i++ {
+			x.Concat(y, a)
+		}
+		a.Reset()
+	}); n != 0 {
+		t.Errorf("Concat allocates %.1f per 100 lists on a warm arena, want 0", n)
+	}
+	var none *Arena
+	if h := x.Concat(y, none); h.String() != "T.A,T.B,U.C" || len(none.Ints(2)) != 2 {
+		t.Fatalf("nil arena: %s must be a heap list", h)
 	}
 }

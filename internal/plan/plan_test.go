@@ -510,7 +510,7 @@ func TestDescribeListsFigure2Fields(t *testing.T) {
 // as ColList.String does.
 func TestColHelpers(t *testing.T) {
 	a := colList(col("T", "B"), col("T", "A"))
-	if got := a.Set().List().String(); got != "T.A,T.B" || a.String() != "T.B,T.A" {
+	if got := a.Set().List(nil).String(); got != "T.A,T.B" || a.String() != "T.B,T.A" {
 		t.Errorf("set lists %q, list renders %q", got, a)
 	}
 	n := &Node{Op: OpSort, SortCols: a}

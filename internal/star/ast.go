@@ -219,7 +219,7 @@ type Alt struct {
 	// Pos locates the alternative's first token.
 	Pos Pos
 	// origin is the precomputed "<rule>#<n>" provenance tag stamped onto
-	// plans the alternative produces (filled by RuleSet.Add so EvalRule
+	// plans the alternative produces (filled by RuleSet.Add so a reference
 	// does not format it per firing).
 	origin string
 	// counters names the alternative's coverage counters, rendered beside

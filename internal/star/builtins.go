@@ -68,13 +68,13 @@ var builtins = newTable([]Callee{
 		if len(args) != 2 || args[0].Kind != VPreds || args[1].Kind != VStream {
 			return Null, fmt.Errorf("sortCols wants (preds, stream)")
 		}
-		return ColsValue(en.Cost.Vocab().SortColsFor(args[0].Preds, args[1].Stream.Tables)), nil
+		return ColsValue(en.Cost.Vocab().SortColsFor(args[0].Preds, args[1].Stream.Tables, en.Cost.Arena)), nil
 	}},
 	{Signature{Name: "indexCols", Args: []ArgKind{KindPreds, KindPreds, KindStream}, Result: KindCols}, func(en *Engine, args []Value) (Value, error) {
 		if len(args) != 3 || args[0].Kind != VPreds || args[1].Kind != VPreds || args[2].Kind != VStream {
 			return Null, fmt.Errorf("indexCols wants (xp, ip, stream)")
 		}
-		return ColsValue(en.Cost.Vocab().IndexColsFor(args[0].Preds, args[1].Preds, args[2].Stream.Tables)), nil
+		return ColsValue(en.Cost.Vocab().IndexColsFor(args[0].Preds, args[1].Preds, args[2].Stream.Tables, en.Cost.Arena)), nil
 	}},
 	{Signature{Name: "tidcol", Args: []ArgKind{KindStream}, Result: KindCols}, func(en *Engine, args []Value) (Value, error) {
 		if len(args) != 1 || args[0].Kind != VStream {
@@ -98,7 +98,7 @@ var builtins = newTable([]Callee{
 		if path == nil {
 			return Null, fmt.Errorf("unknown index %q", args[1].Str)
 		}
-		return ColsValue(en.Cost.TID(q).Concat(path.Cols)), nil
+		return ColsValue(en.Cost.TID(q).Concat(path.Cols, en.Cost.Arena)), nil
 	}},
 
 	// Conditions of applicability.
@@ -384,7 +384,7 @@ func biGet(en *Engine, args []Value) (Value, error) {
 		}
 		en.build(en.Cost.Arena.NewNode(plan.Node{
 			Op: plan.OpGet, Table: t.Name, Quantifier: q,
-			Cols: fetch.List(), Preds: preds,
+			Cols: fetch.List(en.Cost.Arena), Preds: preds,
 		}, p))
 	}
 	return SAPValue(en.since(mark)), nil

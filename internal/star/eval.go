@@ -140,7 +140,7 @@ type Engine struct {
 	// see package obs.
 	Obs *obs.Sink
 	// LabelCtx carries the goroutine's pprof label context (phase=, rank=)
-	// when the attached profiler pins labels; EvalRule composes a star=
+	// when the attached profiler pins labels; a reference composes a star=
 	// label onto it so external CPU captures attribute samples to the STAR
 	// being evaluated. Nil when labels are off.
 	LabelCtx context.Context
@@ -181,7 +181,7 @@ type Scratch struct {
 	// outermost one returns the stack pins nothing it computed.
 	stack []Value
 	// saps is the SAP scratch: every SAP of an evaluation is built on it
-	// (merge), and only the outermost reference's result reaches the heap.
+	// (merge), and Eval hands its caller the result there, uncopied.
 	saps []*plan.Node
 	// seen is merge's dedupe set, cleared per use.
 	seen map[uint64]bool
@@ -267,36 +267,42 @@ func (en *Engine) Validate() error {
 	return refDiagsToError(refPass(rs, en.callees, en.bound))
 }
 
-// EvalRule evaluates a reference of the named STAR with the given arguments
-// and returns its SAP. This is the paper's substitution step: replace the
-// reference with the alternative definitions whose conditions hold, binding
-// parameters to arguments. args is copied into a frame the engine pushes. The
-// result's lifetime is Engine.SAP's: the outermost reference copies it off the
-// scratch for the caller to keep, one made while another is in progress
-// (Glue's access STARs, a helper's) returns a piece of the scratch.
+// Eval evaluates a reference of the named STAR with the given arguments and
+// hands its SAP to use, which is not called on an error. This is the paper's
+// substitution step: replace the reference with the alternative definitions
+// whose conditions hold, binding parameters to arguments. args is copied into
+// a frame the engine pushes. The SAP is read in place on the scratch: it is
+// valid until use returns, when Eval releases it, so a caller that inserts
+// the plans into a table copies nothing.
 //
 // An engine that never validated binds its calls here first, as Validate does,
 // leaving what does not resolve to fail when evaluated.
-func (en *Engine) EvalRule(name string, args []Value) ([]*plan.Node, error) {
+func (en *Engine) Eval(name string, args []Value, use func(sap []*plan.Node)) error {
 	if en.boundTo != en.Rules || en.boundAt != en.Rules.adds {
 		_ = en.Validate()
 	}
 	i, ok := en.Rules.index[name]
 	if !ok {
-		return nil, fmt.Errorf("star: reference of undefined STAR %q", name)
+		return fmt.Errorf("star: reference of undefined STAR %q", name)
 	}
 	rule := &en.bound[i]
-	outermost, mark, fp, n := en.depth == 0, len(en.saps), len(en.stack), max(rule.Frame, len(args))
+	mark, fp, n := len(en.saps), len(en.stack), max(rule.Frame, len(args))
 	en.stack = slices.Grow(en.stack, n)[:fp+n]
 	copy(en.stack[fp:], args)
 	out, err := en.reference(rule, fp, len(args))
 	clear(en.stack[fp:])
 	en.stack = en.stack[:fp]
-	if outermost {
-		out = slices.Clone(out)
-		en.release(mark)
+	if err == nil {
+		use(out)
 	}
-	return out, err
+	en.release(mark)
+	return err
+}
+
+// EvalRule is Eval returning a copy of the SAP, the caller's to keep.
+func (en *Engine) EvalRule(name string, args []Value) (sap []*plan.Node, err error) {
+	err = en.Eval(name, args, func(s []*plan.Node) { sap = slices.Clone(s) })
+	return sap, err
 }
 
 // reference evaluates a reference of rule whose frame is at fp with its nargs
@@ -554,9 +560,9 @@ func annotate(key int32, dst, src *Value) error {
 
 // SAP copies plans onto the SAP scratch and returns the copy — how a builder
 // or Glue returns plans without a heap slice — valid, like every SAP the
-// engine hands out, until the outermost reference in progress returns. With
-// none in progress (Glue called from Go) nothing would release the copy, so
-// it is a heap slice and the caller's to keep.
+// engine hands out, until the Eval in progress releases it. With none in
+// progress (Glue called from Go) nothing would release the copy, so it is a
+// heap slice and the caller's to keep.
 func (en *Engine) SAP(plans ...*plan.Node) []*plan.Node {
 	if en.depth == 0 {
 		return slices.Clone(plans)

@@ -113,7 +113,7 @@ var GlueSignature = Signature{
 // args is a view of the engine's value stack, valid until the function
 // returns: values (and the slices inside them) may be copied out and
 // returned, args itself may not be kept or written. Re-entering the engine
-// (Glue, EvalRule) is allowed: the stack is LIFO and a nested reference never
+// (Glue, Eval) is allowed: the stack is LIFO and a nested reference never
 // changes args.
 type Func func(en *Engine, args []Value) (Value, error)
 

@@ -54,11 +54,11 @@ func (o *Optimizer) lower(n *LNode, push expr.PredSet) (*plan.Node, error) {
 		if sp.Empty() {
 			return nil, nil
 		}
-		outer, err := o.lowerOrdered(n.L, expr.PredSet{}, o.Env.Vocab().SortColsFor(sp, t1))
+		outer, err := o.lowerOrdered(n.L, expr.PredSet{}, o.Env.Vocab().SortColsFor(sp, t1, o.Env.Arena))
 		if err != nil || outer == nil {
 			return nil, err
 		}
-		inner, err := o.lowerOrdered(n.R, ip, o.Env.Vocab().SortColsFor(sp, t2))
+		inner, err := o.lowerOrdered(n.R, ip, o.Env.Vocab().SortColsFor(sp, t2, o.Env.Arena))
 		if err != nil || inner == nil {
 			return nil, err
 		}
@@ -155,7 +155,7 @@ func (o *Optimizer) lowerScan(n *LNode, push expr.PredSet) (*plan.Node, error) {
 	}
 	keyCols := o.Env.Path(n.Quant, path.Name).Cols
 	matched := expr.MatchIndexPrefix(preds, keyCols)
-	probeCols := o.Env.TID(n.Quant).Concat(keyCols)
+	probeCols := o.Env.TID(n.Quant).Concat(keyCols, o.Env.Arena)
 	probe, err := o.price(&plan.Node{
 		Op: plan.OpAccess, Flavor: plan.FlavorIndex,
 		Table: t.Name, Quantifier: n.Quant, Path: path.Name,
@@ -171,7 +171,7 @@ func (o *Optimizer) lowerScan(n *LNode, push expr.PredSet) (*plan.Node, error) {
 	}
 	return o.price(&plan.Node{
 		Op: plan.OpGet, Table: t.Name, Quantifier: n.Quant,
-		Cols: fetch.List(), Preds: rest, Inputs: []*plan.Node{probe},
+		Cols: fetch.List(o.Env.Arena), Preds: rest, Inputs: []*plan.Node{probe},
 	})
 }
 
