@@ -13,7 +13,7 @@ import (
 	"stars"
 )
 
-var updateProfileGolden = flag.Bool("update-golden", false, "rewrite testdata/golden/profile_v1.txt from this tree")
+var updateGolden = flag.Bool("update-golden", false, "rewrite the testdata/golden files this package pins from this tree")
 
 const profileGolden = "testdata/golden/profile_v1.txt"
 
@@ -91,7 +91,7 @@ func TestProfileReportGolden(t *testing.T) {
 		}
 		fmt.Fprintf(&b, "# parallelism %d\n%s\n", par, out)
 	}
-	if *updateProfileGolden {
+	if *updateGolden {
 		if err := os.WriteFile(profileGolden, []byte(b.String()), 0o644); err != nil {
 			t.Fatal(err)
 		}
