@@ -225,6 +225,19 @@ func writeFloatHash(h interface{ Write([]byte) (int, error) }, f float64) {
 	h.Write(buf[:])
 }
 
+// AppendTo appends the datum's String rendering to b.
+func (d Datum) AppendTo(b []byte) []byte {
+	switch d.kind {
+	case KindInt:
+		return strconv.AppendInt(b, d.i, 10)
+	case KindFloat:
+		return strconv.AppendFloat(b, d.f, 'g', -1, 64)
+	case KindString:
+		return append(append(append(b, '\''), d.s...), '\'')
+	}
+	return append(b, d.String()...)
+}
+
 // String renders the datum for EXPLAIN output and error messages.
 func (d Datum) String() string {
 	switch d.kind {

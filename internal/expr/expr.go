@@ -27,6 +27,9 @@ type ColID struct {
 // String renders the column as TABLE.COL.
 func (c ColID) String() string { return c.Table + "." + c.Col }
 
+// AppendTo appends the column's String rendering to b.
+func (c ColID) AppendTo(b []byte) []byte { return append(append(append(b, c.Table...), '.'), c.Col...) }
+
 // Compare orders ColIDs by table, then column: the order column sets and
 // vocabularies are canonical in.
 func (c ColID) Compare(o ColID) int {
@@ -141,6 +144,8 @@ type Expr interface {
 	Key() string
 	// String renders the expression for humans (EXPLAIN, traces).
 	String() string
+	// AppendTo appends String's rendering to b.
+	AppendTo(b []byte) []byte
 	// walk calls f on this node and recursively on children.
 	walk(f func(Expr))
 }
@@ -156,6 +161,9 @@ func (c *Const) Key() string { return c.Val.String() }
 
 // String implements Expr.
 func (c *Const) String() string { return c.Val.String() }
+
+// AppendTo implements Expr.
+func (c *Const) AppendTo(b []byte) []byte { return c.Val.AppendTo(b) }
 
 func (c *Const) walk(f func(Expr)) { f(c) }
 
@@ -181,6 +189,9 @@ func (c *Col) Key() string { return c.ID.String() }
 
 // String implements Expr.
 func (c *Col) String() string { return c.ID.String() }
+
+// AppendTo implements Expr.
+func (c *Col) AppendTo(b []byte) []byte { return c.ID.AppendTo(b) }
 
 func (c *Col) walk(f func(Expr)) { f(c) }
 
@@ -220,8 +231,12 @@ func (a *Arith) Key() string {
 }
 
 // String implements Expr.
-func (a *Arith) String() string {
-	return "(" + a.L.String() + " " + a.Op.String() + " " + a.R.String() + ")"
+func (a *Arith) String() string { return string(a.AppendTo(nil)) }
+
+// AppendTo implements Expr.
+func (a *Arith) AppendTo(b []byte) []byte {
+	b = append(a.L.AppendTo(append(b, '(')), ' ')
+	return append(a.R.AppendTo(append(append(b, a.Op.String()...), ' ')), ')')
 }
 
 func (a *Arith) walk(f func(Expr)) { f(a); a.L.walk(f); a.R.walk(f) }
@@ -277,8 +292,12 @@ func cmpKey(op CmpOp, lk, rk string) string {
 }
 
 // String implements Expr.
-func (c *Cmp) String() string {
-	return c.L.String() + " " + c.Op.String() + " " + c.R.String()
+func (c *Cmp) String() string { return string(c.AppendTo(nil)) }
+
+// AppendTo implements Expr.
+func (c *Cmp) AppendTo(b []byte) []byte {
+	b = append(c.L.AppendTo(b), ' ')
+	return c.R.AppendTo(append(append(b, c.Op.String()...), ' '))
 }
 
 func (c *Cmp) walk(f func(Expr)) { f(c); c.L.walk(f); c.R.walk(f) }
@@ -319,12 +338,21 @@ func (a *And) Key() string {
 }
 
 // String implements Expr.
-func (a *And) String() string {
-	parts := make([]string, len(a.Kids))
-	for i, k := range a.Kids {
-		parts[i] = k.String()
+func (a *And) String() string { return string(a.AppendTo(nil)) }
+
+// AppendTo implements Expr.
+func (a *And) AppendTo(b []byte) []byte { return appendJoined(b, a.Kids, " AND ") }
+
+// appendJoined appends the expressions, sep-separated, in parentheses.
+func appendJoined(b []byte, kids []Expr, sep string) []byte {
+	b = append(b, '(')
+	for i, k := range kids {
+		if i > 0 {
+			b = append(b, sep...)
+		}
+		b = k.AppendTo(b)
 	}
-	return "(" + strings.Join(parts, " AND ") + ")"
+	return append(b, ')')
 }
 
 func (a *And) walk(f func(Expr)) {
@@ -370,13 +398,10 @@ func (o *Or) Key() string {
 }
 
 // String implements Expr.
-func (o *Or) String() string {
-	parts := make([]string, len(o.Kids))
-	for i, k := range o.Kids {
-		parts[i] = k.String()
-	}
-	return "(" + strings.Join(parts, " OR ") + ")"
-}
+func (o *Or) String() string { return string(o.AppendTo(nil)) }
+
+// AppendTo implements Expr.
+func (o *Or) AppendTo(b []byte) []byte { return appendJoined(b, o.Kids, " OR ") }
 
 func (o *Or) walk(f func(Expr)) {
 	f(o)
@@ -402,6 +427,9 @@ func (n *Not) Key() string { return "NOT(" + n.Kid.Key() + ")" }
 
 // String implements Expr.
 func (n *Not) String() string { return "NOT " + n.Kid.String() }
+
+// AppendTo implements Expr.
+func (n *Not) AppendTo(b []byte) []byte { return n.Kid.AppendTo(append(b, "NOT "...)) }
 
 func (n *Not) walk(f func(Expr)) { f(n); n.Kid.walk(f) }
 

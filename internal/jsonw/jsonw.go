@@ -65,9 +65,13 @@ func (w *Writer) Float(f float64) {
 
 // String writes a quoted string. It escapes control bytes, '"', '\\', '<',
 // '>', '&', U+2028 and U+2029, and writes each invalid UTF-8 byte as \ufffd.
-func (w *Writer) String(s string) {
-	w.sep()
-	b, start := append(w.B, '"'), 0
+func (w *Writer) String(s string) { w.sep(); w.B = appendQuoted(w.B, s) }
+
+// StringBytes writes s as String writes string(s).
+func (w *Writer) StringBytes(s []byte) { w.sep(); w.B = appendQuoted(w.B, s) }
+
+func appendQuoted[S string | []byte](b []byte, s S) []byte {
+	b, start := append(b, '"'), 0
 	for i := 0; i < len(s); {
 		c, r, size := s[i], rune(s[i]), 1
 		if c < utf8.RuneSelf {
@@ -75,7 +79,7 @@ func (w *Writer) String(s string) {
 				i++
 				continue
 			}
-		} else if r, size = utf8.DecodeRuneInString(s[i:]); r != '\u2028' && r != '\u2029' && (r != utf8.RuneError || size > 1) {
+		} else if r, size = decodeRune(s[i:]); r != '\u2028' && r != '\u2029' && (r != utf8.RuneError || size > 1) {
 			i += size
 			continue
 		}
@@ -90,7 +94,13 @@ func (w *Writer) String(s string) {
 		i += size
 		start = i
 	}
-	w.B = append(append(b, s[start:]...), '"')
+	return append(append(b, s[start:]...), '"')
+}
+
+// decodeRune is utf8.DecodeRune for either a string or a byte slice.
+func decodeRune[S string | []byte](s S) (rune, int) {
+	var buf [utf8.UTFMax]byte
+	return utf8.DecodeRune(buf[:copy(buf[:], s)])
 }
 
 const hex = "0123456789abcdef"

@@ -17,8 +17,8 @@ func marshal(t *testing.T, v any) string {
 	return string(b)
 }
 
-// TestStringMatchesEncodingJSON checks String against json.Marshal on the
-// escapes that matter (HTML, line separators, control bytes, invalid UTF-8)
+// TestStringMatchesEncodingJSON checks String and StringBytes against
+// json.Marshal on the escapes that matter (HTML, line separators, control bytes, invalid UTF-8)
 // and on random byte strings.
 func TestStringMatchesEncodingJSON(t *testing.T) {
 	cases := []string{
@@ -36,10 +36,11 @@ func TestStringMatchesEncodingJSON(t *testing.T) {
 		cases = append(cases, string(b))
 	}
 	for _, s := range cases {
-		var w Writer
+		var w, wb Writer
 		w.String(s)
-		if got, want := string(w.B), marshal(t, s); got != want {
-			t.Fatalf("String(%q) = %s, want %s", s, got, want)
+		wb.StringBytes([]byte(s))
+		if got, want := string(w.B), marshal(t, s); got != want || string(wb.B) != want {
+			t.Fatalf("String(%q) = %s, StringBytes = %s, want %s", s, got, wb.B, want)
 		}
 	}
 }

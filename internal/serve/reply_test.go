@@ -14,6 +14,7 @@ import (
 	"stars/internal/cost"
 	"stars/internal/obs"
 	"stars/internal/opt"
+	"stars/internal/plan"
 	"stars/internal/provenance"
 	"stars/internal/query"
 	"stars/internal/workload"
@@ -38,10 +39,25 @@ func graphSQL(g *query.Graph) string {
 	return sql
 }
 
-// oracleReply is encoding/json's reply for the same response: resp with
-// Metrics from counters.Counters() and Provenance from dag's indented
-// WriteJSON, through json.NewEncoder — how the daemon once wrote it.
+// oracleReply is encoding/json's reply for the same response: resp with its
+// plan texts from the string renderers, Metrics from counters.Counters() and
+// Provenance from dag's indented WriteJSON, through json.NewEncoder — how the
+// daemon once wrote it.
 func oracleReply(t testing.TB, resp OptimizeResponse, counters *obs.Registry, dag *provenance.DAG) []byte {
+	p := &resp.Plan
+	if p.tree && p.verbose {
+		p.Explain = plan.ExplainVerbose(p.best)
+	} else if p.tree {
+		p.Explain = plan.Explain(p.best)
+	}
+	if p.functional {
+		p.Functional = plan.Functional(p.best)
+	}
+	if ex := resp.Execution; ex != nil && ex.actuals != nil {
+		withText := *ex
+		withText.Analyze = plan.ExplainAnalyze(p.best, ex.actuals)
+		resp.Execution = &withText
+	}
 	resp.Metrics = counters.Counters()
 	if dag != nil {
 		var p bytes.Buffer
@@ -102,12 +118,14 @@ func TestReplyMatchesEncodingJSON(t *testing.T) {
 	}
 }
 
-// TestReplyWriterEscapes writes hand-made replies whose strings and floats
-// sit on encoding/json's edges — HTML characters, line separators, invalid
-// UTF-8, quoted metric names, the float format cutoffs, nil against empty
-// slices — and compares them with encoding/json's.
+// TestReplyWriterEscapes writes hand-made replies whose strings, plan texts
+// and floats sit on encoding/json's edges — HTML characters, line
+// separators, invalid UTF-8, quoted metric names, the float format cutoffs,
+// nil against empty slices — and compares them with encoding/json's.
 func TestReplyWriterEscapes(t *testing.T) {
 	odd := "a<b>&c\u2028d\u2029e\xff\xfe\"q\"\\\n\x01é"
+	oddPlan := &plan.Node{Op: plan.Op(odd), Table: odd, Origin: odd, Inputs: []*plan.Node{{Op: plan.OpSort, Site: odd}}}
+	ran := func(*plan.Node) (plan.Actual, bool) { return plan.Actual{Rows: 3, Loops: 1, Cost: 2.5}, true }
 	reg := obs.NewRegistry()
 	reg.Counter(`coverage_veneer_injected_total{op="ACCESS"}`).Add(3)
 	reg.Counter("zero_but_named")
@@ -124,15 +142,17 @@ func TestReplyWriterEscapes(t *testing.T) {
 		counters *obs.Registry
 		dag      *provenance.DAG
 	}{
-		{OptimizeResponse{Schema: SchemaV1, RequestID: "r1", SQL: odd, Plan: PlanJSON{Explain: odd, Fingerprint: odd,
+		{OptimizeResponse{Schema: SchemaV1, RequestID: "r1", SQL: odd, Plan: PlanJSON{best: oddPlan, tree: true, functional: true, Fingerprint: odd,
 			EstimatedRows: 1e-7, Cost: CostJSON{Total: 1e21, IO: 123456789.5, CPU: 0, Msg: math.Copysign(0, -1), Bytes: 999999999999999999999}},
 			Stats: StatsJSON{RuleRefs: -1, PruneRate: 1.0 / 3, Events: math.MaxInt64}}, reg, dag},
-		{OptimizeResponse{Plan: PlanJSON{Functional: odd}, Execution: &ExecutionJSON{Rows: [][]string{}, Truncated: true, ActualCost: 1e-6, Analyze: odd}}, stale, nil},
+		{OptimizeResponse{Plan: PlanJSON{best: oddPlan, functional: true}, Execution: &ExecutionJSON{Rows: [][]string{}, Truncated: true, ActualCost: 1e-6, actuals: ran}}, stale, nil},
+		{OptimizeResponse{Plan: PlanJSON{best: oddPlan, tree: true, verbose: true}}, nil, nil},
 		{OptimizeResponse{Execution: &ExecutionJSON{Columns: []string{odd}, Rows: [][]string{{odd, ""}, nil, {}}, ActualCost: 5e-324}}, nil, nil},
 	} {
-		got, err := appendReply(nil, &c.resp, c.counters, c.dag)
-		if want := oracleReply(t, c.resp, c.counters, c.dag); err != nil || !bytes.Equal(got, want) {
-			t.Errorf("case %d (%v):\n got %s\nwant %s", i, err, got, want)
+		var rb replyBuf
+		err := rb.write(&c.resp, c.counters, c.dag)
+		if want := oracleReply(t, c.resp, c.counters, c.dag); err != nil || !bytes.Equal(rb.body, want) {
+			t.Errorf("case %d (%v):\n got %s\nwant %s", i, err, rb.body, want)
 		}
 	}
 }
@@ -163,21 +183,26 @@ func TestUnencodableReplyIs500(t *testing.T) {
 }
 
 // TestReplyWriteAllocatesNothing pins a warm reply write for a Figure 1
-// request, the registry's counter listing included, at zero allocations.
+// request in each plan format, the plan render and the registry's counter
+// listing included, at zero allocations.
 func TestReplyWriteAllocatesNothing(t *testing.T) {
-	r := captureReply(t, newTestServer(t, Config{}), OptimizeRequest{SQL: figure1SQL})
-	buf, err := appendReply(nil, &r.resp, r.counters, nil)
-	if err != nil || !bytes.Equal(buf, r.body) {
-		t.Fatalf("rewrite differs (%v):\n got %s\nwant %s", err, buf, r.body)
-	}
-	if n := testing.AllocsPerRun(100, func() { buf, _ = appendReply(buf, &r.resp, r.counters, nil) }); n != 0 {
-		t.Errorf("a warm reply write allocates %v times, want 0", n)
+	s := newTestServer(t, Config{})
+	for _, req := range []OptimizeRequest{{}, {Format: "functional"}, {Verbose: true}} {
+		req.SQL = figure1SQL
+		r := captureReply(t, s, req)
+		var rb replyBuf
+		if err := rb.write(&r.resp, r.counters, nil); err != nil || !bytes.Equal(rb.body, r.body) {
+			t.Fatalf("%+v: rewrite differs (%v):\n got %s\nwant %s", req, err, rb.body, r.body)
+		}
+		if n := testing.AllocsPerRun(100, func() { _ = rb.write(&r.resp, r.counters, nil) }); n != 0 {
+			t.Errorf("%+v: a warm reply write allocates %v times, want 0", req, n)
+		}
 	}
 }
 
 // capturedReply is what one success reply was written from, kept past its
-// request: the response, a copy of the request registry's counters, the DAG,
-// and the reply's bytes.
+// request: the response with its plan detached from the request's arenas, a
+// copy of the request registry's counters, the DAG, and the reply's bytes.
 type capturedReply struct {
 	resp     OptimizeResponse
 	counters *obs.Registry
@@ -195,6 +220,7 @@ func captureReply(t testing.TB, s *Server, req OptimizeRequest) capturedReply {
 			check(resp, counters, dag, body)
 		}
 		c = capturedReply{resp: resp, counters: obs.NewRegistry(), dag: dag, body: slices.Clone(body)}
+		c.resp.Plan.best = plan.Detach(resp.Plan.best)
 		c.counters.Merge(counters)
 	}
 	defer func() { s.testReply = check }()
@@ -210,10 +236,12 @@ func captureReply(t testing.TB, s *Server, req OptimizeRequest) capturedReply {
 	return c
 }
 
-// BenchmarkWriteReply times writing one /optimize success reply from what
-// the worker holds once the plan is rendered: "tree" is a Figure 1 reply in
-// the default format (a serve_small request), "provenance" a chain4 reply
-// with its derivation DAG embedded (a serve_explain request).
+// BenchmarkWriteReply times writing one /optimize success reply, its plan
+// texts rendered, from what the worker holds once the plan is chosen: "tree"
+// is a Figure 1 reply in the default format (a serve_small request),
+// "render" a chain7 reply with the verbose tree and the functional text (the
+// largest texts a request renders), "provenance" a chain4 reply with its
+// derivation DAG embedded (a serve_explain request).
 func BenchmarkWriteReply(b *testing.B) {
 	for _, c := range []struct {
 		name string
@@ -221,6 +249,8 @@ func BenchmarkWriteReply(b *testing.B) {
 		req  OptimizeRequest
 	}{
 		{"tree", Config{}, OptimizeRequest{SQL: figure1SQL}},
+		{"render", Config{Catalog: workload.ChainCatalog(7)},
+			OptimizeRequest{SQL: graphSQL(workload.ChainQuery(7)), Format: "both", Verbose: true}},
 		{"provenance", Config{Catalog: workload.ChainCatalog(4)},
 			OptimizeRequest{SQL: graphSQL(workload.ChainQuery(4)), Provenance: true}},
 	} {
@@ -230,12 +260,12 @@ func BenchmarkWriteReply(b *testing.B) {
 				b.Fatal(err)
 			}
 			r := captureReply(b, s, c.req)
-			var buf []byte
+			var rb replyBuf
 			b.SetBytes(int64(len(r.body)))
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if buf, err = appendReply(buf[:0], &r.resp, r.counters, r.dag); err != nil {
+				if err := rb.write(&r.resp, r.counters, r.dag); err != nil {
 					b.Fatal(err)
 				}
 			}

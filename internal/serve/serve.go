@@ -45,7 +45,6 @@ import (
 	"stars/internal/glue"
 	"stars/internal/obs"
 	"stars/internal/opt"
-	"stars/internal/plan"
 	"stars/internal/prof"
 	"stars/internal/provenance"
 	"stars/internal/query"
@@ -196,7 +195,7 @@ type Server struct {
 	// allocating them again.
 	sinks sync.Pool
 
-	// replies recycles /optimize reply buffers (*[]byte).
+	// replies recycles /optimize reply buffers (*replyBuf).
 	replies sync.Pool
 
 	// testHold, when non-nil, blocks each request's worker until the
@@ -332,7 +331,7 @@ func New(cfg Config) (*Server, error) {
 	}
 	s.templates.m = map[string]*templateRecord{}
 	s.sinks.New = func() any { return obs.NewSink() }
-	s.replies.New = func() any { return new([]byte) }
+	s.replies.New = func() any { return new(replyBuf) }
 	s.templates.evicted = s.reg.Counter("templates_evicted_total")
 	if cfg.Demo {
 		workload.PopulateEmpDept(s.cluster, cfg.Catalog, cfg.Seed)
@@ -578,7 +577,7 @@ func (s *Server) handleProfile(w http.ResponseWriter, _ *http.Request) {
 // an error.
 type outcome struct {
 	status int
-	body   *[]byte
+	body   *replyBuf
 	err    error
 }
 
@@ -637,7 +636,7 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 			s.writeError(w, status, reqID, out.err)
 			return
 		}
-		s.writeBody(w, status, *out.body)
+		s.writeBody(w, status, out.body.body)
 		s.replies.Put(out.body)
 	case <-ctx.Done():
 		// The worker finishes in the background (optimization is not
@@ -726,16 +725,17 @@ func (s *Server) doLabeled(reqID, tmpl string, req OptimizeRequest) outcome {
 			Fingerprint:   r.planFP,
 			EstimatedRows: res.Best.Props.Card,
 			Cost:          costJSON(res.Best.Props.Cost),
+			best:          res.Best,
+			verbose:       req.Verbose,
 		},
 	}
 	switch req.Format {
 	case "", "tree":
-		resp.Plan.Explain = s.explain(res.Best, req.Verbose)
+		resp.Plan.tree = true
 	case "functional":
-		resp.Plan.Functional = plan.Functional(res.Best)
+		resp.Plan.functional = true
 	case "both":
-		resp.Plan.Explain = s.explain(res.Best, req.Verbose)
-		resp.Plan.Functional = plan.Functional(res.Best)
+		resp.Plan.tree, resp.Plan.functional = true, true
 	default:
 		return fail(http.StatusBadRequest,
 			fmt.Errorf("unknown format %q (want tree, functional, or both)", req.Format))
@@ -760,13 +760,13 @@ func (s *Server) doLabeled(reqID, tmpl string, req OptimizeRequest) outcome {
 	resp.Stats = statsJSON(res.Stats, sink.Len())
 	// The reply is written here, before finish recycles the sink whose
 	// registry it lists.
-	body := s.replies.Get().(*[]byte)
-	if *body, err = appendReply((*body)[:0], &resp, sink.Registry(), dag); err != nil {
+	body := s.replies.Get().(*replyBuf)
+	if err := body.write(&resp, sink.Registry(), dag); err != nil {
 		s.replies.Put(body)
 		return fail(http.StatusInternalServerError, fmt.Errorf("encode reply: %w", err))
 	}
 	if s.testReply != nil {
-		s.testReply(resp, sink.Registry(), dag, *body)
+		s.testReply(resp, sink.Registry(), dag, body.body)
 	}
 	return outcome{status: r.status, body: body}
 }
@@ -805,14 +805,6 @@ func (s *Server) optimizerOptions(sink *obs.Sink) opt.Options {
 	return opts
 }
 
-// explain renders the plan tree.
-func (s *Server) explain(p *plan.Node, verbose bool) string {
-	if verbose {
-		return plan.ExplainVerbose(p)
-	}
-	return plan.Explain(p)
-}
-
 // execute runs the chosen plan against the daemon's data. Runs are
 // serialized: the storage cluster's resource counters are per-run state.
 func (s *Server) execute(sink *obs.Sink, res *opt.Result, g *query.Graph, req OptimizeRequest) (*ExecutionJSON, error) {
@@ -835,7 +827,7 @@ func (s *Server) execute(sink *obs.Sink, res *opt.Result, g *query.Graph, req Op
 	}
 	out := executionJSON(er, w, g.SelectCols(s.cfg.Catalog), limit)
 	if req.Analyze {
-		out.Analyze = plan.ExplainAnalyze(res.Best, exec.Actuals(er, w))
+		out.actuals = exec.Actuals(er, w)
 	}
 	return out, nil
 }
