@@ -237,7 +237,9 @@ func chainName(n int) string { return "n=" + string(rune('0'+n)) }
 // BenchmarkEnumerate times the rank-parallel join enumeration
 // (docs/PERFORMANCE.md) while you work: an 8-table chain and an
 // 8-quantifier star optimized serially (Parallelism 1) and with a rank
-// fan-out of GOMAXPROCS. The gated numbers are bench/'s (BENCHMARK.json),
+// fan-out of GOMAXPROCS. Each result is Released, as the daemon and
+// lib_scale do, so B/op is what a warm workspace still allocates rather
+// than arena chunk growth. The gated numbers are bench/'s (BENCHMARK.json),
 // whose lib_scale sweep has both fixtures as points.
 func BenchmarkEnumerate(b *testing.B) {
 	chainCat := workload.ChainCatalog(8, 400, 150, 60, 200, 90, 500, 120, 80)
@@ -251,13 +253,13 @@ func BenchmarkEnumerate(b *testing.B) {
 		b.Run("chain8/"+tc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				optimize(b, chainCat, chainQ, stars.Options{Parallelism: tc.par})
+				optimize(b, chainCat, chainQ, stars.Options{Parallelism: tc.par}).Release()
 			}
 		})
 		b.Run("star8/"+tc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				optimize(b, starCat, starQ, stars.Options{Parallelism: tc.par})
+				optimize(b, starCat, starQ, stars.Options{Parallelism: tc.par}).Release()
 			}
 		})
 	}

@@ -46,6 +46,32 @@ func testEnv(conjuncts ...expr.Expr) *Env {
 	return e
 }
 
+// TestBindNeededCols: a quantifier needs its columns in the select list,
+// every predicate and ORDER BY, and no other quantifier's.
+func TestBindNeededCols(t *testing.T) {
+	cat := catalog.New()
+	for _, n := range []string{"A", "B", "C", "D"} {
+		cat.AddTable(&catalog.Table{Name: n, Card: 100, Cols: []*catalog.Column{
+			{Name: "X", Type: datum.KindInt, NDV: 10}, {Name: "Y", Type: datum.KindInt, NDV: 10}, {Name: "Z", Type: datum.KindInt, NDV: 10},
+		}})
+	}
+	g := query.MustNew([]query.Quantifier{{Name: "C", Table: "C"}, {Name: "A", Table: "A"}, {Name: "B", Table: "B"}, {Name: "D", Table: "D"}},
+		&expr.Cmp{Op: expr.EQ, L: expr.C("A", "Y"), R: expr.C("B", "X")},
+		&expr.Cmp{Op: expr.EQ, L: expr.C("B", "Y"), R: expr.C("C", "X")},
+		&expr.Cmp{Op: expr.EQ, L: expr.C("A", "X"), R: &expr.Const{Val: datum.NewInt(1)}},
+	)
+	g.Select = []expr.ColID{{Table: "A", Col: "X"}, {Table: "B", Col: "Z"}}
+	g.OrderBy = []expr.ColID{{Table: "C", Col: "Y"}}
+	e := NewEnv(cat, DefaultWeights)
+	e.Bind(g)
+	// A.X (select + pred), A.Y (join pred); D nothing at all.
+	for q, want := range map[string]string{"A": "A.X,A.Y", "B": "B.X,B.Y,B.Z", "C": "C.X,C.Y", "D": ""} {
+		if got := e.Needed(q).String(); got != want {
+			t.Errorf("%s needs %q, want %q", q, got, want)
+		}
+	}
+}
+
 func cEQ(t, c string, v int64) expr.Expr {
 	return &expr.Cmp{Op: expr.EQ, L: expr.C(t, c), R: &expr.Const{Val: datum.NewInt(v)}}
 }

@@ -12,6 +12,7 @@ package cost
 import (
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"stars/internal/catalog"
@@ -225,7 +226,21 @@ func (e *Env) Bind(g *query.Graph) {
 // resolves each column's width and each quantifier's quantCols over it.
 func (e *Env) bindCols(g *query.Graph) {
 	b := e.Bound
+	// A quantifier needs its columns in the select list, every predicate and
+	// ORDER BY: sorted, each quantifier's run is contiguous.
 	needed := make([][]expr.ColID, len(g.Quants))
+	all := slices.Concat(g.SelectCols(e.Cat), g.Preds.Columns(), g.OrderBy)
+	slices.SortFunc(all, expr.ColID.Compare)
+	for all = slices.Compact(all); len(all) > 0; {
+		n := 1
+		for n < len(all) && all[n].Table == all[0].Table {
+			n++
+		}
+		if q := e.u.Ordinal(all[0].Table); q >= 0 {
+			needed[q] = all[:n:n]
+		}
+		all = all[n:]
+	}
 	var ids []expr.ColID
 	qualify := func(q string, names []string) []expr.ColID {
 		for _, c := range names {
@@ -234,7 +249,6 @@ func (e *Env) bindCols(g *query.Graph) {
 		return ids[len(ids)-len(names):]
 	}
 	for i, q := range g.Quants {
-		needed[i] = g.NeededCols(e.Cat, q.Name)
 		ids = append(append(ids, needed[i]...), expr.ColID{Table: q.Name, Col: plan.TIDCol})
 		if t := b.tables[i]; t != nil {
 			qualify(q.Name, t.Order)

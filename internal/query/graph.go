@@ -8,7 +8,6 @@ package query
 
 import (
 	"fmt"
-	"slices"
 
 	"stars/internal/catalog"
 	"stars/internal/expr"
@@ -149,19 +148,6 @@ func (g *Graph) SelectCols(cat *catalog.Catalog) []expr.ColID {
 		}
 	}
 	return out
-}
-
-// NeededCols returns the columns quantifier q must supply, sorted: its
-// columns in the select list, every predicate, and ORDER BY.
-func (g *Graph) NeededCols(cat *catalog.Catalog, q string) []expr.ColID {
-	var out []expr.ColID
-	for _, c := range slices.Concat(g.SelectCols(cat), g.Preds.Columns(), g.OrderBy) {
-		if c.Table == q {
-			out = append(out, c)
-		}
-	}
-	slices.SortFunc(out, expr.ColID.Compare)
-	return slices.Compact(out)
 }
 
 // EligibleWithin returns the predicates whose every column lies within the

@@ -147,22 +147,6 @@ func TestBasePreds(t *testing.T) {
 	}
 }
 
-func TestNeededCols(t *testing.T) {
-	g := chain3()
-	g.OrderBy = []expr.ColID{{Table: "C", Col: "Y"}}
-	cat := cat3()
-	a := g.NeededCols(cat, "A")
-	// A.X (select + pred), A.Y (join pred).
-	if len(a) != 2 {
-		t.Fatalf("A needs %v", a)
-	}
-	c := g.NeededCols(cat, "C")
-	// C.X (join), C.Y (order by).
-	if len(c) != 2 {
-		t.Fatalf("C needs %v", c)
-	}
-}
-
 func TestSelectColsExpansion(t *testing.T) {
 	g := chain3()
 	g.Select = nil
