@@ -318,3 +318,42 @@ func TestArenaColListsFollowThePlans(t *testing.T) {
 		t.Fatalf("nil arena: %s must be a heap list", h)
 	}
 }
+
+// TestDetachCopiesTheDAGInAFewBlocks: Detach keeps the DAG's sharing — a
+// subplan two parents read is copied once — and every published ID, takes
+// no node, props, Rel, PATHS entry or column ordinal from the arena, and
+// copies the whole plan in a fixed handful of allocations, however many
+// nodes it has.
+func TestDetachCopiesTheDAGInAFewBlocks(t *testing.T) {
+	a := NewArena()
+	rel := a.NewRel(Rel{Tables: tableSet("T"), Cols: colList(col("T", "A"), col("T", "B")).Set()}, nil)
+	props := func(n *Node) *Node {
+		n.Props = a.NewProps(Props{Rel: rel, Order: colList(col("T", "B"), col("T", "A")).Concat(expr.ColList{}, a),
+			Paths: a.JoinPaths([]PathInfo{{Name: "TA", Cols: colList(col("T", "A"))}}, nil)})
+		return n
+	}
+	shared := props(a.NewNode(Node{Op: OpAccess, Flavor: FlavorHeap, Table: "T", Cols: colList(col("T", "A"), col("T", "B")).Concat(expr.ColList{}, a)}))
+	top := shared
+	for i := 0; i < 20; i++ {
+		filter := props(a.NewNode(Node{Op: OpFilter, Preds: predSet(pred("T", "A", int64(i)))}, shared))
+		top = props(a.NewNode(Node{Op: OpJoin, Flavor: MethodNL}, top, filter))
+	}
+	want, ids := Explain(top), top.ID()
+	// The detacher and its node and Rel lists (the node list grows once past
+	// 32), then one slice each of nodes, props, inputs, PATHS, Rels and
+	// ordinals.
+	if n := testing.AllocsPerRun(10, func() { Detach(top) }); n > 10 {
+		t.Errorf("Detach of a 41-node plan allocates %.0f times, want at most 10", n)
+	}
+	d := Detach(top)
+	a.SetPoison(true)
+	a.Reset()
+	if got := Explain(d); got != want || d.ID() != ids || d.Count() != 41 {
+		t.Fatalf("detached plan (ID %x, %d nodes) renders\n%s\nwant (ID %x, 41 nodes)\n%s", d.ID(), d.Count(), got, ids, want)
+	}
+	for m := d; len(m.Inputs) == 2; m = m.Inputs[0] {
+		if leaf := m.Inputs[1].Inputs[0]; leaf.Inputs != nil || leaf.Props.Rel != d.Props.Rel || leaf.Op != OpAccess {
+			t.Fatalf("a filter's input %+v is not the one shared copy of the scan", leaf)
+		}
+	}
+}
